@@ -20,16 +20,17 @@
  *                    unchanged (config, workload, length) cells are
  *                    served from DIR instead of re-executing
  *                    (sim/result_store.hh)
- *   CATCH_TRACE_STORE=1 / CATCH_TRACE_CACHE=DIR / CATCH_TRACE_STORE_MB
- *                    memoized trace-chunk store: in-memory (and, with
- *                    DIR, on-disk) reuse of generated trace chunks
- *                    across runs (trace/chunk_store.hh)
- *   CATCH_WARM_STATE=1 / CATCH_WARM_STATE_CACHE=DIR /
- *   CATCH_WARM_STATE_MB  warmed-state snapshot store: sampled runs
- *                    with a chunk store restore the functional-warming
- *                    state at the global-warmup boundary instead of
- *                    re-deriving it; repeat sweeps that vary only
- *                    timing knobs share snapshots (sim/warm_state.hh)
+ *   CATCH_STORE=1 / CATCH_STORE_DIR=DIR / CATCH_STORE_MB
+ *                    memo stores for generated trace chunks
+ *                    (trace/chunk_store.hh) and warmed-state snapshots
+ *                    (sim/warm_state.hh): in memory, plus on-disk tiers
+ *                    under DIR/chunks and DIR/warm. Sampled runs restore
+ *                    functional-warming state instead of re-deriving it;
+ *                    repeat sweeps that vary only timing knobs share
+ *                    snapshots. CATCH_STORE_MB (default 384) splits 2:1
+ *                    between chunks and snapshots
+ *   CATCH_WARM_STATE_MIN_GAP / CATCH_WARM_STATE_MAX_PAGES  the
+ *                    warm-state store's window eligibility gates
  *   CATCH_MAX_ATTEMPTS / CATCH_BACKOFF_MS / CATCH_MAX_CYCLES /
  *   CATCH_STALL_WINDOW  fault-containment knobs (see IsolationOptions
  *                    and RunBudget)

@@ -212,6 +212,75 @@ executeContainedRun(const SimConfig &cfg, const std::string &name,
     }
 }
 
+namespace
+{
+
+/** The result-store key of one slot; none for names outside the suite
+ *  (they fail fast in their slot and nothing cacheable comes of them). */
+std::optional<RunKey>
+resultKey(const SimConfig &cfg, const std::string &name, uint64_t instrs,
+          uint64_t warmup)
+{
+    auto wl = findWorkload(name);
+    if (!wl.ok())
+        return std::nullopt;
+    return RunKey{name, wl.value()->seed(), configDigest(cfg), instrs,
+                  warmup};
+}
+
+} // namespace
+
+std::vector<size_t>
+replayFinishedRuns(const SimConfig &cfg,
+                   const std::vector<std::string> &names, uint64_t instrs,
+                   uint64_t warmup, const IsolationOptions &opts,
+                   std::vector<RunOutcome> &outcomes,
+                   const std::function<void(const RunOutcome &)> &progress)
+{
+    std::vector<size_t> pending;
+    for (size_t i = 0; i < names.size(); ++i) {
+        RunStatus st = RunStatus::Ok;
+        std::optional<RunOutcome> hit;
+        if (const SimResult *done =
+                opts.journal ? opts.journal->find(cfg.name, names[i],
+                                                  instrs, warmup, &st)
+                             : nullptr) {
+            hit.emplace();
+            hit->workload = names[i];
+            hit->status = st;
+            hit->resumed = true;
+            hit->result = *done;
+        } else if (auto key = opts.resultStore
+                                  ? resultKey(cfg, names[i], instrs, warmup)
+                                  : std::nullopt) {
+            hit = opts.resultStore->find(*key);
+        }
+        if (!hit) {
+            pending.push_back(i);
+            continue;
+        }
+        outcomes[i] = std::move(*hit);
+        outcomes[i].config = cfg.name;
+        if (progress)
+            progress(outcomes[i]);
+    }
+    return pending;
+}
+
+void
+recordFreshRun(const SimConfig &cfg, uint64_t instrs, uint64_t warmup,
+               const IsolationOptions &opts, RunOutcome &out)
+{
+    if (opts.resultStore) {
+        out.storeMiss = true;
+        if (out.ok())
+            if (auto key = resultKey(cfg, out.workload, instrs, warmup))
+                opts.resultStore->put(*key, out);
+    }
+    if (opts.journal)
+        opts.journal->append(out, instrs, warmup);
+}
+
 std::vector<RunOutcome>
 runWorkloadsIsolated(const SimConfig &cfg,
                      const std::vector<std::string> &names,
@@ -231,46 +300,9 @@ runWorkloadsIsolated(const SimConfig &cfg,
     ChunkStore *store = opts.store ? *opts.store : ChunkStore::global();
     WarmStateStore *warm_store =
         opts.warmStore ? *opts.warmStore : WarmStateStore::global();
-    // The result-store key depends only on the run's identity, so the
-    // config digest is shared by every slot of the campaign.
-    uint64_t cfg_digest =
-        opts.resultStore ? configDigest(cfg) : 0;
-    for (size_t i = 0; i < names.size(); ++i) {
-        // Journal replay happens here on the calling thread, before any
-        // worker starts: resumed runs never occupy a worker slot. The
-        // result store is consulted second, under the same rule.
-        if (opts.journal) {
-            RunStatus st = RunStatus::Ok;
-            if (const SimResult *done = opts.journal->find(
-                    cfg.name, names[i], instrs, warmup, &st)) {
-                outcomes[i].workload = names[i];
-                outcomes[i].config = cfg.name;
-                outcomes[i].status = st;
-                outcomes[i].resumed = true;
-                outcomes[i].result = *done;
-                if (progress)
-                    progress(outcomes[i]);
-                continue;
-            }
-        }
-        std::optional<RunKey> key;
-        if (opts.resultStore) {
-            if (auto wl = findWorkload(names[i]); wl.ok())
-                key = RunKey{names[i], wl.value()->seed(), cfg_digest,
-                             instrs, warmup};
-            // Unknown names get no key: they fail fast in their slot
-            // and nothing cacheable ever comes of them.
-            if (key) {
-                if (auto hit = opts.resultStore->find(*key)) {
-                    outcomes[i] = std::move(*hit);
-                    outcomes[i].config = cfg.name;
-                    if (progress)
-                        progress(outcomes[i]);
-                    continue;
-                }
-            }
-        }
-        tasks.push_back([&, i, key, store, warm_store] {
+    for (size_t i : replayFinishedRuns(cfg, names, instrs, warmup, opts,
+                                       outcomes, progress)) {
+        tasks.push_back([&, i, store, warm_store] {
             // Fully private run: own workload (re-seeded from its suite
             // entry), own Simulator, own outcome slot. The stores (when
             // present) are shared deliberately — chunks and snapshots
@@ -279,13 +311,7 @@ runWorkloadsIsolated(const SimConfig &cfg,
             outcomes[i] = executeContainedRun(cfg, names[i], instrs,
                                               warmup, opts, store,
                                               warm_store);
-            if (opts.resultStore) {
-                outcomes[i].storeMiss = true;
-                if (key && outcomes[i].ok())
-                    opts.resultStore->put(*key, outcomes[i]);
-            }
-            if (opts.journal)
-                opts.journal->append(outcomes[i], instrs, warmup);
+            recordFreshRun(cfg, instrs, warmup, opts, outcomes[i]);
             if (progress)
                 progress(outcomes[i]);
         });

@@ -217,6 +217,28 @@ RunOutcome executeContainedRun(const SimConfig &cfg,
                                    WarmStateStore::global());
 
 /**
+ * Campaign planning both executors share, run on the calling thread
+ * before any worker starts: slots the journal holds replay first, then
+ * slots the result store holds (opts.journal / opts.resultStore), each
+ * reported through @p progress. Returns the indices still to execute.
+ */
+std::vector<size_t>
+replayFinishedRuns(const SimConfig &cfg,
+                   const std::vector<std::string> &names, uint64_t instrs,
+                   uint64_t warmup, const IsolationOptions &opts,
+                   std::vector<RunOutcome> &outcomes,
+                   const std::function<void(const RunOutcome &)> &progress);
+
+/**
+ * Books a freshly executed slot: marks the result-store miss, persists
+ * a success to the store, and appends the outcome to the journal.
+ * Thread-safe when the store and journal are.
+ */
+void recordFreshRun(const SimConfig &cfg, uint64_t instrs,
+                    uint64_t warmup, const IsolationOptions &opts,
+                    RunOutcome &out);
+
+/**
  * Relative wall-clock cost estimate for one workload run, used to order
  * dispatch longest-first. Server/HPC kernels carry large footprints
  * (trace setup + DRAM-heavy simulation) and dominate the makespan.

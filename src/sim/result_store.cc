@@ -1,12 +1,10 @@
 #include "sim/result_store.hh"
 
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/state_io.hh"
 #include "trace/trace_io.hh"
 
 #include <fcntl.h>
@@ -19,35 +17,28 @@ namespace catchsim
 namespace
 {
 
-void
-hashU64(uint64_t v, uint64_t &h)
-{
-    unsigned char bytes[8];
-    for (int i = 0; i < 8; ++i)
-        bytes[i] = static_cast<unsigned char>(v >> (8 * i));
-    h = fnv1a(bytes, sizeof(bytes), h);
-}
-
-std::string
-hex16(uint64_t v)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-    return buf;
-}
+// Result records have no memory tier and no injection target: every
+// find() reads the record, and the fault matrix drives corruption
+// through the chunk and warm-state stores instead.
+const ContentStore::Format kResultFormat = {
+    {'C', 'R', 'S', 'L', 'T', '\0'}, 1, ".res", "result",
+    FaultKind::TraceCorrupt,         nullptr};
 
 } // namespace
 
-uint64_t
-RunKey::hash() const
+std::string
+RunKey::bytes() const
 {
-    uint64_t h = fnv1a(workload.data(), workload.size());
-    hashU64(workloadSeed, h);
-    hashU64(configDigest, h);
-    hashU64(instrs, h);
-    hashU64(warmup, h);
-    hashU64(kTraceFormatVersion, h);
-    return h;
+    StateSink s;
+    for (uint64_t v : {workloadSeed, configDigest, instrs, warmup,
+                       uint64_t(kTraceFormatVersion)})
+        s.u64(v);
+    return s.take() + workload;
+}
+
+ResultStore::ResultStore(const std::string &dir)
+    : ContentStore(kResultFormat, Config{0, dir, nullptr})
+{
 }
 
 ResultStore::~ResultStore()
@@ -66,8 +57,7 @@ ResultStore::open(const std::string &dir)
                         "store directory '", dir, "': ", ec.message());
 
     // make_unique cannot reach the private ctor.
-    std::unique_ptr<ResultStore> s(new ResultStore); // catch-lint: allow(raw-new-delete)
-    s->dir_ = dir;
+    std::unique_ptr<ResultStore> s(new ResultStore(dir)); // catch-lint: allow(raw-new-delete)
 
     std::string lock_path = dir + "/lock";
     s->lockFd_ = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC,
@@ -83,73 +73,20 @@ ResultStore::open(const std::string &dir)
 }
 
 std::string
-ResultStore::pathFor(const RunKey &key) const
+ResultStore::diskPath(const RunKey &key) const
 {
-    return dir_ + "/" + hex16(key.hash()) + ".json";
+    return ContentStore::diskPath(key.bytes());
 }
 
 std::optional<RunOutcome>
 ResultStore::find(const RunKey &key)
 {
-    const std::string path = pathFor(key);
-    auto miss = [&](const char *why) -> std::optional<RunOutcome> {
-        if (why) {
-            warn("result store '", path, "': ", why,
-                 "; deleting the record");
-            std::remove(path.c_str());
-        }
-        std::lock_guard<std::mutex> guard(mu_);
-        ++misses_;
+    auto hit = std::static_pointer_cast<const RunOutcome>(
+        ContentStore::find(key.bytes()));
+    if (!hit)
         return std::nullopt;
-    };
-
-    std::ifstream in(path);
-    if (!in.is_open())
-        return miss(nullptr); // plain absence: the common cold miss
-    std::string record, checksum;
-    if (!std::getline(in, record) || !std::getline(in, checksum))
-        return miss("truncated record");
-    if (checksum != hex16(fnv1a(record.data(), record.size())))
-        return miss("checksum mismatch (torn write or bit flip?)");
-
-    auto parsed = parseJson(record);
-    if (!parsed.ok())
-        return miss("unparsable record");
-    const JsonValue &v = parsed.value();
-    const JsonValue *workload = v.member("workload");
-    const JsonValue *seed = v.member("workload_seed");
-    const JsonValue *digest = v.member("config_digest");
-    const JsonValue *instrs = v.member("instrs");
-    const JsonValue *warmup = v.member("warmup");
-    const JsonValue *status = v.member("status");
-    const JsonValue *attempts = v.member("attempts");
-    const JsonValue *result = v.member("result");
-    if (!workload || !seed || !digest || !instrs || !warmup ||
-        !status || !attempts || !result)
-        return miss("record with missing keys");
-    // Hash-collision / stale-rename guard: the record must describe
-    // exactly the key that was asked for.
-    if (workload->asString() != key.workload ||
-        seed->asU64() != key.workloadSeed ||
-        digest->asU64() != key.configDigest ||
-        instrs->asU64() != key.instrs || warmup->asU64() != key.warmup)
-        return miss("record for a different key (hash collision?)");
-    auto st = runStatusFromName(status->asString());
-    if (!st || (*st != RunStatus::Ok && *st != RunStatus::Retried))
-        return miss("record with a non-success status");
-    auto sim = SimResult::fromJson(*result);
-    if (!sim.ok())
-        return miss("record with a corrupt result payload");
-
-    RunOutcome out;
+    RunOutcome out = *hit;
     out.workload = key.workload;
-    out.status = *st;
-    out.attempts = static_cast<unsigned>(
-        std::max<uint64_t>(1, attempts->asU64()));
-    out.fromStore = true;
-    out.result = std::move(sim).value();
-    std::lock_guard<std::mutex> guard(mu_);
-    ++hits_;
     return out;
 }
 
@@ -157,63 +94,54 @@ void
 ResultStore::put(const RunKey &key, const RunOutcome &out)
 {
     CATCHSIM_ASSERT(out.ok(), "only successful outcomes are stored");
+    ContentStore::put(key.bytes(), std::make_shared<const RunOutcome>(out));
+}
+
+void
+ResultStore::encode(const void *value, std::vector<uint8_t> &out) const
+{
+    const auto &run = *static_cast<const RunOutcome *>(value);
     JsonWriter w;
     w.open();
-    w.field("workload", key.workload);
-    w.field("workload_seed", key.workloadSeed);
-    w.field("config_digest", key.configDigest);
-    w.field("instrs", key.instrs);
-    w.field("warmup", key.warmup);
-    w.field("status", std::string(runStatusName(out.status)));
-    w.field("attempts", uint64_t(out.attempts));
-    w.rawField("result", out.result.toJson());
+    w.field("status", std::string(runStatusName(run.status)));
+    w.field("attempts", uint64_t(run.attempts));
+    w.rawField("result", run.result.toJson());
     w.close();
-
-    const std::string &record = w.str();
-    std::string body = record + "\n" +
-                       hex16(fnv1a(record.data(), record.size())) + "\n";
-
-    uint64_t serial;
-    {
-        std::lock_guard<std::mutex> guard(mu_);
-        serial = ++tmpSerial_;
-    }
-    const std::string path = pathFor(key);
-    // Unique tmp per write: concurrent puts (pool threads in-process,
-    // or a supervisor racing nobody but itself across campaigns) never
-    // scribble on each other; rename() is the atomic commit.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(serial) + "." +
-        std::to_string(static_cast<uint64_t>(::getpid()));
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    if (!f) {
-        warn("result store: cannot open '", tmp, "' for writing; "
-             "record for '", key.workload, "' not persisted");
-        return;
-    }
-    size_t n = std::fwrite(body.data(), 1, body.size(), f);
-    bool bad = n != body.size() || std::ferror(f) != 0;
-    if (std::fclose(f) != 0)
-        bad = true;
-    if (bad || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        warn("result store: failed writing '", path, "'; record for '",
-             key.workload, "' not persisted");
-    }
+    out.insert(out.end(), w.str().begin(), w.str().end());
 }
 
-uint64_t
-ResultStore::hits() const
+Expected<ContentStore::Value>
+ResultStore::decode(const uint8_t *payload, size_t n) const
 {
-    std::lock_guard<std::mutex> guard(mu_);
-    return hits_;
-}
+    // Anything that could not be replayed as a successful run is a
+    // defect: the record is dropped and the cell re-executes.
+    auto bad = [](const char *why) {
+        return simError(ErrorCategory::TraceCorrupt, why);
+    };
+    auto parsed =
+        parseJson(std::string(reinterpret_cast<const char *>(payload), n));
+    if (!parsed.ok())
+        return bad("unparsable record");
+    const JsonValue &v = parsed.value();
+    const JsonValue *status = v.member("status");
+    const JsonValue *attempts = v.member("attempts");
+    const JsonValue *result = v.member("result");
+    if (!status || !attempts || !result)
+        return bad("record with missing keys");
+    auto st = runStatusFromName(status->asString());
+    if (!st || (*st != RunStatus::Ok && *st != RunStatus::Retried))
+        return bad("record with a non-success status");
+    auto sim = SimResult::fromJson(*result);
+    if (!sim.ok())
+        return bad("record with a corrupt result payload");
 
-uint64_t
-ResultStore::misses() const
-{
-    std::lock_guard<std::mutex> guard(mu_);
-    return misses_;
+    auto out = std::make_shared<RunOutcome>();
+    out->status = *st;
+    out->attempts = static_cast<unsigned>(
+        std::max<uint64_t>(1, attempts->asU64()));
+    out->fromStore = true;
+    out->result = std::move(sim).value();
+    return Value(std::move(out));
 }
 
 } // namespace catchsim

@@ -17,23 +17,25 @@
  * renames and sweeps. The executor consults the journal first, then
  * the store (sim/parallel_runner.cc).
  *
- * Disk discipline follows trace/chunk_store.cc: one file per key
- * (<fnv1a-hex16>.json) holding a single JSON line plus a trailing
- * FNV-1a checksum line, written to a unique tmp name and renamed into
- * place — a killed campaign never leaves a torn record. Corrupt or
- * key-mismatched files are deleted and count as misses. The directory
- * is guarded by a flock'd lock file: a second campaign pointed at the
- * same store fails fast with a config error instead of interleaving.
+ * Disk discipline is ContentStore's (common/content_store.hh), shared
+ * with the chunk and warm-state stores: one checksummed record per key
+ * (the payload is one JSON line holding the status, attempts and
+ * result), written to a process-unique tmp name and renamed into place
+ * — a killed campaign never leaves a torn record. Corrupt or
+ * key-mismatched records are deleted and count as misses. The store
+ * has no memory tier: every find() reads the record. The directory is
+ * guarded by a flock'd lock file: a second campaign pointed at the same
+ * store fails fast with a config error instead of interleaving.
  */
 
 #ifndef CATCHSIM_SIM_RESULT_STORE_HH_
 #define CATCHSIM_SIM_RESULT_STORE_HH_
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
+#include "common/content_store.hh"
 #include "common/error.hh"
 #include "sim/parallel_runner.hh"
 
@@ -50,18 +52,17 @@ struct RunKey
     uint64_t warmup = 0;
 
     /**
-     * FNV-1a over every field plus kTraceFormatVersion: a trace-format
-     * bump invalidates the whole store, exactly like the chunk store.
+     * Canonical key bytes: every field plus kTraceFormatVersion, so a
+     * trace-format bump invalidates the whole store, exactly like the
+     * chunk store.
      */
-    uint64_t hash() const;
+    std::string bytes() const;
 };
 
-class ResultStore
+class ResultStore : private ContentStore
 {
   public:
-    ~ResultStore();
-    ResultStore(const ResultStore &) = delete;
-    ResultStore &operator=(const ResultStore &) = delete;
+    ~ResultStore() override;
 
     /**
      * Creates @p dir if needed and takes the exclusive campaign lock
@@ -70,8 +71,6 @@ class ResultStore
      */
     static Expected<std::unique_ptr<ResultStore>>
     open(const std::string &dir);
-
-    const std::string &dir() const { return dir_; }
 
     /**
      * The stored outcome for @p key, or nullopt. A hit arrives with
@@ -82,26 +81,25 @@ class ResultStore
     std::optional<RunOutcome> find(const RunKey &key);
 
     /**
-     * Persists a successful outcome (asserts out.ok()): tmp + rename,
-     * checksummed. Write errors warn but never fail the run they
-     * record. Thread-safe.
+     * Persists a successful outcome (asserts out.ok()). Write errors
+     * warn but never fail the run they record. Thread-safe.
      */
     void put(const RunKey &key, const RunOutcome &out);
 
-    uint64_t hits() const;
-    uint64_t misses() const;
+    /** The record path @p key maps to (test visibility). */
+    std::string diskPath(const RunKey &key) const;
+
+    using ContentStore::stats;
 
   private:
-    ResultStore() = default;
+    explicit ResultStore(const std::string &dir);
 
-    std::string pathFor(const RunKey &key) const;
+    void encode(const void *value,
+                std::vector<uint8_t> &out) const override;
+    Expected<Value> decode(const uint8_t *payload,
+                           size_t n) const override;
 
-    std::string dir_;
     int lockFd_ = -1;
-    mutable std::mutex mu_; ///< counters + tmp-name serial
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
-    uint64_t tmpSerial_ = 0;
 };
 
 } // namespace catchsim

@@ -66,25 +66,15 @@ loadWarmSnapshot(const WarmSnapshot &snap, uint64_t *boundary_pos,
     if (!src.expect(stateTag("WSNP")))
         return false;
     *boundary_pos = src.u64();
-    if (!stream.loadWarmState(src, snap.pages))
-        return false;
-    if (!hierarchy.loadWarmState(src))
-        return false;
-    if (!predictor.loadWarmState(src))
-        return false;
-    if (src.boolean() != (detector != nullptr))
-        return false;
-    if (detector && !detector->table().loadWarmState(src))
-        return false;
-    if (src.boolean() != (tact != nullptr))
-        return false;
-    if (tact && !tact->loadWarmState(src))
-        return false;
-    if (!ff.loadWarmState(src))
-        return false;
     // Trailing bytes mean the writer serialized more than this reader
-    // parses — a format drift this checksum cannot catch.
-    return src.exhausted();
+    // parses — a format drift the record checksum cannot catch.
+    return stream.loadWarmState(src, snap.pages) &&
+           hierarchy.loadWarmState(src) && predictor.loadWarmState(src) &&
+           src.boolean() == (detector != nullptr) &&
+           (!detector || detector->table().loadWarmState(src)) &&
+           src.boolean() == (tact != nullptr) &&
+           (!tact || tact->loadWarmState(src)) && ff.loadWarmState(src) &&
+           src.exhausted();
 }
 
 } // namespace
@@ -256,8 +246,7 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
         // cursor instead of re-deriving it. Eligibility requires the
         // chunk store (the stream restore re-fetches its ring window
         // through it) and a nonzero warmup (nothing to memoize
-        // otherwise); window-boundary keys additionally require the
-        // store's per-window mode (off reproduces phase 1) and a
+        // otherwise); window-boundary keys additionally require a
         // schedule whose inter-window slack amortizes the restore — a
         // window restore costs a near-constant blob parse + O(pages)
         // map adoption, so short-slack schedules re-warm faster than
@@ -266,88 +255,82 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
         // bitwise identical by the store's contract.
         const uint64_t slack =
             sc.intervalInstrs - sc.warmupInstrs - sc.windowInstrs;
-        const bool window_eligible = warmStore_ && stream &&
-                                     stream->storeBacked() && warmup > 0 &&
-                                     warmStore_->perWindow() &&
-                                     slack >= warmStore_->minWindowGap();
         const bool warm_eligible = warmStore_ && stream &&
                                    stream->storeBacked() && warmup > 0;
+        const bool window_eligible =
+            warm_eligible && slack >= warmStore_->minWindowGap();
         // The state at a window boundary embeds the detailed windows
         // executed before it, which every timing knob reaches — so
         // window keys carry the FULL config digest plus the schedule
-        // digest, unlike the timing-blind global key.
+        // digest, unlike the timing-blind global key (windowIndex 0).
         const uint64_t full_digest =
             window_eligible ? configDigest(cfg) : 0;
         const uint64_t sched_digest =
             window_eligible ? sampleScheduleDigest(sc) : 0;
-        auto window_key = [&](uint64_t boundary,
-                              uint64_t window_index) {
-            return WarmStateKey{workload.name(), workload.seed(),
-                                boundary,       instrs + warmup,
-                                stream->chunkOps(), full_digest,
-                                window_index,   sched_digest};
-        };
-        // Restore a found snapshot; on component-level rejection drop
-        // the record and fail transient — the retry re-warms cleanly.
-        auto restore = [&](const WarmStateKey &key,
-                           const WarmStateStore::SnapshotPtr &snap)
-            -> Expected<uint64_t> {
-            uint64_t boundary_pos = 0;
-            if (loadWarmSnapshot(*snap, &boundary_pos, *stream,
-                                 hierarchy, core.frontend().predictor(),
-                                 detector.get(), tact.get(), ff) &&
-                boundary_pos <= stream->size()) {
-                core.skipTo(boundary_pos);
-                return boundary_pos;
-            }
-            // The record passed its checksum but a component rejected
-            // it: a format drift this build cannot parse.
-            warmStore_->remove(key);
-            return simError(ErrorCategory::IoTransient,
-                            "warm-state snapshot for '", workload.name(),
-                            "' failed component restore — dropped; "
-                            "retry re-warms");
-        };
+        RunProfile unprofiled;
+        RunProfile &tally = prof ? *profile : unprofiled;
 
-        // Global warmup: consulted under the warm-only digest at
-        // windowIndex 0 so pure timing resweeps share it.
-        WarmStateKey wkey;
-        if (warm_eligible)
-            wkey = WarmStateKey{workload.name(), workload.seed(), warmup,
-                                instrs + warmup, stream->chunkOps(),
-                                warmConfigDigest(cfg)};
-        bool restored = false;
-        if (warm_eligible) {
-            if (WarmStateStore::SnapshotPtr snap =
-                    warmStore_->find(wkey)) {
-                auto pos = restore(wkey, snap);
-                if (!pos.ok())
-                    return pos.error();
-                sample.warmedInstrs += pos.value();
-                restored = true;
-                if (prof) {
-                    ++profile->warmStateHits;
-                    profile->warmStateBytes += snap->residentBytes();
+        // One memoized warming step of @p len instrs from the cursor:
+        // with a key, consult it and restore a hit, else warm
+        // functionally and publish the landing state under the key
+        // (the landing position is the key's boundary by
+        // construction). A found snapshot a component rejects is
+        // dropped and fails transient — the retry re-warms cleanly.
+        auto warm_step = [&](uint64_t len, const WarmStateKey *key,
+                             uint64_t &hits, uint64_t &misses,
+                             uint64_t &bytes) -> Expected<void> {
+            if (key) {
+                if (WarmStateStore::SnapshotPtr snap =
+                        warmStore_->find(*key)) {
+                    uint64_t pos = 0;
+                    if (!loadWarmSnapshot(*snap, &pos, *stream, hierarchy,
+                                          core.frontend().predictor(),
+                                          detector.get(), tact.get(),
+                                          ff) ||
+                        pos > stream->size()) {
+                        // The record passed its checksum but a
+                        // component rejected it: a format drift this
+                        // build cannot parse.
+                        warmStore_->remove(*key);
+                        return simError(ErrorCategory::IoTransient,
+                                        "warm-state snapshot for '",
+                                        workload.name(),
+                                        "' failed component restore — "
+                                        "dropped; retry re-warms");
+                    }
+                    core.skipTo(pos);
+                    ++hits;
+                    bytes += snap->residentBytes();
+                    return {};
                 }
             }
-        }
-        size_t before = 0;
-        if (!restored) {
-            before = core.tracePos();
-            core.skipTo(ff.warm(before, warmup, core.now()));
-            sample.warmedInstrs += core.tracePos() - before;
-            if (warm_eligible) {
+            core.skipTo(ff.warm(core.tracePos(), len, core.now()));
+            if (key) {
                 WarmSnapshot snap = makeWarmSnapshot(
                     core.tracePos(), *stream, hierarchy,
                     core.frontend().predictor(), detector.get(),
                     tact.get(), ff);
-                if (prof) {
-                    ++profile->warmStateMisses;
-                    profile->warmStateBytes += snap.residentBytes();
-                }
-                warmStore_->put(wkey, std::move(snap));
+                ++misses;
+                bytes += snap.residentBytes();
+                warmStore_->put(*key, std::move(snap));
             }
-        }
+            return {};
+        };
+
+        // Global warmup: consulted under the warm-only digest at
+        // windowIndex 0 so pure timing resweeps share it.
+        std::optional<WarmStateKey> wkey;
+        if (warm_eligible)
+            wkey = WarmStateKey{workload.name(), workload.seed(), warmup,
+                                instrs + warmup, stream->chunkOps(),
+                                warmConfigDigest(cfg)};
+        size_t before = core.tracePos();
+        if (auto r = warm_step(warmup, wkey ? &*wkey : nullptr,
+                               tally.warmStateHits, tally.warmStateMisses,
+                               tally.warmStateBytes);
+            !r.ok())
+            return r.error();
+        sample.warmedInstrs += core.tracePos() - before;
         if (budget.limited())
             if (auto err = wd.poll(core.now(), core.instrsDone()))
                 return *err;
@@ -384,8 +367,8 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
             pending_post = slack - pre;
             if (gap) {
                 before = core.tracePos();
-                // The gap's landing position is where ff.warm would
-                // stop: the snapshot boundary consulted below.
+                // The key's boundary is where ff.warm lands: the gap's
+                // end, clamped to the trace end.
                 const uint64_t target =
                     std::min<uint64_t>(before + gap, stream->size());
                 // Second eligibility gate, evaluated at the pre-gap
@@ -396,46 +379,21 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
                 // the restore and re-warming is cheaper — page-heavy
                 // streaming workloads also warm fastest per
                 // instruction, compounding the loss.
-                const uint64_t page_cap = window_eligible
-                                              ? warmStore_->maxWindowPages()
-                                              : 0;
-                const bool window_gated =
-                    window_eligible &&
-                    (page_cap == 0 ||
-                     stream->mem()->pagesAllocated() <= page_cap);
-                bool gap_restored = false;
-                if (window_gated && target > before) {
-                    const WarmStateKey gkey = window_key(target, period);
-                    if (WarmStateStore::SnapshotPtr snap =
-                            warmStore_->find(gkey)) {
-                        auto pos = restore(gkey, snap);
-                        if (!pos.ok())
-                            return pos.error();
-                        gap_restored = true;
-                        if (prof) {
-                            ++profile->warmStateWindowHits;
-                            profile->warmStateWindowBytes +=
-                                snap->residentBytes();
-                        }
-                    }
-                }
-                if (!gap_restored) {
-                    core.skipTo(ff.warm(before, gap, core.now()));
-                    if (window_gated && target > before) {
-                        WarmSnapshot snap = makeWarmSnapshot(
-                            core.tracePos(), *stream, hierarchy,
-                            core.frontend().predictor(), detector.get(),
-                            tact.get(), ff);
-                        if (prof) {
-                            ++profile->warmStateWindowMisses;
-                            profile->warmStateWindowBytes +=
-                                snap.residentBytes();
-                        }
-                        warmStore_->put(window_key(core.tracePos(),
-                                                   period),
-                                        std::move(snap));
-                    }
-                }
+                std::optional<WarmStateKey> gkey;
+                if (window_eligible && target > before &&
+                    (warmStore_->maxWindowPages() == 0 ||
+                     stream->mem()->pagesAllocated() <=
+                         warmStore_->maxWindowPages()))
+                    gkey = WarmStateKey{workload.name(), workload.seed(),
+                                        target,         instrs + warmup,
+                                        stream->chunkOps(), full_digest,
+                                        period,         sched_digest};
+                if (auto r = warm_step(gap, gkey ? &*gkey : nullptr,
+                                       tally.warmStateWindowHits,
+                                       tally.warmStateWindowMisses,
+                                       tally.warmStateWindowBytes);
+                    !r.ok())
+                    return r.error();
                 sample.warmedInstrs += core.tracePos() - before;
                 if (budget.limited())
                     if (auto err =

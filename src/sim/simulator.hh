@@ -143,10 +143,10 @@ struct RunProfile
     uint64_t warmStateHits = 0;
     uint64_t warmStateMisses = 0;
     uint64_t warmStateBytes = 0;
-    /** Same attribution for the window-boundary (inter-sample) keys —
-     *  the phase-2 consults, separate from the global-warmup counters
-     *  above so a campaign's hit-rate report can tell the two regimes
-     *  apart. Zero when the store's per-window mode is off. */
+    /** Same attribution for the window-boundary (inter-sample) keys,
+     *  separate from the global-warmup counters above so a campaign's
+     *  hit-rate report can tell the two regimes apart. Zero when the
+     *  store's eligibility gates skip every window. */
     uint64_t warmStateWindowHits = 0;
     uint64_t warmStateWindowMisses = 0;
     uint64_t warmStateWindowBytes = 0;
@@ -159,15 +159,15 @@ class Simulator
     /**
      * @param store memoized chunk store feeding streamed-mode refills;
      *        defaults to the process-wide store (null unless enabled
-     *        via CATCH_TRACE_STORE / CATCH_TRACE_CACHE). Results are
+     *        via CATCH_STORE / CATCH_STORE_DIR). Results are
      *        bitwise-identical with or without one.
      * @param warm_store memoized warmed-state snapshots: sampled runs
-     *        with a chunk store restore the global-warmup state — and,
-     *        in the store's per-window mode, every inter-sample warming
-     *        gap — instead of re-deriving them functionally. Defaults
-     *        to the process-wide store (null unless enabled via
-     *        CATCH_WARM_STATE / CATCH_WARM_STATE_CACHE). Results are
-     *        bitwise-identical with or without one.
+     *        with a chunk store restore the global-warmup state and
+     *        every eligible inter-sample warming gap instead of
+     *        re-deriving them functionally. Defaults to the
+     *        process-wide store (null unless enabled via CATCH_STORE /
+     *        CATCH_STORE_DIR). Results are bitwise-identical with or
+     *        without one.
      */
     explicit Simulator(const SimConfig &cfg,
                        TraceMode mode = TraceMode::Streamed,

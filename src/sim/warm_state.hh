@@ -44,26 +44,24 @@
  *     any component's saveWarmState encoding changes and stale disk
  *     snapshots turn into clean misses instead of misparses.
  *
- * Tiering and integrity mirror trace/chunk_store.hh: a mutex-guarded
- * in-memory LRU over immutable shared snapshots, an optional disk tier
- * with checksummed records written via unique-temp + rename, first-
- * writer-wins put(), and a corrupt record (truncation, bit flip,
- * version skew, key mismatch) is warned about, deleted and reported as
- * a miss — the caller re-warms; results are never wrong, only slower.
+ * Tiering and integrity come from ContentStore (common/content_store.hh),
+ * shared with the chunk and result stores: a mutex-guarded in-memory LRU
+ * over immutable shared snapshots, an optional disk tier (DIR/warm under
+ * --store-dir / CATCH_STORE_DIR) with checksummed records written via
+ * unique-temp + rename, first-writer-wins put(), and a corrupt record
+ * (truncation, bit flip, version skew, key mismatch) is warned about,
+ * deleted and reported as a miss — the caller re-warms; results are
+ * never wrong, only slower.
  */
 
 #ifndef CATCHSIM_SIM_WARM_STATE_HH_
 #define CATCHSIM_SIM_WARM_STATE_HH_
 
-#include <atomic>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
+#include "common/content_store.hh"
 #include "common/error.hh"
-#include "common/fault_inject.hh"
 #include "common/sim_config.hh"
 #include "mem/functional_memory.hh"
 
@@ -92,15 +90,6 @@ struct WarmStateKey
     uint64_t scheduleDigest = 0; ///< sampleScheduleDigest(); 0 at the
                                  ///< schedule-independent global boundary
 
-    bool
-    operator==(const WarmStateKey &o) const
-    {
-        return kernel == o.kernel && seed == o.seed &&
-               boundaryOps == o.boundaryOps && totalOps == o.totalOps &&
-               chunkOps == o.chunkOps && configDigest == o.configDigest &&
-               windowIndex == o.windowIndex &&
-               scheduleDigest == o.scheduleDigest;
-    }
 };
 
 /**
@@ -134,7 +123,7 @@ struct WarmSnapshot
      *  full page data. Profile counters report it symmetrically for
      *  hits and misses. The store's memory budget does NOT sum these —
      *  it charges page data shared between resident snapshots once
-     *  (see WarmStateStore::Config::memBudgetBytes). */
+     *  (see WarmStateStore). */
     size_t
     residentBytes() const
     {
@@ -144,32 +133,25 @@ struct WarmSnapshot
 };
 
 /**
- * Two-tier (memory LRU + optional disk) store of warmed-state
- * snapshots. Thread-safe; snapshots are immutable once published.
+ * Typed facade over ContentStore (common/content_store.hh): keys are
+ * WarmStateKeys, values immutable snapshots charged sharing-aware —
+ * blob bytes and page addresses alone, each copy-on-write page once
+ * store-wide however many resident snapshots share it. Thread-safe.
  */
-class WarmStateStore
+class WarmStateStore : private ContentStore
 {
   public:
     using SnapshotPtr = std::shared_ptr<const WarmSnapshot>;
+    using Stats = ContentStore::Stats;
 
-    struct Config
+    struct Config : ContentStore::Config
     {
-        /** In-memory budget over the store's PHYSICAL residency: blob
-         *  bytes per snapshot, plus each distinct copy-on-write page
-         *  counted once however many resident snapshots share it. The
-         *  window-boundary snapshots of one run share nearly their
-         *  whole image (only pages written between boundaries diverge),
-         *  so a whole sweep's snapshots typically cost one workload
-         *  footprint plus deltas. */
-        size_t memBudgetBytes = size_t(128) << 20;
-
-        /** Disk tier directory; empty disables the disk tier. */
-        std::string diskDir;
-
-        /** Consult/publish at sampling-window boundaries too (phase 2),
-         *  not just the global-warmup boundary. Off reproduces the
-         *  phase-1 store for A/B measurement (docs/PERFORMANCE.md). */
-        bool perWindow = true;
+        /** Default in-memory budget over the store's PHYSICAL
+         *  residency: 128 MB. The window-boundary snapshots of one run
+         *  share nearly their whole image (only pages written between
+         *  boundaries diverge), so a whole sweep's snapshots typically
+         *  cost one workload footprint plus deltas. */
+        Config() { memBudgetBytes = size_t(128) << 20; }
 
         /**
          * Window-boundary eligibility gate, part 1: memoize window
@@ -199,36 +181,16 @@ class WarmStateStore
          * consistent across reps, processes and job counts. 0 = no cap.
          */
         uint64_t maxWindowPages = 12288;
-
-        /** Fault-injection plan (targets "warm-state-store" for every
-         *  disk read and "warm-state-window" for window-boundary reads
-         *  only, kind state-corrupt); null disables injection. */
-        const FaultPlan *plan = nullptr;
     };
 
-    struct Stats
-    {
-        uint64_t hits = 0;      ///< find() served (memory or disk)
-        uint64_t misses = 0;    ///< find() empty-handed — caller warms
-        uint64_t diskHits = 0;  ///< subset of hits read from disk
-        uint64_t evictions = 0; ///< memory-tier LRU evictions
-        uint64_t corrupt = 0;   ///< disk records dropped as corrupt
-        uint64_t puts = 0;      ///< new snapshots published
-        uint64_t windowHits = 0;   ///< subset of hits with windowIndex>0
-        uint64_t windowMisses = 0; ///< subset of misses, likewise
-    };
-
-    WarmStateStore();
-    explicit WarmStateStore(Config cfg);
-    ~WarmStateStore();
-
-    WarmStateStore(const WarmStateStore &) = delete;
-    WarmStateStore &operator=(const WarmStateStore &) = delete;
+    explicit WarmStateStore(Config cfg = {});
 
     /**
      * Looks @p key up in memory, then on disk. A corrupt disk record is
      * deleted and counted, and the call reports a miss. @returns null
      * on a miss — the caller warms functionally and put()s the result.
+     * Disk reads honour the "warm-state-store" injection target, and
+     * window-boundary keys also "warm-state-window".
      */
     SnapshotPtr find(const WarmStateKey &key);
 
@@ -239,13 +201,6 @@ class WarmStateStore
      */
     SnapshotPtr put(const WarmStateKey &key, WarmSnapshot snap);
 
-    /** Publishes a pages-free snapshot (unit tests, tooling). */
-    SnapshotPtr
-    put(const WarmStateKey &key, std::string bytes)
-    {
-        return put(key, WarmSnapshot{std::move(bytes), {}});
-    }
-
     /**
      * Drops @p key from both tiers. The simulator calls this when a
      * restored snapshot fails component-level validation (a format bug
@@ -253,74 +208,43 @@ class WarmStateStore
      */
     void remove(const WarmStateKey &key);
 
-    Stats stats() const;
-    size_t residentBytes() const;
-
-    /** Whether window-boundary snapshots participate (Config). */
-    bool perWindow() const { return cfg_.perWindow; }
+    using ContentStore::residentBytes;
+    using ContentStore::stats;
 
     /** Slack floor for window-boundary memoization (Config). */
-    uint64_t minWindowGap() const { return cfg_.minWindowGapInstrs; }
+    uint64_t minWindowGap() const { return minWindowGap_; }
 
     /** Page-count cap for window-boundary memoization (Config). */
-    uint64_t maxWindowPages() const { return cfg_.maxWindowPages; }
+    uint64_t maxWindowPages() const { return maxWindowPages_; }
 
-    /**
-     * Reads and fully validates @p key's disk record: size bound,
-     * whole-record checksum, magic, version, key echo, payload-length
-     * consistency, page-section shape — in that order, so a bad byte is
-     * never trusted. Exposed for the disk-tier taxonomy tests; find()
-     * is the production path.
-     */
+    /** ContentStore::loadDiskChecked for @p key; payload-shape defects
+     *  (blob overrun, page section, page order) are trace-corrupt. */
     Expected<SnapshotPtr> loadDiskChecked(const WarmStateKey &key);
 
     /** The record path @p key maps to (test + tooling visibility). */
     std::string diskPath(const WarmStateKey &key) const;
 
-    /** Effective disk dir; empty when disabled (also after a failed
-     *  create — the store degrades to the memory tier). */
-    const std::string &diskDir() const { return cfg_.diskDir; }
-
     /**
-     * The process-wide store, or null when disabled. Enabled by
-     * CATCH_WARM_STATE=1 (memory tier) or a non-empty
-     * CATCH_WARM_STATE_CACHE directory (memory + disk tier);
-     * CATCH_WARM_STATE_MB overrides the memory budget (default 128),
-     * CATCH_WARM_STATE_WINDOWS=0 disables the window-boundary
-     * snapshots (phase-1 behavior), and CATCH_WARM_STATE_MIN_GAP /
-     * CATCH_WARM_STATE_MAX_PAGES override the two eligibility gates
-     * (Config::minWindowGapInstrs / maxWindowPages; 0 = ungated).
-     * First call reads the environment (env.hh contract).
+     * The process-wide store, or null when disabled: CATCH_STORE /
+     * CATCH_STORE_DIR (disk tier under DIR/warm) / CATCH_STORE_MB (one
+     * third of it; ContentStore::configureFromEnv).
+     * CATCH_WARM_STATE_MIN_GAP / CATCH_WARM_STATE_MAX_PAGES override
+     * the two eligibility gates (0 = ungated). First call reads the
+     * environment (env.hh contract).
      */
     static WarmStateStore *global();
 
   private:
-    struct Entry
-    {
-        std::string mapKey;
-        SnapshotPtr snap;
-    };
+    static std::string keyBytes(const WarmStateKey &key);
+    static const char *faultTarget(const WarmStateKey &key);
+    void encode(const void *value,
+                std::vector<uint8_t> &out) const override;
+    Expected<Value> decode(const uint8_t *payload,
+                           size_t n) const override;
+    size_t charge(const void *value, const PartFn &shared) const override;
 
-    static std::string mapKey(const WarmStateKey &key);
-    Expected<void> writeDisk(const WarmStateKey &key,
-                             const WarmSnapshot &snap);
-    void evictOverBudgetLocked();
-    /** Budget accounting for inserting/erasing one entry: blob bytes
-     *  always, page data only on the first/last reference store-wide
-     *  (sharing-aware — see Config::memBudgetBytes). */
-    void chargeLocked(const WarmSnapshot &snap);
-    void releaseLocked(const WarmSnapshot &snap);
-
-    Config cfg_;
-
-    mutable std::mutex mu_;
-    std::list<Entry> lru_; ///< front = most recent
-    std::unordered_map<std::string, std::list<Entry>::iterator> map_;
-    /** Store-wide reference counts of resident COW pages, by identity. */
-    std::unordered_map<const FunctionalMemory::Page *, uint64_t> pageRefs_;
-    size_t residentBytes_ = 0;
-    Stats stats_;
-    std::atomic<uint64_t> tmpSerial_{0};
+    uint64_t minWindowGap_;
+    uint64_t maxWindowPages_;
 };
 
 } // namespace catchsim

@@ -1,14 +1,10 @@
 #include "trace/chunk_store.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <utility>
 
-#include "common/env.hh"
-#include "common/fault_inject.hh"
 #include "common/logging.hh"
+#include "common/state_io.hh"
 #include "common/thread_pool.hh"
 #include "trace/suite.hh"
 #include "trace/trace_io.hh"
@@ -21,31 +17,10 @@ namespace
 
 // Chunk-record magic, distinct from full-trace files ("CTSIM\0") so a
 // misplaced file of either kind is rejected by the first six bytes.
-constexpr char kChunkMagic[6] = {'C', 'T', 'C', 'H', 'K', '\0'};
-
-// Fixed prefix of a chunk record before the kernel-name bytes:
-// magic, u32 version, u64 seed, u64 index, u32 chunkOps, u32 name len.
-constexpr uint64_t kChunkHeaderBytes = sizeof(kChunkMagic) + 4 + 8 + 8 + 4 + 4;
-
-/** Exact byte size of @p key's disk record (header + ops + checksum). */
-uint64_t
-chunkRecordBytes(const ChunkKey &key)
-{
-    return kChunkHeaderBytes + key.kernel.size() +
-           uint64_t(key.chunkOps) * kTraceOpRecordBytes + 8;
-}
-
-void
-putBytes(std::vector<uint8_t> &out, size_t at, const void *src, size_t n)
-{
-    std::memcpy(out.data() + at, src, n);
-}
-
-struct FileCloser
-{
-    void operator()(std::FILE *f) const { std::fclose(f); }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+// The trace format version is the record's kind version.
+const ContentStore::Format kChunkFormat = {
+    {'C', 'T', 'C', 'H', 'K', '\0'}, kTraceFormatVersion, ".ctc", "chunk",
+    FaultKind::TraceCorrupt,          "chunk-store"};
 
 } // namespace
 
@@ -126,90 +101,36 @@ struct ChunkStore::Producer
 
 // --- ChunkStore --------------------------------------------------------
 
-ChunkStore::ChunkStore() : ChunkStore(Config()) {}
-
 // Callers must detach any producer pool first (ProducerPoolGuard does);
 // no task can then hold a reference into producers_.
 ChunkStore::~ChunkStore() = default;
 
 ChunkStore::ChunkStore(Config cfg)
-    : cfg_(std::move(cfg))
+    : ContentStore(kChunkFormat, std::move(cfg))
 {
-    if (!cfg_.diskDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(cfg_.diskDir, ec);
-        if (ec) {
-            warn("chunk store: cannot create cache dir '", cfg_.diskDir,
-                 "': ", ec.message(), " — disk tier disabled");
-            cfg_.diskDir.clear();
-        }
-    }
 }
 
 std::string
-ChunkStore::mapKey(const ChunkKey &key)
+ChunkStore::keyBytes(const ChunkKey &key)
 {
-    return key.kernel + '|' + std::to_string(key.seed) + '|' +
-           std::to_string(key.chunkOps) + '|' + std::to_string(key.index);
+    StateSink s;
+    s.u64(key.seed);
+    s.u32(key.chunkOps);
+    s.u64(key.index);
+    return s.take() + key.kernel;
 }
 
 std::string
 ChunkStore::diskPath(const ChunkKey &key) const
 {
-    return cfg_.diskDir + '/' + key.kernel + "-s" +
-           std::to_string(key.seed) + "-c" + std::to_string(key.chunkOps) +
-           "-v" + std::to_string(kTraceFormatVersion) + "-i" +
-           std::to_string(key.index) + ".ctc";
+    return ContentStore::diskPath(keyBytes(key));
 }
 
 ChunkStore::ChunkPtr
 ChunkStore::find(const ChunkKey &key)
 {
-    const std::string mk = mapKey(key);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(mk);
-        if (it != map_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
-            ++stats_.hits;
-            return it->second->chunk;
-        }
-    }
-    if (!cfg_.diskDir.empty()) {
-        auto loaded = loadDiskChecked(key);
-        if (loaded.ok()) {
-            ChunkPtr c = std::move(loaded).value();
-            std::lock_guard<std::mutex> lock(mu_);
-            auto it = map_.find(mk);
-            if (it != map_.end()) {
-                // A writer published while we read the file; serve the
-                // resident copy (the bytes are identical either way).
-                lru_.splice(lru_.begin(), lru_, it->second);
-            } else {
-                const size_t bytes = c->size() * sizeof(MicroOp);
-                lru_.push_front(Entry{mk, c, bytes}); // catch-lint: allow(step-alloc) once per 64K-op chunk, not per cycle
-                map_[mk] = lru_.begin();
-                residentBytes_ += bytes;
-                evictOverBudgetLocked();
-            }
-            ++stats_.hits;
-            ++stats_.diskHits;
-            return c;
-        }
-        const SimError &e = loaded.error();
-        if (e.category == ErrorCategory::TraceCorrupt) {
-            // Contain, don't crash: drop the bad record so the slot is
-            // rewritten from regenerated (canonical) bytes, and report
-            // a miss — the caller regenerates deterministically.
-            warn(e.message, " — dropping the record and regenerating");
-            std::remove(diskPath(key).c_str());
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.corrupt;
-        }
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return nullptr;
+    return std::static_pointer_cast<const Chunk>(
+        ContentStore::find(keyBytes(key)));
 }
 
 ChunkStore::ChunkPtr
@@ -219,204 +140,50 @@ ChunkStore::put(const ChunkKey &key, Chunk chunk)
                     "chunk store only holds full chunks: got ",
                     chunk.size(), " ops for a ", key.chunkOps,
                     "-op key");
-    const std::string mk = mapKey(key);
-    ChunkPtr c;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(mk);
-        if (it != map_.end()) {
-            // First writer wins; every writer holds identical bytes.
-            lru_.splice(lru_.begin(), lru_, it->second);
-            return it->second->chunk;
-        }
-        c = std::make_shared<const Chunk>(std::move(chunk)); // catch-lint: allow(step-alloc) once per 64K-op chunk, not per cycle
-        const size_t bytes = c->size() * sizeof(MicroOp);
-        lru_.push_front(Entry{mk, c, bytes}); // catch-lint: allow(step-alloc) once per 64K-op chunk, not per cycle
-        map_[mk] = lru_.begin();
-        residentBytes_ += bytes;
-        ++stats_.puts;
-        evictOverBudgetLocked();
-    }
-    if (!cfg_.diskDir.empty()) {
-        auto w = writeDisk(key, *c);
-        if (!w.ok())
-            warn(w.error().message, " — disk tier skipped for this chunk");
-    }
-    return c;
-}
-
-void
-ChunkStore::evictOverBudgetLocked()
-{
-    // Never evict below one resident chunk: the entry just inserted
-    // must survive long enough to be returned to its requester.
-    while (residentBytes_ > cfg_.memBudgetBytes && lru_.size() > 1) {
-        const Entry &victim = lru_.back();
-        residentBytes_ -= victim.bytes;
-        map_.erase(victim.mapKey);
-        lru_.pop_back();
-        ++stats_.evictions;
-    }
-}
-
-Expected<void>
-ChunkStore::writeDisk(const ChunkKey &key, const Chunk &chunk)
-{
-    const std::string path = diskPath(key);
-    {
-        // Already persisted (by an earlier run or another worker racing
-        // on the same identity): the bytes are canonical, keep them.
-        FilePtr probe(std::fopen(path.c_str(), "rb"));
-        if (probe)
-            return {};
-    }
-    const uint64_t total = chunkRecordBytes(key);
-    std::vector<uint8_t> out(total);
-    size_t at = 0;
-    putBytes(out, at, kChunkMagic, sizeof(kChunkMagic));
-    at += sizeof(kChunkMagic);
-    const uint32_t version = kTraceFormatVersion;
-    putBytes(out, at, &version, 4);
-    at += 4;
-    putBytes(out, at, &key.seed, 8);
-    at += 8;
-    putBytes(out, at, &key.index, 8);
-    at += 8;
-    putBytes(out, at, &key.chunkOps, 4);
-    at += 4;
-    const uint32_t name_len = static_cast<uint32_t>(key.kernel.size());
-    putBytes(out, at, &name_len, 4);
-    at += 4;
-    putBytes(out, at, key.kernel.data(), key.kernel.size());
-    at += key.kernel.size();
-    for (const MicroOp &op : chunk) {
-        encodeOpRecord(op, out.data() + at);
-        at += kTraceOpRecordBytes;
-    }
-    const uint64_t sum = fnv1a(out.data(), at);
-    putBytes(out, at, &sum, 8);
-    at += 8;
-    CATCHSIM_ASSERT(at == total, "chunk record layout mismatch");
-
-    // Write to a unique temp name, then rename: readers only ever see
-    // complete, checksummed records, even across concurrent writers.
-    const std::string tmp =
-        path + ".tmp" +
-        std::to_string(tmpSerial_.fetch_add(1, std::memory_order_relaxed));
-    FilePtr f(std::fopen(tmp.c_str(), "wb"));
-    if (!f)
-        return simError(ErrorCategory::IoTransient,
-                        "chunk store: cannot open '", tmp,
-                        "' for writing");
-    if (std::fwrite(out.data(), 1, out.size(), f.get()) != out.size() ||
-        std::fflush(f.get()) != 0) {
-        f.reset();
-        std::remove(tmp.c_str());
-        return simError(ErrorCategory::IoTransient,
-                        "chunk store: write to '", tmp, "' failed");
-    }
-    f.reset();
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return simError(ErrorCategory::IoTransient,
-                        "chunk store: cannot rename '", tmp, "' to '",
-                        path, "'");
-    }
-    return {};
+    return std::static_pointer_cast<const Chunk>(ContentStore::put(
+        keyBytes(key), std::make_shared<const Chunk>(std::move(chunk)))); // catch-lint: allow(step-alloc) once per 64K-op chunk, not per cycle
 }
 
 Expected<ChunkStore::ChunkPtr>
 ChunkStore::loadDiskChecked(const ChunkKey &key)
 {
-    const std::string path = diskPath(key);
-    auto corrupt = [&path](auto &&...what) {
-        return simError(ErrorCategory::TraceCorrupt, "chunk file '",
-                        path, "': ", what...);
-    };
-    // Deterministic fault injection: the reserved "chunk-store" target
-    // corrupts every disk read so CI can drive the containment path
-    // (drop + regenerate) without manufacturing real bit flips.
-    if (cfg_.plan &&
-        cfg_.plan->shouldInject(FaultKind::TraceCorrupt, "chunk-store"))
-        return corrupt("injected chunk-store corruption");
-
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (!f)
-        return simError(ErrorCategory::Config, "no chunk file '", path,
-                        "'");
-    // The expected size is a pure function of the key, so it bounds the
-    // read buffer before anything in the file is trusted.
-    const uint64_t expected = chunkRecordBytes(key);
-    if (std::fseek(f.get(), 0, SEEK_END) != 0)
-        return simError(ErrorCategory::IoTransient, "cannot seek in '",
-                        path, "'");
-    const long told = std::ftell(f.get());
-    if (told < 0)
-        return simError(ErrorCategory::IoTransient, "cannot size '",
-                        path, "'");
-    if (static_cast<uint64_t>(told) != expected)
-        return corrupt(told, " bytes on disk, expected ", expected,
-                       " (truncated or foreign record)");
-    std::rewind(f.get());
-    std::vector<uint8_t> buf(expected);
-    if (std::fread(buf.data(), 1, buf.size(), f.get()) != buf.size())
-        return corrupt("short read of ", expected, " bytes");
-
-    uint64_t sum = 0;
-    std::memcpy(&sum, buf.data() + buf.size() - 8, 8);
-    if (fnv1a(buf.data(), buf.size() - 8) != sum)
-        return corrupt("FNV-1a checksum mismatch (bit flip?)");
-
-    size_t at = 0;
-    if (std::memcmp(buf.data(), kChunkMagic, sizeof(kChunkMagic)) != 0)
-        return corrupt("bad magic");
-    at += sizeof(kChunkMagic);
-    uint32_t version = 0;
-    std::memcpy(&version, buf.data() + at, 4);
-    at += 4;
-    if (version != kTraceFormatVersion)
-        return corrupt("unsupported version ", version, ", expected ",
-                       kTraceFormatVersion);
-    uint64_t seed = 0;
-    std::memcpy(&seed, buf.data() + at, 8);
-    at += 8;
-    uint64_t index = 0;
-    std::memcpy(&index, buf.data() + at, 8);
-    at += 8;
-    uint32_t chunk_ops = 0;
-    std::memcpy(&chunk_ops, buf.data() + at, 4);
-    at += 4;
-    uint32_t name_len = 0;
-    std::memcpy(&name_len, buf.data() + at, 4);
-    at += 4;
-    if (seed != key.seed || index != key.index ||
-        chunk_ops != key.chunkOps || name_len != key.kernel.size() ||
-        std::memcmp(buf.data() + at, key.kernel.data(), name_len) != 0)
-        return corrupt("header does not match the requested key");
-    at += name_len;
-
-    auto chunk = std::make_shared<Chunk>(size_t(chunk_ops)); // catch-lint: allow(step-alloc) once per 64K-op chunk, not per cycle
-    for (uint32_t i = 0; i < chunk_ops; ++i) {
-        if (const char *defect =
-                decodeOpRecord(buf.data() + at, &(*chunk)[i]))
-            return corrupt("op ", i, ": ", defect);
-        at += kTraceOpRecordBytes;
-    }
-    return ChunkPtr(std::move(chunk));
+    auto v = ContentStore::loadDiskChecked(keyBytes(key));
+    if (!v.ok())
+        return v.error();
+    return std::static_pointer_cast<const Chunk>(std::move(v).value());
 }
 
-ChunkStore::Stats
-ChunkStore::stats() const
+void
+ChunkStore::encode(const void *value, std::vector<uint8_t> &out) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
+    const Chunk &chunk = *static_cast<const Chunk *>(value);
+    size_t at = out.size();
+    out.resize(at + chunk.size() * kTraceOpRecordBytes); // catch-lint: allow(step-alloc) once per 64K-op chunk write, not per cycle
+    for (const MicroOp &op : chunk) {
+        encodeOpRecord(op, out.data() + at);
+        at += kTraceOpRecordBytes;
+    }
+}
+
+Expected<ContentStore::Value>
+ChunkStore::decode(const uint8_t *payload, size_t n) const
+{
+    if (n == 0 || n % kTraceOpRecordBytes != 0)
+        return simError(ErrorCategory::TraceCorrupt, "payload of ", n,
+                        " bytes is not a whole number of op records");
+    auto chunk = std::make_shared<Chunk>(n / kTraceOpRecordBytes); // catch-lint: allow(step-alloc) once per 64K-op chunk, not per cycle
+    for (size_t i = 0; i < chunk->size(); ++i)
+        if (const char *defect = decodeOpRecord(
+                payload + i * kTraceOpRecordBytes, &(*chunk)[i]))
+            return simError(ErrorCategory::TraceCorrupt, "op ", i, ": ",
+                            defect);
+    return Value(std::move(chunk));
 }
 
 size_t
-ChunkStore::residentBytes() const
+ChunkStore::charge(const void *value, const PartFn &) const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return residentBytes_;
+    return static_cast<const Chunk *>(value)->size() * sizeof(MicroOp);
 }
 
 // --- producer stage ----------------------------------------------------
@@ -524,13 +291,9 @@ ChunkStore::global()
     // Leaked singleton (never destructed): detached producer tasks may
     // still publish chunks while static destructors would run.
     static ChunkStore *const store = []() -> ChunkStore * {
-        const std::string dir = envString("CATCH_TRACE_CACHE");
-        if (!envFlag("CATCH_TRACE_STORE") && dir.empty())
-            return nullptr;
         Config cfg;
-        cfg.memBudgetBytes = envU64("CATCH_TRACE_STORE_MB", 256) << 20;
-        cfg.diskDir = dir;
-        cfg.plan = &FaultPlan::global();
+        if (!configureFromEnv(cfg, "chunks", 2, 3))
+            return nullptr;
         return new ChunkStore(std::move(cfg)); // catch-lint: allow(raw-new-delete) intentionally leaked process singleton
     }();
     return store;

@@ -79,22 +79,7 @@ TraceStream::generateChunkFromStore()
     const double t0 = genClock_ ? genClock_() : 0;
     const size_t want = std::min(chunk_, total_ - genEnd_);
     const uint64_t idx = genEnd_ / chunk_;
-    ChunkStore::ChunkPtr c = store_->find(keyFor(idx));
-    if (c) {
-        ++storeHitChunks_;
-    } else {
-        // Regenerate from wherever the engine stands. A fresh (or
-        // rewound) engine replays from chunk 0; intermediate chunks
-        // are republished so evicted entries repopulate. put() dedups
-        // against concurrent producers, and every generator emits
-        // identical bytes, so the served chunk is canonical either way.
-        ++storeMissChunks_;
-        while (gen_.nextIndex() <= idx) {
-            const uint64_t at = gen_.nextIndex();
-            c = store_->put(keyFor(at),
-                            gen_.next(*wl_, static_cast<uint32_t>(chunk_)));
-        }
-    }
+    ChunkStore::ChunkPtr c = fetchChunk(idx);
     CATCHSIM_ASSERT(c && c->size() == chunk_,
                     "chunk store served a malformed chunk");
     for (size_t i = 0; i < want; ++i) {
@@ -117,13 +102,18 @@ TraceStream::generateChunkFromStore()
 }
 
 ChunkStore::ChunkPtr
-TraceStream::fetchChunkNoReplay(uint64_t index)
+TraceStream::fetchChunk(uint64_t index)
 {
     ChunkStore::ChunkPtr c = store_->find(keyFor(index));
     if (c) {
         ++storeHitChunks_;
         return c;
     }
+    // Regenerate from wherever the engine stands. A fresh (or rewound)
+    // engine replays from chunk 0; intermediate chunks are republished
+    // so evicted entries repopulate. put() dedups against concurrent
+    // producers, and every generator emits identical bytes, so the
+    // served chunk is canonical either way.
     ++storeMissChunks_;
     while (gen_.nextIndex() <= index) {
         const uint64_t at = gen_.nextIndex();
@@ -174,7 +164,7 @@ TraceStream::loadWarmState(StateSource &src,
         const uint64_t first_idx = begin / chunk_;
         const uint64_t last_idx = (gen_end - 1) / chunk_;
         for (uint64_t idx = first_idx; idx <= last_idx; ++idx) {
-            ChunkStore::ChunkPtr c = fetchChunkNoReplay(idx);
+            ChunkStore::ChunkPtr c = fetchChunk(idx);
             if (!c || c->size() != chunk_)
                 return false;
             const size_t lo =

@@ -160,8 +160,9 @@ class TraceStream
                        const FunctionalMemory::PageImage &pages);
 
   private:
-    /** find-or-regenerate without the mem_ store replay (restore path). */
-    ChunkStore::ChunkPtr fetchChunkNoReplay(uint64_t index);
+    /** Find-or-regenerate of one chunk; replaying its stores into mem_
+     *  is the caller's choice (refills do, restores do not). */
+    ChunkStore::ChunkPtr fetchChunk(uint64_t index);
 
     void start();
     void generateChunk();

@@ -6,19 +6,19 @@
  *     the store disabled, cold, warm, eviction-thrashing or disk-backed,
  *     at jobs 1/8/16, in detailed and sampled modes. The store may only
  *     ever be a speed lever, never a correctness hazard.
- *  2. LRU mechanics — exact-budget eviction order, find() recency
- *     touches, and the one-resident-chunk floor.
- *  3. Disk-tier validation — every corruption mode (missing file,
- *     truncation, bit flip, key/header mismatch) surfaces as the
- *     documented taxonomy, drops the bad record, and falls back to
- *     deterministic regeneration. Never a crash, never silently wrong.
+ *  2. Record codec — op-record defects behind a valid frame are
+ *     corrupt, dropped and regenerated. The LRU, frame validation and
+ *     corruption containment themselves are pinned once, for all
+ *     stores, by tests/content_store_test.cc.
+ *  3. Containment — a partly corrupted disk cache still streams the
+ *     canonical op sequence, and the memory tier holds only decoded
+ *     chunks.
  *  4. Concurrency — producer/consumer stress across a shared store and
  *     a live thread pool (the TSan CI job runs the *Concurrent* cases).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -29,9 +29,9 @@
 #include "sim/configs.hh"
 #include "sim/parallel_runner.hh"
 #include "sim_result_compare.hh"
+#include "store_test_util.hh"
 #include "trace/chunk_store.hh"
 #include "trace/suite.hh"
-#include "trace/trace_io.hh"
 #include "trace/trace_stream.hh"
 #include "trace/trace_view.hh"
 
@@ -44,39 +44,12 @@ constexpr uint64_t kInstr = 20000;
 constexpr uint64_t kWarm = 5000;
 constexpr size_t kChunk = 1024; // small power-of-two chunk for tests
 
-const FaultPlan kNoFaults;
-
-/** Campaign workloads spanning every suite category. */
-std::vector<std::string>
-campaignNames()
-{
-    return {"mcf", "omnetpp", "hmmer", "hplinpack", "tpcc", "gobmk"};
-}
-
 ChunkKey
 keyAt(const std::string &kernel, uint64_t index,
       uint32_t chunk_ops = kChunk)
 {
     auto wl = makeWorkload(kernel);
     return ChunkKey{kernel, wl->seed(), chunk_ops, index};
-}
-
-/** An arbitrary full chunk for LRU unit tests (content irrelevant). */
-ChunkStore::Chunk
-dummyChunk(uint32_t chunk_ops, uint8_t tag)
-{
-    ChunkStore::Chunk chunk(chunk_ops);
-    for (auto &op : chunk)
-        op.pc = tag;
-    return chunk;
-}
-
-std::string
-freshDir(const std::string &name)
-{
-    std::string dir = ::testing::TempDir() + name;
-    std::filesystem::remove_all(dir);
-    return dir;
 }
 
 std::vector<MicroOp>
@@ -109,29 +82,6 @@ expectOpsEqual(const std::vector<MicroOp> &got,
             ASSERT_EQ(got[i].src[s], want[i].src[s])
                 << what << " op " << i;
     }
-}
-
-IsolationOptions
-optsWithStore(ChunkStore *store)
-{
-    IsolationOptions opts;
-    opts.plan = &kNoFaults;
-    opts.backoffMs = 0;
-    opts.store = store;
-    return opts;
-}
-
-/** FNV-1a golden over a whole campaign's serialized results. */
-uint64_t
-campaignHash(const std::vector<RunOutcome> &outcomes)
-{
-    uint64_t h = 1469598103934665603ULL;
-    for (const auto &o : outcomes) {
-        EXPECT_TRUE(o.ok()) << o.workload;
-        const std::string json = o.result.toJson();
-        h = fnv1a(json.data(), json.size(), h);
-    }
-    return h;
 }
 
 // --------------------- ChunkGenerator ----------------------------
@@ -167,81 +117,7 @@ TEST(ChunkGenerator, ChunksAreThePrefixFunctionOfKernelAndSeed)
     }
 }
 
-// ----------------------- LRU mechanics ---------------------------
-
-TEST(ChunkStoreLru, FindMissesColdThenHitsAfterPut)
-{
-    ChunkStore store;
-    ChunkKey key = keyAt("mcf", 0, 64);
-    EXPECT_EQ(store.find(key), nullptr);
-    auto put = store.put(key, dummyChunk(64, 1));
-    ASSERT_NE(put, nullptr);
-    auto hit = store.find(key);
-    EXPECT_EQ(hit, put) << "the resident chunk is shared, not copied";
-    auto s = store.stats();
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.puts, 1u);
-    EXPECT_EQ(s.diskHits, 0u);
-    EXPECT_EQ(store.residentBytes(), 64 * sizeof(MicroOp));
-}
-
-TEST(ChunkStoreLru, FirstWriterWinsOnDuplicatePut)
-{
-    ChunkStore store;
-    ChunkKey key = keyAt("mcf", 0, 64);
-    auto first = store.put(key, dummyChunk(64, 1));
-    auto second = store.put(key, dummyChunk(64, 1));
-    EXPECT_EQ(first, second);
-    EXPECT_EQ(store.stats().puts, 1u) << "duplicates are not re-published";
-    EXPECT_EQ(store.residentBytes(), 64 * sizeof(MicroOp));
-}
-
-TEST(ChunkStoreLru, EvictsLeastRecentlyUsedAtExactBudget)
-{
-    constexpr uint32_t ops = 64;
-    const size_t chunk_bytes = ops * sizeof(MicroOp);
-    ChunkStore::Config cfg;
-    cfg.memBudgetBytes = 3 * chunk_bytes; // exactly three chunks
-    ChunkStore store(cfg);
-
-    store.put(keyAt("mcf", 0, ops), dummyChunk(ops, 0));
-    store.put(keyAt("mcf", 1, ops), dummyChunk(ops, 1));
-    store.put(keyAt("mcf", 2, ops), dummyChunk(ops, 2));
-    EXPECT_EQ(store.stats().evictions, 0u)
-        << "at budget is not over budget";
-    EXPECT_EQ(store.residentBytes(), 3 * chunk_bytes);
-
-    // Touch chunk 0: it becomes most-recent, chunk 1 the LRU victim.
-    EXPECT_NE(store.find(keyAt("mcf", 0, ops)), nullptr);
-    store.put(keyAt("mcf", 3, ops), dummyChunk(ops, 3));
-    EXPECT_EQ(store.stats().evictions, 1u);
-    EXPECT_EQ(store.residentBytes(), 3 * chunk_bytes);
-    EXPECT_EQ(store.find(keyAt("mcf", 1, ops)), nullptr)
-        << "the least-recently-used chunk is the victim";
-    EXPECT_NE(store.find(keyAt("mcf", 0, ops)), nullptr);
-    EXPECT_NE(store.find(keyAt("mcf", 2, ops)), nullptr);
-    EXPECT_NE(store.find(keyAt("mcf", 3, ops)), nullptr);
-}
-
-TEST(ChunkStoreLru, BudgetFloorKeepsTheNewestChunkResident)
-{
-    ChunkStore::Config cfg;
-    cfg.memBudgetBytes = 1; // below a single chunk
-    ChunkStore store(cfg);
-    auto a = store.put(keyAt("mcf", 0, 64), dummyChunk(64, 0));
-    ASSERT_NE(a, nullptr);
-    EXPECT_EQ(store.residentBytes(), 64 * sizeof(MicroOp))
-        << "never evicted below one resident chunk";
-    auto b = store.put(keyAt("mcf", 1, 64), dummyChunk(64, 1));
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(store.stats().evictions, 1u);
-    EXPECT_EQ(store.find(keyAt("mcf", 0, 64)), nullptr);
-    // Shared ownership keeps an evicted-then-reheld chunk valid.
-    EXPECT_EQ(a->size(), 64u);
-}
-
-// ------------------------ Disk tier ------------------------------
+// ---------------------- Record codec -----------------------------
 
 /** Writes one real chunk's record to @p dir and returns its path. */
 std::string
@@ -256,176 +132,40 @@ writeOneRecord(const std::string &dir)
     return writer.diskPath(keyAt("mcf", 0));
 }
 
-void
-rewriteFile(const std::string &path, const std::vector<char> &bytes)
+TEST(ChunkStoreCodec, OpRecordDefectIsCorruptAndDropped)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr) << path;
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-    std::fclose(f);
-}
-
-std::vector<char>
-readAll(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr) << path;
-    std::fseek(f, 0, SEEK_END);
-    std::vector<char> bytes(static_cast<size_t>(std::ftell(f)));
-    std::rewind(f);
-    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-    std::fclose(f);
-    return bytes;
-}
-
-TEST(ChunkStoreDisk, RoundTripServesWarmStartAcrossStoreInstances)
-{
-    const std::string dir = freshDir("chunk_store_roundtrip");
-    auto wl = makeWorkload("mcf");
-    ChunkGenerator gen;
-    std::vector<MicroOp> original = gen.next(*wl, kChunk);
-
-    {
-        ChunkStore::Config cfg;
-        cfg.diskDir = dir;
-        ChunkStore writer(cfg);
-        writer.put(keyAt("mcf", 0), original);
-        EXPECT_TRUE(std::filesystem::exists(writer.diskPath(keyAt("mcf", 0))));
-    }
-
-    ChunkStore::Config cfg;
-    cfg.diskDir = dir;
-    ChunkStore reader(cfg);
-    auto loaded = reader.loadDiskChecked(keyAt("mcf", 0));
-    ASSERT_TRUE(loaded.ok())
-        << (loaded.ok() ? "" : loaded.error().message);
-    expectOpsEqual(*loaded.value(), original, "disk round trip");
-
-    auto hit = reader.find(keyAt("mcf", 0));
-    ASSERT_NE(hit, nullptr);
-    expectOpsEqual(*hit, original, "disk-tier find");
-    auto s = reader.stats();
-    EXPECT_EQ(s.diskHits, 1u);
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.corrupt, 0u);
-
-    // Second find comes from the memory tier.
-    ASSERT_NE(reader.find(keyAt("mcf", 0)), nullptr);
-    EXPECT_EQ(reader.stats().diskHits, 1u);
-
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ChunkStoreDisk, UnwritableCacheDirDegradesToMemoryTier)
-{
-    // A path below a regular file cannot be created, even by root.
-    const std::string blocker = freshDir("chunk_store_blocker");
-    rewriteFile(blocker, {'x'});
-    ChunkStore::Config cfg;
-    cfg.diskDir = blocker + "/nested/cache";
-    ChunkStore store(cfg);
-    EXPECT_TRUE(store.diskDir().empty())
-        << "an uncreatable dir disables the disk tier, not the store";
-    EXPECT_NE(store.put(keyAt("mcf", 0, 64), dummyChunk(64, 0)), nullptr);
-    EXPECT_NE(store.find(keyAt("mcf", 0, 64)), nullptr);
-}
-
-TEST(ChunkStoreDisk, MissingFileIsAPlainMissNotCorruption)
-{
-    const std::string dir = freshDir("chunk_store_missing");
-    std::string path = writeOneRecord(dir);
-    std::filesystem::remove(path);
-
-    ChunkStore::Config cfg;
-    cfg.diskDir = dir;
-    ChunkStore store(cfg);
-    auto loaded = store.loadDiskChecked(keyAt("mcf", 0));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().category, ErrorCategory::Config)
-        << "absence is a config-level miss, not data corruption";
-    EXPECT_EQ(store.find(keyAt("mcf", 0)), nullptr);
-    auto s = store.stats();
-    EXPECT_EQ(s.corrupt, 0u);
-    EXPECT_EQ(s.misses, 1u);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ChunkStoreDisk, TruncatedRecordIsCorruptAndDropped)
-{
-    const std::string dir = freshDir("chunk_store_truncated");
-    std::string path = writeOneRecord(dir);
-    std::vector<char> bytes = readAll(path);
-    bytes.pop_back();
-    rewriteFile(path, bytes);
-
+    // A checksum-valid record whose op carries an out-of-range class
+    // must be refused by the op decoder, not replayed.
+    const std::string dir = freshDir("chunk_store_op_defect");
+    const std::string path = writeOneRecord(dir);
+    editPayload(path, [](std::vector<char> &p) {
+        p[3 * 8] = static_cast<char>(0xff); // op 0's class byte
+    });
     ChunkStore::Config cfg;
     cfg.diskDir = dir;
     ChunkStore store(cfg);
     auto loaded = store.loadDiskChecked(keyAt("mcf", 0));
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().category, ErrorCategory::TraceCorrupt);
-    EXPECT_NE(loaded.error().message.find("truncated or foreign"),
-              std::string::npos)
-        << loaded.error().message;
-
-    EXPECT_EQ(store.find(keyAt("mcf", 0)), nullptr)
-        << "corruption reports a miss so the caller regenerates";
-    EXPECT_EQ(store.stats().corrupt, 1u);
-    EXPECT_FALSE(std::filesystem::exists(path))
-        << "the bad record is dropped so the slot can be rewritten";
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ChunkStoreDisk, BitFlipFailsTheChecksumAndIsDropped)
-{
-    const std::string dir = freshDir("chunk_store_bitflip");
-    std::string path = writeOneRecord(dir);
-    std::vector<char> bytes = readAll(path);
-    bytes[bytes.size() / 2] ^= 0x40; // one flipped bit mid-payload
-    rewriteFile(path, bytes);
-
-    ChunkStore::Config cfg;
-    cfg.diskDir = dir;
-    ChunkStore store(cfg);
-    auto loaded = store.loadDiskChecked(keyAt("mcf", 0));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().category, ErrorCategory::TraceCorrupt);
-    EXPECT_NE(loaded.error().message.find("FNV-1a checksum mismatch"),
-              std::string::npos)
+    EXPECT_NE(loaded.error().message.find("op 0: "), std::string::npos)
         << loaded.error().message;
     EXPECT_EQ(store.find(keyAt("mcf", 0)), nullptr);
     EXPECT_EQ(store.stats().corrupt, 1u);
     EXPECT_FALSE(std::filesystem::exists(path));
+
+    // A payload that is not a whole number of op records is refused
+    // before any op is decoded.
+    writeOneRecord(dir);
+    editPayload(path, [](std::vector<char> &p) { p.pop_back(); });
+    auto ragged = store.loadDiskChecked(keyAt("mcf", 0));
+    ASSERT_FALSE(ragged.ok());
+    EXPECT_NE(ragged.error().message.find("whole number of op records"),
+              std::string::npos)
+        << ragged.error().message;
     std::filesystem::remove_all(dir);
 }
 
-TEST(ChunkStoreDisk, ForeignRecordAtTheWrongPathFailsTheHeaderCheck)
-{
-    // A checksum-valid record renamed onto another key's path (same
-    // kernel and chunk size, different index → same byte size) must be
-    // rejected by the header/key cross-check, not served as chunk 1.
-    const std::string dir = freshDir("chunk_store_foreign");
-    std::string path0 = writeOneRecord(dir);
-
-    ChunkStore::Config cfg;
-    cfg.diskDir = dir;
-    ChunkStore store(cfg);
-    std::string path1 = store.diskPath(keyAt("mcf", 1));
-    std::filesystem::rename(path0, path1);
-
-    auto loaded = store.loadDiskChecked(keyAt("mcf", 1));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().category, ErrorCategory::TraceCorrupt);
-    EXPECT_NE(
-        loaded.error().message.find("does not match the requested key"),
-        std::string::npos)
-        << loaded.error().message;
-    EXPECT_EQ(store.find(keyAt("mcf", 1)), nullptr);
-    EXPECT_EQ(store.stats().corrupt, 1u);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ChunkStoreDisk, CorruptedCacheRegeneratesBitwiseIdenticalStream)
+TEST(ChunkStoreEquivalence, CorruptedCacheRegeneratesBitwiseIdenticalStream)
 {
     // End-to-end containment: corrupt three chunks of a warm disk cache
     // three different ways, then demand the stream still serve exactly
@@ -473,61 +213,40 @@ TEST(ChunkStoreDisk, CorruptedCacheRegeneratesBitwiseIdenticalStream)
         << "truncation and bit flip count; absence is a plain miss";
     EXPECT_GT(stream.storeHits(), 0u) << "intact chunks still serve";
     EXPECT_GT(stream.storeMisses(), 0u);
+    EXPECT_EQ(store.residentBytes(), 6 * kChunk * sizeof(MicroOp))
+        << "the memory tier holds decoded chunks only, never records";
     std::filesystem::remove_all(dir);
 }
 
 // ------------------ Campaign equivalence -------------------------
 
 /**
- * The acceptance matrix: one fault-free baseline without a store, then
- * every store state at every job count must hash to the same campaign
- * golden and compare bitwise-equal slot by slot.
+ * The acceptance matrix: a store-less baseline, then the store off,
+ * cold, warm and disk-backed, and eviction-thrashing at jobs 1/8/16.
  */
 void
 expectStoreStateEquivalence(const SimConfig &cfg)
 {
-    const std::vector<std::string> names = campaignNames();
-    auto baseline = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
-                                         optsWithStore(nullptr));
-    const uint64_t golden = campaignHash(baseline);
-
-    const std::string dir = freshDir(std::string("chunk_store_equiv_") +
-                                     cfg.name);
+    const std::string dir = freshDir("chunk_store_equiv_" + cfg.name);
     ChunkStore::Config disk_cfg;
     disk_cfg.diskDir = dir;
     ChunkStore warm(disk_cfg); // shared across job counts: stays warm
     ChunkStore::Config tiny_cfg;
     tiny_cfg.memBudgetBytes = 1; // evicts after every insertion
     ChunkStore evicting(tiny_cfg);
-
-    for (unsigned jobs : {1u, 8u, 16u}) {
-        SCOPED_TRACE(cfg.name + " jobs=" + std::to_string(jobs));
-
-        auto off = runWorkloadsIsolated(cfg, names, kInstr, kWarm, jobs,
-                                        optsWithStore(nullptr));
-        EXPECT_EQ(campaignHash(off), golden);
-
-        ChunkStore cold;
-        auto with_cold = runWorkloadsIsolated(cfg, names, kInstr, kWarm,
-                                              jobs, optsWithStore(&cold));
-        EXPECT_EQ(campaignHash(with_cold), golden);
-        EXPECT_GT(cold.stats().puts, 0u);
-
-        auto with_warm = runWorkloadsIsolated(cfg, names, kInstr, kWarm,
-                                              jobs, optsWithStore(&warm));
-        EXPECT_EQ(campaignHash(with_warm), golden);
-
-        auto thrash = runWorkloadsIsolated(cfg, names, kInstr, kWarm,
-                                           jobs,
-                                           optsWithStore(&evicting));
-        EXPECT_EQ(campaignHash(thrash), golden);
-
-        for (size_t i = 0; i < names.size(); ++i) {
-            expectBitwiseEqual(with_cold[i].result, baseline[i].result);
-            expectBitwiseEqual(with_warm[i].result, baseline[i].result);
-            expectBitwiseEqual(thrash[i].result, baseline[i].result);
-        }
-    }
+    std::vector<std::unique_ptr<ChunkStore>> cold; // fresh per campaign
+    expectStoreStatesMatch(
+        cfg, optsWithStores(nullptr),
+        {[] { return optsWithStores(nullptr); },
+         [&] {
+             return optsWithStores(
+                 cold.emplace_back(std::make_unique<ChunkStore>()).get());
+         },
+         [&] { return optsWithStores(&warm); },
+         [&] { return optsWithStores(&evicting); }},
+        kInstr, kWarm);
+    for (const auto &c : cold)
+        EXPECT_GT(c->stats().puts, 0u);
     EXPECT_GT(warm.stats().hits, 0u) << "the warm store actually served";
     EXPECT_GT(evicting.stats().evictions, 0u)
         << "the tiny store actually thrashed";
@@ -555,28 +274,6 @@ TEST(ChunkStoreEquivalence, SampledCampaigns)
     cfg.sampling.windowInstrs = 2000;
     cfg.sampling.warmupInstrs = 2000;
     expectStoreStateEquivalence(cfg);
-}
-
-TEST(ChunkStoreEquivalence, InjectedChunkStoreFaultTaxonomy)
-{
-    // The reserved "chunk-store" injection target corrupts every disk
-    // read deterministically; the taxonomy must be trace-corrupt.
-    auto parsed = FaultPlan::parse("trace-corrupt:chunk-store");
-    ASSERT_TRUE(parsed.ok());
-    FaultPlan plan = std::move(parsed).value();
-    const std::string dir = freshDir("chunk_store_inject_taxonomy");
-    std::string path = writeOneRecord(dir);
-    ASSERT_TRUE(std::filesystem::exists(path));
-
-    ChunkStore::Config cfg;
-    cfg.diskDir = dir;
-    cfg.plan = &plan;
-    ChunkStore store(cfg);
-    auto loaded = store.loadDiskChecked(keyAt("mcf", 0));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().category, ErrorCategory::TraceCorrupt);
-    EXPECT_NE(loaded.error().message.find("injected"), std::string::npos);
-    std::filesystem::remove_all(dir);
 }
 
 // ------------------------ Concurrency ----------------------------
@@ -632,7 +329,7 @@ TEST(ChunkStoreConcurrent, ParallelCampaignSharesOneDiskStore)
     SimConfig cfg = baselineSkx();
     const std::vector<std::string> names = campaignNames();
     auto baseline = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
-                                         optsWithStore(nullptr));
+                                         optsWithStores(nullptr));
 
     ChunkStore::Config store_cfg;
     store_cfg.diskDir = dir;
@@ -641,7 +338,7 @@ TEST(ChunkStoreConcurrent, ParallelCampaignSharesOneDiskStore)
     ChunkStore store(store_cfg);
     for (int rep = 0; rep < 2; ++rep) {
         auto got = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 16,
-                                        optsWithStore(&store));
+                                        optsWithStores(&store));
         for (size_t i = 0; i < names.size(); ++i)
             expectBitwiseEqual(got[i].result, baseline[i].result);
     }

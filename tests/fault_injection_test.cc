@@ -361,95 +361,39 @@ TEST(IsolatedExecution, SummaryTalliesEveryStatus)
 }
 
 /**
- * Disk-tier corruption injected through the reserved "chunk-store"
- * target: every chunk read from the cache dir is reported corrupt, so
- * the store must drop each record and regenerate deterministically.
- * The campaign itself never observes a fault — zero failed slots,
- * bitwise-identical results — because a corrupt cache entry is a
- * containable store-internal event, not a run-level error.
+ * Disk-tier corruption injected through the stores' reserved targets:
+ * every chunk ("chunk-store") and warmed-state snapshot
+ * ("warm-state-store") read from the cache dirs fails its checks, so
+ * each store must drop the record and the run must re-derive it —
+ * regenerate the chunk, re-warm functionally. The campaign never
+ * observes a fault — zero failed slots, bitwise-identical sampled
+ * results — because a corrupt cache entry is a containable
+ * store-internal event, not a run-level error.
  */
-TEST(IsolatedExecution, InjectedChunkStoreCorruptionRegeneratesBitwise)
-{
-    const std::vector<std::string> names = {"mcf", "hmmer", "omnetpp",
-                                            "tpcc"};
-    SimConfig cfg = withCatch(baselineSkx());
-    auto baseline = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
-                                         optsWith(kNoFaults));
-    for (const auto &o : baseline)
-        ASSERT_TRUE(o.ok()) << o.workload;
-
-    const std::string dir =
-        ::testing::TempDir() + "fault_inject_chunk_cache";
-    std::filesystem::remove_all(dir);
-    { // Warm the disk tier with intact records first.
-        ChunkStore::Config store_cfg;
-        store_cfg.diskDir = dir;
-        ChunkStore warm(store_cfg);
-        IsolationOptions opts = optsWith(kNoFaults);
-        opts.store = &warm;
-        auto warmup = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 4,
-                                           opts);
-        for (size_t i = 0; i < names.size(); ++i)
-            expectBitwiseEqual(warmup[i].result, baseline[i].result);
-    }
-
-    FaultPlan plan = mustParse("trace-corrupt:chunk-store");
-    ChunkStore::Config store_cfg;
-    store_cfg.diskDir = dir;
-    store_cfg.plan = &plan;
-    ChunkStore poisoned(store_cfg);
-    for (unsigned jobs : {1u, 8u}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        IsolationOptions opts = optsWith(plan);
-        opts.store = &poisoned;
-        auto faulty = runWorkloadsIsolated(cfg, names, kInstr, kWarm,
-                                           jobs, opts);
-        for (size_t i = 0; i < names.size(); ++i) {
-            ASSERT_TRUE(faulty[i].ok())
-                << names[i]
-                << ": cache corruption must stay store-internal";
-            expectBitwiseEqual(faulty[i].result, baseline[i].result);
-        }
-    }
-    EXPECT_GT(poisoned.stats().corrupt, 0u)
-        << "the injected corruption was actually exercised";
-    std::filesystem::remove_all(dir);
-}
-
-/**
- * Disk-tier corruption injected through the reserved "warm-state-store"
- * target: every warmed-state snapshot read from the cache dir fails its
- * checks, so the store must drop each record and the run must fall back
- * to functional warming. The campaign never observes a fault — zero
- * failed slots, bitwise-identical sampled results — because a corrupt
- * snapshot only costs the warm skip, never correctness.
- */
-TEST(IsolatedExecution, InjectedWarmStateCorruptionRewarmsBitwise)
+TEST(IsolatedExecution, InjectedStoreCorruptionRederivesBitwise)
 {
     const std::vector<std::string> names = {"mcf", "hmmer", "omnetpp",
                                             "tpcc"};
     SimConfig cfg = withCatch(baselineSkx());
     cfg.sampling.mode = SampleMode::Sampled;
-
-    // Warm-state snapshots need a chunk-store-backed stream; one
-    // memory-tier chunk store serves every phase of this test.
-    ChunkStore::Config chunk_cfg;
-    ChunkStore chunks(chunk_cfg);
     IsolationOptions base = optsWith(kNoFaults);
-    base.store = &chunks;
-    base.warmStore = nullptr; // baseline: no snapshot store attached
+    base.store = nullptr;
+    base.warmStore = nullptr;
     auto baseline = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
                                          base);
     for (const auto &o : baseline)
         ASSERT_TRUE(o.ok()) << o.workload;
 
     const std::string dir =
-        ::testing::TempDir() + "fault_inject_warm_cache";
+        ::testing::TempDir() + "fault_inject_store_cache";
     std::filesystem::remove_all(dir);
-    { // Populate the disk tier with intact snapshots first.
-        WarmStateStore::Config store_cfg;
-        store_cfg.diskDir = dir;
-        WarmStateStore warm(store_cfg);
+    ChunkStore::Config chunk_cfg;
+    chunk_cfg.diskDir = dir + "/chunks";
+    WarmStateStore::Config warm_cfg;
+    warm_cfg.diskDir = dir + "/warm";
+    { // Populate both disk tiers with intact records first.
+        ChunkStore chunks(chunk_cfg);
+        WarmStateStore warm(warm_cfg);
         IsolationOptions opts = optsWith(kNoFaults);
         opts.store = &chunks;
         opts.warmStore = &warm;
@@ -459,27 +403,30 @@ TEST(IsolatedExecution, InjectedWarmStateCorruptionRewarmsBitwise)
             expectBitwiseEqual(warmed[i].result, baseline[i].result);
     }
 
-    FaultPlan plan = mustParse("state-corrupt:warm-state-store");
-    WarmStateStore::Config store_cfg;
-    store_cfg.diskDir = dir;
-    store_cfg.plan = &plan;
-    WarmStateStore poisoned(store_cfg);
+    FaultPlan plan = mustParse(
+        "trace-corrupt:chunk-store;state-corrupt:warm-state-store");
+    chunk_cfg.plan = &plan;
+    warm_cfg.plan = &plan;
+    ChunkStore chunks(chunk_cfg);
+    WarmStateStore warm(warm_cfg);
     for (unsigned jobs : {1u, 8u}) {
         SCOPED_TRACE("jobs=" + std::to_string(jobs));
         IsolationOptions opts = optsWith(plan);
         opts.store = &chunks;
-        opts.warmStore = &poisoned;
+        opts.warmStore = &warm;
         auto faulty = runWorkloadsIsolated(cfg, names, kInstr, kWarm,
                                            jobs, opts);
         for (size_t i = 0; i < names.size(); ++i) {
             ASSERT_TRUE(faulty[i].ok())
                 << names[i]
-                << ": snapshot corruption must stay store-internal";
+                << ": cache corruption must stay store-internal";
             expectBitwiseEqual(faulty[i].result, baseline[i].result);
         }
     }
-    EXPECT_GT(poisoned.stats().corrupt, 0u)
-        << "the injected corruption was actually exercised";
+    EXPECT_GT(chunks.stats().corrupt, 0u)
+        << "the injected chunk corruption was actually exercised";
+    EXPECT_GT(warm.stats().corrupt, 0u)
+        << "the injected snapshot corruption was actually exercised";
     std::filesystem::remove_all(dir);
 }
 

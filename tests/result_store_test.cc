@@ -4,15 +4,17 @@
  * (sim/result_store.hh): successful runs round-trip bitwise through
  * put/find, the executor serves unchanged cells from the store and
  * counts hits/misses, a one-knob config change invalidates exactly the
- * cells it touches, corrupt records self-heal as misses, and a second
- * campaign pointed at a locked store fails fast with a config error.
+ * cells it touches, records the codec cannot replay (missing keys, a
+ * non-success status) self-heal as misses, and a second campaign
+ * pointed at a locked store fails fast with a config error. Frame-level
+ * corruption (truncation, bit flips, key mismatch) is pinned once, for
+ * all stores, by tests/content_store_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "sim/result_store.hh"
 #include "sim/worker_proto.hh"
 #include "sim_result_compare.hh"
+#include "store_test_util.hh"
 #include "trace/suite.hh"
 
 namespace catchsim
@@ -82,7 +85,7 @@ TEST(ResultStore, PutThenFindRoundTripsBitwise)
 
     RunKey key = keyFor(cfg, "hmmer");
     EXPECT_FALSE(store->find(key).has_value());
-    EXPECT_EQ(store->misses(), 1u);
+    EXPECT_EQ(store->stats().misses, 1u);
 
     store->put(key, ran[0]);
     auto hit = store->find(key);
@@ -91,7 +94,7 @@ TEST(ResultStore, PutThenFindRoundTripsBitwise)
     EXPECT_EQ(hit->status, RunStatus::Ok);
     EXPECT_EQ(hit->attempts, 1u);
     expectBitwiseEqual(ran[0].result, hit->result);
-    EXPECT_EQ(store->hits(), 1u);
+    EXPECT_EQ(store->stats().hits, 1u);
 }
 
 TEST(ResultStore, ExecutorResweepHitsUnchangedCellsOnly)
@@ -110,7 +113,7 @@ TEST(ResultStore, ExecutorResweepHitsUnchangedCellsOnly)
         EXPECT_FALSE(o.fromStore);
         EXPECT_TRUE(o.storeMiss);
     }
-    EXPECT_EQ(s1->misses(), names.size());
+    EXPECT_EQ(s1->stats().misses, names.size());
     CampaignSummary sum1 = summarizeOutcomes(first);
     EXPECT_EQ(sum1.storeMisses, names.size());
     EXPECT_EQ(sum1.storeHits, 0u);
@@ -127,7 +130,7 @@ TEST(ResultStore, ExecutorResweepHitsUnchangedCellsOnly)
         EXPECT_EQ(second[i].config, cfg.name);
         expectBitwiseEqual(first[i].result, second[i].result);
     }
-    EXPECT_EQ(s2->hits(), names.size());
+    EXPECT_EQ(s2->stats().hits, names.size());
     CampaignSummary sum2 = summarizeOutcomes(second);
     EXPECT_EQ(sum2.storeHits, names.size());
     EXPECT_EQ(sum2.storeMisses, 0u);
@@ -146,7 +149,7 @@ TEST(ResultStore, ExecutorResweepHitsUnchangedCellsOnly)
         EXPECT_FALSE(o.fromStore) << o.workload
                                   << " must re-execute after the sweep";
     }
-    EXPECT_EQ(s3->misses(), names.size());
+    EXPECT_EQ(s3->stats().misses, names.size());
 }
 
 TEST(ResultStore, RenamedConfigKeepsItsCells)
@@ -167,88 +170,58 @@ TEST(ResultStore, KeyCoversTheWholeRunIdentity)
 {
     SimConfig cfg = baselineSkx();
     RunKey key = keyFor(cfg, "hmmer");
-    uint64_t base = key.hash();
+    const std::string base = key.bytes();
 
     RunKey k = key;
     k.workload = "mcf";
-    EXPECT_NE(k.hash(), base);
+    EXPECT_NE(k.bytes(), base);
     k = key;
     k.workloadSeed ^= 1;
-    EXPECT_NE(k.hash(), base);
+    EXPECT_NE(k.bytes(), base);
     k = key;
     k.configDigest ^= 1;
-    EXPECT_NE(k.hash(), base);
+    EXPECT_NE(k.bytes(), base);
     k = key;
     k.instrs += 1;
-    EXPECT_NE(k.hash(), base);
+    EXPECT_NE(k.bytes(), base);
     k = key;
     k.warmup += 1;
-    EXPECT_NE(k.hash(), base);
+    EXPECT_NE(k.bytes(), base);
 }
 
-TEST(ResultStore, CorruptRecordsAreDeletedAndMiss)
+TEST(ResultStore, RecordsMissingKeysOrFailuresAreRejected)
 {
-    ScratchDir dir("store_corrupt");
+    // The record codec refuses anything it could not replay as a
+    // successful run: a record with missing keys, or one whose status
+    // is a failure. Behind a valid frame the rejection is corrupt, so
+    // find() deletes the record and misses; a fresh put heals the slot.
+    ScratchDir dir("store_codec");
     SimConfig cfg = baselineSkx();
-    auto store = mustOpen(dir.path);
-    ASSERT_NE(store, nullptr);
-
     auto ran = runWorkloadsIsolated(cfg, {"hmmer"}, kInstr, kWarm, 1);
     ASSERT_TRUE(ran[0].ok());
     RunKey key = keyFor(cfg, "hmmer");
-    store->put(key, ran[0]);
-    ASSERT_TRUE(store->find(key).has_value());
-
-    const std::string path =
-        dir.path + "/" + [&] {
-            char buf[20];
-            std::snprintf(buf, sizeof(buf), "%016llx",
-                          static_cast<unsigned long long>(key.hash()));
-            return std::string(buf);
-        }() + ".json";
-    ASSERT_TRUE(std::filesystem::exists(path));
-
-    // Flip the record body so the checksum line no longer matches.
-    {
-        std::fstream f(path, std::ios::in | std::ios::out);
-        ASSERT_TRUE(f.is_open());
-        f.seekp(1);
-        f.put('!');
+    auto store = mustOpen(dir.path);
+    ASSERT_NE(store, nullptr);
+    const std::string path = store->diskPath(key);
+    using Edit = std::function<void(std::string &)>;
+    for (const Edit &edit :
+         {Edit([](std::string &rec) { rec = "{\"status\":\"ok\"}"; }),
+          Edit([](std::string &rec) {
+              rec.replace(rec.find("\"ok\""), 4, "\"failed\"");
+          })}) {
+        store->put(key, ran[0]);
+        editPayload(path, [&edit](std::vector<char> &p) {
+            std::string rec(p.begin(), p.end());
+            edit(rec);
+            p.assign(rec.begin(), rec.end());
+        });
+        EXPECT_FALSE(store->find(key).has_value());
+        EXPECT_FALSE(std::filesystem::exists(path))
+            << "a rejected record self-heals by deletion";
     }
-    EXPECT_FALSE(store->find(key).has_value());
-    EXPECT_FALSE(std::filesystem::exists(path))
-        << "corrupt record must self-heal by deletion";
-    // And the miss is permanent until a fresh put.
-    EXPECT_FALSE(store->find(key).has_value());
+    EXPECT_EQ(store->stats().corrupt, 2u);
     store->put(key, ran[0]);
     EXPECT_TRUE(store->find(key).has_value());
-}
-
-TEST(ResultStore, TruncatedRecordIsAMiss)
-{
-    ScratchDir dir("store_truncated");
-    SimConfig cfg = baselineSkx();
-    auto store = mustOpen(dir.path);
-    ASSERT_NE(store, nullptr);
-
-    auto ran = runWorkloadsIsolated(cfg, {"hmmer"}, kInstr, kWarm, 1);
-    ASSERT_TRUE(ran[0].ok());
-    RunKey key = keyFor(cfg, "hmmer");
-    store->put(key, ran[0]);
-
-    // Rewrite the file as a single line (no checksum): a torn write
-    // that the tmp+rename discipline should normally prevent.
-    std::string path;
-    for (const auto &e : std::filesystem::directory_iterator(dir.path))
-        if (e.path().extension() == ".json")
-            path = e.path().string();
-    ASSERT_FALSE(path.empty());
-    {
-        std::ofstream f(path, std::ios::trunc);
-        f << "{\"workload\":\"hmmer\"}";
-    }
-    EXPECT_FALSE(store->find(key).has_value());
-    EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(ResultStore, SecondCampaignOnALockedStoreFailsFast)

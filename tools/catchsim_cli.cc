@@ -57,6 +57,12 @@
  *                               after a one-knob change re-executes
  *                               only invalidated cells.
  *                               (Env: CATCH_RESULT_STORE)
+ *   --store                     memoize trace chunks and warmed state
+ *                               in memory; results stay bitwise-
+ *                               identical (Env: CATCH_STORE=1, budget
+ *                               CATCH_STORE_MB, default 384)
+ *   --store-dir=<dir>           same, plus disk tiers under <dir>
+ *                               (Env: CATCH_STORE_DIR)
  *   --list                      list all suite workloads and exit
  *
  * Reports print in command-line order regardless of --jobs; results are
@@ -200,10 +206,9 @@ usage()
                  "                [--llc-add=N] [--no-prefetchers] "
                  "[--jobs=N] [--profile] [--json=FILE]\n"
                  "                [--journal=DIR] [--isolate] "
-                 "[--result-store=DIR] [--trace-store]\n"
-                 "                [--trace-cache-dir=DIR] [--warm-state] "
-                 "[--warm-state-cache-dir=DIR]\n"
-                 "                [--list] <workload>...\n");
+                 "[--result-store=DIR] [--store]\n"
+                 "                [--store-dir=DIR] [--list] "
+                 "<workload>...\n");
     std::exit(2);
 }
 
@@ -294,26 +299,14 @@ main(int argc, char **argv)
             isolate = true;
         } else if (arg.rfind("--result-store=", 0) == 0) {
             store_dir = value();
-        } else if (arg == "--trace-store") {
-            // Memoize trace generation in memory for this process
-            // (CATCH_TRACE_STORE). Safe here: we are single-threaded
-            // until the first ThreadPool, and ChunkStore::global()
-            // reads the environment lazily on first use after parsing.
-            ::setenv("CATCH_TRACE_STORE", "1", 1);
-        } else if (arg.rfind("--trace-cache-dir=", 0) == 0) {
-            // Same, plus a persistent on-disk tier shared across runs
-            // and processes (CATCH_TRACE_CACHE).
-            ::setenv("CATCH_TRACE_CACHE", value().c_str(), 1);
-        } else if (arg == "--warm-state") {
-            // Memoize warmed-state snapshots in memory for this process
-            // (CATCH_WARM_STATE); sampled runs with a chunk store skip
-            // the global functional warmup on repeat keys. Same lazy
-            // environment-read discipline as --trace-store.
-            ::setenv("CATCH_WARM_STATE", "1", 1);
-        } else if (arg.rfind("--warm-state-cache-dir=", 0) == 0) {
-            // Same, plus a persistent on-disk snapshot tier shared
-            // across runs and processes (CATCH_WARM_STATE_CACHE).
-            ::setenv("CATCH_WARM_STATE_CACHE", value().c_str(), 1);
+        } else if (arg == "--store") {
+            // Memoize trace chunks and warmed state (CATCH_STORE). Safe
+            // here: we are single-threaded until the first ThreadPool,
+            // and the stores' global() reads the environment lazily.
+            ::setenv("CATCH_STORE", "1", 1);
+        } else if (arg.rfind("--store-dir=", 0) == 0) {
+            // Same, plus disk tiers under DIR/chunks and DIR/warm.
+            ::setenv("CATCH_STORE_DIR", value().c_str(), 1);
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             usage();

@@ -91,9 +91,9 @@ python3 "$HERE/check_fault_matrix.py" \
 
 echo "== warm-state snapshot corruption is contained, results identical =="
 # Sampled baseline without any store, then a cold sampled campaign that
-# populates the on-disk chunk + snapshot tiers, then a rerun (fresh
-# process, so every snapshot comes off disk) with state-corrupt injected
-# into every warm-state read. Contract: corruption is warn + delete +
+# populates the on-disk chunk + snapshot tiers (one --store-dir), then a
+# rerun (fresh process, so every snapshot comes off disk) with
+# state-corrupt injected into every warm-state read. Contract: corruption is warn + delete +
 # re-warm — exit 0, and all three exports are byte-identical. The store
 # trades only time, never results.
 # The default eligibility gates would skip window memoization at this
@@ -104,14 +104,12 @@ run_expect 0 "$CLI" "${ARGS[@]}" --sample --jobs=8 \
     --json="$WORK/ws_clean.json" "${NAMES[@]}"
 run_expect 0 env "${WS_ENV[@]}" \
     "$CLI" "${ARGS[@]}" --sample --jobs=8 \
-    --trace-cache-dir="$WORK/ws_chunks" \
-    --warm-state-cache-dir="$WORK/ws_snaps" \
+    --store-dir="$WORK/ws_store" \
     --json="$WORK/ws_cold.json" "${NAMES[@]}"
 run_expect 0 env "${WS_ENV[@]}" \
     CATCH_FAULT_INJECT='state-corrupt:warm-state-store' \
     "$CLI" "${ARGS[@]}" --sample --jobs=8 \
-    --trace-cache-dir="$WORK/ws_chunks" \
-    --warm-state-cache-dir="$WORK/ws_snaps" \
+    --store-dir="$WORK/ws_store" \
     --json="$WORK/ws_faulty.json" "${NAMES[@]}"
 # Same contract for corruption that strikes only the window-boundary
 # (windowIndex >= 1) records: the global-warmup restore still hits, the
@@ -121,8 +119,7 @@ run_expect 0 env "${WS_ENV[@]}" \
 run_expect 0 env "${WS_ENV[@]}" \
     CATCH_FAULT_INJECT='state-corrupt:warm-state-window' \
     "$CLI" "${ARGS[@]}" --sample --jobs=8 \
-    --trace-cache-dir="$WORK/ws_chunks" \
-    --warm-state-cache-dir="$WORK/ws_snaps" \
+    --store-dir="$WORK/ws_store" \
     --json="$WORK/ws_window_faulty.json" "${NAMES[@]}"
 cmp "$WORK/ws_clean.json" "$WORK/ws_cold.json"
 cmp "$WORK/ws_clean.json" "$WORK/ws_faulty.json"
