@@ -75,7 +75,7 @@ errorCategoryName(ErrorCategory c)
     return "internal";
 }
 
-/** Parses a wire name back into a category (journal replay). */
+/** Parses a wire name back into a category (worker results). */
 inline std::optional<ErrorCategory>
 errorCategoryFromName(const std::string &name)
 {

@@ -263,4 +263,84 @@ parseJson(const std::string &text)
     return JsonParser(text).parse();
 }
 
+JsonReader
+JsonReader::child(const char *name) const
+{
+    return JsonReader(fetch(name, JsonValue::Kind::Object), err_, cat_,
+                      doc_);
+}
+
+bool
+JsonReader::has(const char *name) const
+{
+    return obj_ && obj_->member(name) != nullptr;
+}
+
+void
+JsonReader::u64(const char *name, uint64_t &dst) const
+{
+    if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
+        dst = m->asU64();
+}
+
+void
+JsonReader::u32(const char *name, uint32_t &dst) const
+{
+    if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
+        dst = m->asU32();
+}
+
+void
+JsonReader::f64(const char *name, double &dst) const
+{
+    if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
+        dst = m->asDouble();
+}
+
+void
+JsonReader::str(const char *name, std::string &dst) const
+{
+    if (const JsonValue *m = fetch(name, JsonValue::Kind::String))
+        dst = m->asString();
+}
+
+void
+JsonReader::boolean(const char *name, bool &dst) const
+{
+    if (const JsonValue *m = fetch(name, JsonValue::Kind::Bool))
+        dst = m->asBool();
+}
+
+void
+JsonReader::u64Array(const char *name, uint64_t *dst, size_t n) const
+{
+    const JsonValue *m = fetch(name, JsonValue::Kind::Array);
+    if (!m)
+        return;
+    if (m->size() != n)
+        return fail("field '", name, "' has ", m->size(),
+                    " elements, expected ", n);
+    for (size_t i = 0; i < n; ++i) {
+        const JsonValue *e = m->at(i);
+        if (!e || e->kind() != JsonValue::Kind::Number)
+            return fail("field '", name, "' element ", i,
+                        " is not a number");
+        dst[i] = e->asU64();
+    }
+}
+
+const JsonValue *
+JsonReader::fetch(const char *name, JsonValue::Kind kind) const
+{
+    if (err_ || !obj_)
+        return nullptr;
+    const JsonValue *m = obj_->member(name);
+    if (!m || m->kind() != kind) {
+        fail(m ? "wrong-kind" : "missing", " field '", name, "' in ",
+             doc_, " JSON");
+        return nullptr;
+    }
+    return m;
+}
+
 } // namespace catchsim

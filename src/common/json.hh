@@ -1,14 +1,15 @@
 /**
  * @file
- * Minimal JSON support shared by the results exporter and the suite
- * journal: an append-only writer with deterministic field order, and a
- * small recursive-descent reader for the subset the writer emits
- * (objects, arrays, strings, numbers, booleans, null).
+ * Minimal JSON support shared by the results exporter, the worker
+ * protocol and the result store: an append-only writer with
+ * deterministic field order, a small recursive-descent parser for the
+ * subset the writer emits (objects, arrays, strings, numbers, booleans,
+ * null), and a checked member reader over the parsed objects.
  *
  * Round-trip contract: u64 counters are written as decimal integers and
  * parsed back exactly; doubles are written with %.17g, which is enough
- * digits to reproduce the bit pattern on read-back. The journal's
- * skip-finished-runs logic rests on this.
+ * digits to reproduce the bit pattern on read-back. Result-store
+ * replays rest on this.
  */
 
 #ifndef CATCHSIM_COMMON_JSON_HH_
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -184,10 +186,81 @@ class JsonValue
 /**
  * Parses one complete JSON document. Trailing garbage, truncation and
  * malformed syntax all return a trace-corrupt SimError naming the
- * offset, never UB — the journal loader depends on half-written last
- * records being rejected cleanly.
+ * offset, never UB — a torn record must be rejected cleanly, never
+ * half-read.
  */
 Expected<JsonValue> parseJson(const std::string &text);
+
+/**
+ * Checked member access over one parsed JSON object: the first missing
+ * or wrong-kind field records a SimError of the reader's category in
+ * the shared @p err slot and every later read no-ops, so parse
+ * functions read straight-line and check the slot once. @p doc names
+ * the document kind in missing-field messages ("missing field 'x' in
+ * <doc> JSON"). Readers from child() share the slot.
+ */
+class JsonReader
+{
+  public:
+    JsonReader(const JsonValue *obj, std::optional<SimError> &err,
+               ErrorCategory cat, const char *doc)
+        : obj_(obj), err_(err), cat_(cat), doc_(doc)
+    {
+    }
+
+    JsonReader child(const char *name) const;
+    bool has(const char *name) const;
+
+    void u64(const char *name, uint64_t &dst) const;
+    void u32(const char *name, uint32_t &dst) const;
+    void f64(const char *name, double &dst) const;
+    void str(const char *name, std::string &dst) const;
+    void boolean(const char *name, bool &dst) const;
+    /** Fixed-size counter array; a length mismatch is an error. */
+    void u64Array(const char *name, uint64_t *dst, size_t n) const;
+
+    /** Enum stored as an integer; values past @p max are an error. */
+    template <typename E>
+    void
+    enumeration(const char *name, E &dst, uint64_t max) const
+    {
+        const JsonValue *m = fetch(name, JsonValue::Kind::Number);
+        if (!m)
+            return;
+        if (m->asU64() > max)
+            fail("field '", name, "' value ", m->asU64(),
+                 " exceeds enum range ", max);
+        else
+            dst = static_cast<E>(m->asU64());
+    }
+
+    /** Records a semantic defect in the reader's category (the first
+     *  error wins). */
+    template <typename... Args>
+    void
+    fail(const Args &...args) const
+    {
+        if (!err_)
+            err_ = simError(cat_, args...);
+    }
+
+    bool failed() const { return err_.has_value(); }
+
+    /** The member itself, checked for @p kind (nullptr on error). */
+    const JsonValue *
+    raw(const char *name, JsonValue::Kind kind) const
+    {
+        return fetch(name, kind);
+    }
+
+  private:
+    const JsonValue *fetch(const char *name, JsonValue::Kind kind) const;
+
+    const JsonValue *obj_;
+    std::optional<SimError> &err_;
+    ErrorCategory cat_;
+    const char *doc_;
+};
 
 } // namespace catchsim
 

@@ -7,7 +7,6 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "sim/journal.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/result_store.hh"
 #include "sim/supervisor.hh"
@@ -25,7 +24,6 @@ ExperimentEnv::fromEnvironment()
     env.warmup = envU64("CATCH_WARMUP", 100000);
     env.jobs = suiteJobs();
     env.jsonDir = envString("CATCH_JSON");
-    env.journalDir = envString("CATCH_JOURNAL");
     env.resultStoreDir = envString("CATCH_RESULT_STORE");
     env.isolate = envFlag("CATCH_ISOLATE");
     env.isolation = IsolationOptions::fromEnvironment();
@@ -62,16 +60,6 @@ std::vector<RunOutcome>
 runSuiteIsolated(const SimConfig &cfg, const ExperimentEnv &env)
 {
     IsolationOptions opts = env.isolation;
-    std::unique_ptr<SuiteJournal> journal;
-    if (!env.journalDir.empty()) {
-        auto j = SuiteJournal::open(env.journalDir);
-        if (j.ok()) {
-            journal = std::move(j).value();
-            opts.journal = journal.get();
-        } else {
-            warn("journal disabled: ", j.error().message);
-        }
-    }
     std::unique_ptr<ResultStore> store;
     if (!env.resultStoreDir.empty()) {
         auto s = ResultStore::open(env.resultStoreDir);
@@ -86,9 +74,7 @@ runSuiteIsolated(const SimConfig &cfg, const ExperimentEnv &env)
     std::fprintf(stderr, "[%s] ", cfg.name.c_str());
     auto progress = [](const RunOutcome &o) {
         char mark = '.';
-        if (o.resumed)
-            mark = 's';
-        else if (o.fromStore)
+        if (o.fromStore)
             mark = 'h';
         else if (o.status == RunStatus::Retried)
             mark = 'r';
@@ -112,12 +98,12 @@ runSuiteIsolated(const SimConfig &cfg, const ExperimentEnv &env)
     std::fprintf(stderr, "\n");
 
     CampaignSummary sum = summarizeOutcomes(outcomes);
-    if (!sum.allOk() || sum.retried || sum.resumed || sum.storeHits)
+    if (!sum.allOk() || sum.retried || sum.storeHits)
         inform("campaign '", cfg.name, "': ", sum.ok, " ok, ",
                sum.retried, " retried, ", sum.failed, " failed, ",
                sum.timedOut, " timed out, ", sum.crashed, " crashed, ",
-               sum.resumed, " resumed, ", sum.storeHits,
-               " store hit(s), ", sum.storeMisses, " store miss(es)");
+               sum.storeHits, " store hit(s), ", sum.storeMisses,
+               " store miss(es)");
     for (const auto &o : outcomes)
         if (!o.ok())
             warn("run '", o.workload, "' on '", o.config, "' ",

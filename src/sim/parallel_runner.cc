@@ -10,7 +10,6 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "sim/journal.hh"
 #include "sim/result_store.hh"
 #include "sim/worker_proto.hh"
 
@@ -67,8 +66,6 @@ summarizeOutcomes(const std::vector<RunOutcome> &outcomes)
           case RunStatus::TimedOut: ++sum.timedOut; break;
           case RunStatus::Crashed: ++sum.crashed; break;
         }
-        if (o.resumed)
-            ++sum.resumed;
         if (o.fromStore)
             ++sum.storeHits;
         if (o.storeMiss)
@@ -239,28 +236,20 @@ replayFinishedRuns(const SimConfig &cfg,
 {
     std::vector<size_t> pending;
     for (size_t i = 0; i < names.size(); ++i) {
-        RunStatus st = RunStatus::Ok;
-        std::optional<RunOutcome> hit;
-        if (const SimResult *done =
-                opts.journal ? opts.journal->find(cfg.name, names[i],
-                                                  instrs, warmup, &st)
-                             : nullptr) {
-            hit.emplace();
-            hit->workload = names[i];
-            hit->status = st;
-            hit->resumed = true;
-            hit->result = *done;
-        } else if (auto key = opts.resultStore
-                                  ? resultKey(cfg, names[i], instrs, warmup)
-                                  : std::nullopt) {
-            hit = opts.resultStore->find(*key);
-        }
+        auto key = opts.resultStore
+                       ? resultKey(cfg, names[i], instrs, warmup)
+                       : std::nullopt;
+        auto hit = key ? opts.resultStore->find(*key) : std::nullopt;
         if (!hit) {
             pending.push_back(i);
             continue;
         }
+        // The stored cell may come from a campaign under another name
+        // (the key hashes content, not the label): relabel it exactly
+        // as a fresh run under this config would be.
         outcomes[i] = std::move(*hit);
         outcomes[i].config = cfg.name;
+        outcomes[i].result.config = cfg.name;
         if (progress)
             progress(outcomes[i]);
     }
@@ -271,14 +260,12 @@ void
 recordFreshRun(const SimConfig &cfg, uint64_t instrs, uint64_t warmup,
                const IsolationOptions &opts, RunOutcome &out)
 {
-    if (opts.resultStore) {
-        out.storeMiss = true;
-        if (out.ok())
-            if (auto key = resultKey(cfg, out.workload, instrs, warmup))
-                opts.resultStore->put(*key, out);
-    }
-    if (opts.journal)
-        opts.journal->append(out, instrs, warmup);
+    if (!opts.resultStore)
+        return;
+    out.storeMiss = true;
+    if (out.ok())
+        if (auto key = resultKey(cfg, out.workload, instrs, warmup))
+            opts.resultStore->put(*key, out);
 }
 
 std::vector<RunOutcome>

@@ -13,8 +13,8 @@
  * that fails — thrown exception, corrupt trace, config error, watchdog
  * trip — records a structured RunFailure in its own slot instead of
  * taking the campaign down, transient IO errors retry with a bounded
- * deterministic attempt count, and a SuiteJournal (when attached)
- * resumes finished runs from a previous campaign. Slots of successful
+ * deterministic attempt count, and a ResultStore (when attached)
+ * replays finished runs from a previous campaign. Slots of successful
  * runs stay bitwise-identical to a fault-free campaign at any job
  * count.
  *
@@ -40,7 +40,8 @@
 namespace catchsim
 {
 
-class SuiteJournal;
+class JsonReader;
+class JsonWriter;
 class ResultStore;
 
 /** CATCH_JOBS env knob; default hardware concurrency, minimum 1. */
@@ -74,10 +75,8 @@ struct RunOutcome
     std::string config;
     RunStatus status = RunStatus::Ok;
     unsigned attempts = 1;
-    bool resumed = false; ///< replayed from a journal, not re-executed
     /// Served from the content-hashed result store, not re-executed
-    /// (sim/result_store.hh). Mutually exclusive with resumed: the
-    /// journal is consulted first.
+    /// (sim/result_store.hh).
     bool fromStore = false;
     /// Executed while a result store was attached (i.e. the store was
     /// consulted and missed); feeds CampaignSummary::storeMisses.
@@ -85,8 +84,8 @@ struct RunOutcome
     SimResult result;     ///< valid iff ok()
     std::optional<RunFailure> failure; ///< set iff !ok()
     /// Host phase timings + peak RSS; set iff ok() and profiling was
-    /// requested (IsolationOptions::profile). Never journaled: wall
-    /// clock is not reproducible, so resumed runs carry no profile.
+    /// requested (IsolationOptions::profile). Never stored: wall clock
+    /// is not reproducible, so store hits carry no profile.
     std::optional<RunProfile> profile;
 
     bool
@@ -104,7 +103,6 @@ struct CampaignSummary
     uint64_t failed = 0;
     uint64_t timedOut = 0;
     uint64_t crashed = 0; ///< worker processes lost (isolated mode)
-    uint64_t resumed = 0; ///< subset of ok/retried replayed from journal
     uint64_t storeHits = 0;   ///< slots served from the result store
     uint64_t storeMisses = 0; ///< slots executed past a store lookup
 
@@ -122,6 +120,17 @@ struct CampaignSummary
 };
 
 CampaignSummary summarizeOutcomes(const std::vector<RunOutcome> &outcomes);
+
+/**
+ * The one RunOutcome body codec (sim/results_json.cc) behind the worker
+ * result frame, the result-store record and the suite export. The
+ * writer emits status, attempts, then hostPerf (when profiled) and the
+ * result, or the error, into the open object @p w; each caller adds its
+ * own envelope keys around it. The reader parses them back into @p out,
+ * recording any defect in @p r's error slot and category.
+ */
+void writeOutcomeBody(JsonWriter &w, const RunOutcome &out);
+void readOutcomeBody(const JsonReader &r, RunOutcome &out);
 
 /**
  * Containment knobs for runWorkloadsIsolated.
@@ -153,7 +162,6 @@ struct IsolationOptions
     unsigned maxAttempts = 3; ///< total attempts for transient errors
     unsigned backoffMs = 0;   ///< base sleep between retries (ms)
     bool profile = false;     ///< collect RunProfile per successful run
-    SuiteJournal *journal = nullptr; ///< optional resume/checkpoint
     /// Injection plan override; null = FaultPlan::global(). Lets tests
     /// drive the harness in-process without touching the environment.
     const FaultPlan *plan = nullptr;
@@ -167,8 +175,8 @@ struct IsolationOptions
     /// wins. Resolved once on the calling thread.
     std::optional<WarmStateStore *> warmStore;
     /// Content-hashed result store (sim/result_store.hh); null
-    /// disables it. Consulted after the journal during campaign
-    /// planning; successful fresh executions are persisted back.
+    /// disables it. Consulted during campaign planning; successful
+    /// fresh executions are persisted back.
     ResultStore *resultStore = nullptr;
 
     // Process-isolated execution (sim/supervisor.hh) only:
@@ -185,8 +193,8 @@ struct IsolationOptions
  * @p jobs. Worker exceptions, trace corruption, config errors and
  * watchdog trips are recorded as structured failures in their own
  * slots; transient IO errors retry up to opts.maxAttempts times.
- * When opts.journal is set, runs it already holds are replayed
- * without re-execution and fresh outcomes are appended to it.
+ * When opts.resultStore is set, runs it already holds are replayed
+ * without re-execution and fresh successes are persisted to it.
  * @p progress (optional) is invoked from workers as runs finish; it
  * must be thread-safe.
  */
@@ -206,7 +214,7 @@ runWorkloadsIsolated(const SimConfig &cfg,
  * threads, and the --worker process (sim/worker_proto.hh) calls it as
  * its whole job — which is what keeps in-process and process-isolated
  * campaigns bitwise-identical. Consults only opts.budget/maxAttempts/
- * backoffMs/profile/plan; journal and stores are the caller's concern.
+ * backoffMs/profile/plan; the result store is the caller's concern.
  */
 RunOutcome executeContainedRun(const SimConfig &cfg,
                                const std::string &name, uint64_t instrs,
@@ -218,9 +226,9 @@ RunOutcome executeContainedRun(const SimConfig &cfg,
 
 /**
  * Campaign planning both executors share, run on the calling thread
- * before any worker starts: slots the journal holds replay first, then
- * slots the result store holds (opts.journal / opts.resultStore), each
- * reported through @p progress. Returns the indices still to execute.
+ * before any worker starts: slots opts.resultStore holds replay under
+ * this campaign's config name, each reported through @p progress.
+ * Returns the indices still to execute.
  */
 std::vector<size_t>
 replayFinishedRuns(const SimConfig &cfg,
@@ -230,9 +238,8 @@ replayFinishedRuns(const SimConfig &cfg,
                    const std::function<void(const RunOutcome &)> &progress);
 
 /**
- * Books a freshly executed slot: marks the result-store miss, persists
- * a success to the store, and appends the outcome to the journal.
- * Thread-safe when the store and journal are.
+ * Books a freshly executed slot: marks the result-store miss and
+ * persists a success to the store. Thread-safe.
  */
 void recordFreshRun(const SimConfig &cfg, uint64_t instrs,
                     uint64_t warmup, const IsolationOptions &opts,

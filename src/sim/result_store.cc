@@ -94,18 +94,19 @@ void
 ResultStore::put(const RunKey &key, const RunOutcome &out)
 {
     CATCHSIM_ASSERT(out.ok(), "only successful outcomes are stored");
-    ContentStore::put(key.bytes(), std::make_shared<const RunOutcome>(out));
+    // The record holds status, attempts and result only: a host profile
+    // is wall-clock data of the storing run, not of a later replay.
+    auto rec = std::make_shared<RunOutcome>(out);
+    rec->profile.reset();
+    ContentStore::put(key.bytes(), std::move(rec));
 }
 
 void
 ResultStore::encode(const void *value, std::vector<uint8_t> &out) const
 {
-    const auto &run = *static_cast<const RunOutcome *>(value);
     JsonWriter w;
     w.open();
-    w.field("status", std::string(runStatusName(run.status)));
-    w.field("attempts", uint64_t(run.attempts));
-    w.rawField("result", run.result.toJson());
+    writeOutcomeBody(w, *static_cast<const RunOutcome *>(value));
     w.close();
     out.insert(out.end(), w.str().begin(), w.str().end());
 }
@@ -115,32 +116,22 @@ ResultStore::decode(const uint8_t *payload, size_t n) const
 {
     // Anything that could not be replayed as a successful run is a
     // defect: the record is dropped and the cell re-executes.
-    auto bad = [](const char *why) {
-        return simError(ErrorCategory::TraceCorrupt, why);
-    };
     auto parsed =
         parseJson(std::string(reinterpret_cast<const char *>(payload), n));
     if (!parsed.ok())
-        return bad("unparsable record");
-    const JsonValue &v = parsed.value();
-    const JsonValue *status = v.member("status");
-    const JsonValue *attempts = v.member("attempts");
-    const JsonValue *result = v.member("result");
-    if (!status || !attempts || !result)
-        return bad("record with missing keys");
-    auto st = runStatusFromName(status->asString());
-    if (!st || (*st != RunStatus::Ok && *st != RunStatus::Retried))
-        return bad("record with a non-success status");
-    auto sim = SimResult::fromJson(*result);
-    if (!sim.ok())
-        return bad("record with a corrupt result payload");
-
+        return simError(ErrorCategory::TraceCorrupt, "unparsable record");
+    std::optional<SimError> err;
     auto out = std::make_shared<RunOutcome>();
-    out->status = *st;
-    out->attempts = static_cast<unsigned>(
-        std::max<uint64_t>(1, attempts->asU64()));
+    readOutcomeBody(JsonReader(&parsed.value(), err,
+                               ErrorCategory::TraceCorrupt,
+                               "result-store record"),
+                    *out);
+    if (err)
+        return *err;
+    if (!out->ok())
+        return simError(ErrorCategory::TraceCorrupt,
+                        "record with a non-success status");
     out->fromStore = true;
-    out->result = std::move(sim).value();
     return Value(std::move(out));
 }
 

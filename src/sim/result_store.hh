@@ -10,12 +10,10 @@
  * Re-running after a one-knob config change re-executes only the cells
  * the knob invalidates — every unchanged cell is served from the store
  * byte-identically (SimResult round-trips bitwise, common/json.hh).
- *
- * Difference from the SuiteJournal: the journal records one campaign's
- * progress under its config *name* and replays it on resume; the store
- * is cross-campaign and keyed on config *content*, so it survives
- * renames and sweeps. The executor consults the journal first, then
- * the store (sim/parallel_runner.cc).
+ * It is also how a killed or rerun campaign skips its finished cells:
+ * failures are never stored, so only they re-execute. Because the key
+ * is config *content*, not its name, a store hit survives renames and a
+ * same-name knob change misses.
  *
  * Disk discipline is ContentStore's (common/content_store.hh), shared
  * with the chunk and warm-state stores: one checksummed record per key
@@ -74,7 +72,7 @@ class ResultStore : private ContentStore
 
     /**
      * The stored outcome for @p key, or nullopt. A hit arrives with
-     * fromStore set and the journaled Ok/Retried status; the caller
+     * fromStore set and the stored Ok/Retried status; the caller
      * fills the campaign-local config name. Corrupt, truncated or
      * key-mismatched records warn, are deleted, and miss. Thread-safe.
      */

@@ -6,13 +6,16 @@
  * (CATCH_JSON env knob).
  *
  * toJson() covers every counter SimResult carries and fromJson() parses
- * it back bitwise-exactly (exact u64, %.17g doubles); the suite journal
- * rests on this round trip. Suite documents are written atomically:
- * the full document goes to <path>.tmp, which is renamed over <path>
- * only after a verified complete write — a crashed export never leaves
- * a half-written file behind.
+ * it back bitwise-exactly (exact u64, %.17g doubles); result-store
+ * replays rest on this round trip. The RunOutcome body codec the worker
+ * protocol, the result store and the suite export share lives here
+ * too. Suite documents are written atomically: the full document goes
+ * to <path>.tmp, which is renamed over <path> only after a verified
+ * complete write — a crashed export never leaves a half-written file
+ * behind.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -46,104 +49,8 @@ cacheJson(JsonWriter &w, const char *name, const CacheStats &s)
     w.close();
 }
 
-/**
- * Checked member access over one parsed JSON object: the first missing
- * or wrong-kind field records a trace-corrupt SimError and every later
- * read becomes a no-op, so parse functions read straight-line.
- */
-class ObjectReader
-{
-  public:
-    ObjectReader(const JsonValue *obj, std::optional<SimError> &err)
-        : obj_(obj), err_(err)
-    {
-    }
-
-    ObjectReader
-    child(const char *name) const
-    {
-        return ObjectReader(fetch(name, JsonValue::Kind::Object), err_);
-    }
-
-    bool has(const char *name) const
-    {
-        return obj_ && obj_->member(name) != nullptr;
-    }
-
-    void
-    u64(const char *name, uint64_t &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
-            dst = m->asU64();
-    }
-
-    void
-    u32(const char *name, uint32_t &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
-            dst = m->asU32();
-    }
-
-    void
-    f64(const char *name, double &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
-            dst = m->asDouble();
-    }
-
-    void
-    str(const char *name, std::string &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::String))
-            dst = m->asString();
-    }
-
-    void
-    u64Array(const char *name, uint64_t *dst, size_t n) const
-    {
-        const JsonValue *m = fetch(name, JsonValue::Kind::Array);
-        if (!m)
-            return;
-        if (m->size() != n) {
-            err_ = simError(ErrorCategory::TraceCorrupt, "field '", name,
-                            "' has ", m->size(), " elements, expected ",
-                            n);
-            return;
-        }
-        for (size_t i = 0; i < n; ++i) {
-            const JsonValue *e = m->at(i);
-            if (!e || e->kind() != JsonValue::Kind::Number) {
-                err_ = simError(ErrorCategory::TraceCorrupt, "field '",
-                                name, "' element ", i,
-                                " is not a number");
-                return;
-            }
-            dst[i] = e->asU64();
-        }
-    }
-
-  private:
-    const JsonValue *
-    fetch(const char *name, JsonValue::Kind kind) const
-    {
-        if (err_ || !obj_)
-            return nullptr;
-        const JsonValue *m = obj_->member(name);
-        if (!m || m->kind() != kind) {
-            err_ = simError(ErrorCategory::TraceCorrupt,
-                            m ? "wrong-kind" : "missing", " field '",
-                            name, "' in SimResult JSON");
-            return nullptr;
-        }
-        return m;
-    }
-
-    const JsonValue *obj_;
-    std::optional<SimError> &err_;
-};
-
 void
-cacheFromJson(const ObjectReader &r, CacheStats &s)
+cacheFromJson(const JsonReader &r, CacheStats &s)
 {
     r.u64("accesses", s.demandAccesses);
     r.u64("hits", s.demandHits);
@@ -298,7 +205,7 @@ SimResult::fromJson(const JsonValue &v)
         return simError(ErrorCategory::TraceCorrupt,
                         "SimResult JSON is not an object");
     std::optional<SimError> err;
-    ObjectReader r(&v, err);
+    JsonReader r(&v, err, ErrorCategory::TraceCorrupt, "SimResult");
     SimResult s;
 
     r.str("workload", s.workload);
@@ -322,7 +229,7 @@ SimResult::fromJson(const JsonValue &v)
     }
     r.f64("ipc", s.ipc);
 
-    ObjectReader core = r.child("core");
+    JsonReader core = r.child("core");
     core.u64("instrs", s.core.instrs);
     core.u64("cycles", s.core.cycles);
     core.u64("loads", s.core.loads);
@@ -333,7 +240,7 @@ SimResult::fromJson(const JsonValue &v)
     core.u64("branch_direction_wrong", s.core.branch.directionWrong);
     core.u64("branch_target_wrong", s.core.branch.targetWrong);
 
-    ObjectReader h = r.child("hierarchy");
+    JsonReader h = r.child("hierarchy");
     h.u64("loads", s.hier.loads);
     h.u64("load_hits_l1", s.hier.loadHits[0]);
     h.u64("load_hits_l2", s.hier.loadHits[1]);
@@ -363,7 +270,7 @@ SimResult::fromJson(const JsonValue &v)
         cacheFromJson(r.child("l2"), s.l2);
     cacheFromJson(r.child("llc"), s.llc);
 
-    ObjectReader dram = r.child("dram");
+    JsonReader dram = r.child("dram");
     dram.u64("reads", s.dram.reads);
     dram.u64("writes", s.dram.writes);
     dram.u64("activates", s.dram.activates);
@@ -375,12 +282,12 @@ SimResult::fromJson(const JsonValue &v)
     dram.u64("total_bank_wait", s.dram.totalBankWait);
     dram.u64("total_bus_wait", s.dram.totalBusWait);
 
-    ObjectReader fe = r.child("frontend");
+    JsonReader fe = r.child("frontend");
     fe.u64("line_fetches", s.frontend.lineFetches);
     fe.u64("code_stall_cycles", s.frontend.codeStallCycles);
     fe.u64("redirects", s.frontend.redirects);
 
-    ObjectReader crit = r.child("criticality");
+    JsonReader crit = r.child("criticality");
     crit.u64("ddg_retired", s.ddg.retired);
     crit.u64("ddg_walks", s.ddg.walks);
     crit.u64("critical_loads_found", s.ddg.criticalLoadsFound);
@@ -394,7 +301,7 @@ SimResult::fromJson(const JsonValue &v)
     crit.u64("table_query_hits", s.criticalTable.queryHits);
     crit.u32("active_critical_pcs", s.activeCriticalPcs);
 
-    ObjectReader tact = r.child("tact");
+    JsonReader tact = r.child("tact");
     tact.u64("prefetches", s.hier.tactPrefetches);
     tact.u64("cross_issued", s.tact.crossIssued);
     tact.u64("deep_issued", s.tact.deepIssued);
@@ -412,7 +319,7 @@ SimResult::fromJson(const JsonValue &v)
     tact.f64("timeliness_ge80", s.timelinessAtLeast80);
     tact.f64("timeliness_ge10", s.timelinessAtLeast10);
 
-    ObjectReader energy = r.child("energy_mj");
+    JsonReader energy = r.child("energy_mj");
     energy.f64("core_dynamic", s.energy.coreDynamic);
     energy.f64("cache_dynamic", s.energy.cacheDynamic);
     energy.f64("interconnect", s.energy.interconnect);
@@ -421,7 +328,7 @@ SimResult::fromJson(const JsonValue &v)
 
     s.sampled = r.has("sampling");
     if (s.sampled) {
-        ObjectReader sm = r.child("sampling");
+        JsonReader sm = r.child("sampling");
         sm.u64("windows", s.sample.windows);
         sm.u64("warmed_instrs", s.sample.warmedInstrs);
         sm.f64("ipc_mean", s.sample.ipcMean);
@@ -442,6 +349,99 @@ SimResult::fromJson(const std::string &json)
     if (!v.ok())
         return v.error();
     return fromJson(v.value());
+}
+
+void
+writeOutcomeBody(JsonWriter &w, const RunOutcome &out)
+{
+    w.field("status", std::string(runStatusName(out.status)));
+    w.field("attempts", uint64_t(out.attempts));
+    if (!out.ok()) {
+        w.object("error");
+        w.field("category", std::string(errorCategoryName(
+                                out.failure->error.category)));
+        w.field("message", out.failure->error.message);
+        w.close();
+        return;
+    }
+    // Host-side profiling rides beside the simulated result: it is
+    // wall-clock data and deliberately NOT part of SimResult's
+    // deterministic payload (or of a result-store record).
+    if (const auto &p = out.profile) {
+        w.object("hostPerf");
+        w.field("trace_gen_sec", p->traceGenSec);
+        w.field("warmup_sec", p->warmupSec);
+        w.field("measured_sec", p->measuredSec);
+        w.field("peak_rss_bytes", p->peakRssBytes);
+        // Per-run (never campaign-cumulative) chunk-store counters:
+        // hit-rate stays attributable to this cell.
+        w.field("store_hit_chunks", p->storeHitChunks);
+        w.field("store_miss_chunks", p->storeMissChunks);
+        // Warmed-state snapshot traffic, same per-run scoping.
+        w.field("warm_state_hits", p->warmStateHits);
+        w.field("warm_state_misses", p->warmStateMisses);
+        w.field("warm_state_bytes", p->warmStateBytes);
+        // Window-boundary (inter-sample) snapshot traffic, split from
+        // the global-warmup counters above.
+        w.field("warm_state_window_hits", p->warmStateWindowHits);
+        w.field("warm_state_window_misses", p->warmStateWindowMisses);
+        w.field("warm_state_window_bytes", p->warmStateWindowBytes);
+        w.close();
+    }
+    w.rawField("result", out.result.toJson());
+}
+
+void
+readOutcomeBody(const JsonReader &r, RunOutcome &out)
+{
+    std::string status;
+    uint64_t attempts = 1;
+    r.str("status", status);
+    r.u64("attempts", attempts);
+    auto st = runStatusFromName(status);
+    if (r.failed())
+        return;
+    if (!st)
+        return r.fail("unknown run status '", status, "'");
+    out.status = *st;
+    out.attempts = static_cast<unsigned>(std::max<uint64_t>(1, attempts));
+    if (!out.ok()) {
+        JsonReader e = r.child("error");
+        std::string category, message;
+        e.str("category", category);
+        e.str("message", message);
+        if (r.failed())
+            return;
+        auto ec = errorCategoryFromName(category);
+        if (!ec)
+            return r.fail("unknown error category '", category, "'");
+        out.failure = RunFailure{SimError{*ec, message}, out.attempts};
+        return;
+    }
+    if (r.has("hostPerf")) {
+        JsonReader hp = r.child("hostPerf");
+        RunProfile p;
+        hp.f64("trace_gen_sec", p.traceGenSec);
+        hp.f64("warmup_sec", p.warmupSec);
+        hp.f64("measured_sec", p.measuredSec);
+        hp.u64("peak_rss_bytes", p.peakRssBytes);
+        hp.u64("store_hit_chunks", p.storeHitChunks);
+        hp.u64("store_miss_chunks", p.storeMissChunks);
+        hp.u64("warm_state_hits", p.warmStateHits);
+        hp.u64("warm_state_misses", p.warmStateMisses);
+        hp.u64("warm_state_bytes", p.warmStateBytes);
+        hp.u64("warm_state_window_hits", p.warmStateWindowHits);
+        hp.u64("warm_state_window_misses", p.warmStateWindowMisses);
+        hp.u64("warm_state_window_bytes", p.warmStateWindowBytes);
+        out.profile = p;
+    }
+    const JsonValue *res = r.raw("result", JsonValue::Kind::Object);
+    if (!res)
+        return;
+    auto sim = SimResult::fromJson(*res);
+    if (!sim.ok())
+        return r.fail("result payload corrupt: ", sim.error().message);
+    out.result = std::move(sim).value();
 }
 
 namespace
@@ -532,7 +532,6 @@ writeSuiteJson(const std::string &path, const SimConfig &cfg,
     head.field("failed", sum.failed);
     head.field("timed_out", sum.timedOut);
     head.field("crashed", sum.crashed);
-    head.field("resumed", sum.resumed);
     head.field("store_hits", sum.storeHits);
     head.field("store_misses", sum.storeMisses);
     head.close();
@@ -541,50 +540,11 @@ writeSuiteJson(const std::string &path, const SimConfig &cfg,
     std::string body = head.str();
     body += "[\n";
     for (size_t i = 0; i < outcomes.size(); ++i) {
-        const RunOutcome &o = outcomes[i];
         JsonWriter w;
         w.open();
-        w.field("workload", o.workload);
-        w.field("status", std::string(runStatusName(o.status)));
-        w.field("attempts", uint64_t(o.attempts));
-        w.field("resumed", o.resumed);
-        w.field("from_store", o.fromStore);
-        if (o.ok()) {
-            // Host-side profiling rides beside the simulated result: it
-            // is wall-clock data and deliberately NOT part of
-            // SimResult's deterministic payload (or the journal).
-            if (o.profile) {
-                w.object("hostPerf");
-                w.field("trace_gen_sec", o.profile->traceGenSec);
-                w.field("warmup_sec", o.profile->warmupSec);
-                w.field("measured_sec", o.profile->measuredSec);
-                w.field("peak_rss_bytes", o.profile->peakRssBytes);
-                // Per-run (never campaign-cumulative) chunk-store
-                // counters: hit-rate stays attributable to this cell.
-                w.field("store_hit_chunks", o.profile->storeHitChunks);
-                w.field("store_miss_chunks", o.profile->storeMissChunks);
-                // Warmed-state snapshot traffic, same per-run scoping.
-                w.field("warm_state_hits", o.profile->warmStateHits);
-                w.field("warm_state_misses", o.profile->warmStateMisses);
-                w.field("warm_state_bytes", o.profile->warmStateBytes);
-                // Window-boundary (inter-sample) snapshot traffic,
-                // split from the global-warmup counters above.
-                w.field("warm_state_window_hits",
-                        o.profile->warmStateWindowHits);
-                w.field("warm_state_window_misses",
-                        o.profile->warmStateWindowMisses);
-                w.field("warm_state_window_bytes",
-                        o.profile->warmStateWindowBytes);
-                w.close();
-            }
-            w.rawField("result", o.result.toJson());
-        } else {
-            w.object("error");
-            w.field("category", std::string(errorCategoryName(
-                                    o.failure->error.category)));
-            w.field("message", o.failure->error.message);
-            w.close();
-        }
+        w.field("workload", outcomes[i].workload);
+        w.field("from_store", outcomes[i].fromStore);
+        writeOutcomeBody(w, outcomes[i]);
         w.close();
         body += w.str();
         if (i + 1 < outcomes.size())

@@ -91,7 +91,7 @@ struct SimResult
 
     /**
      * Parses a toJson() document back into a SimResult. Counters round
-     * trip bitwise (exact u64, %.17g doubles), so a journal-replayed
+     * trip bitwise (exact u64, %.17g doubles), so a store-replayed
      * result compares identical to the original. Malformed or
      * wrong-shape input returns a trace-corrupt SimError.
      */

@@ -9,7 +9,6 @@
 #include "common/fault_inject.hh"
 #include "common/host_clock.hh"
 #include "common/logging.hh"
-#include "sim/journal.hh"
 #include "sim/worker_proto.hh"
 
 #include <fcntl.h>
@@ -161,8 +160,8 @@ runWorkloadsSupervised(const SimConfig &cfg,
     SigpipeGuard sigpipe;
 
     // --- planning pre-pass, on the calling thread -------------------
-    // Identical semantics to runWorkloadsIsolated: journal first, then
-    // the content-hashed store; only the remainder spawns workers.
+    // Identical semantics to runWorkloadsIsolated: cells the
+    // content-hashed store holds replay; only the rest spawn workers.
     std::vector<size_t> pending = replayFinishedRuns(
         cfg, names, instrs, warmup, opts, outcomes, progress);
     // LPT dispatch, like the thread-pool executor: longest-estimated

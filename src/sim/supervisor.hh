@@ -3,13 +3,13 @@
  * Process-isolated campaign execution: one worker process per run.
  *
  * runWorkloadsSupervised() is the process-level sibling of
- * runWorkloadsIsolated(): same outcome-per-slot contract, same journal
- * and result-store semantics, but every run executes in its own
+ * runWorkloadsIsolated(): same outcome-per-slot contract, same
+ * result-store semantics, but every run executes in its own
  * fork/exec'd worker process (the hidden --worker mode of the catch
  * binary, sim/worker_proto.hh). A crash in any run — SIGSEGV inside
  * the simulator, an abort, the OOM killer — ends that worker process
  * and becomes a typed Crashed RunFailure in its slot; the campaign and
- * its journal survive.
+ * its result store survive.
  *
  * Supervision state machine, per slot:
  *
@@ -50,9 +50,9 @@ namespace catchsim
 
 /**
  * Runs @p names[i] -> outcomes[i] with each run in its own worker
- * process; at most @p jobs workers are alive at once. Journal replay
- * and result-store lookups happen on the calling thread before any
- * worker spawns, exactly as in runWorkloadsIsolated. opts.workerBin
+ * process; at most @p jobs workers are alive at once. Result-store
+ * lookups happen on the calling thread before any worker spawns,
+ * exactly as in runWorkloadsIsolated. opts.workerBin
  * selects the worker executable (default /proc/self/exe, which must
  * understand --worker); opts.heartbeatMs / opts.heartbeatTimeoutMs
  * configure the wall-clock watchdog. @p progress runs on the calling

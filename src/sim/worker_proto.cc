@@ -35,109 +35,6 @@ encodeLen(uint32_t len, char *p)
     p[3] = char((len >> 24) & 0xff);
 }
 
-/**
- * Checked member access over one parsed JSON object (the request/
- * result parsers): the first missing or wrong-kind field records a
- * SimError of the parser's category and every later read no-ops, so
- * the parse functions read straight-line.
- */
-class Reader
-{
-  public:
-    Reader(const JsonValue *obj, std::optional<SimError> &err,
-           ErrorCategory cat)
-        : obj_(obj), err_(err), cat_(cat)
-    {
-    }
-
-    Reader
-    child(const char *name) const
-    {
-        return Reader(fetch(name, JsonValue::Kind::Object), err_, cat_);
-    }
-
-    bool has(const char *name) const
-    {
-        return obj_ && obj_->member(name) != nullptr;
-    }
-
-    void
-    u64(const char *name, uint64_t &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
-            dst = m->asU64();
-    }
-
-    void
-    u32(const char *name, uint32_t &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
-            dst = m->asU32();
-    }
-
-    void
-    f64(const char *name, double &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Number))
-            dst = m->asDouble();
-    }
-
-    void
-    str(const char *name, std::string &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::String))
-            dst = m->asString();
-    }
-
-    void
-    boolean(const char *name, bool &dst) const
-    {
-        if (const JsonValue *m = fetch(name, JsonValue::Kind::Bool))
-            dst = m->asBool();
-    }
-
-    /** Enum stored as an integer; values past @p max are corruption. */
-    template <typename E>
-    void
-    enumeration(const char *name, E &dst, uint64_t max) const
-    {
-        const JsonValue *m = fetch(name, JsonValue::Kind::Number);
-        if (!m)
-            return;
-        if (m->asU64() > max) {
-            err_ = simError(cat_, "field '", name, "' value ",
-                            m->asU64(), " exceeds enum range ", max);
-            return;
-        }
-        dst = static_cast<E>(m->asU64());
-    }
-
-    const JsonValue *
-    raw(const char *name, JsonValue::Kind kind) const
-    {
-        return fetch(name, kind);
-    }
-
-  private:
-    const JsonValue *
-    fetch(const char *name, JsonValue::Kind kind) const
-    {
-        if (err_ || !obj_)
-            return nullptr;
-        const JsonValue *m = obj_->member(name);
-        if (!m || m->kind() != kind) {
-            err_ = simError(cat_, m ? "wrong-kind" : "missing",
-                            " field '", name, "' in protocol JSON");
-            return nullptr;
-        }
-        return m;
-    }
-
-    const JsonValue *obj_;
-    std::optional<SimError> &err_;
-    ErrorCategory cat_;
-};
-
 void
 geometryJson(JsonWriter &w, const char *name, const CacheGeometry &g)
 {
@@ -149,7 +46,7 @@ geometryJson(JsonWriter &w, const char *name, const CacheGeometry &g)
 }
 
 void
-geometryFromJson(const Reader &r, CacheGeometry &g)
+geometryFromJson(const JsonReader &r, CacheGeometry &g)
 {
     r.u64("size_bytes", g.sizeBytes);
     r.u32("ways", g.ways);
@@ -363,12 +260,12 @@ configFromJson(const JsonValue &v)
         return simError(ErrorCategory::Config,
                         "SimConfig JSON is not an object");
     std::optional<SimError> err;
-    Reader r(&v, err, ErrorCategory::Config);
+    JsonReader r(&v, err, ErrorCategory::Config, "protocol");
     SimConfig cfg;
 
     r.str("name", cfg.name);
 
-    Reader core = r.child("core");
+    JsonReader core = r.child("core");
     core.u32("width", cfg.width);
     core.u32("rob_size", cfg.robSize);
     core.u32("rename_lat", cfg.renameLat);
@@ -392,7 +289,7 @@ configFromJson(const JsonValue &v)
     r.boolean("l2_stream_prefetcher", cfg.l2StreamPrefetcher);
     r.u32("stream_degree", cfg.streamDegree);
 
-    Reader dram = r.child("dram");
+    JsonReader dram = r.child("dram");
     dram.u32("channels", cfg.dram.channels);
     dram.u32("ranks_per_channel", cfg.dram.ranksPerChannel);
     dram.u32("banks_per_rank", cfg.dram.banksPerRank);
@@ -409,7 +306,7 @@ configFromJson(const JsonValue &v)
     dram.u32("t_refi", cfg.dram.tRefi);
     dram.u32("t_rfc", cfg.dram.tRfc);
 
-    Reader crit = r.child("criticality");
+    JsonReader crit = r.child("criticality");
     crit.boolean("enabled", cfg.criticality.enabled);
     crit.enumeration("kind", cfg.criticality.kind,
                      uint64_t(DetectorKind::Heuristic));
@@ -422,7 +319,7 @@ configFromJson(const JsonValue &v)
     crit.u32("latency_quant_shift", cfg.criticality.latencyQuantShift);
     crit.u32("hashed_pc_bits", cfg.criticality.hashedPcBits);
 
-    Reader tact = r.child("tact");
+    JsonReader tact = r.child("tact");
     tact.boolean("cross", cfg.tact.cross);
     tact.boolean("deep_self", cfg.tact.deepSelf);
     tact.boolean("feeder", cfg.tact.feeder);
@@ -437,7 +334,7 @@ configFromJson(const JsonValue &v)
     tact.u32("feeder_depth", cfg.tact.feederDepth);
     tact.u32("code_runahead_lines", cfg.tact.codeRunaheadLines);
 
-    Reader oracle = r.child("oracle");
+    JsonReader oracle = r.child("oracle");
     oracle.u32("lat_add_l1", cfg.oracle.latAddL1);
     oracle.u32("lat_add_l2", cfg.oracle.latAddL2);
     oracle.u32("lat_add_llc", cfg.oracle.latAddLlc);
@@ -448,7 +345,7 @@ configFromJson(const JsonValue &v)
                cfg.oracle.oraclePrefetchPcLimit);
     oracle.boolean("oracle_code_in_l1", cfg.oracle.oracleCodeInL1);
 
-    Reader sampling = r.child("sampling");
+    JsonReader sampling = r.child("sampling");
     sampling.enumeration("mode", cfg.sampling.mode,
                          uint64_t(SampleMode::Sampled));
     sampling.u64("interval_instrs", cfg.sampling.intervalInstrs);
@@ -506,7 +403,7 @@ parseWorkerRequest(const std::string &json)
                         "bad worker request: ", parsed.error().message);
     const JsonValue &v = parsed.value();
     std::optional<SimError> err;
-    Reader r(&v, err, ErrorCategory::Config);
+    JsonReader r(&v, err, ErrorCategory::Config, "protocol");
 
     std::string type;
     r.str("type", type);
@@ -552,36 +449,7 @@ buildWorkerResult(const RunOutcome &out)
     w.field("type", std::string("result"));
     w.field("workload", out.workload);
     w.field("config", out.config);
-    w.field("status", std::string(runStatusName(out.status)));
-    w.field("attempts", uint64_t(out.attempts));
-    if (out.ok()) {
-        w.rawField("result", out.result.toJson());
-        if (out.profile) {
-            w.object("hostPerf");
-            w.field("trace_gen_sec", out.profile->traceGenSec);
-            w.field("warmup_sec", out.profile->warmupSec);
-            w.field("measured_sec", out.profile->measuredSec);
-            w.field("peak_rss_bytes", out.profile->peakRssBytes);
-            w.field("store_hit_chunks", out.profile->storeHitChunks);
-            w.field("store_miss_chunks", out.profile->storeMissChunks);
-            w.field("warm_state_hits", out.profile->warmStateHits);
-            w.field("warm_state_misses", out.profile->warmStateMisses);
-            w.field("warm_state_bytes", out.profile->warmStateBytes);
-            w.field("warm_state_window_hits",
-                    out.profile->warmStateWindowHits);
-            w.field("warm_state_window_misses",
-                    out.profile->warmStateWindowMisses);
-            w.field("warm_state_window_bytes",
-                    out.profile->warmStateWindowBytes);
-            w.close();
-        }
-    } else {
-        w.object("error");
-        w.field("category", std::string(errorCategoryName(
-                                out.failure->error.category)));
-        w.field("message", out.failure->error.message);
-        w.close();
-    }
+    writeOutcomeBody(w, out);
     w.close();
     return w.str();
 }
@@ -593,11 +461,11 @@ parseWorkerResult(const std::string &json)
     if (!parsed.ok())
         return simError(ErrorCategory::Crashed,
                         "bad worker result: ", parsed.error().message);
-    const JsonValue &v = parsed.value();
     std::optional<SimError> err;
-    Reader r(&v, err, ErrorCategory::Crashed);
+    JsonReader r(&parsed.value(), err, ErrorCategory::Crashed,
+                 "protocol");
 
-    std::string type, status;
+    std::string type;
     r.str("type", type);
     if (!err && type != "result")
         return simError(ErrorCategory::Crashed,
@@ -606,62 +474,9 @@ parseWorkerResult(const std::string &json)
     RunOutcome out;
     r.str("workload", out.workload);
     r.str("config", out.config);
-    r.str("status", status);
-    uint64_t attempts = 1;
-    r.u64("attempts", attempts);
+    readOutcomeBody(r, out);
     if (err)
         return *err;
-    out.attempts = static_cast<unsigned>(std::max<uint64_t>(1, attempts));
-    auto st = runStatusFromName(status);
-    if (!st)
-        return simError(ErrorCategory::Crashed,
-                        "worker result has unknown status '", status,
-                        "'");
-    out.status = *st;
-    if (out.ok()) {
-        const JsonValue *res = r.raw("result", JsonValue::Kind::Object);
-        if (err)
-            return *err;
-        auto sim = SimResult::fromJson(*res);
-        if (!sim.ok())
-            return simError(ErrorCategory::Crashed,
-                            "worker result payload corrupt: ",
-                            sim.error().message);
-        out.result = std::move(sim).value();
-        if (r.has("hostPerf")) {
-            Reader hp = r.child("hostPerf");
-            RunProfile prof;
-            hp.f64("trace_gen_sec", prof.traceGenSec);
-            hp.f64("warmup_sec", prof.warmupSec);
-            hp.f64("measured_sec", prof.measuredSec);
-            hp.u64("peak_rss_bytes", prof.peakRssBytes);
-            hp.u64("store_hit_chunks", prof.storeHitChunks);
-            hp.u64("store_miss_chunks", prof.storeMissChunks);
-            hp.u64("warm_state_hits", prof.warmStateHits);
-            hp.u64("warm_state_misses", prof.warmStateMisses);
-            hp.u64("warm_state_bytes", prof.warmStateBytes);
-            hp.u64("warm_state_window_hits", prof.warmStateWindowHits);
-            hp.u64("warm_state_window_misses",
-                   prof.warmStateWindowMisses);
-            hp.u64("warm_state_window_bytes", prof.warmStateWindowBytes);
-            if (err)
-                return *err;
-            out.profile = prof;
-        }
-    } else {
-        Reader e = r.child("error");
-        std::string category, message;
-        e.str("category", category);
-        e.str("message", message);
-        if (err)
-            return *err;
-        auto cat = errorCategoryFromName(category);
-        if (!cat)
-            return simError(ErrorCategory::Crashed,
-                            "worker failure has unknown category '",
-                            category, "'");
-        out.failure = RunFailure{SimError{*cat, message}, out.attempts};
-    }
     return out;
 }
 

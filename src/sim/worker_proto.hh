@@ -99,7 +99,7 @@ struct WorkerRequest
     /** 1-based process attempt (restart index): drives the attempt
      *  number process-level fault clauses count (':xN'). */
     unsigned attemptBase = 1;
-    /** Containment knobs the worker applies in-process; journal/store
+    /** Containment knobs the worker applies in-process; store
      *  members are meaningless across the process boundary and stay
      *  unset. heartbeatMs sets the worker's heartbeat period. */
     IsolationOptions opts;
@@ -156,8 +156,8 @@ uint64_t configDigest(const SimConfig &cfg);
  * Entry point of the hidden --worker mode: reads one request frame
  * from stdin, heartbeats on stdout while executing the run via
  * executeContainedRun (the same unit of work the in-process executor
- * uses), writes one result frame, exits. Never touches journals or
- * result stores — persistence is the supervisor's job, so a SIGKILLed
+ * uses), writes one result frame, exits. Never touches the result
+ * store — persistence is the supervisor's job, so a SIGKILLed
  * worker cannot leave half-written campaign state behind.
  */
 int workerMain();

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the typed error taxonomy (common/error.hh) and the JSON
- * writer/parser pair (common/json.hh) the journal and results exporter
- * are built on. The round-trip cases pin the contract the resume logic
- * depends on: u64 counters and %.17g doubles survive write -> parse
- * bit-for-bit, and malformed input always comes back as a SimError,
- * never UB.
+ * writer/parser pair (common/json.hh) the results exporter, worker
+ * protocol and result store are built on. The round-trip cases pin the
+ * contract store replays depend on: u64 counters and %.17g doubles
+ * survive write -> parse bit-for-bit, and malformed input always comes
+ * back as a SimError, never UB.
  */
 
 #include <gtest/gtest.h>
@@ -182,7 +182,7 @@ TEST(Json, NegativeAndFractionalNumbersParseAsDoubles)
 
 TEST(Json, MalformedInputIsARejectedSimError)
 {
-    // Every shape of damage a half-written journal line can take must
+    // Every shape of damage a half-written record can take must
     // come back as a trace-corrupt error, never parse half a record.
     for (const char *bad :
          {"", "{\"a\":1", "{} junk", "{a:1}", "[1,2", "\"unterminated",

@@ -355,7 +355,6 @@ TEST(IsolatedExecution, SummaryTalliesEveryStatus)
     EXPECT_EQ(sum.retried, 1u);
     EXPECT_EQ(sum.failed, 1u);
     EXPECT_EQ(sum.timedOut, 1u);
-    EXPECT_EQ(sum.resumed, 0u);
     EXPECT_EQ(sum.total(), 4u);
     EXPECT_FALSE(sum.allOk());
 }

@@ -4,11 +4,13 @@
  * (sim/result_store.hh): successful runs round-trip bitwise through
  * put/find, the executor serves unchanged cells from the store and
  * counts hits/misses, a one-knob config change invalidates exactly the
- * cells it touches, records the codec cannot replay (missing keys, a
- * non-success status) self-heal as misses, and a second campaign
- * pointed at a locked store fails fast with a config error. Frame-level
- * corruption (truncation, bit flips, key mismatch) is pinned once, for
- * all stores, by tests/content_store_test.cc.
+ * cells it touches, a renamed config replays under its new label,
+ * failed cells are never stored so a rerun executes only them, records
+ * the codec cannot replay (missing keys, a non-success status)
+ * self-heal as misses, and a second campaign pointed at a locked store
+ * fails fast with a config error. Frame-level corruption (truncation,
+ * bit flips, key mismatch) is pinned once, for all stores, by
+ * tests/content_store_test.cc.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fault_inject.hh"
 #include "sim/configs.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/result_store.hh"
@@ -65,10 +68,11 @@ keyFor(const SimConfig &cfg, const std::string &workload)
 }
 
 IsolationOptions
-optsWith(ResultStore *store)
+optsWith(ResultStore *store, const FaultPlan *plan = nullptr)
 {
     IsolationOptions opts;
     opts.resultStore = store;
+    opts.plan = plan;
     opts.backoffMs = 0;
     return opts;
 }
@@ -87,10 +91,12 @@ TEST(ResultStore, PutThenFindRoundTripsBitwise)
     EXPECT_FALSE(store->find(key).has_value());
     EXPECT_EQ(store->stats().misses, 1u);
 
+    ran[0].profile = RunProfile{}; // wall-clock data is never stored
     store->put(key, ran[0]);
     auto hit = store->find(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_TRUE(hit->fromStore);
+    EXPECT_FALSE(hit->profile.has_value());
     EXPECT_EQ(hit->status, RunStatus::Ok);
     EXPECT_EQ(hit->attempts, 1u);
     expectBitwiseEqual(ran[0].result, hit->result);
@@ -164,6 +170,59 @@ TEST(ResultStore, RenamedConfigKeepsItsCells)
     SimConfig tweaked = cfg;
     tweaked.llc.latency += 1;
     EXPECT_NE(configDigest(cfg), configDigest(tweaked));
+
+    // Through the executor the hit carries the new label everywhere, as
+    // a fresh run under that name would; every other bit is the stored
+    // run's.
+    ScratchDir dir("store_renamed");
+    auto store = mustOpen(dir.path);
+    ASSERT_NE(store, nullptr);
+    auto first = runWorkloadsIsolated(cfg, {"hmmer"}, kInstr, kWarm, 1,
+                                      optsWith(store.get()));
+    ASSERT_TRUE(first[0].ok());
+    auto second = runWorkloadsIsolated(renamed, {"hmmer"}, kInstr, kWarm,
+                                       1, optsWith(store.get()));
+    ASSERT_TRUE(second[0].ok());
+    EXPECT_TRUE(second[0].fromStore);
+    EXPECT_EQ(second[0].config, "relabelled");
+    EXPECT_EQ(second[0].result.config, "relabelled");
+    SimResult want = first[0].result;
+    want.config = "relabelled";
+    expectBitwiseEqual(want, second[0].result);
+}
+
+TEST(ResultStore, FailedCellsAreNotStoredAndRerunAlone)
+{
+    // A campaign with one failed cell stores only its successes, so the
+    // rerun without the fault executes exactly the failed cell.
+    ScratchDir dir("store_failures");
+    const std::vector<std::string> names = {"mcf", "hmmer"};
+    SimConfig cfg = baselineSkx();
+    auto corrupt_mcf = FaultPlan::parse("trace-corrupt:mcf");
+    ASSERT_TRUE(corrupt_mcf.ok());
+    const FaultPlan no_faults;
+
+    auto clean = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 2,
+                                      optsWith(nullptr, &no_faults));
+    auto store = mustOpen(dir.path);
+    ASSERT_NE(store, nullptr);
+    auto first =
+        runWorkloadsIsolated(cfg, names, kInstr, kWarm, 2,
+                             optsWith(store.get(), &corrupt_mcf.value()));
+    ASSERT_FALSE(first[0].ok());
+    ASSERT_TRUE(first[1].ok());
+
+    auto second = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 2,
+                                       optsWith(store.get(), &no_faults));
+    ASSERT_TRUE(second[0].ok()) << "mcf must recover on the rerun";
+    EXPECT_TRUE(second[0].storeMiss);
+    EXPECT_FALSE(second[0].fromStore);
+    EXPECT_TRUE(second[1].fromStore);
+    EXPECT_FALSE(second[1].storeMiss);
+    for (size_t i = 0; i < names.size(); ++i) {
+        ASSERT_TRUE(clean[i].ok()) << names[i];
+        expectBitwiseEqual(clean[i].result, second[i].result);
+    }
 }
 
 TEST(ResultStore, KeyCoversTheWholeRunIdentity)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the results JSON layer (sim/results_json.cc): the full
- * SimResult toJson/fromJson bitwise round trip the journal resume rests
- * on, the outcome-aware suite export (per-run status + campaign
+ * SimResult toJson/fromJson bitwise round trip result-store replays
+ * rest on, the outcome-aware suite export (per-run status + campaign
  * summary), and the export error paths — an unwritable destination must
  * come back as a SimError, and the atomic tmp-then-rename write must
  * never leave a torn document at the final path.
@@ -67,8 +67,8 @@ TEST(ResultsJson, SimResultRoundTripsBitwise)
     auto back = SimResult::fromJson(json);
     ASSERT_TRUE(back.ok()) << (back.ok() ? "" : back.error().message);
     expectBitwiseEqual(orig, back.value());
-    // And the re-serialisation is byte-identical, so a journal record
-    // survives any number of resume cycles unchanged.
+    // And the re-serialisation is byte-identical, so a stored record
+    // survives any number of replay cycles unchanged.
     EXPECT_EQ(back.value().toJson(), json);
 }
 

@@ -171,6 +171,37 @@ TEST(WorkerProto, ResultParserRejectsMalformedPayloads)
     }
 }
 
+TEST(WorkerProto, ResultFrameRoundTripsProfileAndFailure)
+{
+    // The result frame rides on the shared RunOutcome body codec. A
+    // profiled success (every hostPerf field distinct) and a structured
+    // failure must re-serialise byte-identically after a parse, so no
+    // field is dropped or swapped either way.
+    auto ran = runWorkloadsIsolated(baselineSkx(), {"hmmer"}, kInstr,
+                                    kWarm, 1);
+    ASSERT_TRUE(ran[0].ok());
+    RunOutcome ok = ran[0];
+    ok.status = RunStatus::Retried;
+    ok.attempts = 2;
+    ok.profile = RunProfile{0.25, 1.5, 3.125, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+
+    RunOutcome failed;
+    failed.workload = "mcf";
+    failed.config = "c";
+    failed.status = RunStatus::TimedOut;
+    failed.attempts = 3;
+    failed.failure = RunFailure{
+        simError(ErrorCategory::BudgetExceeded, "stall window"), 3};
+
+    for (const RunOutcome &out : {ok, failed}) {
+        const std::string frame = buildWorkerResult(out);
+        auto back = parseWorkerResult(frame);
+        ASSERT_TRUE(back.ok()) << back.error().message;
+        EXPECT_EQ(buildWorkerResult(back.value()), frame);
+        EXPECT_EQ(back.value().profile.has_value(), out.ok());
+    }
+}
+
 TEST(WorkerProto, ConfigJsonRoundTripsCanonically)
 {
     SimConfig cfg = withCatch(baselineSkx());

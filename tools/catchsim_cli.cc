@@ -37,10 +37,6 @@
  *                               Profiling never changes simulated
  *                               results. (Env: CATCH_PROFILE=1)
  *   --json=<file>               also write results as a JSON document
- *   --journal=<dir>             checkpoint finished runs to
- *                               <dir>/journal.jsonl; a rerun with the
- *                               same journal re-executes only runs that
- *                               did not finish successfully
  *   --isolate                   run every simulation in its own worker
  *                               process under the wall-clock supervisor
  *                               (sim/supervisor.hh): a crash or hang in
@@ -55,7 +51,9 @@
  *                               is already stored are served from disk;
  *                               fresh successes persist back. A resweep
  *                               after a one-knob change re-executes
- *                               only invalidated cells.
+ *                               only invalidated cells, and a rerun of
+ *                               a killed or failed campaign only the
+ *                               runs that did not finish successfully.
  *                               (Env: CATCH_RESULT_STORE)
  *   --store                     memoize trace chunks and warmed state
  *                               in memory; results stay bitwise-
@@ -74,8 +72,8 @@
  *
  * Exit codes: 0 every run succeeded; 1 at least one run failed or
  * timed out (or the JSON export failed); 2 usage/configuration error
- * (unknown option, unknown workload, invalid geometry, locked journal
- * or result store) or at least one run crashed at the process level
+ * (unknown option, unknown workload, invalid geometry, locked or
+ * unwritable result store) or at least one run crashed at the process level
  * (worker died, hung past the heartbeat timeout, or failed to exec).
  */
 
@@ -90,7 +88,6 @@
 #include "common/logging.hh"
 #include "sim/configs.hh"
 #include "sim/experiment.hh"
-#include "sim/journal.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/result_store.hh"
 #include "sim/simulator.hh"
@@ -205,10 +202,9 @@ usage()
                  "[--sample-window=N] [--sample-warmup=N]\n"
                  "                [--llc-add=N] [--no-prefetchers] "
                  "[--jobs=N] [--profile] [--json=FILE]\n"
-                 "                [--journal=DIR] [--isolate] "
-                 "[--result-store=DIR] [--store]\n"
-                 "                [--store-dir=DIR] [--list] "
-                 "<workload>...\n");
+                 "                [--isolate] [--result-store=DIR] "
+                 "[--store] [--store-dir=DIR] [--list]\n"
+                 "                <workload>...\n");
     std::exit(2);
 }
 
@@ -231,7 +227,6 @@ main(int argc, char **argv)
     unsigned jobs = suiteJobs();
     bool profile = false;
     std::string json_path;
-    std::string journal_dir;
     std::string store_dir;
     bool isolate = false;
     std::vector<std::string> workloads;
@@ -293,8 +288,6 @@ main(int argc, char **argv)
             profile = true;
         } else if (arg.rfind("--json=", 0) == 0) {
             json_path = value();
-        } else if (arg.rfind("--journal=", 0) == 0) {
-            journal_dir = value();
         } else if (arg == "--isolate") {
             isolate = true;
         } else if (arg.rfind("--result-store=", 0) == 0) {
@@ -364,17 +357,6 @@ main(int argc, char **argv)
 
     IsolationOptions opts = IsolationOptions::fromEnvironment();
     opts.profile |= profile;
-    std::unique_ptr<SuiteJournal> journal;
-    if (!journal_dir.empty()) {
-        auto j = SuiteJournal::open(journal_dir);
-        if (!j.ok()) {
-            std::fprintf(stderr, "catchsim: %s\n",
-                         j.error().message.c_str());
-            return 2;
-        }
-        journal = std::move(j).value();
-        opts.journal = journal.get();
-    }
     std::unique_ptr<ResultStore> store;
     if (!store_dir.empty()) {
         auto s = ResultStore::open(store_dir);
@@ -404,16 +386,15 @@ main(int argc, char **argv)
 
     CampaignSummary sum = summarizeOutcomes(outcomes);
     if (sum.retried || sum.failed || sum.timedOut || sum.crashed ||
-        sum.resumed || sum.storeHits) {
+        sum.storeHits) {
         std::printf("\ncampaign: %llu ok, %llu retried, %llu failed, "
-                    "%llu timed out, %llu crashed, %llu resumed, "
+                    "%llu timed out, %llu crashed, "
                     "%llu store hit(s), %llu store miss(es)\n",
                     static_cast<unsigned long long>(sum.ok),
                     static_cast<unsigned long long>(sum.retried),
                     static_cast<unsigned long long>(sum.failed),
                     static_cast<unsigned long long>(sum.timedOut),
                     static_cast<unsigned long long>(sum.crashed),
-                    static_cast<unsigned long long>(sum.resumed),
                     static_cast<unsigned long long>(sum.storeHits),
                     static_cast<unsigned long long>(sum.storeMisses));
     }

@@ -3,7 +3,7 @@
 #
 # Drives the catchsim CLI the way CI does: a clean campaign, then the
 # same campaign with CATCH_FAULT_INJECT forcing one fault of each kind
-# into 3 of 7 workloads at two job counts, then a journaled rerun.
+# into 3 of 7 workloads at two job counts, then a result-store rerun.
 # Asserts the containment contract end to end:
 #
 #   1. the faulty campaign completes with exit code 1 (contained), not
@@ -12,8 +12,9 @@
 #   3. exactly the 3 injected runs fail, with the right categories, and
 #      every unaffected slot is bitwise-identical to the clean campaign
 #      (tools/ci/check_fault_matrix.py);
-#   4. a journaled rerun without injection re-executes only the 3
-#      failed runs, resumes the other 4, exits 0, and its results are
+#   4. a rerun without injection on the same --result-store
+#      re-executes only the 3 failed runs (failures are never stored),
+#      serves the other 4 from the store, exits 0, and its results are
 #      bitwise-identical to the clean campaign.
 #
 # Then the process-isolation matrix (--isolate, sim/supervisor.hh):
@@ -26,7 +27,7 @@
 #      job counts;
 #   7. exec-fail and heartbeat-stall cells exit 2 (typed at the unit
 #      level; here the exit-code contract is what is pinned);
-#   8. an OOM-killed campaign with --journal + --result-store exits 2,
+#   8. an OOM-killed campaign with --result-store exits 2,
 #      and the resumed rerun re-executes only the dead cell, exits 0,
 #      bitwise-identical to clean;
 #   9. a result-store resweep: cold run misses every cell, the rerun
@@ -80,11 +81,12 @@ echo "== containment + bitwise-identical unaffected slots =="
 python3 "$HERE/check_fault_matrix.py" \
     --clean "$WORK/clean.json" --faulty "$WORK/faulty8.json"
 
-echo "== journaled run with faults, then resume without =="
+echo "== stored run with faults, then resume without =="
 run_expect 1 env CATCH_FAULT_INJECT="$SPEC" \
-    "$CLI" "${ARGS[@]}" --jobs=8 --journal="$WORK/journal" \
+    "$CLI" "${ARGS[@]}" --jobs=8 --result-store="$WORK/resume_store" \
     "${NAMES[@]}"
-run_expect 0 "$CLI" "${ARGS[@]}" --jobs=8 --journal="$WORK/journal" \
+run_expect 0 "$CLI" "${ARGS[@]}" --jobs=8 \
+    --result-store="$WORK/resume_store" \
     --json="$WORK/resumed.json" "${NAMES[@]}"
 python3 "$HERE/check_fault_matrix.py" \
     --clean "$WORK/clean.json" --resumed "$WORK/resumed.json"
@@ -127,7 +129,6 @@ cmp "$WORK/ws_clean.json" "$WORK/ws_window_faulty.json"
 
 echo "== config errors exit 2 before any simulation =="
 run_expect 2 "$CLI" "${ARGS[@]}" no-such-workload mcf
-run_expect 2 "$CLI" "${ARGS[@]}" --journal=/dev/null/nested mcf
 run_expect 2 "$CLI" "${ARGS[@]}" --result-store=/dev/null/nested mcf
 
 # ---------------- process-isolated execution matrix ----------------
@@ -163,14 +164,13 @@ run_expect 2 env "${ISO_ENV[@]}" \
     CATCH_HEARTBEAT_TIMEOUT_MS=2000 \
     "$CLI" "${ARGS[@]}" --isolate --jobs=8 "${NAMES[@]}"
 
-echo "== OOM-killed campaign resumes through journal + store =="
+echo "== OOM-killed campaign resumes through the result store =="
 run_expect 2 env "${ISO_ENV[@]}" CATCH_FAULT_INJECT='oom:mcf' \
     "$CLI" "${ARGS[@]}" --isolate --jobs=8 \
-    --journal="$WORK/iso_journal" --result-store="$WORK/iso_store" \
-    "${NAMES[@]}"
+    --result-store="$WORK/iso_store" "${NAMES[@]}"
 run_expect 0 env "${ISO_ENV[@]}" \
     "$CLI" "${ARGS[@]}" --isolate --jobs=8 \
-    --journal="$WORK/iso_journal" --result-store="$WORK/iso_store" \
+    --result-store="$WORK/iso_store" \
     --json="$WORK/iso_resumed.json" "${NAMES[@]}"
 python3 "$HERE/check_fault_matrix.py" \
     --clean "$WORK/clean.json" --resumed "$WORK/iso_resumed.json" \
