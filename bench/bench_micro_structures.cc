@@ -22,7 +22,7 @@ using namespace catchsim;
 static void
 BM_CacheLookupHit(benchmark::State &state)
 {
-    Cache c("bm", CacheGeometry{32 * 1024, 8, 5}, ReplKind::Lru, 1);
+    Cache c("bm", CacheGeometry{32 * 1024, 8, 5});
     for (Addr a = 0; a < 32 * 1024; a += 64)
         c.fill(a, false, 0, FillSource::Demand);
     Rng rng(1);
@@ -36,7 +36,7 @@ BENCHMARK(BM_CacheLookupHit);
 static void
 BM_CacheFillEvict(benchmark::State &state)
 {
-    Cache c("bm", CacheGeometry{32 * 1024, 8, 5}, ReplKind::Lru, 1);
+    Cache c("bm", CacheGeometry{32 * 1024, 8, 5});
     Rng rng(2);
     for (auto _ : state)
         benchmark::DoNotOptimize(
@@ -127,6 +127,25 @@ BM_IssueCalendar(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IssueCalendar);
+
+/**
+ * A contended DRAM bank: one port, each command an 80-cycle row-miss
+ * claim, arriving behind a backlog of about 8000 already-full cycles
+ * that new claims keep at that depth. A per-cycle scan steps over the
+ * whole backlog on every call; the skip links jump it.
+ */
+static void
+BM_IssueCalendarBacklog(benchmark::State &state)
+{
+    IssueCalendar cal(1);
+    cal.schedule(0, 8000);
+    Cycle t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cal.schedule(t, 80));
+        t += 80;
+    }
+}
+BENCHMARK(BM_IssueCalendarBacklog);
 
 /** End-to-end simulated instructions per second (hmmer, baseline). */
 static void

@@ -1,77 +1,76 @@
 #include "cache/cache.hh"
 
+#include <utility>
+
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 
 namespace catchsim
 {
 
-Cache::Cache(std::string name, const CacheGeometry &geom, ReplKind repl,
-             uint64_t seed)
+Cache::Cache(std::string name, const CacheGeometry &geom)
     : name_(std::move(name)), geom_(geom), numSets_(geom.numSets()),
-      lines_(static_cast<size_t>(numSets_) * geom.ways),
-      repl_(makeReplacement(repl, seed))
+      lines_(static_cast<size_t>(numSets_) * geom.ways)
 {
     CATCHSIM_ASSERT(isPowerOfTwo(numSets_), name_, ": sets not pow2");
-    repl_->reset(numSets_, geom_.ways);
 }
 
-uint32_t
-Cache::setIndex(Addr addr) const
+const CacheLine *
+Cache::row(Addr addr) const
 {
-    return static_cast<uint32_t>((addr >> kLineShift) & (numSets_ - 1));
+    uint32_t set = static_cast<uint32_t>((addr >> kLineShift) &
+                                         (numSets_ - 1));
+    return &lines_[static_cast<size_t>(set) * geom_.ways];
+}
+
+CacheLine *
+Cache::row(Addr addr)
+{
+    return const_cast<CacheLine *>(std::as_const(*this).row(addr));
 }
 
 CacheLine *
 Cache::lookup(Addr addr, bool is_demand)
 {
-    Addr tag = lineAddr(addr);
-    uint32_t set = setIndex(addr);
-    CacheLine *row = &lines_[static_cast<size_t>(set) * geom_.ways];
     if (is_demand) {
         ++stats_.demandAccesses; // catch-analyze: allow(warming-purity)
         ++stats_.readOps;        // catch-analyze: allow(warming-purity)
     }
-    for (uint32_t w = 0; w < geom_.ways; ++w) {
-        if (row[w].valid && row[w].tag == tag) {
-            if (is_demand) {
-                // catch-analyze: allow(warming-purity)
-                ++stats_.demandHits;
-                repl_->onHit(set, w);
-                // usedSinceFill is managed by the hierarchy, which needs
-                // to observe the first use of a prefetched line.
-            }
-            return &row[w];
-        }
+    CacheLine *line = peek(addr);
+    if (line && is_demand) {
+        // catch-analyze: allow(warming-purity)
+        ++stats_.demandHits;
+        touch(*line);
+        // usedSinceFill is managed by the hierarchy, which needs to
+        // observe the first use of a prefetched line.
     }
-    return nullptr;
+    return line;
 }
 
 CacheLine *
 Cache::warmLookup(Addr addr)
 {
-    Addr tag = lineAddr(addr);
-    uint32_t set = setIndex(addr);
-    CacheLine *row = &lines_[static_cast<size_t>(set) * geom_.ways];
-    for (uint32_t w = 0; w < geom_.ways; ++w) {
-        if (row[w].valid && row[w].tag == tag) {
-            repl_->onHit(set, w);
-            return &row[w];
-        }
-    }
-    return nullptr;
+    CacheLine *line = peek(addr);
+    if (line)
+        touch(*line);
+    return line;
 }
 
 const CacheLine *
 Cache::peek(Addr addr) const
 {
     Addr tag = lineAddr(addr);
-    uint32_t set = setIndex(addr);
-    const CacheLine *row = &lines_[static_cast<size_t>(set) * geom_.ways];
+    const CacheLine *r = row(addr);
     for (uint32_t w = 0; w < geom_.ways; ++w)
-        if (row[w].valid && row[w].tag == tag)
-            return &row[w];
+        if (r[w].valid && r[w].tag == tag)
+            return &r[w];
     return nullptr;
+}
+
+CacheLine *
+Cache::peek(Addr addr)
+{
+    return const_cast<CacheLine *>(std::as_const(*this).peek(addr));
 }
 
 Cache::Victim
@@ -94,49 +93,49 @@ Cache::fillImpl(Addr addr, bool dirty, Cycle ready_at, FillSource source,
                 Level fill_level, bool count)
 {
     Addr tag = lineAddr(addr);
-    uint32_t set = setIndex(addr);
-    CacheLine *row = &lines_[static_cast<size_t>(set) * geom_.ways];
+    CacheLine *r = row(addr);
     if (count)
         ++stats_.writeOps; // catch-analyze: allow(warming-purity)
 
-    // Merge if already present (e.g. a writeback landing on a prefetched
-    // copy, or a duplicate fill).
+    // One scan: the resident copy (merge), else the first invalid way,
+    // else the least recently used way (the lowest on a tie).
+    CacheLine *free_way = nullptr;
+    CacheLine *lru = nullptr;
     for (uint32_t w = 0; w < geom_.ways; ++w) {
-        if (row[w].valid && row[w].tag == tag) {
-            row[w].dirty |= dirty;
-            if (ready_at < row[w].readyAt)
-                row[w].readyAt = ready_at;
+        CacheLine &l = r[w];
+        if (!l.valid) {
+            if (!free_way)
+                free_way = &l;
+            continue;
+        }
+        if (l.tag == tag) {
+            // Merge (e.g. a writeback landing on a prefetched copy, or a
+            // duplicate fill).
+            l.dirty |= dirty;
+            if (ready_at < l.readyAt)
+                l.readyAt = ready_at;
             // A demand or writeback fill landing on a prefetched copy
             // proves the line was wanted: take over its provenance so a
             // later eviction is not misattributed to a useless
             // prefetch (and the evicting level sees the true source).
-            bool resident_is_prefetch =
-                row[w].source != FillSource::Demand &&
-                row[w].source != FillSource::Writeback;
+            bool resident_is_prefetch = l.source != FillSource::Demand &&
+                                        l.source != FillSource::Writeback;
             bool incoming_is_real = source == FillSource::Demand ||
                                     source == FillSource::Writeback;
             if (resident_is_prefetch && incoming_is_real) {
-                row[w].source = source;
-                row[w].fillLevel = fill_level;
+                l.source = source;
+                l.fillLevel = fill_level;
             }
-            repl_->onHit(set, w);
+            touch(l);
             return Victim{};
         }
-    }
-
-    uint32_t way = geom_.ways;
-    for (uint32_t w = 0; w < geom_.ways; ++w) {
-        if (!row[w].valid) {
-            way = w;
-            break;
-        }
+        if (!lru || l.stamp < lru->stamp)
+            lru = &l;
     }
 
     Victim victim;
-    if (way == geom_.ways) {
-        way = repl_->victim(set);
-        CATCHSIM_ASSERT(way < geom_.ways, name_, ": bad victim way");
-        CacheLine &v = row[way];
+    if (!free_way) {
+        CacheLine &v = *lru;
         victim.valid = true;
         victim.addr = v.tag;
         victim.dirty = v.dirty;
@@ -157,7 +156,7 @@ Cache::fillImpl(Addr addr, bool dirty, Cycle ready_at, FillSource source,
         }
     }
 
-    CacheLine &line = row[way];
+    CacheLine &line = free_way ? *free_way : *lru;
     line.tag = tag;
     line.valid = true;
     line.dirty = dirty;
@@ -165,7 +164,7 @@ Cache::fillImpl(Addr addr, bool dirty, Cycle ready_at, FillSource source,
     line.source = source;
     line.fillLevel = fill_level;
     line.usedSinceFill = false;
-    repl_->onFill(set, way);
+    touch(line);
     if (count)
         ++stats_.fills; // catch-analyze: allow(warming-purity)
     return victim;
@@ -174,24 +173,21 @@ Cache::fillImpl(Addr addr, bool dirty, Cycle ready_at, FillSource source,
 bool
 Cache::invalidate(Addr addr, bool *was_present, bool count)
 {
-    Addr tag = lineAddr(addr);
-    uint32_t set = setIndex(addr);
-    CacheLine *row = &lines_[static_cast<size_t>(set) * geom_.ways];
-    for (uint32_t w = 0; w < geom_.ways; ++w) {
-        if (row[w].valid && row[w].tag == tag) {
-            row[w].valid = false;
-            if (count) {
-                // catch-analyze: allow(warming-purity)
-                ++stats_.invalidations;
-            }
-            if (was_present)
-                *was_present = true;
-            return row[w].dirty;
-        }
-    }
+    CacheLine *line = peek(addr);
     if (was_present)
-        *was_present = false;
-    return false;
+        *was_present = line != nullptr;
+    return line && invalidate(*line, count);
+}
+
+bool
+Cache::invalidate(CacheLine &line, bool count)
+{
+    line.valid = false;
+    if (count) {
+        // catch-analyze: allow(warming-purity)
+        ++stats_.invalidations;
+    }
+    return line.dirty;
 }
 
 void
@@ -208,7 +204,13 @@ Cache::saveWarmState(StateSink &sink) const
         sink.u8(static_cast<uint8_t>(line.fillLevel));
         sink.boolean(line.usedSinceFill);
     }
-    repl_->saveWarmState(sink);
+    // Recency follows the lines as its own RLRU record: the clock, then
+    // every line's stamp in line order.
+    sink.tag(stateTag("RLRU"));
+    sink.u64(clock_);
+    sink.u64(lines_.size());
+    for (const CacheLine &line : lines_)
+        sink.u64(line.stamp);
 }
 
 bool
@@ -227,13 +229,21 @@ Cache::loadWarmState(StateSource &src)
         line.fillLevel = static_cast<Level>(src.u8());
         line.usedSinceFill = src.boolean();
     }
-    return src.ok() && repl_->loadWarmState(src);
+    if (!src.ok() || !src.expect(stateTag("RLRU")))
+        return false;
+    uint64_t clock = src.u64();
+    if (src.u64() != lines_.size() || !src.fits(lines_.size() * 8))
+        return false;
+    clock_ = clock;
+    for (CacheLine &line : lines_)
+        line.stamp = src.u64();
+    return src.ok();
 }
 
 bool
 Cache::setDirty(Addr addr)
 {
-    CacheLine *line = lookup(addr, false);
+    CacheLine *line = peek(addr);
     if (!line)
         return false;
     line->dirty = true;

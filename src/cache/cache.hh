@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "cache/replacement.hh"
 #include "common/sim_config.hh"
+#include "common/state_io.hh"
 #include "common/types.hh"
 
 namespace catchsim
@@ -34,13 +34,17 @@ enum class FillSource : uint8_t
     Writeback,  ///< victim from an inner level
 };
 
-/** One cache line's metadata. */
+/** One cache line's metadata (32 bytes: the wide fields first). */
 struct CacheLine
 {
     Addr tag = 0;
+    Cycle readyAt = 0;        ///< fill completion time
+    /// LRU recency: the owning cache's access clock at the last fill or
+    /// recency-updating hit. Kept across invalidation (the snapshot
+    /// format records every line's stamp).
+    uint64_t stamp = 0;
     bool valid = false;
     bool dirty = false;
-    Cycle readyAt = 0;        ///< fill completion time
     FillSource source = FillSource::Demand;
     /**
      * Hierarchy level the fill data came from. While the line is still
@@ -51,6 +55,7 @@ struct CacheLine
     Level fillLevel = Level::None;
     bool usedSinceFill = false; ///< for prefetch-accuracy stats
 };
+static_assert(sizeof(CacheLine) == 32, "CacheLine grew past 32 bytes");
 
 /** Counters for hit rates and the power model. */
 struct CacheStats
@@ -77,7 +82,12 @@ struct CacheStats
     }
 };
 
-/** A set-associative cache array. */
+/**
+ * A set-associative cache array with true-LRU replacement (the paper's
+ * policy at every level). Every set operation is one scan of the set's
+ * ways: recency lives in the lines, so a fill finds the merge target,
+ * the first invalid way and the LRU victim together.
+ */
 class Cache
 {
   public:
@@ -91,8 +101,7 @@ class Cache
         bool usedSinceFill = false;
     };
 
-    Cache(std::string name, const CacheGeometry &geom, ReplKind repl,
-          uint64_t seed);
+    Cache(std::string name, const CacheGeometry &geom);
 
     /**
      * Looks up the line containing @p addr.
@@ -110,6 +119,7 @@ class Cache
 
     /** Peeks without updating stats or recency (oracle queries). */
     const CacheLine *peek(Addr addr) const;
+    CacheLine *peek(Addr addr);
 
     /**
      * Inserts the line containing @p addr, evicting if necessary.
@@ -131,6 +141,10 @@ class Cache
     bool invalidate(Addr addr, bool *was_present = nullptr,
                     bool count = true);
 
+    /** Removes @p line, which a lookup or peek of this cache returned,
+     *  without searching its set again. @returns true if it was dirty. */
+    bool invalidate(CacheLine &line, bool count = true);
+
     /** Marks the line dirty (store commit); @returns false on miss. */
     bool setDirty(Addr addr);
 
@@ -142,9 +156,10 @@ class Cache
 
     /**
      * Serializes the array state — every line's tag/valid/dirty/
-     * readyAt/source/fillLevel/usedSinceFill plus the replacement
-     * policy state — for warmed-state snapshots. Stats are NOT included
-     * (the simulator resets them at the snapshot boundary anyway).
+     * readyAt/source/fillLevel/usedSinceFill, then the LRU clock and
+     * every line's stamp — for warmed-state snapshots. Stats are NOT
+     * included (the simulator resets them at the snapshot boundary
+     * anyway).
      */
     void saveWarmState(StateSink &sink) const;
 
@@ -155,7 +170,9 @@ class Cache
     bool loadWarmState(StateSource &src);
 
   private:
-    uint32_t setIndex(Addr addr) const;
+    CacheLine *row(Addr addr);
+    const CacheLine *row(Addr addr) const;
+    void touch(CacheLine &line) { line.stamp = ++clock_; }
     Victim fillImpl(Addr addr, bool dirty, Cycle ready_at,
                     FillSource source, Level fill_level, bool count);
 
@@ -163,7 +180,7 @@ class Cache
     CacheGeometry geom_;
     uint32_t numSets_;
     std::vector<CacheLine> lines_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    uint64_t clock_ = 0; ///< LRU access clock
     CacheStats stats_;
 };
 

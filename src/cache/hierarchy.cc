@@ -13,17 +13,16 @@ CacheHierarchy::CacheHierarchy(const SimConfig &cfg)
                     valid.ok() ? "" : valid.error().message);
     for (CoreId c = 0; c < cfg.numCores; ++c) {
         l1i_.push_back(std::make_unique<Cache>(
-            "l1i" + std::to_string(c), cfg.l1i, ReplKind::Lru, cfg.seed));
+            "l1i" + std::to_string(c), cfg.l1i));
         l1d_.push_back(std::make_unique<Cache>(
-            "l1d" + std::to_string(c), cfg.l1d, ReplKind::Lru, cfg.seed));
+            "l1d" + std::to_string(c), cfg.l1d));
         if (cfg.hasL2)
-            l2_.push_back(std::make_unique<Cache>(
-                "l2." + std::to_string(c), cfg.l2, ReplKind::Lru,
-                cfg.seed));
+            l2_.push_back(
+                std::make_unique<Cache>("l2." + std::to_string(c), cfg.l2));
         stride_.emplace_back(256);
         stream_.emplace_back(64, cfg.streamDegree);
     }
-    llc_ = std::make_unique<Cache>("llc", cfg.llc, ReplKind::Lru, cfg.seed);
+    llc_ = std::make_unique<Cache>("llc", cfg.llc);
     streamCandidates_.reserve(cfg.streamDegree);
 }
 
@@ -216,12 +215,12 @@ CacheHierarchy::streamObserve(CoreId core, Addr addr, Cycle now)
         if (cfg_.hasL2) {
             if (l2_[core]->peek(line))
                 continue;
-            if (const CacheLine *in_llc = llc_->peek(line)) {
+            if (CacheLine *in_llc = llc_->peek(line)) {
                 // Pull into the L2 ahead of use.
                 ++stats_.ringTransfers;
                 bool dirty = in_llc->dirty;
                 if (cfg_.inclusion == InclusionPolicy::Exclusive)
-                    llc_->invalidate(line);
+                    llc_->invalidate(*in_llc);
                 fillL2(core, line, dirty, now + latLlc(),
                        FillSource::StreamPf, now);
             } else {
@@ -258,10 +257,10 @@ CacheHierarchy::warmStreamObserve(CoreId core, Addr addr, Cycle now)
         if (cfg_.hasL2) {
             if (l2_[core]->peek(line))
                 continue;
-            if (const CacheLine *in_llc = llc_->peek(line)) {
+            if (CacheLine *in_llc = llc_->peek(line)) {
                 bool dirty = in_llc->dirty;
                 if (cfg_.inclusion == InclusionPolicy::Exclusive)
-                    llc_->invalidate(line, nullptr, false);
+                    llc_->invalidate(*in_llc, false);
                 fillL2(core, line, dirty, 0, FillSource::StreamPf, now,
                        true);
             } else {
@@ -300,7 +299,7 @@ CacheHierarchy::warmMiss(CoreId core, bool code, Addr addr, Cycle now,
         line->usedSinceFill = true;
         bool dirty = line->dirty || dirty_fill;
         if (cfg_.inclusion == InclusionPolicy::Exclusive) {
-            llc_->invalidate(addr, nullptr, false);
+            llc_->invalidate(*line, false);
             fillL2(core, addr, dirty, 0, FillSource::Demand, now, true);
             fillL1(core, code, addr, dirty_fill, 0, FillSource::Demand,
                    now, Level::LLC, true);
@@ -363,7 +362,7 @@ CacheHierarchy::serviceMiss(CoreId core, bool code, Addr addr, Cycle now,
         uint64_t lat = latLlc() + remaining(*line, now);
         bool dirty = line->dirty || dirty_fill;
         if (cfg_.inclusion == InclusionPolicy::Exclusive) {
-            llc_->invalidate(addr);
+            llc_->invalidate(*line);
             fillL2(core, addr, dirty, now + lat, FillSource::Demand, now);
             fillL1(core, code, addr, dirty_fill, now + lat,
                    FillSource::Demand, now, Level::LLC);
@@ -571,12 +570,12 @@ CacheHierarchy::prefetchToL1(CoreId core, Addr addr, Cycle now,
     }
 
     ++stats_.ringTransfers; // request
-    if (const CacheLine *line = llc_->peek(addr)) {
+    if (CacheLine *line = llc_->peek(addr)) {
         ++stats_.ringTransfers; // data
         uint64_t lat = latLlc() + remaining(*line, now);
         bool dirty = line->dirty;
         if (cfg_.inclusion == InclusionPolicy::Exclusive) {
-            llc_->invalidate(addr);
+            llc_->invalidate(*line);
             fillL2(core, addr, dirty, now + lat, src, now);
         } else if (cfg_.hasL2) {
             fillL2(core, addr, false, now + lat, src, now);
@@ -670,10 +669,10 @@ CacheHierarchy::warmPrefetchToL1(CoreId core, Addr addr, Cycle now)
             return;
         }
     }
-    if (const CacheLine *line = llc_->peek(addr)) {
+    if (CacheLine *line = llc_->peek(addr)) {
         bool dirty = line->dirty;
         if (cfg_.inclusion == InclusionPolicy::Exclusive) {
-            llc_->invalidate(addr, nullptr, false);
+            llc_->invalidate(*line, false);
             fillL2(core, addr, dirty, 0, src, now, true);
         } else if (cfg_.hasL2) {
             fillL2(core, addr, false, 0, src, now, true);
@@ -716,10 +715,10 @@ CacheHierarchy::warmTactPrefetch(CoreId core, Addr addr, bool code,
             return Level::L2;
         }
     }
-    if (const CacheLine *line = llc_->peek(addr)) {
+    if (CacheLine *line = llc_->peek(addr)) {
         bool dirty = line->dirty;
         if (cfg_.inclusion == InclusionPolicy::Exclusive) {
-            llc_->invalidate(addr, nullptr, false);
+            llc_->invalidate(*line, false);
             fillL2(core, addr, dirty, 0, src, now, true);
         } else if (cfg_.hasL2) {
             fillL2(core, addr, false, 0, src, now, true);

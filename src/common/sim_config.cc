@@ -1,5 +1,7 @@
 #include "common/sim_config.hh"
 
+#include <utility>
+
 #include "common/bitutil.hh"
 #include "common/env.hh"
 
@@ -69,6 +71,18 @@ SimConfig::validate() const
     if (numArchRegs < 4 || numArchRegs > 64)
         return simError(ErrorCategory::Config,
                         "numArchRegs out of supported range");
+    // An issue calendar packs its per-cycle count into 8 bits, and a
+    // port count of 0 could never issue.
+    for (auto [field, ports] : {std::pair{"aluPorts", aluPorts},
+                                {"loadPorts", loadPorts},
+                                {"storePorts", storePorts},
+                                {"fpPorts", fpPorts}})
+        if (ports < 1 || ports > 255)
+            return simError(ErrorCategory::Config, field, " (", ports,
+                            ") out of range 1..255");
+    if (storeQueueSize == 0)
+        return simError(ErrorCategory::Config,
+                        "storeQueueSize must be non-zero");
     if (auto e = checkGeometry("l1i", l1i); !e.ok())
         return e;
     if (auto e = checkGeometry("l1d", l1d); !e.ok())

@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the set-associative cache array: lookup/fill/invalidate
- * semantics, victim selection, in-flight (readyAt) tracking and the
+ * semantics, LRU victim selection, in-flight (readyAt) tracking and the
  * fill-merge rule.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cache/cache.hh"
 #include "common/rng.hh"
+#include "common/state_io.hh"
 
 namespace catchsim
 {
@@ -24,7 +27,7 @@ tinyGeom()
 
 TEST(Cache, MissThenHit)
 {
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     EXPECT_EQ(c.lookup(0x1000, true), nullptr);
     c.fill(0x1000, false, 0, FillSource::Demand);
     EXPECT_NE(c.lookup(0x1000, true), nullptr);
@@ -34,7 +37,7 @@ TEST(Cache, MissThenHit)
 
 TEST(Cache, PeekDoesNotTouchStats)
 {
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     c.fill(0x1000, false, 0, FillSource::Demand);
     c.peek(0x1000);
     c.peek(0x2000);
@@ -43,7 +46,7 @@ TEST(Cache, PeekDoesNotTouchStats)
 
 TEST(Cache, LruVictimIsOldest)
 {
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     // Set index = (addr>>6) & 1; use set 0 addresses: 0x000, 0x080...
     c.fill(0x000, false, 0, FillSource::Demand);
     c.fill(0x080, false, 0, FillSource::Demand);
@@ -53,9 +56,95 @@ TEST(Cache, LruVictimIsOldest)
     EXPECT_EQ(v.addr, 0x080u);
 }
 
+/** One set of four ways: every line below maps to it. */
+CacheGeometry
+oneSetGeom()
+{
+    return CacheGeometry{256, 4, 5};
+}
+
+TEST(CacheLru, VictimIsTheLeastRecentWay)
+{
+    Cache c("t", oneSetGeom());
+    for (Addr a = 0; a < 4; ++a)
+        c.fill(a * 64, false, 0, FillSource::Demand);
+    c.lookup(0 * 64, true);
+    c.lookup(2 * 64, true);
+    Cache::Victim v = c.fill(4 * 64, false, 0, FillSource::Demand);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.addr, 1u * 64);
+}
+
+TEST(CacheLru, VictimIsTheLowestWayOnATie)
+{
+    // Stamps only tie in a restored snapshot; the victim scan must still
+    // pick deterministically. Overwrite the RLRU record's four stamps
+    // (the last 32 bytes) with ways 1 and 3 tied for least recent.
+    Cache src("t", oneSetGeom());
+    for (Addr a = 0; a < 4; ++a)
+        src.fill(a * 64, false, 0, FillSource::Demand);
+    StateSink sink;
+    src.saveWarmState(sink);
+    std::string bytes = sink.take();
+    const uint64_t stamps[4] = {5, 2, 7, 2};
+    for (int w = 0; w < 4; ++w)
+        for (int b = 0; b < 8; ++b)
+            bytes[bytes.size() - 32 + 8 * w + b] =
+                static_cast<char>((stamps[w] >> (8 * b)) & 0xff);
+    Cache c("t", oneSetGeom());
+    StateSource in(bytes);
+    ASSERT_TRUE(c.loadWarmState(in));
+    Cache::Victim v = c.fill(4 * 64, false, 0, FillSource::Demand);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.addr, 1u * 64);
+}
+
+TEST(CacheLru, InvalidWayBeatsTheLruVictim)
+{
+    Cache c("t", oneSetGeom());
+    for (Addr a = 0; a < 4; ++a)
+        c.fill(a * 64, false, 0, FillSource::Demand);
+    c.invalidate(3 * 64); // the most recent way
+    Cache::Victim v = c.fill(4 * 64, false, 0, FillSource::Demand);
+    EXPECT_FALSE(v.valid);
+    EXPECT_NE(c.peek(0 * 64), nullptr) << "LRU line must survive";
+    EXPECT_NE(c.peek(4 * 64), nullptr);
+    EXPECT_EQ(c.stats().evictions, 0u);
+}
+
+TEST(CacheLru, MergeRefreshesRecency)
+{
+    Cache c("t", oneSetGeom());
+    for (Addr a = 0; a < 4; ++a)
+        c.fill(a * 64, false, 0, FillSource::Demand);
+    c.fill(0 * 64, true, 0, FillSource::Writeback); // merge into way 0
+    Cache::Victim v = c.fill(4 * 64, false, 0, FillSource::Demand);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.addr, 1u * 64);
+}
+
+TEST(CacheLru, MruIsNeverTheNextVictimIn2Way)
+{
+    Cache c("t", CacheGeometry{128, 2, 5}); // one set, two ways
+    c.fill(0 * 64, false, 0, FillSource::Demand);
+    c.fill(1 * 64, false, 0, FillSource::Demand);
+    for (int i = 0; i < 100; ++i) {
+        Addr touched = static_cast<Addr>(i % 2) * 64;
+        c.lookup(touched, true);
+        StateSink sink;
+        c.saveWarmState(sink);
+        Cache probe("t", CacheGeometry{128, 2, 5});
+        StateSource in(sink.bytes());
+        ASSERT_TRUE(probe.loadWarmState(in));
+        Cache::Victim v = probe.fill(2 * 64, false, 0, FillSource::Demand);
+        ASSERT_TRUE(v.valid);
+        EXPECT_NE(v.addr, touched);
+    }
+}
+
 TEST(Cache, DirtyVictimReported)
 {
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     c.fill(0x000, true, 0, FillSource::Demand);
     c.fill(0x080, false, 0, FillSource::Demand);
     Cache::Victim v = c.fill(0x100, false, 0, FillSource::Demand);
@@ -66,7 +155,7 @@ TEST(Cache, DirtyVictimReported)
 
 TEST(Cache, FillMergeKeepsEarliestReadyAt)
 {
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     c.fill(0x1000, false, 500, FillSource::StridePf);
     c.fill(0x1000, false, 200, FillSource::TactPf); // earlier data wins
     const CacheLine *line = c.peek(0x1000);
@@ -78,7 +167,7 @@ TEST(Cache, FillMergeKeepsEarliestReadyAt)
 
 TEST(Cache, FillMergePreservesDirty)
 {
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     c.fill(0x1000, true, 0, FillSource::Demand);
     c.fill(0x1000, false, 0, FillSource::Demand);
     EXPECT_TRUE(c.peek(0x1000)->dirty);
@@ -90,7 +179,7 @@ TEST(Cache, WritebackMergeAdoptsPrefetchedCopy)
     // line was wanted. The merge must take over source/fillLevel so the
     // line's eventual eviction is not misattributed to a useless
     // prefetch.
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     c.fill(0x000, false, 0, FillSource::TactPf, Level::Mem);
     c.fill(0x000, true, 0, FillSource::Writeback, Level::L1); // merges
     const CacheLine *line = c.peek(0x000);
@@ -107,7 +196,7 @@ TEST(Cache, WritebackMergeAdoptsPrefetchedCopy)
 
 TEST(Cache, DemandMergeAdoptsPrefetchedCopy)
 {
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     c.fill(0x000, false, 0, FillSource::StreamPf, Level::Mem);
     c.fill(0x000, false, 0, FillSource::Demand, Level::LLC);
     EXPECT_EQ(c.peek(0x000)->source, FillSource::Demand);
@@ -119,7 +208,7 @@ TEST(Cache, PrefetchMergeDoesNotLaunderProvenance)
     // The reverse direction must not upgrade: one prefetch landing on
     // another keeps the resident provenance, and an unused prefetched
     // line still counts as a useless-prefetch eviction.
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     c.fill(0x000, false, 0, FillSource::StridePf);
     c.fill(0x000, false, 0, FillSource::TactPf); // merge: still a pf
     EXPECT_EQ(c.peek(0x000)->source, FillSource::StridePf);
@@ -131,7 +220,7 @@ TEST(Cache, PrefetchMergeDoesNotLaunderProvenance)
 
 TEST(Cache, InvalidateReportsDirty)
 {
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     c.fill(0x1000, true, 0, FillSource::Demand);
     bool present = false;
     EXPECT_TRUE(c.invalidate(0x1000, &present));
@@ -143,7 +232,7 @@ TEST(Cache, InvalidateReportsDirty)
 
 TEST(Cache, SetDirtyOnlyOnHit)
 {
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     EXPECT_FALSE(c.setDirty(0x1000));
     c.fill(0x1000, false, 0, FillSource::Demand);
     EXPECT_TRUE(c.setDirty(0x1000));
@@ -152,14 +241,14 @@ TEST(Cache, SetDirtyOnlyOnHit)
 
 TEST(Cache, FillLevelStored)
 {
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     c.fill(0x1000, false, 100, FillSource::Demand, Level::LLC);
     EXPECT_EQ(c.peek(0x1000)->fillLevel, Level::LLC);
 }
 
 TEST(Cache, UselessPrefetchEvictionCounted)
 {
-    Cache c("t", tinyGeom(), ReplKind::Lru, 1);
+    Cache c("t", tinyGeom());
     c.fill(0x000, false, 0, FillSource::TactPf);
     c.fill(0x080, false, 0, FillSource::Demand);
     c.fill(0x100, false, 0, FillSource::Demand); // evicts unused prefetch
@@ -169,7 +258,7 @@ TEST(Cache, UselessPrefetchEvictionCounted)
 /** Property: a cache never holds two copies of one line. */
 TEST(CacheProperty, NoDuplicateLines)
 {
-    Cache c("t", CacheGeometry{4096, 4, 5}, ReplKind::Lru, 1);
+    Cache c("t", CacheGeometry{4096, 4, 5});
     Rng rng(9);
     for (int i = 0; i < 10000; ++i) {
         Addr a = (rng.next() % 64) * 64;
@@ -197,7 +286,7 @@ class CacheCapacity : public ::testing::TestWithParam<uint32_t>
 TEST_P(CacheCapacity, CyclicScanHitRate)
 {
     uint32_t lines_footprint = GetParam();
-    Cache c("t", CacheGeometry{64 * 1024, 8, 5}, ReplKind::Lru, 1); // 1024 lines
+    Cache c("t", CacheGeometry{64 * 1024, 8, 5}); // 1024 lines
     auto pass = [&]() {
         for (uint32_t i = 0; i < lines_footprint; ++i) {
             Addr a = static_cast<Addr>(i) * 64;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/bitutil.hh"
 #include "common/env.hh"
@@ -186,6 +187,113 @@ TEST(IssueCalendar, WindowSlides)
     EXPECT_GE(c, 1000u - 64u);
 }
 
+/**
+ * Reference calendar for the differential test below: the plain
+ * per-cycle scan, which steps over full cycles one at a time and
+ * indexes the ring with a modulo. IssueCalendar must return exactly
+ * what this returns.
+ */
+class PerCycleCalendar
+{
+  public:
+    explicit PerCycleCalendar(uint32_t ports, uint32_t window = 16384)
+        : ports_(ports), slots_(window, 0)
+    {
+    }
+
+    Cycle
+    schedule(Cycle desired, uint32_t slots = 1)
+    {
+        const size_t w = slots_.size();
+        if (desired > maxSeen_)
+            maxSeen_ = desired;
+        Cycle floor = maxSeen_ >= w ? maxSeen_ - w + 1 : 0;
+        Cycle c = desired < floor ? floor : desired;
+        uint32_t remaining = slots;
+        Cycle start = c;
+        while (true) {
+            if (c > maxSeen_)
+                maxSeen_ = c;
+            uint64_t &slot = slots_[c % w];
+            uint32_t used = (slot >> 8) == c
+                                ? static_cast<uint32_t>(slot & 0xff)
+                                : 0;
+            uint32_t free_here = ports_ > used ? ports_ - used : 0;
+            if (free_here == 0) {
+                if (remaining == slots)
+                    start = c + 1; // haven't started issuing yet
+                ++c;
+                continue;
+            }
+            uint32_t take = free_here < remaining ? free_here : remaining;
+            slot = (c << 8) | (used + take);
+            remaining -= take;
+            if (remaining == 0)
+                return start;
+            ++c;
+        }
+    }
+
+  private:
+    uint32_t ports_;
+    std::vector<uint64_t> slots_;
+    Cycle maxSeen_ = 0;
+};
+
+/**
+ * Differential check: over 1.2 M seeded calls the skip-link calendar
+ * returns exactly what the per-cycle reference returns. Each episode
+ * draws a port count (1-4, sometimes 255), a window (16-16384) and a
+ * load level, then mixes short claims with unpipelined ones of up to
+ * 100 slots, zero-slot probes, requests below the window floor and
+ * jumps of several windows.
+ */
+TEST(IssueCalendar, MatchesPerCycleReference)
+{
+    Rng rng(0x5ca1e);
+    uint64_t calls = 0;
+    for (int episode = 0; episode < 240; ++episode) {
+        const uint32_t ports = rng.percent(5)
+                                   ? 255
+                                   : static_cast<uint32_t>(rng.range(1, 4));
+        const uint32_t window = 16u << rng.below(11);
+        const uint32_t advance = static_cast<uint32_t>(rng.range(1, 40));
+        IssueCalendar fast(ports, window);
+        PerCycleCalendar ref(ports, window);
+        Cycle now = rng.below(1000);
+        for (int i = 0; i < 5000; ++i, ++calls) {
+            now += rng.below(advance);
+            Cycle desired = now + rng.below(64);
+            switch (rng.below(40)) {
+              case 0: // below the window floor
+                desired = now > 2 * window ? now - rng.below(2 * window)
+                                           : 0;
+                break;
+              case 1: // jump several windows ahead
+                now += window * rng.range(1, 3) + rng.below(window);
+                desired = now;
+                break;
+              default:
+                break;
+            }
+            uint32_t slots;
+            switch (rng.below(20)) {
+              case 0: slots = 0; break;
+              case 1:
+              case 2: slots = static_cast<uint32_t>(rng.range(1, 100));
+                      break;
+              default: slots = static_cast<uint32_t>(rng.range(1, 4));
+            }
+            const Cycle want = ref.schedule(desired, slots);
+            ASSERT_EQ(fast.schedule(desired, slots), want)
+                << "episode " << episode << " call " << i << ": ports "
+                << ports << ", window " << window << ", desired "
+                << desired << ", slots " << slots;
+        }
+    }
+    EXPECT_GE(calls, 1000000u);
+}
+
 TEST(SimConfig, DefaultsValidate)
 {
     SimConfig cfg;
@@ -212,6 +320,54 @@ TEST(SimConfig, EnableCatchTurnsEverythingOn)
     EXPECT_TRUE(cfg.criticality.enabled);
     EXPECT_TRUE(cfg.tact.cross && cfg.tact.deepSelf && cfg.tact.feeder &&
                 cfg.tact.code);
+    EXPECT_TRUE(cfg.validate().ok());
+}
+
+/** Each port count must fit an issue calendar: 1..255 per cycle. */
+void
+expectPortRange(uint32_t SimConfig::*field)
+{
+    SimConfig cfg;
+    for (uint32_t bad : {0u, 256u}) {
+        cfg.*field = bad;
+        auto v = cfg.validate();
+        ASSERT_FALSE(v.ok()) << bad;
+        EXPECT_EQ(v.error().category, ErrorCategory::Config);
+    }
+    for (uint32_t good : {1u, 255u}) {
+        cfg.*field = good;
+        EXPECT_TRUE(cfg.validate().ok()) << good;
+    }
+}
+
+TEST(SimConfig, AluPortsOutsideOneTo255AreRejected)
+{
+    expectPortRange(&SimConfig::aluPorts);
+}
+
+TEST(SimConfig, LoadPortsOutsideOneTo255AreRejected)
+{
+    expectPortRange(&SimConfig::loadPorts);
+}
+
+TEST(SimConfig, StorePortsOutsideOneTo255AreRejected)
+{
+    expectPortRange(&SimConfig::storePorts);
+}
+
+TEST(SimConfig, FpPortsOutsideOneTo255AreRejected)
+{
+    expectPortRange(&SimConfig::fpPorts);
+}
+
+TEST(SimConfig, ZeroStoreQueueIsRejected)
+{
+    SimConfig cfg;
+    cfg.storeQueueSize = 0;
+    auto v = cfg.validate();
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.error().category, ErrorCategory::Config);
+    cfg.storeQueueSize = 1;
     EXPECT_TRUE(cfg.validate().ok());
 }
 

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
 #include <string>
 
 #include "sim/configs.hh"
@@ -149,6 +151,70 @@ TEST(Determinism, MpRunsAreBitwiseIdentical)
     EXPECT_EQ(a.weightedSpeedup, b.weightedSpeedup);
     for (int c = 0; c < 4; ++c)
         EXPECT_EQ(a.ipc[c], b.ipc[c]) << "core " << c;
+}
+
+std::string
+g17(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+/**
+ * Golden values for the MP path: per-core IPCs and the weighted speedup
+ * of two short contended mixes over the shared LLC and DRAM, on the
+ * exclusive baseline and on CATCH over a 9.5 MB two-level hierarchy.
+ * MpRunsAreBitwiseIdentical above only compares a build with itself;
+ * these pin the numbers, so any change to shared-cache or DRAM timing
+ * shows up here.
+ */
+TEST(Determinism, MpGoldenPinsContendedMixes)
+{
+    const SimConfig configs[] = {baselineSkx(),
+                                 withCatch(noL2(baselineSkx(), 9728))};
+    const MpMix mixes[] = {
+        {"rate4.libquantum",
+         {"libquantum", "libquantum", "libquantum", "libquantum"}},
+        {"rate4.mcf", {"mcf", "mcf", "mcf", "mcf"}},
+    };
+    struct Golden
+    {
+        std::array<const char *, 4> ipc;
+        const char *weightedSpeedup;
+    };
+    // goldens[config][mix]
+    const Golden goldens[2][2] = {
+        {{{"0.18192235770875545", "0.18184940774819411",
+           "0.18187681057662802", "0.18194956358097536"},
+          "1.1015627948581583"},
+         {{"0.061584019985663693", "0.062369458847586358",
+           "0.061277081080499472", "0.061058261793403262"},
+          "3.0356997217745465"}},
+        {{{"0.66013392436102991", "0.66013392436102991",
+           "0.66013392436102991", "0.66014070427582561"},
+          "3.9999691887740672"},
+         {{"0.13316921344210397", "0.13333155532526117",
+           "0.13316921344210397", "0.133170484854711"},
+          "4.403332723765006"}},
+    };
+    for (int k = 0; k < 2; ++k) {
+        for (int m = 0; m < 2; ++m) {
+            const MpMix &mix = mixes[m];
+            SCOPED_TRACE(configs[k].name + " " + mix.name);
+            // RATE-4: one solo run gives all four cores' alone IPC.
+            const double solo =
+                runWorkload(configs[k], mix.workloads[0], kInstr, kWarm)
+                    .ipc;
+            MpResult r = MpSimulator(configs[k]).run(
+                mix, kInstr, kWarm, {solo, solo, solo, solo});
+            for (int c = 0; c < 4; ++c)
+                EXPECT_EQ(g17(r.ipc[c]), goldens[k][m].ipc[c])
+                    << "core " << c;
+            EXPECT_EQ(g17(r.weightedSpeedup),
+                      goldens[k][m].weightedSpeedup);
+        }
+    }
 }
 
 TEST(Determinism, JsonExportIsStable)

@@ -18,7 +18,9 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "common/bitutil.hh"
 #include "common/rng.hh"
+#include "common/state_io.hh"
 #include "sim/configs.hh"
 
 namespace catchsim
@@ -332,6 +334,46 @@ TEST(HierarchyExclusive, NoSteadyStateDuplication)
         for (Addr a = 0; a < 16; ++a)
             h.load(0, 0x400000, 0x10000 + a * 64, round * 1000 + a);
     EXPECT_LE(h.llcStats().fills, h.l2Stats(0)->evictions + 1);
+}
+
+/**
+ * Snapshot-format golden: FNV-1a of saveWarmState() after a fixed
+ * seeded mix of demand loads, stores, code fetches, stride and TACT
+ * prefetches and functional-warming accesses, for each inclusion
+ * policy. Pins every line's tag/dirty/readyAt/provenance, the LRU
+ * stamps and the prefetcher tables byte for byte, so warm-state stores
+ * written by an earlier build keep hitting, and any change to victim
+ * choice or DRAM timing shows up here.
+ */
+TEST(HierarchySnapshot, WarmStateBytesArePinned)
+{
+    const struct
+    {
+        InclusionPolicy policy;
+        uint64_t hash;
+    } goldens[] = {
+        {InclusionPolicy::Exclusive, 17544523935424171629ULL},
+        {InclusionPolicy::Inclusive, 4879091336401497965ULL},
+        {InclusionPolicy::Nine, 3896069611900318958ULL},
+    };
+    for (const auto &g : goldens) {
+        SimConfig cfg = tinyConfig(g.policy);
+        if (g.policy == InclusionPolicy::Nine)
+            cfg.hasL2 = false;
+        Driver d(cfg);
+        for (Cycle t = 0; t < 20000; ++t) {
+            if (t % 4 == 3)
+                d.warmStep(t * 7);
+            else
+                d.step(t * 7);
+        }
+        StateSink sink;
+        d.h.saveWarmState(sink);
+        const std::string &bytes = sink.bytes();
+        EXPECT_EQ(fnv1a(bytes.data(), bytes.size()), g.hash)
+            << "policy " << static_cast<int>(g.policy) << ", "
+            << bytes.size() << " bytes";
+    }
 }
 
 } // namespace

@@ -92,6 +92,26 @@ TEST(Simulator, HitFractionsSumToOne)
     EXPECT_NEAR(total, 1.0, 0.02);
 }
 
+TEST(Simulator, GuardedRunRejectsDegenerateCoreConfigs)
+{
+    // Each of these once passed validation: zero ALU ports never
+    // issued (the run hung), a zero store queue crashed, and 256 load
+    // ports overflowed the issue calendar's 8-bit count.
+    auto zero_alu = [](SimConfig &c) { c.aluPorts = 0; };
+    auto zero_sq = [](SimConfig &c) { c.storeQueueSize = 0; };
+    auto wide_load = [](SimConfig &c) { c.loadPorts = 256; };
+    for (void (*mutate)(SimConfig &) : {+zero_alu, +zero_sq, +wide_load}) {
+        SimConfig cfg = baselineSkx();
+        mutate(cfg);
+        Expected<SimResult> r =
+            runWorkloadGuarded(cfg, "hmmer", 20000, 5000, RunBudget{},
+                               FaultPlan{});
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.error().category, ErrorCategory::Config)
+            << r.error().message;
+    }
+}
+
 TEST(Experiment, CategoryGeomeans)
 {
     ExperimentEnv env;
