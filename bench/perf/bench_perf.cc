@@ -53,21 +53,11 @@
  * accepted but changes nothing. Results stay bitwise-identical in all
  * settings (pinned by tests/warm_state_test.cc).
  *
- * The store consults and publishes at every sampling-window boundary
- * too, so a warm rep fast-forwards snapshot to snapshot and executes
- * only detailed windows. Its profitability gates stay at their
- * defaults, so cells whose schedule
- * slack sits under CATCH_WARM_STATE_MIN_GAP (the 20k-instr default
- * schedule) or whose page map exceeds CATCH_WARM_STATE_MAX_PAGES
- * (hpc.stream) report zero window traffic by design — the bench
- * measures the shipped policy, not an ungated one. --sample-interval
- * overrides SamplingConfig::intervalInstrs for every sampled cell, and
- * warm-state runs add a "-longwarm" config variant (interval 100000)
- * whose cells spend nearly all their trace span in warming — the regime
- * the window-boundary snapshots target. Warm-state cells also report a
- * per-cell "warm_state" object (hits/misses/bytes, global and window,
- * summed over the timed reps) so check_perf.py --warm-state can report
- * per-window hit rates alongside the speedups.
+ * --sample-interval overrides SamplingConfig::intervalInstrs for every
+ * sampled cell. Warm-state cells also report a per-cell "warm_state"
+ * object (hits/misses/bytes, summed over the timed reps) so
+ * check_perf.py --warm-state can report hit rates alongside the
+ * speedups.
  *
  * Writes a JSON document (default BENCH_PERF.json) of the shape
  * check_perf.py consumes:
@@ -307,16 +297,6 @@ main(int argc, char **argv)
             if (sample_interval)
                 cfg.sampling.intervalInstrs = sample_interval;
         }
-        // Long-warming regime: with a 100k interval nearly the whole
-        // trace span is functional warming, which is exactly what the
-        // window-boundary snapshots memoize.
-        if (warm_state_mode != "off") {
-            SimConfig lw = withCatch(baselineSkx());
-            lw.sampling.mode = SampleMode::Sampled;
-            lw.sampling.intervalInstrs = 100000;
-            lw.name += "-longwarm";
-            configs.push_back(lw);
-        }
     }
 
     std::vector<Cell> cells;
@@ -364,12 +344,6 @@ main(int argc, char **argv)
                     cell.warm.warmStateHits += prof->warmStateHits;
                     cell.warm.warmStateMisses += prof->warmStateMisses;
                     cell.warm.warmStateBytes += prof->warmStateBytes;
-                    cell.warm.warmStateWindowHits +=
-                        prof->warmStateWindowHits;
-                    cell.warm.warmStateWindowMisses +=
-                        prof->warmStateWindowMisses;
-                    cell.warm.warmStateWindowBytes +=
-                        prof->warmStateWindowBytes;
                 }
             }
             cell.kipsMedian = median(cell.kips);
@@ -426,13 +400,7 @@ main(int argc, char **argv)
                    ", \"misses\": " +
                    std::to_string(c.warm.warmStateMisses) +
                    ", \"bytes\": " +
-                   std::to_string(c.warm.warmStateBytes) +
-                   ", \"window_hits\": " +
-                   std::to_string(c.warm.warmStateWindowHits) +
-                   ", \"window_misses\": " +
-                   std::to_string(c.warm.warmStateWindowMisses) +
-                   ", \"window_bytes\": " +
-                   std::to_string(c.warm.warmStateWindowBytes) + "}";
+                   std::to_string(c.warm.warmStateBytes) + "}";
         }
         doc += "}";
         doc += i + 1 < cells.size() ? ",\n" : "\n";

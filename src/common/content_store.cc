@@ -56,7 +56,7 @@ ContentStore::diskPath(const std::string &key) const
 }
 
 ContentStore::Value
-ContentStore::find(const std::string &key, const char *fault_target)
+ContentStore::find(const std::string &key)
 {
     if (cfg_.memBudgetBytes) {
         std::lock_guard<std::mutex> lock(mu_);
@@ -68,7 +68,7 @@ ContentStore::find(const std::string &key, const char *fault_target)
         }
     }
     if (!cfg_.diskDir.empty()) {
-        auto loaded = loadDiskChecked(key, fault_target);
+        auto loaded = loadDiskChecked(key);
         if (loaded.ok()) {
             Value v = std::move(loaded).value();
             std::lock_guard<std::mutex> lock(mu_);
@@ -236,21 +236,19 @@ ContentStore::writeDisk(const std::string &key, const void *value)
 }
 
 Expected<ContentStore::Value>
-ContentStore::loadDiskChecked(const std::string &key,
-                              const char *fault_target)
+ContentStore::loadDiskChecked(const std::string &key)
 {
     const std::string path = diskPath(key);
     auto corrupt = [&](auto &&...what) {
         return simError(ErrorCategory::TraceCorrupt, fmt_.noun, " file '",
                         path, "': ", what...);
     };
-    // Deterministic fault injection: the kind's reserved target (and an
-    // optional per-read one) corrupts disk reads so CI can drive the
-    // containment path without manufacturing real bit flips.
-    for (const char *target : {fmt_.faultTarget, fault_target})
-        if (cfg_.plan && target &&
-            cfg_.plan->shouldInject(fmt_.faultKind, target))
-            return corrupt("injected ", target, " corruption");
+    // Deterministic fault injection: the kind's reserved target
+    // corrupts disk reads so CI can drive the containment path without
+    // manufacturing real bit flips.
+    if (cfg_.plan && fmt_.faultTarget &&
+        cfg_.plan->shouldInject(fmt_.faultKind, fmt_.faultTarget))
+        return corrupt("injected ", fmt_.faultTarget, " corruption");
 
     FilePtr f(std::fopen(path.c_str(), "rb"));
     if (!f)

@@ -72,7 +72,8 @@ class ContentStore
         const char *extension;   ///< record file suffix, e.g. ".ctc"
         const char *noun;        ///< names the kind in messages
         FaultKind faultKind;     ///< injected into every disk read when
-        const char *faultTarget; ///< the plan targets this name
+        const char *faultTarget; ///< the plan targets this name (null:
+                                 ///< the kind is never injected)
     };
 
     struct Config
@@ -107,10 +108,9 @@ class ContentStore
     /**
      * Looks @p key up in the memory tier, then the disk tier. A disk
      * record that fails validation counts as corrupt, is deleted, and
-     * the call reports a miss (null). @p fault_target names a second
-     * injection target for this read only. Thread-safe.
+     * the call reports a miss (null). Thread-safe.
      */
-    Value find(const std::string &key, const char *fault_target = nullptr);
+    Value find(const std::string &key);
 
     /**
      * Publishes @p value under @p key and writes it through to the disk
@@ -129,8 +129,7 @@ class ContentStore
      * SimError naming the record path. find() is the production path;
      * this one exposes the error taxonomy to tests.
      */
-    Expected<Value> loadDiskChecked(const std::string &key,
-                                    const char *fault_target = nullptr);
+    Expected<Value> loadDiskChecked(const std::string &key);
 
     /** Disk path @p key maps to (valid only with a disk tier). */
     std::string diskPath(const std::string &key) const;

@@ -44,10 +44,7 @@
  * Non-workload injection points use reserved names, e.g. the suite
  * JSON exporter asks for "json-export", the chunk store's disk reads
  * ask for "chunk-store" (kind trace-corrupt), and the warmed-state
- * store's disk reads ask for "warm-state-store" (kind state-corrupt)
- * plus "warm-state-window" for window-boundary (windowIndex >= 1)
- * records only — corrupting a snapshot mid-campaign while the
- * global-warmup restore still succeeds.
+ * store's disk reads ask for "warm-state-store" (kind state-corrupt).
  */
 
 #ifndef CATCHSIM_COMMON_FAULT_INJECT_HH_

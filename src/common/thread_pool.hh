@@ -78,52 +78,19 @@ class ThreadPool
             std::unique_lock<std::mutex> lock(mutex_);
             pending_ += tasks.size();
             for (size_t i = 0; i < tasks.size(); ++i)
-                queues_[i % queues_.size()].push_back(
-                    QueuedTask{std::move(tasks[i]), false});
+                queues_[i % queues_.size()].push_back(std::move(tasks[i]));
         }
         wake_.notify_all();
         std::unique_lock<std::mutex> lock(mutex_);
         done_.wait(lock, [this] { return pending_ == 0; });
     }
 
-    /**
-     * Offers a fire-and-forget task to IDLE capacity only: accepted
-     * when fewer tasks (batch or detached) are outstanding than there
-     * are workers, i.e. taking it cannot delay batch work. Detached
-     * tasks never block runAll's completion and are drained (run, not
-     * dropped) before the destructor returns. Serial pools refuse —
-     * there is no spare thread to hand off to. Returns acceptance.
-     */
-    bool
-    trySubmitDetached(Task task)
-    {
-        if (queues_.empty())
-            return false;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            if (shutdown_ || pending_ + detached_ >= queues_.size())
-                return false;
-            ++detached_;
-            queues_[detachedNext_++ % queues_.size()].push_back(
-                QueuedTask{std::move(task), true});
-        }
-        wake_.notify_one();
-        return true;
-    }
-
   private:
-    /** A queued closure; detached ones don't count toward runAll. */
-    struct QueuedTask
-    {
-        Task fn;
-        bool detached = false;
-    };
-
     void
     workerLoop(size_t self)
     {
         for (;;) {
-            QueuedTask task;
+            Task task;
             {
                 std::unique_lock<std::mutex> lock(mutex_);
                 wake_.wait(lock, [this, self] {
@@ -133,13 +100,10 @@ class ThreadPool
                     return;
                 task = takeWork(self);
             }
-            task.fn();
+            task();
             std::unique_lock<std::mutex> lock(mutex_);
-            if (task.detached) {
-                --detached_;
-            } else if (--pending_ == 0) {
+            if (--pending_ == 0)
                 done_.notify_all();
-            }
         }
     }
 
@@ -156,18 +120,18 @@ class ThreadPool
     }
 
     /** Under mutex_: own front first, else steal a sibling's back. */
-    QueuedTask
+    Task
     takeWork(size_t self)
     {
         if (!queues_[self].empty()) {
-            QueuedTask t = std::move(queues_[self].front());
+            Task t = std::move(queues_[self].front());
             queues_[self].pop_front();
             return t;
         }
         for (size_t i = 1; i < queues_.size(); ++i) {
             auto &q = queues_[(self + i) % queues_.size()];
             if (!q.empty()) {
-                QueuedTask t = std::move(q.back());
+                Task t = std::move(q.back());
                 q.pop_back();
                 return t;
             }
@@ -178,11 +142,9 @@ class ThreadPool
     std::mutex mutex_;
     std::condition_variable wake_;
     std::condition_variable done_;
-    std::vector<std::deque<QueuedTask>> queues_;
+    std::vector<std::deque<Task>> queues_;
     std::vector<std::thread> threads_;
     size_t pending_ = 0;
-    size_t detached_ = 0;
-    size_t detachedNext_ = 0;
     bool shutdown_ = false;
 };
 

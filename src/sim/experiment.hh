@@ -24,12 +24,10 @@
  *                    (trace/chunk_store.hh) and warmed-state snapshots
  *                    (sim/warm_state.hh): in memory, plus on-disk tiers
  *                    under DIR/chunks and DIR/warm. Sampled runs restore
- *                    functional-warming state instead of re-deriving it;
- *                    repeat sweeps that vary only timing knobs share
- *                    snapshots. CATCH_STORE_MB (default 384) splits 2:1
- *                    between chunks and snapshots
- *   CATCH_WARM_STATE_MIN_GAP / CATCH_WARM_STATE_MAX_PAGES  the
- *                    warm-state store's window eligibility gates
+ *                    the global functional-warming state instead of
+ *                    re-deriving it; repeat sweeps that vary only timing
+ *                    knobs share snapshots. CATCH_STORE_MB (default 384)
+ *                    splits 2:1 between chunks and snapshots
  *   CATCH_MAX_ATTEMPTS / CATCH_BACKOFF_MS / CATCH_MAX_CYCLES /
  *   CATCH_STALL_WINDOW  fault-containment knobs (see IsolationOptions
  *                    and RunBudget)

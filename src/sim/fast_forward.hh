@@ -55,10 +55,8 @@ class FastForward
      * across calls and the pinned clock removes any time dependence.
      * The simulator leans on both properties — it merges each period's
      * trailing slack with the next period's leading offset into one
-     * contiguous gap, which is exactly the unit the warm-state store
-     * memoizes at window-boundary keys (sim/warm_state.hh), and the
-     * clamp makes a trailing gap at the trace end a no-op rather than
-     * an error.
+     * contiguous gap, and the clamp makes a trailing gap at the trace
+     * end a no-op rather than an error.
      */
     size_t warm(size_t pos, uint64_t count, Cycle now);
 

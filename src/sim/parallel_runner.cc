@@ -114,8 +114,7 @@ workloadCostEstimate(const std::string &name)
 
 void
 runTasksLongestFirst(std::vector<std::function<void()>> tasks,
-                     const std::vector<double> &cost, unsigned jobs,
-                     ChunkStore *store)
+                     const std::vector<double> &cost, unsigned jobs)
 {
     CATCHSIM_ASSERT(cost.size() == tasks.size(),
                     "cost/task vector size mismatch");
@@ -135,10 +134,6 @@ runTasksLongestFirst(std::vector<std::function<void()>> tasks,
     for (size_t i : order)
         sorted.push_back(std::move(tasks[i]));
     ThreadPool pool(std::min<size_t>(jobs, sorted.size()));
-    // Declared after the pool so it detaches the producer BEFORE the
-    // pool destructor drains in-flight tasks: nothing can chain a new
-    // producer task onto a dying pool.
-    ProducerPoolGuard producer(store, &pool);
     pool.runAll(std::move(sorted));
 }
 
@@ -304,7 +299,7 @@ runWorkloadsIsolated(const SimConfig &cfg,
         });
         cost.push_back(workloadCostEstimate(names[i]));
     }
-    runTasksLongestFirst(std::move(tasks), cost, jobs, store);
+    runTasksLongestFirst(std::move(tasks), cost, jobs);
     return outcomes;
 }
 

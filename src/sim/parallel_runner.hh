@@ -257,12 +257,9 @@ double workloadCostEstimate(const std::string &name);
  * Runs @p tasks on @p jobs threads, dispatching in descending @p cost
  * order. Each task must write only to its own pre-assigned output.
  * @p jobs <= 1 runs serially, in index order, on the calling thread.
- * While the pool exists its idle capacity is offered to @p store's
- * background chunk producer (no-op when @p store is null or serial).
  */
 void runTasksLongestFirst(std::vector<std::function<void()>> tasks,
-                          const std::vector<double> &cost, unsigned jobs,
-                          ChunkStore *store = ChunkStore::global());
+                          const std::vector<double> &cost, unsigned jobs);
 
 /**
  * Legacy results-only wrapper over runWorkloadsIsolated: results[i] is

@@ -381,11 +381,6 @@ writeOutcomeBody(JsonWriter &w, const RunOutcome &out)
         w.field("warm_state_hits", p->warmStateHits);
         w.field("warm_state_misses", p->warmStateMisses);
         w.field("warm_state_bytes", p->warmStateBytes);
-        // Window-boundary (inter-sample) snapshot traffic, split from
-        // the global-warmup counters above.
-        w.field("warm_state_window_hits", p->warmStateWindowHits);
-        w.field("warm_state_window_misses", p->warmStateWindowMisses);
-        w.field("warm_state_window_bytes", p->warmStateWindowBytes);
         w.close();
     }
     w.rawField("result", out.result.toJson());
@@ -430,9 +425,6 @@ readOutcomeBody(const JsonReader &r, RunOutcome &out)
         hp.u64("warm_state_hits", p.warmStateHits);
         hp.u64("warm_state_misses", p.warmStateMisses);
         hp.u64("warm_state_bytes", p.warmStateBytes);
-        hp.u64("warm_state_window_hits", p.warmStateWindowHits);
-        hp.u64("warm_state_window_misses", p.warmStateWindowMisses);
-        hp.u64("warm_state_window_bytes", p.warmStateWindowBytes);
         out.profile = p;
     }
     const JsonValue *res = r.raw("result", JsonValue::Kind::Object);

@@ -8,7 +8,6 @@
 #include "common/state_io.hh"
 #include "criticality/heuristic_detector.hh"
 #include "sim/fast_forward.hh"
-#include "sim/worker_proto.hh"
 #include "trace/suite.hh"
 #include "trace/trace_stream.hh"
 
@@ -240,96 +239,55 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
             acc.branch.targetWrong += w.branch.targetWrong;
         };
 
-        // Warming is memoized through the warm-state store when one is
-        // attached: the warmed state at a boundary is a pure function
-        // of the consulted key, so a hit restores it and jumps the
+        // The global warmup is memoized through the warm-state store
+        // when one is attached: the warmed state at the boundary is a
+        // pure function of the key, so a hit restores it and jumps the
         // cursor instead of re-deriving it. Eligibility requires the
         // chunk store (the stream restore re-fetches its ring window
         // through it) and a nonzero warmup (nothing to memoize
-        // otherwise); window-boundary keys additionally require a
-        // schedule whose inter-window slack amortizes the restore — a
-        // window restore costs a near-constant blob parse + O(pages)
-        // map adoption, so short-slack schedules re-warm faster than
-        // they restore (Config::minWindowGapInstrs). The gate moves
-        // only time, never results: restored and re-warmed state are
-        // bitwise identical by the store's contract.
-        const uint64_t slack =
-            sc.intervalInstrs - sc.warmupInstrs - sc.windowInstrs;
-        const bool warm_eligible = warmStore_ && stream &&
-                                   stream->storeBacked() && warmup > 0;
-        const bool window_eligible =
-            warm_eligible && slack >= warmStore_->minWindowGap();
-        // The state at a window boundary embeds the detailed windows
-        // executed before it, which every timing knob reaches — so
-        // window keys carry the FULL config digest plus the schedule
-        // digest, unlike the timing-blind global key (windowIndex 0).
-        const uint64_t full_digest =
-            window_eligible ? configDigest(cfg) : 0;
-        const uint64_t sched_digest =
-            window_eligible ? sampleScheduleDigest(sc) : 0;
-        RunProfile unprofiled;
-        RunProfile &tally = prof ? *profile : unprofiled;
-
-        // One memoized warming step of @p len instrs from the cursor:
-        // with a key, consult it and restore a hit, else warm
-        // functionally and publish the landing state under the key
-        // (the landing position is the key's boundary by
-        // construction). A found snapshot a component rejects is
-        // dropped and fails transient — the retry re-warms cleanly.
-        auto warm_step = [&](uint64_t len, const WarmStateKey *key,
-                             uint64_t &hits, uint64_t &misses,
-                             uint64_t &bytes) -> Expected<void> {
-            if (key) {
-                if (WarmStateStore::SnapshotPtr snap =
-                        warmStore_->find(*key)) {
-                    uint64_t pos = 0;
-                    if (!loadWarmSnapshot(*snap, &pos, *stream, hierarchy,
-                                          core.frontend().predictor(),
-                                          detector.get(), tact.get(),
-                                          ff) ||
-                        pos > stream->size()) {
-                        // The record passed its checksum but a
-                        // component rejected it: a format drift this
-                        // build cannot parse.
-                        warmStore_->remove(*key);
-                        return simError(ErrorCategory::IoTransient,
-                                        "warm-state snapshot for '",
-                                        workload.name(),
-                                        "' failed component restore — "
-                                        "dropped; retry re-warms");
-                    }
-                    core.skipTo(pos);
-                    ++hits;
-                    bytes += snap->residentBytes();
-                    return {};
-                }
-            }
-            core.skipTo(ff.warm(core.tracePos(), len, core.now()));
-            if (key) {
-                WarmSnapshot snap = makeWarmSnapshot(
-                    core.tracePos(), *stream, hierarchy,
-                    core.frontend().predictor(), detector.get(),
-                    tact.get(), ff);
-                ++misses;
-                bytes += snap.residentBytes();
-                warmStore_->put(*key, std::move(snap));
-            }
-            return {};
-        };
-
-        // Global warmup: consulted under the warm-only digest at
-        // windowIndex 0 so pure timing resweeps share it.
+        // otherwise). The key carries the warm-only digest, so pure
+        // timing resweeps share the snapshot. A found snapshot a
+        // component rejects is dropped and fails transient — the retry
+        // re-warms cleanly.
+        size_t before = core.tracePos();
         std::optional<WarmStateKey> wkey;
-        if (warm_eligible)
+        if (warmStore_ && stream && stream->storeBacked() && warmup > 0)
             wkey = WarmStateKey{workload.name(), workload.seed(), warmup,
                                 instrs + warmup, stream->chunkOps(),
                                 warmConfigDigest(cfg)};
-        size_t before = core.tracePos();
-        if (auto r = warm_step(warmup, wkey ? &*wkey : nullptr,
-                               tally.warmStateHits, tally.warmStateMisses,
-                               tally.warmStateBytes);
-            !r.ok())
-            return r.error();
+        RunProfile unprofiled;
+        RunProfile &tally = prof ? *profile : unprofiled;
+        if (WarmStateStore::SnapshotPtr snap =
+                wkey ? warmStore_->find(*wkey) : nullptr) {
+            uint64_t pos = 0;
+            if (!loadWarmSnapshot(*snap, &pos, *stream, hierarchy,
+                                  core.frontend().predictor(),
+                                  detector.get(), tact.get(), ff) ||
+                pos > stream->size()) {
+                // The record passed its checksum but a component
+                // rejected it: a format drift this build cannot parse.
+                warmStore_->remove(*wkey);
+                return simError(ErrorCategory::IoTransient,
+                                "warm-state snapshot for '",
+                                workload.name(),
+                                "' failed component restore — dropped; "
+                                "retry re-warms");
+            }
+            core.skipTo(pos);
+            ++tally.warmStateHits;
+            tally.warmStateBytes += snap->residentBytes();
+        } else {
+            core.skipTo(ff.warm(before, warmup, core.now()));
+            if (wkey) {
+                WarmSnapshot made = makeWarmSnapshot(
+                    core.tracePos(), *stream, hierarchy,
+                    core.frontend().predictor(), detector.get(),
+                    tact.get(), ff);
+                ++tally.warmStateMisses;
+                tally.warmStateBytes += made.residentBytes();
+                warmStore_->put(*wkey, std::move(made));
+            }
+        }
         sample.warmedInstrs += core.tracePos() - before;
         if (budget.limited())
             if (auto err = wd.poll(core.now(), core.instrsDone()))
@@ -351,11 +309,9 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
         // offset — runs as ONE contiguous gap. Warming is associative
         // over contiguous ranges (the filter state persists inside ff
         // and core time never advances during warming), so the merged
-        // gap derives bitwise the state the split phases did; it is
-        // also exactly the unit the warm-state store memoizes at
-        // window-boundary keys, where most warming time goes at the
-        // default schedule. A sweep with a warm store fast-forwards
-        // snapshot to snapshot and executes only detailed segments.
+        // gap derives bitwise the state the split phases did.
+        const uint64_t slack =
+            sc.intervalInstrs - sc.warmupInstrs - sc.windowInstrs;
         uint64_t pending_post = 0;
         uint64_t period = 0;
         while (!core.done()) {
@@ -367,33 +323,7 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
             pending_post = slack - pre;
             if (gap) {
                 before = core.tracePos();
-                // The key's boundary is where ff.warm lands: the gap's
-                // end, clamped to the trace end.
-                const uint64_t target =
-                    std::min<uint64_t>(before + gap, stream->size());
-                // Second eligibility gate, evaluated at the pre-gap
-                // position (which publisher and consumer reach with
-                // bitwise-identical state, so the decision is the same
-                // on both sides): once the page map outgrows the cap,
-                // the O(pages) adoption in restorePages() dominates
-                // the restore and re-warming is cheaper — page-heavy
-                // streaming workloads also warm fastest per
-                // instruction, compounding the loss.
-                std::optional<WarmStateKey> gkey;
-                if (window_eligible && target > before &&
-                    (warmStore_->maxWindowPages() == 0 ||
-                     stream->mem()->pagesAllocated() <=
-                         warmStore_->maxWindowPages()))
-                    gkey = WarmStateKey{workload.name(), workload.seed(),
-                                        target,         instrs + warmup,
-                                        stream->chunkOps(), full_digest,
-                                        period,         sched_digest};
-                if (auto r = warm_step(gap, gkey ? &*gkey : nullptr,
-                                       tally.warmStateWindowHits,
-                                       tally.warmStateWindowMisses,
-                                       tally.warmStateWindowBytes);
-                    !r.ok())
-                    return r.error();
+                core.skipTo(ff.warm(before, gap, core.now()));
                 sample.warmedInstrs += core.tracePos() - before;
                 if (budget.limited())
                     if (auto err =

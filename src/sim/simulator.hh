@@ -143,13 +143,11 @@ struct RunProfile
     uint64_t warmStateHits = 0;
     uint64_t warmStateMisses = 0;
     uint64_t warmStateBytes = 0;
-    /** Same attribution for the window-boundary (inter-sample) keys,
-     *  separate from the global-warmup counters above so a campaign's
-     *  hit-rate report can tell the two regimes apart. Zero when the
-     *  store's eligibility gates skip every window. */
+    /** Always 0: only the global-warmup boundary is memoized (every
+     *  inter-window gap re-warms functionally). Kept because the
+     *  end-to-end benchmark reads them. */
     uint64_t warmStateWindowHits = 0;
     uint64_t warmStateWindowMisses = 0;
-    uint64_t warmStateWindowBytes = 0;
 };
 
 /** Runs one workload on one machine configuration. */
@@ -162,9 +160,8 @@ class Simulator
      *        via CATCH_STORE / CATCH_STORE_DIR). Results are
      *        bitwise-identical with or without one.
      * @param warm_store memoized warmed-state snapshots: sampled runs
-     *        with a chunk store restore the global-warmup state and
-     *        every eligible inter-sample warming gap instead of
-     *        re-deriving them functionally. Defaults to the
+     *        with a chunk store restore the global-warmup state
+     *        instead of re-deriving it functionally. Defaults to the
      *        process-wide store (null unless enabled via CATCH_STORE /
      *        CATCH_STORE_DIR). Results are bitwise-identical with or
      *        without one.

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/bitutil.hh"
-#include "common/env.hh"
 #include "common/state_io.hh"
 
 namespace catchsim
@@ -43,11 +42,6 @@ constexpr uint64_t kPageRecordBytes = 8 + sizeof(FunctionalMemory::Page);
  * catch_analyze warm-digest scope checks that exclusion list against
  * the warming call graph; extend this function whenever a new knob
  * becomes reachable from warmAccess/warmTrain/TACT-learning code.
- *
- * Only the global-warmup snapshot (windowIndex 0) uses this digest.
- * Window-boundary snapshots carry the FULL config digest instead
- * (worker_proto.hh configDigest): their state embeds detailed-window
- * execution, which every timing knob reaches.
  */
 uint64_t
 warmConfigDigest(const SimConfig &cfg)
@@ -110,33 +104,10 @@ warmConfigDigest(const SimConfig &cfg)
     return fnv1a(s.bytes().data(), s.size());
 }
 
-/**
- * Everything the window-boundary placement depends on: the mode plus
- * the three schedule knobs. The per-period warming split (Weyl-
- * staggered pre/post) is a pure function of these and the period
- * index, so two runs with equal schedule digests place every detailed
- * window — and therefore every window-boundary snapshot — at the same
- * instruction positions.
- */
-uint64_t
-sampleScheduleDigest(const SamplingConfig &sc)
-{
-    StateSink s;
-    // Layout salt: bumping the format version re-keys digests too.
-    s.u32(kWarmStateFormatVersion);
-    s.u8(static_cast<uint8_t>(sc.mode));
-    s.u64(sc.intervalInstrs);
-    s.u64(sc.windowInstrs);
-    s.u64(sc.warmupInstrs);
-    return fnv1a(s.bytes().data(), s.size());
-}
-
 // --- WarmStateStore -----------------------------------------------------
 
 WarmStateStore::WarmStateStore(Config cfg)
-    : ContentStore(kWarmStateFormat, cfg),
-      minWindowGap_(cfg.minWindowGapInstrs),
-      maxWindowPages_(cfg.maxWindowPages)
+    : ContentStore(kWarmStateFormat, std::move(cfg))
 {
 }
 
@@ -145,18 +116,9 @@ WarmStateStore::keyBytes(const WarmStateKey &key)
 {
     StateSink s;
     for (uint64_t v : {key.seed, key.boundaryOps, key.totalOps,
-                       key.chunkOps, key.configDigest, key.windowIndex,
-                       key.scheduleDigest})
+                       key.chunkOps, key.configDigest})
         s.u64(v);
     return s.take() + key.kernel;
-}
-
-const char *
-WarmStateStore::faultTarget(const WarmStateKey &key)
-{
-    // Corrupts only window-boundary (mid-campaign) reads, so CI can
-    // drive that containment path while the global restore still hits.
-    return key.windowIndex > 0 ? "warm-state-window" : nullptr;
 }
 
 std::string
@@ -169,7 +131,7 @@ WarmStateStore::SnapshotPtr
 WarmStateStore::find(const WarmStateKey &key)
 {
     return std::static_pointer_cast<const WarmSnapshot>(
-        ContentStore::find(keyBytes(key), faultTarget(key)));
+        ContentStore::find(keyBytes(key)));
 }
 
 WarmStateStore::SnapshotPtr
@@ -188,7 +150,7 @@ WarmStateStore::remove(const WarmStateKey &key)
 Expected<WarmStateStore::SnapshotPtr>
 WarmStateStore::loadDiskChecked(const WarmStateKey &key)
 {
-    auto v = ContentStore::loadDiskChecked(keyBytes(key), faultTarget(key));
+    auto v = ContentStore::loadDiskChecked(keyBytes(key));
     if (!v.ok())
         return v.error();
     return std::static_pointer_cast<const WarmSnapshot>(std::move(v).value());
@@ -282,10 +244,6 @@ WarmStateStore::global()
         Config cfg;
         if (!configureFromEnv(cfg, "warm", 1, 3))
             return nullptr;
-        cfg.minWindowGapInstrs =
-            envU64("CATCH_WARM_STATE_MIN_GAP", cfg.minWindowGapInstrs);
-        cfg.maxWindowPages =
-            envU64("CATCH_WARM_STATE_MAX_PAGES", cfg.maxWindowPages);
         return new WarmStateStore(std::move(cfg)); // catch-lint: allow(raw-new-delete) intentionally leaked process singleton
     }();
     return store;

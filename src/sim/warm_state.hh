@@ -6,21 +6,17 @@
  * (sim/fast_forward.hh). That work is a pure function of the warming
  * identity — (kernel, seed, boundary, trace shape, warming-visible
  * config) — so repeat sweeps that vary only timing knobs re-derive the
- * exact same warmed state over and over. The store memoizes it at two
- * kinds of boundary:
+ * exact same warmed state over and over. The store memoizes it at the
+ * global-warmup boundary: the state immediately before resetStats().
+ * Keyed by warmConfigDigest() only, so a pure timing resweep shares the
+ * snapshot — warming stamps fills with readyAt 0 and never advances the
+ * clock, so timing knobs cannot reach it.
  *
- *   - the global-warmup boundary (windowIndex 0): the state immediately
- *     before resetStats(). Keyed by warmConfigDigest() only, so a pure
- *     timing resweep shares the snapshot — warming stamps fills with
- *     readyAt 0 and never advances the clock, so timing knobs cannot
- *     reach it;
- *   - every sampling-window boundary (windowIndex >= 1): the state at
- *     the end of each inter-window warming gap, where most warming time
- *     goes at the default 20000/2000/2000 schedule. State there depends
- *     on the detailed windows executed before it, so these keys carry
- *     the FULL config digest (timing included; worker_proto.hh
- *     configDigest) plus sampleScheduleDigest() — only a run that
- *     executes bitwise the same detailed prefix may restore one.
+ * Inter-window warming gaps are not memoized. State there embeds the
+ * detailed windows executed before it, which every timing knob and the
+ * sampling schedule reach, so such a key could only hit on an exact
+ * rerun of the same cell — which the content-keyed result store
+ * (sim/result_store.hh) already replays whole.
  *
  * Snapshots are split into a byte blob (every non-memory component) and
  * a copy-on-write functional-memory page image: the store and restored
@@ -30,16 +26,13 @@
  *
  * Keying is honest by construction:
  *   - the key carries the trace identity (kernel, seed, totalOps,
- *     chunkOps) and the snapshot position (boundaryOps, windowIndex).
- *     totalOps is in the key because the stream clamps its final chunk
- *     against it, so the generation frontier near the trace end
- *     depends on it;
+ *     chunkOps) and the snapshot position (boundaryOps). totalOps is
+ *     in the key because the stream clamps its final chunk against it,
+ *     so the generation frontier near the trace end depends on it;
  *   - warmConfigDigest() hashes every SimConfig knob that can reach
  *     warmed state and deliberately excludes pure timing knobs;
- *     tools/ci/catch_analyze.py (warm-digest scope) statically checks
- *     the exclusion list against the warming call graph, and knows
- *     sampleScheduleDigest() covers the schedule knobs for the
- *     window-boundary keys;
+ *     tools/analysis/catch_analyze.py (warm-digest scope) statically
+ *     checks the exclusion list against the warming call graph;
  *   - kWarmStateFormatVersion is part of every record; bump it whenever
  *     any component's saveWarmState encoding changes and stale disk
  *     snapshots turn into clean misses instead of misparses.
@@ -73,7 +66,7 @@ constexpr uint32_t kWarmStateFormatVersion = 2;
 
 /**
  * Identity of one warmed-state snapshot. Two runs with equal keys are
- * guaranteed (by construction of the digests and the trace determinism
+ * guaranteed (by construction of the digest and the trace determinism
  * contract) to derive bitwise-identical warmed state.
  */
 struct WarmStateKey
@@ -83,13 +76,7 @@ struct WarmStateKey
     uint64_t boundaryOps = 0;  ///< trace position of the snapshot
     uint64_t totalOps = 0;     ///< stream total (final-chunk clamp)
     uint64_t chunkOps = 0;     ///< stream chunk size (ring layout)
-    uint64_t configDigest = 0; ///< warmConfigDigest(cfg) at windowIndex
-                               ///< 0; full configDigest(cfg) otherwise
-    uint64_t windowIndex = 0;  ///< 0 = global-warmup boundary;
-                               ///< p >= 1 = the gap before period p
-    uint64_t scheduleDigest = 0; ///< sampleScheduleDigest(); 0 at the
-                                 ///< schedule-independent global boundary
-
+    uint64_t configDigest = 0; ///< warmConfigDigest(cfg)
 };
 
 /**
@@ -98,16 +85,6 @@ struct WarmStateKey
  * comment for the argument and the static check that guards it.
  */
 uint64_t warmConfigDigest(const SimConfig &cfg);
-
-/**
- * FNV-1a digest of the sampling schedule (mode, interval, window,
- * warmup). Window-boundary snapshots (windowIndex >= 1) carry it: the
- * state at a window boundary depends on where every earlier detailed
- * window fell, which is exactly what the schedule decides. The global
- * boundary (windowIndex 0) predates the first window and stays
- * schedule-independent, so those keys use 0 instead.
- */
-uint64_t sampleScheduleDigest(const SamplingConfig &sc);
 
 /**
  * One warmed-state snapshot: the serialized non-memory components plus
@@ -147,40 +124,10 @@ class WarmStateStore : private ContentStore
     struct Config : ContentStore::Config
     {
         /** Default in-memory budget over the store's PHYSICAL
-         *  residency: 128 MB. The window-boundary snapshots of one run
-         *  share nearly their whole image (only pages written between
-         *  boundaries diverge), so a whole sweep's snapshots typically
-         *  cost one workload footprint plus deltas. */
+         *  residency: 128 MB. Snapshots of one kernel's sweep share
+         *  their copy-on-write pages, so they typically cost one
+         *  workload footprint plus deltas. */
         Config() { memBudgetBytes = size_t(128) << 20; }
-
-        /**
-         * Window-boundary eligibility gate, part 1: memoize window
-         * boundaries only when the schedule's inter-window slack
-         * (interval - warmup - window instrs) is at least this many
-         * instructions. A window restore costs roughly one component-
-         * blob parse plus an O(pages) map rebuild — a few ms — while
-         * the warming it replaces scales with the gap, so short-slack
-         * schedules (the 20k-instr default: slack 16k) lose by
-         * restoring and long-warming schedules win. 0 = no floor.
-         * The gate never changes results — restored and re-warmed
-         * state are bitwise identical — only where time goes.
-         */
-        uint64_t minWindowGapInstrs = 50000;
-
-        /**
-         * Window-boundary eligibility gate, part 2: stop memoizing
-         * window boundaries once the run's resident page count at the
-         * gap start exceeds this. The map rebuild in restorePages()
-         * and the snapshot sort are O(pages); page-heavy streaming
-         * workloads (hpc.stream: ~17k pages) also warm fastest per
-         * instruction (the repeat filter skips most of a sequential
-         * walk), so for them re-warming beats restoring at any
-         * realistic gap. Evaluated at the pre-gap position, which both
-         * the publishing and the consulting run reach with bitwise-
-         * identical state — the gate decision is deterministic and
-         * consistent across reps, processes and job counts. 0 = no cap.
-         */
-        uint64_t maxWindowPages = 12288;
     };
 
     explicit WarmStateStore(Config cfg = {});
@@ -189,8 +136,7 @@ class WarmStateStore : private ContentStore
      * Looks @p key up in memory, then on disk. A corrupt disk record is
      * deleted and counted, and the call reports a miss. @returns null
      * on a miss — the caller warms functionally and put()s the result.
-     * Disk reads honour the "warm-state-store" injection target, and
-     * window-boundary keys also "warm-state-window".
+     * Disk reads honour the "warm-state-store" injection target.
      */
     SnapshotPtr find(const WarmStateKey &key);
 
@@ -211,12 +157,6 @@ class WarmStateStore : private ContentStore
     using ContentStore::residentBytes;
     using ContentStore::stats;
 
-    /** Slack floor for window-boundary memoization (Config). */
-    uint64_t minWindowGap() const { return minWindowGap_; }
-
-    /** Page-count cap for window-boundary memoization (Config). */
-    uint64_t maxWindowPages() const { return maxWindowPages_; }
-
     /** ContentStore::loadDiskChecked for @p key; payload-shape defects
      *  (blob overrun, page section, page order) are trace-corrupt. */
     Expected<SnapshotPtr> loadDiskChecked(const WarmStateKey &key);
@@ -227,24 +167,18 @@ class WarmStateStore : private ContentStore
     /**
      * The process-wide store, or null when disabled: CATCH_STORE /
      * CATCH_STORE_DIR (disk tier under DIR/warm) / CATCH_STORE_MB (one
-     * third of it; ContentStore::configureFromEnv).
-     * CATCH_WARM_STATE_MIN_GAP / CATCH_WARM_STATE_MAX_PAGES override
-     * the two eligibility gates (0 = ungated). First call reads the
-     * environment (env.hh contract).
+     * third of it; ContentStore::configureFromEnv). First call reads
+     * the environment (env.hh contract).
      */
     static WarmStateStore *global();
 
   private:
     static std::string keyBytes(const WarmStateKey &key);
-    static const char *faultTarget(const WarmStateKey &key);
     void encode(const void *value,
                 std::vector<uint8_t> &out) const override;
     Expected<Value> decode(const uint8_t *payload,
                            size_t n) const override;
     size_t charge(const void *value, const PartFn &shared) const override;
-
-    uint64_t minWindowGap_;
-    uint64_t maxWindowPages_;
 };
 
 } // namespace catchsim

@@ -15,12 +15,15 @@
  * chunk size in ops, chunk index) plus the trace format version baked
  * into the record encoding (trace_io.hh, kTraceFormatVersion). Chunks
  * are always FULL chunks of exactly chunkOps ops, generated by an
- * engine whose op budget is unbounded: kernels only observe
- * Emitter::done() (never the remaining budget), so the emitted stream
- * is a pure prefix function and a full chunk's content is independent
- * of the total trace length that requested it. That prefix property is
- * what lets a chunk generated for a 200k-op run serve a 500k-op run of
- * the same kernel.
+ * engine whose op budget is the requesting stream's length rounded up
+ * to whole chunks. Kernels only observe Emitter::done() (never the
+ * remaining budget), so the emitted stream is a pure prefix function
+ * and a full chunk's content is independent of the total trace length
+ * that requested it. That prefix property is what lets a chunk
+ * generated for a 200k-op run serve a 500k-op run of the same kernel;
+ * the bound keeps a kernel whose one run() pass is a whole multi-row
+ * sweep from generating (and buffering) far past what its consumer
+ * will ever read.
  *
  * Tiers. ContentStore (common/content_store.hh) supplies both: an LRU
  * of shared immutable chunks under a byte budget, and an optional
@@ -41,13 +44,10 @@
 #ifndef CATCHSIM_TRACE_CHUNK_STORE_HH_
 #define CATCHSIM_TRACE_CHUNK_STORE_HH_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/content_store.hh"
@@ -57,8 +57,6 @@
 
 namespace catchsim
 {
-
-class ThreadPool;
 
 /** Content address of one generated chunk (format version is implicit:
  *  kTraceFormatVersion is baked into the record encoding). */
@@ -73,40 +71,45 @@ struct ChunkKey
 /**
  * Incremental canonical generation engine: runs a workload kernel
  * against its own private FunctionalMemory and serves the op stream as
- * a sequence of full chunks. Because the engine's op budget is
- * unbounded, chunk k's content depends only on (kernel, seed,
- * chunkOps, k) — the store's addressing invariant. Both the
- * TraceStream miss path and the background producer use this engine.
+ * a sequence of at most maxChunks full chunks. The emitter's budget is
+ * exactly maxChunks * chunkOps ops and kernels only observe done(), so
+ * chunk k's content depends only on (kernel, seed, chunkOps, k) — the
+ * store's addressing invariant — whatever budget produced it. The
+ * TraceStream miss path uses this engine.
  */
 class ChunkGenerator
 {
   public:
-    ChunkGenerator() = default;
+    /** Serves @p wl's stream in @p chunk_ops-op chunks, at most
+     *  @p max_chunks of them. @p wl must outlive the engine. */
+    ChunkGenerator(Workload &wl, uint32_t chunk_ops, uint64_t max_chunks);
     ChunkGenerator(const ChunkGenerator &) = delete;
     ChunkGenerator &operator=(const ChunkGenerator &) = delete;
-
-    /** (Re)starts the engine at chunk 0: fresh memory, re-seeded RNG,
-     *  kernel cursors reset via Workload::setup. */
-    void reset(Workload &wl, uint32_t chunk_ops);
 
     /** Drops all engine state; the next next() restarts at chunk 0. */
     void discard();
 
-    /** True once reset() ran and discard() has not. */
+    /** True once next() started the engine and discard() has not. */
     bool started() const { return started_; }
 
     /** Index of the chunk the next call to next() will produce. */
     uint64_t nextIndex() const { return nextIdx_; }
 
     /**
-     * Generates the next full chunk (exactly @p chunk_ops ops) of
-     * @p wl's canonical stream. Starts the engine on first use. The
-     * same workload object and chunk size must be used for the life of
-     * the engine (until discard()).
+     * Generates the next full chunk (exactly chunkOps ops) of the
+     * workload's canonical stream, starting the engine on first use.
+     * Asserts nextIndex() < maxChunks.
      */
-    std::vector<MicroOp> next(Workload &wl, uint32_t chunk_ops);
+    std::vector<MicroOp> next();
 
   private:
+    /** Starts the engine at chunk 0: fresh memory, re-seeded RNG,
+     *  kernel cursors reset via Workload::setup. */
+    void reset();
+
+    Workload *wl_;
+    uint32_t chunkOps_;
+    uint64_t maxChunks_;
     std::unique_ptr<FunctionalMemory> mem_;
     std::optional<Rng> rng_;
     std::optional<Emitter> em_;
@@ -135,7 +138,6 @@ class ChunkStore : private ContentStore
 
     /** Default: memory-tier-only store with the default budget. */
     explicit ChunkStore(Config cfg = {});
-    ~ChunkStore() override; // out of line: Producer is incomplete here
 
     /**
      * Looks @p key up in the memory tier, then the disk tier. A disk
@@ -163,32 +165,6 @@ class ChunkStore : private ContentStore
     using ContentStore::stats;
 
     /**
-     * Attaches/detaches the thread pool the background producer may
-     * borrow idle capacity from. The pool must outlive every producer
-     * task it accepted; ProducerPoolGuard pairs the calls with the
-     * pool's scope. Null detaches (producers finish their batch and
-     * stop chaining).
-     */
-    void setProducerPool(ThreadPool *pool);
-
-    /**
-     * Consumer-progress hint: the stream consuming @p key's identity
-     * is about to need chunk @p key.index of @p max_chunks total. If a
-     * producer pool is attached and a worker is idle, a detached task
-     * generates up to kProducerAheadChunks chunks ahead of the fastest
-     * consumer so later refills become store hits. Never blocks; a
-     * no-op without a pool. Chunk content is canonical, so producer
-     * scheduling can never affect simulation results.
-     */
-    void kickProducer(const ChunkKey &key, uint64_t max_chunks);
-
-    /** Producer lookahead window, in chunks, past the consumer. */
-    static constexpr uint64_t kProducerAheadChunks = 8;
-    /** Chunks one detached producer task generates before rechecking
-     *  pool idleness (bounds time-to-drain at pool shutdown). */
-    static constexpr uint64_t kProducerBatchChunks = 2;
-
-    /**
      * The process-wide store, or null when disabled: CATCH_STORE /
      * CATCH_STORE_DIR (disk tier under DIR/chunks) / CATCH_STORE_MB
      * (two thirds of it; ContentStore::configureFromEnv). Off by
@@ -200,49 +176,12 @@ class ChunkStore : private ContentStore
     static ChunkStore *global();
 
   private:
-    struct Producer;
-
     static std::string keyBytes(const ChunkKey &key);
     void encode(const void *value,
                 std::vector<uint8_t> &out) const override;
     Expected<Value> decode(const uint8_t *payload,
                            size_t n) const override;
     size_t charge(const void *value, const PartFn &shared) const override;
-    void produceSome(Producer &st);
-
-    std::atomic<ThreadPool *> pool_{nullptr};
-    std::mutex producerMu_;
-    std::unordered_map<std::string, std::unique_ptr<Producer>> producers_;
-};
-
-/**
- * RAII handoff of a ThreadPool's idle capacity to a store's producer
- * stage. Declare AFTER the pool: destruction order then detaches the
- * store before the pool destructor drains any in-flight producer
- * tasks, so no new task can be submitted to a dying pool. Null store
- * or pool makes the guard a no-op.
- */
-class ProducerPoolGuard
-{
-  public:
-    ProducerPoolGuard(ChunkStore *store, ThreadPool *pool)
-        : store_(store)
-    {
-        if (store_)
-            store_->setProducerPool(pool);
-    }
-
-    ~ProducerPoolGuard()
-    {
-        if (store_)
-            store_->setProducerPool(nullptr);
-    }
-
-    ProducerPoolGuard(const ProducerPoolGuard &) = delete;
-    ProducerPoolGuard &operator=(const ProducerPoolGuard &) = delete;
-
-  private:
-    ChunkStore *store_;
 };
 
 } // namespace catchsim

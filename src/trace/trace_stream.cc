@@ -13,7 +13,9 @@ TraceStream::TraceStream(Workload &wl, size_t total_ops, size_t chunk_ops,
                          ChunkStore *store)
     : wl_(&wl), total_(total_ops), chunk_(chunk_ops),
       mem_(std::make_shared<FunctionalMemory>()),
-      genClock_(std::move(gen_clock)), store_(store)
+      genClock_(std::move(gen_clock)), store_(store),
+      gen_(wl, static_cast<uint32_t>(chunk_ops),
+           (total_ops + chunk_ops - 1) / chunk_ops)
 {
     CATCHSIM_ASSERT(chunk_ > 0 && (chunk_ & (chunk_ - 1)) == 0,
                     "TraceStream chunk size must be a power of two");
@@ -94,9 +96,6 @@ TraceStream::generateChunkFromStore()
     }
     genEnd_ += want;
     refillAt_ = genEnd_ >= total_ ? ~size_t(0) : genEnd_ - chunk_;
-    const uint64_t nchunks = (total_ + chunk_ - 1) / chunk_;
-    if (idx + 1 < nchunks)
-        store_->kickProducer(keyFor(idx + 1), nchunks);
     if (genClock_)
         genSeconds_ += genClock_() - t0;
 }
@@ -112,13 +111,12 @@ TraceStream::fetchChunk(uint64_t index)
     // Regenerate from wherever the engine stands. A fresh (or rewound)
     // engine replays from chunk 0; intermediate chunks are republished
     // so evicted entries repopulate. put() dedups against concurrent
-    // producers, and every generator emits identical bytes, so the
-    // served chunk is canonical either way.
+    // streams of the same kernel, and every generator emits identical
+    // bytes, so the served chunk is canonical either way.
     ++storeMissChunks_;
     while (gen_.nextIndex() <= index) {
         const uint64_t at = gen_.nextIndex();
-        c = store_->put(keyFor(at),
-                        gen_.next(*wl_, static_cast<uint32_t>(chunk_)));
+        c = store_->put(keyFor(at), gen_.next());
     }
     return c;
 }
@@ -151,8 +149,8 @@ TraceStream::loadWarmState(StateSource &src,
 
     // The ring content is a pure function of the generated-op frontier
     // (chunks are canonical), so a restore whose frontier matches the
-    // live one — common at window boundaries once the trace is fully
-    // generated — keeps the resident window as-is.
+    // live one — a warmup too short to trigger a refill — keeps the
+    // resident window as-is.
     if (gen_end != genEnd_) {
         // Re-materialize the ring window [gen_end - 2*chunk, gen_end):
         // the consumer's position is always inside it (one refill of

@@ -192,7 +192,8 @@ class TraceStream
     /** Memoized-pipeline state; unused (and gen_ never started) when
      *  store_ is null. The consumer-visible mem_ stays canonical by
      *  replaying the Store-class ops of every served chunk; gen_ runs
-     *  the kernel against its own private memory on misses. */
+     *  the kernel against its own private memory on misses, with a
+     *  budget of this stream's length rounded up to whole chunks. */
     ChunkStore *store_ = nullptr;
     ChunkGenerator gen_;
     uint64_t storeHitChunks_ = 0;

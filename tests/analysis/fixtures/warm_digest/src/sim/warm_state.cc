@@ -1,17 +1,8 @@
-// Miniature digests: warmConfigDigest covers 'ways', the schedule
-// digest covers 'intervalInstrs'; neither covers 'newKnob'.
+// Miniature digest: warmConfigDigest covers 'ways' only.
 unsigned long
 warmConfigDigest(const WarmConfig &cfg)
 {
     unsigned long h = 1469598103934665603UL;
     h = (h ^ cfg.ways) * 1099511628211UL;
-    return h;
-}
-
-unsigned long
-sampleScheduleDigest(const WarmConfig &cfg)
-{
-    unsigned long h = 1469598103934665603UL;
-    h = (h ^ cfg.intervalInstrs) * 1099511628211UL;
     return h;
 }

@@ -3,11 +3,9 @@
 void
 FastForward::warm(int pos)
 {
-    // 'ways' is in the digest: quiet. 'intervalInstrs' is covered by
-    // the schedule digest (the window-boundary re-key): also quiet.
-    // 'newKnob' is a warming-visible knob both digests forgot: the
+    // 'ways' is in the digest: quiet. 'intervalInstrs' is a schedule
+    // knob the digest leaves out, read on the warming path: the
     // finding.
     state_ += pos % static_cast<int>(cfg_.ways);
     state_ += static_cast<int>(cfg_.intervalInstrs);
-    state_ += static_cast<int>(cfg_.newKnob);
 }

@@ -2,7 +2,6 @@
 
 struct WarmConfig {
     unsigned ways = 8;
-    unsigned newKnob = 0;
     unsigned intervalInstrs = 20000;
 };
 

@@ -13,8 +13,11 @@
  *  3. Containment — a partly corrupted disk cache still streams the
  *     canonical op sequence, and the memory tier holds only decoded
  *     chunks.
- *  4. Concurrency — producer/consumer stress across a shared store and
- *     a live thread pool (the TSan CI job runs the *Concurrent* cases).
+ *  4. Bounded generation — every suite kernel streams a short trace
+ *     through the store without generating past its chunk budget.
+ *  5. Concurrency — consumer threads racing on a shared evicting disk
+ *     store and a jobs=16 campaign (the TSan CI job runs the
+ *     *Concurrent* cases).
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +28,6 @@
 #include <vector>
 
 #include "common/fault_inject.hh"
-#include "common/thread_pool.hh"
 #include "sim/configs.hh"
 #include "sim/parallel_runner.hh"
 #include "sim_result_compare.hh"
@@ -89,31 +91,37 @@ expectOpsEqual(const std::vector<MicroOp> &got,
 TEST(ChunkGenerator, ChunksAreThePrefixFunctionOfKernelAndSeed)
 {
     // The store's addressing invariant: chunk k of (kernel, seed,
-    // chunkOps) has one canonical content, independent of any
-    // consumer's total op budget — the generator's emitter budget is
-    // unbounded and kernels only observe done().
-    for (const std::string name : {"mcf", "tpcc", "hplinpack"}) {
+    // chunkOps) has one canonical content, independent of the
+    // generator's chunk budget — kernels only observe done().
+    // cactusADM's run() is one multi-row sweep, so it also shows the
+    // budget stops a pass that would otherwise run far past it.
+    for (const std::string name : {"mcf", "tpcc", "hplinpack",
+                                   "cactusADM"}) {
         auto oracle_wl = makeWorkload(name);
         Trace oracle = oracle_wl->generate(4 * kChunk);
 
-        auto wl = makeWorkload(name);
-        ChunkGenerator gen;
-        std::vector<MicroOp> got;
-        for (uint64_t i = 0; i < 4; ++i) {
-            EXPECT_EQ(gen.nextIndex(), i);
-            std::vector<MicroOp> chunk = gen.next(*wl, kChunk);
-            ASSERT_EQ(chunk.size(), kChunk) << name;
-            got.insert(got.end(), chunk.begin(), chunk.end());
-        }
-        expectOpsEqual(got, oracle.ops, name);
+        for (uint64_t budget : {4, 64}) {
+            const std::string what =
+                name + " budget " + std::to_string(budget);
+            auto wl = makeWorkload(name);
+            ChunkGenerator gen(*wl, kChunk, budget);
+            std::vector<MicroOp> got;
+            for (uint64_t i = 0; i < 4; ++i) {
+                EXPECT_EQ(gen.nextIndex(), i);
+                std::vector<MicroOp> chunk = gen.next();
+                ASSERT_EQ(chunk.size(), kChunk) << what;
+                got.insert(got.end(), chunk.begin(), chunk.end());
+            }
+            expectOpsEqual(got, oracle.ops, what);
 
-        // discard() + regenerate restarts at canonical chunk 0.
-        gen.discard();
-        EXPECT_FALSE(gen.started());
-        std::vector<MicroOp> again = gen.next(*wl, kChunk);
-        expectOpsEqual(again,
-                       {oracle.ops.begin(), oracle.ops.begin() + kChunk},
-                       name + " after discard");
+            // discard() + regenerate restarts at canonical chunk 0.
+            gen.discard();
+            EXPECT_FALSE(gen.started());
+            std::vector<MicroOp> again = gen.next();
+            expectOpsEqual(again,
+                           {oracle.ops.begin(), oracle.ops.begin() + kChunk},
+                           what + " after discard");
+        }
     }
 }
 
@@ -124,11 +132,11 @@ std::string
 writeOneRecord(const std::string &dir)
 {
     auto wl = makeWorkload("mcf");
-    ChunkGenerator gen;
+    ChunkGenerator gen(*wl, kChunk, 1);
     ChunkStore::Config cfg;
     cfg.diskDir = dir;
     ChunkStore writer(cfg);
-    writer.put(keyAt("mcf", 0), gen.next(*wl, kChunk));
+    writer.put(keyAt("mcf", 0), gen.next());
     return writer.diskPath(keyAt("mcf", 0));
 }
 
@@ -218,6 +226,28 @@ TEST(ChunkStoreEquivalence, CorruptedCacheRegeneratesBitwiseIdenticalStream)
     std::filesystem::remove_all(dir);
 }
 
+TEST(ChunkStoreEquivalence, EverySuiteKernelStreamsWithinItsBudget)
+{
+    // A store-backed stream's generator may run a kernel only up to the
+    // stream's length rounded up to whole chunks. Without that bound a
+    // kernel whose run() pass is one long sweep generates (and
+    // buffers) the whole pass before serving its first chunk; the
+    // ctest TIMEOUT on this binary catches that regression.
+    const size_t total = 2 * kChunk + 123;
+    for (const std::string &name : stSuiteNames()) {
+        SCOPED_TRACE(name);
+        auto oracle_wl = makeWorkload(name);
+        Trace oracle = oracle_wl->generate(total);
+        ChunkStore store;
+        auto wl = makeWorkload(name);
+        TraceStream stream(*wl, total, kChunk, std::function<double()>(),
+                           &store);
+        expectOpsEqual(drain(stream), oracle.ops, name);
+        EXPECT_EQ(store.stats().puts, 3u)
+            << "exactly the three budgeted chunks are published";
+    }
+}
+
 // ------------------ Campaign equivalence -------------------------
 
 /**
@@ -278,12 +308,13 @@ TEST(ChunkStoreEquivalence, SampledCampaigns)
 
 // ------------------------ Concurrency ----------------------------
 
-TEST(ChunkStoreConcurrent, SharedStoreProducerConsumerStress)
+TEST(ChunkStoreConcurrent, SharedStoreConsumerStress)
 {
     // Eight consumer threads drain store-backed streams of two kernel
-    // identities against a shared evicting, disk-backed store while a
-    // pool-attached producer races them. Every drained sequence must be
-    // canonical; TSan (CI) watches the synchronization.
+    // identities against a shared evicting, disk-backed store, so
+    // finds, regenerations, publications and evictions race. Every
+    // drained sequence must be canonical; TSan (CI) watches the
+    // synchronization.
     const std::string dir = freshDir("chunk_store_stress");
     ChunkStore::Config cfg;
     cfg.memBudgetBytes = 8 * kChunk * sizeof(MicroOp);
@@ -296,8 +327,6 @@ TEST(ChunkStoreConcurrent, SharedStoreProducerConsumerStress)
     Trace mcf_oracle = mcf_wl->generate(total);
     Trace omnetpp_oracle = omnetpp_wl->generate(total);
 
-    ThreadPool pool(4);
-    ProducerPoolGuard producer(&store, &pool);
     std::vector<std::thread> consumers;
     for (int t = 0; t < 8; ++t) {
         consumers.emplace_back([&, t] {
@@ -315,16 +344,16 @@ TEST(ChunkStoreConcurrent, SharedStoreProducerConsumerStress)
     }
     for (auto &c : consumers)
         c.join();
-    // The guard (declared after the pool) detaches the producer before
-    // the pool destructor drains; this ordering is part of the API.
+    EXPECT_GT(store.stats().evictions, 0u)
+        << "the memory tier actually thrashed";
     std::filesystem::remove_all(dir);
 }
 
 TEST(ChunkStoreConcurrent, ParallelCampaignSharesOneDiskStore)
 {
-    // jobs=16 over a store whose pool also runs the producer: the
-    // complete production path (find/put/disk/eviction/producer) under
-    // real campaign concurrency must stay bitwise-equivalent.
+    // jobs=16 over one shared store: the complete production path
+    // (find/put/disk/eviction) under real campaign concurrency must
+    // stay bitwise-equivalent.
     const std::string dir = freshDir("chunk_store_campaign_stress");
     SimConfig cfg = baselineSkx();
     const std::vector<std::string> names = campaignNames();

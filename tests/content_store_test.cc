@@ -59,9 +59,9 @@ class BlobStore : public ContentStore
     }
 
     BlobPtr
-    get(const std::string &key, const char *fault_target = nullptr)
+    get(const std::string &key)
     {
-        return std::static_pointer_cast<const Blob>(find(key, fault_target));
+        return std::static_pointer_cast<const Blob>(find(key));
     }
 
     BlobPtr
@@ -396,32 +396,24 @@ TEST(ContentStoreDisk, PayloadTheCodecRejectsIsCorruptAndDropped)
 
 TEST(ContentStoreDisk, InjectedFaultTargetsCorruptDiskReads)
 {
-    // The kind's reserved target corrupts every disk read; a per-read
-    // target corrupts only the reads that name it. Memory hits are
-    // never injected.
+    // The kind's reserved target corrupts every disk read; memory hits
+    // are never injected.
     const std::string dir = freshDir("content_store_inject");
     writeOneRecord(dir);
-    for (const char *spec : {"state-corrupt:blob-store",
-                             "state-corrupt:blob-window"}) {
-        SCOPED_TRACE(spec);
-        auto parsed = FaultPlan::parse(spec);
-        ASSERT_TRUE(parsed.ok());
-        const FaultPlan plan = std::move(parsed).value();
-        ContentStore::Config cfg = diskTier(dir);
-        cfg.plan = &plan;
-        BlobStore store(cfg);
-        auto loaded = store.loadDiskChecked(keyOf(0), "blob-window");
-        ASSERT_FALSE(loaded.ok());
-        EXPECT_EQ(loaded.error().category, ErrorCategory::TraceCorrupt);
-        EXPECT_NE(loaded.error().message.find("injected"),
-                  std::string::npos);
-        const bool every_read = std::string(spec).find("blob-store") !=
-                                std::string::npos;
-        EXPECT_EQ(store.loadDiskChecked(keyOf(0)).ok(), !every_read);
-        EXPECT_EQ(store.get(keyOf(0), "blob-window"), nullptr);
-        EXPECT_EQ(store.stats().corrupt, 1u);
-        writeOneRecord(dir); // the miss dropped the record
-    }
+    auto parsed = FaultPlan::parse("state-corrupt:blob-store");
+    ASSERT_TRUE(parsed.ok());
+    const FaultPlan plan = std::move(parsed).value();
+    ContentStore::Config cfg = diskTier(dir);
+    cfg.plan = &plan;
+    BlobStore store(cfg);
+    auto loaded = store.loadDiskChecked(keyOf(0));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().category, ErrorCategory::TraceCorrupt);
+    EXPECT_NE(loaded.error().message.find("injected"), std::string::npos);
+    EXPECT_EQ(store.get(keyOf(0)), nullptr);
+    EXPECT_EQ(store.stats().corrupt, 1u);
+    store.set(keyOf(0), blobOf(128, 'a'));
+    EXPECT_NE(store.get(keyOf(0)), nullptr) << "memory hits are exempt";
     std::filesystem::remove_all(dir);
 }
 

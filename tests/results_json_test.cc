@@ -231,13 +231,7 @@ TEST(ResultsJson, HostPerfReportsPerRunWarmStateCounters)
     env.instrs = kInstr;
     env.warmup = kWarm;
     ChunkStore chunks;
-    // Lift the window-profitability gates: this schedule's slack sits
-    // below the default floor, and the counters under test only move
-    // when window boundaries actually memoize.
-    WarmStateStore::Config ws_cfg;
-    ws_cfg.minWindowGapInstrs = 0;
-    ws_cfg.maxWindowPages = 0;
-    WarmStateStore warm_store(ws_cfg);
+    WarmStateStore warm_store;
     IsolationOptions opts = optsWith(kNoFaults);
     opts.profile = true;
     opts.store = &chunks;
@@ -274,17 +268,6 @@ TEST(ResultsJson, HostPerfReportsPerRunWarmStateCounters)
     EXPECT_EQ(perf->member("warm_state_misses")->asU64(), 0u);
     EXPECT_EQ(perf->member("warm_state_bytes")->asU64(),
               warm[0].profile->warmStateBytes);
-    // The window-boundary attribution rides beside the global one: the
-    // warm run restored every gap the cold run published.
-    ASSERT_NE(perf->member("warm_state_window_hits"), nullptr);
-    ASSERT_NE(perf->member("warm_state_window_misses"), nullptr);
-    ASSERT_NE(perf->member("warm_state_window_bytes"), nullptr);
-    EXPECT_GT(warm[0].profile->warmStateWindowHits, 0u);
-    EXPECT_EQ(perf->member("warm_state_window_hits")->asU64(),
-              warm[0].profile->warmStateWindowHits);
-    EXPECT_EQ(perf->member("warm_state_window_misses")->asU64(), 0u);
-    EXPECT_EQ(perf->member("warm_state_window_bytes")->asU64(),
-              warm[0].profile->warmStateWindowBytes);
     std::filesystem::remove(path);
 }
 

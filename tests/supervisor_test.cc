@@ -183,7 +183,7 @@ TEST(WorkerProto, ResultFrameRoundTripsProfileAndFailure)
     RunOutcome ok = ran[0];
     ok.status = RunStatus::Retried;
     ok.attempts = 2;
-    ok.profile = RunProfile{0.25, 1.5, 3.125, 4, 5, 6, 7, 8, 9, 10, 11, 12};
+    ok.profile = RunProfile{0.25, 1.5, 3.125, 4, 5, 6, 7, 8, 9};
 
     RunOutcome failed;
     failed.workload = "mcf";

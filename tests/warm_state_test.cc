@@ -11,10 +11,9 @@
  *     thrashing, at jobs 1/8/16. The store may only ever be a speed
  *     lever, never a correctness hazard; detailed mode and ineligible
  *     runs never consult it.
- *  3. Record codec — snapshots sharing pages charge them once, payload
- *     shape defects (blob overrun, page section, page order) behind a
- *     valid frame are corrupt and dropped, and the window injection
- *     target spares global-warmup reads. The LRU, frame
+ *  3. Record codec — snapshots sharing pages charge them once, and
+ *     payload shape defects (blob overrun, page section, page order)
+ *     behind a valid frame are corrupt and dropped. The LRU, frame
  *     validation and corruption containment themselves are pinned
  *     once, for all stores, by tests/content_store_test.cc.
  *  5. Component round trips — every warmed component's save → load →
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
-#include "common/fault_inject.hh"
 #include "common/state_io.hh"
 #include "core/branch_predictor.hh"
 #include "criticality/critical_table.hh"
@@ -70,24 +68,6 @@ sampledCfg(SimConfig cfg)
     cfg.sampling.intervalInstrs = 5000;
     cfg.sampling.windowInstrs = 2000;
     cfg.sampling.warmupInstrs = 2000;
-    return cfg;
-}
-
-/**
- * Store config with the window-eligibility gates disabled. The test
- * schedule above has a 1000-instruction slack — far below the default
- * minWindowGapInstrs floor, which exists because restoring a window
- * snapshot only pays off against long warming gaps. The functional
- * contract under test (bitwise equivalence, counter attribution,
- * record purity) must hold whenever windows memoize, so these tests
- * opt out of the profitability heuristic.
- */
-WarmStateStore::Config
-ungatedWindows()
-{
-    WarmStateStore::Config cfg;
-    cfg.minWindowGapInstrs = 0;
-    cfg.maxWindowPages = 0;
     return cfg;
 }
 
@@ -244,32 +224,6 @@ TEST(WarmStateCodec, PayloadShapeDefectsAreCorruptAndDropped)
     std::filesystem::remove_all(dir);
 }
 
-TEST(WarmStateCodec, WindowFaultTargetCorruptsOnlyWindowReads)
-{
-    // Every snapshot read honours "warm-state-store" (the kind's
-    // target, pinned in fault_injection_test); window-boundary reads
-    // (windowIndex >= 1) also honour "warm-state-window", so the
-    // global-warmup restore still succeeds under it.
-    const std::string dir = freshDir("warm_state_inject_window");
-    WarmStateKey window = wkeyAt(1);
-    window.windowIndex = 1;
-    writePagedRecord(dir, wkeyAt(0));
-    writePagedRecord(dir, window);
-    auto parsed = FaultPlan::parse("state-corrupt:warm-state-window");
-    ASSERT_TRUE(parsed.ok());
-    const FaultPlan plan = std::move(parsed).value();
-    WarmStateStore::Config cfg;
-    cfg.diskDir = dir;
-    cfg.plan = &plan;
-    WarmStateStore store(cfg);
-    auto win = store.loadDiskChecked(window);
-    ASSERT_FALSE(win.ok());
-    EXPECT_EQ(win.error().category, ErrorCategory::TraceCorrupt);
-    EXPECT_NE(win.error().message.find("injected"), std::string::npos);
-    EXPECT_TRUE(store.loadDiskChecked(wkeyAt(0)).ok());
-    std::filesystem::remove_all(dir);
-}
-
 // -------------------- Component round trips ----------------------
 
 /**
@@ -402,9 +356,7 @@ TEST(WarmStateComponents, SnapshotBlobIsAPureFunctionOfTheKey)
     // Two independent cold runs in separate processes-worth of state
     // must publish byte-identical records at the same deterministic
     // paths — the property that makes sharing a disk tier across
-    // machines and runs sound. With per-window keys a single sampled
-    // run publishes the global-warmup snapshot plus one record per
-    // inter-window gap; every one of them must reproduce.
+    // machines and runs sound.
     SimConfig cfg = sampledCfg(withCatch(baselineSkx()));
     const std::vector<std::string> names = {"mcf"};
     std::vector<std::string> dirs;
@@ -412,14 +364,14 @@ TEST(WarmStateComponents, SnapshotBlobIsAPureFunctionOfTheKey)
         const std::string dir =
             freshDir("warm_state_pure_" + std::to_string(rep));
         ChunkStore chunks;
-        WarmStateStore::Config store_cfg = ungatedWindows();
+        WarmStateStore::Config store_cfg;
         store_cfg.diskDir = dir;
         WarmStateStore warm(store_cfg);
         auto out = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
                                         optsWithStores(&chunks, &warm));
         ASSERT_TRUE(out[0].ok());
-        EXPECT_GE(warm.stats().puts, 2u)
-            << "expected the global snapshot plus window boundaries";
+        EXPECT_EQ(warm.stats().puts, 1u)
+            << "expected the global-warmup snapshot alone";
         dirs.push_back(dir);
     }
     std::vector<std::vector<std::filesystem::path>> records;
@@ -428,7 +380,7 @@ TEST(WarmStateComponents, SnapshotBlobIsAPureFunctionOfTheKey)
         for (const auto &e : std::filesystem::directory_iterator(dir))
             files.push_back(e.path());
         std::sort(files.begin(), files.end());
-        ASSERT_GE(files.size(), 2u) << dir;
+        ASSERT_EQ(files.size(), 1u) << dir;
         records.push_back(std::move(files));
     }
     ASSERT_EQ(records[0].size(), records[1].size())
@@ -458,10 +410,10 @@ expectWarmStateEquivalence(const SimConfig &cfg)
 {
     const std::string dir = freshDir("warm_state_equiv_" + cfg.name);
     ChunkStore chunks; // warm-state eligibility needs a store-backed stream
-    WarmStateStore::Config disk_cfg = ungatedWindows();
+    WarmStateStore::Config disk_cfg;
     disk_cfg.diskDir = dir;
     WarmStateStore warm(disk_cfg); // shared across job counts: stays warm
-    WarmStateStore::Config tiny_cfg = ungatedWindows();
+    WarmStateStore::Config tiny_cfg;
     tiny_cfg.memBudgetBytes = 1; // evicts after every insertion
     WarmStateStore evicting(tiny_cfg);
     std::vector<std::unique_ptr<WarmStateStore>> cold, readers;
@@ -474,7 +426,7 @@ expectWarmStateEquivalence(const SimConfig &cfg)
     expectStoreStatesMatch(
         cfg, optsWithStores(nullptr, nullptr),
         {[&] { return optsWithStores(&chunks, nullptr); },
-         [&] { return fresh(cold, ungatedWindows()); },
+         [&] { return fresh(cold, WarmStateStore::Config()); },
          [&] { return optsWithStores(&chunks, &warm); },
          [&] { return fresh(readers, disk_cfg); },
          [&] { return optsWithStores(&chunks, &evicting); }},
@@ -536,28 +488,31 @@ TEST(WarmStateEquivalence, IneligibleRunsNeverConsultTheStore)
 TEST(WarmStateEquivalence, PerRunProfileCountersAttributeHitsAndMisses)
 {
     // The profile counters are per-run, never campaign-cumulative: a
-    // cold run then a warm run against the same store must report
-    // miss-only then hit-only, with the snapshot footprint both times.
-    SimConfig cfg = sampledCfg(withCatch(baselineSkx()));
+    // cold run then a warm run against the same store must report one
+    // global miss then one global hit, with the snapshot footprint
+    // both times. A 100k-instruction interval leaves each period
+    // ~96k instructions of inter-window warming, yet only the global
+    // boundary memoizes: each run consults the store exactly once.
+    SimConfig cfg = withCatch(baselineSkx());
+    cfg.sampling.mode = SampleMode::Sampled;
+    cfg.sampling.intervalInstrs = 100000;
+    const uint64_t instrs = 3 * cfg.sampling.intervalInstrs;
     const std::vector<std::string> names = {"mcf"};
     ChunkStore chunks;
-    WarmStateStore store(ungatedWindows());
+    WarmStateStore store;
     IsolationOptions opts = optsWithStores(&chunks, &store);
     opts.profile = true;
 
-    auto cold = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1, opts);
+    auto cold = runWorkloadsIsolated(cfg, names, instrs, kWarm, 1, opts);
     ASSERT_TRUE(cold[0].ok());
     ASSERT_TRUE(cold[0].profile.has_value());
+    EXPECT_GE(cold[0].result.sample.windows, 3u);
     EXPECT_EQ(cold[0].profile->warmStateMisses, 1u);
     EXPECT_EQ(cold[0].profile->warmStateHits, 0u);
     EXPECT_GT(cold[0].profile->warmStateBytes, 0u);
-    // Window-boundary attribution is split from the global counters:
-    // the cold run misses (and publishes) every inter-window gap.
-    EXPECT_GT(cold[0].profile->warmStateWindowMisses, 0u);
-    EXPECT_EQ(cold[0].profile->warmStateWindowHits, 0u);
-    EXPECT_GT(cold[0].profile->warmStateWindowBytes, 0u);
+    EXPECT_EQ(store.stats().puts, 1u);
 
-    auto warm = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1, opts);
+    auto warm = runWorkloadsIsolated(cfg, names, instrs, kWarm, 1, opts);
     ASSERT_TRUE(warm[0].ok());
     ASSERT_TRUE(warm[0].profile.has_value());
     EXPECT_EQ(warm[0].profile->warmStateHits, 1u);
@@ -566,57 +521,12 @@ TEST(WarmStateEquivalence, PerRunProfileCountersAttributeHitsAndMisses)
     EXPECT_EQ(warm[0].profile->warmStateBytes,
               cold[0].profile->warmStateBytes)
         << "hit and miss account the same snapshot";
-    EXPECT_EQ(warm[0].profile->warmStateWindowHits,
-              cold[0].profile->warmStateWindowMisses)
-        << "every gap the cold run published must restore warm";
-    EXPECT_EQ(warm[0].profile->warmStateWindowMisses, 0u);
-    EXPECT_EQ(warm[0].profile->warmStateWindowBytes,
-              cold[0].profile->warmStateWindowBytes);
-    expectBitwiseEqual(warm[0].result, cold[0].result);
-}
-
-TEST(WarmStateEquivalence, EligibilityGatesSkipUnprofitableWindows)
-{
-    // A window restore costs a near-constant blob parse plus an
-    // O(pages) map adoption, so it only pays against long warming
-    // gaps over modest page maps. Both gates must leave results
-    // bitwise-identical — they redirect the simulator to re-warm,
-    // which derives the same state — while keeping window records
-    // out of the store.
-    SimConfig cfg = sampledCfg(withCatch(baselineSkx()));
-    const std::vector<std::string> names = {"mcf"};
-    ChunkStore chunks;
-    auto baseline = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
-                                         optsWithStores(&chunks, nullptr));
-    const uint64_t golden = campaignHash(baseline);
-
-    // Default config: the test schedule's 1000-instruction slack is
-    // below the minWindowGapInstrs floor, so only the global-warmup
-    // snapshot is published and no window counter moves. Page cap:
-    // with the slack floor lifted but a 1-page cap, mcf's
-    // multi-thousand-page map disqualifies every gap the same way.
-    // Both stores serve the global snapshot on the second run.
-    WarmStateStore::Config capped = ungatedWindows();
-    capped.maxWindowPages = 1;
-    for (const WarmStateStore::Config &store_cfg :
-         {WarmStateStore::Config(), capped}) {
-        WarmStateStore store(store_cfg);
-        IsolationOptions opts = optsWithStores(&chunks, &store);
-        opts.profile = true;
-        for (int rep = 0; rep < 2; ++rep) {
-            auto out = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
-                                            opts);
-            ASSERT_TRUE(out[0].ok());
-            EXPECT_EQ(campaignHash(out), golden);
-            ASSERT_TRUE(out[0].profile.has_value());
-            EXPECT_EQ(out[0].profile->warmStateHits, rep == 1 ? 1u : 0u);
-            EXPECT_EQ(out[0].profile->warmStateWindowHits, 0u);
-            EXPECT_EQ(out[0].profile->warmStateWindowMisses, 0u);
-            EXPECT_EQ(out[0].profile->warmStateWindowBytes, 0u);
-        }
-        EXPECT_EQ(store.stats().puts, 1u)
-            << "a gated window must not publish a record";
+    EXPECT_EQ(store.stats().puts, 1u) << "the warm run published nothing";
+    for (const auto *run : {&cold[0], &warm[0]}) {
+        EXPECT_EQ(run->profile->warmStateWindowHits, 0u);
+        EXPECT_EQ(run->profile->warmStateWindowMisses, 0u);
     }
+    expectBitwiseEqual(warm[0].result, cold[0].result);
 }
 
 // ---------------------- COW aliasing safety ----------------------

@@ -30,10 +30,9 @@ contracts:
   warm-digest
       Every config field read on the warming-reachable call graph
       (`cfg.x` / `cfg_.x` member reads; text frontend only) must
-      appear in warmConfigDigest() (src/sim/warm_state.cc) — or in
-      sampleScheduleDigest(), which re-keys the window-boundary
-      snapshots on the schedule knobs — so a knob that can shape
-      warmed state is never silently excluded from the snapshot key.
+      appear in warmConfigDigest() (src/sim/warm_state.cc), so a knob
+      that can shape warmed state is never silently excluded from the
+      snapshot key.
       Provably timing-only reads on flag-guarded dual-mode code are
       waiverable; repos without a digest skip the rule.
   determinism-ast
@@ -1203,27 +1202,19 @@ class Analyzer:
                 "stay off the hot loop")
 
     def _digest_fields(self):
-        """Identifier tokens in warmConfigDigest()'s body — unioned
-        with sampleScheduleDigest()'s when present, since the schedule
-        knobs re-key the window-boundary snapshots through that second
-        digest — or None when this tree carries no digest (rule
-        skipped)."""
+        """Identifier tokens in warmConfigDigest()'s body, or None when
+        this tree carries no digest (rule skipped)."""
         path = self.root / DIGEST_FILE
         if not path.is_file():
             return None
         text = strip_comments_and_strings(
             path.read_text(encoding="utf-8", errors="replace"))
-        fields: set[str] = set()
-        found = False
-        for func in ("warmConfigDigest", "sampleScheduleDigest"):
-            m = re.search(rf"^{func}\s*\(", text, re.M)
-            if not m:
-                continue
-            found = True
-            end = text.find("\n}", m.end())
-            body = text[m.end():end if end >= 0 else len(text)]
-            fields.update(re.findall(r"\w+", body))
-        return frozenset(fields) if found else None
+        m = re.search(r"^warmConfigDigest\s*\(", text, re.M)
+        if not m:
+            return None
+        end = text.find("\n}", m.end())
+        body = text[m.end():end if end >= 0 else len(text)]
+        return frozenset(re.findall(r"\w+", body))
 
     def check_warm_digest(self) -> None:
         rule = "warm-digest"

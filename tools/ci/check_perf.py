@@ -33,11 +33,7 @@ the detailed run (the end-to-end checkpointed speedup) and, when
 (the isolated warmed-state win on top of chunk memoization).
 Informational only, like --sampled. When the document carries per-cell
 "warm_state" counters (bench_perf emits them for --warm-state runs),
-the per-window hit rates — global-warmup and window-boundary consults
-attributed separately — are reported alongside the speedups; cells
-without a detailed counterpart (the "-longwarm" variant bench_perf adds
-for warm-state runs) still get their hit rates even though the speedup
-pairing skips them.
+the global-warmup hit rates are reported alongside the speedups.
 
 Usage: check_perf.py --current BENCH_PERF.json \
                      [--baseline bench/perf/BENCH_PERF.json] \
@@ -107,7 +103,7 @@ def rate(hits: int, misses: int) -> str:
 
 
 def report_warm_state(doc: dict) -> None:
-    """Per-cell warm-state hit rates, global vs window-boundary.
+    """Per-cell global-warmup snapshot hit rates.
 
     Informational; tolerates cells without the "warm_state" object
     (documents from a bench_perf predating the counters, or runs with
@@ -116,16 +112,11 @@ def report_warm_state(doc: dict) -> None:
             if "warm_state" in r]
     if not rows:
         return
-    print("warm-state hit rates (global | window-boundary, "
-          "informational):")
+    print("warm-state hit rates (global warmup, informational):")
     for (workload, config), w in rows:
-        g = rate(w["hits"], w["misses"])
-        win = rate(w["window_hits"], w["window_misses"])
-        print(f"  {workload:<12} {config:<30} global {g} "
-              f"({w['hits']}/{w['hits'] + w['misses']})  "
-              f"window {win} "
-              f"({w['window_hits']}/"
-              f"{w['window_hits'] + w['window_misses']})")
+        print(f"  {workload:<12} {config:<30} "
+              f"{rate(w['hits'], w['misses'])} "
+              f"({w['hits']}/{w['hits'] + w['misses']})")
 
 
 def main() -> int:

@@ -95,37 +95,20 @@ echo "== warm-state snapshot corruption is contained, results identical =="
 # Sampled baseline without any store, then a cold sampled campaign that
 # populates the on-disk chunk + snapshot tiers (one --store-dir), then a
 # rerun (fresh process, so every snapshot comes off disk) with
-# state-corrupt injected into every warm-state read. Contract: corruption is warn + delete +
-# re-warm — exit 0, and all three exports are byte-identical. The store
-# trades only time, never results.
-# The default eligibility gates would skip window memoization at this
-# short schedule (the floor exists for profitability, not correctness);
-# lift them so the matrix exercises window-boundary records end to end.
-WS_ENV=(CATCH_WARM_STATE_MIN_GAP=0 CATCH_WARM_STATE_MAX_PAGES=0)
+# state-corrupt injected into every warm-state read. Contract:
+# corruption is warn + delete + re-warm — exit 0, and all three exports
+# are byte-identical. The store trades only time, never results.
 run_expect 0 "$CLI" "${ARGS[@]}" --sample --jobs=8 \
     --json="$WORK/ws_clean.json" "${NAMES[@]}"
-run_expect 0 env "${WS_ENV[@]}" \
-    "$CLI" "${ARGS[@]}" --sample --jobs=8 \
+run_expect 0 "$CLI" "${ARGS[@]}" --sample --jobs=8 \
     --store-dir="$WORK/ws_store" \
     --json="$WORK/ws_cold.json" "${NAMES[@]}"
-run_expect 0 env "${WS_ENV[@]}" \
-    CATCH_FAULT_INJECT='state-corrupt:warm-state-store' \
+run_expect 0 env CATCH_FAULT_INJECT='state-corrupt:warm-state-store' \
     "$CLI" "${ARGS[@]}" --sample --jobs=8 \
     --store-dir="$WORK/ws_store" \
     --json="$WORK/ws_faulty.json" "${NAMES[@]}"
-# Same contract for corruption that strikes only the window-boundary
-# (windowIndex >= 1) records: the global-warmup restore still hits, the
-# corrupt window is warned about, deleted and re-warmed functionally
-# from the restored state — mid-campaign, not from scratch — and the
-# export stays byte-identical.
-run_expect 0 env "${WS_ENV[@]}" \
-    CATCH_FAULT_INJECT='state-corrupt:warm-state-window' \
-    "$CLI" "${ARGS[@]}" --sample --jobs=8 \
-    --store-dir="$WORK/ws_store" \
-    --json="$WORK/ws_window_faulty.json" "${NAMES[@]}"
 cmp "$WORK/ws_clean.json" "$WORK/ws_cold.json"
 cmp "$WORK/ws_clean.json" "$WORK/ws_faulty.json"
-cmp "$WORK/ws_clean.json" "$WORK/ws_window_faulty.json"
 
 echo "== config errors exit 2 before any simulation =="
 run_expect 2 "$CLI" "${ARGS[@]}" no-such-workload mcf
