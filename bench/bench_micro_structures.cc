@@ -2,13 +2,14 @@
  * @file
  * google-benchmark microbenchmarks for the hot simulator structures:
  * cache lookup/fill, DDG retirement, critical-table queries, branch
- * prediction, DRAM access, issue-calendar scheduling and end-to-end
- * simulation throughput.
+ * prediction, DRAM access, issue-calendar and busy-timeline scheduling
+ * and end-to-end simulation throughput.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "cache/cache.hh"
+#include "common/busy_timeline.hh"
 #include "common/issue_calendar.hh"
 #include "common/rng.hh"
 #include "core/branch_predictor.hh"
@@ -129,23 +130,46 @@ BM_IssueCalendar(benchmark::State &state)
 BENCHMARK(BM_IssueCalendar);
 
 /**
- * A contended DRAM bank: one port, each command an 80-cycle row-miss
- * claim, arriving behind a backlog of about 8000 already-full cycles
- * that new claims keep at that depth. A per-cycle scan steps over the
- * whole backlog on every call; the skip links jump it.
+ * The port ring's worst case: a whole ROB (224 ops) ready in the same
+ * cycle on 3 ports. Each op scans the full cycles the ones before it
+ * filled, one byte per cycle, so a burst costs about 224 * 75 / 2
+ * probes.
  */
 static void
-BM_IssueCalendarBacklog(benchmark::State &state)
+BM_IssueCalendarRobBurst(benchmark::State &state)
 {
-    IssueCalendar cal(1);
-    cal.schedule(0, 8000);
+    constexpr int kRob = 224;
+    IssueCalendar cal(3);
     Cycle t = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(cal.schedule(t, 80));
+        for (int i = 0; i < kRob; ++i)
+            benchmark::DoNotOptimize(cal.schedule(t));
+        t += kRob / 3 + 1;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            kRob);
+}
+BENCHMARK(BM_IssueCalendarRobBurst);
+
+/**
+ * A contended DRAM bank: one port, each command an 80-cycle row-miss
+ * claim, arriving behind a backlog of about 8000 already-busy cycles
+ * that new claims keep at that depth. A per-cycle scan steps over the
+ * whole backlog on every call; the timeline finds its end in the
+ * newest interval.
+ */
+static void
+BM_BusyTimelineBacklog(benchmark::State &state)
+{
+    BusyTimeline bank;
+    bank.schedule(0, 8000);
+    Cycle t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(bank.schedule(t, 80));
         t += 80;
     }
 }
-BENCHMARK(BM_IssueCalendarBacklog);
+BENCHMARK(BM_BusyTimelineBacklog);
 
 /** End-to-end simulated instructions per second (hmmer, baseline). */
 static void

@@ -10,36 +10,28 @@
  * ready now. Real schedulers issue oldest-ready-first; a port idle
  * before a future issue is usable. The calendar therefore counts issues
  * per cycle and schedules each op at the first cycle >= its ready time
- * with spare slots. The same class models the OoO core's execution
- * ports and the DRAM banks and data buses, where an unpipelined command
- * books one slot in each of the cycles it occupies.
+ * with spare slots. It models the OoO core's execution ports; the
+ * one-port DRAM banks and buses, whose clocks jump thousands of cycles
+ * between commands, use BusyTimeline (common/busy_timeline.hh), which
+ * returns the same cycles.
  *
- * Two representation choices keep it fast:
- *  - Lazy ring. Cycle c lives in ring slot c & mask_, packed as
- *    (c << 8 | count); a slot whose stored cycle is not c counts as
- *    empty, so sliding the window needs no zeroing (the DRAM banks jump
- *    thousands of cycles between commands, and clearing every
- *    intervening slot once dominated whole-simulator runtime).
- *  - Skip links. A contended DRAM bank sits behind a backlog of
- *    thousands of full cycles; stepping over them one at a time once
- *    cost more than the rest of an MP run together. Each full slot
- *    therefore carries a link to a later cycle, and every cycle between
- *    the two is full too. firstFree() follows the links and compresses
- *    the path it walked. A link stays true for as long as its slot
- *    holds the same cycle: a cycle at or above the window floor that
- *    is full stays full until it leaves the window, because its slot is
- *    only reused by a cycle one window later.
- *
- * schedule() returns exactly what a per-cycle scan of an eagerly zeroed
- * window would return, for every call sequence.
+ * The window is a ring of one byte per cycle (16 KB at the default
+ * size), so a core's four calendars stay in the host's cache. The ring
+ * holds the exact counts of the newest `window` cycles up to maxSeen_,
+ * the last cycle a call asked for or claimed. When maxSeen_ advances,
+ * the slots of the cycles entering the window are zeroed; that is
+ * cheap because a core's clock is dense. Cycles below the window floor
+ * are never probed again, so overwriting their slots changes nothing:
+ * schedule() returns exactly what a per-cycle scan of an unbounded
+ * count array would return, for every call sequence.
  */
 
 #ifndef CATCHSIM_COMMON_ISSUE_CALENDAR_HH_
 #define CATCHSIM_COMMON_ISSUE_CALENDAR_HH_
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
-#include <vector>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -52,23 +44,20 @@ class IssueCalendar
 {
   public:
     /**
-     * @param ports issue slots available per cycle, 1..255 (the count
-     *        is packed into 8 bits of each ring slot)
+     * @param ports issue slots available per cycle, 1..255 (a cycle's
+     *        count is one byte)
      * @param window how far ahead of the newest scheduled cycle an op
-     *        can land, a power of two of at most 65536 (a skip link is
-     *        16 bits); far beyond any realistic wakeup spread
+     *        can land, a power of two; far beyond any realistic wakeup
+     *        spread
      */
     explicit IssueCalendar(uint32_t ports, uint32_t window = 16384)
-        : ports_(ports), mask_(window - 1), slots_(window, 0),
-          // Never read before written: a link is only followed from a
-          // full slot, and filling the slot wrote its link.
-          links_(std::make_unique_for_overwrite<uint16_t[]>(window))
+        : ports_(static_cast<uint8_t>(ports)), mask_(window - 1),
+          counts_(std::make_unique<uint8_t[]>(window))
     {
         CATCHSIM_ASSERT(ports >= 1 && ports <= 255,
                         "issue calendar ports out of range: ", ports);
-        CATCHSIM_ASSERT(isPowerOfTwo(window) && window <= 65536,
-                        "issue calendar window must be a power of two "
-                        "<= 65536: ",
+        CATCHSIM_ASSERT(isPowerOfTwo(window),
+                        "issue calendar window must be a power of two: ",
                         window);
     }
 
@@ -83,93 +72,64 @@ class IssueCalendar
     schedule(Cycle desired, uint32_t slots = 1)
     {
         if (desired > maxSeen_)
-            maxSeen_ = desired;
+            advance(desired);
         const Cycle floor = maxSeen_ > mask_ ? maxSeen_ - mask_ : 0;
-        Cycle c = firstFree(desired < floor ? floor : desired);
-        const Cycle start = c;
-        // Locals, so the stores into the ring force no member reloads.
+        Cycle c = desired < floor ? floor : desired;
+        // Locals: a byte store may alias any member, so the loop must
+        // not read members after writing the ring.
+        uint8_t *ring = counts_.get();
         const Cycle mask = mask_;
-        uint64_t *ring = slots_.data();
-        uint16_t *links = links_.get();
-        uint64_t remaining = slots;
-        if (ports_ == 1) {
-            // Every claim fills its cycle. Each claim still to come
-            // fills a later cycle of its own and the cycles skipped in
-            // between are full already, so by the time this call
-            // returns the next `remaining` cycles are full too.
-            while (remaining > 0) {
-                const size_t i = c & mask;
-                ring[i] = (c << 8) | 1;
-                --remaining;
-                links[i] = static_cast<uint16_t>(
-                    remaining < mask ? remaining : mask);
-                if (remaining > 0)
-                    c = firstFree(c + 1);
+        const uint8_t ports = ports_;
+        Cycle seen = maxSeen_;
+        // Every cycle above maxSeen_ is empty, whatever its slot holds.
+        while (c <= seen && ring[c & mask] == ports)
+            ++c;
+        const Cycle start = c;
+        uint32_t remaining = slots;
+        for (;;) {
+            uint8_t &used = ring[c & mask];
+            if (c > seen) {
+                // The slot still holds the cycle one window older.
+                seen = c;
+                used = 0;
             }
-        } else {
-            const uint64_t ports = ports_;
-            while (remaining > 0) {
-                const size_t i = c & mask;
-                const uint64_t slot = ring[i];
-                // A stale slot (another cycle's) counts as empty.
-                const uint64_t used =
-                    (slot & 0xff) &
-                    (0 - static_cast<uint64_t>((slot >> 8) == c));
-                const uint64_t free_here = ports - used;
-                const uint64_t take =
-                    free_here < remaining ? free_here : remaining;
-                ring[i] = (c << 8) | (used + take);
-                links[i] = 0; // read only if this claim filled the slot
-                remaining -= take;
-                if (remaining > 0)
-                    c = firstFree(c + 1);
-            }
+            const uint32_t free_here = ports - used;
+            const uint32_t take =
+                free_here < remaining ? free_here : remaining;
+            used = static_cast<uint8_t>(used + take);
+            remaining -= take;
+            if (remaining == 0)
+                break;
+            ++c;
         }
-        if (c > maxSeen_)
-            maxSeen_ = c;
+        maxSeen_ = seen;
         return start;
     }
 
   private:
-    bool
-    full(Cycle c) const
+    /** Moves maxSeen_ up to @p to, zeroing the cycles entering. */
+    void
+    advance(Cycle to)
     {
-        return slots_[c & mask_] == ((c << 8) | ports_);
-    }
-
-    /** Distance from full cycle @p c to the next cycle worth probing. */
-    Cycle
-    hop(Cycle c) const
-    {
-        return static_cast<Cycle>(links_[c & mask_]) + 1;
-    }
-
-    /** First cycle >= @p c with a spare slot; compresses the path. */
-    Cycle
-    firstFree(Cycle c)
-    {
-        if (!full(c))
-            return c;
-        Cycle end = c;
-        do
-            end += hop(end);
-        while (full(end));
-        while (c != end) {
-            const Cycle next = c + hop(c);
-            links_[c & mask_] = static_cast<uint16_t>(end - c - 1);
-            c = next;
+        const Cycle n = to - maxSeen_;
+        uint8_t *ring = counts_.get();
+        const size_t window = mask_ + 1;
+        if (n >= window) {
+            std::memset(ring, 0, window);
+        } else {
+            const size_t from = (maxSeen_ + 1) & mask_;
+            const size_t head = n < window - from ? n : window - from;
+            std::memset(ring + from, 0, head);
+            std::memset(ring, 0, n - head);
         }
-        return end;
+        maxSeen_ = to;
     }
 
-    uint32_t ports_;
+    uint8_t ports_;
     Cycle mask_;
-    /// Ring of (cycle << 8 | issue count); a slot is implicitly empty
-    /// when its stored cycle is not the one being probed.
-    std::vector<uint64_t> slots_;
-    /// Per full slot of cycle c: a link L such that cycles c..c+L are
-    /// all full, so the search for a free cycle resumes at c+L+1.
-    std::unique_ptr<uint16_t[]> links_;
+    /// Issues booked in cycle c, at c & mask_, for the window ending at
+    /// maxSeen_.
+    std::unique_ptr<uint8_t[]> counts_;
     Cycle maxSeen_ = 0;
 };
 

@@ -107,6 +107,20 @@ SimConfig::validate() const
     if (!isPowerOfTwo(dram.channels) || !isPowerOfTwo(dram.banksPerRank))
         return simError(ErrorCategory::Config,
                         "DRAM channels/banks must be powers of two");
+    // The address decode divides by the ranks and the row size, and a
+    // drain must retire writes for the queue to stay within its depth.
+    if (dram.ranksPerChannel == 0)
+        return simError(ErrorCategory::Config,
+                        "DRAM ranksPerChannel must be non-zero");
+    if (dram.rowBytes < kLineBytes)
+        return simError(ErrorCategory::Config, "DRAM rowBytes (",
+                        dram.rowBytes, ") is smaller than a line");
+    if (dram.writeQueueDepth == 0)
+        return simError(ErrorCategory::Config,
+                        "DRAM writeQueueDepth must be non-zero");
+    if (dram.writeDrainBatch == 0)
+        return simError(ErrorCategory::Config,
+                        "DRAM writeDrainBatch must be non-zero");
     if (sampling.sampled()) {
         if (sampling.windowInstrs == 0)
             return simError(ErrorCategory::Config,

@@ -10,9 +10,9 @@ Dram::Dram(const DramConfig &cfg) : cfg_(cfg)
     uint32_t nbanks = cfg.channels * cfg.ranksPerChannel * cfg.banksPerRank;
     banks_.resize(nbanks);
     for (uint32_t b = 0; b < nbanks; ++b)
-        bankCal_.emplace_back(1u);
+        bankCal_.emplace_back();
     for (uint32_t c = 0; c < cfg.channels; ++c) {
-        busCal_.emplace_back(1u);
+        busCal_.emplace_back();
         channels_.push_back(Channel{});
         channels_.back().writeQueue.reserve(cfg.writeQueueDepth);
     }
@@ -126,7 +126,9 @@ Dram::write(Addr addr, Cycle now)
 {
     uint32_t ch = channelIndex(addr);
     ++stats_.writes;
-    // Bounded by writeQueueDepth; capacity is reserved at construction.
+    // Bounded by writeQueueDepth, whose capacity is reserved at
+    // construction: a full queue forces a drain, and validate() rejects
+    // a drain batch of zero.
     // catch-analyze: allow(step-alloc-transitive)
     channels_[ch].writeQueue.push_back(addr);
     maybeDrainWrites(ch, now, channels_[ch].writeQueue.size() >=

@@ -15,9 +15,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/busy_timeline.hh"
 #include "common/sim_config.hh"
 #include "common/types.hh"
-#include "common/issue_calendar.hh"
 
 namespace catchsim
 {
@@ -105,9 +105,9 @@ class Dram
 
     DramConfig cfg_;
     std::vector<Bank> banks_;
-    std::vector<IssueCalendar> bankCal_; ///< bank command occupancy
+    std::vector<BusyTimeline> bankCal_;  ///< bank command occupancy
     std::vector<Channel> channels_;
-    std::vector<IssueCalendar> busCal_;  ///< channel data-bus occupancy
+    std::vector<BusyTimeline> busCal_;   ///< channel data-bus occupancy
     std::vector<Cycle> rankRefreshAt_;   ///< next refresh start per rank
     DramStats stats_;
 };

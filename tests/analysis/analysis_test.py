@@ -32,6 +32,7 @@ EXPECTATIONS = {
     "unusedwaiver": None,  # clean by default; fails --check-waivers
     "stepalloc_transitive": "step-alloc-transitive",
     "warming": "warming-purity",
+    "warming_timeline": "warming-purity",
     "snapshot_hot": "snapshot-hot-path",
     "warm_digest": "warm-digest",
     "typedef_clock": "determinism-ast",
@@ -92,6 +93,18 @@ class CatchAnalyzeFixtures(unittest.TestCase):
         # Stats inside the timing model itself are the detailed
         # path's business: only the edge into Dram is a finding.
         self.assertNotIn("dram.cc", proc.stdout)
+
+    def test_warming_flags_the_dram_timeline(self):
+        # BusyTimeline books DRAM bank and bus time, so it is timing
+        # model like Dram itself: the one finding is the edge into it,
+        # and the functional LineTable beside it stays legal.
+        proc = run_analyzer(FIXTURES / "warming_timeline")
+        findings = [l for l in proc.stdout.splitlines()
+                    if "[warming-purity]" in l]
+        self.assertEqual(len(findings), 1, proc.stdout)
+        self.assertIn("timing model (BusyTimeline::schedule)",
+                      findings[0])
+        self.assertNotIn("LineTable", proc.stdout)
 
     def test_snapshot_hot_path_covers_the_page_image_half(self):
         # The COW page-image serializers (restorePages et al.) are

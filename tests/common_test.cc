@@ -1,16 +1,20 @@
 /**
  * @file
  * Unit tests for the common utilities: bit helpers, RNG, saturating
- * counters, histograms, stats helpers, issue calendar and SimConfig
- * validation.
+ * counters, histograms, stats helpers, the issue calendar and busy
+ * timeline, and SimConfig validation.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/bitutil.hh"
+#include "common/busy_timeline.hh"
 #include "common/env.hh"
 #include "common/issue_calendar.hh"
 #include "common/logging.hh"
@@ -152,34 +156,77 @@ TEST(Stats, FormatPercent)
     EXPECT_EQ(formatPercent(-0.0779), "-7.79%");
 }
 
-TEST(IssueCalendar, RespectsPerCyclePorts)
+/**
+ * The calendar contract, run against both representations: the port
+ * ring (IssueCalendar) and the one-port interval timeline
+ * (BusyTimeline).
+ */
+template <class Cal>
+class CalendarContract : public ::testing::Test
 {
-    IssueCalendar cal(2);
-    EXPECT_EQ(cal.schedule(10), 10u);
-    EXPECT_EQ(cal.schedule(10), 10u);
-    EXPECT_EQ(cal.schedule(10), 11u); // third in the same cycle spills
+};
+
+/** Names the typed instances after their calendar type. */
+struct CalendarName
+{
+    template <class Cal>
+    static std::string
+    GetName(int)
+    {
+        return std::is_same_v<Cal, BusyTimeline> ? "BusyTimeline"
+                                                 : "IssueCalendar";
+    }
+};
+
+using CalendarTypes = ::testing::Types<IssueCalendar, BusyTimeline>;
+TYPED_TEST_SUITE(CalendarContract, CalendarTypes, CalendarName);
+
+/** The most ports a calendar of type @p Cal can have. */
+template <class Cal>
+constexpr uint32_t kMaxPorts = std::is_same_v<Cal, BusyTimeline> ? 1 : 255;
+
+/** A calendar of type @p Cal; a BusyTimeline always has one port. */
+template <class Cal>
+Cal
+makeCalendar(uint32_t ports, uint32_t window = 16384)
+{
+    if constexpr (std::is_same_v<Cal, BusyTimeline>) {
+        EXPECT_EQ(ports, 1u);
+        return BusyTimeline(window);
+    } else {
+        return IssueCalendar(ports, window);
+    }
 }
 
-TEST(IssueCalendar, FutureReservationDoesNotBlockPresent)
+TYPED_TEST(CalendarContract, RespectsPerCyclePorts)
+{
+    const uint32_t ports = std::min(2u, kMaxPorts<TypeParam>);
+    auto cal = makeCalendar<TypeParam>(ports);
+    for (uint32_t i = 0; i < ports; ++i)
+        EXPECT_EQ(cal.schedule(10), 10u);
+    EXPECT_EQ(cal.schedule(10), 11u); // one more in the same cycle spills
+}
+
+TYPED_TEST(CalendarContract, FutureReservationDoesNotBlockPresent)
 {
     // The regression the calendar exists to prevent: an op scheduled far
     // in the future must not make the port look busy now.
-    IssueCalendar cal(1);
+    auto cal = makeCalendar<TypeParam>(1);
     EXPECT_EQ(cal.schedule(1000), 1000u);
     EXPECT_EQ(cal.schedule(5), 5u);
     EXPECT_EQ(cal.schedule(6), 6u);
 }
 
-TEST(IssueCalendar, MultiSlotOccupancy)
+TYPED_TEST(CalendarContract, MultiSlotOccupancy)
 {
-    IssueCalendar cal(1);
+    auto cal = makeCalendar<TypeParam>(1);
     EXPECT_EQ(cal.schedule(0, 3), 0u); // occupies cycles 0,1,2
     EXPECT_EQ(cal.schedule(0), 3u);
 }
 
-TEST(IssueCalendar, WindowSlides)
+TYPED_TEST(CalendarContract, WindowSlides)
 {
-    IssueCalendar cal(1, 64);
+    auto cal = makeCalendar<TypeParam>(1, 64);
     cal.schedule(0);
     EXPECT_EQ(cal.schedule(1000), 1000u);
     // Old cycles left the window; a stale request clamps to the floor.
@@ -190,8 +237,8 @@ TEST(IssueCalendar, WindowSlides)
 /**
  * Reference calendar for the differential test below: the plain
  * per-cycle scan, which steps over full cycles one at a time and
- * indexes the ring with a modulo. IssueCalendar must return exactly
- * what this returns.
+ * indexes a stamped ring with a modulo. IssueCalendar and BusyTimeline
+ * must return exactly what this returns.
  */
 class PerCycleCalendar
 {
@@ -234,6 +281,9 @@ class PerCycleCalendar
         }
     }
 
+    /** The last cycle asked for or probed. */
+    Cycle maxSeen() const { return maxSeen_; }
+
   private:
     uint32_t ports_;
     std::vector<uint64_t> slots_;
@@ -241,56 +291,111 @@ class PerCycleCalendar
 };
 
 /**
- * Differential check: over 1.2 M seeded calls the skip-link calendar
- * returns exactly what the per-cycle reference returns. Each episode
- * draws a port count (1-4, sometimes 255), a window (16-16384) and a
- * load level, then mixes short claims with unpipelined ones of up to
- * 100 slots, zero-slot probes, requests below the window floor and
- * jumps of several windows.
+ * Seeded episodes for the differential test. Each draws a port count
+ * (1 for BusyTimeline; 1-4, sometimes 255, for IssueCalendar), a
+ * window and one of four call patterns:
+ *  - mixed: short claims, unpipelined ones of up to 100 slots,
+ *    zero-slot probes, requests below the window floor and jumps of
+ *    several windows;
+ *  - backlog: claims outpace the clock, so a standing backlog deeper
+ *    than window/2 sits between the request and the first free cycle;
+ *  - fragmented: short claims scattered over the whole window, which
+ *    leaves as many busy runs and gaps as the window can hold;
+ *  - overlong: now and then a claim ending more than one window past
+ *    the newest cycle seen, so it wraps the ring onto its own slots.
+ * Counts the calls made in @p calls.
  */
-TEST(IssueCalendar, MatchesPerCycleReference)
+template <class Cal>
+void
+runDifferentialEpisodes(uint64_t seed, int episodes, int calls_per_episode,
+                        uint64_t &calls)
 {
-    Rng rng(0x5ca1e);
-    uint64_t calls = 0;
-    for (int episode = 0; episode < 240; ++episode) {
-        const uint32_t ports = rng.percent(5)
-                                   ? 255
-                                   : static_cast<uint32_t>(rng.range(1, 4));
-        const uint32_t window = 16u << rng.below(11);
+    Rng rng(seed);
+    for (int episode = 0; episode < episodes; ++episode) {
+        const uint32_t ports =
+            kMaxPorts<Cal> == 1 ? 1
+            : rng.percent(5)    ? 255
+                                : static_cast<uint32_t>(rng.range(1, 4));
+        const int pattern = episode % 4;
+        // The reference scans a backlog cycle by cycle, so the
+        // patterns that keep one stay at smaller windows.
+        const uint32_t window =
+            16u << rng.below(pattern == 0 || pattern == 2 ? 11 : 7);
         const uint32_t advance = static_cast<uint32_t>(rng.range(1, 40));
-        IssueCalendar fast(ports, window);
+        Cal fast = makeCalendar<Cal>(ports, window);
         PerCycleCalendar ref(ports, window);
         Cycle now = rng.below(1000);
-        for (int i = 0; i < 5000; ++i, ++calls) {
-            now += rng.below(advance);
+        for (int i = 0; i < calls_per_episode; ++i, ++calls) {
             Cycle desired = now + rng.below(64);
-            switch (rng.below(40)) {
-              case 0: // below the window floor
-                desired = now > 2 * window ? now - rng.below(2 * window)
-                                           : 0;
+            uint32_t slots = static_cast<uint32_t>(rng.range(1, 4));
+            switch (pattern) {
+              case 0: // mixed
+                now += rng.below(advance);
+                desired = now + rng.below(64);
+                switch (rng.below(40)) {
+                  case 0: // below the window floor
+                    desired = now > 2 * window
+                                  ? now - rng.below(2 * window)
+                                  : 0;
+                    break;
+                  case 1: // jump several windows ahead
+                    now += window * rng.range(1, 3) + rng.below(window);
+                    desired = now;
+                    break;
+                  default:
+                    break;
+                }
+                switch (rng.below(20)) {
+                  case 0: slots = 0; break;
+                  case 1:
+                  case 2: slots = static_cast<uint32_t>(rng.range(1, 100));
+                          break;
+                  default: break;
+                }
                 break;
-              case 1: // jump several windows ahead
-                now += window * rng.range(1, 3) + rng.below(window);
-                desired = now;
+              case 1: // backlog
+                // Hold the backlog between 5/8 and 3/4 of a window.
+                if (ref.maxSeen() > now + window / 2 + window / 8)
+                    now += rng.range(1, window / 8);
+                desired = rng.percent(10) ? now + rng.below(window)
+                                          : now + rng.below(8);
+                slots = ports * static_cast<uint32_t>(rng.range(1, 12));
                 break;
-              default:
+              case 2: // fragmented
+                now += rng.below(3);
+                desired = now + rng.below(window);
+                slots = rng.percent(10) ? 0 : slots;
                 break;
-            }
-            uint32_t slots;
-            switch (rng.below(20)) {
-              case 0: slots = 0; break;
-              case 1:
-              case 2: slots = static_cast<uint32_t>(rng.range(1, 100));
-                      break;
-              default: slots = static_cast<uint32_t>(rng.range(1, 4));
+              default: // overlong
+                now += rng.below(advance);
+                if (rng.percent(3)) {
+                    const Cycle back = rng.below(window / 2);
+                    desired = ref.maxSeen() > back ? ref.maxSeen() - back
+                                                   : 0;
+                    slots = ports * (window + 1 +
+                                     static_cast<uint32_t>(
+                                         rng.below(window)));
+                }
+                break;
             }
             const Cycle want = ref.schedule(desired, slots);
             ASSERT_EQ(fast.schedule(desired, slots), want)
-                << "episode " << episode << " call " << i << ": ports "
-                << ports << ", window " << window << ", desired "
-                << desired << ", slots " << slots;
+                << "episode " << episode << " (pattern " << pattern
+                << ") call " << i << ": ports " << ports << ", window "
+                << window << ", desired " << desired << ", slots "
+                << slots;
         }
     }
+}
+
+/**
+ * Differential check: over 1.2 M seeded calls per type, each calendar
+ * returns exactly what the per-cycle reference returns.
+ */
+TYPED_TEST(CalendarContract, MatchesPerCycleReference)
+{
+    uint64_t calls = 0;
+    runDifferentialEpisodes<TypeParam>(0x5ca1e, 240, 5000, calls);
     EXPECT_GE(calls, 1000000u);
 }
 

@@ -5,7 +5,8 @@
  * protocol and result store are built on. The round-trip cases pin the
  * contract store replays depend on: u64 counters and %.17g doubles
  * survive write -> parse bit-for-bit, and malformed input always comes
- * back as a SimError, never UB.
+ * back as a SimError, never UB. The DRAM-config cases pin that a
+ * degenerate memory geometry is a Config error before any run starts.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 
 #include "common/error.hh"
 #include "common/json.hh"
+#include "sim/configs.hh"
+#include "sim/simulator.hh"
 
 namespace catchsim
 {
@@ -199,6 +202,61 @@ TEST(Json, NestingDepthIsBounded)
     std::string deep(100, '[');
     auto doc = parseJson(deep);
     ASSERT_FALSE(doc.ok());
+}
+
+// -------------------------- DRAM config --------------------------
+
+/**
+ * Each mutation once passed validate(): a zero rank count or row size
+ * divided by zero in the bank decode (SIGFPE), and a zero queue depth
+ * or drain batch let the write queue grow past its reserved capacity.
+ * Both validate() and a guarded run must report a Config error.
+ */
+void
+expectDramConfigRejected(void (*mutate)(DramConfig &))
+{
+    SimConfig cfg = baselineSkx();
+    mutate(cfg.dram);
+    auto v = cfg.validate();
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.error().category, ErrorCategory::Config);
+    Expected<SimResult> r = runWorkloadGuarded(
+        cfg, "hpc.stream", 20000, 5000, RunBudget{}, FaultPlan{});
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().category, ErrorCategory::Config)
+        << r.error().message;
+}
+
+TEST(DramConfig, ZeroRanksPerChannelIsAConfigError)
+{
+    expectDramConfigRejected([](DramConfig &d) { d.ranksPerChannel = 0; });
+}
+
+TEST(DramConfig, RowSmallerThanALineIsAConfigError)
+{
+    expectDramConfigRejected([](DramConfig &d) { d.rowBytes = 0; });
+    expectDramConfigRejected(
+        [](DramConfig &d) { d.rowBytes = kLineBytes - 1; });
+}
+
+TEST(DramConfig, ZeroWriteQueueDepthIsAConfigError)
+{
+    expectDramConfigRejected([](DramConfig &d) { d.writeQueueDepth = 0; });
+}
+
+TEST(DramConfig, ZeroWriteDrainBatchIsAConfigError)
+{
+    expectDramConfigRejected([](DramConfig &d) { d.writeDrainBatch = 0; });
+}
+
+TEST(DramConfig, OneLineRowsStillValidate)
+{
+    SimConfig cfg = baselineSkx();
+    cfg.dram.rowBytes = kLineBytes;
+    cfg.dram.ranksPerChannel = 1;
+    cfg.dram.writeQueueDepth = 1;
+    cfg.dram.writeDrainBatch = 1;
+    EXPECT_TRUE(cfg.validate().ok());
 }
 
 } // namespace

@@ -18,7 +18,7 @@ contracts:
   warming-purity
       Nothing reachable from the functional-warming entry points
       (FastForward::warm, CacheHierarchy::warmAccess) mutates a stats
-      object or calls into the timing model (Dram::*,
+      object or calls into the timing model (Dram::*, BusyTimeline::*,
       IssueCalendar::*, OooCore::*). This turns the PR 5 "stats-free
       contract" test into a static guarantee.
   snapshot-hot-path
@@ -138,7 +138,8 @@ WARM_ENTRY_POINTS = (
     "CacheHierarchy::warmAccess",
 )
 # The timing model, off-limits from the warming path.
-TIMING_MODEL_RE = re.compile(r"^(Dram|IssueCalendar|OooCore)::")
+TIMING_MODEL_RE = re.compile(
+    r"^(Dram|BusyTimeline|IssueCalendar|OooCore)::")
 
 # Warmed-state serialization, off-limits from the per-cycle path. The
 # page-image half of a snapshot travels through snapshotPages/
