@@ -3,22 +3,9 @@
 #include <utility>
 
 #include "common/bitutil.hh"
-#include "common/env.hh"
 
 namespace catchsim
 {
-
-SamplingConfig
-SamplingConfig::fromEnvironment()
-{
-    SamplingConfig sc;
-    if (envFlag("CATCH_SAMPLE"))
-        sc.mode = SampleMode::Sampled;
-    sc.intervalInstrs = envU64("CATCH_SAMPLE_INTERVAL", sc.intervalInstrs);
-    sc.windowInstrs = envU64("CATCH_SAMPLE_WINDOW", sc.windowInstrs);
-    sc.warmupInstrs = envU64("CATCH_SAMPLE_WARMUP", sc.warmupInstrs);
-    return sc;
-}
 
 void
 SimConfig::enableCatch()

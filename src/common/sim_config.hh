@@ -160,10 +160,6 @@ struct SamplingConfig
     uint64_t warmupInstrs = 2000;    ///< detailed-unmeasured instrs per period
 
     bool sampled() const { return mode == SampleMode::Sampled; }
-
-    /** Env-gated defaults: CATCH_SAMPLE (flag), CATCH_SAMPLE_INTERVAL,
-     *  CATCH_SAMPLE_WINDOW, CATCH_SAMPLE_WARMUP. */
-    static SamplingConfig fromEnvironment();
 };
 
 /** Oracle-study knobs (Figs 3, 4 and 5). */

@@ -18,14 +18,12 @@
  *   --warmup=<n>                warmup instructions     (default 100000)
  *   --sample                    sampled simulation: functional warming
  *                               with periodic detailed windows
- *                               (Env: CATCH_SAMPLE=1)
  *   --sample-interval=<n>       instrs per sampling period (default
- *                               20000; env CATCH_SAMPLE_INTERVAL)
+ *                               20000)
  *   --sample-window=<n>         measured instrs per window (default
- *                               2000; env CATCH_SAMPLE_WINDOW)
+ *                               2000)
  *   --sample-warmup=<n>         detailed-warmup instrs before each
- *                               window (default 2000; env
- *                               CATCH_SAMPLE_WARMUP)
+ *                               window (default 2000)
  *   --llc-add=<cycles>          LLC latency adder
  *   --no-prefetchers            disable the baseline prefetchers
  *   --jobs=<n>                  parallel simulations (default CATCH_JOBS
@@ -42,9 +40,9 @@
  *                               (sim/supervisor.hh): a crash or hang in
  *                               one run becomes a typed failure in its
  *                               slot instead of killing the campaign.
- *                               (Env: CATCH_ISOLATE=1; the supervisor
- *                               re-execs this binary in its hidden
- *                               --worker mode, or CATCH_WORKER_BIN)
+ *                               The supervisor re-execs this binary in
+ *                               its hidden --worker mode (or
+ *                               CATCH_WORKER_BIN).
  *   --result-store=<dir>        incremental content-hashed result store
  *                               (sim/result_store.hh): runs whose
  *                               (workload, seed, config, lengths) key
@@ -54,7 +52,6 @@
  *                               only invalidated cells, and a rerun of
  *                               a killed or failed campaign only the
  *                               runs that did not finish successfully.
- *                               (Env: CATCH_RESULT_STORE)
  *   --store                     memoize trace chunks and warmed state
  *                               in memory; results stay bitwise-
  *                               identical (Env: CATCH_STORE=1, budget
@@ -62,6 +59,12 @@
  *   --store-dir=<dir>           same, plus disk tiers under <dir>
  *                               (Env: CATCH_STORE_DIR)
  *   --list                      list all suite workloads and exit
+ *
+ * Option values are checked before anything runs: numbers must be plain
+ * unsigned decimals in range (--instr, --jobs and --no-l2 at least 1,
+ * --llc-add and --no-l2 below 2^32), --config takes skx or client, and
+ * --tact a comma list drawn from cross, deep, feeder and code. A
+ * malformed value exits 2 with the usage text.
  *
  * Reports print in command-line order regardless of --jobs; results are
  * bitwise-identical for any job count — including between in-process
@@ -72,12 +75,15 @@
  *
  * Exit codes: 0 every run succeeded; 1 at least one run failed or
  * timed out (or the JSON export failed); 2 usage/configuration error
- * (unknown option, unknown workload, invalid geometry, locked or
- * unwritable result store) or at least one run crashed at the process level
- * (worker died, hung past the heartbeat timeout, or failed to exec).
+ * (unknown option, malformed option value, unknown workload, invalid
+ * geometry, locked or unwritable result store) or at least one run
+ * crashed at the process level (worker died, hung past the heartbeat
+ * timeout, or failed to exec).
  */
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -208,6 +214,52 @@ usage()
     std::exit(2);
 }
 
+[[noreturn]] void
+badValue(const std::string &arg)
+{
+    std::fprintf(stderr, "catchsim: invalid value in %s\n", arg.c_str());
+    usage();
+}
+
+/** The value of a --name=N option as a decimal in [lo, hi], with no
+ *  sign, exponent or trailing characters; exits 2 otherwise. */
+uint64_t
+numberArg(const std::string &arg, uint64_t lo, uint64_t hi)
+{
+    std::string text = arg.substr(arg.find('=') + 1);
+    const char *end = text.data() + text.size();
+    uint64_t v = 0;
+    auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || v < lo || v > hi)
+        badValue(arg);
+    return v;
+}
+
+/** A comma list drawn from cross, deep, feeder and code. */
+bool
+parseTactList(const std::string &list, TactConfig &tact)
+{
+    tact.cross = tact.deepSelf = tact.feeder = tact.code = false;
+    size_t begin = 0;
+    while (true) {
+        size_t comma = list.find(',', begin);
+        std::string item = list.substr(begin, comma - begin);
+        if (item == "cross")
+            tact.cross = true;
+        else if (item == "deep")
+            tact.deepSelf = true;
+        else if (item == "feeder")
+            tact.feeder = true;
+        else if (item == "code")
+            tact.code = true;
+        else
+            return false;
+        if (comma == std::string::npos)
+            return true;
+        begin = comma + 1;
+    }
+}
+
 } // namespace
 
 int
@@ -221,9 +273,9 @@ main(int argc, char **argv)
 
     SimConfig cfg = baselineSkx();
     bool client = false;
-    int64_t no_l2_kb = -1;
+    uint64_t no_l2_kb = 0;
     uint64_t instrs = 300000, warmup = 100000;
-    SamplingConfig sampling = SamplingConfig::fromEnvironment();
+    SamplingConfig sampling;
     unsigned jobs = suiteJobs();
     bool profile = false;
     std::string json_path;
@@ -241,9 +293,11 @@ main(int argc, char **argv)
                 std::printf("%s\n", n.c_str());
             return 0;
         } else if (arg.rfind("--config=", 0) == 0) {
+            if (value() != "skx" && value() != "client")
+                badValue(arg);
             client = value() == "client";
         } else if (arg.rfind("--no-l2=", 0) == 0) {
-            no_l2_kb = std::strtoll(value().c_str(), nullptr, 10);
+            no_l2_kb = numberArg(arg, 1, UINT32_MAX);
         } else if (arg == "--catch") {
             cfg.enableCatch();
         } else if (arg == "--criticality") {
@@ -251,39 +305,32 @@ main(int argc, char **argv)
         } else if (arg == "--detector=heuristic") {
             cfg.criticality.kind = DetectorKind::Heuristic;
         } else if (arg.rfind("--tact=", 0) == 0) {
+            if (!parseTactList(value(), cfg.tact))
+                badValue(arg);
             cfg.criticality.enabled = true;
-            std::string list = value();
-            cfg.tact.cross = list.find("cross") != std::string::npos;
-            cfg.tact.deepSelf = list.find("deep") != std::string::npos;
-            cfg.tact.feeder = list.find("feeder") != std::string::npos;
-            cfg.tact.code = list.find("code") != std::string::npos;
         } else if (arg.rfind("--instr=", 0) == 0) {
-            instrs = std::strtoull(value().c_str(), nullptr, 10);
+            instrs = numberArg(arg, 1, UINT64_MAX);
         } else if (arg.rfind("--warmup=", 0) == 0) {
-            warmup = std::strtoull(value().c_str(), nullptr, 10);
+            warmup = numberArg(arg, 0, UINT64_MAX);
         } else if (arg == "--sample") {
             sampling.mode = SampleMode::Sampled;
         } else if (arg.rfind("--sample-interval=", 0) == 0) {
             sampling.mode = SampleMode::Sampled;
-            sampling.intervalInstrs =
-                std::strtoull(value().c_str(), nullptr, 10);
+            sampling.intervalInstrs = numberArg(arg, 0, UINT64_MAX);
         } else if (arg.rfind("--sample-window=", 0) == 0) {
             sampling.mode = SampleMode::Sampled;
-            sampling.windowInstrs =
-                std::strtoull(value().c_str(), nullptr, 10);
+            sampling.windowInstrs = numberArg(arg, 0, UINT64_MAX);
         } else if (arg.rfind("--sample-warmup=", 0) == 0) {
             sampling.mode = SampleMode::Sampled;
-            sampling.warmupInstrs =
-                std::strtoull(value().c_str(), nullptr, 10);
+            sampling.warmupInstrs = numberArg(arg, 0, UINT64_MAX);
         } else if (arg.rfind("--llc-add=", 0) == 0) {
-            cfg.oracle.latAddLlc = static_cast<uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            cfg.oracle.latAddLlc =
+                static_cast<uint32_t>(numberArg(arg, 0, UINT32_MAX));
         } else if (arg == "--no-prefetchers") {
             cfg.l1StridePrefetcher = false;
             cfg.l2StreamPrefetcher = false;
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            long v = std::strtol(value().c_str(), nullptr, 10);
-            jobs = v >= 1 ? static_cast<unsigned>(v) : 1;
+            jobs = static_cast<unsigned>(numberArg(arg, 1, UINT32_MAX));
         } else if (arg == "--profile") {
             profile = true;
         } else if (arg.rfind("--json=", 0) == 0) {
@@ -318,7 +365,7 @@ main(int argc, char **argv)
     bool no_pf = !cfg.l1StridePrefetcher;
     cfg = client ? baselineClient() : baselineSkx();
     if (no_l2_kb > 0)
-        cfg = noL2(cfg, static_cast<uint64_t>(no_l2_kb));
+        cfg = noL2(cfg, no_l2_kb);
     cfg.criticality.enabled = want_catch;
     cfg.criticality.kind = detector;
     cfg.tact = tact;
