@@ -29,7 +29,7 @@ BM_CacheLookupHit(benchmark::State &state)
     Rng rng(1);
     for (auto _ : state) {
         Addr a = (rng.next() % 512) * 64;
-        benchmark::DoNotOptimize(c.lookup(a, true));
+        benchmark::DoNotOptimize(c.lookup(a));
     }
 }
 BENCHMARK(BM_CacheLookupHit);

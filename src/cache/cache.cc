@@ -30,15 +30,12 @@ Cache::row(Addr addr)
 }
 
 CacheLine *
-Cache::lookup(Addr addr, bool is_demand)
+Cache::lookup(Addr addr)
 {
-    if (is_demand) {
-        ++stats_.demandAccesses; // catch-analyze: allow(warming-purity)
-        ++stats_.readOps;        // catch-analyze: allow(warming-purity)
-    }
+    ++stats_.demandAccesses;
+    ++stats_.readOps;
     CacheLine *line = peek(addr);
-    if (line && is_demand) {
-        // catch-analyze: allow(warming-purity)
+    if (line) {
         ++stats_.demandHits;
         touch(*line);
         // usedSinceFill is managed by the hierarchy, which needs to

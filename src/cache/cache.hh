@@ -104,11 +104,12 @@ class Cache
     Cache(std::string name, const CacheGeometry &geom);
 
     /**
-     * Looks up the line containing @p addr.
-     * @param is_demand updates hit/access stats and recency when true
+     * Demand lookup of the line containing @p addr: counts the access
+     * (and the hit) and updates recency. Probes that must leave both
+     * alone use @ref peek.
      * @returns the line if present, nullptr otherwise
      */
-    CacheLine *lookup(Addr addr, bool is_demand);
+    CacheLine *lookup(Addr addr);
 
     /**
      * Functional-warming lookup: updates replacement recency exactly

@@ -93,21 +93,11 @@ CacheHierarchy::fillL1(CoreId core, bool code, Addr addr, bool dirty,
              : l1.fill(addr, dirty, ready_at, src, fill_level);
     if (!victim.valid || !victim.dirty)
         return; // clean L1 victims are dropped (an outer copy exists)
-    if (cfg_.hasL2) {
+    if (cfg_.hasL2)
         fillL2(core, victim.addr, true, now, FillSource::Writeback, now,
                warm);
-    } else {
-        // Two-level: the writeback crosses the interconnect to the LLC.
-        if (!warm) {
-            // catch-analyze: allow(warming-purity)
-            ++stats_.ringTransfers;
-        }
-        if (CacheLine *line = llc_->lookup(victim.addr, false))
-            line->dirty = true;
-        else
-            fillLlc(victim.addr, true, now, FillSource::Writeback, now,
-                    warm);
-    }
+    else
+        writebackToLlc(victim.addr, now, warm);
 }
 
 void
@@ -129,8 +119,7 @@ CacheHierarchy::fillL2(CoreId core, Addr addr, bool dirty, Cycle ready_at,
                                                  src);
     if (!victim.valid)
         return;
-    switch (cfg_.inclusion) {
-      case InclusionPolicy::Exclusive:
+    if (cfg_.inclusion == InclusionPolicy::Exclusive) {
         // Every L2 victim's data moves to the LLC (the exclusive-LLC
         // victim traffic the paper's power analysis highlights).
         if (!warm) {
@@ -139,35 +128,24 @@ CacheHierarchy::fillL2(CoreId core, Addr addr, bool dirty, Cycle ready_at,
         }
         fillLlc(victim.addr, victim.dirty, now, FillSource::Writeback,
                 now, warm);
-        break;
-      case InclusionPolicy::Inclusive:
-        // The line is guaranteed LLC-resident; only dirty data moves.
-        if (victim.dirty) {
-            if (!warm) {
-                // catch-analyze: allow(warming-purity)
-                ++stats_.ringTransfers;
-            }
-            if (CacheLine *line = llc_->lookup(victim.addr, false))
-                line->dirty = true;
-            else
-                fillLlc(victim.addr, true, now, FillSource::Writeback,
-                        now, warm);
-        }
-        break;
-      case InclusionPolicy::Nine:
-        if (victim.dirty) {
-            if (!warm) {
-                // catch-analyze: allow(warming-purity)
-                ++stats_.ringTransfers;
-            }
-            if (CacheLine *line = llc_->lookup(victim.addr, false))
-                line->dirty = true;
-            else
-                fillLlc(victim.addr, true, now, FillSource::Writeback,
-                        now, warm);
-        }
-        break;
+    } else if (victim.dirty) {
+        // Inclusive and NINE: only dirty data moves (an inclusive LLC
+        // is guaranteed to hold the line already).
+        writebackToLlc(victim.addr, now, warm);
     }
+}
+
+void
+CacheHierarchy::writebackToLlc(Addr addr, Cycle now, bool warm)
+{
+    if (!warm) {
+        // catch-analyze: allow(warming-purity)
+        ++stats_.ringTransfers;
+    }
+    if (CacheLine *line = llc_->peek(addr))
+        line->dirty = true;
+    else
+        fillLlc(addr, true, now, FillSource::Writeback, now, warm);
 }
 
 void
@@ -197,6 +175,45 @@ CacheHierarchy::fillLlc(Addr addr, bool dirty, Cycle ready_at,
         ++stats_.memTransfers;         // catch-analyze: allow(warming-purity)
         dram_.write(victim.addr, now); // catch-analyze: allow(warming-purity)
     }
+}
+
+void
+CacheHierarchy::placeFromLlc(CoreId core, bool code, Addr addr,
+                             CacheLine &llc_line, bool dirty_fill,
+                             Cycle ready_at, FillSource src, Cycle now,
+                             bool warm)
+{
+    if (cfg_.inclusion == InclusionPolicy::Exclusive) {
+        // The line moves: it leaves the LLC and the L2 takes over its
+        // dirty bit.
+        bool dirty = llc_line.dirty || dirty_fill;
+        llc_->invalidate(llc_line, !warm);
+        fillL2(core, addr, dirty, ready_at, src, now, warm);
+    } else if (cfg_.hasL2) {
+        // The LLC keeps the line (and its dirty bit); the L2 copy is
+        // clean.
+        fillL2(core, addr, false, ready_at, src, now, warm);
+    }
+    fillL1(core, code, addr, dirty_fill, ready_at, src, now, Level::LLC,
+           warm);
+}
+
+void
+CacheHierarchy::placeFromMem(CoreId core, bool code, Addr addr,
+                             bool dirty_fill, Cycle ready_at,
+                             FillSource src, Cycle now, bool warm)
+{
+    // Inclusive and NINE allocate in the LLC on the way in; an
+    // exclusive LLC holds L2 victims only.
+    if (cfg_.inclusion != InclusionPolicy::Exclusive)
+        fillLlc(addr, false, ready_at, src, now, warm);
+    // A NINE prefetch from memory bypasses the L2.
+    bool nine_prefetch = cfg_.inclusion == InclusionPolicy::Nine &&
+                         src != FillSource::Demand;
+    if (cfg_.hasL2 && !nine_prefetch)
+        fillL2(core, addr, dirty_fill, ready_at, src, now, warm);
+    fillL1(core, code, addr, dirty_fill, ready_at, src, now, Level::Mem,
+           warm);
 }
 
 // ---------------------------------------------------------------------
@@ -297,42 +314,14 @@ CacheHierarchy::warmMiss(CoreId core, bool code, Addr addr, Cycle now,
 
     if (CacheLine *line = llc_->warmLookup(addr)) {
         line->usedSinceFill = true;
-        bool dirty = line->dirty || dirty_fill;
-        if (cfg_.inclusion == InclusionPolicy::Exclusive) {
-            llc_->invalidate(*line, false);
-            fillL2(core, addr, dirty, 0, FillSource::Demand, now, true);
-            fillL1(core, code, addr, dirty_fill, 0, FillSource::Demand,
-                   now, Level::LLC, true);
-        } else {
-            if (cfg_.hasL2)
-                fillL2(core, addr, false, 0, FillSource::Demand, now,
-                       true);
-            fillL1(core, code, addr, dirty_fill, 0, FillSource::Demand,
-                   now, Level::LLC, true);
-        }
+        placeFromLlc(core, code, addr, *line, dirty_fill, 0,
+                     FillSource::Demand, now, true);
         return;
     }
 
     // Miss to memory: the line materialises with no DRAM timing.
-    switch (cfg_.inclusion) {
-      case InclusionPolicy::Exclusive:
-        fillL2(core, addr, dirty_fill, 0, FillSource::Demand, now, true);
-        break;
-      case InclusionPolicy::Inclusive:
-        fillLlc(addr, false, 0, FillSource::Demand, now, true);
-        if (cfg_.hasL2)
-            fillL2(core, addr, dirty_fill, 0, FillSource::Demand, now,
-                   true);
-        break;
-      case InclusionPolicy::Nine:
-        fillLlc(addr, false, 0, FillSource::Demand, now, true);
-        if (cfg_.hasL2)
-            fillL2(core, addr, dirty_fill, 0, FillSource::Demand, now,
-                   true);
-        break;
-    }
-    fillL1(core, code, addr, dirty_fill, 0, FillSource::Demand, now,
-           Level::Mem, true);
+    placeFromMem(core, code, addr, dirty_fill, 0, FillSource::Demand, now,
+                 true);
 }
 
 MemResult
@@ -342,7 +331,7 @@ CacheHierarchy::serviceMiss(CoreId core, bool code, Addr addr, Cycle now,
     streamObserve(core, addr, now);
 
     if (cfg_.hasL2) {
-        if (CacheLine *line = l2_[core]->lookup(addr, true)) {
+        if (CacheLine *line = l2_[core]->lookup(addr)) {
             line->usedSinceFill = true;
             uint64_t lat = latL2() + remaining(*line, now);
             if (dirty_fill)
@@ -356,23 +345,12 @@ CacheHierarchy::serviceMiss(CoreId core, bool code, Addr addr, Cycle now,
 
     // Request crosses the interconnect to the LLC.
     ++stats_.ringTransfers;
-    if (CacheLine *line = llc_->lookup(addr, true)) {
+    if (CacheLine *line = llc_->lookup(addr)) {
         line->usedSinceFill = true;
         ++stats_.ringTransfers; // data return
         uint64_t lat = latLlc() + remaining(*line, now);
-        bool dirty = line->dirty || dirty_fill;
-        if (cfg_.inclusion == InclusionPolicy::Exclusive) {
-            llc_->invalidate(*line);
-            fillL2(core, addr, dirty, now + lat, FillSource::Demand, now);
-            fillL1(core, code, addr, dirty_fill, now + lat,
-                   FillSource::Demand, now, Level::LLC);
-        } else {
-            if (cfg_.hasL2)
-                fillL2(core, addr, false, now + lat, FillSource::Demand,
-                       now);
-            fillL1(core, code, addr, dirty_fill, now + lat,
-                   FillSource::Demand, now, Level::LLC);
-        }
+        placeFromLlc(core, code, addr, *line, dirty_fill, now + lat,
+                     FillSource::Demand, now, false);
         ++hit_ctr[static_cast<int>(Level::LLC)];
         return {Level::LLC, lat, false};
     }
@@ -380,27 +358,9 @@ CacheHierarchy::serviceMiss(CoreId core, bool code, Addr addr, Cycle now,
     // Miss to memory.
     ++stats_.ringTransfers; // data return from the memory controller
     ++stats_.memTransfers;
-    uint64_t mlat = dram_.read(addr, now + latLlc());
-    uint64_t lat = latLlc() + mlat;
-    switch (cfg_.inclusion) {
-      case InclusionPolicy::Exclusive:
-        fillL2(core, addr, dirty_fill, now + lat, FillSource::Demand, now);
-        break;
-      case InclusionPolicy::Inclusive:
-        fillLlc(addr, false, now + lat, FillSource::Demand, now);
-        if (cfg_.hasL2)
-            fillL2(core, addr, dirty_fill, now + lat, FillSource::Demand,
-                   now);
-        break;
-      case InclusionPolicy::Nine:
-        fillLlc(addr, false, now + lat, FillSource::Demand, now);
-        if (cfg_.hasL2)
-            fillL2(core, addr, dirty_fill, now + lat, FillSource::Demand,
-                   now);
-        break;
-    }
-    fillL1(core, code, addr, dirty_fill, now + lat, FillSource::Demand,
-           now, Level::Mem);
+    uint64_t lat = latLlc() + dram_.read(addr, now + latLlc());
+    placeFromMem(core, code, addr, dirty_fill, now + lat,
+                 FillSource::Demand, now, false);
     ++hit_ctr[static_cast<int>(Level::Mem)];
     return {Level::Mem, lat, false};
 }
@@ -431,7 +391,7 @@ CacheHierarchy::load(CoreId core, Addr pc, Addr addr, Cycle now)
         }
     }
 
-    if (CacheLine *line = l1d_[core]->lookup(addr, true)) {
+    if (CacheLine *line = l1d_[core]->lookup(addr)) {
         noteTactUse(*line, now);
         bool tact = line->source == FillSource::TactPf;
         line->usedSinceFill = true;
@@ -500,7 +460,7 @@ void
 CacheHierarchy::storeCommit(CoreId core, Addr addr, Cycle now)
 {
     ++stats_.storeAccesses;
-    if (CacheLine *line = l1d_[core]->lookup(addr, true)) {
+    if (CacheLine *line = l1d_[core]->lookup(addr)) {
         line->dirty = true;
         line->usedSinceFill = true;
         return;
@@ -518,7 +478,7 @@ CacheHierarchy::codeFetch(CoreId core, Addr addr, Cycle now)
         ++stats_.codeHits[static_cast<int>(Level::L1)];
         return {Level::L1, cfg_.l1i.latency, false};
     }
-    if (CacheLine *line = l1i_[core]->lookup(addr, true)) {
+    if (CacheLine *line = l1i_[core]->lookup(addr)) {
         line->usedSinceFill = true;
         ++stats_.codeHits[static_cast<int>(Level::L1)];
         return {Level::L1, cfg_.l1i.latency + remaining(*line, now),
@@ -573,14 +533,8 @@ CacheHierarchy::prefetchToL1(CoreId core, Addr addr, Cycle now,
     if (CacheLine *line = llc_->peek(addr)) {
         ++stats_.ringTransfers; // data
         uint64_t lat = latLlc() + remaining(*line, now);
-        bool dirty = line->dirty;
-        if (cfg_.inclusion == InclusionPolicy::Exclusive) {
-            llc_->invalidate(*line);
-            fillL2(core, addr, dirty, now + lat, src, now);
-        } else if (cfg_.hasL2) {
-            fillL2(core, addr, false, now + lat, src, now);
-        }
-        fillL1(core, code, addr, false, now + lat, src, now, Level::LLC);
+        placeFromLlc(core, code, addr, *line, false, now + lat, src, now,
+                     false);
         if (is_tact)
             ++stats_.tactPfFromLlc;
         return Level::LLC;
@@ -595,22 +549,8 @@ CacheHierarchy::prefetchToL1(CoreId core, Addr addr, Cycle now,
     }
     ++stats_.ringTransfers; // data return from memory controller
     ++stats_.memTransfers;
-    uint64_t mlat = dram_.read(addr, now + latLlc());
-    uint64_t lat = latLlc() + mlat;
-    switch (cfg_.inclusion) {
-      case InclusionPolicy::Exclusive:
-        fillL2(core, addr, false, now + lat, src, now);
-        break;
-      case InclusionPolicy::Inclusive:
-        fillLlc(addr, false, now + lat, src, now);
-        if (cfg_.hasL2)
-            fillL2(core, addr, false, now + lat, src, now);
-        break;
-      case InclusionPolicy::Nine:
-        fillLlc(addr, false, now + lat, src, now);
-        break;
-    }
-    fillL1(core, code, addr, false, now + lat, src, now, Level::Mem);
+    uint64_t lat = latLlc() + dram_.read(addr, now + latLlc());
+    placeFromMem(core, code, addr, false, now + lat, src, now, false);
     if (is_tact)
         ++stats_.tactPfFromMem;
     return Level::Mem;
@@ -626,7 +566,7 @@ CacheHierarchy::warmAccess(CoreId core, Addr pc, Addr addr, Cycle now,
         // warmed cache contents reflect its fills.
         if (cfg_.l1StridePrefetcher) {
             if (auto pf = stride_[core].observe(pc, addr))
-                warmPrefetchToL1(core, *pf, now);
+                warmPrefetch(core, *pf, PfKind::Stride, now);
         }
         if (CacheLine *line = l1d_[core]->warmLookup(addr)) {
             line->usedSinceFill = true;
@@ -653,106 +593,34 @@ CacheHierarchy::warmAccess(CoreId core, Addr pc, Addr addr, Cycle now,
     }
 }
 
-void
-CacheHierarchy::warmPrefetchToL1(CoreId core, Addr addr, Cycle now)
-{
-    // State-only analogue of prefetchToL1(PfKind::Stride): same stream
-    // training and placement decisions, no latency, no counters.
-    warmStreamObserve(core, addr, now);
-    if (l1d_[core]->peek(addr))
-        return;
-    FillSource src = FillSource::StridePf;
-    if (cfg_.hasL2) {
-        if (l2_[core]->peek(addr)) {
-            fillL1(core, false, addr, false, 0, src, now, Level::L2,
-                   true);
-            return;
-        }
-    }
-    if (CacheLine *line = llc_->peek(addr)) {
-        bool dirty = line->dirty;
-        if (cfg_.inclusion == InclusionPolicy::Exclusive) {
-            llc_->invalidate(*line, false);
-            fillL2(core, addr, dirty, 0, src, now, true);
-        } else if (cfg_.hasL2) {
-            fillL2(core, addr, false, 0, src, now, true);
-        }
-        fillL1(core, false, addr, false, 0, src, now, Level::LLC, true);
-        return;
-    }
-    switch (cfg_.inclusion) {
-      case InclusionPolicy::Exclusive:
-        fillL2(core, addr, false, 0, src, now, true);
-        break;
-      case InclusionPolicy::Inclusive:
-        fillLlc(addr, false, 0, src, now, true);
-        if (cfg_.hasL2)
-            fillL2(core, addr, false, 0, src, now, true);
-        break;
-      case InclusionPolicy::Nine:
-        fillLlc(addr, false, 0, src, now, true);
-        break;
-    }
-    fillL1(core, false, addr, false, 0, src, now, Level::Mem, true);
-}
-
 Level
-CacheHierarchy::warmTactPrefetch(CoreId core, Addr addr, bool code,
-                                 Cycle now)
+CacheHierarchy::warmPrefetch(CoreId core, Addr addr, PfKind kind,
+                             Cycle now)
 {
-    // State-only mirror of prefetchToL1(TactData/TactCode): same
-    // placement and inclusion handling, no latency, no counters, and —
-    // unlike the stride analogue above — no stream-prefetcher training
-    // (the detailed TACT path does not train it either).
-    Cache &l1 = code ? *l1i_[core] : *l1d_[core];
-    if (l1.peek(addr))
+    CATCHSIM_ASSERT(kind != PfKind::TactCode,
+                    "code runahead has no warm prefetch");
+    if (kind == PfKind::Stride)
+        warmStreamObserve(core, addr, now);
+    if (l1d_[core]->peek(addr))
         return Level::None;
-    FillSource src = code ? FillSource::TactCodePf : FillSource::TactPf;
-    if (cfg_.hasL2) {
-        if (l2_[core]->peek(addr)) {
-            fillL1(core, code, addr, false, 0, src, now, Level::L2,
-                   true);
-            return Level::L2;
-        }
+    FillSource src = kind == PfKind::Stride ? FillSource::StridePf
+                                            : FillSource::TactPf;
+    if (cfg_.hasL2 && l2_[core]->peek(addr)) {
+        fillL1(core, false, addr, false, 0, src, now, Level::L2, true);
+        return Level::L2;
     }
     if (CacheLine *line = llc_->peek(addr)) {
-        bool dirty = line->dirty;
-        if (cfg_.inclusion == InclusionPolicy::Exclusive) {
-            llc_->invalidate(*line, false);
-            fillL2(core, addr, dirty, 0, src, now, true);
-        } else if (cfg_.hasL2) {
-            fillL2(core, addr, false, 0, src, now, true);
-        }
-        fillL1(core, code, addr, false, 0, src, now, Level::LLC, true);
+        placeFromLlc(core, false, addr, *line, false, 0, src, now, true);
         return Level::LLC;
     }
-    if (code) {
-        // Off-die code runahead is dropped, exactly as in detailed mode.
-        return Level::None;
-    }
-    switch (cfg_.inclusion) {
-      case InclusionPolicy::Exclusive:
-        fillL2(core, addr, false, 0, src, now, true);
-        break;
-      case InclusionPolicy::Inclusive:
-        fillLlc(addr, false, 0, src, now, true);
-        if (cfg_.hasL2)
-            fillL2(core, addr, false, 0, src, now, true);
-        break;
-      case InclusionPolicy::Nine:
-        fillLlc(addr, false, 0, src, now, true);
-        break;
-    }
-    fillL1(core, false, addr, false, 0, src, now, Level::Mem, true);
+    placeFromMem(core, false, addr, false, 0, src, now, true);
     return Level::Mem;
 }
 
 Cycle
 CacheHierarchy::probeDataReady(CoreId core, Addr addr, Cycle now) const
 {
-    bool code = false;
-    const Cache &l1 = code ? *l1i_[core] : *l1d_[core];
-    if (const CacheLine *line = l1.peek(addr))
+    if (const CacheLine *line = l1d_[core]->peek(addr))
         return now + cfg_.l1d.latency + remaining(*line, now);
     if (cfg_.hasL2)
         if (const CacheLine *line = l2_[core]->peek(addr))

@@ -131,8 +131,8 @@ class CacheHierarchy
      * stride/stream prefetcher training and fills — with zero timing
      * (lines are immediately ready, DRAM is never consulted) and zero
      * stats. The exclusive/inclusive invariants hold across any mix of
-     * warm and detailed traffic because every fill funnels through the
-     * same per-level helpers.
+     * warm and detailed traffic because both place lines through the
+     * same placement and per-level fill helpers.
      */
     void warmAccess(CoreId core, Addr pc, Addr addr, Cycle now,
                     WarmKind kind);
@@ -153,14 +153,13 @@ class CacheHierarchy
     Level prefetchToL1(CoreId core, Addr addr, Cycle now, PfKind kind);
 
     /**
-     * Warming analogue of prefetchToL1 for the TACT kinds: identical
-     * placement decisions — including DRAM-sourced data fills and the
-     * drop of off-die code runahead — with zero timing and zero stats.
-     * Warmed windows thus start with TACT's line placements (and its
-     * pollution) in the same levels the detailed path would have put
-     * them. @returns the level the line was sourced from.
+     * Warming analogue of prefetchToL1 for Stride and TactData (code
+     * runahead is never warmed): the same placement, DRAM-sourced
+     * fills and pollution included, and for Stride the same stream
+     * training, with zero timing and zero stats. @returns the level
+     * the line was sourced from; Level::None when already L1-resident.
      */
-    Level warmTactPrefetch(CoreId core, Addr addr, bool code, Cycle now);
+    Level warmPrefetch(CoreId core, Addr addr, PfKind kind, Cycle now);
 
     /** True when the line is resident in the L2 or the LLC (oracle). */
     bool inL2OrLlc(CoreId core, Addr addr) const;
@@ -257,6 +256,23 @@ class CacheHierarchy
                 FillSource src, Cycle now, bool warm = false);
     void fillLlc(Addr addr, bool dirty, Cycle ready_at, FillSource src,
                  Cycle now, bool warm = false);
+    /** Moves a dirty victim of a non-exclusive L2 (or of the L1 with
+     *  no L2) into the LLC: marks the LLC copy dirty, else fills. */
+    void writebackToLlc(Addr addr, Cycle now, bool warm);
+
+    /**
+     * The L1-bound placement decision of each inclusion policy, shared
+     * by the demand, prefetch and warming paths (an L2 hit only needs
+     * fillL1). @p llc_line is the copy an LLC lookup or peek returned.
+     */
+    void placeFromLlc(CoreId core, bool code, Addr addr,
+                      CacheLine &llc_line, bool dirty_fill,
+                      Cycle ready_at, FillSource src, Cycle now,
+                      bool warm);
+    /** Placement of a line that came from memory; see placeFromLlc. */
+    void placeFromMem(CoreId core, bool code, Addr addr, bool dirty_fill,
+                      Cycle ready_at, FillSource src, Cycle now,
+                      bool warm);
 
     /** Services an L1 miss from L2 / LLC / DRAM; fills per policy. */
     MemResult serviceMiss(CoreId core, bool code, Addr addr, Cycle now,
@@ -265,9 +281,6 @@ class CacheHierarchy
     /** Warming analogue of serviceMiss: same placement, no timing. */
     void warmMiss(CoreId core, bool code, Addr addr, Cycle now,
                   bool dirty_fill);
-
-    /** Warming analogue of prefetchToL1(PfKind::Stride). */
-    void warmPrefetchToL1(CoreId core, Addr addr, Cycle now);
 
     /** Runs the L2 stream prefetcher on an access that missed the L1. */
     void streamObserve(CoreId core, Addr addr, Cycle now);

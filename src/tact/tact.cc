@@ -45,8 +45,8 @@ Tact::issueData(Addr addr, Cycle now)
         // (pollution included) with no timing or counters, and the
         // arrival estimate mirrors the detailed return so the feeder's
         // runahead pacing matches.
-        Level from = hierarchy_.warmTactPrefetch(core_, addr, false,
-                                                 now);
+        Level from = hierarchy_.warmPrefetch(
+            core_, addr, CacheHierarchy::PfKind::TactData, now);
         return now + hierarchy_.levelLatency(from);
     }
     Level from = hierarchy_.prefetchToL1(core_, addr, now,

@@ -67,7 +67,7 @@ class Tact
     /**
      * Functional warming: the components keep learning (trigger caches,
      * safe strides, feeder chains) and issueData switches from timed
-     * prefetches to state-only placement via warmTactPrefetch, so
+     * prefetches to state-only placement via warmPrefetch, so
      * warmed windows start with both trained tables and TACT's line
      * placements — pollution included — while timing and counters stay
      * detailed-mode effects.

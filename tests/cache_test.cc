@@ -28,9 +28,9 @@ tinyGeom()
 TEST(Cache, MissThenHit)
 {
     Cache c("t", tinyGeom());
-    EXPECT_EQ(c.lookup(0x1000, true), nullptr);
+    EXPECT_EQ(c.lookup(0x1000), nullptr);
     c.fill(0x1000, false, 0, FillSource::Demand);
-    EXPECT_NE(c.lookup(0x1000, true), nullptr);
+    EXPECT_NE(c.lookup(0x1000), nullptr);
     EXPECT_EQ(c.stats().demandAccesses, 2u);
     EXPECT_EQ(c.stats().demandHits, 1u);
 }
@@ -50,7 +50,7 @@ TEST(Cache, LruVictimIsOldest)
     // Set index = (addr>>6) & 1; use set 0 addresses: 0x000, 0x080...
     c.fill(0x000, false, 0, FillSource::Demand);
     c.fill(0x080, false, 0, FillSource::Demand);
-    c.lookup(0x000, true); // make 0x000 the MRU
+    c.lookup(0x000); // make 0x000 the MRU
     Cache::Victim v = c.fill(0x100, false, 0, FillSource::Demand);
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.addr, 0x080u);
@@ -68,8 +68,8 @@ TEST(CacheLru, VictimIsTheLeastRecentWay)
     Cache c("t", oneSetGeom());
     for (Addr a = 0; a < 4; ++a)
         c.fill(a * 64, false, 0, FillSource::Demand);
-    c.lookup(0 * 64, true);
-    c.lookup(2 * 64, true);
+    c.lookup(0 * 64);
+    c.lookup(2 * 64);
     Cache::Victim v = c.fill(4 * 64, false, 0, FillSource::Demand);
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.addr, 1u * 64);
@@ -130,7 +130,7 @@ TEST(CacheLru, MruIsNeverTheNextVictimIn2Way)
     c.fill(1 * 64, false, 0, FillSource::Demand);
     for (int i = 0; i < 100; ++i) {
         Addr touched = static_cast<Addr>(i % 2) * 64;
-        c.lookup(touched, true);
+        c.lookup(touched);
         StateSink sink;
         c.saveWarmState(sink);
         Cache probe("t", CacheGeometry{128, 2, 5});
@@ -265,7 +265,7 @@ TEST(CacheProperty, NoDuplicateLines)
         if (rng.percent(50))
             c.fill(a, rng.percent(30), 0, FillSource::Demand);
         else
-            c.lookup(a, true);
+            c.lookup(a);
     }
     // Re-fill every line and count how many distinct victims appear:
     // duplicates would surface as a line evicting itself.
@@ -290,7 +290,7 @@ TEST_P(CacheCapacity, CyclicScanHitRate)
     auto pass = [&]() {
         for (uint32_t i = 0; i < lines_footprint; ++i) {
             Addr a = static_cast<Addr>(i) * 64;
-            if (!c.lookup(a, true))
+            if (!c.lookup(a))
                 c.fill(a, false, 0, FillSource::Demand);
         }
     };

@@ -7,8 +7,8 @@
  * safety net for the inclusion/exclusion state machines.
  *
  * The mixed-traffic tests interleave the functional-warming entry
- * points (warmAccess, warmTactPrefetch) with demand traffic: warming
- * funnels through the same per-level fill helpers as the demand paths,
+ * points (warmAccess, warmPrefetch) with demand traffic: warming
+ * places lines through the same placement helpers as the demand paths,
  * so the exclusive-duplication and inclusive-hole invariants must hold
  * across any mix of warm and detailed accesses.
  */
@@ -38,8 +38,6 @@ tinyConfig(InclusionPolicy policy)
     cfg.l2 = CacheGeometry{16 * 1024, 8, 15};
     cfg.llc = CacheGeometry{64 * 1024, 8, 40};
     cfg.inclusion = policy;
-    if (policy == InclusionPolicy::Nine && false)
-        cfg.hasL2 = false;
     cfg.l1StridePrefetcher = true;
     cfg.l2StreamPrefetcher = true;
     return cfg;
@@ -99,7 +97,7 @@ struct Driver
                 h.warmAccess(0, 0, 0x400000 + rng.below(512) * 64, t,
                              CacheHierarchy::WarmKind::Code);
             else
-                h.warmTactPrefetch(0, a, false, t);
+                h.warmPrefetch(0, a, CacheHierarchy::PfKind::TactData, t);
             break;
         }
     }
@@ -251,7 +249,7 @@ TEST(HierarchyInclusive, L2IsSubsetOfLlc)
 
 /**
  * Exclusive-duplication invariant under mixed functional-warming and
- * demand traffic: interleaving warmAccess / warmTactPrefetch with the
+ * demand traffic: interleaving warmAccess / warmPrefetch with the
  * demand paths (the exact mix a sampled run produces at every
  * warm-to-detailed transition) must never leave a line valid in both
  * the L2 and the LLC.
@@ -316,6 +314,78 @@ TEST(HierarchyInclusive, NoHoleUnderMixedWarmAndDemandTraffic)
             if (t % 5000 == 4999)
                 probe_all(t);
         }
+    }
+}
+
+/**
+ * Warm/detailed placement parity: functional warming must leave every
+ * line in the levels the detailed paths would have put it in. One
+ * hierarchy runs a seeded sequence through load / storeCommit /
+ * codeFetch / prefetchToL1(TactData), a second runs the same sequence
+ * through warmAccess and the warm TACT prefetch, and residency must
+ * agree for every pool line at L1, L2 and the LLC, under every
+ * inclusion policy with and without an L2.
+ */
+TEST(HierarchyParity, WarmAndDetailedPathsPlaceLinesIdentically)
+{
+    using WK = CacheHierarchy::WarmKind;
+    const struct
+    {
+        InclusionPolicy policy;
+        bool hasL2;
+    } shapes[] = {
+        {InclusionPolicy::Exclusive, true},
+        {InclusionPolicy::Inclusive, true},
+        {InclusionPolicy::Inclusive, false},
+        {InclusionPolicy::Nine, true},
+        {InclusionPolicy::Nine, false},
+    };
+    const Addr code_base = 0x400000;
+    for (const auto &s : shapes) {
+        SimConfig cfg = tinyConfig(s.policy);
+        cfg.hasL2 = s.hasL2;
+        CacheHierarchy detailed(cfg), warm(cfg);
+        Rng rng(31337);
+        for (Cycle t = 0; t < 30000; ++t) {
+            Cycle now = t * 7;
+            Addr a = rng.below(4096) * 64;
+            Addr pc = code_base + rng.below(64) * 4;
+            switch (rng.below(6)) {
+              case 0:
+              case 1:
+                detailed.load(0, pc, a, now);
+                warm.warmAccess(0, pc, a, now, WK::Load);
+                break;
+              case 2:
+                detailed.storeCommit(0, a, now);
+                warm.warmAccess(0, pc, a, now, WK::Store);
+                break;
+              case 3: {
+                Addr code = code_base + rng.below(512) * 64;
+                detailed.codeFetch(0, code, now);
+                warm.warmAccess(0, 0, code, now, WK::Code);
+                break;
+              }
+              default:
+                detailed.prefetchToL1(0, a, now,
+                                      CacheHierarchy::PfKind::TactData);
+                warm.warmPrefetch(0, a, CacheHierarchy::PfKind::TactData,
+                                  now);
+                break;
+            }
+        }
+        auto check = [&](Addr addr) {
+            for (Level l : {Level::L1, Level::L2, Level::LLC})
+                EXPECT_EQ(detailed.residentIn(0, addr, l),
+                          warm.residentIn(0, addr, l))
+                    << "policy " << static_cast<int>(s.policy) << ", L2 "
+                    << s.hasL2 << ", level " << static_cast<int>(l)
+                    << ", addr " << std::hex << addr;
+        };
+        for (Addr a = 0; a < 4096; ++a)
+            check(a * 64);
+        for (Addr a = 0; a < 512; ++a)
+            check(code_base + a * 64);
     }
 }
 

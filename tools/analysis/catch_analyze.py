@@ -133,9 +133,12 @@ STEP_ENTRY_POINTS = (
     "Dram::write",
     "FastForward::warm",
 )
+# warmPrefetch is also reached through TACT's std::function prefetch
+# callback, which the call graph cannot follow.
 WARM_ENTRY_POINTS = (
     "FastForward::warm",
     "CacheHierarchy::warmAccess",
+    "CacheHierarchy::warmPrefetch",
 )
 # The timing model, off-limits from the warming path.
 TIMING_MODEL_RE = re.compile(
