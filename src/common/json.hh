@@ -137,6 +137,69 @@ class JsonWriter
 };
 
 /**
+ * Field-list adapter over a JsonWriter. A record's JSON shape is one
+ * `template <typename IO, typename R> void xFields(IO &io, R &r)` that
+ * names every field once, in output order; instantiated with this
+ * adapter (R const) it writes the record, with a JsonReader (R mutable)
+ * it reads it back. The method names therefore match JsonReader's.
+ */
+class JsonFieldWriter
+{
+  public:
+    explicit JsonFieldWriter(JsonWriter &w) : w_(w) {}
+
+    void u64(const char *name, uint64_t v) { w_.field(name, v); }
+    void u32(const char *name, uint32_t v) { w_.field(name, uint64_t(v)); }
+    void f64(const char *name, double v) { w_.field(name, v); }
+    void str(const char *name, const std::string &v) { w_.field(name, v); }
+    void boolean(const char *name, bool v) { w_.field(name, v); }
+    /** Written for readers of the document; ignored on read-back. */
+    void derived(const char *name, double v) { w_.field(name, v); }
+
+    void
+    u64Array(const char *name, const uint64_t *v, size_t n)
+    {
+        w_.fieldArray(name, v, n);
+    }
+
+    template <typename E>
+    void
+    enumeration(const char *name, E v, uint64_t /*max*/)
+    {
+        w_.field(name, uint64_t(v));
+    }
+
+    /** Enum stored as its wire name. */
+    template <typename E, typename NameOf>
+    void
+    enumeration(const char *name, E v, uint64_t /*max*/, NameOf name_of)
+    {
+        w_.field(name, std::string(name_of(v)));
+    }
+
+    template <typename Fn>
+    void
+    object(const char *name, Fn &&fn)
+    {
+        w_.object(name);
+        fn(*this);
+        w_.close();
+    }
+
+    /** Optional member: written only when @p present. */
+    template <typename Fn>
+    void
+    object(const char *name, bool present, Fn &&fn)
+    {
+        if (present)
+            object(name, fn);
+    }
+
+  private:
+    JsonWriter &w_;
+};
+
+/**
  * Parsed JSON value. Integer-looking tokens (no '.', 'e' or sign) are
  * kept as exact u64 alongside the double view, so counters survive the
  * round trip bit-for-bit even above 2^53.
@@ -197,7 +260,8 @@ Expected<JsonValue> parseJson(const std::string &text);
  * the shared @p err slot and every later read no-ops, so parse
  * functions read straight-line and check the slot once. @p doc names
  * the document kind in missing-field messages ("missing field 'x' in
- * <doc> JSON"). Readers from child() share the slot.
+ * <doc> JSON"). Readers from child() share the slot. The read half of
+ * a field list (see JsonFieldWriter).
  */
 class JsonReader
 {
@@ -232,6 +296,47 @@ class JsonReader
                  " exceeds enum range ", max);
         else
             dst = static_cast<E>(m->asU64());
+    }
+
+    /** Enum stored as its wire name: the value in [0, @p max] whose
+     *  @p name_of matches; an unknown name is an error. */
+    template <typename E, typename NameOf>
+    void
+    enumeration(const char *name, E &dst, uint64_t max,
+                NameOf name_of) const
+    {
+        std::string s;
+        str(name, s);
+        if (failed())
+            return;
+        for (uint64_t i = 0; i <= max; ++i) {
+            if (s == name_of(static_cast<E>(i))) {
+                dst = static_cast<E>(i);
+                return;
+            }
+        }
+        fail("field '", name, "' has unknown value '", s, "'");
+    }
+
+    /** Computed from other fields: written, ignored on read. */
+    void derived(const char *, double) const {}
+
+    template <typename Fn>
+    void
+    object(const char *name, Fn &&fn) const
+    {
+        JsonReader c = child(name);
+        fn(c);
+    }
+
+    /** Optional member: @p present records whether it is there. */
+    template <typename Fn>
+    void
+    object(const char *name, bool &present, Fn &&fn) const
+    {
+        present = has(name);
+        if (present)
+            object(name, fn);
     }
 
     /** Records a semantic defect in the reader's category (the first

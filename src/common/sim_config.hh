@@ -28,6 +28,8 @@ struct CacheGeometry
     uint32_t latency = 5; ///< round-trip load-to-use latency in core cycles
 
     uint32_t numSets() const { return sizeBytes / (kLineBytes * ways); }
+
+    bool operator==(const CacheGeometry &) const = default;
 };
 
 /** How the LLC relates to the inner levels. */
@@ -75,6 +77,8 @@ struct DramConfig
     // (7.8 us / ~350 ns at 3.2 GHz core cycles).
     uint32_t tRefi = 24960;
     uint32_t tRfc = 1120;
+
+    bool operator==(const DramConfig &) const = default;
 };
 
 /** Which criticality detector drives the critical-load table. */
@@ -97,6 +101,8 @@ struct CriticalityConfig
     double walkFactor = 2.0;      ///< rows walked as a multiple of ROB
     uint32_t latencyQuantShift = 3; ///< E-C weights stored as latency >> 3
     uint32_t hashedPcBits = 10;   ///< lossy PC storage inside the graph
+
+    bool operator==(const CriticalityConfig &) const = default;
 };
 
 /** TACT prefetcher parameters (Section IV-B). */
@@ -129,6 +135,8 @@ struct TactConfig
 
     bool anyData() const { return cross || deepSelf || feeder; }
     bool any() const { return anyData() || code; }
+
+    bool operator==(const TactConfig &) const = default;
 };
 
 /** Detailed cycle-accurate stepping vs SMARTS-style sampling. */
@@ -150,16 +158,19 @@ enum class SampleMode : uint8_t
 struct SamplingConfig
 {
     SampleMode mode = SampleMode::Detailed;
-    // Defaults validated against full detailed runs: at >= ~1 M instrs
-    // per workload the sampled IPC of every suite kernel lands within
-    // ~3% of detailed under both hierarchy shapes. Shorter runs need
-    // denser sampling (smaller interval) to get enough windows — see
-    // docs/PERFORMANCE.md "Sampled simulation".
+    // Validated against full detailed runs for baseline SKX and
+    // CATCH-no-L2 only: at >= ~3 M instrs most quick-suite kernels land
+    // within ~3% of detailed, but single kernels reach 6-9% at 2 M, and
+    // CATCH over an L2 is not covered (omnetpp reads +36%). Shorter
+    // runs need denser sampling (smaller interval) to get enough
+    // windows. See docs/PERFORMANCE.md "Accuracy".
     uint64_t intervalInstrs = 20000; ///< period length (warm+warmup+window)
     uint64_t windowInstrs = 2000;    ///< measured detailed instrs per period
     uint64_t warmupInstrs = 2000;    ///< detailed-unmeasured instrs per period
 
     bool sampled() const { return mode == SampleMode::Sampled; }
+
+    bool operator==(const SamplingConfig &) const = default;
 };
 
 /** Oracle-study knobs (Figs 3, 4 and 5). */
@@ -177,6 +188,8 @@ struct OracleConfig
     bool oraclePrefetch = false;
     uint32_t oraclePrefetchPcLimit = 0; ///< 0 means "all PCs" variant
     bool oracleCodeInL1 = false; ///< Fig 5 assumes all code hits the L1I
+
+    bool operator==(const OracleConfig &) const = default;
 };
 
 /** Top-level machine configuration. */
@@ -228,6 +241,10 @@ struct SimConfig
     /** Validates invariants; a config SimError describes the first
      *  violation. Library code never terminates on a bad config. */
     Expected<void> validate() const;
+
+    /** Field-wise, so tests can check configFromJson(configToJson(c))
+     *  against c. */
+    bool operator==(const SimConfig &) const = default;
 };
 
 } // namespace catchsim

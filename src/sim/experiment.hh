@@ -100,18 +100,10 @@ std::vector<SimResult> runSuite(const SimConfig &cfg,
                                 const ExperimentEnv &env);
 
 /**
- * Writes a suite's results as one JSON document (atomically, via a
- * .tmp rename); the error names the path and cause.
- */
-Expected<void> writeSuiteJson(const std::string &path,
-                              const SimConfig &cfg,
-                              const ExperimentEnv &env,
-                              const std::vector<SimResult> &results);
-
-/**
- * Outcome-aware export: each entry carries from_store/status/attempts
- * and either the full result or the structured error, preceded by a
- * campaign summary object.
+ * Writes a suite's outcomes as one JSON document (atomically, via a
+ * .tmp rename; the error names the path and cause): a campaign summary
+ * object, then one entry per run carrying from_store/status/attempts
+ * and either the full result or the structured error.
  */
 Expected<void> writeSuiteJson(const std::string &path,
                               const SimConfig &cfg,

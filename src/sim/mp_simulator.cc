@@ -110,7 +110,15 @@ MpSimulator::run(const MpMix &mix, uint64_t instrs_per_core,
     r.config = cfg_.name;
     r.weightedSpeedup = 0;
     for (CoreId c = 0; c < 4; ++c) {
-        r.ipc[c] = cores[c]->stats().ipc();
+        const CoreStats s = cores[c]->stats();
+        // Stats reset once, after the slowest core's warmup: a core
+        // that finished its stream before then measured nothing.
+        if (s.instrs == 0)
+            warn("MP mix '", mix.name, "': core ", c, " (",
+                 mix.workloads[c], ") measured 0 instructions; it "
+                 "finished before the slowest core's warmup, so its "
+                 "IPC reads 0");
+        r.ipc[c] = s.ipc();
         r.ipcAlone[c] = ipc_alone[c];
         if (ipc_alone[c] > 0)
             r.weightedSpeedup += r.ipc[c] / ipc_alone[c];

@@ -7,12 +7,14 @@
  *
  * toJson() covers every counter SimResult carries and fromJson() parses
  * it back bitwise-exactly (exact u64, %.17g doubles); result-store
- * replays rest on this round trip. The RunOutcome body codec the worker
- * protocol, the result store and the suite export share lives here
- * too. Suite documents are written atomically: the full document goes
- * to <path>.tmp, which is renamed over <path> only after a verified
- * complete write — a crashed export never leaves a half-written file
- * behind.
+ * replays rest on this round trip. Both directions run one field list
+ * per record (resultFields, cacheFields, profileFields; see
+ * JsonFieldWriter), so each counter is named once. The RunOutcome
+ * body codec the worker protocol, the result store and the suite
+ * export share lives here too. Suite documents are written
+ * atomically: the full document goes to <path>.tmp, which is renamed
+ * over <path> only after a verified complete write — a crashed export
+ * never leaves a half-written file behind.
  */
 
 #include <algorithm>
@@ -32,35 +34,159 @@ namespace catchsim
 namespace
 {
 
+template <typename IO, typename S>
 void
-cacheJson(JsonWriter &w, const char *name, const CacheStats &s)
+cacheFields(IO &io, S &s)
 {
-    w.object(name);
-    w.field("accesses", s.demandAccesses);
-    w.field("hits", s.demandHits);
-    w.field("hit_rate", s.hitRate());
-    w.field("fills", s.fills);
-    w.field("evictions", s.evictions);
-    w.field("dirty_evictions", s.dirtyEvictions);
-    w.field("invalidations", s.invalidations);
-    w.field("useless_prefetch_evictions", s.uselessPrefetchEvictions);
-    w.field("read_ops", s.readOps);
-    w.field("write_ops", s.writeOps);
-    w.close();
+    io.u64("accesses", s.demandAccesses);
+    io.u64("hits", s.demandHits);
+    io.derived("hit_rate", s.hitRate());
+    io.u64("fills", s.fills);
+    io.u64("evictions", s.evictions);
+    io.u64("dirty_evictions", s.dirtyEvictions);
+    io.u64("invalidations", s.invalidations);
+    io.u64("useless_prefetch_evictions", s.uselessPrefetchEvictions);
+    io.u64("read_ops", s.readOps);
+    io.u64("write_ops", s.writeOps);
 }
 
+/** SimResult's JSON shape, read and written (see JsonFieldWriter). */
+template <typename IO, typename R>
 void
-cacheFromJson(const JsonReader &r, CacheStats &s)
+resultFields(IO &io, R &r)
 {
-    r.u64("accesses", s.demandAccesses);
-    r.u64("hits", s.demandHits);
-    r.u64("fills", s.fills);
-    r.u64("evictions", s.evictions);
-    r.u64("dirty_evictions", s.dirtyEvictions);
-    r.u64("invalidations", s.invalidations);
-    r.u64("useless_prefetch_evictions", s.uselessPrefetchEvictions);
-    r.u64("read_ops", s.readOps);
-    r.u64("write_ops", s.writeOps);
+    io.str("workload", r.workload);
+    io.str("config", r.config);
+    io.enumeration("category", r.category, uint64_t(Category::Server),
+                   categoryName);
+    io.f64("ipc", r.ipc);
+    io.object("core", [&r](auto &o) {
+        o.u64("instrs", r.core.instrs);
+        o.u64("cycles", r.core.cycles);
+        o.u64("loads", r.core.loads);
+        o.u64("stores", r.core.stores);
+        o.u64("forwarded_loads", r.core.forwardedLoads);
+        o.u64("branches", r.core.branch.branches);
+        o.u64("branch_mispredicts", r.core.branch.mispredicts);
+        o.u64("branch_direction_wrong", r.core.branch.directionWrong);
+        o.u64("branch_target_wrong", r.core.branch.targetWrong);
+    });
+    io.object("hierarchy", [&h = r.hier](auto &o) {
+        o.u64("loads", h.loads);
+        o.u64("load_hits_l1", h.loadHits[0]);
+        o.u64("load_hits_l2", h.loadHits[1]);
+        o.u64("load_hits_llc", h.loadHits[2]);
+        o.u64("load_hits_mem", h.loadHits[3]);
+        o.u64("total_load_latency", h.totalLoadLatency);
+        o.u64("total_l1_hit_latency", h.totalL1HitLatency);
+        o.u64Array("l1_hits_by_source", h.l1HitsBySource, 7);
+        o.u64Array("l1_hit_wait_by_source", h.l1HitWaitBySource, 7);
+        o.u64("store_accesses", h.storeAccesses);
+        o.u64("store_l1_misses", h.storeL1Misses);
+        o.u64Array("rfo_hits", h.rfoHits, 4);
+        o.u64("code_fetches", h.codeFetches);
+        o.u64Array("code_hits", h.codeHits, 4);
+        o.u64("demoted_loads", h.demotedLoads);
+        o.u64("oracle_converted", h.oracleConverted);
+        o.u64("ring_transfers", h.ringTransfers);
+        o.u64("mem_transfers", h.memTransfers);
+        o.u64("stride_pf_issued", h.stridePfIssued);
+        o.u64("stream_pf_issued", h.streamPfIssued);
+        o.u64("code_pf_issued", h.codePfIssued);
+    });
+    io.object("l1d", [&r](auto &o) { cacheFields(o, r.l1d); });
+    io.object("l1i", [&r](auto &o) { cacheFields(o, r.l1i); });
+    io.object("l2", r.hasL2, [&r](auto &o) { cacheFields(o, r.l2); });
+    io.object("llc", [&r](auto &o) { cacheFields(o, r.llc); });
+    io.object("dram", [&d = r.dram](auto &o) {
+        o.u64("reads", d.reads);
+        o.u64("writes", d.writes);
+        o.u64("activates", d.activates);
+        o.u64("row_hits", d.rowHits);
+        o.u64("row_misses", d.rowMisses);
+        o.u64("write_drains", d.writeDrains);
+        o.u64("refresh_stalls", d.refreshStalls);
+        o.u64("total_read_latency", d.totalReadLatency);
+        o.u64("total_bank_wait", d.totalBankWait);
+        o.u64("total_bus_wait", d.totalBusWait);
+        o.derived("avg_read_latency", d.avgReadLatency());
+    });
+    io.object("frontend", [&f = r.frontend](auto &o) {
+        o.u64("line_fetches", f.lineFetches);
+        o.u64("code_stall_cycles", f.codeStallCycles);
+        o.u64("redirects", f.redirects);
+    });
+    io.object("criticality", [&r](auto &o) {
+        o.u64("ddg_retired", r.ddg.retired);
+        o.u64("ddg_walks", r.ddg.walks);
+        o.u64("critical_loads_found", r.ddg.criticalLoadsFound);
+        o.u64("ddg_recorded", r.ddg.recorded);
+        o.u64("ddg_overflows", r.ddg.overflows);
+        o.u64("table_recordings", r.criticalTable.recordings);
+        o.u64("table_insertions", r.criticalTable.insertions);
+        o.u64("table_evictions", r.criticalTable.evictions);
+        o.u64("table_confidence_resets",
+              r.criticalTable.confidenceResets);
+        o.u64("table_queries", r.criticalTable.queries);
+        o.u64("table_query_hits", r.criticalTable.queryHits);
+        o.u32("active_critical_pcs", r.activeCriticalPcs);
+    });
+    io.object("tact", [&r](auto &o) {
+        o.u64("prefetches", r.hier.tactPrefetches);
+        o.u64("cross_issued", r.tact.crossIssued);
+        o.u64("deep_issued", r.tact.deepIssued);
+        o.u64("feeder_issued", r.tact.feederIssued);
+        o.u64("feeder_runaheads", r.tact.feederRunaheads);
+        o.u64("code_stalls", r.tact.codeStalls);
+        o.u64("code_lines", r.tact.codeLines);
+        o.u64("useful_hits", r.hier.tactUsefulHits);
+        o.u64("pf_from_l2", r.hier.tactPfFromL2);
+        o.u64("pf_from_llc", r.hier.tactPfFromLlc);
+        o.u64("pf_from_mem", r.hier.tactPfFromMem);
+        o.u64("pf_dropped", r.hier.tactPfDropped);
+        o.u64("pf_not_on_die", r.hier.tactPfNotOnDie);
+        o.f64("from_llc_fraction", r.tactFromLlcFraction);
+        o.f64("timeliness_ge80", r.timelinessAtLeast80);
+        o.f64("timeliness_ge10", r.timelinessAtLeast10);
+    });
+    io.object("energy_mj", [&e = r.energy](auto &o) {
+        o.f64("core_dynamic", e.coreDynamic);
+        o.f64("cache_dynamic", e.cacheDynamic);
+        o.f64("interconnect", e.interconnect);
+        o.f64("dram_dynamic", e.dramDynamic);
+        o.f64("static_leakage", e.staticLeakage);
+        o.derived("total", e.total());
+    });
+    // Emitted only by sampled runs (like "l2" above): detailed-mode
+    // documents stay byte-identical to pre-sampling exports, which the
+    // golden-hash tests pin.
+    io.object("sampling", r.sampled, [&s = r.sample](auto &o) {
+        o.u64("windows", s.windows);
+        o.u64("warmed_instrs", s.warmedInstrs);
+        o.f64("ipc_mean", s.ipcMean);
+        o.f64("ipc_variance", s.ipcVariance);
+        o.f64("ipc_min", s.ipcMin);
+        o.f64("ipc_max", s.ipcMax);
+    });
+}
+
+/** The "hostPerf" object: host-side profiling beside the result. */
+template <typename IO, typename P>
+void
+profileFields(IO &io, P &p)
+{
+    io.f64("trace_gen_sec", p.traceGenSec);
+    io.f64("warmup_sec", p.warmupSec);
+    io.f64("measured_sec", p.measuredSec);
+    io.u64("peak_rss_bytes", p.peakRssBytes);
+    // Per-run (never campaign-cumulative) chunk-store counters:
+    // hit-rate stays attributable to this cell.
+    io.u64("store_hit_chunks", p.storeHitChunks);
+    io.u64("store_miss_chunks", p.storeMissChunks);
+    // Warmed-state snapshot traffic, same per-run scoping.
+    io.u64("warm_state_hits", p.warmStateHits);
+    io.u64("warm_state_misses", p.warmStateMisses);
+    io.u64("warm_state_bytes", p.warmStateBytes);
 }
 
 } // namespace
@@ -70,130 +196,8 @@ SimResult::toJson() const
 {
     JsonWriter w;
     w.open();
-    w.field("workload", workload);
-    w.field("config", config);
-    w.field("category", std::string(categoryName(category)));
-    w.field("ipc", ipc);
-
-    w.object("core");
-    w.field("instrs", core.instrs);
-    w.field("cycles", core.cycles);
-    w.field("loads", core.loads);
-    w.field("stores", core.stores);
-    w.field("forwarded_loads", core.forwardedLoads);
-    w.field("branches", core.branch.branches);
-    w.field("branch_mispredicts", core.branch.mispredicts);
-    w.field("branch_direction_wrong", core.branch.directionWrong);
-    w.field("branch_target_wrong", core.branch.targetWrong);
-    w.close();
-
-    w.object("hierarchy");
-    w.field("loads", hier.loads);
-    w.field("load_hits_l1", hier.loadHits[0]);
-    w.field("load_hits_l2", hier.loadHits[1]);
-    w.field("load_hits_llc", hier.loadHits[2]);
-    w.field("load_hits_mem", hier.loadHits[3]);
-    w.field("total_load_latency", hier.totalLoadLatency);
-    w.field("total_l1_hit_latency", hier.totalL1HitLatency);
-    w.fieldArray("l1_hits_by_source", hier.l1HitsBySource, 7);
-    w.fieldArray("l1_hit_wait_by_source", hier.l1HitWaitBySource, 7);
-    w.field("store_accesses", hier.storeAccesses);
-    w.field("store_l1_misses", hier.storeL1Misses);
-    w.fieldArray("rfo_hits", hier.rfoHits, 4);
-    w.field("code_fetches", hier.codeFetches);
-    w.fieldArray("code_hits", hier.codeHits, 4);
-    w.field("demoted_loads", hier.demotedLoads);
-    w.field("oracle_converted", hier.oracleConverted);
-    w.field("ring_transfers", hier.ringTransfers);
-    w.field("mem_transfers", hier.memTransfers);
-    w.field("stride_pf_issued", hier.stridePfIssued);
-    w.field("stream_pf_issued", hier.streamPfIssued);
-    w.field("code_pf_issued", hier.codePfIssued);
-    w.close();
-
-    cacheJson(w, "l1d", l1d);
-    cacheJson(w, "l1i", l1i);
-    if (hasL2)
-        cacheJson(w, "l2", l2);
-    cacheJson(w, "llc", llc);
-
-    w.object("dram");
-    w.field("reads", dram.reads);
-    w.field("writes", dram.writes);
-    w.field("activates", dram.activates);
-    w.field("row_hits", dram.rowHits);
-    w.field("row_misses", dram.rowMisses);
-    w.field("write_drains", dram.writeDrains);
-    w.field("refresh_stalls", dram.refreshStalls);
-    w.field("total_read_latency", dram.totalReadLatency);
-    w.field("total_bank_wait", dram.totalBankWait);
-    w.field("total_bus_wait", dram.totalBusWait);
-    w.field("avg_read_latency", dram.avgReadLatency());
-    w.close();
-
-    w.object("frontend");
-    w.field("line_fetches", frontend.lineFetches);
-    w.field("code_stall_cycles", frontend.codeStallCycles);
-    w.field("redirects", frontend.redirects);
-    w.close();
-
-    w.object("criticality");
-    w.field("ddg_retired", ddg.retired);
-    w.field("ddg_walks", ddg.walks);
-    w.field("critical_loads_found", ddg.criticalLoadsFound);
-    w.field("ddg_recorded", ddg.recorded);
-    w.field("ddg_overflows", ddg.overflows);
-    w.field("table_recordings", criticalTable.recordings);
-    w.field("table_insertions", criticalTable.insertions);
-    w.field("table_evictions", criticalTable.evictions);
-    w.field("table_confidence_resets", criticalTable.confidenceResets);
-    w.field("table_queries", criticalTable.queries);
-    w.field("table_query_hits", criticalTable.queryHits);
-    w.field("active_critical_pcs", uint64_t(activeCriticalPcs));
-    w.close();
-
-    w.object("tact");
-    w.field("prefetches", hier.tactPrefetches);
-    w.field("cross_issued", tact.crossIssued);
-    w.field("deep_issued", tact.deepIssued);
-    w.field("feeder_issued", tact.feederIssued);
-    w.field("feeder_runaheads", tact.feederRunaheads);
-    w.field("code_stalls", tact.codeStalls);
-    w.field("code_lines", tact.codeLines);
-    w.field("useful_hits", hier.tactUsefulHits);
-    w.field("pf_from_l2", hier.tactPfFromL2);
-    w.field("pf_from_llc", hier.tactPfFromLlc);
-    w.field("pf_from_mem", hier.tactPfFromMem);
-    w.field("pf_dropped", hier.tactPfDropped);
-    w.field("pf_not_on_die", hier.tactPfNotOnDie);
-    w.field("from_llc_fraction", tactFromLlcFraction);
-    w.field("timeliness_ge80", timelinessAtLeast80);
-    w.field("timeliness_ge10", timelinessAtLeast10);
-    w.close();
-
-    w.object("energy_mj");
-    w.field("core_dynamic", energy.coreDynamic);
-    w.field("cache_dynamic", energy.cacheDynamic);
-    w.field("interconnect", energy.interconnect);
-    w.field("dram_dynamic", energy.dramDynamic);
-    w.field("static_leakage", energy.staticLeakage);
-    w.field("total", energy.total());
-    w.close();
-
-    // Emitted only by sampled runs (like "l2" above): detailed-mode
-    // documents stay byte-identical to pre-sampling exports, which the
-    // golden-hash tests pin.
-    if (sampled) {
-        w.object("sampling");
-        w.field("windows", sample.windows);
-        w.field("warmed_instrs", sample.warmedInstrs);
-        w.field("ipc_mean", sample.ipcMean);
-        w.field("ipc_variance", sample.ipcVariance);
-        w.field("ipc_min", sample.ipcMin);
-        w.field("ipc_max", sample.ipcMax);
-        w.close();
-    }
-
+    JsonFieldWriter fw(w);
+    resultFields(fw, *this);
     w.close();
     return w.str();
 }
@@ -207,136 +211,7 @@ SimResult::fromJson(const JsonValue &v)
     std::optional<SimError> err;
     JsonReader r(&v, err, ErrorCategory::TraceCorrupt, "SimResult");
     SimResult s;
-
-    r.str("workload", s.workload);
-    r.str("config", s.config);
-    std::string cat;
-    r.str("category", cat);
-    if (!err) {
-        bool found = false;
-        for (Category c : {Category::Client, Category::Fspec,
-                           Category::Hpc, Category::Ispec,
-                           Category::Server}) {
-            if (cat == categoryName(c)) {
-                s.category = c;
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            err = simError(ErrorCategory::TraceCorrupt,
-                           "unknown category '", cat, "'");
-    }
-    r.f64("ipc", s.ipc);
-
-    JsonReader core = r.child("core");
-    core.u64("instrs", s.core.instrs);
-    core.u64("cycles", s.core.cycles);
-    core.u64("loads", s.core.loads);
-    core.u64("stores", s.core.stores);
-    core.u64("forwarded_loads", s.core.forwardedLoads);
-    core.u64("branches", s.core.branch.branches);
-    core.u64("branch_mispredicts", s.core.branch.mispredicts);
-    core.u64("branch_direction_wrong", s.core.branch.directionWrong);
-    core.u64("branch_target_wrong", s.core.branch.targetWrong);
-
-    JsonReader h = r.child("hierarchy");
-    h.u64("loads", s.hier.loads);
-    h.u64("load_hits_l1", s.hier.loadHits[0]);
-    h.u64("load_hits_l2", s.hier.loadHits[1]);
-    h.u64("load_hits_llc", s.hier.loadHits[2]);
-    h.u64("load_hits_mem", s.hier.loadHits[3]);
-    h.u64("total_load_latency", s.hier.totalLoadLatency);
-    h.u64("total_l1_hit_latency", s.hier.totalL1HitLatency);
-    h.u64Array("l1_hits_by_source", s.hier.l1HitsBySource, 7);
-    h.u64Array("l1_hit_wait_by_source", s.hier.l1HitWaitBySource, 7);
-    h.u64("store_accesses", s.hier.storeAccesses);
-    h.u64("store_l1_misses", s.hier.storeL1Misses);
-    h.u64Array("rfo_hits", s.hier.rfoHits, 4);
-    h.u64("code_fetches", s.hier.codeFetches);
-    h.u64Array("code_hits", s.hier.codeHits, 4);
-    h.u64("demoted_loads", s.hier.demotedLoads);
-    h.u64("oracle_converted", s.hier.oracleConverted);
-    h.u64("ring_transfers", s.hier.ringTransfers);
-    h.u64("mem_transfers", s.hier.memTransfers);
-    h.u64("stride_pf_issued", s.hier.stridePfIssued);
-    h.u64("stream_pf_issued", s.hier.streamPfIssued);
-    h.u64("code_pf_issued", s.hier.codePfIssued);
-
-    cacheFromJson(r.child("l1d"), s.l1d);
-    cacheFromJson(r.child("l1i"), s.l1i);
-    s.hasL2 = r.has("l2");
-    if (s.hasL2)
-        cacheFromJson(r.child("l2"), s.l2);
-    cacheFromJson(r.child("llc"), s.llc);
-
-    JsonReader dram = r.child("dram");
-    dram.u64("reads", s.dram.reads);
-    dram.u64("writes", s.dram.writes);
-    dram.u64("activates", s.dram.activates);
-    dram.u64("row_hits", s.dram.rowHits);
-    dram.u64("row_misses", s.dram.rowMisses);
-    dram.u64("write_drains", s.dram.writeDrains);
-    dram.u64("refresh_stalls", s.dram.refreshStalls);
-    dram.u64("total_read_latency", s.dram.totalReadLatency);
-    dram.u64("total_bank_wait", s.dram.totalBankWait);
-    dram.u64("total_bus_wait", s.dram.totalBusWait);
-
-    JsonReader fe = r.child("frontend");
-    fe.u64("line_fetches", s.frontend.lineFetches);
-    fe.u64("code_stall_cycles", s.frontend.codeStallCycles);
-    fe.u64("redirects", s.frontend.redirects);
-
-    JsonReader crit = r.child("criticality");
-    crit.u64("ddg_retired", s.ddg.retired);
-    crit.u64("ddg_walks", s.ddg.walks);
-    crit.u64("critical_loads_found", s.ddg.criticalLoadsFound);
-    crit.u64("ddg_recorded", s.ddg.recorded);
-    crit.u64("ddg_overflows", s.ddg.overflows);
-    crit.u64("table_recordings", s.criticalTable.recordings);
-    crit.u64("table_insertions", s.criticalTable.insertions);
-    crit.u64("table_evictions", s.criticalTable.evictions);
-    crit.u64("table_confidence_resets", s.criticalTable.confidenceResets);
-    crit.u64("table_queries", s.criticalTable.queries);
-    crit.u64("table_query_hits", s.criticalTable.queryHits);
-    crit.u32("active_critical_pcs", s.activeCriticalPcs);
-
-    JsonReader tact = r.child("tact");
-    tact.u64("prefetches", s.hier.tactPrefetches);
-    tact.u64("cross_issued", s.tact.crossIssued);
-    tact.u64("deep_issued", s.tact.deepIssued);
-    tact.u64("feeder_issued", s.tact.feederIssued);
-    tact.u64("feeder_runaheads", s.tact.feederRunaheads);
-    tact.u64("code_stalls", s.tact.codeStalls);
-    tact.u64("code_lines", s.tact.codeLines);
-    tact.u64("useful_hits", s.hier.tactUsefulHits);
-    tact.u64("pf_from_l2", s.hier.tactPfFromL2);
-    tact.u64("pf_from_llc", s.hier.tactPfFromLlc);
-    tact.u64("pf_from_mem", s.hier.tactPfFromMem);
-    tact.u64("pf_dropped", s.hier.tactPfDropped);
-    tact.u64("pf_not_on_die", s.hier.tactPfNotOnDie);
-    tact.f64("from_llc_fraction", s.tactFromLlcFraction);
-    tact.f64("timeliness_ge80", s.timelinessAtLeast80);
-    tact.f64("timeliness_ge10", s.timelinessAtLeast10);
-
-    JsonReader energy = r.child("energy_mj");
-    energy.f64("core_dynamic", s.energy.coreDynamic);
-    energy.f64("cache_dynamic", s.energy.cacheDynamic);
-    energy.f64("interconnect", s.energy.interconnect);
-    energy.f64("dram_dynamic", s.energy.dramDynamic);
-    energy.f64("static_leakage", s.energy.staticLeakage);
-
-    s.sampled = r.has("sampling");
-    if (s.sampled) {
-        JsonReader sm = r.child("sampling");
-        sm.u64("windows", s.sample.windows);
-        sm.u64("warmed_instrs", s.sample.warmedInstrs);
-        sm.f64("ipc_mean", s.sample.ipcMean);
-        sm.f64("ipc_variance", s.sample.ipcVariance);
-        sm.f64("ipc_min", s.sample.ipcMin);
-        sm.f64("ipc_max", s.sample.ipcMax);
-    }
-
+    resultFields(r, s);
     if (err)
         return *err;
     return s;
@@ -367,21 +242,10 @@ writeOutcomeBody(JsonWriter &w, const RunOutcome &out)
     // Host-side profiling rides beside the simulated result: it is
     // wall-clock data and deliberately NOT part of SimResult's
     // deterministic payload (or of a result-store record).
-    if (const auto &p = out.profile) {
-        w.object("hostPerf");
-        w.field("trace_gen_sec", p->traceGenSec);
-        w.field("warmup_sec", p->warmupSec);
-        w.field("measured_sec", p->measuredSec);
-        w.field("peak_rss_bytes", p->peakRssBytes);
-        // Per-run (never campaign-cumulative) chunk-store counters:
-        // hit-rate stays attributable to this cell.
-        w.field("store_hit_chunks", p->storeHitChunks);
-        w.field("store_miss_chunks", p->storeMissChunks);
-        // Warmed-state snapshot traffic, same per-run scoping.
-        w.field("warm_state_hits", p->warmStateHits);
-        w.field("warm_state_misses", p->warmStateMisses);
-        w.field("warm_state_bytes", p->warmStateBytes);
-        w.close();
+    if (out.profile) {
+        const RunProfile &p = *out.profile;
+        JsonFieldWriter fw(w);
+        fw.object("hostPerf", [&p](auto &o) { profileFields(o, p); });
     }
     w.rawField("result", out.result.toJson());
 }
@@ -414,17 +278,8 @@ readOutcomeBody(const JsonReader &r, RunOutcome &out)
         return;
     }
     if (r.has("hostPerf")) {
-        JsonReader hp = r.child("hostPerf");
         RunProfile p;
-        hp.f64("trace_gen_sec", p.traceGenSec);
-        hp.f64("warmup_sec", p.warmupSec);
-        hp.f64("measured_sec", p.measuredSec);
-        hp.u64("peak_rss_bytes", p.peakRssBytes);
-        hp.u64("store_hit_chunks", p.storeHitChunks);
-        hp.u64("store_miss_chunks", p.storeMissChunks);
-        hp.u64("warm_state_hits", p.warmStateHits);
-        hp.u64("warm_state_misses", p.warmStateMisses);
-        hp.u64("warm_state_bytes", p.warmStateBytes);
+        r.object("hostPerf", [&p](auto &o) { profileFields(o, p); });
         out.profile = p;
     }
     const JsonValue *res = r.raw("result", JsonValue::Kind::Object);
@@ -475,36 +330,7 @@ writeDocument(const std::string &path, const std::string &body)
     return {};
 }
 
-std::string
-suiteHeader(const SimConfig &cfg, const ExperimentEnv &env)
-{
-    JsonWriter w;
-    w.open();
-    w.field("config", cfg.name);
-    w.field("instrs", env.instrs);
-    w.field("warmup", env.warmup);
-    w.key("results");
-    return w.str();
-}
-
 } // namespace
-
-Expected<void>
-writeSuiteJson(const std::string &path, const SimConfig &cfg,
-               const ExperimentEnv &env,
-               const std::vector<SimResult> &results)
-{
-    std::string body = suiteHeader(cfg, env);
-    body += "[\n";
-    for (size_t i = 0; i < results.size(); ++i) {
-        body += results[i].toJson();
-        if (i + 1 < results.size())
-            body += ',';
-        body += '\n';
-    }
-    body += "]}\n";
-    return writeDocument(path, body);
-}
 
 Expected<void>
 writeSuiteJson(const std::string &path, const SimConfig &cfg,

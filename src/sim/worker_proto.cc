@@ -35,22 +35,124 @@ encodeLen(uint32_t len, char *p)
     p[3] = char((len >> 24) & 0xff);
 }
 
+template <typename IO, typename G>
 void
-geometryJson(JsonWriter &w, const char *name, const CacheGeometry &g)
+geometryFields(IO &io, G &g)
 {
-    w.object(name);
-    w.field("size_bytes", g.sizeBytes);
-    w.field("ways", uint64_t(g.ways));
-    w.field("latency", uint64_t(g.latency));
-    w.close();
+    io.u64("size_bytes", g.sizeBytes);
+    io.u32("ways", g.ways);
+    io.u32("latency", g.latency);
 }
 
+/** SimConfig's JSON shape, read and written (see JsonFieldWriter). */
+template <typename IO, typename C>
 void
-geometryFromJson(const JsonReader &r, CacheGeometry &g)
+configFields(IO &io, C &c)
 {
-    r.u64("size_bytes", g.sizeBytes);
-    r.u32("ways", g.ways);
-    r.u32("latency", g.latency);
+    io.str("name", c.name);
+    io.object("core", [&c](auto &o) {
+        o.u32("width", c.width);
+        o.u32("rob_size", c.robSize);
+        o.u32("rename_lat", c.renameLat);
+        o.u32("redirect_lat", c.redirectLat);
+        o.u32("num_arch_regs", c.numArchRegs);
+        o.u32("store_queue_size", c.storeQueueSize);
+        o.u32("fwd_latency", c.fwdLatency);
+        o.u32("alu_ports", c.aluPorts);
+        o.u32("load_ports", c.loadPorts);
+        o.u32("store_ports", c.storePorts);
+        o.u32("fp_ports", c.fpPorts);
+    });
+    io.boolean("has_l2", c.hasL2);
+    io.enumeration("inclusion", c.inclusion,
+                   uint64_t(InclusionPolicy::Nine));
+    io.object("l1i", [&c](auto &o) { geometryFields(o, c.l1i); });
+    io.object("l1d", [&c](auto &o) { geometryFields(o, c.l1d); });
+    io.object("l2", [&c](auto &o) { geometryFields(o, c.l2); });
+    io.object("llc", [&c](auto &o) { geometryFields(o, c.llc); });
+    io.boolean("l1_stride_prefetcher", c.l1StridePrefetcher);
+    io.boolean("l2_stream_prefetcher", c.l2StreamPrefetcher);
+    io.u32("stream_degree", c.streamDegree);
+    io.object("dram", [&d = c.dram](auto &o) {
+        o.u32("channels", d.channels);
+        o.u32("ranks_per_channel", d.ranksPerChannel);
+        o.u32("banks_per_rank", d.banksPerRank);
+        o.u32("row_bytes", d.rowBytes);
+        o.u32("t_cas", d.tCas);
+        o.u32("t_rcd", d.tRcd);
+        o.u32("t_rp", d.tRp);
+        o.u32("t_ras", d.tRas);
+        o.u32("burst_cycles", d.burstCycles);
+        o.u32("controller_lat", d.controllerLat);
+        o.u32("write_queue_depth", d.writeQueueDepth);
+        o.u32("write_drain_watermark", d.writeDrainWatermark);
+        o.u32("write_drain_batch", d.writeDrainBatch);
+        o.u32("t_refi", d.tRefi);
+        o.u32("t_rfc", d.tRfc);
+    });
+    io.object("criticality", [&k = c.criticality](auto &o) {
+        o.boolean("enabled", k.enabled);
+        o.enumeration("kind", k.kind, uint64_t(DetectorKind::Heuristic));
+        o.u32("table_entries", k.tableEntries);
+        o.u32("table_ways", k.tableWays);
+        o.u32("confidence_bits", k.confidenceBits);
+        o.u64("conf_reset_interval", k.confResetInterval);
+        o.f64("graph_factor", k.graphFactor);
+        o.f64("walk_factor", k.walkFactor);
+        o.u32("latency_quant_shift", k.latencyQuantShift);
+        o.u32("hashed_pc_bits", k.hashedPcBits);
+    });
+    io.object("tact", [&t = c.tact](auto &o) {
+        o.boolean("cross", t.cross);
+        o.boolean("deep_self", t.deepSelf);
+        o.boolean("feeder", t.feeder);
+        o.boolean("code", t.code);
+        o.u32("trigger_cache_sets", t.triggerCacheSets);
+        o.u32("trigger_cache_ways", t.triggerCacheWays);
+        o.u32("trigger_pcs_per_page", t.triggerPcsPerPage);
+        o.u32("cross_train_instances", t.crossTrainInstances);
+        o.u32("cross_candidate_wraps", t.crossCandidateWraps);
+        o.u32("deep_max_distance", t.deepMaxDistance);
+        o.u32("safe_length_cap", t.safeLengthCap);
+        o.u32("feeder_depth", t.feederDepth);
+        o.u32("code_runahead_lines", t.codeRunaheadLines);
+    });
+    io.object("oracle", [&x = c.oracle](auto &o) {
+        o.u32("lat_add_l1", x.latAddL1);
+        o.u32("lat_add_l2", x.latAddL2);
+        o.u32("lat_add_llc", x.latAddLlc);
+        o.enumeration("demote", x.demote,
+                      uint64_t(DemoteMode::LlcToMemNonCrit));
+        o.boolean("oracle_prefetch", x.oraclePrefetch);
+        o.u32("oracle_prefetch_pc_limit", x.oraclePrefetchPcLimit);
+        o.boolean("oracle_code_in_l1", x.oracleCodeInL1);
+    });
+    io.object("sampling", [&s = c.sampling](auto &o) {
+        o.enumeration("mode", s.mode, uint64_t(SampleMode::Sampled));
+        o.u64("interval_instrs", s.intervalInstrs);
+        o.u64("window_instrs", s.windowInstrs);
+        o.u64("warmup_instrs", s.warmupInstrs);
+    });
+    io.u32("num_cores", c.numCores);
+    io.u64("seed", c.seed);
+}
+
+/** The worker request's scalar fields; "type" and the embedded config
+ *  frame them in buildWorkerRequest / parseWorkerRequest. */
+template <typename IO, typename Q>
+void
+requestFields(IO &io, Q &q)
+{
+    io.str("workload", q.workload);
+    io.u64("instrs", q.instrs);
+    io.u64("warmup", q.warmup);
+    io.u32("attempt_base", q.attemptBase);
+    io.u32("max_attempts", q.opts.maxAttempts);
+    io.u32("backoff_ms", q.opts.backoffMs);
+    io.boolean("profile", q.opts.profile);
+    io.u64("max_cycles", q.opts.budget.maxCycles);
+    io.u64("stall_window", q.opts.budget.stallWindowCycles);
+    io.u32("heartbeat_ms", q.opts.heartbeatMs);
 }
 
 } // namespace
@@ -150,105 +252,8 @@ configToJson(const SimConfig &cfg)
 {
     JsonWriter w;
     w.open();
-    w.field("name", cfg.name);
-
-    w.object("core");
-    w.field("width", uint64_t(cfg.width));
-    w.field("rob_size", uint64_t(cfg.robSize));
-    w.field("rename_lat", uint64_t(cfg.renameLat));
-    w.field("redirect_lat", uint64_t(cfg.redirectLat));
-    w.field("num_arch_regs", uint64_t(cfg.numArchRegs));
-    w.field("store_queue_size", uint64_t(cfg.storeQueueSize));
-    w.field("fwd_latency", uint64_t(cfg.fwdLatency));
-    w.field("alu_ports", uint64_t(cfg.aluPorts));
-    w.field("load_ports", uint64_t(cfg.loadPorts));
-    w.field("store_ports", uint64_t(cfg.storePorts));
-    w.field("fp_ports", uint64_t(cfg.fpPorts));
-    w.close();
-
-    w.field("has_l2", cfg.hasL2);
-    w.field("inclusion", uint64_t(cfg.inclusion));
-    geometryJson(w, "l1i", cfg.l1i);
-    geometryJson(w, "l1d", cfg.l1d);
-    geometryJson(w, "l2", cfg.l2);
-    geometryJson(w, "llc", cfg.llc);
-    w.field("l1_stride_prefetcher", cfg.l1StridePrefetcher);
-    w.field("l2_stream_prefetcher", cfg.l2StreamPrefetcher);
-    w.field("stream_degree", uint64_t(cfg.streamDegree));
-
-    w.object("dram");
-    w.field("channels", uint64_t(cfg.dram.channels));
-    w.field("ranks_per_channel", uint64_t(cfg.dram.ranksPerChannel));
-    w.field("banks_per_rank", uint64_t(cfg.dram.banksPerRank));
-    w.field("row_bytes", uint64_t(cfg.dram.rowBytes));
-    w.field("t_cas", uint64_t(cfg.dram.tCas));
-    w.field("t_rcd", uint64_t(cfg.dram.tRcd));
-    w.field("t_rp", uint64_t(cfg.dram.tRp));
-    w.field("t_ras", uint64_t(cfg.dram.tRas));
-    w.field("burst_cycles", uint64_t(cfg.dram.burstCycles));
-    w.field("controller_lat", uint64_t(cfg.dram.controllerLat));
-    w.field("write_queue_depth", uint64_t(cfg.dram.writeQueueDepth));
-    w.field("write_drain_watermark",
-            uint64_t(cfg.dram.writeDrainWatermark));
-    w.field("write_drain_batch", uint64_t(cfg.dram.writeDrainBatch));
-    w.field("t_refi", uint64_t(cfg.dram.tRefi));
-    w.field("t_rfc", uint64_t(cfg.dram.tRfc));
-    w.close();
-
-    w.object("criticality");
-    w.field("enabled", cfg.criticality.enabled);
-    w.field("kind", uint64_t(cfg.criticality.kind));
-    w.field("table_entries", uint64_t(cfg.criticality.tableEntries));
-    w.field("table_ways", uint64_t(cfg.criticality.tableWays));
-    w.field("confidence_bits", uint64_t(cfg.criticality.confidenceBits));
-    w.field("conf_reset_interval", cfg.criticality.confResetInterval);
-    w.field("graph_factor", cfg.criticality.graphFactor);
-    w.field("walk_factor", cfg.criticality.walkFactor);
-    w.field("latency_quant_shift",
-            uint64_t(cfg.criticality.latencyQuantShift));
-    w.field("hashed_pc_bits", uint64_t(cfg.criticality.hashedPcBits));
-    w.close();
-
-    w.object("tact");
-    w.field("cross", cfg.tact.cross);
-    w.field("deep_self", cfg.tact.deepSelf);
-    w.field("feeder", cfg.tact.feeder);
-    w.field("code", cfg.tact.code);
-    w.field("trigger_cache_sets", uint64_t(cfg.tact.triggerCacheSets));
-    w.field("trigger_cache_ways", uint64_t(cfg.tact.triggerCacheWays));
-    w.field("trigger_pcs_per_page",
-            uint64_t(cfg.tact.triggerPcsPerPage));
-    w.field("cross_train_instances",
-            uint64_t(cfg.tact.crossTrainInstances));
-    w.field("cross_candidate_wraps",
-            uint64_t(cfg.tact.crossCandidateWraps));
-    w.field("deep_max_distance", uint64_t(cfg.tact.deepMaxDistance));
-    w.field("safe_length_cap", uint64_t(cfg.tact.safeLengthCap));
-    w.field("feeder_depth", uint64_t(cfg.tact.feederDepth));
-    w.field("code_runahead_lines",
-            uint64_t(cfg.tact.codeRunaheadLines));
-    w.close();
-
-    w.object("oracle");
-    w.field("lat_add_l1", uint64_t(cfg.oracle.latAddL1));
-    w.field("lat_add_l2", uint64_t(cfg.oracle.latAddL2));
-    w.field("lat_add_llc", uint64_t(cfg.oracle.latAddLlc));
-    w.field("demote", uint64_t(cfg.oracle.demote));
-    w.field("oracle_prefetch", cfg.oracle.oraclePrefetch);
-    w.field("oracle_prefetch_pc_limit",
-            uint64_t(cfg.oracle.oraclePrefetchPcLimit));
-    w.field("oracle_code_in_l1", cfg.oracle.oracleCodeInL1);
-    w.close();
-
-    w.object("sampling");
-    w.field("mode", uint64_t(cfg.sampling.mode));
-    w.field("interval_instrs", cfg.sampling.intervalInstrs);
-    w.field("window_instrs", cfg.sampling.windowInstrs);
-    w.field("warmup_instrs", cfg.sampling.warmupInstrs);
-    w.close();
-
-    w.field("num_cores", uint64_t(cfg.numCores));
-    w.field("seed", cfg.seed);
+    JsonFieldWriter fw(w);
+    configFields(fw, cfg);
     w.close();
     return w.str();
 }
@@ -262,99 +267,7 @@ configFromJson(const JsonValue &v)
     std::optional<SimError> err;
     JsonReader r(&v, err, ErrorCategory::Config, "protocol");
     SimConfig cfg;
-
-    r.str("name", cfg.name);
-
-    JsonReader core = r.child("core");
-    core.u32("width", cfg.width);
-    core.u32("rob_size", cfg.robSize);
-    core.u32("rename_lat", cfg.renameLat);
-    core.u32("redirect_lat", cfg.redirectLat);
-    core.u32("num_arch_regs", cfg.numArchRegs);
-    core.u32("store_queue_size", cfg.storeQueueSize);
-    core.u32("fwd_latency", cfg.fwdLatency);
-    core.u32("alu_ports", cfg.aluPorts);
-    core.u32("load_ports", cfg.loadPorts);
-    core.u32("store_ports", cfg.storePorts);
-    core.u32("fp_ports", cfg.fpPorts);
-
-    r.boolean("has_l2", cfg.hasL2);
-    r.enumeration("inclusion", cfg.inclusion,
-                  uint64_t(InclusionPolicy::Nine));
-    geometryFromJson(r.child("l1i"), cfg.l1i);
-    geometryFromJson(r.child("l1d"), cfg.l1d);
-    geometryFromJson(r.child("l2"), cfg.l2);
-    geometryFromJson(r.child("llc"), cfg.llc);
-    r.boolean("l1_stride_prefetcher", cfg.l1StridePrefetcher);
-    r.boolean("l2_stream_prefetcher", cfg.l2StreamPrefetcher);
-    r.u32("stream_degree", cfg.streamDegree);
-
-    JsonReader dram = r.child("dram");
-    dram.u32("channels", cfg.dram.channels);
-    dram.u32("ranks_per_channel", cfg.dram.ranksPerChannel);
-    dram.u32("banks_per_rank", cfg.dram.banksPerRank);
-    dram.u32("row_bytes", cfg.dram.rowBytes);
-    dram.u32("t_cas", cfg.dram.tCas);
-    dram.u32("t_rcd", cfg.dram.tRcd);
-    dram.u32("t_rp", cfg.dram.tRp);
-    dram.u32("t_ras", cfg.dram.tRas);
-    dram.u32("burst_cycles", cfg.dram.burstCycles);
-    dram.u32("controller_lat", cfg.dram.controllerLat);
-    dram.u32("write_queue_depth", cfg.dram.writeQueueDepth);
-    dram.u32("write_drain_watermark", cfg.dram.writeDrainWatermark);
-    dram.u32("write_drain_batch", cfg.dram.writeDrainBatch);
-    dram.u32("t_refi", cfg.dram.tRefi);
-    dram.u32("t_rfc", cfg.dram.tRfc);
-
-    JsonReader crit = r.child("criticality");
-    crit.boolean("enabled", cfg.criticality.enabled);
-    crit.enumeration("kind", cfg.criticality.kind,
-                     uint64_t(DetectorKind::Heuristic));
-    crit.u32("table_entries", cfg.criticality.tableEntries);
-    crit.u32("table_ways", cfg.criticality.tableWays);
-    crit.u32("confidence_bits", cfg.criticality.confidenceBits);
-    crit.u64("conf_reset_interval", cfg.criticality.confResetInterval);
-    crit.f64("graph_factor", cfg.criticality.graphFactor);
-    crit.f64("walk_factor", cfg.criticality.walkFactor);
-    crit.u32("latency_quant_shift", cfg.criticality.latencyQuantShift);
-    crit.u32("hashed_pc_bits", cfg.criticality.hashedPcBits);
-
-    JsonReader tact = r.child("tact");
-    tact.boolean("cross", cfg.tact.cross);
-    tact.boolean("deep_self", cfg.tact.deepSelf);
-    tact.boolean("feeder", cfg.tact.feeder);
-    tact.boolean("code", cfg.tact.code);
-    tact.u32("trigger_cache_sets", cfg.tact.triggerCacheSets);
-    tact.u32("trigger_cache_ways", cfg.tact.triggerCacheWays);
-    tact.u32("trigger_pcs_per_page", cfg.tact.triggerPcsPerPage);
-    tact.u32("cross_train_instances", cfg.tact.crossTrainInstances);
-    tact.u32("cross_candidate_wraps", cfg.tact.crossCandidateWraps);
-    tact.u32("deep_max_distance", cfg.tact.deepMaxDistance);
-    tact.u32("safe_length_cap", cfg.tact.safeLengthCap);
-    tact.u32("feeder_depth", cfg.tact.feederDepth);
-    tact.u32("code_runahead_lines", cfg.tact.codeRunaheadLines);
-
-    JsonReader oracle = r.child("oracle");
-    oracle.u32("lat_add_l1", cfg.oracle.latAddL1);
-    oracle.u32("lat_add_l2", cfg.oracle.latAddL2);
-    oracle.u32("lat_add_llc", cfg.oracle.latAddLlc);
-    oracle.enumeration("demote", cfg.oracle.demote,
-                       uint64_t(DemoteMode::LlcToMemNonCrit));
-    oracle.boolean("oracle_prefetch", cfg.oracle.oraclePrefetch);
-    oracle.u32("oracle_prefetch_pc_limit",
-               cfg.oracle.oraclePrefetchPcLimit);
-    oracle.boolean("oracle_code_in_l1", cfg.oracle.oracleCodeInL1);
-
-    JsonReader sampling = r.child("sampling");
-    sampling.enumeration("mode", cfg.sampling.mode,
-                         uint64_t(SampleMode::Sampled));
-    sampling.u64("interval_instrs", cfg.sampling.intervalInstrs);
-    sampling.u64("window_instrs", cfg.sampling.windowInstrs);
-    sampling.u64("warmup_instrs", cfg.sampling.warmupInstrs);
-
-    r.u32("num_cores", cfg.numCores);
-    r.u64("seed", cfg.seed);
-
+    configFields(r, cfg);
     if (err)
         return *err;
     return cfg;
@@ -376,19 +289,17 @@ buildWorkerRequest(const SimConfig &cfg, const std::string &workload,
                    uint64_t instrs, uint64_t warmup,
                    unsigned attemptBase, const IsolationOptions &opts)
 {
+    WorkerRequest req;
+    req.workload = workload;
+    req.instrs = instrs;
+    req.warmup = warmup;
+    req.attemptBase = attemptBase;
+    req.opts = opts;
     JsonWriter w;
     w.open();
     w.field("type", std::string("request"));
-    w.field("workload", workload);
-    w.field("instrs", instrs);
-    w.field("warmup", warmup);
-    w.field("attempt_base", uint64_t(attemptBase));
-    w.field("max_attempts", uint64_t(opts.maxAttempts));
-    w.field("backoff_ms", uint64_t(opts.backoffMs));
-    w.field("profile", opts.profile);
-    w.field("max_cycles", opts.budget.maxCycles);
-    w.field("stall_window", opts.budget.stallWindowCycles);
-    w.field("heartbeat_ms", uint64_t(opts.heartbeatMs));
+    JsonFieldWriter fw(w);
+    requestFields(fw, req);
     w.rawField("config", configToJson(cfg));
     w.close();
     return w.str();
@@ -412,28 +323,13 @@ parseWorkerRequest(const std::string &json)
                         "worker request has type '", type, "'");
 
     WorkerRequest req;
-    r.str("workload", req.workload);
-    r.u64("instrs", req.instrs);
-    r.u64("warmup", req.warmup);
-    uint64_t attempt_base = 1, max_attempts = 1, backoff = 0;
-    uint64_t heartbeat = 1000;
-    r.u64("attempt_base", attempt_base);
-    r.u64("max_attempts", max_attempts);
-    r.u64("backoff_ms", backoff);
-    r.boolean("profile", req.opts.profile);
-    r.u64("max_cycles", req.opts.budget.maxCycles);
-    r.u64("stall_window", req.opts.budget.stallWindowCycles);
-    r.u64("heartbeat_ms", heartbeat);
+    requestFields(r, req);
     const JsonValue *cfg_obj = r.raw("config", JsonValue::Kind::Object);
     if (err)
         return *err;
-    req.attemptBase = static_cast<unsigned>(std::max<uint64_t>(
-        1, attempt_base));
-    req.opts.maxAttempts = static_cast<unsigned>(std::max<uint64_t>(
-        1, max_attempts));
-    req.opts.backoffMs = static_cast<unsigned>(backoff);
-    req.opts.heartbeatMs = static_cast<unsigned>(std::max<uint64_t>(
-        1, heartbeat));
+    req.attemptBase = std::max(1u, req.attemptBase);
+    req.opts.maxAttempts = std::max(1u, req.opts.maxAttempts);
+    req.opts.heartbeatMs = std::max(1u, req.opts.heartbeatMs);
     auto cfg = configFromJson(*cfg_obj);
     if (!cfg.ok())
         return cfg.error();

@@ -464,9 +464,9 @@ TEST(ZGlobalPlan, EnvSpecReachesGlobalPlanAndExporter)
     env.names = {"mcf"};
     env.instrs = kInstr;
     env.warmup = kWarm;
-    std::vector<SimResult> results(1);
+    std::vector<RunOutcome> outcomes(1);
     std::string path = ::testing::TempDir() + "injected_export.json";
-    auto r = writeSuiteJson(path, baselineSkx(), env, results);
+    auto r = writeSuiteJson(path, baselineSkx(), env, outcomes);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().category, ErrorCategory::IoTransient);
     EXPECT_NE(r.error().message.find("injected"), std::string::npos);

@@ -29,6 +29,7 @@ EXPECTATIONS = {
     "rawnew": "raw-new-delete",
     "coverage": "test-coverage",
     "statsonce": "stats-once",
+    "statsonce_fields": "stats-once",
     "includecc": "include-cc",
     "fatalboundary": "fatal-boundary",
     "stepalloc": "step-alloc",

@@ -221,10 +221,10 @@ TEST(ParallelRunner, SuiteJsonExportRoundTrips)
     env.names = {"hmmer", "mcf"};
     env.instrs = kInstr;
     env.warmup = kWarm;
-    auto results = runWorkloadsParallel(baselineSkx(), env.names,
-                                        env.instrs, env.warmup, 2);
+    auto outcomes = runWorkloadsIsolated(baselineSkx(), env.names,
+                                         env.instrs, env.warmup, 2);
     std::string path = ::testing::TempDir() + "suite_export.json";
-    ASSERT_TRUE(writeSuiteJson(path, baselineSkx(), env, results).ok());
+    ASSERT_TRUE(writeSuiteJson(path, baselineSkx(), env, outcomes).ok());
 
     std::FILE *f = std::fopen(path.c_str(), "r");
     ASSERT_NE(f, nullptr);

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/fault_inject.hh"
@@ -69,6 +71,58 @@ TEST(ResultsJson, SimResultRoundTripsBitwise)
     expectBitwiseEqual(orig, back.value());
     // And the re-serialisation is byte-identical, so a stored record
     // survives any number of replay cycles unchanged.
+    EXPECT_EQ(back.value().toJson(), json);
+}
+
+/** Writes consecutive values from @p next into every 8-byte field of
+ *  a stats aggregate. A double field holds the integer's bit pattern
+ *  (a subnormal), which %.17g must round-trip exactly as well. */
+template <typename Stats>
+void
+fillDistinct(Stats &s, uint64_t &next)
+{
+    static_assert(std::is_trivially_copyable_v<Stats> &&
+                  sizeof(Stats) % sizeof(uint64_t) == 0);
+    uint64_t words[sizeof(Stats) / sizeof(uint64_t)];
+    for (uint64_t &w : words)
+        w = next++;
+    std::memcpy(&s, words, sizeof(Stats));
+}
+
+TEST(ResultsJson, EveryCounterRoundTrips)
+{
+    // Every counter distinct, both optional objects present: a counter
+    // the field list misses, or two sharing one key, reads back wrong.
+    SimResult r;
+    r.workload = "every-counter";
+    r.config = "cfg";
+    r.category = Category::Server;
+    r.ipc = 1.0 / 3;
+    r.hasL2 = true;
+    r.sampled = true;
+    r.activeCriticalPcs = 4242;
+    r.timelinessAtLeast80 = 0.8125;
+    r.timelinessAtLeast10 = 0.1;
+    r.tactFromLlcFraction = 2.0 / 7;
+    uint64_t next = 1;
+    fillDistinct(r.core, next);
+    fillDistinct(r.hier, next);
+    fillDistinct(r.l1d, next);
+    fillDistinct(r.l1i, next);
+    fillDistinct(r.l2, next);
+    fillDistinct(r.llc, next);
+    fillDistinct(r.dram, next);
+    fillDistinct(r.frontend, next);
+    fillDistinct(r.ddg, next);
+    fillDistinct(r.criticalTable, next);
+    fillDistinct(r.tact, next);
+    fillDistinct(r.energy, next);
+    fillDistinct(r.sample, next);
+
+    const std::string json = r.toJson();
+    auto back = SimResult::fromJson(json);
+    ASSERT_TRUE(back.ok()) << back.error().message;
+    expectBitwiseEqual(r, back.value());
     EXPECT_EQ(back.value().toJson(), json);
 }
 
@@ -277,9 +331,9 @@ TEST(ResultsJson, UnwritableDestinationIsAnError)
     env.names = {"mcf"};
     env.instrs = kInstr;
     env.warmup = kWarm;
-    std::vector<SimResult> results(1);
+    std::vector<RunOutcome> outcomes(1);
     auto r = writeSuiteJson("/nonexistent-root/nested/out.json",
-                            baselineSkx(), env, results);
+                            baselineSkx(), env, outcomes);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().category, ErrorCategory::Config);
 }
@@ -297,8 +351,8 @@ TEST(ResultsJson, FailedExportLeavesNoTornFinalDocument)
     env.names = {"mcf"};
     env.instrs = kInstr;
     env.warmup = kWarm;
-    std::vector<SimResult> results(1);
-    ASSERT_TRUE(writeSuiteJson(path, baselineSkx(), env, results).ok());
+    std::vector<RunOutcome> outcomes(1);
+    ASSERT_TRUE(writeSuiteJson(path, baselineSkx(), env, outcomes).ok());
     std::string original = readFile(path);
     ASSERT_FALSE(original.empty());
 
@@ -307,7 +361,7 @@ TEST(ResultsJson, FailedExportLeavesNoTornFinalDocument)
     std::filesystem::permissions(dir,
                                  std::filesystem::perms::owner_read |
                                      std::filesystem::perms::owner_exec);
-    auto r = writeSuiteJson(path, baselineSkx(), env, results);
+    auto r = writeSuiteJson(path, baselineSkx(), env, outcomes);
     std::filesystem::permissions(dir, std::filesystem::perms::owner_all);
     if (r.ok())
         GTEST_SKIP() << "running as a user the permission bits cannot "

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/configs.hh"
 #include "sim/experiment.hh"
 #include "sim/mp_simulator.hh"
 #include "sim/simulator.hh"
+#include "trace/suite.hh"
 
 namespace catchsim
 {
@@ -153,6 +156,38 @@ TEST(MpSimulator, MemoryBoundMixesContend)
                         {solo.ipc, solo.ipc, solo.ipc, solo.ipc});
     EXPECT_LT(r.weightedSpeedup, 4.0);
     EXPECT_GT(r.weightedSpeedup, 1.0);
+}
+
+TEST(MpSimulator, WarnsForCoresThatMeasuredNothing)
+{
+    // Stats reset only once every core has warmed up, so a core that
+    // finished first reports IPC 0. mix0 at this size loses core 3;
+    // four identical cores finish together and lose none.
+    SimConfig cfg = baselineSkx();
+    const std::vector<MpMix> mixes = mpMixes();
+    auto it = std::find_if(mixes.begin(), mixes.end(),
+                           [](const MpMix &m) { return m.name == "mix0"; });
+    ASSERT_NE(it, mixes.end());
+    const MpMix &mix0 = *it;
+    ::testing::internal::CaptureStderr();
+    MpResult r = MpSimulator(cfg).run(mix0, 20000, 5000, {1, 1, 1, 1});
+    std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(r.ipc[3], 0.0);
+    EXPECT_NE(err.find("MP mix 'mix0': core 3 (" + mix0.workloads[3] +
+                       ") measured 0 instructions"),
+              std::string::npos)
+        << err;
+    for (CoreId c = 0; c < 4; ++c)
+        EXPECT_EQ(r.ipc[c] == 0.0,
+                  err.find("core " + std::to_string(c) + " (") !=
+                      std::string::npos)
+            << "core " << c << ": " << err;
+
+    MpMix rate{"rate4.hplinpack",
+               {"hplinpack", "hplinpack", "hplinpack", "hplinpack"}};
+    ::testing::internal::CaptureStderr();
+    MpSimulator(cfg).run(rate, 20000, 5000, {1, 1, 1, 1});
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
 } // namespace

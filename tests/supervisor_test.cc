@@ -216,6 +216,85 @@ TEST(WorkerProto, ConfigJsonRoundTripsCanonically)
     EXPECT_EQ(configDigest(back.value()), configDigest(cfg));
 }
 
+TEST(WorkerProto, ConfigRoundTripsEveryField)
+{
+    // Every field distinct from its default and from every other
+    // field, each enum at its largest value: a field the JSON drops,
+    // or two fields sharing one key, cannot survive this round trip.
+    uint32_t n = 1000;
+    SimConfig c;
+    c.name = "every-field";
+    for (uint32_t *f : {&c.width, &c.robSize, &c.renameLat,
+                        &c.redirectLat, &c.numArchRegs,
+                        &c.storeQueueSize, &c.fwdLatency, &c.aluPorts,
+                        &c.loadPorts, &c.storePorts, &c.fpPorts,
+                        &c.streamDegree, &c.numCores})
+        *f = n++;
+    c.hasL2 = false;
+    c.inclusion = InclusionPolicy::Nine;
+    for (CacheGeometry *g : {&c.l1i, &c.l1d, &c.l2, &c.llc}) {
+        g->sizeBytes = uint64_t(n++) << 33;
+        g->ways = n++;
+        g->latency = n++;
+    }
+    c.l1StridePrefetcher = false;
+    c.l2StreamPrefetcher = false;
+    DramConfig &d = c.dram;
+    for (uint32_t *f :
+         {&d.channels, &d.ranksPerChannel, &d.banksPerRank, &d.rowBytes,
+          &d.tCas, &d.tRcd, &d.tRp, &d.tRas, &d.burstCycles,
+          &d.controllerLat, &d.writeQueueDepth, &d.writeDrainWatermark,
+          &d.writeDrainBatch, &d.tRefi, &d.tRfc})
+        *f = n++;
+    CriticalityConfig &k = c.criticality;
+    k.enabled = true;
+    k.kind = DetectorKind::Heuristic;
+    for (uint32_t *f : {&k.tableEntries, &k.tableWays, &k.confidenceBits,
+                        &k.latencyQuantShift, &k.hashedPcBits})
+        *f = n++;
+    k.confResetInterval = uint64_t(n++) << 35;
+    k.graphFactor = 0.1 * n++;
+    k.walkFactor = 1.0 / n++;
+    TactConfig &t = c.tact;
+    t.cross = t.deepSelf = t.feeder = t.code = true;
+    for (uint32_t *f :
+         {&t.triggerCacheSets, &t.triggerCacheWays, &t.triggerPcsPerPage,
+          &t.crossTrainInstances, &t.crossCandidateWraps,
+          &t.deepMaxDistance, &t.safeLengthCap, &t.feederDepth,
+          &t.codeRunaheadLines})
+        *f = n++;
+    OracleConfig &o = c.oracle;
+    for (uint32_t *f : {&o.latAddL1, &o.latAddL2, &o.latAddLlc,
+                        &o.oraclePrefetchPcLimit})
+        *f = n++;
+    o.demote = DemoteMode::LlcToMemNonCrit;
+    o.oraclePrefetch = o.oracleCodeInL1 = true;
+    c.sampling.mode = SampleMode::Sampled;
+    for (uint64_t *f : {&c.sampling.intervalInstrs,
+                        &c.sampling.windowInstrs,
+                        &c.sampling.warmupInstrs})
+        *f = uint64_t(n++) << 34;
+    c.seed = ~uint64_t(0) - n;
+
+    const std::string json = configToJson(c);
+    auto parsed = parseJson(json);
+    ASSERT_TRUE(parsed.ok());
+    auto back = configFromJson(parsed.value());
+    ASSERT_TRUE(back.ok()) << back.error().message;
+    EXPECT_TRUE(back.value() == c) << json;
+    EXPECT_EQ(configToJson(back.value()), json);
+}
+
+TEST(WorkerProto, ConfigDigestGoldens)
+{
+    // The result store keys cells on these bytes: a changed digest
+    // orphans every stored cell of the config, so it must only move
+    // on purpose.
+    EXPECT_EQ(configDigest(baselineSkx()), 0x92f2eda9728165c1ull);
+    EXPECT_EQ(configDigest(withCatch(noL2(baselineSkx(), 9728))),
+              0x5ebfed521fa5a8c9ull);
+}
+
 TEST(WorkerProto, RequestRoundTripCarriesTheKnobs)
 {
     SimConfig cfg = baselineSkx();

@@ -23,7 +23,10 @@ This linter enforces the repo contracts statically:
                 Untestable files need a waiver with a reason.
   stats-once    JSON stat keys are registered exactly once per object
                 scope (tracks JsonWriter open/close/field/object call
-                sequences), so exports never silently shadow a counter.
+                sequences, and field lists: `io.u64("k", ...)` and
+                friends, with `io.object("k", [..](auto &o) {...})`
+                scoped to the lambda body), so exports never silently
+                shadow a counter.
   include-cc    no `#include "*.cc"` anywhere; translation units are
                 composed by the build system, not textual inclusion.
   fatal-boundary library code in src/ never terminates the process on a
@@ -90,7 +93,8 @@ INCLUDE_CC_RE = re.compile(r'#\s*include\s*["<][^">]*\.cc[">]')
 INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
 
 WRITER_CALL_RE = re.compile(
-    r"""[.\->]\s*(open|close|object|field|key)\s*\(\s*(?:"([^"]*)")?"""
+    r"""[.\->]\s*(open|close|object|field|key|u64|u32|f64|str|boolean|"""
+    r"""u64Array|enumeration|derived)\s*\(\s*(?:"([^"]*)")?"""
 )
 
 # step-alloc: files whose steady-state member functions must not
@@ -417,7 +421,11 @@ class Linter:
     def check_stats_once(self) -> None:
         """JSON stat registration: within one writer object scope a key
         may appear only once. Tracks `.open()`, `.close()`,
-        `.object("k")`, `.field("k", ...)` call sequences per file."""
+        `.object("k")`, `.field("k", ...)` call sequences per file, and
+        field lists (`.u64("k", ...)` etc.), whose `.object("k", fn)`
+        scope is the lambda body that follows. A function body (a `{`
+        in column 0) starts afresh, so two readers of one key in
+        different functions do not collide."""
         for path in self.iter_sources("src"):
             rel = self.rel(path)
             text = path.read_text(errors="replace")
@@ -425,27 +433,45 @@ class Linter:
             code = strip_comments_and_strings(text)
             # Call sites only: require an object expression before the
             # dot so the JsonWriter class definition itself is ignored.
-            stack: list[set[str]] = []
+            # Each scope is [keys, lambda_depth, armed]: lambda_depth is
+            # None for open()/close() scopes; a lambda scope is armed
+            # once its body's brace opens and ends when it closes.
+            stack: list[list] = []
+            depth = 0
             orig_lines = text.splitlines()
             for lineno, line in enumerate(code.splitlines(), 1):
-                for m in WRITER_CALL_RE.finditer(line):
-                    call = m.group(1)
+                if line.startswith("{"):
+                    stack = []
+                events = [(m.start(), m) for m in
+                          WRITER_CALL_RE.finditer(line)]
+                events += [(i, c) for i, c in enumerate(line)
+                           if c in "{}"]
+                for pos, ev in sorted(events, key=lambda e: e[0]):
+                    if ev == "{":
+                        depth += 1
+                        if stack and stack[-1][1] == depth:
+                            stack[-1][2] = True
+                        continue
+                    if ev == "}":
+                        depth -= 1
+                        while stack and stack[-1][2] and \
+                                depth < stack[-1][1]:
+                            stack.pop()
+                        continue
+                    call = ev.group(1)
                     # Stripping blanks string contents but preserves
                     # offsets; recover the real key from the original.
-                    om = WRITER_CALL_RE.match(
-                        orig_lines[lineno - 1], m.start())
-                    key = om.group(2) if om else m.group(2)
+                    om = WRITER_CALL_RE.match(orig_lines[lineno - 1], pos)
+                    key = om.group(2) if om else ev.group(2)
                     if call == "open":
-                        stack.append(set())
+                        stack.append([set(), None, False])
                     elif call == "close":
                         if stack:
                             stack.pop()
-                    elif call in ("object", "field", "key"):
-                        if key is None:
-                            continue
+                    elif key is not None:
                         if not stack:
-                            stack.append(set())
-                        if key in stack[-1]:
+                            stack.append([set(), None, False])
+                        if key in stack[-1][0]:
                             if not self.waived("stats-once", rel, inline,
                                                lineno):
                                 self.report(
@@ -453,9 +479,14 @@ class Linter:
                                     f'stat "{key}" registered twice in '
                                     "the same JSON object scope")
                         else:
-                            stack[-1].add(key)
+                            stack[-1][0].add(key)
                         if call == "object":
-                            stack.append(set())
+                            # object("k", ...) with more arguments is the
+                            # field-list form: its scope is the lambda.
+                            rest = line[ev.end():].lstrip()
+                            lam = depth + 1 if rest.startswith(",") \
+                                else None
+                            stack.append([set(), lam, False])
 
     def check_test_coverage(self) -> None:
         src = self.root / "src"
