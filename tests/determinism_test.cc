@@ -164,15 +164,23 @@ g17(double v)
 /**
  * Golden values for the MP path: per-core IPCs and the weighted speedup
  * of two short contended mixes over the shared LLC and DRAM, on the
- * exclusive baseline and on CATCH over a 9.5 MB two-level hierarchy.
+ * exclusive baseline, on CATCH over a 9.5 MB two-level hierarchy, with
+ * the detector alone, and with the heuristic detector under CATCH. The
+ * last two were captured before MpSimulator and Simulator shared one
+ * N-core engine.
  * MpRunsAreBitwiseIdentical above only compares a build with itself;
  * these pin the numbers, so any change to shared-cache or DRAM timing
  * shows up here.
  */
 TEST(Determinism, MpGoldenPinsContendedMixes)
 {
+    SimConfig crit_only = baselineSkx();
+    crit_only.criticality.enabled = true;
+    SimConfig heuristic = withCatch(noL2(baselineSkx(), 9728));
+    heuristic.criticality.kind = DetectorKind::Heuristic;
     const SimConfig configs[] = {baselineSkx(),
-                                 withCatch(noL2(baselineSkx(), 9728))};
+                                 withCatch(noL2(baselineSkx(), 9728)),
+                                 crit_only, heuristic};
     const MpMix mixes[] = {
         {"rate4.libquantum",
          {"libquantum", "libquantum", "libquantum", "libquantum"}},
@@ -184,7 +192,7 @@ TEST(Determinism, MpGoldenPinsContendedMixes)
         const char *weightedSpeedup;
     };
     // goldens[config][mix]
-    const Golden goldens[2][2] = {
+    const Golden goldens[4][2] = {
         {{{"0.18192235770875545", "0.18184940774819411",
            "0.18187681057662802", "0.18194956358097536"},
           "1.1015627948581583"},
@@ -197,8 +205,22 @@ TEST(Determinism, MpGoldenPinsContendedMixes)
          {{"0.13316921344210397", "0.13333155532526117",
            "0.13316921344210397", "0.133170484854711"},
           "4.403332723765006"}},
+        // Criticality only: the detector trains but nothing consults
+        // it, so the IPCs match the baseline's.
+        {{{"0.18192235770875545", "0.18184940774819411",
+           "0.18187681057662802", "0.18194956358097536"},
+          "1.1015627948581583"},
+         {{"0.061584019985663693", "0.062369458847586358",
+           "0.061277081080499472", "0.061058261793403262"},
+          "3.0356997217745465"}},
+        {{{"0.66018647842663547", "0.66023355405889783",
+           "0.66023355405889783", "0.66024032747920247"},
+          "3.9998224680683663"},
+         {{"0.13619752240769353", "0.13600929552944102",
+           "0.13600929552944102", "0.13601053887375503"},
+          "4.0934396389101071"}},
     };
-    for (int k = 0; k < 2; ++k) {
+    for (int k = 0; k < 4; ++k) {
         for (int m = 0; m < 2; ++m) {
             const MpMix &mix = mixes[m];
             SCOPED_TRACE(configs[k].name + " " + mix.name);
