@@ -74,7 +74,7 @@ class OooCore
     bool step();
 
     /** Restarts the trace from the beginning, keeping warm structures
-     *  (used by the MP simulator when a short trace wraps around). */
+     *  (no caller yet: MP cores that finish early just stop). */
     void rewind();
 
     bool done() const { return pos_ >= trace_.count; }

@@ -49,8 +49,9 @@ jsonExportPath(const std::string &dir, const std::string &cfg_name)
                     : '_';
     static std::map<std::string, int> uses;
     int n = ++uses[stem];
+    // '-', not "-": GCC 12 -O3 misreports "-" + string as -Wrestrict.
     if (n > 1)
-        stem += "-" + std::to_string(n);
+        stem += '-' + std::to_string(n);
     return dir + "/" + stem + ".json";
 }
 

@@ -303,33 +303,6 @@ runWorkloadsIsolated(const SimConfig &cfg,
     return outcomes;
 }
 
-std::vector<SimResult>
-runWorkloadsParallel(const SimConfig &cfg,
-                     const std::vector<std::string> &names,
-                     uint64_t instrs, uint64_t warmup, unsigned jobs,
-                     const std::function<void(const SimResult &)> &progress)
-{
-    std::function<void(const RunOutcome &)> cb;
-    if (progress)
-        cb = [&progress](const RunOutcome &o) { progress(o.result); };
-    auto outcomes = runWorkloadsIsolated(cfg, names, instrs, warmup,
-                                         jobs, IsolationOptions{}, cb);
-    std::vector<SimResult> results(outcomes.size());
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-        if (outcomes[i].ok()) {
-            results[i] = std::move(outcomes[i].result);
-        } else {
-            warn("run '", names[i], "' on '", cfg.name, "' ",
-                 runStatusName(outcomes[i].status), " (",
-                 errorCategoryName(outcomes[i].failure->error.category),
-                 "): ", outcomes[i].failure->error.message);
-            results[i].workload = names[i];
-            results[i].config = cfg.name;
-        }
-    }
-    return results;
-}
-
 std::map<std::string, double>
 soloIpcsParallel(const SimConfig &cfg, const std::vector<MpMix> &mixes,
                  uint64_t instrs, uint64_t warmup, unsigned jobs)
@@ -343,11 +316,18 @@ soloIpcsParallel(const SimConfig &cfg, const std::vector<MpMix> &mixes,
     // they must run detailed themselves even under a sampled config.
     SimConfig solo_cfg = cfg;
     solo_cfg.sampling = SamplingConfig();
-    auto results =
-        runWorkloadsParallel(solo_cfg, names, instrs, warmup, jobs);
+    auto outcomes =
+        runWorkloadsIsolated(solo_cfg, names, instrs, warmup, jobs);
     std::map<std::string, double> solo;
-    for (size_t i = 0; i < names.size(); ++i)
-        solo[names[i]] = results[i].ipc;
+    for (size_t i = 0; i < names.size(); ++i) {
+        const RunOutcome &o = outcomes[i];
+        if (!o.ok())
+            warn("run '", names[i], "' on '", solo_cfg.name, "' ",
+                 runStatusName(o.status), " (",
+                 errorCategoryName(o.failure->error.category),
+                 "): ", o.failure->error.message);
+        solo[names[i]] = o.ok() ? o.result.ipc : 0.0;
+    }
     return solo;
 }
 

@@ -262,22 +262,9 @@ void runTasksLongestFirst(std::vector<std::function<void()>> tasks,
                           const std::vector<double> &cost, unsigned jobs);
 
 /**
- * Legacy results-only wrapper over runWorkloadsIsolated: results[i] is
- * the run of @p names[i], independent of @p jobs. Failed runs warn and
- * leave a default-initialised SimResult (workload/config set) in their
- * slot; callers that need structured failures use the isolated API.
- */
-std::vector<SimResult>
-runWorkloadsParallel(const SimConfig &cfg,
-                     const std::vector<std::string> &names,
-                     uint64_t instrs, uint64_t warmup, unsigned jobs,
-                     const std::function<void(const SimResult &)>
-                         &progress = nullptr);
-
-/**
  * Solo IPCs of every distinct workload appearing in @p mixes on
- * @p cfg, computed in parallel. The map replaces the serial memoised
- * SoloCache the MP benches used.
+ * @p cfg, computed in parallel through runWorkloadsIsolated. A failed
+ * run warns and reads IPC 0.
  */
 std::map<std::string, double>
 soloIpcsParallel(const SimConfig &cfg, const std::vector<MpMix> &mixes,

@@ -78,10 +78,116 @@ loadWarmSnapshot(const WarmSnapshot &snap, uint64_t *boundary_pos,
 
 } // namespace
 
+Machine::Machine(const SimConfig &cfg, const std::vector<CoreTrace> &traces)
+    : hierarchy_(cfg)
+{
+    const CoreId n = cfg.numCores;
+    CATCHSIM_ASSERT(traces.size() == n, "one trace per core");
+    detectors_.resize(n);
+    tacts_.resize(n);
+    // The oracle demotion studies and Fig 5's PC-limited oracle prefetch
+    // consult the critical table without enabling criticality; the
+    // latter sizes the table to its PC limit.
+    const OracleConfig &oracle = cfg.oracle;
+    const bool pc_limited =
+        oracle.oraclePrefetch && oracle.oraclePrefetchPcLimit;
+    const bool need_detector =
+        cfg.criticality.enabled ||
+        oracle.demote == DemoteMode::L1ToL2NonCrit ||
+        oracle.demote == DemoteMode::L2ToLlcNonCrit ||
+        oracle.demote == DemoteMode::LlcToMemNonCrit || pc_limited;
+    if (need_detector) {
+        CriticalityConfig ccfg = cfg.criticality;
+        if (pc_limited)
+            ccfg.tableEntries = oracle.oraclePrefetchPcLimit;
+        for (CoreId c = 0; c < n; ++c) {
+            if (ccfg.kind == DetectorKind::Heuristic)
+                detectors_[c] =
+                    std::make_unique<HeuristicCriticalityDetector>(ccfg);
+            else
+                detectors_[c] = std::make_unique<DdgCriticalityDetector>(
+                    ccfg, cfg.robSize, cfg.renameLat, cfg.redirectLat,
+                    cfg.width);
+        }
+        hierarchy_.setCriticalQuery([this](CoreId c, Addr pc) {
+            return detectors_[c]->isCritical(pc);
+        });
+    }
+
+    if (cfg.tact.any()) {
+        CATCHSIM_ASSERT(need_detector, "TACT requires the detector");
+        for (CoreId c = 0; c < n; ++c) {
+            const CriticalityDetector *det = detectors_[c].get();
+            const CoreTrace &t = traces[c];
+            tacts_[c] = std::make_unique<Tact>(
+                cfg.tact, c, hierarchy_,
+                [det](Addr pc) { return det->isCritical(pc); },
+                t.stream ? t.stream->mem().get() : t.trace->mem.get());
+        }
+    }
+
+    for (CoreId c = 0; c < n; ++c) {
+        cores_.push_back(std::make_unique<OooCore>(
+            cfg, c, hierarchy_, detector(c), tact(c)));
+        if (traces[c].stream)
+            cores_[c]->bind(*traces[c].stream);
+        else
+            cores_[c]->bind(*traces[c].trace);
+    }
+}
+
+std::optional<SimError>
+Machine::run(uint64_t warmup, const RunBudget &budget,
+             const std::function<void()> &on_measure)
+{
+    // Every step retires an instruction, so only the watchdog's cycle
+    // ceiling can trip here; polling every 64 steps keeps it off the
+    // hot path and bounds the overrun deterministically.
+    Watchdog wd(budget);
+    const bool polled = budget.limited();
+    uint64_t retired = 0;
+    bool measuring = false;
+    while (true) {
+        // One stats reset, once every core has passed the warmup.
+        // Checked before choosing a step, so a zero warmup measures
+        // from the first instruction.
+        if (!measuring) {
+            measuring = true;
+            for (auto &core : cores_)
+                measuring &= core->instrsDone() >= warmup;
+            if (measuring) {
+                hierarchy_.resetStats();
+                for (auto &core : cores_)
+                    core->markMeasurementStart();
+                if (on_measure)
+                    on_measure();
+            }
+        }
+
+        // The unfinished core with the lowest local clock steps next,
+        // so the shared LLC and DRAM see one time-ordered access
+        // stream. Tie-break: on equal now() the lowest core id steps
+        // first (the scan runs in id order and only a strictly lower
+        // clock displaces the current pick).
+        OooCore *next = nullptr;
+        for (auto &core : cores_)
+            if (!core->done() && (!next || core->now() < next->now()))
+                next = core.get();
+        if (!next)
+            return std::nullopt;
+        next->step();
+        ++retired;
+        if (polled && (retired & 63) == 0)
+            if (auto err = wd.poll(next->now(), retired))
+                return err;
+    }
+}
+
 Simulator::Simulator(const SimConfig &cfg, TraceMode mode,
                      ChunkStore *store, WarmStateStore *warm_store)
     : cfg_(cfg), mode_(mode), store_(store), warmStore_(warm_store)
 {
+    cfg_.numCores = 1;
     auto valid = cfg_.validate();
     CATCHSIM_ASSERT(valid.ok(), "invalid config reached the Simulator: ",
                     valid.ok() ? "" : valid.error().message);
@@ -101,9 +207,6 @@ Expected<SimResult>
 Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
                       const RunBudget &budget, RunProfile *profile)
 {
-    SimConfig cfg = cfg_;
-    cfg.numCores = 1;
-
     // Trace source: streamed (default) or fully materialized. Both
     // drive the core through the same TraceView; the streamed path
     // additionally passes a host clock down iff profiling, so refill
@@ -112,10 +215,8 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
     double phase_start = prof ? hostSeconds() : 0;
     std::optional<Trace> trace;
     std::optional<TraceStream> stream;
-    const FunctionalMemory *mem = nullptr;
     if (mode_ == TraceMode::Materialized) {
         trace.emplace(workload.generate(instrs + warmup));
-        mem = trace->mem.get();
         if (prof) {
             profile->traceGenSec = hostSeconds() - phase_start;
             phase_start = hostSeconds();
@@ -126,102 +227,38 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
                        prof ? std::function<double()>(hostSeconds)
                             : std::function<double()>(),
                        store_);
-        mem = stream->mem().get();
     }
-    CacheHierarchy hierarchy(cfg);
+    Machine machine(cfg_, {{stream ? &*stream : nullptr,
+                            trace ? &*trace : nullptr}});
+    CacheHierarchy &hierarchy = machine.hierarchy();
+    OooCore &core = machine.core(0);
+    CriticalityDetector *detector = machine.detector(0);
+    Tact *tact = machine.tact(0);
 
-    std::unique_ptr<CriticalityDetector> detector;
-    DdgCriticalityDetector *ddg = nullptr;
-    bool need_detector =
-        cfg.criticality.enabled ||
-        cfg.oracle.demote == DemoteMode::L1ToL2NonCrit ||
-        cfg.oracle.demote == DemoteMode::L2ToLlcNonCrit ||
-        cfg.oracle.demote == DemoteMode::LlcToMemNonCrit ||
-        (cfg.oracle.oraclePrefetch && cfg.oracle.oraclePrefetchPcLimit);
-    if (need_detector) {
-        CriticalityConfig ccfg = cfg.criticality;
-        if (cfg.oracle.oraclePrefetch && cfg.oracle.oraclePrefetchPcLimit)
-            ccfg.tableEntries = cfg.oracle.oraclePrefetchPcLimit;
-        if (ccfg.kind == DetectorKind::Heuristic) {
-            detector =
-                std::make_unique<HeuristicCriticalityDetector>(ccfg);
-        } else {
-            auto d = std::make_unique<DdgCriticalityDetector>(
-                ccfg, cfg.robSize, cfg.renameLat, cfg.redirectLat,
-                cfg.width);
-            ddg = d.get();
-            detector = std::move(d);
-        }
-        hierarchy.setCriticalQuery([&detector](CoreId, Addr pc) {
-            return detector->isCritical(pc);
-        });
-    }
-
-    std::unique_ptr<Tact> tact;
-    if (cfg.tact.any()) {
-        CATCHSIM_ASSERT(detector != nullptr, "TACT requires the detector");
-        tact = std::make_unique<Tact>(
-            cfg.tact, 0, hierarchy,
-            [&detector](Addr pc) { return detector->isCritical(pc); },
-            mem);
-    }
-
-    OooCore core(cfg, 0, hierarchy, detector.get(), tact.get());
-    if (stream)
-        core.bind(*stream);
-    else
-        core.bind(*trace);
-
-    // The watchdog observes simulated time only. Every step retires an
-    // instruction, so the no-retire stall window can never trip in this
-    // loop; only the cycle ceiling matters, and checking it every 64
-    // steps keeps the poll off the hot path while still bounding the
-    // overrun to a handful of instructions (deterministically so).
-    Watchdog wd(budget);
-    const SamplingConfig &sc = cfg.sampling;
+    const SamplingConfig &sc = cfg_.sampling;
     SampleStats sample;
     CoreStats sampled_core;
     FrontendStats sampled_frontend;
     double ipc_sum = 0, ipc_sq_sum = 0;
-    uint64_t measured_start_cycle = 0;
 
     if (!sc.sampled()) {
-        if (budget.limited()) {
-            while (core.instrsDone() < warmup && core.step()) {
-                if ((core.instrsDone() & 63) == 0)
-                    if (auto err = wd.poll(core.now(), core.instrsDone()))
-                        return *err;
-            }
-        } else {
-            while (core.instrsDone() < warmup && core.step()) {
-            }
-        }
-        hierarchy.resetStats();
-        core.markMeasurementStart();
-        measured_start_cycle = core.now();
-        if (prof) {
-            profile->warmupSec = hostSeconds() - phase_start;
-            phase_start = hostSeconds();
-        }
-        if (budget.limited()) {
-            while (core.step()) {
-                if ((core.instrsDone() & 63) == 0)
-                    if (auto err = wd.poll(core.now(), core.instrsDone()))
-                        return *err;
-            }
-        } else {
-            while (core.step()) {
-            }
-        }
+        if (auto err = machine.run(warmup, budget, [&] {
+                if (prof) {
+                    profile->warmupSec = hostSeconds() - phase_start;
+                    phase_start = hostSeconds();
+                }
+            }))
+            return *err;
     } else {
         // Sampled mode: functional warming interleaved with detailed
-        // windows. The schedule is a pure function of the instruction
-        // counter (never wall clock), so results are bitwise-identical
-        // at any job count. Warming does not advance core time and the
-        // watchdog sees instruction progress, so one poll per phase
-        // bounds a cycle-ceiling overrun by a window's worth of steps.
-        FastForward ff(0, hierarchy, core.frontend().predictor(),
-                       tact.get());
+        // windows, stepped here on the machine's one core. The schedule
+        // is a pure function of the instruction counter (never wall
+        // clock), so results are bitwise-identical at any job count.
+        // Warming does not advance core time and the watchdog sees
+        // instruction progress, so one poll per phase bounds a
+        // cycle-ceiling overrun by a window's worth of steps.
+        Watchdog wd(budget);
+        FastForward ff(0, hierarchy, core.frontend().predictor(), tact);
         if (stream)
             ff.bind(*stream);
         else
@@ -254,15 +291,15 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
         if (warmStore_ && stream && stream->storeBacked() && warmup > 0)
             wkey = WarmStateKey{workload.name(), workload.seed(), warmup,
                                 instrs + warmup, stream->chunkOps(),
-                                warmConfigDigest(cfg)};
+                                warmConfigDigest(cfg_)};
         RunProfile unprofiled;
         RunProfile &tally = prof ? *profile : unprofiled;
         if (WarmStateStore::SnapshotPtr snap =
                 wkey ? warmStore_->find(*wkey) : nullptr) {
             uint64_t pos = 0;
             if (!loadWarmSnapshot(*snap, &pos, *stream, hierarchy,
-                                  core.frontend().predictor(),
-                                  detector.get(), tact.get(), ff) ||
+                                  core.frontend().predictor(), detector,
+                                  tact, ff) ||
                 pos > stream->size()) {
                 // The record passed its checksum but a component
                 // rejected it: a format drift this build cannot parse.
@@ -281,8 +318,7 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
             if (wkey) {
                 WarmSnapshot made = makeWarmSnapshot(
                     core.tracePos(), *stream, hierarchy,
-                    core.frontend().predictor(), detector.get(),
-                    tact.get(), ff);
+                    core.frontend().predictor(), detector, tact, ff);
                 ++tally.warmStateMisses;
                 tally.warmStateBytes += made.residentBytes();
                 warmStore_->put(*wkey, std::move(made));
@@ -389,7 +425,7 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
 
     SimResult r;
     r.workload = workload.name();
-    r.config = cfg.name;
+    r.config = cfg_.name;
     r.category = workload.category();
     if (sc.sampled()) {
         // Aggregate of the measured windows. The headline IPC is the
@@ -423,7 +459,8 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
     r.dram = hierarchy.dramStats();
     r.frontend = sc.sampled() ? sampled_frontend : core.frontend().stats();
     if (detector) {
-        if (ddg)
+        if (auto *ddg =
+                dynamic_cast<const DdgCriticalityDetector *>(detector))
             r.ddg = ddg->stats();
         r.criticalTable = detector->table().stats();
         r.activeCriticalPcs = detector->table().activeCount();
@@ -444,11 +481,11 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
                       r.l1i.writeOps;
     uint64_t l2_ops = r.hasL2 ? r.l2.readOps + r.l2.writeOps : 0;
     uint64_t llc_ops = r.llc.readOps + r.llc.writeOps;
-    // Sampled runs leak the per-window warmup cycles into core.now();
-    // the summed window cycles are the honest measured-time base.
-    uint64_t cycles = sc.sampled() ? r.core.cycles
-                                   : core.now() - measured_start_cycle;
-    r.energy = computeEnergy(EnergyParams{}, cfg, r.core.instrs, cycles,
+    // Sampled runs leak the per-window warmup cycles into core.now(),
+    // so the summed window cycles are the measured-time base there;
+    // detailed runs measure from the one stats reset.
+    r.energy = computeEnergy(EnergyParams{}, cfg_, r.core.instrs,
+                             r.core.cycles,
                              l1_ops, l2_ops, llc_ops,
                              r.hier.ringTransfers, r.dram);
     return r;

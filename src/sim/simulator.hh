@@ -1,15 +1,19 @@
 /**
  * @file
- * Single-thread simulator: wires a workload trace, one OooCore, the
- * cache hierarchy, the criticality detector and TACT together, runs a
- * warmup window, and collects every statistic the benches report.
+ * The simulated machine for one core or N (Machine), and the
+ * single-thread simulator that runs one workload's trace on its
+ * one-core case — detailed, or sampled with functional warming between
+ * windows — and collects every statistic the benches report.
  */
 
 #ifndef CATCHSIM_SIM_SIMULATOR_HH_
 #define CATCHSIM_SIM_SIMULATOR_HH_
 
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "cache/hierarchy.hh"
 #include "common/error.hh"
@@ -28,6 +32,7 @@ namespace catchsim
 {
 
 class JsonValue;
+class TraceStream;
 
 /**
  * Per-window aggregation of a sampled run (SampleMode::Sampled). The
@@ -148,6 +153,59 @@ struct RunProfile
      *  end-to-end benchmark reads them. */
     uint64_t warmStateWindowHits = 0;
     uint64_t warmStateWindowMisses = 0;
+};
+
+/**
+ * The simulated machine, for one core or N: one CacheHierarchy whose
+ * shared LLC and DRAM serve cfg.numCores cores, each with its own
+ * criticality detector (when the config needs one), TACT prefetchers
+ * (when enabled) and OooCore, plus the one detailed loop that steps
+ * them. Simulator runs it at N = 1; MpSimulator runs a mix on it with
+ * N = the mix size.
+ */
+class Machine
+{
+  public:
+    /** One core's trace: exactly one of the two is set. It also
+     *  carries the functional memory TACT-Feeder reads values from. */
+    struct CoreTrace
+    {
+        TraceStream *stream = nullptr;
+        const Trace *trace = nullptr;
+    };
+
+    /**
+     * Builds the hierarchy, then every core's detector, then every
+     * core's TACT, then every core, bound to traces[core]. One trace
+     * per configured core; the traces must outlive the machine.
+     */
+    Machine(const SimConfig &cfg, const std::vector<CoreTrace> &traces);
+
+    Machine(const Machine &) = delete;
+    Machine &operator=(const Machine &) = delete;
+
+    /**
+     * Steps every core to the end of its trace, lowest local clock
+     * first, and resets the stats once when every core has passed
+     * @p warmup, calling @p on_measure right after. Returns the
+     * watchdog's error if @p budget trips.
+     */
+    std::optional<SimError> run(uint64_t warmup, const RunBudget &budget,
+                                const std::function<void()> &on_measure =
+                                    nullptr);
+
+    CacheHierarchy &hierarchy() { return hierarchy_; }
+    OooCore &core(CoreId c) { return *cores_[c]; }
+    /** Null when the config needs no detector. */
+    CriticalityDetector *detector(CoreId c) { return detectors_[c].get(); }
+    /** Null when no TACT component is enabled. */
+    Tact *tact(CoreId c) { return tacts_[c].get(); }
+
+  private:
+    CacheHierarchy hierarchy_;
+    std::vector<std::unique_ptr<CriticalityDetector>> detectors_;
+    std::vector<std::unique_ptr<Tact>> tacts_;
+    std::vector<std::unique_ptr<OooCore>> cores_;
 };
 
 /** Runs one workload on one machine configuration. */

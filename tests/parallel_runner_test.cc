@@ -131,14 +131,17 @@ TEST(ParallelRunner, JobCountDoesNotChangeResults)
         "tpcc", "gobmk", "hpc.stream"};
     SimConfig cfg = withCatch(baselineSkx());
     auto serial =
-        runWorkloadsParallel(cfg, names, kInstr, kWarm, /*jobs=*/1);
+        runWorkloadsIsolated(cfg, names, kInstr, kWarm, /*jobs=*/1);
     auto parallel =
-        runWorkloadsParallel(cfg, names, kInstr, kWarm, /*jobs=*/8);
+        runWorkloadsIsolated(cfg, names, kInstr, kWarm, /*jobs=*/8);
     ASSERT_EQ(serial.size(), names.size());
     ASSERT_EQ(parallel.size(), names.size());
     for (size_t i = 0; i < names.size(); ++i) {
-        EXPECT_EQ(serial[i].workload, names[i]) << "order not stable";
-        expectBitwiseEqual(serial[i], parallel[i]);
+        ASSERT_TRUE(serial[i].ok()) << names[i];
+        ASSERT_TRUE(parallel[i].ok()) << names[i];
+        EXPECT_EQ(serial[i].result.workload, names[i])
+            << "order not stable";
+        expectBitwiseEqual(serial[i].result, parallel[i].result);
     }
 }
 
@@ -148,14 +151,16 @@ TEST(ParallelRunner, SixteenJobsBitwiseEqualsSerial)
     const std::vector<std::string> names = {"mcf", "omnetpp", "tpcc"};
     SimConfig cfg = withCatch(baselineSkx());
     auto serial =
-        runWorkloadsParallel(cfg, names, kInstr, kWarm, /*jobs=*/1);
+        runWorkloadsIsolated(cfg, names, kInstr, kWarm, /*jobs=*/1);
     auto wide =
-        runWorkloadsParallel(cfg, names, kInstr, kWarm, /*jobs=*/16);
+        runWorkloadsIsolated(cfg, names, kInstr, kWarm, /*jobs=*/16);
     ASSERT_EQ(serial.size(), names.size());
     ASSERT_EQ(wide.size(), names.size());
     for (size_t i = 0; i < names.size(); ++i) {
-        EXPECT_EQ(wide[i].workload, names[i]) << "order not stable";
-        expectBitwiseEqual(serial[i], wide[i]);
+        ASSERT_TRUE(serial[i].ok()) << names[i];
+        ASSERT_TRUE(wide[i].ok()) << names[i];
+        EXPECT_EQ(wide[i].result.workload, names[i]) << "order not stable";
+        expectBitwiseEqual(serial[i].result, wide[i].result);
     }
 }
 

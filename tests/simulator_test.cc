@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the single-thread simulator driver and the MP simulator:
- * determinism, warmup accounting, config plumbing, weighted speedup.
+ * Tests for the single-thread simulator driver, the MP simulator and
+ * the N-core Machine both run on: determinism, warmup accounting,
+ * config plumbing, weighted speedup.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "sim/mp_simulator.hh"
 #include "sim/simulator.hh"
 #include "trace/suite.hh"
+#include "trace/trace_stream.hh"
 
 namespace catchsim
 {
@@ -188,6 +190,93 @@ TEST(MpSimulator, WarnsForCoresThatMeasuredNothing)
     ::testing::internal::CaptureStderr();
     MpSimulator(cfg).run(rate, 20000, 5000, {1, 1, 1, 1});
     EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
+/** Streams for @p names, kept alive beside the Machine that reads them. */
+struct MachineTraces
+{
+    std::vector<std::unique_ptr<Workload>> workloads;
+    std::vector<std::unique_ptr<TraceStream>> streams;
+    std::vector<Machine::CoreTrace> traces;
+
+    MachineTraces(const std::vector<std::string> &names, uint64_t length)
+    {
+        for (const std::string &name : names) {
+            workloads.push_back(makeWorkload(name));
+            streams.push_back(
+                std::make_unique<TraceStream>(*workloads.back(), length));
+            traces.push_back({streams.back().get(), nullptr});
+        }
+    }
+};
+
+TEST(Machine, OneCoreIsTheSimulatorsDetailedRun)
+{
+    SimConfig cfg = withCatch(baselineSkx());
+    SimResult r = runWorkload(cfg, "mcf", kInstr, kWarm);
+    MachineTraces t({"mcf"}, kInstr + kWarm);
+    Machine m(cfg, t.traces); // numCores defaults to 1
+    ASSERT_FALSE(m.run(kWarm, RunBudget::unlimited()).has_value());
+    const CoreStats s = m.core(0).stats();
+    EXPECT_EQ(s.instrs, r.core.instrs);
+    EXPECT_EQ(s.cycles, r.core.cycles);
+    EXPECT_EQ(s.loads, r.core.loads);
+    EXPECT_EQ(m.hierarchy().stats().loads, r.hier.loads);
+    EXPECT_EQ(m.tact(0)->stats().crossIssued, r.tact.crossIssued);
+}
+
+TEST(Machine, ZeroWarmupMeasuresEveryCoreFromItsFirstInstruction)
+{
+    SimConfig cfg = baselineSkx();
+    cfg.numCores = 3;
+    MachineTraces t({"mcf", "hmmer", "hplinpack"}, 5000);
+    Machine m(cfg, t.traces);
+    bool measured = false;
+    ASSERT_FALSE(m.run(0, RunBudget::unlimited(), [&] {
+                      measured = true;
+                  }).has_value());
+    EXPECT_TRUE(measured);
+    for (CoreId c = 0; c < 3; ++c)
+        EXPECT_EQ(m.core(c).stats().instrs, 5000u) << "core " << c;
+}
+
+TEST(Machine, OracleStudiesGetADetectorOnEveryCore)
+{
+    // Fig 4's non-critical demotion and Fig 5's PC-limited oracle
+    // prefetch consult the critical table without enabling criticality.
+    SimConfig demote = baselineSkx();
+    demote.oracle.demote = DemoteMode::L2ToLlcNonCrit;
+    SimConfig oracle_pf = baselineSkx();
+    oracle_pf.oracle.oraclePrefetch = true;
+    oracle_pf.oracle.oraclePrefetchPcLimit = 32;
+    SimConfig plain_cfg = baselineSkx();
+    for (SimConfig *cfg : {&demote, &oracle_pf, &plain_cfg})
+        cfg->numCores = 2;
+    MachineTraces t({"mcf", "gobmk"}, 1000);
+    for (const SimConfig &cfg : {demote, oracle_pf}) {
+        Machine m(cfg, t.traces);
+        for (CoreId c = 0; c < 2; ++c) {
+            EXPECT_NE(m.detector(c), nullptr) << "core " << c;
+            EXPECT_EQ(m.tact(c), nullptr) << "core " << c;
+        }
+    }
+    Machine plain(plain_cfg, t.traces);
+    EXPECT_EQ(plain.detector(0), nullptr);
+    EXPECT_EQ(plain.detector(1), nullptr);
+}
+
+TEST(Machine, WatchdogStopsTheRunAtTheCycleCeiling)
+{
+    SimConfig cfg = baselineSkx();
+    cfg.numCores = 2;
+    MachineTraces t({"mcf", "mcf"}, 50000);
+    Machine m(cfg, t.traces);
+    RunBudget budget;
+    budget.maxCycles = 2000;
+    auto err = m.run(1000, budget);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(err->category, ErrorCategory::BudgetExceeded);
+    EXPECT_FALSE(m.core(0).done());
 }
 
 } // namespace

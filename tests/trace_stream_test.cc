@@ -123,7 +123,6 @@ TEST(TraceStream, RewindAfterPartialConsumption)
     Trace oracle = makeWorkload("mcf")->generate(20000);
 
     TraceStream stream(*wl, 20000, 4096);
-    TraceView view = stream.view();
     // Consume only part of the stream, then start over.
     for (size_t p = 0; p < 10000; ++p)
         stream.ensure(p);
@@ -155,10 +154,12 @@ TEST(TraceStream, MemoryMatchesOracleForAllLoads)
     auto wl = makeWorkload("mcf");
     TraceStream stream(*wl, 30000, 4096);
     std::vector<MicroOp> streamed = drain(stream);
-    for (const auto &op : streamed)
-        if (op.isLoad())
+    for (const auto &op : streamed) {
+        if (op.isLoad()) {
             EXPECT_EQ(stream.mem()->read(op.memAddr),
                       oracle.mem->read(op.memAddr));
+        }
+    }
 }
 
 TEST(TraceStream, GenerateIsIdempotent)
@@ -270,11 +271,13 @@ TEST(TraceStream, StoreMemoryMatchesOracleForAllLoads)
         TraceStream stream(*wl, 30000, 4096,
                            std::function<double()>(), &store);
         std::vector<MicroOp> streamed = drain(stream);
-        for (const auto &op : streamed)
-            if (op.isLoad())
+        for (const auto &op : streamed) {
+            if (op.isLoad()) {
                 EXPECT_EQ(stream.mem()->read(op.memAddr),
                           oracle.mem->read(op.memAddr))
                     << "pass " << pass;
+            }
+        }
     }
 }
 
