@@ -237,15 +237,4 @@ Cache::loadWarmState(StateSource &src)
     return src.ok();
 }
 
-bool
-Cache::setDirty(Addr addr)
-{
-    CacheLine *line = peek(addr);
-    if (!line)
-        return false;
-    line->dirty = true;
-    ++stats_.writeOps;
-    return true;
-}
-
 } // namespace catchsim

@@ -146,9 +146,6 @@ class Cache
      *  without searching its set again. @returns true if it was dirty. */
     bool invalidate(CacheLine &line, bool count = true);
 
-    /** Marks the line dirty (store commit); @returns false on miss. */
-    bool setDirty(Addr addr);
-
     const std::string &name() const { return name_; }
     const CacheGeometry &geometry() const { return geom_; }
     const CacheStats &stats() const { return stats_; }

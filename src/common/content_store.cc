@@ -144,7 +144,7 @@ ContentStore::remove(const std::string &key)
 void
 ContentStore::insertLocked(const std::string &key, const Value &value)
 {
-    lru_.push_front(Entry{key, value}); // catch-lint: allow(step-alloc) once per published value, not per cycle
+    lru_.push_front(Entry{key, value});
     map_[key] = lru_.begin();
     const size_t own = charge(value.get(), [this](const void *part,
                                                   size_t bytes) {

@@ -2,7 +2,8 @@
  * @file
  * The single audited gateway for process-environment configuration
  * (CATCH_* knobs). Direct std::getenv calls are banned elsewhere in the
- * tree (enforced by tools/lint/catch_lint.py): the environment is not a
+ * tree (enforced by the env-gateway rule of
+ * tools/analysis/catch_analyze.py): the environment is not a
  * synchronised resource, so every read must funnel through here, where
  * the single-threaded-startup contract is stated once and checked by
  * review instead of being re-derived at each call site.
@@ -16,9 +17,14 @@
 #ifndef CATCHSIM_COMMON_ENV_HH_
 #define CATCHSIM_COMMON_ENV_HH_
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <string>
+
+#include "common/logging.hh"
 
 namespace catchsim
 {
@@ -40,7 +46,12 @@ envString(const char *name, const std::string &fallback = "")
     return v ? std::string(v) : fallback;
 }
 
-/** Unsigned integer knob, or @p fallback when unset/unparsable. */
+/**
+ * Unsigned decimal knob, or @p fallback when unset. A set value that is
+ * not a plain in-range decimal ("1e5", "4x", "-1") also yields
+ * @p fallback, with one warning per distinct bad setting naming the
+ * knob, so a typo never silently runs the default.
+ */
 inline uint64_t
 envU64(const char *name, uint64_t fallback)
 {
@@ -48,8 +59,18 @@ envU64(const char *name, uint64_t fallback)
     if (!v || !v[0])
         return fallback;
     char *end = nullptr;
+    errno = 0;
     uint64_t parsed = std::strtoull(v, &end, 10);
-    return (end && *end == '\0') ? parsed : fallback;
+    if (v[0] >= '0' && v[0] <= '9' && *end == '\0' && errno != ERANGE)
+        return parsed;
+    static std::mutex mu;
+    static std::set<std::string> warned;
+    std::string setting = std::string(name) + "='" + v + "'";
+    std::lock_guard<std::mutex> lock(mu);
+    if (warned.insert(setting).second)
+        warn(setting, " is not an unsigned decimal; using the default ",
+             fallback);
+    return fallback;
 }
 
 /** Boolean knob: set-and-first-char-'1' is true (repo convention). */

@@ -8,7 +8,8 @@
  * CLI boundary — decide whether one bad run degrades a campaign or
  * stops it. fatal()/panic() remain only at the CLI boundary and inside
  * CATCHSIM_ASSERT (invariant checks for genuine simulator bugs); the
- * catch_lint `fatal-boundary` rule enforces the split.
+ * `fatal-boundary` rule of tools/analysis/catch_analyze.py enforces
+ * the split.
  *
  * Categories mirror how the suite executor reacts:
  *   config          caller mistake (unknown workload, bad geometry);

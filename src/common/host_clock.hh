@@ -4,7 +4,7 @@
  * itself (--profile, the perf bench). These values describe the HOST
  * run, never the simulated machine: nothing simulated may depend on
  * them, which is why this is the one file waived from the determinism
- * lint's clock ban.
+ * rule's clock ban.
  */
 
 #ifndef CATCHSIM_COMMON_HOST_CLOCK_HH_

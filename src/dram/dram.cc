@@ -129,7 +129,7 @@ Dram::write(Addr addr, Cycle now)
     // Bounded by writeQueueDepth, whose capacity is reserved at
     // construction: a full queue forces a drain, and validate() rejects
     // a drain batch of zero.
-    // catch-analyze: allow(step-alloc-transitive)
+    // catch-analyze: allow(step-alloc)
     channels_[ch].writeQueue.push_back(addr);
     maybeDrainWrites(ch, now, channels_[ch].writeQueue.size() >=
                                   cfg_.writeQueueDepth);

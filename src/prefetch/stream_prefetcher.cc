@@ -96,7 +96,7 @@ StreamPrefetcher::observe(Addr addr, std::vector<Addr> &out)
             break;
         // Bounded by degree_; the caller's scratch vector is reserved
         // once at construction and keeps its capacity across calls.
-        // catch-analyze: allow(step-alloc-transitive)
+        // catch-analyze: allow(step-alloc)
         out.push_back(page + static_cast<Addr>(target) * kLineBytes);
         ++issued_;
     }

@@ -9,7 +9,6 @@
 #include "common/stats.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/result_store.hh"
-#include "sim/supervisor.hh"
 #include "trace/suite.hh"
 
 namespace catchsim
@@ -25,7 +24,6 @@ ExperimentEnv::fromEnvironment()
     env.jobs = suiteJobs();
     env.jsonDir = envString("CATCH_JSON");
     env.resultStoreDir = envString("CATCH_RESULT_STORE");
-    env.isolate = envFlag("CATCH_ISOLATE");
     env.isolation = IsolationOptions::fromEnvironment();
     return env;
 }
@@ -88,14 +86,9 @@ runSuiteIsolated(const SimConfig &cfg, const ExperimentEnv &env)
         std::fprintf(stderr, "%c", mark);
         std::fflush(stderr);
     };
-    auto outcomes =
-        env.isolate
-            ? runWorkloadsSupervised(cfg, env.names, env.instrs,
-                                     env.warmup, env.jobs, opts,
-                                     progress)
-            : runWorkloadsIsolated(cfg, env.names, env.instrs,
-                                   env.warmup, env.jobs, opts,
-                                   progress);
+    auto outcomes = runWorkloadsIsolated(cfg, env.names, env.instrs,
+                                         env.warmup, env.jobs, opts,
+                                         progress);
     std::fprintf(stderr, "\n");
 
     CampaignSummary sum = summarizeOutcomes(outcomes);

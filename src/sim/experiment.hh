@@ -12,8 +12,6 @@
  *                    are bitwise-identical for any job count.
  *   CATCH_JSON=DIR   also write one machine-readable JSON file per
  *                    runSuite() call into DIR (see writeSuiteJson)
- *   CATCH_ISOLATE=1  run each simulation in its own worker process
- *                    under the wall-clock supervisor (sim/supervisor.hh)
  *   CATCH_RESULT_STORE=DIR  content-hashed incremental result store:
  *                    unchanged (config, workload, length) cells are
  *                    served from DIR instead of re-executing, so a
@@ -31,8 +29,6 @@
  *   CATCH_MAX_ATTEMPTS / CATCH_BACKOFF_MS / CATCH_MAX_CYCLES /
  *   CATCH_STALL_WINDOW  fault-containment knobs (see IsolationOptions
  *                    and RunBudget)
- *   CATCH_HEARTBEAT_MS / CATCH_HEARTBEAT_TIMEOUT_MS / CATCH_WORKER_BIN
- *                    process-isolation knobs (see IsolationOptions)
  */
 
 #ifndef CATCHSIM_SIM_EXPERIMENT_HH_
@@ -62,9 +58,6 @@ struct ExperimentEnv
     /** Directory for the content-hashed result store; empty disables
      *  it (CATCH_RESULT_STORE). */
     std::string resultStoreDir;
-    /** Process-isolated execution via sim/supervisor.hh
-     *  (CATCH_ISOLATE). */
-    bool isolate = false;
     /** Fault-containment knobs (watchdog budget, retries, backoff). */
     IsolationOptions isolation;
 
@@ -81,12 +74,11 @@ struct ExperimentEnv
  * and one warning per failure. When env.resultStoreDir is set, cells
  * whose content key is already stored replay from the store and fresh
  * successes persist back to it, so a restarted campaign re-executes
- * only unfinished ones. When
- * env.isolate is set, runs execute in per-run worker processes under
- * the wall-clock supervisor instead of pool threads.
- * When env.jsonDir is set, writes <jsonDir>/<config-name>.json with
- * per-run status and the campaign summary (a "-2", "-3", ... suffix
- * disambiguates repeated config names within one process).
+ * only unfinished ones. When env.jsonDir is set, writes
+ * <jsonDir>/<config-name>.json with per-run status and the campaign
+ * summary (a "-2", "-3", ... suffix disambiguates repeated config
+ * names within one process). Per-run worker processes are
+ * catchsim --isolate's business (sim/supervisor.hh), not the benches'.
  */
 std::vector<RunOutcome> runSuiteIsolated(const SimConfig &cfg,
                                          const ExperimentEnv &env);

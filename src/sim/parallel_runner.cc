@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -19,15 +19,15 @@ namespace catchsim
 unsigned
 suiteJobs()
 {
-    if (const char *env = envRaw("CATCH_JOBS")) {
-        long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-        warn("CATCH_JOBS='", env, "' is not a positive integer; ",
-             "falling back to hardware concurrency");
-    }
     unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    hw = hw ? hw : 1;
+    uint64_t jobs = envU64("CATCH_JOBS", hw);
+    if (jobs >= 1)
+        return static_cast<unsigned>(
+            std::min<uint64_t>(jobs, std::numeric_limits<unsigned>::max()));
+    warn("CATCH_JOBS=0 is not a positive integer; ",
+         "falling back to hardware concurrency");
+    return hw;
 }
 
 const char *
@@ -84,12 +84,9 @@ IsolationOptions::fromEnvironment()
     o.backoffMs =
         static_cast<unsigned>(envU64("CATCH_BACKOFF_MS", 100));
     o.profile = envU64("CATCH_PROFILE", 0) != 0;
-    o.heartbeatMs = static_cast<unsigned>(
-        std::max<uint64_t>(1, envU64("CATCH_HEARTBEAT_MS", 1000)));
     o.heartbeatTimeoutMs = static_cast<unsigned>(
         std::max<uint64_t>(1, envU64("CATCH_HEARTBEAT_TIMEOUT_MS",
                                      30000)));
-    o.workerBin = envString("CATCH_WORKER_BIN");
     return o;
 }
 

@@ -44,7 +44,8 @@ class JsonReader;
 class JsonWriter;
 class ResultStore;
 
-/** CATCH_JOBS env knob; default hardware concurrency, minimum 1. */
+/** CATCH_JOBS env knob (parsed by envU64); unset, malformed or 0
+ *  falls back to hardware concurrency, with a warning when set. */
 unsigned suiteJobs();
 
 /** How one isolated run ended. */
@@ -147,14 +148,11 @@ void readOutcomeBody(const JsonReader &r, RunOutcome &out);
  *                       export's hostPerf object)
  *   CATCH_MAX_CYCLES / CATCH_STALL_WINDOW  see RunBudget.
  *
- * Process-isolation knobs (consumed by sim/supervisor.hh):
- *   CATCH_HEARTBEAT_MS          worker heartbeat period (default 1000)
+ * Process-isolation knob (consumed by sim/supervisor.hh, which
+ * catchsim --isolate drives):
  *   CATCH_HEARTBEAT_TIMEOUT_MS  wall-clock silence before the
  *                               supervisor SIGKILLs a worker
  *                               (default 30000)
- *   CATCH_WORKER_BIN            worker executable; default
- *                               /proc/self/exe (the current binary
- *                               must then understand --worker)
  */
 struct IsolationOptions
 {

@@ -57,7 +57,7 @@ ResultStore::open(const std::string &dir)
                         "store directory '", dir, "': ", ec.message());
 
     // make_unique cannot reach the private ctor.
-    std::unique_ptr<ResultStore> s(new ResultStore(dir)); // catch-lint: allow(raw-new-delete)
+    std::unique_ptr<ResultStore> s(new ResultStore(dir)); // catch-analyze: allow(raw-new-delete)
 
     std::string lock_path = dir + "/lock";
     s->lockFd_ = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC,

@@ -138,7 +138,7 @@ WarmStateStore::SnapshotPtr
 WarmStateStore::put(const WarmStateKey &key, WarmSnapshot snap)
 {
     return std::static_pointer_cast<const WarmSnapshot>(ContentStore::put(
-        keyBytes(key), std::make_shared<const WarmSnapshot>(std::move(snap)))); // catch-lint: allow(step-alloc) once per published snapshot, not per cycle
+        keyBytes(key), std::make_shared<const WarmSnapshot>(std::move(snap))));
 }
 
 void
@@ -161,7 +161,7 @@ WarmStateStore::encode(const void *value, std::vector<uint8_t> &out) const
 {
     const WarmSnapshot &snap = *static_cast<const WarmSnapshot *>(value);
     size_t at = out.size();
-    out.resize(at + 8 + snap.bytes.size() + 8 + // catch-lint: allow(step-alloc) once per published snapshot, not per cycle
+    out.resize(at + 8 + snap.bytes.size() + 8 +
                snap.pages.size() * kPageRecordBytes);
     auto put = [&out, &at](const void *src, size_t n) {
         std::memcpy(out.data() + at, src, n);
@@ -194,9 +194,8 @@ WarmStateStore::decode(const uint8_t *payload, size_t n) const
     if (blob_len > n - at - 8)
         return defect("component blob length ", blob_len,
                        " overruns the payload");
-    auto snap = std::make_shared<WarmSnapshot>(); // catch-lint: allow(step-alloc) once per restored snapshot, not per cycle
-    snap->bytes.assign( // catch-lint: allow(step-alloc) once per restored snapshot
-        reinterpret_cast<const char *>(payload) + at, blob_len);
+    auto snap = std::make_shared<WarmSnapshot>();
+    snap->bytes.assign(reinterpret_cast<const char *>(payload) + at, blob_len);
     at += blob_len;
     uint64_t page_count = 0;
     std::memcpy(&page_count, payload + at, 8);
@@ -205,7 +204,7 @@ WarmStateStore::decode(const uint8_t *payload, size_t n) const
         (n - at) / kPageRecordBytes != page_count)
         return defect("page section of ", n - at,
                        " bytes disagrees with page count ", page_count);
-    snap->pages.reserve(page_count); // catch-lint: allow(step-alloc) sized once per restored snapshot
+    snap->pages.reserve(page_count);
     Addr prev = 0;
     for (uint64_t i = 0; i < page_count; ++i) {
         Addr a = 0;
@@ -214,10 +213,10 @@ WarmStateStore::decode(const uint8_t *payload, size_t n) const
         if (i > 0 && a <= prev)
             return defect("page addresses are not strictly ascending");
         prev = a;
-        auto p = std::make_shared<FunctionalMemory::Page>(); // catch-lint: allow(step-alloc) once per restored page, off the per-cycle path
+        auto p = std::make_shared<FunctionalMemory::Page>();
         std::memcpy(p->words, payload + at, sizeof(FunctionalMemory::Page));
         at += sizeof(FunctionalMemory::Page);
-        snap->pages.emplace_back(a, std::move(p)); // catch-lint: allow(step-alloc) fills the reservation above
+        snap->pages.emplace_back(a, std::move(p));
     }
     return Value(std::move(snap));
 }
@@ -244,7 +243,7 @@ WarmStateStore::global()
         Config cfg;
         if (!configureFromEnv(cfg, "warm", 1, 3))
             return nullptr;
-        return new WarmStateStore(std::move(cfg)); // catch-lint: allow(raw-new-delete) intentionally leaked process singleton
+        return new WarmStateStore(std::move(cfg)); // catch-analyze: allow(raw-new-delete) intentionally leaked process singleton
     }();
     return store;
 }

@@ -433,7 +433,7 @@ workerMain()
     const FaultPlan &plan = FaultPlan::global();
     if (plan.shouldInject(FaultKind::CrashAbort, r.workload,
                           r.attemptBase))
-        std::abort(); // catch-lint: allow(fatal-boundary) injected crash
+        std::abort(); // catch-analyze: allow(fatal-boundary) injected crash
     if (plan.shouldInject(FaultKind::CrashSegv, r.workload,
                           r.attemptBase))
         raise(SIGSEGV);

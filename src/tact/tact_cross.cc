@@ -57,7 +57,7 @@ TactCross::train(TargetState &st, Addr target_pc, Addr addr)
         st.deltaConf.reset();
         // Learning-table churn: one entry per candidate trigger PC,
         // bounded by the static PC set, not per-cycle.
-        // catch-analyze: allow(step-alloc-transitive)
+        // catch-analyze: allow(step-alloc)
         triggerLastAddr_.emplace(cand, 0);
         return;
     }
@@ -78,7 +78,7 @@ TactCross::train(TargetState &st, Addr target_pc, Addr addr)
             st.delta = delta;
             // One entry per learned (trigger, target) association;
             // learning stops once confirmed, so growth is bounded.
-            // catch-analyze: allow(step-alloc-transitive)
+            // catch-analyze: allow(step-alloc)
             firing_[st.triggerPc].push_back(target_pc);
             return;
         }

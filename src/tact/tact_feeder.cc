@@ -127,7 +127,7 @@ TactFeeder::onCriticalLoad(const MicroOp &op, Cycle now)
                 if (feeders_.size() < 32 ||
                     feeders_.contains(feeder_pc)) {
                     // Feeder table is capped at 32 entries (above).
-                    // catch-analyze: allow(step-alloc-transitive)
+                    // catch-analyze: allow(step-alloc)
                     feeders_[feeder_pc].targets.push_back(op.pc);
                 } else {
                     st.exhausted = true; // feeder table full

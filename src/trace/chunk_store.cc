@@ -119,7 +119,7 @@ ChunkStore::put(const ChunkKey &key, Chunk chunk)
                     chunk.size(), " ops for a ", key.chunkOps,
                     "-op key");
     return std::static_pointer_cast<const Chunk>(ContentStore::put(
-        keyBytes(key), std::make_shared<const Chunk>(std::move(chunk)))); // catch-lint: allow(step-alloc) once per 64K-op chunk, not per cycle
+        keyBytes(key), std::make_shared<const Chunk>(std::move(chunk))));
 }
 
 Expected<ChunkStore::ChunkPtr>
@@ -136,7 +136,7 @@ ChunkStore::encode(const void *value, std::vector<uint8_t> &out) const
 {
     const Chunk &chunk = *static_cast<const Chunk *>(value);
     size_t at = out.size();
-    out.resize(at + chunk.size() * kTraceOpRecordBytes); // catch-lint: allow(step-alloc) once per 64K-op chunk write, not per cycle
+    out.resize(at + chunk.size() * kTraceOpRecordBytes);
     for (const MicroOp &op : chunk) {
         encodeOpRecord(op, out.data() + at);
         at += kTraceOpRecordBytes;
@@ -149,7 +149,7 @@ ChunkStore::decode(const uint8_t *payload, size_t n) const
     if (n == 0 || n % kTraceOpRecordBytes != 0)
         return simError(ErrorCategory::TraceCorrupt, "payload of ", n,
                         " bytes is not a whole number of op records");
-    auto chunk = std::make_shared<Chunk>(n / kTraceOpRecordBytes); // catch-lint: allow(step-alloc) once per 64K-op chunk, not per cycle
+    auto chunk = std::make_shared<Chunk>(n / kTraceOpRecordBytes);
     for (size_t i = 0; i < chunk->size(); ++i)
         if (const char *defect = decodeOpRecord(
                 payload + i * kTraceOpRecordBytes, &(*chunk)[i]))
@@ -175,7 +175,7 @@ ChunkStore::global()
         Config cfg;
         if (!configureFromEnv(cfg, "chunks", 2, 3))
             return nullptr;
-        return new ChunkStore(std::move(cfg)); // catch-lint: allow(raw-new-delete) intentionally leaked process singleton
+        return new ChunkStore(std::move(cfg)); // catch-analyze: allow(raw-new-delete) intentionally leaked process singleton
     }();
     return store;
 }

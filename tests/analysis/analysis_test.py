@@ -2,10 +2,11 @@
 """ctest harness for tools/analysis/catch_analyze.py.
 
 Each fixture under tests/analysis/fixtures/ is a miniature repo (src/,
-optional tools/analysis/waivers.txt). Fixtures named after a rule must
-fail with that rule in the output and contain a negative control that
-must stay quiet; `clean` and `waived` must pass; `unusedwaiver` passes
-by default and fails --check-waivers.
+optional tests/ and tools/analysis/waivers.txt). Fixtures named after a
+rule must fail with that rule in the output, and most hold a negative
+control that must stay quiet; `clean`, `statsonce_ok`, `rawstring` and
+`waived` must pass; `unusedwaiver` passes by default and fails
+--check-waivers.
 
 Fixtures run with --frontend text so they work without a clang
 toolchain; when clang++ is on PATH an extra parity test checks the
@@ -28,17 +29,31 @@ ANALYZER = HERE.parents[1] / "tools" / "analysis" / "catch_analyze.py"
 # fixture directory -> rule tag expected in the findings (None = clean)
 EXPECTATIONS = {
     "clean": None,
+    "statsonce_ok": None,
+    "rawstring": None,
     "waived": None,
     "unusedwaiver": None,  # clean by default; fails --check-waivers
-    "stepalloc_transitive": "step-alloc-transitive",
+    "stepalloc_transitive": "step-alloc",
     "warming": "warming-purity",
     "warming_timeline": "warming-purity",
     "snapshot_hot": "snapshot-hot-path",
     "warm_digest": "warm-digest",
-    "typedef_clock": "determinism-ast",
+    "determinism": "determinism",
+    "typedef_clock": "determinism",
     "unordered_iter": "unordered-iter",
     "global_state": "global-state",
+    "env": "env-gateway",
+    "rawnew": "raw-new-delete",
+    "fatalboundary": "fatal-boundary",
+    "includecc": "include-cc",
+    "statsonce": "stats-once",
+    "statsonce_fields": "stats-once",
+    "coverage": "test-coverage",
 }
+
+
+def findings(proc, rule: str) -> list[str]:
+    return [l for l in proc.stdout.splitlines() if f"[{rule}]" in l]
 
 
 def run_analyzer(root: Path, *extra: str) -> subprocess.CompletedProcess:
@@ -72,19 +87,20 @@ class CatchAnalyzeFixtures(unittest.TestCase):
                         f"[{rule}]", output,
                         f"{name} must report rule {rule}:\n{output}")
 
-    def test_transitive_alloc_reports_the_cross_tu_chain(self):
-        # The violation is two call edges away in another TU; the
-        # finding must carry the witness path, and the setup-time
-        # reserve reached only through bind() must stay legal.
+    def test_step_alloc_reports_chains_and_spares_setup(self):
+        # One violation is two call edges away in another TU and must
+        # carry the witness path; the other is in the warming entry
+        # itself. Constructors' resize and the setup-time reserves
+        # reached through bind() stay legal.
         proc = run_analyzer(FIXTURES / "stepalloc_transitive")
+        found = findings(proc, "step-alloc")
+        self.assertEqual({l.split(": ")[0] for l in found},
+                         {"src/helper.cc:18", "src/fast_forward.cc:20"},
+                         proc.stdout)
         self.assertIn(
             "OooCore::step -> Helper::record -> Helper::append",
             proc.stdout)
-        self.assertNotIn("sizeTables", proc.stdout,
-                         "setup-path reserve must not be reported")
-        self.assertEqual(
-            len([l for l in proc.stdout.splitlines()
-                 if "[step-alloc-transitive]" in l]), 1, proc.stdout)
+        self.assertIn("push_back in FastForward::warm()", proc.stdout)
 
     def test_warming_reports_stats_and_timing_separately(self):
         proc = run_analyzer(FIXTURES / "warming")
@@ -99,11 +115,10 @@ class CatchAnalyzeFixtures(unittest.TestCase):
         # model like Dram itself: the one finding is the edge into it,
         # and the functional LineTable beside it stays legal.
         proc = run_analyzer(FIXTURES / "warming_timeline")
-        findings = [l for l in proc.stdout.splitlines()
-                    if "[warming-purity]" in l]
-        self.assertEqual(len(findings), 1, proc.stdout)
+        found = findings(proc, "warming-purity")
+        self.assertEqual(len(found), 1, proc.stdout)
         self.assertIn("timing model (BusyTimeline::schedule)",
-                      findings[0])
+                      found[0])
         self.assertNotIn("LineTable", proc.stdout)
 
     def test_snapshot_hot_path_covers_the_page_image_half(self):
@@ -112,12 +127,11 @@ class CatchAnalyzeFixtures(unittest.TestCase):
         # both callees in Cache::lookup are findings, and neither of
         # Checkpoint::capture's calls is.
         proc = run_analyzer(FIXTURES / "snapshot_hot")
-        findings = [l for l in proc.stdout.splitlines()
-                    if "[snapshot-hot-path]" in l]
-        self.assertEqual(len(findings), 2, proc.stdout)
-        self.assertTrue(any("saveWarmState" in l for l in findings),
+        found = findings(proc, "snapshot-hot-path")
+        self.assertEqual(len(found), 2, proc.stdout)
+        self.assertTrue(any("saveWarmState" in l for l in found),
                         proc.stdout)
-        self.assertTrue(any("restorePages" in l for l in findings),
+        self.assertTrue(any("restorePages" in l for l in found),
                         proc.stdout)
         self.assertNotIn("Checkpoint", proc.stdout,
                          "run-boundary callers must stay legal")
@@ -127,10 +141,9 @@ class CatchAnalyzeFixtures(unittest.TestCase):
         # knob 'intervalInstrs' is read while warming but is in no
         # digest, so it is the one finding.
         proc = run_analyzer(FIXTURES / "warm_digest")
-        findings = [l for l in proc.stdout.splitlines()
-                    if "[warm-digest]" in l]
-        self.assertEqual(len(findings), 1, proc.stdout)
-        self.assertIn("intervalInstrs", findings[0])
+        found = findings(proc, "warm-digest")
+        self.assertEqual(len(found), 1, proc.stdout)
+        self.assertIn("intervalInstrs", found[0])
         self.assertNotIn("'ways'", proc.stdout,
                          "digest-covered knobs must stay legal")
 
@@ -141,23 +154,47 @@ class CatchAnalyzeFixtures(unittest.TestCase):
         self.assertNotIn("'Tick'", proc.stdout,
                          "non-clock alias must stay legal")
 
+    def test_determinism_scans_namespace_scope_and_names_the_fix(self):
+        # Line 6 is a namespace-scope clock read: no function body
+        # holds it, so only the line scan can report it.
+        proc = run_analyzer(FIXTURES / "determinism")
+        self.assertIn("catchsim::Rng", proc.stdout,
+                      "finding must point at the seeded Rng")
+        lines = {l.split(":")[1] for l in findings(proc, "determinism")}
+        self.assertEqual(lines, {"6", "9", "11"}, proc.stdout)
+
+    def test_fatal_boundary_names_both_violations(self):
+        # std::exit and CATCHSIM_FATAL must each produce a finding;
+        # the CATCHSIM_ASSERT in the clean fixture must not.
+        proc = run_analyzer(FIXTURES / "fatalboundary")
+        self.assertIn("process-terminating call", proc.stdout)
+        self.assertIn("CATCHSIM_FATAL", proc.stdout)
+
+    def test_raw_strings_do_not_desync_the_stripper(self):
+        # Every banned token in the fixture lives inside raw string
+        # data; a desynced stripper reports determinism/raw-new, or
+        # eats the rest of the file and reports test-coverage.
+        proc = run_analyzer(FIXTURES / "rawstring")
+        output = proc.stdout + proc.stderr
+        self.assertEqual(proc.returncode, 0, output)
+        self.assertNotIn("[determinism]", output)
+        self.assertNotIn("[raw-new-delete]", output)
+
     def test_unordered_iter_spares_ordered_maps(self):
         proc = run_analyzer(FIXTURES / "unordered_iter")
-        findings = [l for l in proc.stdout.splitlines()
-                    if "[unordered-iter]" in l]
-        self.assertEqual(len(findings), 1, proc.stdout)
-        self.assertIn("'lookup_'", findings[0])
+        found = findings(proc, "unordered-iter")
+        self.assertEqual(len(found), 1, proc.stdout)
+        self.assertIn("'lookup_'", found[0])
 
     def test_global_state_spares_const_and_constexpr(self):
         proc = run_analyzer(FIXTURES / "global_state")
-        findings = [l for l in proc.stdout.splitlines()
-                    if "[global-state]" in l]
-        self.assertEqual(len(findings), 1, proc.stdout)
-        self.assertIn("g_callCount", findings[0])
+        found = findings(proc, "global-state")
+        self.assertEqual(len(found), 1, proc.stdout)
+        self.assertIn("g_callCount", found[0])
 
-    def test_all_three_waiver_forms_suppress_and_stay_live(self):
-        # inline (next-line), file-level and boundary waivers all
-        # suppress their finding AND none reads as stale.
+    def test_every_waiver_form_suppresses_and_stays_live(self):
+        # Inline (next-line and trailing), file-level and boundary
+        # waivers all suppress their finding AND none reads as stale.
         proc = run_analyzer(FIXTURES / "waived", "--check-waivers")
         self.assertEqual(proc.returncode, 0,
                          proc.stdout + proc.stderr)
@@ -167,9 +204,11 @@ class CatchAnalyzeFixtures(unittest.TestCase):
                             "--check-waivers")
         output = proc.stdout + proc.stderr
         self.assertEqual(proc.returncode, 1, output)
-        self.assertIn("inline waiver allow(step-alloc-transitive)",
-                      output)
-        self.assertIn("determinism-ast src/core.cc", output)
+        self.assertEqual(len(findings(proc, "unused-waiver")), 5, output)
+        self.assertIn("inline waiver allow(step-alloc)", output)
+        self.assertIn("inline waiver allow(determinism)", output)
+        self.assertIn("determinism src/widget.cc", output)
+        self.assertIn("test-coverage src/widget.cc", output)
         self.assertIn("boundary:OooCore::missing", output)
 
     def test_entry_points_resolve_in_the_real_tree(self):
@@ -217,7 +256,7 @@ class ClangFrontendParity(unittest.TestCase):
                 capture_output=True, text=True, timeout=300)
             output = proc.stdout + proc.stderr
             self.assertEqual(proc.returncode, 1, output)
-            self.assertIn("[step-alloc-transitive]", output)
+            self.assertIn("[step-alloc]", output)
             self.assertIn(
                 "OooCore::step -> Helper::record -> Helper::append",
                 output)

@@ -1,8 +1,14 @@
 #include "core.hh"
 
+OooCore::OooCore()
+{
+    rob_.resize(224); // constructors may size hot structures
+}
+
 void
 OooCore::bind(int n)
 {
+    rob_.reserve(n);       // setup-time functions may allocate too
     helper_.sizeTables(n); // setup path: its reserve stays legal
 }
 

@@ -4,6 +4,6 @@ void
 OooCore::step()
 {
     // Stale: nothing on the next line allocates.
-    // catch-analyze: allow(step-alloc-transitive)
+    // catch-analyze: allow(step-alloc)
     tick_ += 1;
 }

@@ -230,15 +230,6 @@ TEST(Cache, InvalidateReportsDirty)
     EXPECT_FALSE(present);
 }
 
-TEST(Cache, SetDirtyOnlyOnHit)
-{
-    Cache c("t", tinyGeom());
-    EXPECT_FALSE(c.setDirty(0x1000));
-    c.fill(0x1000, false, 0, FillSource::Demand);
-    EXPECT_TRUE(c.setDirty(0x1000));
-    EXPECT_TRUE(c.peek(0x1000)->dirty);
-}
-
 TEST(Cache, FillLevelStored)
 {
     Cache c("t", tinyGeom());

@@ -490,20 +490,33 @@ TEST(Logging, WarnAndInformNeverStopTheRun)
 TEST(Env, TypedHelpersParseAndFallBack)
 {
     // Single-threaded here, per the env.hh startup contract.
-    ::setenv("CATCH_LINT_TEST_KNOB", "230", 1);
-    EXPECT_EQ(envU64("CATCH_LINT_TEST_KNOB", 7), 230u);
-    EXPECT_EQ(envString("CATCH_LINT_TEST_KNOB"), "230");
-    EXPECT_FALSE(envFlag("CATCH_LINT_TEST_KNOB")) << "flag means '1...'";
+    ::setenv("CATCH_ENV_TEST_KNOB", "230", 1);
+    EXPECT_EQ(envU64("CATCH_ENV_TEST_KNOB", 7), 230u);
+    EXPECT_EQ(envString("CATCH_ENV_TEST_KNOB"), "230");
+    EXPECT_FALSE(envFlag("CATCH_ENV_TEST_KNOB")) << "flag means '1...'";
 
-    ::setenv("CATCH_LINT_TEST_KNOB", "12junk", 1);
-    EXPECT_EQ(envU64("CATCH_LINT_TEST_KNOB", 7), 7u) << "strict parse";
-    ::setenv("CATCH_LINT_TEST_KNOB", "1", 1);
-    EXPECT_TRUE(envFlag("CATCH_LINT_TEST_KNOB"));
+    ::setenv("CATCH_ENV_TEST_KNOB", "1", 1);
+    EXPECT_TRUE(envFlag("CATCH_ENV_TEST_KNOB"));
 
-    ::unsetenv("CATCH_LINT_TEST_KNOB");
-    EXPECT_EQ(envU64("CATCH_LINT_TEST_KNOB", 7), 7u);
-    EXPECT_EQ(envString("CATCH_LINT_TEST_KNOB", "dflt"), "dflt");
-    EXPECT_FALSE(envFlag("CATCH_LINT_TEST_KNOB"));
+    // Strict parse: a malformed value runs the fallback and warns
+    // once, naming the knob, however often it is read.
+    for (const char *bad : {"12junk", "1e5", "-1", " 5", "+5",
+                            "99999999999999999999"}) {
+        ::setenv("CATCH_ENV_TEST_KNOB", bad, 1);
+        ::testing::internal::CaptureStderr();
+        EXPECT_EQ(envU64("CATCH_ENV_TEST_KNOB", 7), 7u) << bad;
+        EXPECT_EQ(envU64("CATCH_ENV_TEST_KNOB", 7), 7u) << bad;
+        std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("CATCH_ENV_TEST_KNOB='"), std::string::npos)
+            << bad << ": " << err;
+        EXPECT_EQ(err.find("warn:"), err.rfind("warn:"))
+            << bad << ": " << err;
+    }
+
+    ::unsetenv("CATCH_ENV_TEST_KNOB");
+    EXPECT_EQ(envU64("CATCH_ENV_TEST_KNOB", 7), 7u);
+    EXPECT_EQ(envString("CATCH_ENV_TEST_KNOB", "dflt"), "dflt");
+    EXPECT_FALSE(envFlag("CATCH_ENV_TEST_KNOB"));
 }
 
 } // namespace

@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""catch_analyze — whole-program call-graph contract checker.
+"""catch_analyze — the repo's static contract checker.
 
-The regex rules in tools/lint/catch_lint.py see one line of one file at
-a time, so a helper in another translation unit that allocates or
-touches Stats from the hot loop compiles, passes lint, and silently
-erodes the throughput and determinism contracts. This analyzer builds a
-qualified-name call graph across every TU and checks *reachability*
-contracts:
+The simulator's headline guarantees are bitwise determinism (any job
+count, any machine), an allocation-free per-cycle loop, stats-free
+functional warming and paper-faithful bookkeeping. All are easy to
+break with one careless line that compiles fine and passes a lucky
+test run. This checker enforces them with two kinds of rule.
 
-  step-alloc-transitive
+Call-graph rules build a qualified-name call graph across every TU
+(clang or text frontend, below) and check *reachability*:
+
+  step-alloc
       No allocation (operator new, container growth, make_unique /
       make_shared) is reachable from the per-cycle entry points
       (OooCore::step, Frontend::fetchCycle, Cache::lookup/fill,
@@ -19,70 +21,72 @@ contracts:
       Nothing reachable from the functional-warming entry points
       (FastForward::warm, CacheHierarchy::warmAccess) mutates a stats
       object or calls into the timing model (Dram::*, BusyTimeline::*,
-      IssueCalendar::*, OooCore::*). This turns the PR 5 "stats-free
-      contract" test into a static guarantee.
+      IssueCalendar::*, OooCore::*).
   snapshot-hot-path
       No warmed-state serialization (any saveWarmState/loadWarmState,
       or the page-image half: snapshotPages/restorePages/savePages/
       loadPages) is reachable from the per-cycle entry points.
-      Snapshots are a run-boundary operation; a serializer that creeps
-      onto the hot loop would re-serialize megabytes per step.
   warm-digest
       Every config field read on the warming-reachable call graph
       (`cfg.x` / `cfg_.x` member reads; text frontend only) must
       appear in warmConfigDigest() (src/sim/warm_state.cc), so a knob
       that can shape warmed state is never silently excluded from the
-      snapshot key.
-      Provably timing-only reads on flag-guarded dual-mode code are
-      waiverable; repos without a digest skip the rule.
-  determinism-ast
-      Entropy/clock calls that reach through type aliases the line
-      regexes cannot see (`using Clk = std::chrono::steady_clock;`
-      in one header, `Clk::now()` in another file).
+      snapshot key. Repos without a digest skip the rule.
   unordered-iter
-      Range-for iteration over std::unordered_* containers in src/ —
-      iteration order is unspecified, so any result or stat produced
-      from it is not bitwise-reproducible across libraries.
+      Range-for iteration over std::unordered_* containers in src/.
   global-state
-      Non-const namespace-scope variables in src/ — shared mutable
-      state that TSan only catches on executed interleavings and that
-      breaks the any-job-count determinism contract.
+      Non-const namespace-scope variables in src/.
 
-Two frontends produce the same intermediate representation:
+Line and file rules read the files directly, whatever the frontend:
+
+  determinism   no std::rand/srand/random_device and no wall-clock or
+                steady-clock read anywhere in src/, including through
+                type aliases (`using Clk = std::chrono::steady_clock;`
+                in one header, `Clk::now()` in another file), which the
+                call-graph IR resolves.
+  env-gateway   no direct std::getenv in src/ outside
+                src/common/env.hh.
+  raw-new-delete no `new`/`delete` expressions in src/ (`= delete`
+                declarations are fine).
+  fatal-boundary no CATCHSIM_FATAL/CATCHSIM_PANIC, fatalAt/panicAt or
+                std::exit/abort in src/; recoverable failures return
+                SimError/Expected (common/error.hh). CATCHSIM_ASSERT
+                stays allowed.
+  include-cc    no `#include "*.cc"` in src/, tests/, bench/, tools/
+                or examples/.
+  stats-once    JSON stat keys in src/ are registered once per object
+                scope (JsonWriter open/close/field/object sequences and
+                `io.u64("k", ...)` field lists, with
+                `io.object("k", [..](auto &o) {...})` scoped to the
+                lambda body).
+  test-coverage every *.cc under src/ is referenced by tests/: some
+                test includes the header it implements (same-stem .hh,
+                else a same-directory .hh it includes).
+
+Two frontends produce the same call-graph IR:
 
   clang  parses `clang++ -Xclang -ast-dump=json` for every src/ TU in
          compile_commands.json. Extracted per-TU IR is cached keyed on
-         (clang version, command, TU content, src-header digest), so
-         re-runs on an unchanged tree are near-instant; CI persists
-         the cache per-SHA next to the clang-tidy cache and shares the
-         same compile database build.
+         (clang version, command, TU content, src-header digest).
   text   a pure-python scanner over the repo house style (return type
          on its own line, qualified function names at column 0,
          members declared in headers). No toolchain needed; this is
-         what ctest runs everywhere, and the fallback when clang is
-         absent.
+         what ctest runs, and the fallback when clang is absent.
 
-Known limits (both frontends, documented in docs/ANALYSIS.md): virtual
-dispatch and function pointers are not resolved (the repo has no hot
-virtual calls by design); the text frontend drops member-call edges
-whose receiver type it cannot infer and does not model operator
+Known limits (documented in docs/ANALYSIS.md): virtual dispatch and
+function pointers are not resolved; the text frontend drops member-call
+edges whose receiver type it cannot infer and does not model operator
 overloads; allocation detection covers explicit growth calls and
 new/make_*, not std::string temporaries.
 
-Waivers (both require a reason a reviewer can check):
+Waivers (all require a reason a reviewer can check):
   inline      `// catch-analyze: allow(<rule>)` on the offending line
-              or on its own comment line directly above (so waivers
-              never fight the 79-column limit).
-              For step-alloc-transitive, an existing
-              `// catch-lint: allow(step-alloc)` is honoured too, so
-              a line is never annotated twice for the same contract.
+              or on its own comment line directly above.
   file-level  `<rule> <repo-relative-path>  # reason` in
               tools/analysis/waivers.txt
   boundary    `<rule> boundary:<Qualified::Name>  # reason` in
-              tools/analysis/waivers.txt — the rule's traversal stops
-              at that function (for amortized-cost boundaries like the
-              O(chunk) trace refill, or flag-guarded dual-mode code
-              whose purity a dynamic contract test pins).
+              tools/analysis/waivers.txt: a call-graph rule's
+              traversal stops at that function.
 
 `--check-waivers` fails when any waiver no longer suppresses anything.
 
@@ -92,6 +96,7 @@ Exit status: 0 clean, 1 findings, 2 setup error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -101,16 +106,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "lint"))
-from catch_lint import DETERMINISM_BANNED  # noqa: E402
-from catch_lint import strip_comments_and_strings  # noqa: E402
-
 EXTRACTOR_VERSION = "1"  # bump to invalidate cached clang IR
 
 INLINE_WAIVER_RE = re.compile(
     r"catch-analyze:\s*allow\(([a-z\-]+(?:\s*,\s*[a-z\-]+)*)\)")
-LINT_STEP_ALLOC_WAIVER_RE = re.compile(
-    r"catch-lint:\s*allow\([^)]*\bstep-alloc\b[^)]*\)")
+WAIVER_FILE = "tools/analysis/waivers.txt"
+
+# Line and file rules scan these trees; the checker's own fixtures hold
+# deliberate violations and are checked by their own --root runs.
+SRC_EXTS = {".cc", ".hh", ".cpp", ".hpp", ".h"}
+LINE_RULE_TOPS = ("src", "tests", "bench", "tools", "examples")
+FIXTURE_DIR = "tests/analysis/fixtures"
 
 SETUP_FUNC_RE = re.compile(r"^(bind\w*|rewind|reset\w*)$")
 
@@ -187,6 +193,34 @@ UNORDERED_DECL_RE = re.compile(
     r"([A-Za-z_]\w*)\s*[;{=]")
 RANGE_FOR_RE = re.compile(
     r"\bfor\s*\(\s*[^;()]*?:\s*\(?\s*([A-Za-z_][\w.\->\[\]]*)\s*\)")
+
+# Line rules. `determinism` also takes the alias-resolved clock events
+# of the call-graph IR.
+DETERMINISM_BANNED = [
+    (re.compile(r"\bstd::rand\b|[^_\w]s?rand\s*\("), "libc rand/srand"),
+    (re.compile(r"\brandom_device\b"), "std::random_device (unseeded entropy)"),
+    (re.compile(r"\b(system_clock|steady_clock|high_resolution_clock)\b"),
+     "wall-clock/monotonic clock read"),
+    (re.compile(r"\b(gettimeofday|clock_gettime|timespec_get)\s*\("),
+     "libc time read"),
+    (re.compile(r"[^_\w]time\s*\(\s*(NULL|nullptr|0)\s*\)"), "time()"),
+]
+FATAL_BOUNDARY_BANNED = [
+    (re.compile(r"\bCATCHSIM_(FATAL|PANIC)\b"),
+     "CATCHSIM_FATAL/CATCHSIM_PANIC"),
+    (re.compile(r"\b(fatalAt|panicAt|fatalImpl|panicImpl)\s*\("),
+     "fatal/panic helper call"),
+    (re.compile(r"\b(?:std::)?(exit|abort|_Exit|quick_exit)\s*\("),
+     "process-terminating call"),
+]
+GETENV_RE = re.compile(r"\b(?:std::)?getenv\s*\(")
+DELETE_RE = re.compile(r"[^_\w]delete(\s*\[\s*\])?\s+[A-Za-z_:(*]")
+INCLUDE_CC_RE = re.compile(r'#\s*include\s*["<][^">]*\.cc[">]')
+INCLUDE_RE = re.compile(r'#\s*include\s*"([^"]+)"')
+WRITER_CALL_RE = re.compile(
+    r"""[.\->]\s*(open|close|object|field|key|u64|u32|f64|str|boolean|"""
+    r"""u64Array|enumeration|derived)\s*\(\s*(?:"([^"]*)")?"""
+)
 
 USING_ALIAS_RE = re.compile(r"\busing\s+([A-Za-z_]\w*)\s*=\s*([^;]+);")
 TYPEDEF_RE = re.compile(r"\btypedef\s+([^;]+?)\s+([A-Za-z_]\w*)\s*;")
@@ -282,6 +316,126 @@ class Program:
                         banned.add(name)
                         break
         return banned
+
+
+# ---------------------------------------------------------------------
+# Source scanning
+# ---------------------------------------------------------------------
+
+def _raw_string_end(text: str, i: int):
+    """If text[i] is the opening quote of a raw string literal (the
+    caller has already verified the R prefix), return (stop,
+    terminated): stop is the index one past the closing quote (or
+    len(text) when unterminated). Returns None when this is not a
+    raw-string opener after all."""
+    om = re.match(r'"([^()\\\s]{0,16})\(', text[i:i + 20])
+    if not om:
+        return None
+    end = text.find(")" + om.group(1) + '"', i + len(om.group(0)))
+    if end < 0:
+        return len(text), False
+    return end + len(om.group(1)) + 2, True
+
+
+@functools.cache  # the frontend and the line rules strip each file
+def strip_comments_and_strings(text: str) -> str:
+    """Blank out comment and string-literal contents, preserving line
+    structure, column offsets and the quotes themselves, so regexes
+    never match inside either. Handles C++ raw string literals
+    (`R"delim(...)delim"`, with optional u8/u/U/L prefixes): their
+    contents — which may hold unbalanced quotes, `//`, or banned
+    tokens — are blanked without desyncing the scanner. Inline
+    waivers are read from the original text."""
+    out = []
+    i, n = 0, len(text)
+    state = "code"  # code | line | block | str | chr
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if state == "code":
+            if c == "/" and nxt == "/":
+                state = "line"
+                out.append("  ")
+                i += 2
+                continue
+            if c == "/" and nxt == "*":
+                state = "block"
+                out.append("  ")
+                i += 2
+                continue
+            if c == '"':
+                # Raw string literal?  The quote must be directly
+                # preceded by an R prefix (R, LR, uR, UR, u8R) that is
+                # itself not the tail of a longer identifier, and
+                # followed by `delim(`.
+                pm = re.search(r"(?:u8|[uUL])?R\Z", text[max(0, i - 3):i])
+                pstart = (max(0, i - 3) + pm.start()) if pm else -1
+                plain_prefix = pm and (
+                    pstart == 0
+                    or not re.match(r"\w", text[pstart - 1]))
+                raw = _raw_string_end(text, i) if plain_prefix else None
+                if raw is not None:
+                    stop, terminated = raw
+                    out.append('"')
+                    body = text[i + 1:stop - 1] if terminated \
+                        else text[i + 1:stop]
+                    for ch in body:
+                        out.append(ch if ch == "\n" else " ")
+                    if terminated:
+                        out.append('"')
+                    i = stop
+                    continue
+                state = "str"
+                out.append(c)
+                i += 1
+                continue
+            if c == "'":
+                state = "chr"
+                out.append(c)
+                i += 1
+                continue
+            out.append(c)
+        elif state == "line":
+            if c == "\n":
+                state = "code"
+                out.append(c)
+            else:
+                out.append(" ")
+        elif state == "block":
+            if c == "*" and nxt == "/":
+                state = "code"
+                out.append("  ")
+                i += 2
+                continue
+            out.append(c if c == "\n" else " ")
+        elif state == "str":
+            if c == "\\":
+                out.append("  ")
+                i += 2
+                continue
+            if c == '"':
+                state = "code"
+                out.append(c)
+            elif c == "\n":  # unterminated; bail to code
+                state = "code"
+                out.append(c)
+            else:
+                out.append(" ")
+        elif state == "chr":
+            if c == "\\":
+                out.append("  ")
+                i += 2
+                continue
+            if c == "'":
+                state = "code"
+                out.append(c)
+            elif c == "\n":
+                state = "code"
+                out.append(c)
+            else:
+                out.append(" ")
+        i += 1
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------
@@ -558,9 +712,6 @@ def parse_text_file(prog: Program, rel: str, text: str) -> None:
                     f.events.append(("alloc", ln, "operator new"))
             if STATS_WRITE_RE.search(line):
                 f.events.append(("stats", ln, "stats write"))
-            for pat, what in DETERMINISM_BANNED:
-                if pat.search(line):
-                    f.events.append(("clock", ln, what))
             for alias in banned_aliases:
                 if re.search(rf"\b{alias}\s*::\s*\w+\s*\(", line) or \
                         re.search(rf"\b{alias}\s+\w+\s*[;({{=]", line):
@@ -974,10 +1125,26 @@ def merge_ir(prog: Program, ir: dict) -> None:
 # Rules engine
 # ---------------------------------------------------------------------
 
+def iter_sources(root: Path, *tops: str):
+    """Repo-relative paths of the C++ sources under @p tops, minus the
+    checker's own fixture trees."""
+    fixtures = root / FIXTURE_DIR
+    for top in tops:
+        base = root / top
+        if not base.is_dir():
+            continue
+        for p in sorted(base.rglob("*")):
+            if p.suffix in SRC_EXTS and p.is_file() \
+                    and fixtures not in p.parents:
+                yield p.relative_to(root).as_posix()
+
+
 class Analyzer:
     def __init__(self, root: Path, prog: Program):
         self.root = root
         self.prog = prog
+        self.sources = list(iter_sources(root, *LINE_RULE_TOPS))
+        self._texts: dict[str, str] = {}
         self.findings: list[tuple[str, int, str, str]] = []
         self.file_waivers: dict[tuple[str, str], int] = {}
         self.boundaries: dict[tuple[str, str], int] = {}
@@ -996,7 +1163,7 @@ class Analyzer:
     # -- waivers -------------------------------------------------------
 
     def _load_waivers(self) -> None:
-        wf = self.root / "tools" / "analysis" / "waivers.txt"
+        wf = self.root / WAIVER_FILE
         if not wf.is_file():
             return
         for lineno, raw in enumerate(wf.read_text().splitlines(), 1):
@@ -1015,16 +1182,17 @@ class Analyzer:
             else:
                 self.file_waivers[(rule, target)] = lineno
 
+    def read(self, rel: str) -> str:
+        text = self._texts.get(rel)
+        if text is None:
+            text = (self.root / rel).read_text(errors="replace")
+            self._texts[rel] = text
+        return text
+
     def _load_inline(self) -> None:
-        files = {f.file for f in self.prog.funcs.values()}
-        files |= {g[0] for g in self.prog.globals}
-        for rel in sorted(files):
-            p = self.root / rel
-            if not p.is_file():
-                continue
+        for rel in self.sources:
             per: dict[int, dict[str, int]] = {}
-            for lineno, line in enumerate(
-                    p.read_text(errors="replace").splitlines(), 1):
+            for lineno, line in enumerate(self.read(rel).splitlines(), 1):
                 m = INLINE_WAIVER_RE.search(line)
                 if m:
                     rules = {r.strip() for r in m.group(1).split(",")}
@@ -1035,11 +1203,6 @@ class Analyzer:
                         per.setdefault(lineno + 1, {}).setdefault(
                             r, lineno)
                         self.declared_inline.add((rel, lineno, r))
-                if LINT_STEP_ALLOC_WAIVER_RE.search(line):
-                    # A line already waived for the regex step-alloc
-                    # rule is waived for the transitive rule too.
-                    per.setdefault(lineno, {}).setdefault(
-                        "step-alloc-transitive", lineno)
             self.inline[rel] = per
 
     def waived(self, rule: str, rel: str, lineno: int) -> bool:
@@ -1144,8 +1307,8 @@ class Analyzer:
 
     # -- rules ---------------------------------------------------------
 
-    def check_step_alloc_transitive(self) -> None:
-        rule = "step-alloc-transitive"
+    def check_step_alloc(self) -> None:
+        rule = "step-alloc"
         chains = self._reach(rule, list(STEP_ENTRY_POINTS))
         for qname, chain in sorted(chains.items()):
             f = self.prog.funcs[qname]
@@ -1242,14 +1405,17 @@ class Analyzer:
                     "extend the digest, or waive a provably "
                     "timing-only read")
 
-    def check_determinism_ast(self) -> None:
+    def check_determinism(self) -> None:
+        """The IR's clock events: alias-resolved in the text frontend,
+        type-resolved in clang. The line scan covers the rest of src/,
+        namespace scope included."""
         for f in self.prog.funcs.values():
             if not f.file.startswith("src/"):
                 continue
             for kind, ln, detail in f.events:
                 if kind == "clock":
                     self.report(
-                        f.file, ln, "determinism-ast",
+                        f.file, ln, "determinism",
                         f"{detail} in {f.qname}() — breaks bitwise "
                         "reproducibility; use the seeded catchsim::Rng "
                         "/ simulated time")
@@ -1279,8 +1445,157 @@ class Analyzer:
                 "shared-state hazard at any job count; scope the "
                 "state into a class or make it constexpr")
 
+    def check_line_rules(self) -> None:
+        """determinism, fatal-boundary, env-gateway and raw-new-delete
+        on every src/ line; include-cc on every scanned tree."""
+        for rel in self.sources:
+            text = self.read(rel)
+            orig_lines = text.splitlines()
+            in_src = rel.startswith("src/")
+            code = strip_comments_and_strings(text)
+            for lineno, line in enumerate(code.splitlines(), 1):
+                # Stripping blanks string contents; read the include
+                # path from the original once the stripped line proves
+                # the directive is real code (not inside a comment).
+                if (re.match(r"\s*#\s*include", line)
+                        and INCLUDE_CC_RE.search(orig_lines[lineno - 1])):
+                    self.report(rel, lineno, "include-cc",
+                                "never #include a .cc file")
+                if not in_src:
+                    continue
+                for pat, what in DETERMINISM_BANNED:
+                    if pat.search(line):
+                        self.report(
+                            rel, lineno, "determinism",
+                            f"{what} breaks bitwise reproducibility; "
+                            "use the seeded catchsim::Rng / simulated "
+                            "time")
+                for pat, what in FATAL_BOUNDARY_BANNED:
+                    if pat.search(line) and "CATCHSIM_ASSERT" not in line:
+                        self.report(
+                            rel, lineno, "fatal-boundary",
+                            f"{what} in library code; return a "
+                            "SimError/Expected (common/error.hh) and "
+                            "let the isolation layer or the CLI "
+                            "boundary decide")
+                if GETENV_RE.search(line) and rel != "src/common/env.hh":
+                    self.report(rel, lineno, "env-gateway",
+                                "read CATCH_* knobs via common/env.hh, "
+                                "not raw std::getenv")
+                if ALLOC_NEW_RE.search(f" {line}") \
+                        and "= delete" not in line:
+                    self.report(rel, lineno, "raw-new-delete",
+                                "raw new expression; use "
+                                "std::make_unique or a container")
+                elif DELETE_RE.search(" " + re.sub(r"=\s*delete", "",
+                                                   line)):
+                    self.report(rel, lineno, "raw-new-delete",
+                                "raw delete expression; owning "
+                                "pointers must be smart pointers")
+
+    def check_stats_once(self) -> None:
+        """JSON stat registration: within one writer object scope a key
+        may appear only once. Tracks `.open()`, `.close()`,
+        `.object("k")`, `.field("k", ...)` call sequences per file, and
+        field lists (`.u64("k", ...)` etc.), whose `.object("k", fn)`
+        scope is the lambda body that follows. A function body (a `{`
+        in column 0) starts afresh, so two readers of one key in
+        different functions do not collide."""
+        for rel in self.sources:
+            if not rel.startswith("src/"):
+                continue
+            text = self.read(rel)
+            code = strip_comments_and_strings(text)
+            # Call sites only: require an object expression before the
+            # dot so the JsonWriter class definition itself is ignored.
+            # Each scope is [keys, lambda_depth, armed]: lambda_depth is
+            # None for open()/close() scopes; a lambda scope is armed
+            # once its body's brace opens and ends when it closes.
+            stack: list[list] = []
+            depth = 0
+            orig_lines = text.splitlines()
+            for lineno, line in enumerate(code.splitlines(), 1):
+                if line.startswith("{"):
+                    stack = []
+                events = [(m.start(), m) for m in
+                          WRITER_CALL_RE.finditer(line)]
+                events += [(i, c) for i, c in enumerate(line)
+                           if c in "{}"]
+                for pos, ev in sorted(events, key=lambda e: e[0]):
+                    if ev == "{":
+                        depth += 1
+                        if stack and stack[-1][1] == depth:
+                            stack[-1][2] = True
+                        continue
+                    if ev == "}":
+                        depth -= 1
+                        while stack and stack[-1][2] and \
+                                depth < stack[-1][1]:
+                            stack.pop()
+                        continue
+                    call = ev.group(1)
+                    # Stripping blanks string contents but preserves
+                    # offsets; recover the real key from the original.
+                    om = WRITER_CALL_RE.match(orig_lines[lineno - 1], pos)
+                    key = om.group(2) if om else ev.group(2)
+                    if call == "open":
+                        stack.append([set(), None, False])
+                    elif call == "close":
+                        if stack:
+                            stack.pop()
+                    elif key is not None:
+                        if not stack:
+                            stack.append([set(), None, False])
+                        if key in stack[-1][0]:
+                            self.report(
+                                rel, lineno, "stats-once",
+                                f'stat "{key}" registered twice in '
+                                "the same JSON object scope")
+                        else:
+                            stack[-1][0].add(key)
+                        if call == "object":
+                            # object("k", ...) with more arguments is the
+                            # field-list form: its scope is the lambda.
+                            rest = line[ev.end():].lstrip()
+                            lam = depth + 1 if rest.startswith(",") \
+                                else None
+                            stack.append([set(), lam, False])
+
+    def check_test_coverage(self) -> None:
+        src = self.root / "src"
+        if not (self.root / "tests").is_dir():
+            return
+        test_includes: set[str] = set()
+        for rel in self.sources:
+            if rel.startswith("tests/"):
+                test_includes.update(INCLUDE_RE.findall(self.read(rel)))
+        for rel in self.sources:
+            if not (rel.startswith("src/") and rel.endswith(".cc")):
+                continue
+            cc = self.root / rel
+            candidates = set()
+            hh = cc.with_suffix(".hh")
+            if hh.is_file():
+                candidates.add(hh.relative_to(src).as_posix())
+            else:
+                # Implementation-only TU: any same-directory header it
+                # includes counts as its public surface.
+                for inc in INCLUDE_RE.findall(self.read(rel)):
+                    if (src / inc).is_file() and Path(inc).parent == \
+                            cc.parent.relative_to(src):
+                        candidates.add(inc)
+            # Report only genuinely uncovered files, so a waiver on a
+            # file that gained a test reads as stale.
+            if not candidates & test_includes:
+                self.report(
+                    rel, 1, "test-coverage",
+                    "no test includes "
+                    + (", ".join(sorted(candidates)) or "any header")
+                    + f" — add a test or a waiver with a reason in "
+                    f"{WAIVER_FILE}")
+
     def check_waivers(self) -> None:
-        wf = "tools/analysis/waivers.txt"
+        wf = WAIVER_FILE
         for (rule, target), lineno in sorted(
                 self.file_waivers.items(), key=lambda kv: kv[1]):
             if (rule, target) not in self.used_file_waivers:
@@ -1303,13 +1618,16 @@ class Analyzer:
                      "on this line; remove it"))
 
     def run(self, check_waivers: bool = False) -> int:
-        self.check_step_alloc_transitive()
+        self.check_step_alloc()
         self.check_warming_purity()
         self.check_snapshot_hot_path()
         self.check_warm_digest()
-        self.check_determinism_ast()
+        self.check_determinism()
         self.check_unordered_iter()
         self.check_global_state()
+        self.check_line_rules()
+        self.check_stats_once()
+        self.check_test_coverage()
         if check_waivers:
             self.check_waivers()
         seen = set()

@@ -41,8 +41,7 @@
  *                               one run becomes a typed failure in its
  *                               slot instead of killing the campaign.
  *                               The supervisor re-execs this binary in
- *                               its hidden --worker mode (or
- *                               CATCH_WORKER_BIN).
+ *                               its hidden --worker mode.
  *   --result-store=<dir>        incremental content-hashed result store
  *                               (sim/result_store.hh): runs whose
  *                               (workload, seed, config, lengths) key
