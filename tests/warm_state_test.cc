@@ -18,7 +18,9 @@
  *     once, for all stores, by tests/content_store_test.cc.
  *  5. Component round trips — every warmed component's save → load →
  *     save is byte-identical through a freshly constructed instance,
- *     so a restore is indistinguishable from the warm it replaced.
+ *     so a restore is indistinguishable from the warm it replaced; the
+ *     bytes of each section are pinned by an FNV-1a golden, and a
+ *     truncated section or an impossible container count is refused.
  */
 
 #include <gtest/gtest.h>
@@ -226,109 +228,248 @@ TEST(WarmStateCodec, PayloadShapeDefectsAreCorruptAndDropped)
 
 // -------------------- Component round trips ----------------------
 
+using PageImage = FunctionalMemory::PageImage;
+
+/** A page image's addresses and words, deep-copied. */
+using ImageContents = std::vector<std::pair<Addr, std::vector<uint64_t>>>;
+
+/** Deep copy of @p image, for comparisons of what the shared handles
+ *  point at. */
+ImageContents
+imageContents(const PageImage &image)
+{
+    ImageContents out;
+    for (const auto &[addr, page] : image)
+        out.emplace_back(addr,
+                         std::vector<uint64_t>(std::begin(page->words),
+                                               std::end(page->words)));
+    return out;
+}
+
+/** Every warmed component over a store-backed mcf stream, built the
+ *  way a restoring run builds them; warm() runs a real warming pass
+ *  over the full CATCH rig so each one holds nontrivial state. */
+struct WarmRig
+{
+    SimConfig cfg = withCatch(baselineSkx());
+    std::unique_ptr<Workload> wl = makeWorkload("mcf");
+    TraceStream stream;
+    CacheHierarchy hierarchy{cfg};
+    BranchPredictor predictor;
+    CriticalTable table{cfg.criticality};
+    Tact tact;
+    FastForward ff;
+
+    explicit WarmRig(ChunkStore &chunks)
+        : stream(*wl, kInstr + kWarm, TraceStream::kDefaultChunkOps,
+                 std::function<double()>(), &chunks),
+          tact(cfg.tact, 0, hierarchy,
+               [this](Addr pc) { return table.isCritical(pc); },
+               stream.mem().get()),
+          ff(0, hierarchy, predictor, &tact)
+    {
+        ff.bind(stream);
+    }
+
+    void
+    warm()
+    {
+        // Criticality query wired into the hierarchy, TACT in warming
+        // mode, and a critical table seeded so entries span confidence
+        // levels and the warm pass sees live critical PCs.
+        hierarchy.setCriticalQuery(
+            [this](CoreId, Addr pc) { return table.isCritical(pc); });
+        tact.setWarming(true);
+        for (int rep = 0; rep < 3; ++rep)
+            for (Addr pc = 0x400000; pc < 0x400000 + 40 * 4; pc += 4)
+                if (rep < 1 + static_cast<int>(pc % 3))
+                    table.record(pc);
+        ASSERT_GT(ff.warm(0, kWarm, 0), 0u);
+        table.tick(kWarm);
+    }
+};
+
+/** One snapshot section: @p save writes a rig's section bytes, and
+ *  @p load parses them into a rig (the stream restores its memory from
+ *  the page image). Listed in blob order: the stream first (TACT's
+ *  feeder reads its functional memory), then the independent
+ *  components. */
+struct WarmSection
+{
+    const char *name;
+    uint64_t golden; ///< FNV-1a of the warmed rig's section bytes
+    void (*save)(const WarmRig &, StateSink &);
+    bool (*load)(WarmRig &, StateSource &, const PageImage &);
+};
+
+const WarmSection kWarmSections[] = {
+    {"TraceStream", 16866251938782235869ULL,
+     [](const WarmRig &r, StateSink &s) { r.stream.saveWarmState(s); },
+     [](WarmRig &r, StateSource &s, const PageImage &pages) {
+         return r.stream.loadWarmState(s, pages);
+     }},
+    {"CacheHierarchy", 17296264305588833786ULL,
+     [](const WarmRig &r, StateSink &s) { r.hierarchy.saveWarmState(s); },
+     [](WarmRig &r, StateSource &s, const PageImage &) {
+         return r.hierarchy.loadWarmState(s);
+     }},
+    {"BranchPredictor", 12657230679616794026ULL,
+     [](const WarmRig &r, StateSink &s) { r.predictor.saveWarmState(s); },
+     [](WarmRig &r, StateSource &s, const PageImage &) {
+         return r.predictor.loadWarmState(s);
+     }},
+    {"CriticalTable", 16075592895956768789ULL,
+     [](const WarmRig &r, StateSink &s) { r.table.saveWarmState(s); },
+     [](WarmRig &r, StateSource &s, const PageImage &) {
+         return r.table.loadWarmState(s);
+     }},
+    {"Tact", 16623756835988318827ULL,
+     [](const WarmRig &r, StateSink &s) { r.tact.saveWarmState(s); },
+     [](WarmRig &r, StateSource &s, const PageImage &) {
+         return r.tact.loadWarmState(s);
+     }},
+    {"FastForward", 18019099537021975083ULL,
+     [](const WarmRig &r, StateSink &s) { r.ff.saveWarmState(s); },
+     [](WarmRig &r, StateSource &s, const PageImage &) {
+         return r.ff.loadWarmState(s);
+     }},
+};
+
 /**
  * save → load into a fresh instance → save must be byte-identical:
  * with that, a restored component is indistinguishable from the
- * warmed one it replaced, by induction over any later work.
+ * warmed one it replaced, by induction over any later work. The
+ * per-section FNV-1a goldens pin the bytes themselves, so a layout
+ * change made the same way in both halves still shows, and records
+ * written by an earlier build keep loading.
  */
-template <typename Warmed, typename Fresh>
-void
-expectRoundTrip(const Warmed &warmed, Fresh &fresh,
-                const std::string &what)
-{
-    StateSink a;
-    warmed.saveWarmState(a);
-    EXPECT_GT(a.size(), 0u) << what;
-    StateSource src(a.bytes());
-    ASSERT_TRUE(fresh.loadWarmState(src)) << what;
-    EXPECT_TRUE(src.exhausted())
-        << what << ": loader must consume its whole section";
-    StateSink b;
-    fresh.saveWarmState(b);
-    EXPECT_EQ(a.bytes(), b.bytes()) << what;
-}
-
 TEST(WarmStateComponents, EveryWarmedComponentRoundTripsByteIdentical)
 {
-    // A real warming pass over the full CATCH rig (store-backed
-    // stream, criticality query wired into the hierarchy, TACT in
-    // warming mode) leaves every component with nontrivial state; each
-    // must then survive save → load → save bit-for-bit.
-    const size_t total = kInstr + kWarm;
-    SimConfig cfg = withCatch(baselineSkx());
     ChunkStore chunks;
+    WarmRig warmed(chunks);
+    ASSERT_NO_FATAL_FAILURE(warmed.warm());
+    WarmRig fresh(chunks);
+    const PageImage pages = warmed.stream.mem()->snapshotPages();
 
-    auto wl = makeWorkload("mcf");
-    TraceStream stream(*wl, total, TraceStream::kDefaultChunkOps,
-                       std::function<double()>(), &chunks);
-    CacheHierarchy hierarchy(cfg);
-    BranchPredictor predictor;
-    CriticalTable table(cfg.criticality);
-    hierarchy.setCriticalQuery(
-        [&table](CoreId, Addr pc) { return table.isCritical(pc); });
-    Tact tact(cfg.tact, 0, hierarchy,
-              [&table](Addr pc) { return table.isCritical(pc); },
-              stream.mem().get());
-    tact.setWarming(true);
-    FastForward ff(0, hierarchy, predictor, &tact);
-    ff.bind(stream);
-
-    // Seed the critical table so entries span confidence levels and
-    // the warm pass sees live critical PCs through the query hook.
-    for (int rep = 0; rep < 3; ++rep)
-        for (Addr pc = 0x400000; pc < 0x400000 + 40 * 4; pc += 4)
-            if (rep < 1 + static_cast<int>(pc % 3))
-                table.record(pc);
-    const size_t end = ff.warm(0, kWarm, 0);
-    ASSERT_GT(end, 0u);
-    table.tick(kWarm);
-
-    // Fresh instances, constructed exactly like a restoring run would.
-    auto wl2 = makeWorkload("mcf");
-    TraceStream stream2(*wl2, total, TraceStream::kDefaultChunkOps,
-                        std::function<double()>(), &chunks);
-    CacheHierarchy hierarchy2(cfg);
-    BranchPredictor predictor2;
-    CriticalTable table2(cfg.criticality);
-    Tact tact2(cfg.tact, 0, hierarchy2,
-               [&table2](Addr pc) { return table2.isCritical(pc); },
-               stream2.mem().get());
-    FastForward ff2(0, hierarchy2, predictor2, &tact2);
-    ff2.bind(stream2);
-
-    // Snapshot order: the stream first (TACT's feeder reads its
-    // functional memory), then the independent components. The stream
-    // round-trips in two pieces: the frontier blob through the sink,
-    // and the memory as a COW page image the restore adopts.
-    {
+    for (const WarmSection &sec : kWarmSections) {
+        SCOPED_TRACE(sec.name);
         StateSink a;
-        stream.saveWarmState(a);
-        EXPECT_GT(a.size(), 0u) << "TraceStream";
-        FunctionalMemory::PageImage pages = stream.mem()->snapshotPages();
+        sec.save(warmed, a);
+        EXPECT_GT(a.size(), 0u);
+        EXPECT_EQ(fnv1a(a.bytes().data(), a.size()), sec.golden)
+            << a.size() << " bytes";
         StateSource src(a.bytes());
-        ASSERT_TRUE(stream2.loadWarmState(src, pages)) << "TraceStream";
+        ASSERT_TRUE(sec.load(fresh, src, pages));
         EXPECT_TRUE(src.exhausted())
-            << "TraceStream: loader must consume its whole section";
+            << "loader must consume its whole section";
         StateSink b;
-        stream2.saveWarmState(b);
-        EXPECT_EQ(a.bytes(), b.bytes()) << "TraceStream";
-        // The adopted image serializes identically from both memories:
-        // the restore shared pages, it did not reinterpret them.
-        StateSink ma, mb;
-        FunctionalMemory::savePages(pages, ma);
-        FunctionalMemory::savePages(stream2.mem()->snapshotPages(), mb);
-        EXPECT_EQ(ma.bytes(), mb.bytes()) << "TraceStream memory image";
+        sec.save(fresh, b);
+        EXPECT_EQ(a.bytes(), b.bytes());
     }
-    expectRoundTrip(hierarchy, hierarchy2, "CacheHierarchy");
-    expectRoundTrip(predictor, predictor2, "BranchPredictor");
-    expectRoundTrip(table, table2, "CriticalTable");
-    expectRoundTrip(tact, tact2, "Tact");
-    expectRoundTrip(ff, ff2, "FastForward");
+    // The stream adopted the image's pages; it did not reinterpret them.
+    EXPECT_TRUE(imageContents(pages) ==
+                imageContents(fresh.stream.mem()->snapshotPages()));
 
     // The restored table answers queries identically, stats included.
-    EXPECT_EQ(table2.activeCount(), table.activeCount());
-    EXPECT_EQ(table2.stats().queries, table.stats().queries);
-    EXPECT_EQ(table2.stats().queryHits, table.stats().queryHits);
+    EXPECT_EQ(fresh.table.activeCount(), warmed.table.activeCount());
+    EXPECT_EQ(fresh.table.stats().queries, warmed.table.stats().queries);
+    EXPECT_EQ(fresh.table.stats().queryHits,
+              warmed.table.stats().queryHits);
+}
+
+/** Byte offsets of the Tact section's container counts, walked over
+ *  the section's own bytes with each element's serialized size: the
+ *  trigger-cache size, TactCross's three maps and its first firing
+ *  list, TactSelf's map, and TactFeeder's register file, two maps and
+ *  first target list. */
+std::vector<size_t>
+tactCountOffsets(const std::string &bytes)
+{
+    std::vector<size_t> counts;
+    size_t at = 0;
+    // Records the count at the cursor and steps over it and over the
+    // @p elem-byte elements it counts; returns the count.
+    auto count = [&](size_t elem) {
+        uint64_t n = 0;
+        if (at + 8 <= bytes.size())
+            std::memcpy(&n, bytes.data() + at, 8);
+        counts.push_back(at);
+        at += 8 + n * elem;
+        return n;
+    };
+    // A map of u64 keys to (head bytes, list of u64): only the first
+    // list's count is recorded.
+    auto lists = [&](size_t head) {
+        const uint64_t n = count(0);
+        for (uint64_t i = 0; i < n && at < bytes.size(); ++i) {
+            at += 8 + head;
+            const size_t before = counts.size();
+            count(8);
+            if (i > 0)
+                counts.resize(before);
+        }
+    };
+    at += 4 + 1 + 4 + 4; // TACT tag, cross flag, TCRS tag, TRGC tag
+    count(53);           // trigger entries
+    at += 8;             // trigger clock
+    count(51);           // cross targets
+    count(16);           // trigger last addresses
+    lists(0);            // firing lists
+    at += 8 + 1 + 4;     // cross issued, self flag, TSLF tag
+    count(29);           // self targets
+    at += 8 + 1 + 4;     // self issued, feeder flag, TFDR tag
+    count(16);           // register file
+    at += 8;             // seq
+    count(64);           // feeder targets
+    lists(8 + 1);        // feeders: value, flag, target list
+    at += 8 + 8 + 8 + 8; // feeder issued, runaheads, code stalls, lines
+    EXPECT_EQ(at, bytes.size()) << "the walk must cover the section";
+    return counts;
+}
+
+TEST(WarmStateComponents, DamagedSectionsAreRefused)
+{
+    // Records are checksummed, so a damaged section means a format bug;
+    // the loader must still refuse it without reading past the end or
+    // allocating for a count the bytes cannot hold (ASan runs this).
+    ChunkStore chunks;
+    WarmRig warmed(chunks);
+    ASSERT_NO_FATAL_FAILURE(warmed.warm());
+    WarmRig fresh(chunks);
+    const PageImage pages = warmed.stream.mem()->snapshotPages();
+
+    for (const WarmSection &sec : kWarmSections) {
+        SCOPED_TRACE(sec.name);
+        StateSink sink;
+        sec.save(warmed, sink);
+        const std::string &bytes = sink.bytes();
+        std::vector<size_t> cuts = {0, 1, 3, 4, 5, 12, bytes.size() - 1};
+        for (size_t k = 1; k < 16; ++k)
+            cuts.push_back(bytes.size() * k / 16);
+        for (size_t cut : cuts) {
+            StateSource src(bytes.data(), std::min(cut, bytes.size() - 1));
+            EXPECT_FALSE(sec.load(fresh, src, pages))
+                << "truncated at " << cut;
+        }
+
+        // Fixed-geometry sections lead with a count they must match;
+        // TACT's maps and lists carry counts the loader must bound.
+        std::vector<size_t> counts;
+        if (sec.name == std::string("CacheHierarchy"))
+            counts = {4 + 4 + 1 + 4}; // HIER tag, cores, hasL2, CACH tag
+        else if (sec.name == std::string("BranchPredictor") ||
+                 sec.name == std::string("CriticalTable"))
+            counts = {4};
+        else if (sec.name == std::string("Tact"))
+            counts = tactCountOffsets(bytes);
+        for (size_t at : counts) {
+            std::string bad = bytes;
+            const uint64_t huge = uint64_t(1) << 40;
+            std::memcpy(bad.data() + at, &huge, 8);
+            StateSource src(bad);
+            EXPECT_FALSE(sec.load(fresh, src, pages)) << "count at " << at;
+        }
+    }
 }
 
 TEST(WarmStateComponents, GeometryMismatchRefusesTheLoad)
@@ -531,16 +672,14 @@ TEST(WarmStateEquivalence, PerRunProfileCountersAttributeHitsAndMisses)
 
 // ---------------------- COW aliasing safety ----------------------
 
-/** Serializes whatever `find(key)` currently holds, for before/after
+/** Deep copy of whatever `find(key)` currently holds, for before/after
  *  comparisons that prove restored runs never mutate the snapshot. */
-std::string
-snapshotImageBytes(WarmStateStore &store, const WarmStateKey &key)
+ImageContents
+snapshotImage(WarmStateStore &store, const WarmStateKey &key)
 {
     auto snap = store.find(key);
     EXPECT_NE(snap, nullptr);
-    StateSink sink;
-    FunctionalMemory::savePages(snap->pages, sink);
-    return sink.take();
+    return snap ? imageContents(snap->pages) : ImageContents();
 }
 
 TEST(WarmStateCow, DiskReplayedSnapshotIsIsolatedFromRestoredWrites)
@@ -562,7 +701,7 @@ TEST(WarmStateCow, DiskReplayedSnapshotIsIsolatedFromRestoredWrites)
     WarmStateStore::Config cfg;
     cfg.diskDir = dir;
     WarmStateStore reader(cfg);
-    const std::string before = snapshotImageBytes(reader, key);
+    const auto before = snapshotImage(reader, key);
     EXPECT_EQ(reader.stats().diskHits, 1u);
 
     auto snap = reader.find(key);
@@ -571,7 +710,7 @@ TEST(WarmStateCow, DiskReplayedSnapshotIsIsolatedFromRestoredWrites)
     run.restorePages(snap->pages);
     for (Addr a = 0; a < 8 * kPageBytes; a += kPageBytes)
         run.write(a, 0xfeed);
-    EXPECT_EQ(snapshotImageBytes(reader, key), before)
+    EXPECT_TRUE(snapshotImage(reader, key) == before)
         << "writes after a disk replay must clone, not mutate";
     std::filesystem::remove_all(dir);
 }
@@ -590,7 +729,7 @@ TEST(WarmStateCow, ConcurrentRestoresOfOneSnapshotAreRaceFree)
     WarmStateStore store;
     const WarmStateKey key = wkeyAt(7);
     store.put(key, WarmSnapshot{"blob", warmed.snapshotPages()});
-    const std::string before = snapshotImageBytes(store, key);
+    const auto before = snapshotImage(store, key);
 
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; ++t) {
@@ -610,7 +749,7 @@ TEST(WarmStateCow, ConcurrentRestoresOfOneSnapshotAreRaceFree)
     }
     for (auto &th : threads)
         th.join();
-    EXPECT_EQ(snapshotImageBytes(store, key), before);
+    EXPECT_TRUE(snapshotImage(store, key) == before);
 }
 
 } // namespace
