@@ -187,53 +187,40 @@ Cache::invalidate(CacheLine &line, bool count)
     return line.dirty;
 }
 
+template <typename IO, typename Self>
 void
-Cache::saveWarmState(StateSink &sink) const
+Cache::warmFields(IO &io, Self &s)
 {
-    sink.tag(stateTag("CACH"));
-    sink.u64(lines_.size());
-    for (const CacheLine &line : lines_) {
-        sink.u64(line.tag);
-        sink.boolean(line.valid);
-        sink.boolean(line.dirty);
-        sink.u64(line.readyAt);
-        sink.u8(static_cast<uint8_t>(line.source));
-        sink.u8(static_cast<uint8_t>(line.fillLevel));
-        sink.boolean(line.usedSinceFill);
+    io.tag(stateTag("CACH"));
+    io.match(s.lines_.size());
+    for (auto &line : s.lines_) {
+        io.u64(line.tag);
+        io.boolean(line.valid);
+        io.boolean(line.dirty);
+        io.u64(line.readyAt);
+        io.u8(line.source);
+        io.u8(line.fillLevel);
+        io.boolean(line.usedSinceFill);
     }
     // Recency follows the lines as its own RLRU record: the clock, then
     // every line's stamp in line order.
-    sink.tag(stateTag("RLRU"));
-    sink.u64(clock_);
-    sink.u64(lines_.size());
-    for (const CacheLine &line : lines_)
-        sink.u64(line.stamp);
+    io.tag(stateTag("RLRU"));
+    io.u64(s.clock_);
+    io.match(s.lines_.size());
+    for (auto &line : s.lines_)
+        io.u64(line.stamp);
+}
+
+void
+Cache::saveWarmState(StateSink &sink) const
+{
+    warmFields(sink, *this);
 }
 
 bool
 Cache::loadWarmState(StateSource &src)
 {
-    if (!src.expect(stateTag("CACH")))
-        return false;
-    if (src.u64() != lines_.size() || !src.fits(lines_.size() * 21))
-        return false;
-    for (CacheLine &line : lines_) {
-        line.tag = src.u64();
-        line.valid = src.boolean();
-        line.dirty = src.boolean();
-        line.readyAt = src.u64();
-        line.source = static_cast<FillSource>(src.u8());
-        line.fillLevel = static_cast<Level>(src.u8());
-        line.usedSinceFill = src.boolean();
-    }
-    if (!src.ok() || !src.expect(stateTag("RLRU")))
-        return false;
-    uint64_t clock = src.u64();
-    if (src.u64() != lines_.size() || !src.fits(lines_.size() * 8))
-        return false;
-    clock_ = clock;
-    for (CacheLine &line : lines_)
-        line.stamp = src.u64();
+    warmFields(src, *this);
     return src.ok();
 }
 

@@ -168,6 +168,11 @@ class Cache
     bool loadWarmState(StateSource &src);
 
   private:
+    /** The warmed-state section's layout, for save (Self const) and
+     *  load alike; see common/state_io.hh. */
+    template <typename IO, typename Self>
+    static void warmFields(IO &io, Self &s);
+
     CacheLine *row(Addr addr);
     const CacheLine *row(Addr addr) const;
     void touch(CacheLine &line) { line.stamp = ++clock_; }

@@ -26,41 +26,35 @@ CacheHierarchy::CacheHierarchy(const SimConfig &cfg)
     streamCandidates_.reserve(cfg.streamDegree);
 }
 
+template <typename IO, typename Self>
+void
+CacheHierarchy::warmFields(IO &io, Self &s)
+{
+    io.tag(stateTag("HIER"));
+    io.match(s.cfg_.numCores);
+    io.match(s.cfg_.hasL2);
+    for (CoreId c = 0; c < s.cfg_.numCores; ++c) {
+        io.section(*s.l1i_[c]);
+        io.section(*s.l1d_[c]);
+        if (s.cfg_.hasL2)
+            io.section(*s.l2_[c]);
+        io.section(s.stride_[c]);
+        io.section(s.stream_[c]);
+    }
+    io.section(*s.llc_);
+}
+
 void
 CacheHierarchy::saveWarmState(StateSink &sink) const
 {
-    sink.tag(stateTag("HIER"));
-    sink.u32(cfg_.numCores);
-    sink.boolean(cfg_.hasL2);
-    for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        l1i_[c]->saveWarmState(sink);
-        l1d_[c]->saveWarmState(sink);
-        if (cfg_.hasL2)
-            l2_[c]->saveWarmState(sink);
-        stride_[c].saveWarmState(sink);
-        stream_[c].saveWarmState(sink);
-    }
-    llc_->saveWarmState(sink);
+    warmFields(sink, *this);
 }
 
 bool
 CacheHierarchy::loadWarmState(StateSource &src)
 {
-    if (!src.expect(stateTag("HIER")))
-        return false;
-    if (src.u32() != cfg_.numCores || src.boolean() != cfg_.hasL2)
-        return false;
-    for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        if (!l1i_[c]->loadWarmState(src) ||
-            !l1d_[c]->loadWarmState(src))
-            return false;
-        if (cfg_.hasL2 && !l2_[c]->loadWarmState(src))
-            return false;
-        if (!stride_[c].loadWarmState(src) ||
-            !stream_[c].loadWarmState(src))
-            return false;
-    }
-    return llc_->loadWarmState(src) && src.ok();
+    warmFields(src, *this);
+    return src.ok();
 }
 
 void

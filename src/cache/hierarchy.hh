@@ -225,6 +225,11 @@ class CacheHierarchy
     }
 
   private:
+    /** The warmed-state section's layout, for save (Self const) and
+     *  load alike; see common/state_io.hh. */
+    template <typename IO, typename Self>
+    static void warmFields(IO &io, Self &s);
+
     /** Effective (oracle-adjusted) per-level latencies. */
     uint32_t latL1() const { return cfg_.l1d.latency + cfg_.oracle.latAddL1; }
     uint32_t latL2() const { return cfg_.l2.latency + cfg_.oracle.latAddL2; }

@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "common/bitutil.hh"
-#include "common/state_io.hh"
 
 namespace catchsim
 {
@@ -72,26 +71,6 @@ class Rng
     uniform()
     {
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
-    }
-
-    /** Serializes the generator state (warmed-state snapshots). */
-    void
-    saveWarmState(StateSink &sink) const
-    {
-        sink.tag(stateTag("RNG "));
-        for (uint64_t word : state_)
-            sink.u64(word);
-    }
-
-    /** Restores a saveWarmState() stream; false on a malformed one. */
-    bool
-    loadWarmState(StateSource &src)
-    {
-        if (!src.expect(stateTag("RNG ")) || !src.fits(4 * 8))
-            return false;
-        for (auto &word : state_)
-            word = src.u64();
-        return src.ok();
     }
 
   private:

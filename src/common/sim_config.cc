@@ -112,8 +112,10 @@ SimConfig::validate() const
         if (sampling.windowInstrs == 0)
             return simError(ErrorCategory::Config,
                             "sampled mode needs a non-zero detailed window");
-        if (sampling.warmupInstrs + sampling.windowInstrs >
-            sampling.intervalInstrs)
+        // Compared without the sum, which could wrap.
+        if (sampling.windowInstrs > sampling.intervalInstrs ||
+            sampling.warmupInstrs >
+                sampling.intervalInstrs - sampling.windowInstrs)
             return simError(ErrorCategory::Config,
                             "sample warmup+window must fit in the interval");
         if (numCores > 1)

@@ -230,7 +230,6 @@ struct SimConfig
     SamplingConfig sampling;
 
     uint32_t numCores = 1;
-    uint64_t seed = 1;
 
     /** Convenience: full CATCH = criticality detection + all four TACTs. */
     void enableCatch();

@@ -116,48 +116,35 @@ BranchPredictor::predictAndTrain(const MicroOp &op)
     return o.mispredict();
 }
 
+template <typename IO, typename Self>
+void
+BranchPredictor::warmFields(IO &io, Self &s)
+{
+    io.tag(stateTag("BPRD"));
+    // The bimodal and chooser tables are as long as the gshare counters.
+    io.match(s.counters_.size());
+    for (auto *table : {&s.counters_, &s.bimodal_, &s.chooser_})
+        for (auto &c : *table)
+            io.u8(c);
+    io.match(s.btb_.size());
+    for (auto &e : s.btb_) {
+        io.u64(e.pc);
+        io.u64(e.target);
+        io.boolean(e.valid);
+    }
+    io.u64(s.history_);
+}
+
 void
 BranchPredictor::saveWarmState(StateSink &sink) const
 {
-    sink.tag(stateTag("BPRD"));
-    sink.u64(counters_.size());
-    for (uint8_t c : counters_)
-        sink.u8(c);
-    for (uint8_t c : bimodal_)
-        sink.u8(c);
-    for (uint8_t c : chooser_)
-        sink.u8(c);
-    sink.u64(btb_.size());
-    for (const BtbEntry &e : btb_) {
-        sink.u64(e.pc);
-        sink.u64(e.target);
-        sink.boolean(e.valid);
-    }
-    sink.u64(history_);
+    warmFields(sink, *this);
 }
 
 bool
 BranchPredictor::loadWarmState(StateSource &src)
 {
-    if (!src.expect(stateTag("BPRD")))
-        return false;
-    if (src.u64() != counters_.size() ||
-        !src.fits(3 * counters_.size()))
-        return false;
-    for (auto &c : counters_)
-        c = src.u8();
-    for (auto &c : bimodal_)
-        c = src.u8();
-    for (auto &c : chooser_)
-        c = src.u8();
-    if (src.u64() != btb_.size() || !src.fits(btb_.size() * 17))
-        return false;
-    for (auto &e : btb_) {
-        e.pc = src.u64();
-        e.target = src.u64();
-        e.valid = src.boolean();
-    }
-    history_ = src.u64();
+    warmFields(src, *this);
     return src.ok();
 }
 

@@ -83,49 +83,38 @@ CriticalTable::tick(uint64_t retired_instrs)
             e.confidence = 0;
 }
 
+template <typename IO, typename Self>
+void
+CriticalTable::warmFields(IO &io, Self &s)
+{
+    io.tag(stateTag("CRIT"));
+    io.match(s.entries_.size());
+    for (auto &e : s.entries_) {
+        io.boolean(e.valid);
+        io.u64(e.pc);
+        io.u32(e.confidence);
+        io.u64(e.lastUse);
+    }
+    io.u64(s.clock_);
+    io.u64(s.lastReset_);
+    io.u64(s.stats_.recordings);
+    io.u64(s.stats_.insertions);
+    io.u64(s.stats_.evictions);
+    io.u64(s.stats_.confidenceResets);
+    io.u64(s.stats_.queries);
+    io.u64(s.stats_.queryHits);
+}
+
 void
 CriticalTable::saveWarmState(StateSink &sink) const
 {
-    sink.tag(stateTag("CRIT"));
-    sink.u64(entries_.size());
-    for (const Entry &e : entries_) {
-        sink.boolean(e.valid);
-        sink.u64(e.pc);
-        sink.u32(e.confidence);
-        sink.u64(e.lastUse);
-    }
-    sink.u64(clock_);
-    sink.u64(lastReset_);
-    sink.u64(stats_.recordings);
-    sink.u64(stats_.insertions);
-    sink.u64(stats_.evictions);
-    sink.u64(stats_.confidenceResets);
-    sink.u64(stats_.queries);
-    sink.u64(stats_.queryHits);
+    warmFields(sink, *this);
 }
 
 bool
 CriticalTable::loadWarmState(StateSource &src)
 {
-    if (!src.expect(stateTag("CRIT")))
-        return false;
-    if (src.u64() != entries_.size() ||
-        !src.fits(entries_.size() * 21))
-        return false;
-    for (Entry &e : entries_) {
-        e.valid = src.boolean();
-        e.pc = src.u64();
-        e.confidence = src.u32();
-        e.lastUse = src.u64();
-    }
-    clock_ = src.u64();
-    lastReset_ = src.u64();
-    stats_.recordings = src.u64();
-    stats_.insertions = src.u64();
-    stats_.evictions = src.u64();
-    stats_.confidenceResets = src.u64();
-    stats_.queries = src.u64();
-    stats_.queryHits = src.u64();
+    warmFields(src, *this);
     return src.ok();
 }
 

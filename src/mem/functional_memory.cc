@@ -97,58 +97,4 @@ FunctionalMemory::restorePages(const PageImage &image)
         e = TlbEntry();
 }
 
-void
-FunctionalMemory::savePages(const PageImage &image, StateSink &sink)
-{
-    sink.tag(stateTag("FMEM"));
-    sink.u64(image.size());
-    for (const auto &kv : image) {
-        sink.u64(kv.first);
-        for (uint64_t word : kv.second->words)
-            sink.u64(word);
-    }
-}
-
-bool
-FunctionalMemory::loadPages(StateSource &src, PageImage *image)
-{
-    if (!src.expect(stateTag("FMEM")))
-        return false;
-    uint64_t n = src.u64();
-    if (!src.fits(n * (8 + kWordsPerPage * 8)))
-        return false;
-    image->clear();
-    image->reserve(n);
-    Addr prev = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-        Addr a = src.u64();
-        if (i > 0 && a <= prev) {
-            src.fail(); // the section contract is strictly ascending
-            return false;
-        }
-        prev = a;
-        auto p = std::make_shared<Page>();
-        for (auto &word : p->words)
-            word = src.u64();
-        image->emplace_back(a, std::move(p));
-    }
-    return src.ok();
-}
-
-void
-FunctionalMemory::saveWarmState(StateSink &sink) const
-{
-    savePages(snapshotPages(), sink);
-}
-
-bool
-FunctionalMemory::loadWarmState(StateSource &src)
-{
-    PageImage image;
-    if (!loadPages(src, &image))
-        return false;
-    restorePages(image);
-    return true;
-}
-
 } // namespace catchsim

@@ -29,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/state_io.hh"
 #include "common/types.hh"
 
 namespace catchsim
@@ -90,21 +89,6 @@ class FunctionalMemory
      * pages stay shared: a later write here clones, never mutates them.
      */
     void restorePages(const PageImage &image);
-
-    /** Serializes @p image (ascending page address, full 4 KB content)
-     *  in the StateSink encoding — the FMEM snapshot section. */
-    static void savePages(const PageImage &image, StateSink &sink);
-
-    /** Parses an FMEM section into freshly allocated shared pages.
-     *  @returns false on a malformed stream. */
-    static bool loadPages(StateSource &src, PageImage *image);
-
-    /** snapshotPages() + savePages(): the whole-memory FMEM section. */
-    void saveWarmState(StateSink &sink) const;
-
-    /** loadPages() + restorePages(): restores a saveWarmState() stream.
-     *  @returns false on a malformed stream. */
-    bool loadWarmState(StateSource &src);
 
   private:
     Page *writablePage(Addr page);

@@ -102,50 +102,39 @@ StreamPrefetcher::observe(Addr addr, std::vector<Addr> &out)
     }
 }
 
+template <typename IO, typename Self>
+void
+StreamPrefetcher::warmFields(IO &io, Self &s)
+{
+    io.tag(stateTag("STRM"));
+    io.match(s.streamPages_.size());
+    for (auto &p : s.streamPages_)
+        io.u64(p);
+    for (auto &t : s.train_) {
+        io.u32(t.lastLine);
+        io.u32(t.direction);
+        io.u32(t.confirms);
+    }
+    for (auto &p : s.prev_)
+        io.u32(p);
+    for (auto &n : s.next_)
+        io.u32(n);
+    io.u32(s.head_);
+    io.u32(s.tail_);
+    io.u32(s.filled_);
+    io.u64(s.issued_);
+}
+
 void
 StreamPrefetcher::saveWarmState(StateSink &sink) const
 {
-    sink.tag(stateTag("STRM"));
-    sink.u64(streamPages_.size());
-    for (Addr p : streamPages_)
-        sink.u64(p);
-    for (const Train &t : train_) {
-        sink.u32(static_cast<uint32_t>(t.lastLine));
-        sink.u32(static_cast<uint32_t>(t.direction));
-        sink.u32(t.confirms);
-    }
-    for (uint32_t p : prev_)
-        sink.u32(p);
-    for (uint32_t n : next_)
-        sink.u32(n);
-    sink.u32(head_);
-    sink.u32(tail_);
-    sink.u32(filled_);
-    sink.u64(issued_);
+    warmFields(sink, *this);
 }
 
 bool
 StreamPrefetcher::loadWarmState(StateSource &src)
 {
-    if (!src.expect(stateTag("STRM")))
-        return false;
-    if (src.u64() != streamPages_.size() || !src.fits(streamPages_.size() * 28))
-        return false;
-    for (Addr &p : streamPages_)
-        p = src.u64();
-    for (Train &t : train_) {
-        t.lastLine = static_cast<int32_t>(src.u32());
-        t.direction = static_cast<int32_t>(src.u32());
-        t.confirms = src.u32();
-    }
-    for (uint32_t &p : prev_)
-        p = src.u32();
-    for (uint32_t &n : next_)
-        n = src.u32();
-    head_ = src.u32();
-    tail_ = src.u32();
-    filled_ = src.u32();
-    issued_ = src.u64();
+    warmFields(src, *this);
     return src.ok();
 }
 

@@ -46,6 +46,11 @@ class StreamPrefetcher
     bool loadWarmState(StateSource &src);
 
   private:
+    /** The warmed-state section's layout, for save (Self const) and
+     *  load alike; see common/state_io.hh. */
+    template <typename IO, typename Self>
+    static void warmFields(IO &io, Self &s);
+
     // Tags live in their own contiguous array so the match scan and the
     // LRU-victim scan compile to straight-line vector code: observe()
     // runs on every access reaching the L2, and on irregular workloads

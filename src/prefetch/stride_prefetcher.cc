@@ -52,36 +52,32 @@ StridePrefetcher::stableStride(Addr pc, int64_t *stride_out) const
     return true;
 }
 
+template <typename IO, typename Self>
+void
+StridePrefetcher::warmFields(IO &io, Self &s)
+{
+    io.tag(stateTag("STRD"));
+    io.match(s.table_.size());
+    for (auto &e : s.table_) {
+        io.u64(e.pc);
+        io.boolean(e.valid);
+        io.u64(e.lastAddr);
+        io.i64(e.stride);
+        io.u32(e.conf);
+    }
+    io.u64(s.issued_);
+}
+
 void
 StridePrefetcher::saveWarmState(StateSink &sink) const
 {
-    sink.tag(stateTag("STRD"));
-    sink.u64(table_.size());
-    for (const Entry &e : table_) {
-        sink.u64(e.pc);
-        sink.boolean(e.valid);
-        sink.u64(e.lastAddr);
-        sink.i64(e.stride);
-        sink.u32(e.conf.value());
-    }
-    sink.u64(issued_);
+    warmFields(sink, *this);
 }
 
 bool
 StridePrefetcher::loadWarmState(StateSource &src)
 {
-    if (!src.expect(stateTag("STRD")))
-        return false;
-    if (src.u64() != table_.size() || !src.fits(table_.size() * 29))
-        return false;
-    for (Entry &e : table_) {
-        e.pc = src.u64();
-        e.valid = src.boolean();
-        e.lastAddr = src.u64();
-        e.stride = src.i64();
-        e.conf.reset(src.u32());
-    }
-    issued_ = src.u64();
+    warmFields(src, *this);
     return src.ok();
 }
 

@@ -48,6 +48,11 @@ class StridePrefetcher
     bool loadWarmState(StateSource &src);
 
   private:
+    /** The warmed-state section's layout, for save (Self const) and
+     *  load alike; see common/state_io.hh. */
+    template <typename IO, typename Self>
+    static void warmFields(IO &io, Self &s);
+
     struct Entry
     {
         Addr pc = 0;

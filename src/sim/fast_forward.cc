@@ -117,27 +117,28 @@ FastForward::warm(size_t pos, uint64_t count, Cycle now)
     return pos;
 }
 
+template <typename IO, typename Self>
+void
+FastForward::warmFields(IO &io, Self &s)
+{
+    io.tag(stateTag("FFWD"));
+    io.u64(s.lastCodeLine_);
+    io.u64(s.lastData0_);
+    io.u64(s.lastData1_);
+    io.boolean(s.dirty0_);
+    io.boolean(s.dirty1_);
+}
+
 void
 FastForward::saveWarmState(StateSink &sink) const
 {
-    sink.tag(stateTag("FFWD"));
-    sink.u64(lastCodeLine_);
-    sink.u64(lastData0_);
-    sink.u64(lastData1_);
-    sink.boolean(dirty0_);
-    sink.boolean(dirty1_);
+    warmFields(sink, *this);
 }
 
 bool
 FastForward::loadWarmState(StateSource &src)
 {
-    if (!src.expect(stateTag("FFWD")))
-        return false;
-    lastCodeLine_ = src.u64();
-    lastData0_ = src.u64();
-    lastData1_ = src.u64();
-    dirty0_ = src.boolean();
-    dirty1_ = src.boolean();
+    warmFields(src, *this);
     return src.ok();
 }
 

@@ -72,6 +72,11 @@ class FastForward
     bool loadWarmState(StateSource &src);
 
   private:
+    /** The warmed-state section's layout, for save (Self const) and
+     *  load alike; see common/state_io.hh. */
+    template <typename IO, typename Self>
+    static void warmFields(IO &io, Self &s);
+
     CoreId core_;
     CacheHierarchy &hierarchy_;
     BranchPredictor &predictor_;

@@ -19,19 +19,42 @@ namespace
 
 /**
  * One warmed-state snapshot: the boundary trace position followed by
- * every warming-visible component in a fixed order. save and load walk
- * the same sequence, so the round-trip contract lives in this one
- * place; DRAM and the resettable stats are deliberately absent
- * (untouched / reset at the boundary — see the WarmStateStore file
- * comment). The critical table IS included: its entries are still
- * untrained at the global boundary, but warm fills query it through
- * the hierarchy's criticality callback and its cumulative query
- * counters are never reset, so skipping the warmup must restore them
- * too. The functional-memory image travels beside the blob as
- * copy-on-write shared pages (WarmSnapshot); taking it marks every
- * live page shared, so the run's own later writes clone instead of
- * mutating the published snapshot.
+ * every warming-visible component in a fixed order, written once for
+ * save and load (see common/state_io.hh). DRAM and the resettable
+ * stats are deliberately absent (untouched / reset at the boundary —
+ * see the WarmStateStore file comment). The critical table IS
+ * included: its entries are still untrained at the global boundary,
+ * but warm fills query it through the hierarchy's criticality callback
+ * and its cumulative query counters are never reset, so skipping the
+ * warmup must restore them too. The functional-memory image travels
+ * beside the blob as copy-on-write shared pages (WarmSnapshot), which
+ * the stream's restore adopts; taking it marks every live page shared,
+ * so the run's own later writes clone instead of mutating the
+ * published snapshot.
  */
+template <typename IO, typename Pos, typename Stream, typename Hierarchy,
+          typename Predictor, typename Detector, typename TactT,
+          typename FastFwd>
+void
+warmFields(IO &io, Pos &boundary_pos, Stream &stream,
+           const FunctionalMemory::PageImage &pages, Hierarchy &hierarchy,
+           Predictor &predictor, Detector *detector, TactT *tact,
+           FastFwd &ff)
+{
+    io.tag(stateTag("WSNP"));
+    io.u64(boundary_pos);
+    io.section(stream, pages);
+    io.section(hierarchy);
+    io.section(predictor);
+    io.match(detector != nullptr);
+    if (detector)
+        io.section(detector->table());
+    io.match(tact != nullptr);
+    if (tact)
+        io.section(*tact);
+    io.section(ff);
+}
+
 WarmSnapshot
 makeWarmSnapshot(uint64_t boundary_pos, const TraceStream &stream,
                  const CacheHierarchy &hierarchy,
@@ -39,20 +62,12 @@ makeWarmSnapshot(uint64_t boundary_pos, const TraceStream &stream,
                  const CriticalityDetector *detector, const Tact *tact,
                  const FastForward &ff)
 {
+    WarmSnapshot snap{{}, stream.mem()->snapshotPages()};
     StateSink sink;
-    sink.tag(stateTag("WSNP"));
-    sink.u64(boundary_pos);
-    stream.saveWarmState(sink);
-    hierarchy.saveWarmState(sink);
-    predictor.saveWarmState(sink);
-    sink.boolean(detector != nullptr);
-    if (detector)
-        detector->table().saveWarmState(sink);
-    sink.boolean(tact != nullptr);
-    if (tact)
-        tact->saveWarmState(sink);
-    ff.saveWarmState(sink);
-    return WarmSnapshot{sink.take(), stream.mem()->snapshotPages()};
+    warmFields(sink, boundary_pos, stream, snap.pages, hierarchy, predictor,
+               detector, tact, ff);
+    snap.bytes = sink.take();
+    return snap;
 }
 
 bool
@@ -62,18 +77,11 @@ loadWarmSnapshot(const WarmSnapshot &snap, uint64_t *boundary_pos,
                  Tact *tact, FastForward &ff)
 {
     StateSource src(snap.bytes);
-    if (!src.expect(stateTag("WSNP")))
-        return false;
-    *boundary_pos = src.u64();
+    warmFields(src, *boundary_pos, stream, snap.pages, hierarchy, predictor,
+               detector, tact, ff);
     // Trailing bytes mean the writer serialized more than this reader
     // parses — a format drift the record checksum cannot catch.
-    return stream.loadWarmState(src, snap.pages) &&
-           hierarchy.loadWarmState(src) && predictor.loadWarmState(src) &&
-           src.boolean() == (detector != nullptr) &&
-           (!detector || detector->table().loadWarmState(src)) &&
-           src.boolean() == (tact != nullptr) &&
-           (!tact || tact->loadWarmState(src)) && ff.loadWarmState(src) &&
-           src.exhausted();
+    return src.exhausted();
 }
 
 } // namespace

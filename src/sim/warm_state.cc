@@ -59,9 +59,6 @@ warmConfigDigest(const SimConfig &cfg)
         s.u64(g->sizeBytes);
         s.u32(g->ways);
     }
-    // Replacement RNG seeding (hierarchy construction).
-    s.u64(cfg.seed);
-
     // Baseline prefetchers train during warming.
     s.boolean(cfg.l1StridePrefetcher);
     s.boolean(cfg.l2StreamPrefetcher);

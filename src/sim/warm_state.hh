@@ -61,7 +61,13 @@
 namespace catchsim
 {
 
-/** Bump whenever any component's saveWarmState encoding changes. */
+/**
+ * Bump whenever any section's byte layout changes: a component's
+ * warmFields field list (common/state_io.hh), the snapshot sequence in
+ * sim/simulator.cc, or the record codec below. Each section's bytes are
+ * pinned by a golden (tests/warm_state_test.cc), so a layout change
+ * cannot go unnoticed.
+ */
 constexpr uint32_t kWarmStateFormatVersion = 2;
 
 /**

@@ -134,7 +134,6 @@ configFields(IO &io, C &c)
         o.u64("warmup_instrs", s.warmupInstrs);
     });
     io.u32("num_cores", c.numCores);
-    io.u64("seed", c.seed);
 }
 
 /** The worker request's scalar fields; "type" and the embedded config

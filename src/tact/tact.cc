@@ -117,42 +117,34 @@ Tact::stats() const
     return s;
 }
 
+template <typename IO, typename Self>
+void
+Tact::warmFields(IO &io, Self &s)
+{
+    io.tag(stateTag("TACT"));
+    io.match(s.cross_ != nullptr);
+    if (s.cross_)
+        io.section(*s.cross_);
+    io.match(s.self_ != nullptr);
+    if (s.self_)
+        io.section(*s.self_);
+    io.match(s.feeder_ != nullptr);
+    if (s.feeder_)
+        io.section(*s.feeder_);
+    io.u64(s.codeStalls_);
+    io.u64(s.codeLines_);
+}
+
 void
 Tact::saveWarmState(StateSink &sink) const
 {
-    sink.tag(stateTag("TACT"));
-    sink.boolean(cross_ != nullptr);
-    if (cross_)
-        cross_->saveWarmState(sink);
-    sink.boolean(self_ != nullptr);
-    if (self_)
-        self_->saveWarmState(sink);
-    sink.boolean(feeder_ != nullptr);
-    if (feeder_)
-        feeder_->saveWarmState(sink);
-    sink.u64(codeStalls_);
-    sink.u64(codeLines_);
+    warmFields(sink, *this);
 }
 
 bool
 Tact::loadWarmState(StateSource &src)
 {
-    if (!src.expect(stateTag("TACT")))
-        return false;
-    if (src.boolean() != (cross_ != nullptr))
-        return false;
-    if (cross_ && !cross_->loadWarmState(src))
-        return false;
-    if (src.boolean() != (self_ != nullptr))
-        return false;
-    if (self_ && !self_->loadWarmState(src))
-        return false;
-    if (src.boolean() != (feeder_ != nullptr))
-        return false;
-    if (feeder_ && !feeder_->loadWarmState(src))
-        return false;
-    codeStalls_ = src.u64();
-    codeLines_ = src.u64();
+    warmFields(src, *this);
     return src.ok();
 }
 

@@ -87,6 +87,11 @@ class Tact
     bool loadWarmState(StateSource &src);
 
   private:
+    /** The warmed-state section's layout, for save (Self const) and
+     *  load alike; see common/state_io.hh. */
+    template <typename IO, typename Self>
+    static void warmFields(IO &io, Self &s);
+
     Cycle issueData(Addr addr, Cycle now);
 
     bool warming_ = false;

@@ -1,7 +1,5 @@
 #include "tact/tact_cross.hh"
 
-#include <algorithm>
-
 #include "common/bitutil.hh"
 
 namespace catchsim
@@ -119,114 +117,41 @@ TactCross::onLoad(Addr pc, Addr addr, Cycle now, bool is_critical_target)
         train(targets_[pc], pc, addr);
 }
 
-namespace
+template <typename IO, typename Self>
+void
+TactCross::warmFields(IO &io, Self &s)
 {
-
-template <typename Map>
-std::vector<Addr>
-sortedKeys(const Map &m)
-{
-    std::vector<Addr> keys;
-    keys.reserve(m.size());
-    for (const auto &kv : m)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    return keys;
+    io.tag(stateTag("TCRS"));
+    io.section(s.triggerCache_);
+    io.sortedMap(s.targets_, [&io](auto &st) {
+        io.u64(st.triggerPc);
+        io.boolean(st.haveTrigger);
+        io.u32(st.candidateIdx);
+        io.u32(st.wraps);
+        io.u32(st.instances);
+        io.i64(st.lastDelta);
+        io.u32(st.deltaConf);
+        io.boolean(st.learned);
+        io.i64(st.delta);
+        io.boolean(st.exhausted);
+    });
+    io.sortedMap(s.triggerLastAddr_, [&io](auto &addr) { io.u64(addr); });
+    io.sortedMap(s.firing_, [&io](auto &pcs) {
+        io.list(pcs, [&io](auto &pc) { io.u64(pc); });
+    });
+    io.u64(s.issued_);
 }
-
-} // namespace
 
 void
 TactCross::saveWarmState(StateSink &sink) const
 {
-    sink.tag(stateTag("TCRS"));
-    triggerCache_.saveWarmState(sink);
-
-    sink.u64(targets_.size());
-    for (Addr pc : sortedKeys(targets_)) {
-        const TargetState &st = targets_.at(pc);
-        sink.u64(pc);
-        sink.u64(st.triggerPc);
-        sink.boolean(st.haveTrigger);
-        sink.u32(st.candidateIdx);
-        sink.u32(st.wraps);
-        sink.u32(st.instances);
-        sink.i64(st.lastDelta);
-        sink.u32(st.deltaConf.value());
-        sink.boolean(st.learned);
-        sink.i64(st.delta);
-        sink.boolean(st.exhausted);
-    }
-
-    sink.u64(triggerLastAddr_.size());
-    for (Addr pc : sortedKeys(triggerLastAddr_)) {
-        sink.u64(pc);
-        sink.u64(triggerLastAddr_.at(pc));
-    }
-
-    sink.u64(firing_.size());
-    for (Addr pc : sortedKeys(firing_)) {
-        const auto &pcs = firing_.at(pc);
-        sink.u64(pc);
-        sink.u64(pcs.size());
-        for (Addr t : pcs)
-            sink.u64(t);
-    }
-
-    sink.u64(issued_);
+    warmFields(sink, *this);
 }
 
 bool
 TactCross::loadWarmState(StateSource &src)
 {
-    if (!src.expect(stateTag("TCRS")) ||
-        !triggerCache_.loadWarmState(src))
-        return false;
-
-    targets_.clear();
-    uint64_t n = src.u64();
-    if (!src.fits(n * 47))
-        return false;
-    for (uint64_t i = 0; i < n; ++i) {
-        Addr pc = src.u64();
-        TargetState &st = targets_[pc];
-        st.triggerPc = src.u64();
-        st.haveTrigger = src.boolean();
-        st.candidateIdx = src.u32();
-        st.wraps = src.u32();
-        st.instances = src.u32();
-        st.lastDelta = src.i64();
-        st.deltaConf.reset(src.u32());
-        st.learned = src.boolean();
-        st.delta = src.i64();
-        st.exhausted = src.boolean();
-    }
-
-    triggerLastAddr_.clear();
-    n = src.u64();
-    if (!src.fits(n * 16))
-        return false;
-    for (uint64_t i = 0; i < n; ++i) {
-        Addr pc = src.u64();
-        triggerLastAddr_[pc] = src.u64();
-    }
-
-    firing_.clear();
-    n = src.u64();
-    if (!src.fits(n * 16))
-        return false;
-    for (uint64_t i = 0; i < n; ++i) {
-        Addr pc = src.u64();
-        uint64_t count = src.u64();
-        if (!src.fits(count * 8))
-            return false;
-        auto &pcs = firing_[pc];
-        pcs.reserve(count);
-        for (uint64_t j = 0; j < count; ++j)
-            pcs.push_back(src.u64());
-    }
-
-    issued_ = src.u64();
+    warmFields(src, *this);
     return src.ok();
 }
 

@@ -47,6 +47,11 @@ class TactCross
     bool loadWarmState(StateSource &src);
 
   private:
+    /** The warmed-state section's layout, for save (Self const) and
+     *  load alike; see common/state_io.hh. */
+    template <typename IO, typename Self>
+    static void warmFields(IO &io, Self &s);
+
     struct TargetState
     {
         Addr triggerPc = 0;

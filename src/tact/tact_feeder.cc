@@ -197,125 +197,52 @@ TactFeeder::onLoadComplete(Addr pc, Addr addr, uint64_t value, Cycle now)
     }
 }
 
-namespace
+template <typename IO, typename Self>
+void
+TactFeeder::warmFields(IO &io, Self &s)
 {
-
-template <typename Map>
-std::vector<Addr>
-feederSortedKeys(const Map &m)
-{
-    std::vector<Addr> keys;
-    keys.reserve(m.size());
-    for (const auto &kv : m)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-    return keys;
+    io.tag(stateTag("TFDR"));
+    io.match(s.regLastLoadPc_.size());
+    for (size_t i = 0; i < s.regLastLoadPc_.size(); ++i) {
+        io.u64(s.regLastLoadPc_[i]);
+        io.u64(s.regLastLoadSeq_[i]);
+    }
+    io.u64(s.seq_);
+    io.sortedMap(s.targets_, [&io](auto &st) {
+        io.u64(st.candidateFeeder);
+        io.u32(st.feederConf);
+        io.boolean(st.feederConfirmed);
+        io.u32(st.scaleIdx);
+        io.require(st.scaleIdx >= 0 && st.scaleIdx < kNumScales);
+        io.u32(st.triesOnScale);
+        io.u32(st.scaleRounds);
+        io.i64(st.lastBase);
+        io.boolean(st.haveBase);
+        io.u32(st.baseConf);
+        io.boolean(st.learned);
+        io.i64(st.scale);
+        io.i64(st.base);
+        io.boolean(st.exhausted);
+    });
+    io.sortedMap(s.feeders_, [&io](auto &st) {
+        io.u64(st.lastValue);
+        io.boolean(st.haveValue);
+        io.list(st.targets, [&io](auto &pc) { io.u64(pc); });
+    });
+    io.u64(s.issued_);
+    io.u64(s.runaheads_);
 }
-
-} // namespace
 
 void
 TactFeeder::saveWarmState(StateSink &sink) const
 {
-    sink.tag(stateTag("TFDR"));
-    sink.u64(regLastLoadPc_.size());
-    for (size_t i = 0; i < regLastLoadPc_.size(); ++i) {
-        sink.u64(regLastLoadPc_[i]);
-        sink.u64(regLastLoadSeq_[i]);
-    }
-    sink.u64(seq_);
-
-    sink.u64(targets_.size());
-    for (Addr pc : feederSortedKeys(targets_)) {
-        const TargetState &st = targets_.at(pc);
-        sink.u64(pc);
-        sink.u64(st.candidateFeeder);
-        sink.u32(st.feederConf.value());
-        sink.boolean(st.feederConfirmed);
-        sink.u32(static_cast<uint32_t>(st.scaleIdx));
-        sink.u32(st.triesOnScale);
-        sink.u32(st.scaleRounds);
-        sink.i64(st.lastBase);
-        sink.boolean(st.haveBase);
-        sink.u32(st.baseConf.value());
-        sink.boolean(st.learned);
-        sink.i64(st.scale);
-        sink.i64(st.base);
-        sink.boolean(st.exhausted);
-    }
-
-    sink.u64(feeders_.size());
-    for (Addr pc : feederSortedKeys(feeders_)) {
-        const FeederState &st = feeders_.at(pc);
-        sink.u64(pc);
-        sink.u64(st.lastValue);
-        sink.boolean(st.haveValue);
-        sink.u64(st.targets.size());
-        for (Addr t : st.targets)
-            sink.u64(t);
-    }
-
-    sink.u64(issued_);
-    sink.u64(runaheads_);
+    warmFields(sink, *this);
 }
 
 bool
 TactFeeder::loadWarmState(StateSource &src)
 {
-    if (!src.expect(stateTag("TFDR")))
-        return false;
-    if (src.u64() != regLastLoadPc_.size() ||
-        !src.fits(regLastLoadPc_.size() * 16))
-        return false;
-    for (size_t i = 0; i < regLastLoadPc_.size(); ++i) {
-        regLastLoadPc_[i] = src.u64();
-        regLastLoadSeq_[i] = src.u64();
-    }
-    seq_ = src.u64();
-
-    targets_.clear();
-    uint64_t n = src.u64();
-    if (!src.fits(n * 64))
-        return false;
-    for (uint64_t i = 0; i < n; ++i) {
-        Addr pc = src.u64();
-        TargetState &st = targets_[pc];
-        st.candidateFeeder = src.u64();
-        st.feederConf.reset(src.u32());
-        st.feederConfirmed = src.boolean();
-        st.scaleIdx = static_cast<int>(src.u32());
-        if (st.scaleIdx < 0 || st.scaleIdx >= kNumScales)
-            return false;
-        st.triesOnScale = src.u32();
-        st.scaleRounds = src.u32();
-        st.lastBase = src.i64();
-        st.haveBase = src.boolean();
-        st.baseConf.reset(src.u32());
-        st.learned = src.boolean();
-        st.scale = src.i64();
-        st.base = src.i64();
-        st.exhausted = src.boolean();
-    }
-
-    feeders_.clear();
-    n = src.u64();
-    if (!src.fits(n * 25))
-        return false;
-    for (uint64_t i = 0; i < n; ++i) {
-        Addr pc = src.u64();
-        FeederState &st = feeders_[pc];
-        st.lastValue = src.u64();
-        st.haveValue = src.boolean();
-        uint64_t count = src.u64();
-        if (!src.fits(count * 8))
-            return false;
-        st.targets.reserve(count);
-        for (uint64_t j = 0; j < count; ++j)
-            st.targets.push_back(src.u64());
-    }
-
-    issued_ = src.u64();
-    runaheads_ = src.u64();
+    warmFields(src, *this);
     return src.ok();
 }
 

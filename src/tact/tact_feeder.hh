@@ -69,6 +69,11 @@ class TactFeeder
     bool loadWarmState(StateSource &src);
 
   private:
+    /** The warmed-state section's layout, for save (Self const) and
+     *  load alike; see common/state_io.hh. */
+    template <typename IO, typename Self>
+    static void warmFields(IO &io, Self &s);
+
     static constexpr int kNumScales = 4;
     static constexpr int64_t kScales[kNumScales] = {1, 2, 4, 8};
     static constexpr uint32_t kTriesPerScale = 8;

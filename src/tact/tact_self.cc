@@ -1,7 +1,6 @@
 #include "tact/tact_self.hh"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/bitutil.hh"
 
@@ -60,49 +59,31 @@ TactSelf::onCriticalLoad(Addr pc, Addr addr, Cycle now)
     issue_(addrStride(addr, stride, distance), now);
 }
 
+template <typename IO, typename Self>
+void
+TactSelf::warmFields(IO &io, Self &s)
+{
+    io.tag(stateTag("TSLF"));
+    io.sortedMap(s.targets_, [&io](auto &st) {
+        io.u64(st.lastAddr);
+        io.boolean(st.haveLast);
+        io.u32(st.currentRun);
+        io.u32(st.safeLength);
+        io.u32(st.safeConf);
+    });
+    io.u64(s.issued_);
+}
+
 void
 TactSelf::saveWarmState(StateSink &sink) const
 {
-    sink.tag(stateTag("TSLF"));
-    std::vector<Addr> keys;
-    keys.reserve(targets_.size());
-    // catch-analyze: allow(unordered-iter) keys are sorted below
-    for (const auto &kv : targets_)
-        keys.push_back(kv.first);
-    std::sort(keys.begin(), keys.end());
-
-    sink.u64(targets_.size());
-    for (Addr pc : keys) {
-        const TargetState &st = targets_.at(pc);
-        sink.u64(pc);
-        sink.u64(st.lastAddr);
-        sink.boolean(st.haveLast);
-        sink.u32(st.currentRun);
-        sink.u32(st.safeLength);
-        sink.u32(st.safeConf.value());
-    }
-    sink.u64(issued_);
+    warmFields(sink, *this);
 }
 
 bool
 TactSelf::loadWarmState(StateSource &src)
 {
-    if (!src.expect(stateTag("TSLF")))
-        return false;
-    targets_.clear();
-    uint64_t n = src.u64();
-    if (!src.fits(n * 29))
-        return false;
-    for (uint64_t i = 0; i < n; ++i) {
-        Addr pc = src.u64();
-        TargetState &st = targets_[pc];
-        st.lastAddr = src.u64();
-        st.haveLast = src.boolean();
-        st.currentRun = src.u32();
-        st.safeLength = src.u32();
-        st.safeConf.reset(src.u32());
-    }
-    issued_ = src.u64();
+    warmFields(src, *this);
     return src.ok();
 }
 

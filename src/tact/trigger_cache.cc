@@ -64,40 +64,34 @@ TriggerCache::candidates(Addr addr) const
     return {};
 }
 
+template <typename IO, typename Self>
+void
+TriggerCache::warmFields(IO &io, Self &s)
+{
+    io.tag(stateTag("TRGC"));
+    io.match(s.entries_.size());
+    for (auto &e : s.entries_) {
+        io.boolean(e.valid);
+        io.u64(e.page);
+        for (auto &pc : e.pcs)
+            io.u64(pc);
+        io.u32(e.numPcs);
+        io.require(e.numPcs <= e.pcs.size());
+        io.u64(e.lastUse);
+    }
+    io.u64(s.clock_);
+}
+
 void
 TriggerCache::saveWarmState(StateSink &sink) const
 {
-    sink.tag(stateTag("TRGC"));
-    sink.u64(entries_.size());
-    for (const Entry &e : entries_) {
-        sink.boolean(e.valid);
-        sink.u64(e.page);
-        for (Addr pc : e.pcs)
-            sink.u64(pc);
-        sink.u32(e.numPcs);
-        sink.u64(e.lastUse);
-    }
-    sink.u64(clock_);
+    warmFields(sink, *this);
 }
 
 bool
 TriggerCache::loadWarmState(StateSource &src)
 {
-    if (!src.expect(stateTag("TRGC")))
-        return false;
-    if (src.u64() != entries_.size() || !src.fits(entries_.size() * 53))
-        return false;
-    for (Entry &e : entries_) {
-        e.valid = src.boolean();
-        e.page = src.u64();
-        for (Addr &pc : e.pcs)
-            pc = src.u64();
-        e.numPcs = src.u32();
-        if (e.numPcs > e.pcs.size())
-            return false;
-        e.lastUse = src.u64();
-    }
-    clock_ = src.u64();
+    warmFields(src, *this);
     return src.ok();
 }
 

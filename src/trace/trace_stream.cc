@@ -121,28 +121,34 @@ TraceStream::fetchChunk(uint64_t index)
     return c;
 }
 
+template <typename IO, typename Self, typename End>
+void
+TraceStream::warmFields(IO &io, Self &s, End &gen_end)
+{
+    io.tag(stateTag("TSTR"));
+    io.match(s.total_);
+    io.match(s.chunk_);
+    io.u64(gen_end);
+    io.require(gen_end <= s.total_ &&
+               gen_end >= std::min(s.total_, 2 * s.chunk_));
+}
+
 void
 TraceStream::saveWarmState(StateSink &sink) const
 {
     CATCHSIM_ASSERT(store_ != nullptr,
                     "warmed-state snapshots require a chunk store");
-    sink.tag(stateTag("TSTR"));
-    sink.u64(total_);
-    sink.u64(chunk_);
-    sink.u64(genEnd_);
+    warmFields(sink, *this, genEnd_);
 }
 
 bool
 TraceStream::loadWarmState(StateSource &src,
                            const FunctionalMemory::PageImage &pages)
 {
-    if (!store_ || !src.expect(stateTag("TSTR")))
+    if (!store_)
         return false;
-    if (src.u64() != total_ || src.u64() != chunk_)
-        return false;
-    const uint64_t gen_end = src.u64();
-    if (gen_end > total_ || gen_end < std::min(total_, 2 * chunk_))
-        return false;
+    uint64_t gen_end = 0;
+    warmFields(src, *this, gen_end);
     if (!src.ok())
         return false;
     mem_->restorePages(pages);

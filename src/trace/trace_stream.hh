@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/state_io.hh"
 #include "trace/chunk_store.hh"
 #include "trace/trace_view.hh"
 #include "trace/workload.hh"
@@ -160,6 +161,11 @@ class TraceStream
                        const FunctionalMemory::PageImage &pages);
 
   private:
+    /** The frontier section's layout, for save (Self const) and load
+     *  alike (see common/state_io.hh); @p gen_end is the frontier. */
+    template <typename IO, typename Self, typename End>
+    static void warmFields(IO &io, Self &s, End &gen_end);
+
     /** Find-or-regenerate of one chunk; replaying its stores into mem_
      *  is the caller's choice (refills do, restores do not). */
     ChunkStore::ChunkPtr fetchChunk(uint64_t index);

@@ -121,18 +121,19 @@ class CatchAnalyzeFixtures(unittest.TestCase):
                       found[0])
         self.assertNotIn("LineTable", proc.stdout)
 
-    def test_snapshot_hot_path_covers_the_page_image_half(self):
-        # The COW page-image serializers (restorePages et al.) are
-        # run-boundary operations exactly like the blob serializers:
-        # both callees in Cache::lookup are findings, and neither of
-        # Checkpoint::capture's calls is.
+    def test_snapshot_hot_path_covers_page_images_and_field_lists(self):
+        # The COW page-image restore and a section's warmFields field
+        # list are run-boundary operations exactly like the blob
+        # serializers: all three reached from Cache::lookup are
+        # findings (the field list through a per-lookup helper), and
+        # neither of Checkpoint::capture's calls is.
         proc = run_analyzer(FIXTURES / "snapshot_hot")
         found = findings(proc, "snapshot-hot-path")
-        self.assertEqual(len(found), 2, proc.stdout)
-        self.assertTrue(any("saveWarmState" in l for l in found),
-                        proc.stdout)
-        self.assertTrue(any("restorePages" in l for l in found),
-                        proc.stdout)
+        self.assertEqual(len(found), 3, proc.stdout)
+        for name in ("saveWarmState", "restorePages", "warmFields"):
+            self.assertTrue(any(name in l for l in found), proc.stdout)
+        self.assertTrue(any("Tables::probe -> Tables::warmFields" in l
+                            for l in found), proc.stdout)
         self.assertNotIn("Checkpoint", proc.stdout,
                          "run-boundary callers must stay legal")
 

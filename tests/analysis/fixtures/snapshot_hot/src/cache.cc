@@ -6,6 +6,7 @@ Cache::lookup(int addr)
     int sink = addr;
     tables_.saveWarmState(sink); // serialization on the per-cycle path
     tables_.restorePages(sink);  // page-image restore: same violation
+    tables_.probe(addr);         // reaches a field list: same violation
 }
 
 void

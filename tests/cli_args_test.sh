@@ -20,6 +20,17 @@ expect_usage() {
     fi
 }
 
+# A well-formed value that makes an invalid configuration: exit 2 with
+# the configuration error on stderr.
+expect_config_error() {
+    local err rc=0
+    err=$("$CLI" "$@" "${SHORT[@]}" mcf 2>&1 >/dev/null) || rc=$?
+    if [ "$rc" -ne 2 ] || [[ "$err" != *"invalid configuration"* ]]; then
+        echo "FAIL: $* exited $rc, want 2 with a configuration error" >&2
+        fails=$((fails + 1))
+    fi
+}
+
 expect_ok() {
     local rc=0
     "$CLI" "$@" mcf >/dev/null 2>&1 || rc=$?
@@ -55,6 +66,12 @@ expect_usage --tact=bogus
 expect_usage --tact=
 expect_usage --tact=cross,,deep
 expect_usage --tact=crossdeep
+
+# The sample warmup and window must fit in the interval; a warmup near
+# 2^64 used to wrap the sum and pass.
+expect_config_error --sample --sample-warmup=30000 --sample-window=1
+expect_config_error --sample --sample-warmup=18446744073709551615 \
+    --sample-window=1
 
 expect_ok "${SHORT[@]}"
 expect_ok --config=client --no-l2=9728 --tact=cross,deep,feeder,code \

@@ -476,6 +476,27 @@ TEST(SimConfig, ZeroStoreQueueIsRejected)
     EXPECT_TRUE(cfg.validate().ok());
 }
 
+TEST(SimConfig, SampleSegmentMustFitTheIntervalWithoutWrapping)
+{
+    SimConfig cfg;
+    cfg.sampling.mode = SampleMode::Sampled;
+    cfg.sampling.intervalInstrs = 20000;
+    cfg.sampling.windowInstrs = 1;
+    cfg.sampling.warmupInstrs = 19999;
+    EXPECT_TRUE(cfg.validate().ok());
+    // Warmup + window one past the interval, once plainly and once
+    // through values whose sum wraps to a small number.
+    for (uint64_t warmup : {uint64_t(20000), ~uint64_t(0)}) {
+        cfg.sampling.warmupInstrs = warmup;
+        auto v = cfg.validate();
+        ASSERT_FALSE(v.ok()) << warmup;
+        EXPECT_EQ(v.error().category, ErrorCategory::Config);
+    }
+    cfg.sampling.warmupInstrs = 0;
+    cfg.sampling.windowInstrs = ~uint64_t(0);
+    EXPECT_FALSE(cfg.validate().ok()) << "a window alone past the interval";
+}
+
 TEST(Logging, ConcatFormatsHeterogeneousArguments)
 {
     EXPECT_EQ(detail::concat("jobs=", 8, ", frac=", 0.5), "jobs=8, frac=0.5");

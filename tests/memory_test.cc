@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/state_io.hh"
 #include "mem/functional_memory.hh"
 
 namespace catchsim
@@ -172,42 +171,6 @@ TEST(FunctionalMemoryCow, TlbRefillDoesNotLeakWriteValidity)
     replay.restorePages(image);
     EXPECT_EQ(replay.read(0x0), 2u);
     EXPECT_EQ(replay.read(kAlias), 0u);
-}
-
-TEST(FunctionalMemoryCow, PageImageSerializationRoundTrips)
-{
-    FunctionalMemory mem;
-    mem.write(0x100, 1);
-    mem.write(0x300000, 2);
-    FunctionalMemory::PageImage image = mem.snapshotPages();
-    StateSink sink;
-    FunctionalMemory::savePages(image, sink);
-
-    StateSource src(sink.bytes());
-    FunctionalMemory::PageImage parsed;
-    ASSERT_TRUE(FunctionalMemory::loadPages(src, &parsed));
-    EXPECT_TRUE(src.exhausted());
-    StateSink again;
-    FunctionalMemory::savePages(parsed, again);
-    EXPECT_EQ(sink.bytes(), again.bytes());
-    // Parsed pages are fresh allocations, not views into the source.
-    for (const auto &kv : parsed)
-        EXPECT_EQ(kv.second.use_count(), 1);
-}
-
-TEST(FunctionalMemoryCow, MalformedPageSectionIsRejected)
-{
-    FunctionalMemory mem;
-    mem.write(0x0, 1);
-    mem.write(kPageBytes, 2);
-    FunctionalMemory::PageImage image = mem.snapshotPages();
-    std::swap(image[0], image[1]); // violate the ascending-addr contract
-    StateSink sink;
-    FunctionalMemory::savePages(image, sink);
-    StateSource src(sink.bytes());
-    FunctionalMemory::PageImage parsed;
-    EXPECT_FALSE(FunctionalMemory::loadPages(src, &parsed))
-        << "out-of-order page sections must be refused, not adopted";
 }
 
 } // namespace

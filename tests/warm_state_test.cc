@@ -117,7 +117,6 @@ TEST(WarmConfigDigest, WarmingVisibleKnobsReKeyTheDigest)
         mutate(v);
         variants.emplace_back(what, v);
     };
-    add("seed", [](SimConfig &v) { v.seed += 1; });
     add("llc ways", [](SimConfig &v) { v.llc.ways = 8; });
     add("l2 size", [](SimConfig &v) { v.l2.sizeBytes /= 2; });
     add("inclusion", [](SimConfig &v) {

@@ -24,8 +24,9 @@ Call-graph rules build a qualified-name call graph across every TU
       IssueCalendar::*, OooCore::*).
   snapshot-hot-path
       No warmed-state serialization (any saveWarmState/loadWarmState,
-      or the page-image half: snapshotPages/restorePages/savePages/
-      loadPages) is reachable from the per-cycle entry points.
+      the warmFields field lists behind them, or the page-image half:
+      snapshotPages/restorePages) is reachable from the per-cycle
+      entry points.
   warm-digest
       Every config field read on the warming-reachable call graph
       (`cfg.x` / `cfg_.x` member reads; text frontend only) must
@@ -150,14 +151,14 @@ WARM_ENTRY_POINTS = (
 TIMING_MODEL_RE = re.compile(
     r"^(Dram|BusyTimeline|IssueCalendar|OooCore)::")
 
-# Warmed-state serialization, off-limits from the per-cycle path. The
-# page-image half of a snapshot travels through snapshotPages/
-# restorePages (copy-on-write handles) and savePages/loadPages (disk
-# records); all four are run-boundary operations like the blob
-# serializers.
+# Warmed-state serialization, off-limits from the per-cycle path: the
+# section serializers, the warmFields field list each one runs, and the
+# page-image half of a snapshot, which travels through snapshotPages/
+# restorePages (copy-on-write handles). All are run-boundary
+# operations.
 SNAPSHOT_FUNC_RE = re.compile(
-    r"::(saveWarmState|loadWarmState|snapshotPages|restorePages|"
-    r"savePages|loadPages)$")
+    r"::(saveWarmState|loadWarmState|warmFields|snapshotPages|"
+    r"restorePages)$")
 
 # A config-member read (`cfg.a.b` / `cfg_.x`); group 2 is the leaf
 # field, group 3 nonempty when it is a method call (derived value, not
