@@ -270,6 +270,10 @@ struct WarmRig
         ff.bind(stream);
     }
 
+    // The TACT and criticality callbacks hold this rig's address.
+    WarmRig(const WarmRig &) = delete;
+    WarmRig &operator=(const WarmRig &) = delete;
+
     void
     warm()
     {
