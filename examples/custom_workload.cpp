@@ -2,9 +2,10 @@
  * @file
  * Defining a custom workload against the public API: a B-tree
  * range-scan kernel written from scratch, run on the baseline and on
- * two-level CATCH. Shows the three things a workload author controls:
- * functional data structures (setup), the emitted instruction stream
- * with stable PCs (run), and the register dataflow TACT learns from.
+ * two-level CATCH. Shows the four things a workload author controls:
+ * functional data structures (setup), the generation cursors a rewind
+ * resets (restart), the emitted instruction stream with stable PCs
+ * (run), and the register dataflow TACT learns from.
  */
 
 #include <cstdio>
@@ -48,6 +49,12 @@ class BtreeScan : public Workload
             mem.write(leaf, kLeaves + rng.below(kNumLeaves) * 256);
             mem.write(leaf + 8, rng.below(1 << 16)); // aggregate field
         }
+    }
+
+    void
+    restart() override
+    {
+        pos_ = 0;
     }
 
     void

@@ -73,6 +73,9 @@ class Rng
         return static_cast<double>(next() >> 11) * 0x1.0p-53;
     }
 
+    /** Same state: both generators draw the same sequence from here. */
+    bool operator==(const Rng &) const = default;
+
   private:
     static constexpr uint64_t
     rotl(uint64_t x, int k)

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <set>
 #include <thread>
+#include <unordered_map>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -93,20 +94,38 @@ IsolationOptions::fromEnvironment()
 double
 workloadCostEstimate(const std::string &name)
 {
-    // Trace setup cost scales with the kernel's memory footprint and
-    // simulation cost with its miss rate; both correlate with category.
-    // Server OLTP/Java kernels build tens-of-MB working sets, HPC and
-    // FSPEC stream through multi-MB arrays, ISPEC/client stay small.
-    auto wl = findWorkload(name);
-    if (!wl.ok())
-        return 1.0; // unknown names fail fast in their own slot
-    switch (wl.value()->category()) {
-      case Category::Server: return 8.0;
-      case Category::Hpc: return 3.0;
-      case Category::Fspec: return 2.0;
-      case Category::Client: return 1.5;
-      default: return 1.0;
-    }
+    // Serial host ms of one baselineSkx cell at 300k + 100k instrs with
+    // its kernel image resident (median of 5, mean of two sweeps on a
+    // 4-vCPU container). Set-up is left out: a process builds each
+    // image once, so the simulation is the cost that repeats. What
+    // ranks a kernel is its miss traffic, not its category or
+    // footprint: gathers, CSR and chases run longest, the
+    // cache-resident compute and window kernels shortest.
+    static const std::unordered_map<std::string, double> kHostMs = {
+        {"gemsfdtd", 118}, {"hpc.gather", 108}, {"sysmark-excel-2", 94},
+        {"hadoop", 93}, {"mcf", 92}, {"gemsfdtd-2", 92}, {"hpc.spmv-2", 90},
+        {"bioinformatics", 86}, {"sysmark-excel", 82}, {"libquantum", 81},
+        {"soplex", 80}, {"soplex-2", 79}, {"hpc.spmv", 79}, {"mcf-2", 76},
+        {"astar", 70}, {"astar-2", 69}, {"omnetpp-2", 65}, {"specjbb-2", 63},
+        {"browser", 62}, {"xalancbmk", 61}, {"milc", 59}, {"hmmer", 59},
+        {"tpce", 58}, {"hmmer-2", 58}, {"omnetpp", 56}, {"milc-2", 55},
+        {"specjenterprise", 54}, {"wrf", 53}, {"tpcc-2", 53}, {"tonto", 53},
+        {"specjbb", 53}, {"sphinx3-2", 52}, {"lbm", 51}, {"gobmk-2", 51},
+        {"xalancbmk-2", 49}, {"calculix", 49}, {"cactusADM", 48},
+        {"hpc.stream", 46}, {"sjeng", 45}, {"leslie3d", 45},
+        {"hplinpack", 45}, {"gamess", 45}, {"gcc-2", 44}, {"bwaves-2", 44},
+        {"gcc", 43}, {"dealII", 43}, {"sphinx3", 42}, {"hplinpack-2", 42},
+        {"oracle", 40}, {"hpc.stencil3d", 40}, {"zeusmp", 39},
+        {"povray-2", 39}, {"hpc.fft", 39}, {"gobmk", 39}, {"povray", 38},
+        {"bzip2", 37}, {"bwaves", 37}, {"tpcc", 34}, {"gromacs", 33},
+        {"specpower", 32}, {"namd-2", 32}, {"perlbench", 31}, {"namd", 31},
+        {"bzip2-2", 31}, {"h264ref-2", 28}, {"h264enc", 28},
+        {"facedetection", 28}, {"blackscholes", 28}, {"h264ref", 27},
+        {"perlbench-2", 25},
+    };
+    auto it = kHostMs.find(name);
+    // Names outside the suite fail fast in their own slot.
+    return it != kHostMs.end() ? it->second : 1.0;
 }
 
 void

@@ -245,9 +245,9 @@ void recordFreshRun(const SimConfig &cfg, uint64_t instrs,
 
 /**
  * Relative wall-clock cost estimate for one workload run, used to order
- * dispatch longest-first. Server/HPC kernels carry large footprints
- * (trace setup + DRAM-heavy simulation) and dominate the makespan.
- * Unknown names cost 1.0 (they fail fast in their own slot).
+ * dispatch longest-first: the kernel's measured simulation time (kernel
+ * set-up is paid once per process, see trace/kernel_image.hh). Unknown
+ * names cost 1.0 (they fail fast in their own slot).
  */
 double workloadCostEstimate(const std::string &name);
 

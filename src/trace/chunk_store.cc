@@ -48,14 +48,13 @@ void
 ChunkGenerator::reset()
 {
     mem_ = std::make_unique<FunctionalMemory>();
-    rng_.emplace(wl_->seed());
+    rng_.emplace(wl_->start(*mem_));
     buf_.clear();
     // The budget ends on a chunk boundary, so every chunk served is
     // full; ops a kernel computes past it are dropped by the emitter
     // and never reach a chunk.
     em_.emplace(*mem_, buf_, maxChunks_ * chunkOps_,
                 /*reserve_hint=*/2 * size_t(chunkOps_));
-    wl_->setup(*mem_, *rng_);
     started_ = true;
 }
 

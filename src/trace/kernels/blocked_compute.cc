@@ -32,11 +32,16 @@ BlockedGemmLike::BlockedGemmLike(std::string name, Category cat,
 void
 BlockedGemmLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    iter_ = 0;
     for (size_t i = 0; i < blockElems_ * blockElems_; ++i) {
         mem.write(kMatA + i * 8, rng.next() & 0xff);
         mem.write(kMatB + i * 8, rng.next() & 0xff);
     }
+}
+
+void
+BlockedGemmLike::restart()
+{
+    iter_ = 0;
 }
 
 void
@@ -91,7 +96,6 @@ DpTableLike::DpTableLike(std::string name, uint64_t seed, size_t row_elems,
 void
 DpTableLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    seqPos_ = 0;
     // Sequence symbols are pre-scaled byte offsets into the score tables
     // (feeder scale 1). Three score tables (match/insert/delete) split
     // the table footprint; they are L2-resident in the baseline.
@@ -102,6 +106,12 @@ DpTableLike::setup(FunctionalMemory &mem, Rng &rng)
         for (size_t i = 0; i < table_words; ++i)
             mem.write(kTables + t * table_words * 8 + i * 8,
                       rng.next() & 0xfff);
+}
+
+void
+DpTableLike::restart()
+{
+    seqPos_ = 0;
 }
 
 void
@@ -157,9 +167,14 @@ ManyPcLike::ManyPcLike(std::string name, Category cat, uint64_t seed,
 void
 ManyPcLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    iter_ = 0;
     for (size_t i = 0; i < tableBytes_ / 8; ++i)
         mem.write(kTables + i * 8, rng.next() & 0xffff);
+}
+
+void
+ManyPcLike::restart()
+{
+    iter_ = 0;
 }
 
 void
@@ -205,9 +220,14 @@ ButterflyLike::ButterflyLike(std::string name, Category cat, uint64_t seed,
 void
 ButterflyLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    stage_ = 0;
     for (size_t i = 0; i < elems_; ++i)
         mem.write(kMatA + i * 8, rng.next() & 0xffff);
+}
+
+void
+ButterflyLike::restart()
+{
+    stage_ = 0;
 }
 
 void
@@ -249,10 +269,15 @@ Window2dLike::Window2dLike(std::string name, Category cat, uint64_t seed,
 void
 Window2dLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    row_ = 0;
-    col_ = 0;
     for (size_t i = 0; i < width_ * height_; i += 16)
         mem.write(kMatA + i * 8, rng.next() & 0xff);
+}
+
+void
+Window2dLike::restart()
+{
+    row_ = 0;
+    col_ = 0;
 }
 
 void

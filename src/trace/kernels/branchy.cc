@@ -87,11 +87,16 @@ InterpreterLike::InterpreterLike(std::string name, uint64_t seed,
 void
 InterpreterLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    pos_ = 0;
     for (size_t i = 0; i < bytecodeLen_; ++i)
         mem.write(kData + i * 8, rng.below(numHandlers_));
     for (size_t i = 0; i < hashBytes_ / 8; ++i)
         mem.write(kSide + i * 8, rng.next() & 0xffff);
+}
+
+void
+InterpreterLike::restart()
+{
+    pos_ = 0;
 }
 
 void
@@ -136,11 +141,16 @@ CompressLike::CompressLike(std::string name, uint64_t seed,
 void
 CompressLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    pos_ = 0;
     // Skewed symbol distribution so run-detection branches are mostly
     // predictable, with occasional surprises.
     for (size_t i = 0; i < inputBytes_ / 8; ++i)
         mem.write(kData + i * 8, rng.percent(70) ? 7 : rng.below(256));
+}
+
+void
+CompressLike::restart()
+{
+    pos_ = 0;
 }
 
 void
@@ -221,6 +231,11 @@ GridNeighborLike::setup(FunctionalMemory &mem, Rng &rng)
 {
     for (size_t i = 0; i < gridElems_; i += 4)
         mem.write(kData + i * 8, rng.next() & 0xff);
+}
+
+void
+GridNeighborLike::restart()
+{
     cur_ = gridWidth_ + 1;
 }
 

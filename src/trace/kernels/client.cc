@@ -30,7 +30,6 @@ FormulaDagLike::FormulaDagLike(std::string name, uint64_t seed,
 void
 FormulaDagLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    pos_ = 0;
     // Each cell's formula references two operand cells via a reference
     // table; references are byte offsets (feeder scale 1). Most
     // references are near the cell (spreadsheet locality), some are far.
@@ -41,6 +40,12 @@ FormulaDagLike::setup(FunctionalMemory &mem, Rng &rng)
         mem.write(kRefs + i * 16 + 8, far * 8);
         mem.write(kCells + i * 8, rng.below(1 << 12));
     }
+}
+
+void
+FormulaDagLike::restart()
+{
+    pos_ = 0;
 }
 
 void

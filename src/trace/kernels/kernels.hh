@@ -41,6 +41,7 @@ class McfLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -63,6 +64,7 @@ class EventQueueLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -104,6 +106,7 @@ class HashProbeLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -127,6 +130,7 @@ class ChaseLocalLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -153,6 +157,7 @@ class StreamTriadLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -177,6 +182,7 @@ class CyclicScanLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -197,6 +203,7 @@ class StencilLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -218,6 +225,7 @@ class SparseMatVecLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -240,6 +248,7 @@ class ReductionChainLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -260,6 +269,7 @@ class GatherLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -284,6 +294,7 @@ class BlockedGemmLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -306,6 +317,7 @@ class DpTableLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -331,6 +343,7 @@ class ManyPcLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -351,6 +364,7 @@ class ButterflyLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -370,6 +384,7 @@ class Window2dLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -418,6 +433,7 @@ class InterpreterLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -438,6 +454,7 @@ class CompressLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -476,6 +493,7 @@ class GridNeighborLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -524,6 +542,7 @@ class JavaServerLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -543,6 +562,7 @@ class MapReduceLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:
@@ -566,6 +586,7 @@ class FormulaDagLike : public Workload
 
   protected:
     void setup(FunctionalMemory &mem, Rng &rng) override;
+    void restart() override;
     void run(Emitter &em, Rng &rng) override;
 
   private:

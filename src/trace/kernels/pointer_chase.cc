@@ -38,7 +38,6 @@ McfLike::McfLike(std::string name, uint64_t seed, size_t num_arcs,
 void
 McfLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    pos_ = 0;
     // Arc array: 32 B records whose first word points at a random node.
     // Node records are 64 B (one cache line); each node also points at
     // its head node (the second chase hop).
@@ -52,6 +51,12 @@ McfLike::setup(FunctionalMemory &mem, Rng &rng)
                   kRegionB + rng.below(numNodes_) * 64); // head pointer
         mem.write(kRegionB + i * 64 + 16, rng.below(1 << 20)); // potential
     }
+}
+
+void
+McfLike::restart()
+{
+    pos_ = 0;
 }
 
 void
@@ -95,7 +100,6 @@ EventQueueLike::EventQueueLike(std::string name, uint64_t seed,
 void
 EventQueueLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    pos_ = 0;
     // Bucket heads in region A; 64 B nodes in region B, randomly placed
     // so each bucket's list hops across the arena.
     const size_t arena = numBuckets_ * nodesPerBucket_;
@@ -112,6 +116,12 @@ EventQueueLike::setup(FunctionalMemory &mem, Rng &rng)
         }
         mem.write(prev, 0); // list terminator
     }
+}
+
+void
+EventQueueLike::restart()
+{
+    pos_ = 0;
 }
 
 void
@@ -218,7 +228,6 @@ HashProbeLike::HashProbeLike(std::string name, Category cat, uint64_t seed,
 void
 HashProbeLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    pos_ = 0;
     // Keys are pre-hashed bucket indices (so the bucket address is a
     // linear function of the key load's data: feeder-learnable).
     for (size_t i = 0; i < numKeys_; ++i)
@@ -229,6 +238,12 @@ HashProbeLike::setup(FunctionalMemory &mem, Rng &rng)
         mem.write(kRegionB + b * 8, entry);
         mem.write(entry + 8, rng.below(1 << 18)); // entry payload
     }
+}
+
+void
+HashProbeLike::restart()
+{
+    pos_ = 0;
 }
 
 void
@@ -291,6 +306,11 @@ ChaseLocalLike::setup(FunctionalMemory &mem, Rng &rng)
     // periodic far-field updates that live in the L2).
     buildRing(mem, rng, kRegionA, 16 * 1024);
     buildRing(mem, rng, kRegionB, footprintBytes_);
+}
+
+void
+ChaseLocalLike::restart()
+{
     cur_ = kRegionA;
     curFar_ = kRegionB;
 }

@@ -130,6 +130,11 @@ JavaServerLike::setup(FunctionalMemory &mem, Rng &rng)
         mem.write(kPool + i * 64 + 8, kPool + rng.below(objs) * 64);
         mem.write(kPool + i * 64 + 16, rng.below(1 << 16));
     }
+}
+
+void
+JavaServerLike::restart()
+{
     allocPtr_ = kLog;
 }
 
@@ -188,10 +193,15 @@ MapReduceLike::MapReduceLike(std::string name, uint64_t seed,
 void
 MapReduceLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    pos_ = 0;
     // Records carry a pre-scaled group offset (feeder scale 1).
     for (size_t i = 0; i < records_; ++i)
         mem.write(kMeta + i * 16, rng.below(groups_) * 8);
+}
+
+void
+MapReduceLike::restart()
+{
+    pos_ = 0;
 }
 
 void

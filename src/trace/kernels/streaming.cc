@@ -34,11 +34,16 @@ StreamTriadLike::StreamTriadLike(std::string name, Category cat,
 void
 StreamTriadLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    pos_ = 0;
     // Streams read mostly-zero pages; only seed a sparse sample so setup
     // stays fast for multi-hundred-MB arrays.
     for (size_t i = 0; i < elems_; i += 512)
         mem.write(kArrB + i * 8, rng.next() & 0xffff);
+}
+
+void
+StreamTriadLike::restart()
+{
+    pos_ = 0;
 }
 
 void
@@ -75,9 +80,14 @@ CyclicScanLike::CyclicScanLike(std::string name, Category cat,
 void
 CyclicScanLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    line_ = 0;
     for (size_t i = 0; i < footprintBytes_; i += 4096)
         mem.write(kArrA + i, rng.next() & 0xffff);
+}
+
+void
+CyclicScanLike::restart()
+{
+    line_ = 0;
 }
 
 void
@@ -109,9 +119,14 @@ StencilLike::StencilLike(std::string name, Category cat, uint64_t seed,
 void
 StencilLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    row_ = 1;
     for (size_t i = 0; i < rowElems_ * 2; i += 64)
         mem.write(kArrA + i * 8, rng.next() & 0xffff);
+}
+
+void
+StencilLike::restart()
+{
+    row_ = 1;
 }
 
 void
@@ -161,7 +176,6 @@ SparseMatVecLike::SparseMatVecLike(std::string name, uint64_t seed,
 void
 SparseMatVecLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    row_ = 0;
     // col_idx[j] in region B holds *scaled byte offsets* into x (region C)
     // so the gather address is x_base + data: feeder scale 1.
     const size_t nnz = rows_ * nnzPerRow_;
@@ -171,6 +185,12 @@ SparseMatVecLike::setup(FunctionalMemory &mem, Rng &rng)
     }
     for (size_t i = 0; i < xElems_; i += 8)
         mem.write(kArrC + i * 8, rng.next() & 0xffff);
+}
+
+void
+SparseMatVecLike::restart()
+{
+    row_ = 0;
 }
 
 void
@@ -218,13 +238,18 @@ ReductionChainLike::ReductionChainLike(std::string name, Category cat,
 void
 ReductionChainLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    pos_ = 0;
     // Streamed phase indices select coefficients from an L2-resident
     // table; index data is a scaled byte offset (feeder scale 1).
     for (size_t i = 0; i < streamElems_; ++i)
         mem.write(kArrA + i * 8, rng.below(tableBytes_ / 8) * 8);
     for (size_t i = 0; i < tableBytes_ / 8; ++i)
         mem.write(kArrC + i * 8, rng.next() & 0xffff);
+}
+
+void
+ReductionChainLike::restart()
+{
+    pos_ = 0;
 }
 
 void
@@ -258,11 +283,16 @@ GatherLike::GatherLike(std::string name, Category cat, uint64_t seed,
 void
 GatherLike::setup(FunctionalMemory &mem, Rng &rng)
 {
-    pos_ = 0;
     for (size_t i = 0; i < numIndices_; ++i)
         mem.write(kArrA + i * 8, rng.below(dataElems_) * 8);
     for (size_t i = 0; i < dataElems_; i += 64)
         mem.write(kArrB + i * 8, rng.next() & 0xffff);
+}
+
+void
+GatherLike::restart()
+{
+    pos_ = 0;
 }
 
 void

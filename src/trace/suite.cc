@@ -244,12 +244,18 @@ stQuickNames()
 Expected<std::unique_ptr<Workload>>
 findWorkload(const std::string &name)
 {
+    // The registry name is the kernel-image key: every entry is one
+    // fixed kernel and parameter set, so its post-setup state is too.
+    auto keyed = [&name](std::unique_ptr<Workload> wl) {
+        wl->setImageKey(name);
+        return wl;
+    };
     auto it = registry().find(name);
     if (it != registry().end())
-        return it->second();
+        return keyed(it->second());
     for (const auto &v : variants())
         if (name == v.name)
-            return v.factory();
+            return keyed(v.factory());
     // List every valid name so a CLI typo is a one-round-trip fix.
     std::string known;
     for (const auto &n : stSuiteNames()) {

@@ -30,6 +30,8 @@ std::vector<std::string> stQuickNames();
  * Instantiates a workload by suite name. Unknown names return a config
  * SimError that lists every valid name; the CLI surfaces it once with
  * exit code 2, the suite executor records it as a per-run failure.
+ * The workload's image key is @p name, so its starts adopt the
+ * process-wide post-setup image (trace/kernel_image.hh).
  */
 Expected<std::unique_ptr<Workload>> findWorkload(const std::string &name);
 

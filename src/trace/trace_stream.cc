@@ -31,26 +31,22 @@ TraceStream::start()
     genEnd_ = 0;
     refillAt_ = ~size_t(0);
     pending_.clear();
-    // Reset the functional memory in place: its address is part of the
-    // public contract (mem() stays valid across rewind()).
-    *mem_ = FunctionalMemory();
-    rng_.emplace(wl_->seed());
     if (store_) {
-        // Store mode: setup still builds the pointer structures the
-        // feeder chases in the consumer-visible memory, but the kernel
-        // itself runs inside gen_ (or inside whoever generated the
-        // stored chunk) against a private memory; mem_ is then kept
+        // Store mode: the kernel runs inside gen_ (or inside whoever
+        // generated the stored chunk) against a private memory; mem_
+        // starts from the same post-setup image and is then kept
         // canonical by replaying each served chunk's Store ops.
         // Dropping the engine here is what makes rewind() (and a first
         // miss after it) deterministic: the next miss restarts the
-        // kernel from chunk 0 with a re-seeded RNG.
+        // kernel from chunk 0.
         gen_.discard();
         em_.reset();
-        wl_->setup(*mem_, *rng_);
     } else {
         em_.emplace(*mem_, pending_, total_, /*reserve_hint=*/2 * chunk_);
-        wl_->setup(*mem_, *rng_);
     }
+    // start() resets the functional memory in place: its address is
+    // part of the public contract (mem() stays valid across rewind()).
+    rng_.emplace(wl_->start(*mem_));
     if (genClock_)
         genSeconds_ += genClock_() - t0;
     // Prime both halves of the ring so the consumer starts with a full

@@ -18,8 +18,9 @@
  *     (kCodeRunaheadHorizonOps <= chunk);
  *   - generation is a pure function of the workload's seed: the op
  *     sequence is bitwise-identical to Workload::generate(size), and
- *     rewind() re-seeds the kernel RNG and replays it instead of
- *     re-reading a stored vector.
+ *     rewind() restarts the kernel from its post-setup state
+ *     (Workload::start) and replays it instead of re-reading a stored
+ *     vector.
  *
  * The functional memory evolves exactly as under generate(): kernels
  * run in emission order, at most ~2 chunks ahead of consumption. The
@@ -55,7 +56,9 @@ class TraceStream
     /**
      * Starts streaming @p total_ops ops of @p wl. The workload object
      * must outlive the stream and is exclusively owned by it while
-     * streaming (its generation cursors are reset via setup()).
+     * streaming: Workload::start() resets its generation cursors
+     * (restart()) on construction and on every rewind(), and run()
+     * advances them.
      * @param chunk_ops refill granularity; must be a power of two.
      *        Consumers that read ahead (the core's runahead walker)
      *        additionally require chunk_ops >= kCodeRunaheadHorizonOps.
@@ -102,9 +105,9 @@ class TraceStream
     }
 
     /**
-     * Restarts the stream from op 0 by re-seeding the kernel RNG and
-     * regenerating — the streamed equivalent of re-reading a stored
-     * vector. The functional memory is reset in place, so pointers to
+     * Restarts the stream from op 0 by restarting the kernel
+     * (Workload::start) and regenerating — the streamed equivalent of
+     * re-reading a stored vector. The functional memory is reset in place, so pointers to
      * it (TACT-Feeder's value source) remain valid.
      */
     void rewind();

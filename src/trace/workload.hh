@@ -71,18 +71,51 @@ class Workload
         Trace trace;
         trace.mem = std::make_shared<FunctionalMemory>();
         Emitter em(*trace.mem, trace.ops, n);
-        Rng rng(seed_);
-        setup(*trace.mem, rng);
+        Rng rng = start(*trace.mem);
         while (!em.done())
             run(em, rng);
         return trace;
     }
 
+    /**
+     * Brings the workload to op 0 of its trace: replaces @p mem's
+     * contents with the post-setup memory, resets the cursors
+     * (restart()) and returns the post-setup generator. The one place
+     * setup() runs. A registry workload (imageKey() set) adopts its
+     * shared image from KernelImageStore::global(), building it on the
+     * first start in the process; any other workload runs setup()
+     * into @p mem. Either way the result is bitwise the same.
+     */
+    Rng start(FunctionalMemory &mem);
+
+    /** Suite registry name whose shared post-setup image start()
+     *  adopts; empty for workloads constructed directly. */
+    const std::string &imageKey() const { return imageKey_; }
+
+    /** Set by findWorkload. The key must name this exact kernel and
+     *  parameter set; an empty key makes start() run setup(). */
+    void setImageKey(std::string key) { imageKey_ = std::move(key); }
+
   protected:
-    /** Builds the workload's data structures in functional memory. Also
-     *  resets any generation cursors so a workload object can generate
-     *  (or stream) the same trace repeatedly. */
+    /**
+     * Builds the workload's data structures in functional memory,
+     * which starts empty, drawing from @p rng (seeded with seed()).
+     * The memory and @p rng afterwards must be a pure function of the
+     * constructor arguments: start() may run it once per process and
+     * hand its result to every later start of an equal workload. It
+     * must not touch generation cursors; restart() owns them.
+     */
     virtual void setup(FunctionalMemory &mem, Rng &rng) = 0;
+
+    /**
+     * Resets every generation cursor run() advances (positions, row
+     * and column counters, allocation pointers) to the value it had
+     * before the first run(), so a workload object can generate (or
+     * stream) the same trace repeatedly. Reads and writes no memory and
+     * draws nothing from the Rng. Kernels without cursors keep the
+     * default.
+     */
+    virtual void restart() {}
 
     /**
      * Emits one outer chunk of the algorithm; called repeatedly until the
@@ -92,7 +125,7 @@ class Workload
     virtual void run(Emitter &em, Rng &rng) = 0;
 
   private:
-    /** Drives setup()/run() incrementally instead of via generate(). */
+    /** Drives start()/run() incrementally instead of via generate(). */
     friend class TraceStream;
     /** Same incremental drive, for the memoized chunk pipeline. */
     friend class ChunkGenerator;
@@ -100,6 +133,7 @@ class Workload
     std::string name_;
     Category category_;
     uint64_t seed_;
+    std::string imageKey_;
 };
 
 /** Convenient architectural register names for kernel code. */

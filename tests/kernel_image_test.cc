@@ -1,0 +1,234 @@
+/**
+ * @file
+ * Kernel images: a registry kernel's start adopts the process-wide
+ * post-setup image (trace/kernel_image.hh) instead of rerunning
+ * setup(). An adopted start must be indistinguishable from a fresh
+ * setup() — every op, every memory word and the generator — on every
+ * path that starts a kernel (generate, in-place and chunk-store
+ * streams, their rewinds), and concurrent adopters must never write
+ * the image's shared pages.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstring>
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "common/env.hh"
+#include "sim/configs.hh"
+#include "sim/parallel_runner.hh"
+#include "sim_result_compare.hh"
+#include "trace/chunk_store.hh"
+#include "trace/kernel_image.hh"
+#include "trace/suite.hh"
+#include "trace/trace_stream.hh"
+
+namespace catchsim
+{
+namespace
+{
+
+::testing::AssertionResult
+sameOps(const std::vector<MicroOp> &a, const std::vector<MicroOp> &b)
+{
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure()
+               << a.size() << " ops vs " << b.size();
+    for (size_t i = 0; i < a.size(); ++i) {
+        const MicroOp &x = a[i], &y = b[i];
+        if (x.pc != y.pc || x.cls != y.cls || x.memAddr != y.memAddr ||
+            x.value != y.value || x.taken != y.taken || x.dst != y.dst ||
+            std::memcmp(x.src, y.src, sizeof x.src) != 0)
+            return ::testing::AssertionFailure() << "op " << i << " differs";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Same pages at the same addresses holding the same words. */
+::testing::AssertionResult
+sameMemory(const FunctionalMemory &a, const FunctionalMemory &b)
+{
+    const auto pa = a.snapshotPages(), pb = b.snapshotPages();
+    if (pa.size() != pb.size())
+        return ::testing::AssertionFailure()
+               << pa.size() << " pages vs " << pb.size();
+    for (size_t i = 0; i < pa.size(); ++i) {
+        if (pa[i].first != pb[i].first)
+            return ::testing::AssertionFailure()
+                   << "page " << i << " address differs";
+        if (std::memcmp(pa[i].second->words, pb[i].second->words,
+                        sizeof(FunctionalMemory::Page)) != 0)
+            return ::testing::AssertionFailure()
+                   << "page 0x" << std::hex << pa[i].first << " differs";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+std::vector<MicroOp>
+drain(TraceStream &stream)
+{
+    std::vector<MicroOp> out;
+    out.reserve(stream.size());
+    TraceView view = stream.view();
+    for (size_t p = 0; p < stream.size(); ++p) {
+        stream.ensure(p);
+        out.push_back(view.at(p));
+    }
+    return out;
+}
+
+/** FNV-1a over an image's addresses and words. */
+uint64_t
+imageHash(const FunctionalMemory::PageImage &image)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ULL;
+    };
+    for (const auto &[addr, page] : image) {
+        mix(addr);
+        for (uint64_t w : page->words)
+            mix(w);
+    }
+    return h;
+}
+
+/**
+ * Every suite kernel, every start path: the oracle is a fresh,
+ * keyless instance's first generate(), whose cursors start at their
+ * constructor values. An adopted instance is then started seven times
+ * (generate twice, an in-place and a chunk-store stream, each
+ * rewound), so a cursor that restart() fails to reset shows up as a
+ * differing op on a repeat start.
+ */
+TEST(KernelImage, AdoptedStartsEqualFreshSetupForEverySuiteKernel)
+{
+    constexpr size_t kOps = 10000;
+    constexpr size_t kChunk = 4096;
+    KernelImageStore &images = KernelImageStore::global();
+    const uint64_t hits_before = images.stats().hits;
+    for (const std::string &name : stSuiteNames()) {
+        SCOPED_TRACE(name);
+        auto fresh = makeWorkload(name);
+        fresh->setImageKey({});
+        auto wl = makeWorkload(name);
+        ASSERT_EQ(wl->imageKey(), name);
+
+        // The start itself: memory words and generator state.
+        auto adopted_mem = std::make_unique<FunctionalMemory>();
+        const Rng adopted_rng = wl->start(*adopted_mem);
+        {
+            auto fresh_mem = std::make_unique<FunctionalMemory>();
+            const Rng fresh_rng = fresh->start(*fresh_mem);
+            EXPECT_TRUE(fresh_rng == adopted_rng);
+            EXPECT_TRUE(sameMemory(*fresh_mem, *adopted_mem));
+            // A second start adopts whether or not the first built.
+            auto again = std::make_unique<FunctionalMemory>();
+            EXPECT_TRUE(wl->start(*again) == fresh_rng);
+            EXPECT_TRUE(sameMemory(*fresh_mem, *again));
+        }
+        const Trace oracle = fresh->generate(kOps);
+
+        for (int pass = 0; pass < 2; ++pass) {
+            const Trace t = wl->generate(kOps);
+            EXPECT_TRUE(sameOps(t.ops, oracle.ops)) << "generate " << pass;
+            EXPECT_TRUE(sameMemory(*t.mem, *oracle.mem))
+                << "generate " << pass;
+        }
+
+        TraceStream in_place(*wl, kOps, kChunk);
+        for (int pass = 0; pass < 2; ++pass) {
+            if (pass)
+                in_place.rewind();
+            EXPECT_TRUE(sameOps(drain(in_place), oracle.ops))
+                << "in-place stream " << pass;
+            EXPECT_TRUE(sameMemory(*in_place.mem(), *oracle.mem))
+                << "in-place stream " << pass;
+        }
+
+        // A store-backed stream's memory is the post-setup image plus
+        // the served ops' stores (kernel writes past the op budget are
+        // not served).
+        for (const MicroOp &op : oracle.ops)
+            if (op.isStore())
+                adopted_mem->write(op.memAddr, op.value);
+        ChunkStore store;
+        TraceStream stored(*wl, kOps, kChunk, {}, &store);
+        for (int pass = 0; pass < 2; ++pass) {
+            if (pass)
+                stored.rewind();
+            EXPECT_TRUE(sameOps(drain(stored), oracle.ops))
+                << "chunk-store stream " << pass;
+            EXPECT_TRUE(sameMemory(*stored.mem(), *adopted_mem))
+                << "chunk-store stream " << pass;
+        }
+        EXPECT_LE(images.residentBytes(), KernelImageStore::kBudgetBytes);
+    }
+    // Most starts above adopted a resident image.
+    EXPECT_GT(images.stats().hits - hits_before, 5 * stSuiteNames().size());
+}
+
+/** Concurrent first starts of one key wait for a single build. */
+TEST(KernelImageConcurrent, OneBuildPerKeyUnderContention)
+{
+    const unsigned threads =
+        static_cast<unsigned>(envU64("CATCH_JOBS", 16));
+    KernelImageStore store;
+    std::atomic<int> builds{0};
+    std::vector<KernelImageStore::ImagePtr> got(threads);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            got[t] = store.findOrBuild("k", [&] {
+                ++builds;
+                auto mem = std::make_unique<FunctionalMemory>();
+                mem->write(kHeapBase, 42);
+                return KernelImage{mem->snapshotPages(), Rng(7)};
+            });
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+    EXPECT_EQ(builds.load(), 1);
+    for (const auto &img : got)
+        EXPECT_EQ(img, got[0]);
+}
+
+/**
+ * CATCH_JOBS threads (default 16) each run tpcc from its one resident
+ * image. Every result equals the serial run bit for bit, and the
+ * image's pages are unchanged: adopters clone a page before their
+ * first write to it.
+ */
+TEST(KernelImageConcurrent, SixteenRunsAdoptOneImage)
+{
+    const unsigned jobs = static_cast<unsigned>(envU64("CATCH_JOBS", 16));
+    const SimConfig cfg = withCatch(baselineSkx());
+    constexpr uint64_t kInstr = 20000, kWarm = 5000;
+    const auto serial =
+        runWorkloadsIsolated(cfg, {"tpcc"}, kInstr, kWarm, /*jobs=*/1);
+    ASSERT_TRUE(serial[0].ok());
+
+    const KernelImageStore::ImagePtr img =
+        KernelImageStore::global().find("tpcc");
+    ASSERT_TRUE(img);
+    const uint64_t before = imageHash(img->pages);
+
+    const std::vector<std::string> names(jobs, "tpcc");
+    const auto wide = runWorkloadsIsolated(cfg, names, kInstr, kWarm, jobs);
+    ASSERT_EQ(wide.size(), names.size());
+    for (const RunOutcome &out : wide) {
+        ASSERT_TRUE(out.ok());
+        expectBitwiseEqual(serial[0].result, out.result);
+    }
+    EXPECT_EQ(imageHash(img->pages), before);
+    EXPECT_EQ(KernelImageStore::global().find("tpcc"), img)
+        << "every run adopted the one resident image";
+}
+
+} // namespace
+} // namespace catchsim
