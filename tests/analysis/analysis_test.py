@@ -34,6 +34,7 @@ EXPECTATIONS = {
     "waived": None,
     "unusedwaiver": None,  # clean by default; fails --check-waivers
     "stepalloc_transitive": "step-alloc",
+    "stepalloc_template": "step-alloc",
     "warming": "warming-purity",
     "warming_timeline": "warming-purity",
     "snapshot_hot": "snapshot-hot-path",
@@ -101,6 +102,17 @@ class CatchAnalyzeFixtures(unittest.TestCase):
             "OooCore::step -> Helper::record -> Helper::append",
             proc.stdout)
         self.assertIn("push_back in FastForward::warm()", proc.stdout)
+
+    def test_step_alloc_follows_template_parameter_receivers(self):
+        # warmFields(IO &io, ...) calls io.u64(): IO is a template
+        # parameter, so the call resolves by method name and reaches
+        # the sink's growing buffer from Cache::lookup.
+        proc = run_analyzer(FIXTURES / "stepalloc_template")
+        found = findings(proc, "step-alloc")
+        self.assertEqual([l.split(": ")[0] for l in found],
+                         ["src/state_io.hh:10"], proc.stdout)
+        self.assertIn("Cache::lookup -> Cache::warmFields -> "
+                      "StateSink::u64 -> StateSink::put", found[0])
 
     def test_warming_reports_stats_and_timing_separately(self):
         proc = run_analyzer(FIXTURES / "warming")

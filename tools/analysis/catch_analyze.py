@@ -528,6 +528,22 @@ def _param_types(sig: str) -> dict[str, str]:
     return out
 
 
+TEMPLATE_HEAD_RE = re.compile(r"\btemplate\s*<([^<>]*)>")
+
+
+def _template_params(sig: str) -> set[str]:
+    """Names a function's template heads declare (`template <typename
+    IO, CastField T>` -> {IO, T}). A receiver of one of these types can
+    be any class, so its member calls resolve by method name."""
+    out: set[str] = set()
+    for head in TEMPLATE_HEAD_RE.findall(sig):
+        for part in head.split(","):
+            words = re.findall(r"[A-Za-z_]\w*", part.split("=", 1)[0])
+            if words:
+                out.add(words[-1])
+    return out
+
+
 def _classify_block(stmt: str, in_func: bool):
     """Decide what an opening `{` introduces, from the statement text
     accumulated since the previous `;`/`{`/`}`."""
@@ -677,6 +693,7 @@ def parse_text_file(prog: Program, rel: str, text: str) -> None:
     for f, start, end_box, sig in func_spans:
         end = end_box[0]
         local_types = _param_types(sig)
+        tparams = _template_params(sig)
         for ln in range(start, min(end, len(lines)) + 1):
             line = lines[ln - 1]
             lv = LOCAL_VAR_RE.match(line)
@@ -687,7 +704,9 @@ def parse_text_file(prog: Program, rel: str, text: str) -> None:
                 base = re.sub(r"\[[^\]]*\]", "", m.group(1))
                 method = m.group(2)
                 t = local_types.get(base)
-                if t is None and base == "this":
+                if t in tparams:
+                    t = None  # resolved by method name below
+                elif t is None and base == "this":
                     t = f.cls
                 if t is None:
                     t = prog.member_types.get(f.cls or "", {}).get(base)
