@@ -16,7 +16,8 @@ OooCore::OooCore(const SimConfig &cfg, CoreId core,
       regReady_(cfg.numArchRegs, 0), regProducer_(cfg.numArchRegs, 0),
       robRetire_(cfg.robSize, 0), aluPorts_(cfg.aluPorts),
       loadPorts_(cfg.loadPorts), storePorts_(cfg.storePorts),
-      fpPorts_(cfg.fpPorts), storeQueue_(cfg.storeQueueSize)
+      fpPorts_(cfg.fpPorts), storeQueue_(cfg.storeQueueSize),
+      storesToRebuild_(cfg.storeQueueSize)
 {
     // Forwarding table sized at 8x the store queue: at most 2xSQ slots
     // are ever occupied between rebuilds, so probe chains stay short.
@@ -38,6 +39,7 @@ OooCore::bind(const Trace &trace)
     stream_ = nullptr;
     streamRefillAt_ = ~size_t(0);
     pos_ = 0;
+    robSlot_ = 0;
     frontend_.bindTrace(trace_);
 }
 
@@ -50,6 +52,7 @@ OooCore::bind(TraceStream &stream)
     stream_ = &stream;
     streamRefillAt_ = stream.refillAt();
     pos_ = 0;
+    robSlot_ = 0;
     frontend_.bindTrace(trace_);
 }
 
@@ -58,6 +61,7 @@ OooCore::rewind()
 {
     CATCHSIM_ASSERT(trace_.bound(), "rewind without a bound trace");
     pos_ = 0;
+    robSlot_ = 0;
     if (stream_) {
         stream_->rewind();
         streamRefillAt_ = stream_->refillAt();
@@ -73,6 +77,7 @@ OooCore::skipTo(size_t pos)
                     "skipTo outside the remaining trace");
     uint64_t skipped = pos - pos_;
     pos_ = pos;
+    robSlot_ = static_cast<uint32_t>(pos % cfg_.robSize);
     seq_ += skipped;
     instrsDone_ += skipped;
     if (stream_)
@@ -180,7 +185,7 @@ OooCore::step()
 
     // ---- Front end (D-node inputs) ----
     Cycle fetch = frontend_.fetchCycle(pos_, op);
-    Cycle rob_ready = robRetire_[pos_ % cfg_.robSize];
+    Cycle rob_ready = robRetire_[robSlot_];
     Cycle alloc = allocSlot(std::max(fetch, rob_ready));
 
     // ---- Source operands (E-E edges) ----
@@ -232,14 +237,18 @@ OooCore::step()
         exec_start = storePorts_.schedule(min_dispatch);
         exec_done = exec_start + 1;
         StoreEntry &slot = storeQueue_[storeHead_];
-        storeHead_ = (storeHead_ + 1) % storeQueue_.size();
+        if (++storeHead_ == storeQueue_.size())
+            storeHead_ = 0;
         slot.word = op.memAddr >> 3;
         slot.ready = exec_done;
         slot.seq = seq_;
         slot.storeNum = ++storeCount_;
         insertForward(slot);
-        if (storeCount_ % storeQueue_.size() == 0)
+        // Every SQ stores, i.e. whenever storeCount_ % SQ == 0.
+        if (--storesToRebuild_ == 0) {
+            storesToRebuild_ = storeQueue_.size();
             rebuildForwardTable();
+        }
         break;
       }
       case OpClass::Branch: {
@@ -267,7 +276,9 @@ OooCore::step()
 
     // ---- Retire (C node) ----
     Cycle retire = retireSlot(exec_done + 1);
-    robRetire_[pos_ % cfg_.robSize] = retire;
+    robRetire_[robSlot_] = retire;
+    if (++robSlot_ == cfg_.robSize)
+        robSlot_ = 0;
 
     if (op.isStore())
         hierarchy_.storeCommit(core_, op.memAddr, retire);

@@ -130,6 +130,8 @@ class OooCore
 
     // ROB occupancy: retire time of each of the last robSize instrs.
     std::vector<Cycle> robRetire_;
+    /** pos_ % robSize, kept by wrapping instead of dividing per op. */
+    uint32_t robSlot_ = 0;
 
     // Allocation / retirement pacing.
     Cycle curAllocCycle_ = 0;
@@ -158,6 +160,9 @@ class OooCore
     std::vector<StoreEntry> storeQueue_;
     size_t storeHead_ = 0;
     uint64_t storeCount_ = 0;
+    /** Stores until the next forwarding-table rebuild: SQ minus
+     *  storeCount_ % SQ, counted down instead of divided per store. */
+    size_t storesToRebuild_;
 
     // Word-indexed forwarding map over the store queue: open-addressing
     // table holding, per 8-byte word, the youngest store to that word.

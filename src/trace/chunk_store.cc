@@ -35,8 +35,8 @@ ChunkGenerator::discard()
     em_.reset();
     rng_.reset();
     mem_.reset();
-    buf_.clear();
-    buf_.shrink_to_fit();
+    spill_.clear();
+    spill_.shrink_to_fit();
     started_ = false;
     // The next chunk produced is chunk 0 again; callers that read
     // nextIndex() before calling next() must see that, not the index
@@ -49,12 +49,11 @@ ChunkGenerator::reset()
 {
     mem_ = std::make_unique<FunctionalMemory>();
     rng_.emplace(wl_->start(*mem_));
-    buf_.clear();
+    spill_.clear();
     // The budget ends on a chunk boundary, so every chunk served is
     // full; ops a kernel computes past it are dropped by the emitter
     // and never reach a chunk.
-    em_.emplace(*mem_, buf_, maxChunks_ * chunkOps_,
-                /*reserve_hint=*/2 * size_t(chunkOps_));
+    em_.emplace(*mem_, spill_, maxChunks_ * chunkOps_);
     started_ = true;
 }
 
@@ -66,16 +65,8 @@ ChunkGenerator::next()
                     "-chunk budget");
     if (!started_)
         reset();
-    const size_t want = chunkOps_;
-    while (buf_.size() < want) {
-        const size_t before = em_->emitted();
-        wl_->run(*em_, *rng_);
-        CATCHSIM_ASSERT(em_->emitted() > before,
-                        "workload kernel made no forward progress");
-    }
-    std::vector<MicroOp> out(buf_.begin(),
-                             buf_.begin() + static_cast<ptrdiff_t>(want));
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(want));
+    std::vector<MicroOp> out(chunkOps_);
+    wl_->emitInto(*em_, *rng_, out.data(), out.size());
     ++nextIdx_;
     return out;
 }

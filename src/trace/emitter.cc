@@ -2,112 +2,47 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace catchsim
 {
 
-Emitter::Emitter(FunctionalMemory &mem, std::vector<MicroOp> &out,
-                 size_t limit, size_t reserve_hint)
-    : mem_(mem), out_(out), limit_(limit), emitted_(out.size())
+Emitter::Emitter(FunctionalMemory &mem, std::vector<MicroOp> &spill,
+                 size_t limit)
+    : mem_(mem), spill_(spill), limit_(limit)
 {
-    out_.reserve(std::min(limit, reserve_hint));
+    CATCHSIM_ASSERT(spill_.empty(), "an emitter starts with an empty spill");
 }
 
 void
-Emitter::push(MicroOp op)
+Emitter::spill(const MicroOp &op)
 {
     if (done()) {
         // Kernels keep computing past the budget until their outer loop
         // notices; silently drop the surplus ops.
         return;
     }
-    out_.push_back(op);
+    spill_.push_back(op);
     ++emitted_;
 }
 
 void
-Emitter::alu(int dst, std::initializer_list<int> srcs, OpClass cls)
+Emitter::openWindow(MicroOp *dst, size_t n)
 {
-    MicroOp op;
-    op.pc = pc_;
-    op.cls = cls;
-    op.dst = static_cast<int8_t>(dst);
-    int i = 0;
-    for (int s : srcs) {
-        CATCHSIM_ASSERT(i < static_cast<int>(kMaxSrcs), "too many sources");
-        op.src[i++] = static_cast<int8_t>(s);
+    CATCHSIM_ASSERT(n <= limit_ - windowed_, "window of ", n,
+                    " ops past the ", limit_, "-op budget");
+    windowed_ += n;
+    const size_t take = std::min(n, spill_.size() - spillHead_);
+    std::copy_n(spill_.begin() + static_cast<ptrdiff_t>(spillHead_), take,
+                dst);
+    spillHead_ += take;
+    if (spillHead_ == spill_.size()) {
+        // Drained: new overshoot starts the buffer again. (A window
+        // filled from the spill alone leaves the rest queued; no run()
+        // happens before the next window drains it.)
+        spill_.clear();
+        spillHead_ = 0;
     }
-    push(op);
-    pc_ += 4;
-}
-
-uint64_t
-Emitter::load(int dst, std::initializer_list<int> srcs, Addr addr)
-{
-    uint64_t value = mem_.read(addr);
-    MicroOp op;
-    op.pc = pc_;
-    op.cls = OpClass::Load;
-    op.dst = static_cast<int8_t>(dst);
-    int i = 0;
-    for (int s : srcs) {
-        CATCHSIM_ASSERT(i < static_cast<int>(kMaxSrcs), "too many sources");
-        op.src[i++] = static_cast<int8_t>(s);
-    }
-    op.memAddr = addr;
-    op.value = value;
-    push(op);
-    pc_ += 4;
-    return value;
-}
-
-void
-Emitter::store(std::initializer_list<int> srcs, Addr addr, uint64_t value)
-{
-    mem_.write(addr, value);
-    MicroOp op;
-    op.pc = pc_;
-    op.cls = OpClass::Store;
-    int i = 0;
-    for (int s : srcs) {
-        CATCHSIM_ASSERT(i < static_cast<int>(kMaxSrcs), "too many sources");
-        op.src[i++] = static_cast<int8_t>(s);
-    }
-    op.memAddr = addr;
-    op.value = value;
-    push(op);
-    pc_ += 4;
-}
-
-void
-Emitter::branch(bool taken, Addr target, std::initializer_list<int> srcs)
-{
-    MicroOp op;
-    op.pc = pc_;
-    op.cls = OpClass::Branch;
-    int i = 0;
-    for (int s : srcs) {
-        CATCHSIM_ASSERT(i < static_cast<int>(kMaxSrcs), "too many sources");
-        op.src[i++] = static_cast<int8_t>(s);
-    }
-    op.taken = taken;
-    op.target = target;
-    push(op);
-    pc_ = taken ? target : pc_ + 4;
-}
-
-void
-Emitter::jump(Addr target)
-{
-    branch(true, target);
-}
-
-void
-Emitter::nops(int n)
-{
-    for (int i = 0; i < n; ++i)
-        alu(-1, {});
+    cur_ = dst + take;
+    end_ = dst + n;
 }
 
 } // namespace catchsim

@@ -79,8 +79,9 @@ size_t
 KernelImageStore::charge(const void *value, const PartFn &) const
 {
     const KernelImage &img = *static_cast<const KernelImage *>(value);
-    return img.pages.size() *
-           (sizeof(FunctionalMemory::Page) + sizeof(img.pages[0]));
+    return img.pages->size() *
+           (sizeof(FunctionalMemory::Page) +
+            sizeof(FunctionalMemory::PageMap::value_type));
 }
 
 KernelImageStore &

@@ -9,10 +9,13 @@
  * the same kernels again and again (the Fig 10 campaign six times per
  * kernel, a RATE-4 mix four times in one machine), so Workload::start()
  * builds the first two once, publishes them here as an immutable
- * KernelImage, and every later start adopts the image's page handles
- * (FunctionalMemory::restorePages) instead of rerunning setup(). The
- * adopting memory clones a page on its first write (copy-on-write), so
- * an image's pages are never written and concurrent adopters share
+ * KernelImage, and every later start adopts the image's prebuilt page
+ * map as its memory's shared base layer (FunctionalMemory::adoptBase)
+ * instead of rerunning setup(). Adoption stores one shared_ptr: no page
+ * handle is copied and no page's reference count is touched, so a start
+ * and its teardown cost O(pages the run writes). The adopting memory
+ * clones a base page into its private layer on its first write to it,
+ * so an image's pages are never written and concurrent adopters share
  * them.
  *
  * Key: the suite registry name (trace/suite.cc). Kernels constructed
@@ -23,7 +26,7 @@
  * the ten kernels of e2ebench's mp-mix workload (~126 MB), not all 70
  * images (~1.3 GB).
  * An evicted image is rebuilt on its next start; adopters still
- * holding its pages keep them alive until they finish.
+ * holding its base layer keep it alive until they finish.
  */
 
 #ifndef CATCHSIM_TRACE_KERNEL_IMAGE_HH_
@@ -45,7 +48,7 @@ namespace catchsim
 /** A kernel's state right after setup(): its pages and its generator. */
 struct KernelImage
 {
-    FunctionalMemory::PageImage pages;
+    FunctionalMemory::BasePtr pages; ///< never null; never written
     Rng rng;
 };
 

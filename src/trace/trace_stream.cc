@@ -1,6 +1,7 @@
 #include "trace/trace_stream.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -19,8 +20,16 @@ TraceStream::TraceStream(Workload &wl, size_t total_ops, size_t chunk_ops,
 {
     CATCHSIM_ASSERT(chunk_ > 0 && (chunk_ & (chunk_ - 1)) == 0,
                     "TraceStream chunk size must be a power of two");
-    ring_.resize(2 * chunk_);
-    mask_ = ring_.size() - 1;
+    const size_t ring_ops = 2 * chunk_;
+    ring_ = std::unique_ptr<MicroOp[], RingFree>(
+        std::allocator<MicroOp>().allocate(ring_ops), RingFree{ring_ops});
+#ifndef NDEBUG
+    // A slot read before a refill wrote it decodes as an invalid op
+    // class at a wild PC, which every golden would catch.
+    std::memset(static_cast<void *>(ring_.get()), 0xA5,
+                ring_ops * sizeof(MicroOp));
+#endif
+    mask_ = ring_ops - 1;
     start();
 }
 
@@ -30,7 +39,8 @@ TraceStream::start()
     const double t0 = genClock_ ? genClock_() : 0;
     genEnd_ = 0;
     refillAt_ = ~size_t(0);
-    pending_.clear();
+    em_.reset();
+    spill_.clear();
     if (store_) {
         // Store mode: the kernel runs inside gen_ (or inside whoever
         // generated the stored chunk) against a private memory; mem_
@@ -40,9 +50,8 @@ TraceStream::start()
         // miss after it) deterministic: the next miss restarts the
         // kernel from chunk 0.
         gen_.discard();
-        em_.reset();
     } else {
-        em_.emplace(*mem_, pending_, total_, /*reserve_hint=*/2 * chunk_);
+        em_.emplace(*mem_, spill_, total_);
     }
     // start() resets the functional memory in place: its address is
     // part of the public contract (mem() stays valid across rewind()).
@@ -194,21 +203,11 @@ TraceStream::generateChunk()
     }
     const double t0 = genClock_ ? genClock_() : 0;
     const size_t want = std::min(chunk_, total_ - genEnd_);
-    while (pending_.size() < want && !em_->done()) {
-        const size_t before = em_->emitted();
-        wl_->run(*em_, *rng_);
-        CATCHSIM_ASSERT(em_->emitted() > before,
-                        "workload kernel made no forward progress");
-    }
-    CATCHSIM_ASSERT(pending_.size() >= want,
-                    "kernel finished before the requested op budget");
     // genEnd_ is chunk-aligned until the final partial chunk, so the
-    // destination range never wraps mid-copy; masked stores keep the
-    // code uniform anyway.
-    for (size_t i = 0; i < want; ++i)
-        ring_[(genEnd_ + i) & mask_] = pending_[i];
-    pending_.erase(pending_.begin(),
-                   pending_.begin() + static_cast<ptrdiff_t>(want));
+    // window is one contiguous ring half.
+    const size_t at = genEnd_ & mask_;
+    CATCHSIM_ASSERT(at + want <= mask_ + 1, "refill window wraps the ring");
+    wl_->emitInto(*em_, *rng_, ring_.get() + at, want);
     genEnd_ += want;
     // Keep one full chunk of lookahead ahead of the consumer: the next
     // refill triggers when the consumer enters the last resident chunk.

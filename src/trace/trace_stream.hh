@@ -7,7 +7,11 @@
  * long campaigns — and then streams it through the core exactly once.
  * TraceStream replaces that with a ring of two chunk-sized buffers the
  * kernel fills just ahead of the consumer: memory drops from O(instrs)
- * to O(chunk) and the resident window stays cache-hot.
+ * to O(chunk) and the resident window stays cache-hot. The kernel emits
+ * straight into the ring half being refilled (Workload::emitInto); only
+ * its overshoot past the half's end waits in a small spill buffer, which
+ * seeds the next refill. The ring is never value-initialized: every slot
+ * is written by a refill before the consumer can read it.
  *
  * Contract with the consumer (OooCore/Frontend):
  *   - positions are consumed in nondecreasing order; before touching
@@ -86,7 +90,7 @@ class TraceStream
     TraceView
     view() const
     {
-        return TraceView{ring_.data(), mask_, total_};
+        return TraceView{ring_.get(), mask_, total_};
     }
 
     /**
@@ -178,19 +182,32 @@ class TraceStream
     void generateChunkFromStore();
     ChunkKey keyFor(uint64_t index) const;
 
+    /** Returns the ring's storage to the allocator it came from. */
+    struct RingFree
+    {
+        size_t ops;
+        void
+        operator()(MicroOp *p) const
+        {
+            std::allocator<MicroOp>().deallocate(p, ops);
+        }
+    };
+
     Workload *wl_;
     size_t total_;
     size_t chunk_;
     size_t mask_;
-    std::vector<MicroOp> ring_;
+    /** 2 x chunk ops of uninitialized storage (see the file comment);
+     *  debug builds poison it so a read before a write shows. */
+    std::unique_ptr<MicroOp[], RingFree> ring_;
 
     std::shared_ptr<FunctionalMemory> mem_;
     std::optional<Rng> rng_;
     std::optional<Emitter> em_;
 
-    /** Ops emitted by the kernel but not yet copied into the ring
-     *  (kernels overshoot chunk boundaries by one outer loop). */
-    std::vector<MicroOp> pending_;
+    /** Ops the kernel emitted past the refilled half's end (kernels
+     *  overshoot by up to one outer loop); the next refill drains it. */
+    std::vector<MicroOp> spill_;
 
     size_t genEnd_ = 0;            ///< ops generated into the ring
     size_t refillAt_ = ~size_t(0); ///< see refillAt()

@@ -1,5 +1,6 @@
 #include "trace/workload.hh"
 
+#include "common/logging.hh"
 #include "trace/kernel_image.hh"
 
 namespace catchsim
@@ -18,6 +19,31 @@ categoryName(Category c)
     return "?";
 }
 
+Trace
+Workload::generate(size_t n)
+{
+    Trace trace;
+    trace.mem = std::make_shared<FunctionalMemory>();
+    trace.ops.resize(n);
+    std::vector<MicroOp> spill; // stays empty: the window is the budget
+    Emitter em(*trace.mem, spill, n);
+    Rng rng = start(*trace.mem);
+    emitInto(em, rng, trace.ops.data(), n);
+    return trace;
+}
+
+void
+Workload::emitInto(Emitter &em, Rng &rng, MicroOp *dst, size_t n)
+{
+    em.openWindow(dst, n);
+    while (!em.windowFull()) {
+        const size_t before = em.emitted();
+        run(em, rng);
+        CATCHSIM_ASSERT(em.emitted() > before,
+                        "workload kernel made no forward progress");
+    }
+}
+
 Rng
 Workload::start(FunctionalMemory &mem)
 {
@@ -31,17 +57,17 @@ Workload::start(FunctionalMemory &mem)
     if (imageKey_.empty()) {
         rng = fresh();
     } else {
-        // The building start keeps the memory it built, which the
-        // snapshot has just made shared with the image; every other
-        // start adopts the image's pages.
+        // The building start publishes the pages it built as the
+        // image's base layer and keeps it; every other start adopts
+        // that base in O(1).
         bool built = false;
         auto img = KernelImageStore::global().findOrBuild(imageKey_, [&] {
             built = true;
             Rng r = fresh();
-            return KernelImage{mem.snapshotPages(), r};
+            return KernelImage{mem.publishBase(), r};
         });
         if (!built)
-            mem.restorePages(img->pages);
+            mem.adoptBase(img->pages);
         rng = img->rng;
     }
     restart();

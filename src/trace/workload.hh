@@ -65,17 +65,7 @@ class Workload
     uint64_t seed() const { return seed_; }
 
     /** Generates a trace of exactly @p n micro-ops. */
-    Trace
-    generate(size_t n)
-    {
-        Trace trace;
-        trace.mem = std::make_shared<FunctionalMemory>();
-        Emitter em(*trace.mem, trace.ops, n);
-        Rng rng = start(*trace.mem);
-        while (!em.done())
-            run(em, rng);
-        return trace;
-    }
+    Trace generate(size_t n);
 
     /**
      * Brings the workload to op 0 of its trace: replaces @p mem's
@@ -125,7 +115,17 @@ class Workload
     virtual void run(Emitter &em, Rng &rng) = 0;
 
   private:
-    /** Drives start()/run() incrementally instead of via generate(). */
+    /**
+     * The one emission loop, shared by generate(), TraceStream and
+     * ChunkGenerator: fills dst[0, n) with the next @p n ops of the
+     * stream @p em records (its spill first), running the kernel until
+     * the window is full. The kernel writes the functional memory as it
+     * emits, so memory tracks generation exactly as under generate().
+     */
+    void emitInto(Emitter &em, Rng &rng, MicroOp *dst, size_t n);
+
+    /** Drives start()/emitInto() incrementally instead of via
+     *  generate(). */
     friend class TraceStream;
     /** Same incremental drive, for the memoized chunk pipeline. */
     friend class ChunkGenerator;

@@ -97,6 +97,15 @@ imageHash(const FunctionalMemory::PageImage &image)
     return h;
 }
 
+/** FNV-1a over a base layer's pages, in address order. */
+uint64_t
+imageHash(const FunctionalMemory::BasePtr &base)
+{
+    FunctionalMemory probe;
+    probe.adoptBase(base);
+    return imageHash(probe.snapshotPages());
+}
+
 /**
  * Every suite kernel, every start path: the oracle is a fresh,
  * keyless instance's first generate(), whose cursors start at their
@@ -187,7 +196,7 @@ TEST(KernelImageConcurrent, OneBuildPerKeyUnderContention)
                 ++builds;
                 auto mem = std::make_unique<FunctionalMemory>();
                 mem->write(kHeapBase, 42);
-                return KernelImage{mem->snapshotPages(), Rng(7)};
+                return KernelImage{mem->publishBase(), Rng(7)};
             });
         });
     }
@@ -196,6 +205,63 @@ TEST(KernelImageConcurrent, OneBuildPerKeyUnderContention)
     EXPECT_EQ(builds.load(), 1);
     for (const auto &img : got)
         EXPECT_EQ(img, got[0]);
+}
+
+/**
+ * CATCH_JOBS threads (default 16) adopt mcf's image and, released
+ * together, write the same word of the same base page. Each adopter
+ * clones the page into its private layer and reads its own value back;
+ * the base page, and the image hash, never change.
+ */
+TEST(KernelImageConcurrent, AdoptersWritingOneBasePageEachClone)
+{
+    const unsigned threads =
+        static_cast<unsigned>(envU64("CATCH_JOBS", 16));
+    {
+        FunctionalMemory mem;
+        makeWorkload("mcf")->start(mem); // builds the image if need be
+    }
+    const KernelImageStore::ImagePtr img =
+        KernelImageStore::global().find("mcf");
+    ASSERT_TRUE(img);
+    const uint64_t before = imageHash(img->pages);
+    FunctionalMemory probe;
+    probe.adoptBase(img->pages);
+    const FunctionalMemory::PageImage pages = probe.snapshotPages();
+    ASSERT_FALSE(pages.empty());
+    const auto &[page_addr, page] = pages[pages.size() / 2];
+    const Addr addr = page_addr + 8;
+    const FunctionalMemory::Page *base_page = page.get();
+    const uint64_t old_word = probe.read(addr);
+
+    std::atomic<unsigned> ready{0};
+    std::vector<int> cloned(threads, 0), kept(threads, 0);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            FunctionalMemory mem;
+            mem.adoptBase(img->pages);
+            const uint64_t seen = mem.read(addr); // a cached base read
+            ++ready;
+            while (ready.load() < threads)
+                std::this_thread::yield();
+            mem.write(addr, 1000 + t);
+            const auto mine = mem.snapshotPages();
+            for (const auto &[a, page] : mine)
+                if (a == pageAddr(addr))
+                    cloned[t] = page.get() != base_page;
+            kept[t] = seen == old_word && mem.read(addr) == 1000 + t &&
+                      mine.size() == pages.size();
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+    for (unsigned t = 0; t < threads; ++t) {
+        EXPECT_TRUE(cloned[t]) << "adopter " << t << " wrote the base page";
+        EXPECT_TRUE(kept[t]) << "adopter " << t;
+    }
+    EXPECT_EQ(probe.read(addr), old_word);
+    EXPECT_EQ(imageHash(img->pages), before);
 }
 
 /**

@@ -178,6 +178,47 @@ TEST(TraceStream, GenerateIsIdempotent)
     }
 }
 
+/** Same page addresses holding the same words. */
+bool
+sameMemory(const FunctionalMemory &a, const FunctionalMemory &b)
+{
+    const auto pa = a.snapshotPages(), pb = b.snapshotPages();
+    if (pa.size() != pb.size())
+        return false;
+    for (size_t i = 0; i < pa.size(); ++i)
+        if (pa[i].first != pb[i].first ||
+            std::memcmp(pa[i].second->words, pb[i].second->words,
+                        sizeof(FunctionalMemory::Page)) != 0)
+            return false;
+    return true;
+}
+
+TEST(TraceStream, SmallChunksMatchGenerateForEverySuiteKernel)
+{
+    // 1024-op chunks are far smaller than some kernels' run() calls
+    // (McfLike emits up to 4096 x 11 ops per call), so one call
+    // overshoots several ring halves and its spill seeds several
+    // refills. Both lengths end mid-chunk; the longer one outlasts the
+    // largest overshoot.
+    constexpr size_t kChunk = 1024;
+    for (const size_t ops : {3 * kChunk + 517, 50 * kChunk + 300}) {
+        for (const std::string &name : stSuiteNames()) {
+            const std::string what =
+                name + " at " + std::to_string(ops) + " ops";
+            auto wl = makeWorkload(name);
+            const Trace oracle = wl->generate(ops);
+            TraceStream stream(*wl, ops, kChunk);
+            const std::vector<MicroOp> streamed = drain(stream);
+            ASSERT_EQ(streamed.size(), oracle.ops.size()) << what;
+            for (size_t i = 0; i < streamed.size() && !HasFatalFailure();
+                 ++i)
+                expectOpEq(streamed[i], oracle.ops[i], i, what);
+            ASSERT_FALSE(HasFatalFailure()) << what;
+            EXPECT_TRUE(sameMemory(*stream.mem(), *oracle.mem)) << what;
+        }
+    }
+}
+
 TEST(TraceStream, SingleWorkloadObjectCanStreamTwice)
 {
     auto wl = makeWorkload("libquantum");
