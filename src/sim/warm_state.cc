@@ -22,11 +22,12 @@ const ContentStore::Format kWarmStateFormat = {
     "warm-state-store"};
 
 // The payload is [u64 blob len][blob bytes][u64 page count]
-// [(u64 page addr, 4096-byte raw page) x count], pages in strictly
-// ascending address order. Raw pages keep the record memcpy-parseable:
-// a restore allocates shared handles straight off the read buffer with
-// no per-word decode.
-constexpr uint64_t kPageRecordBytes = 8 + sizeof(FunctionalMemory::Page);
+// [(u64 page addr, 4096-byte word image) x count], pages in strictly
+// ascending address order. Every page is written as its full word
+// image whatever its form in memory, so the record layout predates
+// sparse pages and a load rebuilds each page in the form its nonzero
+// word count calls for (FunctionalMemory::Page::fromWords).
+constexpr uint64_t kPageRecordBytes = 8 + kPageBytes;
 
 } // namespace
 
@@ -171,7 +172,8 @@ WarmStateStore::encode(const void *value, std::vector<uint8_t> &out) const
     put(&page_count, 8);
     for (const auto &kv : snap.pages) {
         put(&kv.first, 8);
-        put(kv.second->words, sizeof(FunctionalMemory::Page));
+        kv.second->copyTo(out.data() + at);
+        at += kPageBytes;
     }
 }
 
@@ -210,10 +212,9 @@ WarmStateStore::decode(const uint8_t *payload, size_t n) const
         if (i > 0 && a <= prev)
             return defect("page addresses are not strictly ascending");
         prev = a;
-        auto p = std::make_shared<FunctionalMemory::Page>();
-        std::memcpy(p->words, payload + at, sizeof(FunctionalMemory::Page));
-        at += sizeof(FunctionalMemory::Page);
-        snap->pages.emplace_back(a, std::move(p));
+        snap->pages.emplace_back(a,
+                                 FunctionalMemory::Page::fromWords(payload + at));
+        at += kPageBytes;
     }
     return Value(std::move(snap));
 }
@@ -222,10 +223,11 @@ size_t
 WarmStateStore::charge(const void *value, const PartFn &shared) const
 {
     // Blob bytes and page addresses belong to this snapshot alone; the
-    // page data is shared copy-on-write with sibling snapshots.
+    // page data, at each page's size in its form, is shared
+    // copy-on-write with sibling snapshots.
     const WarmSnapshot &snap = *static_cast<const WarmSnapshot *>(value);
     for (const auto &kv : snap.pages)
-        shared(kv.second.get(), sizeof(FunctionalMemory::Page));
+        shared(kv.second.get(), kv.second->bytes());
     return snap.bytes.size() + snap.pages.size() * sizeof(Addr);
 }
 

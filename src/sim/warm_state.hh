@@ -22,7 +22,11 @@
  * a copy-on-write functional-memory page image: the store and restored
  * runs share refcounted immutable page handles, so a restore adopts
  * pointers instead of copying the page map, and a run's first write to
- * a shared page clones just that page (mem/functional_memory.hh).
+ * a shared page clones just that page (mem/functional_memory.hh). Pages
+ * are sparse or dense in memory, and the budget charges each at its
+ * size in its form; a disk record still holds every page as its 4 KB
+ * word image, and a load rebuilds the sparse form for a page with few
+ * nonzero words, so records do not depend on the in-memory form.
  *
  * Keying is honest by construction:
  *   - the key carries the trace identity (kernel, seed, totalOps,
@@ -102,16 +106,19 @@ struct WarmSnapshot
     std::string bytes;                 ///< every non-memory component
     FunctionalMemory::PageImage pages; ///< COW-shared memory image
 
-    /** Logical size of this snapshot on its own: blob bytes plus the
-     *  full page data. Profile counters report it symmetrically for
-     *  hits and misses. The store's memory budget does NOT sum these —
-     *  it charges page data shared between resident snapshots once
-     *  (see WarmStateStore). */
+    /** Logical size of this snapshot on its own: blob bytes plus every
+     *  page at its size in its form (FunctionalMemory::Page::bytes()).
+     *  Profile counters report it symmetrically for hits and misses.
+     *  The store's memory budget does NOT sum these — it charges page
+     *  data shared between resident snapshots once (see
+     *  WarmStateStore). */
     size_t
     residentBytes() const
     {
-        return bytes.size() +
-               pages.size() * (sizeof(Addr) + sizeof(FunctionalMemory::Page));
+        size_t n = bytes.size() + pages.size() * sizeof(Addr);
+        for (const auto &kv : pages)
+            n += kv.second->bytes();
+        return n;
     }
 };
 

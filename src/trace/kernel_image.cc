@@ -76,12 +76,17 @@ KernelImageStore::decode(const uint8_t *, size_t) const
 }
 
 size_t
+KernelImageStore::imageBytes(const KernelImage &img)
+{
+    return img.pages->bytes +
+           img.pages->pages.size() *
+               sizeof(FunctionalMemory::PageMap::value_type);
+}
+
+size_t
 KernelImageStore::charge(const void *value, const PartFn &) const
 {
-    const KernelImage &img = *static_cast<const KernelImage *>(value);
-    return img.pages->size() *
-           (sizeof(FunctionalMemory::Page) +
-            sizeof(FunctionalMemory::PageMap::value_type));
+    return imageBytes(*static_cast<const KernelImage *>(value));
 }
 
 KernelImageStore &

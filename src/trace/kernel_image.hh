@@ -16,15 +16,17 @@
  * and its teardown cost O(pages the run writes). The adopting memory
  * clones a base page into its private layer on its first write to it,
  * so an image's pages are never written and concurrent adopters share
- * them.
+ * them. That holds for both page forms (mem/functional_memory.hh): a
+ * sparse base page is cloned sparse, and promoted only in the clone.
  *
  * Key: the suite registry name (trace/suite.cc). Kernels constructed
  * directly have no registry identity and never reach the store.
  *
  * Retention: a memory-tier-only ContentStore facade, an LRU under the
- * fixed kBudgetBytes. It holds the 14-kernel quick suite (~180 MB) or
- * the ten kernels of e2ebench's mp-mix workload (~126 MB), not all 70
- * images (~1.3 GB).
+ * fixed kBudgetBytes, charging each page at its size in its form: a
+ * seeded sample of a multi-MB array costs ~100 bytes a page, not 4 KB.
+ * It holds the 14-kernel quick suite (~111 MB) or the ten kernels of
+ * e2ebench's mp-mix workload (~120 MB), not all 70 images (~575 MB).
  * An evicted image is rebuilt on its next start; adopters still
  * holding its base layer keep it alive until they finish.
  */
@@ -78,6 +80,11 @@ class KernelImageStore : private ContentStore
 
     using ContentStore::residentBytes;
     using ContentStore::stats;
+
+    /** The bytes @p img charges against the budget: each page at its
+     *  size in its form (FunctionalMemory::Page::bytes()) plus its map
+     *  node's handle. */
+    static size_t imageBytes(const KernelImage &img);
 
     /** The process-wide store every registry kernel starts through. */
     static KernelImageStore &global();

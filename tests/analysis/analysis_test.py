@@ -42,6 +42,7 @@ EXPECTATIONS = {
     "determinism": "determinism",
     "typedef_clock": "determinism",
     "unordered_iter": "unordered-iter",
+    "unordered_alias": "unordered-iter",
     "global_state": "global-state",
     "env": "env-gateway",
     "rawnew": "raw-new-delete",
@@ -198,6 +199,19 @@ class CatchAnalyzeFixtures(unittest.TestCase):
         found = findings(proc, "unordered-iter")
         self.assertEqual(len(found), 1, proc.stdout)
         self.assertIn("'lookup_'", found[0])
+
+    def test_unordered_iter_sees_aliases_and_dereferences(self):
+        # Containers declared through a type alias, reached through a
+        # dereferenced raw or smart pointer, a receiver's member or an
+        # aliased parameter; an ordered map behind a pointer and a
+        # vector member sharing an unordered member's name are spared.
+        proc = run_analyzer(FIXTURES / "unordered_alias")
+        found = findings(proc, "unordered-iter")
+        self.assertEqual(len(found), 5, proc.stdout)
+        for name in ("pages_", "base_", "raw_", "pages", "m"):
+            self.assertTrue(any(f"'{name}'" in f for f in found),
+                            f"{name} not reported:\n{proc.stdout}")
+        self.assertFalse(any("'ordered_'" in f for f in found))
 
     def test_global_state_spares_const_and_constexpr(self):
         proc = run_analyzer(FIXTURES / "global_state")

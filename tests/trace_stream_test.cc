@@ -185,11 +185,16 @@ sameMemory(const FunctionalMemory &a, const FunctionalMemory &b)
     const auto pa = a.snapshotPages(), pb = b.snapshotPages();
     if (pa.size() != pb.size())
         return false;
-    for (size_t i = 0; i < pa.size(); ++i)
-        if (pa[i].first != pb[i].first ||
-            std::memcmp(pa[i].second->words, pb[i].second->words,
-                        sizeof(FunctionalMemory::Page)) != 0)
+    uint64_t wa[FunctionalMemory::kWordsPerPage];
+    uint64_t wb[FunctionalMemory::kWordsPerPage];
+    for (size_t i = 0; i < pa.size(); ++i) {
+        if (pa[i].first != pb[i].first)
             return false;
+        pa[i].second->copyTo(wa);
+        pb[i].second->copyTo(wb);
+        if (std::memcmp(wa, wb, kPageBytes) != 0)
+            return false;
+    }
     return true;
 }
 

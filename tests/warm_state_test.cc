@@ -170,10 +170,14 @@ TEST(WarmStateCodec, SnapshotsSharingPagesChargePageDataOnce)
     WarmSnapshot b{"cd", a.pages};
     const size_t pages = a.pages.size();
     ASSERT_EQ(pages, 2u);
+    // Each one-word page is charged at its sparse size, not 4 KB.
+    size_t page_bytes = 0;
+    for (const auto &kv : a.pages)
+        page_bytes += kv.second->bytes();
+    EXPECT_EQ(page_bytes, pages * sizeof(FunctionalMemory::SparsePage));
     WarmStateStore store;
     store.put(wkeyAt(0), std::move(a));
-    const size_t first =
-        2 + pages * (sizeof(Addr) + sizeof(FunctionalMemory::Page));
+    const size_t first = 2 + pages * sizeof(Addr) + page_bytes;
     EXPECT_EQ(store.residentBytes(), first);
     store.put(wkeyAt(1), std::move(b));
     EXPECT_EQ(store.residentBytes(), first + 2 + pages * sizeof(Addr));
@@ -187,7 +191,7 @@ TEST(WarmStateCodec, PayloadShapeDefectsAreCorruptAndDropped)
     const std::string dir = freshDir("warm_state_codec");
     const size_t count_at = 8 + 4;
     const size_t page0_at = count_at + 8;
-    const size_t page1_at = page0_at + 8 + sizeof(FunctionalMemory::Page);
+    const size_t page1_at = page0_at + 8 + kPageBytes;
     using Edit = std::function<void(std::vector<char> &)>;
     const std::vector<std::pair<std::string, Edit>> cases = {
         {"overruns the payload",
@@ -238,10 +242,11 @@ ImageContents
 imageContents(const PageImage &image)
 {
     ImageContents out;
-    for (const auto &[addr, page] : image)
-        out.emplace_back(addr,
-                         std::vector<uint64_t>(std::begin(page->words),
-                                               std::end(page->words)));
+    for (const auto &[addr, page] : image) {
+        std::vector<uint64_t> words(FunctionalMemory::kWordsPerPage);
+        page->copyTo(words.data());
+        out.emplace_back(addr, std::move(words));
+    }
     return out;
 }
 

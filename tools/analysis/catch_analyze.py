@@ -34,7 +34,9 @@ Call-graph rules build a qualified-name call graph across every TU
       that can shape warmed state is never silently excluded from the
       snapshot key. Repos without a digest skip the rule.
   unordered-iter
-      Range-for iteration over std::unordered_* containers in src/.
+      Range-for iteration over std::unordered_* containers in src/,
+      including containers declared through a type alias and
+      range-fors over a dereferenced (smart) pointer to one.
   global-state
       Non-const namespace-scope variables in src/.
 
@@ -189,11 +191,17 @@ CLOCK_TYPE_RE = re.compile(
     r"\b(system_clock|steady_clock|high_resolution_clock|file_clock|"
     r"utc_clock|tai_clock|gps_clock|random_device)\b")
 
-UNORDERED_DECL_RE = re.compile(
-    r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;{}]*>\s+"
-    r"([A-Za-z_]\w*)\s*[;{=]")
+# A declaration: (qualified, possibly templated) type, pointer or
+# reference marks, name. Matched loosely; only declarations whose type
+# resolves through the alias table to an unordered container matter.
+DECL_RE = re.compile(
+    r"((?:\b[A-Za-z_]\w*\s*::\s*)*\b[A-Za-z_]\w*\s*(?:<[^;{}()]*>)?)"
+    r"\s*([*&]*)\s*\b([A-Za-z_]\w*)\s*(?=[;{=,)\[])")
+UNORDERED_HEAD_RE = re.compile(r"unordered_(?:map|set|multimap|multiset)\b")
+SMART_PTR_RE = re.compile(r"(?:shared_ptr|unique_ptr)\s*<(.*)>$")
 RANGE_FOR_RE = re.compile(
-    r"\bfor\s*\(\s*[^;()]*?:\s*\(?\s*([A-Za-z_][\w.\->\[\]]*)\s*\)")
+    r"\bfor\s*\(\s*[^;()]*?:\s*\(?\s*"
+    r"(\*?\s*[A-Za-z_][\w.\->\[\]]*)\s*\)")
 
 # Line rules. `determinism` also takes the alias-resolved clock events
 # of the call-graph IR.
@@ -291,7 +299,11 @@ class Program:
         # (file, line, name, detail) for namespace-scope mutable state
         self.globals: list[tuple[str, int, str, str]] = []
         self.aliases: dict[str, str] = {}
-        self.unordered_vars: set[str] = set()
+        # (name, type text, pointer/reference marks) per declaration
+        # anywhere, and per class member; resolved against the alias
+        # table once every file is parsed.
+        self.decls: list[tuple[str, str, str]] = []
+        self.member_decls: dict[str, dict[str, tuple[str, str]]] = {}
         self.member_types: dict[str, dict[str, str]] = {}
 
     def func(self, qname, cls, name, file, line) -> Func:
@@ -577,6 +589,62 @@ def _classify_block(stmt: str, in_func: bool):
     return ("block", None)
 
 
+def resolve_type(text: str, aliases: dict[str, str]) -> str:
+    """@p text with namespace/class qualifiers dropped and `using` /
+    typedef aliases expanded to a fixed point (bounded, so a cyclic
+    alias table cannot loop)."""
+    unqualify = re.compile(r"\b[A-Za-z_]\w*\s*::\s*")
+    t = unqualify.sub("", text)
+    for _ in range(8):
+        expanded = re.sub(
+            r"\b[A-Za-z_]\w*\b",
+            lambda m: unqualify.sub("", aliases.get(m.group(0),
+                                                    m.group(0))), t)
+        if expanded == t:
+            break
+        t = expanded
+    return re.sub(r"\b(?:const|volatile)\b", "", t).strip()
+
+
+def unordered_kind(type_text: str, marks: str,
+                   aliases: dict[str, str]) -> str | None:
+    """'container' for an unordered container (or a reference to one),
+    'pointer' for a raw or smart pointer to one, else None."""
+    t = resolve_type(type_text, aliases)
+    while t.endswith(("*", "&")):  # marks inside the alias itself
+        marks += t[-1]
+        t = t[:-1].strip()
+    if UNORDERED_HEAD_RE.match(t):
+        return "pointer" if "*" in marks else "container"
+    smart = SMART_PTR_RE.match(t)
+    if smart and "*" not in marks and \
+            UNORDERED_HEAD_RE.match(smart.group(1).strip()):
+        return "pointer"
+    return None
+
+
+def range_for_kind(prog: Program, f, target, by_name) -> str | None:
+    """unordered_kind() of a range-for target recorded by the text
+    frontend: its local or parameter declaration, else the member of
+    the enclosing or receiver class, else the name's declarations
+    program-wide when they all agree."""
+    _, name, recv, local = target
+    decl = local
+    if decl is None and recv is None:
+        decl = prog.member_decls.get(f.cls or "", {}).get(name)
+    elif decl is None:
+        rname, rtype = recv
+        rtype = rtype or prog.member_types.get(f.cls or "", {}).get(rname)
+        if rtype:
+            cls = _clean_type(resolve_type(rtype, prog.aliases))
+            decl = prog.member_decls.get(cls, {}).get(name)
+    if decl is not None:
+        return unordered_kind(decl[0], decl[1], prog.aliases)
+    kinds = {unordered_kind(t, m, prog.aliases)
+             for t, m in by_name.get(name, ())}
+    return kinds.pop() if len(kinds) == 1 else None
+
+
 def parse_text_file(prog: Program, rel: str, text: str) -> None:
     """Scanner for the repo house style: tracks namespace/class/function
     nesting by brace depth, records function extents, then extracts
@@ -588,8 +656,8 @@ def parse_text_file(prog: Program, rel: str, text: str) -> None:
         prog.aliases[m.group(1)] = m.group(2)
     for m in TYPEDEF_RE.finditer(code):
         prog.aliases[m.group(2)] = m.group(1)
-    for m in UNORDERED_DECL_RE.finditer(code):
-        prog.unordered_vars.add(m.group(1))
+    for m in DECL_RE.finditer(code):
+        prog.decls.append((m.group(3), m.group(1), m.group(2)))
 
     # -- pass 1: block structure ---------------------------------------
     stack = [{"kind": "top", "name": None, "func": None}]
@@ -621,6 +689,8 @@ def parse_text_file(prog: Program, rel: str, text: str) -> None:
                 if cls:
                     prog.member_types.setdefault(cls, {})[
                         mv.group(3)] = _clean_type(mv.group(1))
+                    prog.member_decls.setdefault(cls, {})[
+                        mv.group(3)] = (mv.group(1), mv.group(2))
             return
         if top not in ("top", "namespace"):
             return
@@ -694,8 +764,13 @@ def parse_text_file(prog: Program, rel: str, text: str) -> None:
         end = end_box[0]
         local_types = _param_types(sig)
         tparams = _template_params(sig)
+        # Parameters and locals seen so far: name -> (type, marks).
+        local_decls = {m.group(3): (m.group(1), m.group(2))
+                       for m in DECL_RE.finditer(sig)}
         for ln in range(start, min(end, len(lines)) + 1):
             line = lines[ln - 1]
+            for m in DECL_RE.finditer(line):
+                local_decls[m.group(3)] = (m.group(1), m.group(2))
             lv = LOCAL_VAR_RE.match(line)
             if lv and lv.group(1) not in ("return", "delete", "throw",
                                           "auto", "else", "new"):
@@ -741,10 +816,18 @@ def parse_text_file(prog: Program, rel: str, text: str) -> None:
                          f"{prog.aliases.get(alias, '?').strip()}"))
             rf = RANGE_FOR_RE.search(line)
             if rf:
-                var = re.sub(r"\[[^\]]*\]", "", rf.group(1))
-                var = re.split(r"\.|->", var)[-1]
-                if var in prog.unordered_vars:
-                    f.events.append(("uiter", ln, var))
+                # Resolved in check_unordered_iter, where every alias
+                # and class member is known: `x`, `*p`, `r.x`, `r->x`.
+                parts = re.split(r"\.|->", re.sub(
+                    r"\[[^\]]*\]", "", rf.group(1).lstrip("*").strip()))
+                recv = None
+                if len(parts) == 2:
+                    recv = ("this", f.cls) if parts[0] == "this" else \
+                        (parts[0], local_types.get(parts[0]))
+                f.events.append(("rangefor", ln, (
+                    rf.group(1).startswith("*"), parts[-1], recv,
+                    local_decls.get(parts[-1]) if len(parts) == 1
+                    else None)))
             for m in CFG_READ_RE.finditer(line):
                 if not m.group(3):
                     f.events.append(("cfgread", ln, m.group(2)))
@@ -1441,10 +1524,19 @@ class Analyzer:
                         "/ simulated time")
 
     def check_unordered_iter(self) -> None:
+        by_name: dict[str, list[tuple[str, str]]] = {}
+        for name, type_text, marks in self.prog.decls:
+            by_name.setdefault(name, []).append((type_text, marks))
         for f in self.prog.funcs.values():
             if not f.file.startswith("src/"):
                 continue
             for kind, ln, detail in f.events:
+                if kind == "rangefor":
+                    want = "pointer" if detail[0] else "container"
+                    if range_for_kind(self.prog, f, detail,
+                                      by_name) != want:
+                        continue
+                    kind, detail = "uiter", detail[1]
                 if kind == "uiter":
                     self.report(
                         f.file, ln, "unordered-iter",
