@@ -3,11 +3,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <utility>
 
 #include "common/bitutil.hh"
-#include "common/env.hh"
 #include "common/logging.hh"
 
 #include <unistd.h>
@@ -15,134 +13,53 @@
 namespace catchsim
 {
 
-namespace
+// --- MemoLru -----------------------------------------------------------
+
+MemoLru::MemoLru(size_t budget_bytes) : budgetBytes_(budget_bytes) {}
+
+MemoLru::~MemoLru() = default;
+
+MemoLru::Value
+MemoLru::find(const std::string &key)
 {
-
-// Frame bytes before the key: magic, u32 version, u32 key length.
-constexpr uint64_t kFrameHeadBytes = 6 + 4 + 4;
-
-struct FileCloser
-{
-    void operator()(std::FILE *f) const { std::fclose(f); }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-} // namespace
-
-ContentStore::ContentStore(const Format &fmt, Config cfg)
-    : fmt_(fmt), cfg_(std::move(cfg))
-{
-    if (!cfg_.diskDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(cfg_.diskDir, ec);
-        if (ec) {
-            warn(fmt_.noun, " store: cannot create cache dir '",
-                 cfg_.diskDir, "': ", ec.message(),
-                 " — disk tier disabled");
-            cfg_.diskDir.clear();
-        }
-    }
-}
-
-ContentStore::~ContentStore() = default;
-
-std::string
-ContentStore::diskPath(const std::string &key) const
-{
-    char name[17];
-    std::snprintf(name, sizeof(name), "%016" PRIx64,
-                  fnv1a(key.data(), key.size()));
-    return cfg_.diskDir + '/' + name + fmt_.extension;
-}
-
-ContentStore::Value
-ContentStore::find(const std::string &key)
-{
-    if (cfg_.memBudgetBytes) {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(key);
-        if (it != map_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second);
-            ++stats_.hits;
-            return it->second->value;
-        }
-    }
-    if (!cfg_.diskDir.empty()) {
-        auto loaded = loadDiskChecked(key);
-        if (loaded.ok()) {
-            Value v = std::move(loaded).value();
-            std::lock_guard<std::mutex> lock(mu_);
-            if (cfg_.memBudgetBytes) {
-                auto it = map_.find(key);
-                if (it != map_.end()) {
-                    // A writer published while we read the file; serve
-                    // the resident copy (the bytes are identical).
-                    lru_.splice(lru_.begin(), lru_, it->second);
-                    v = it->second->value;
-                } else {
-                    insertLocked(key, v);
-                    evictOverBudgetLocked();
-                }
-            }
-            ++stats_.hits;
-            ++stats_.diskHits;
-            return v;
-        }
-        if (loaded.error().category == ErrorCategory::TraceCorrupt) {
-            // Contain, don't crash: drop the bad record so the slot is
-            // rewritten from a re-derived (canonical) value, and report
-            // a miss — the caller re-derives deterministically.
-            warn(loaded.error().message, " — dropping the record");
-            std::remove(diskPath(key).c_str());
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.corrupt;
-        }
-    }
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return nullptr;
+    auto it = map_.find(key);
+    if (it == map_.end()) {
+        ++stats_.misses;
+        return nullptr;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second);
+    ++stats_.hits;
+    return it->second->value;
 }
 
-ContentStore::Value
-ContentStore::put(const std::string &key, Value value)
+MemoLru::Value
+MemoLru::put(const std::string &key, Value value)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (cfg_.memBudgetBytes) {
-            auto it = map_.find(key);
-            if (it != map_.end()) {
-                // First writer wins; every writer holds identical bytes.
-                lru_.splice(lru_.begin(), lru_, it->second);
-                return it->second->value;
-            }
-            insertLocked(key, value);
-            evictOverBudgetLocked();
-        }
-        ++stats_.puts;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+        // First writer wins; every writer holds identical bytes.
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return it->second->value;
     }
-    if (!cfg_.diskDir.empty()) {
-        auto w = writeDisk(key, value.get());
-        if (!w.ok())
-            warn(w.error().message, " — disk tier skipped for this record");
-    }
+    insertLocked(key, value);
+    evictOverBudgetLocked();
+    ++stats_.puts;
     return value;
 }
 
 void
-ContentStore::remove(const std::string &key)
+MemoLru::remove(const std::string &key)
 {
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(key);
-        if (it != map_.end())
-            eraseLocked(it->second);
-    }
-    if (!cfg_.diskDir.empty())
-        std::remove(diskPath(key).c_str());
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    if (it != map_.end())
+        eraseLocked(it->second);
 }
 
 void
-ContentStore::insertLocked(const std::string &key, const Value &value)
+MemoLru::insertLocked(const std::string &key, const Value &value)
 {
     lru_.push_front(Entry{key, value});
     map_[key] = lru_.begin();
@@ -155,7 +72,7 @@ ContentStore::insertLocked(const std::string &key, const Value &value)
 }
 
 void
-ContentStore::eraseLocked(std::list<Entry>::iterator it)
+MemoLru::eraseLocked(std::list<Entry>::iterator it)
 {
     const size_t own = charge(it->value.get(), [this](const void *part,
                                                       size_t bytes) {
@@ -173,20 +90,102 @@ ContentStore::eraseLocked(std::list<Entry>::iterator it)
 }
 
 void
-ContentStore::evictOverBudgetLocked()
+MemoLru::evictOverBudgetLocked()
 {
     // Never evict below one resident value: the entry just inserted
     // must survive long enough to be returned to its requester.
-    while (residentBytes_ > cfg_.memBudgetBytes && lru_.size() > 1) {
+    while (residentBytes_ > budgetBytes_ && lru_.size() > 1) {
         eraseLocked(std::prev(lru_.end()));
         ++stats_.evictions;
     }
 }
 
-Expected<void>
-ContentStore::writeDisk(const std::string &key, const void *value)
+MemoLru::Stats
+MemoLru::stats() const
 {
-    const std::string path = diskPath(key);
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_;
+}
+
+size_t
+MemoLru::residentBytes() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return residentBytes_;
+}
+
+// --- RecordDir ---------------------------------------------------------
+
+namespace
+{
+
+// Frame bytes before the key: magic, u32 version, u32 key length.
+constexpr uint64_t kFrameHeadBytes = 6 + 4 + 4;
+
+struct FileCloser
+{
+    void operator()(std::FILE *f) const { std::fclose(f); }
+};
+using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+
+} // namespace
+
+RecordDir::RecordDir(const Format &fmt, std::string dir)
+    : fmt_(fmt), dir_(std::move(dir))
+{
+}
+
+RecordDir::~RecordDir() = default;
+
+std::string
+RecordDir::recordPath(const std::string &key) const
+{
+    char name[17];
+    std::snprintf(name, sizeof(name), "%016" PRIx64,
+                  fnv1a(key.data(), key.size()));
+    return dir_ + '/' + name + fmt_.extension;
+}
+
+RecordDir::Value
+RecordDir::find(const std::string &key)
+{
+    auto loaded = loadChecked(key);
+    if (loaded.ok()) {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.hits;
+        return std::move(loaded).value();
+    }
+    const bool corrupt =
+        loaded.error().category == ErrorCategory::TraceCorrupt;
+    if (corrupt) {
+        // Contain, don't crash: drop the bad record so the slot is
+        // rewritten from a re-derived (canonical) value, and report a
+        // miss — the caller re-derives deterministically.
+        warn(loaded.error().message, " — dropping the record");
+        std::remove(recordPath(key).c_str());
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.corrupt += corrupt;
+    ++stats_.misses;
+    return nullptr;
+}
+
+void
+RecordDir::put(const std::string &key, const void *value)
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.puts;
+    }
+    auto w = write(key, value);
+    if (!w.ok())
+        warn(w.error().message, " — record skipped");
+}
+
+Expected<void>
+RecordDir::write(const std::string &key, const void *value)
+{
+    const std::string path = recordPath(key);
     {
         // Already persisted (by an earlier run or another worker racing
         // on the same key): the bytes are canonical, keep them.
@@ -235,21 +234,14 @@ ContentStore::writeDisk(const std::string &key, const void *value)
     return {};
 }
 
-Expected<ContentStore::Value>
-ContentStore::loadDiskChecked(const std::string &key)
+Expected<RecordDir::Value>
+RecordDir::loadChecked(const std::string &key)
 {
-    const std::string path = diskPath(key);
+    const std::string path = recordPath(key);
     auto corrupt = [&](auto &&...what) {
         return simError(ErrorCategory::TraceCorrupt, fmt_.noun, " file '",
                         path, "': ", what...);
     };
-    // Deterministic fault injection: the kind's reserved target
-    // corrupts disk reads so CI can drive the containment path without
-    // manufacturing real bit flips.
-    if (cfg_.plan && fmt_.faultTarget &&
-        cfg_.plan->shouldInject(fmt_.faultKind, fmt_.faultTarget))
-        return corrupt("injected ", fmt_.faultTarget, " corruption");
-
     FilePtr f(std::fopen(path.c_str(), "rb"));
     if (!f)
         return simError(ErrorCategory::Config, "no ", fmt_.noun,
@@ -299,31 +291,11 @@ ContentStore::loadDiskChecked(const std::string &key)
     return v;
 }
 
-ContentStore::Stats
-ContentStore::stats() const
+RecordDir::Stats
+RecordDir::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
-}
-
-size_t
-ContentStore::residentBytes() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return residentBytes_;
-}
-
-bool
-ContentStore::configureFromEnv(Config &cfg, const char *subdir,
-                               uint64_t num, uint64_t den)
-{
-    const std::string dir = envString("CATCH_STORE_DIR");
-    if (!envFlag("CATCH_STORE") && dir.empty())
-        return false;
-    cfg.memBudgetBytes = (envU64("CATCH_STORE_MB", 384) << 20) * num / den;
-    cfg.diskDir = dir.empty() ? dir : dir + '/' + subdir;
-    cfg.plan = &FaultPlan::global();
-    return true;
 }
 
 } // namespace catchsim

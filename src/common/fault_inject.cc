@@ -27,17 +27,16 @@ Expected<FaultKind>
 parseKind(const std::string &word)
 {
     for (FaultKind k :
-         {FaultKind::TraceCorrupt, FaultKind::StateCorrupt,
-          FaultKind::IoTransient, FaultKind::WorkerThrow, FaultKind::Hang,
-          FaultKind::CrashAbort, FaultKind::CrashSegv, FaultKind::Oom,
-          FaultKind::ExecFail, FaultKind::HeartbeatStall})
+         {FaultKind::TraceCorrupt, FaultKind::IoTransient,
+          FaultKind::WorkerThrow, FaultKind::Hang, FaultKind::CrashAbort,
+          FaultKind::CrashSegv, FaultKind::Oom, FaultKind::ExecFail,
+          FaultKind::HeartbeatStall})
         if (word == faultKindName(k))
             return k;
     return simError(ErrorCategory::Config, "CATCH_FAULT_INJECT: unknown "
                     "fault kind '", word, "' (expected trace-corrupt, "
-                    "state-corrupt, io-transient, exception, hang, "
-                    "crash-abort, crash-segv, oom, exec-fail or "
-                    "heartbeat-stall)");
+                    "io-transient, exception, hang, crash-abort, "
+                    "crash-segv, oom, exec-fail or heartbeat-stall)");
 }
 
 /** Strict non-negative integer parse; nullopt on garbage. */
@@ -107,7 +106,6 @@ faultKindName(FaultKind k)
 {
     switch (k) {
       case FaultKind::TraceCorrupt: return "trace-corrupt";
-      case FaultKind::StateCorrupt: return "state-corrupt";
       case FaultKind::IoTransient:  return "io-transient";
       case FaultKind::WorkerThrow:  return "exception";
       case FaultKind::Hang:         return "hang";

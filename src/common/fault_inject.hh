@@ -13,9 +13,9 @@
  *
  *   spec    := clause ( ';' clause )*
  *   clause  := kind ':' target [ ':x' count ]
- *   kind    := 'trace-corrupt' | 'state-corrupt' | 'io-transient'
- *            | 'exception' | 'hang' | 'crash-abort' | 'crash-segv'
- *            | 'oom' | 'exec-fail' | 'heartbeat-stall'
+ *   kind    := 'trace-corrupt' | 'io-transient' | 'exception' | 'hang'
+ *            | 'crash-abort' | 'crash-segv' | 'oom' | 'exec-fail'
+ *            | 'heartbeat-stall'
  *   target  := '*'                  every run
  *            | <name>               one run/operation by name
  *            | '%' pct '@' seed     pct% of names, chosen by a seeded
@@ -41,10 +41,8 @@
  * attempt number is the process attempt (restart index), so a bounded
  * clause crashes the first N spawns and lets the restart succeed.
  *
- * Non-workload injection points use reserved names, e.g. the suite
- * JSON exporter asks for "json-export", the chunk store's disk reads
- * ask for "chunk-store" (kind trace-corrupt), and the warmed-state
- * store's disk reads ask for "warm-state-store" (kind state-corrupt).
+ * Non-workload injection points use reserved names: the suite JSON
+ * exporter asks for "json-export".
  */
 
 #ifndef CATCHSIM_COMMON_FAULT_INJECT_HH_
@@ -61,7 +59,6 @@ namespace catchsim
 enum class FaultKind : uint8_t
 {
     TraceCorrupt,
-    StateCorrupt, ///< warmed-state snapshot reads fail their checks
     IoTransient,
     WorkerThrow,
     Hang,

@@ -67,23 +67,6 @@ FunctionalMemory::Page::copyTo(void *out) const
                     &sp->values[k], sizeof(uint64_t));
 }
 
-FunctionalMemory::PagePtr
-FunctionalMemory::Page::fromWords(const void *words)
-{
-    auto d = std::make_shared<DensePage>();
-    std::memcpy(d->words, words, kPageBytes);
-    const size_t nonzero = static_cast<size_t>(
-        kWordsPerPage - std::count(std::begin(d->words),
-                                   std::end(d->words), uint64_t(0)));
-    if (nonzero > kSparseWords)
-        return d;
-    auto sp = std::make_shared<SparsePage>();
-    for (size_t i = 0; i < kWordsPerPage; ++i)
-        if (d->words[i])
-            sp->set(i, d->words[i]);
-    return sp;
-}
-
 // --- translation --------------------------------------------------------
 
 void

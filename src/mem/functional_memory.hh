@@ -98,10 +98,6 @@ class FunctionalMemory
          *  need not be aligned. */
         void copyTo(void *out) const;
 
-        /** A page holding the kPageBytes word image at @p words (any
-         *  alignment): sparse when at most kSparseWords are nonzero. */
-        static PagePtr fromWords(const void *words);
-
       protected:
         explicit Page(bool sparse) : sparse_(sparse) {}
 

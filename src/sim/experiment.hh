@@ -17,15 +17,12 @@
  *                    served from DIR instead of re-executing, so a
  *                    killed or rerun campaign re-executes only its
  *                    failed and unfinished cells (sim/result_store.hh)
- *   CATCH_STORE=1 / CATCH_STORE_DIR=DIR / CATCH_STORE_MB
- *                    memo stores for generated trace chunks
- *                    (trace/chunk_store.hh) and warmed-state snapshots
- *                    (sim/warm_state.hh): in memory, plus on-disk tiers
- *                    under DIR/chunks and DIR/warm. Sampled runs restore
- *                    the global functional-warming state instead of
- *                    re-deriving it; repeat sweeps that vary only timing
- *                    knobs share snapshots. CATCH_STORE_MB (default 384)
- *                    splits 2:1 between chunks and snapshots
+ *   CATCH_STORE=1    in-memory memo stores for generated trace chunks
+ *                    (trace/chunk_store.hh, 256 MB) and warmed-state
+ *                    snapshots (sim/warm_state.hh, 128 MB). Sampled
+ *                    runs restore the global functional-warming state
+ *                    instead of re-deriving it; sweeps that vary only
+ *                    timing knobs share snapshots
  *   CATCH_MAX_ATTEMPTS / CATCH_BACKOFF_MS / CATCH_MAX_CYCLES /
  *   CATCH_STALL_WINDOW  fault-containment knobs (see IsolationOptions
  *                    and RunBudget)

@@ -165,8 +165,9 @@ struct IsolationOptions
     const FaultPlan *plan = nullptr;
     /// Chunk-store override: unset = ChunkStore::global(); an explicit
     /// value (possibly nullptr, i.e. store disabled) wins. Lets tests
-    /// permute store states in-process without touching the
-    /// environment. Resolved once on the calling thread.
+    /// and `catchsim --store` set stores without touching the
+    /// environment. Resolved once on the calling thread; isolated
+    /// workers run without memo stores.
     std::optional<ChunkStore *> store;
     /// Warmed-state store override with the same semantics: unset =
     /// WarmStateStore::global(), an explicit value (possibly nullptr)

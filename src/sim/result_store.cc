@@ -17,12 +17,8 @@ namespace catchsim
 namespace
 {
 
-// Result records have no memory tier and no injection target: every
-// find() reads the record, and the fault matrix drives corruption
-// through the chunk and warm-state stores instead.
-const ContentStore::Format kResultFormat = {
-    {'C', 'R', 'S', 'L', 'T', '\0'}, 1, ".res", "result",
-    FaultKind::TraceCorrupt,         nullptr};
+const RecordDir::Format kResultFormat = {
+    {'C', 'R', 'S', 'L', 'T', '\0'}, 1, ".res", "result"};
 
 } // namespace
 
@@ -37,7 +33,7 @@ RunKey::bytes() const
 }
 
 ResultStore::ResultStore(const std::string &dir)
-    : ContentStore(kResultFormat, Config{0, dir, nullptr})
+    : RecordDir(kResultFormat, dir)
 {
 }
 
@@ -73,16 +69,16 @@ ResultStore::open(const std::string &dir)
 }
 
 std::string
-ResultStore::diskPath(const RunKey &key) const
+ResultStore::recordPath(const RunKey &key) const
 {
-    return ContentStore::diskPath(key.bytes());
+    return RecordDir::recordPath(key.bytes());
 }
 
 std::optional<RunOutcome>
 ResultStore::find(const RunKey &key)
 {
     auto hit = std::static_pointer_cast<const RunOutcome>(
-        ContentStore::find(key.bytes()));
+        RecordDir::find(key.bytes()));
     if (!hit)
         return std::nullopt;
     RunOutcome out = *hit;
@@ -96,9 +92,9 @@ ResultStore::put(const RunKey &key, const RunOutcome &out)
     CATCHSIM_ASSERT(out.ok(), "only successful outcomes are stored");
     // The record holds status, attempts and result only: a host profile
     // is wall-clock data of the storing run, not of a later replay.
-    auto rec = std::make_shared<RunOutcome>(out);
-    rec->profile.reset();
-    ContentStore::put(key.bytes(), std::move(rec));
+    RunOutcome rec = out;
+    rec.profile.reset();
+    RecordDir::put(key.bytes(), &rec);
 }
 
 void
@@ -111,7 +107,7 @@ ResultStore::encode(const void *value, std::vector<uint8_t> &out) const
     out.insert(out.end(), w.str().begin(), w.str().end());
 }
 
-Expected<ContentStore::Value>
+Expected<RecordDir::Value>
 ResultStore::decode(const uint8_t *payload, size_t n) const
 {
     // Anything that could not be replayed as a successful run is a

@@ -15,15 +15,15 @@
  * is config *content*, not its name, a store hit survives renames and a
  * same-name knob change misses.
  *
- * Disk discipline is ContentStore's (common/content_store.hh), shared
- * with the chunk and warm-state stores: one checksummed record per key
+ * It is the one store that persists: a RecordDir
+ * (common/content_store.hh) holding one checksummed record per key
  * (the payload is one JSON line holding the status, attempts and
  * result), written to a process-unique tmp name and renamed into place
  * — a killed campaign never leaves a torn record. Corrupt or
- * key-mismatched records are deleted and count as misses. The store
- * has no memory tier: every find() reads the record. The directory is
- * guarded by a flock'd lock file: a second campaign pointed at the same
- * store fails fast with a config error instead of interleaving.
+ * key-mismatched records are deleted and count as misses. Every find()
+ * reads the record. The directory is guarded by a flock'd lock file: a
+ * second campaign pointed at the same store fails fast with a config
+ * error instead of interleaving.
  */
 
 #ifndef CATCHSIM_SIM_RESULT_STORE_HH_
@@ -51,13 +51,12 @@ struct RunKey
 
     /**
      * Canonical key bytes: every field plus kTraceFormatVersion, so a
-     * trace-format bump invalidates the whole store, exactly like the
-     * chunk store.
+     * trace-format bump invalidates the whole store.
      */
     std::string bytes() const;
 };
 
-class ResultStore : private ContentStore
+class ResultStore : private RecordDir
 {
   public:
     ~ResultStore() override;
@@ -85,9 +84,9 @@ class ResultStore : private ContentStore
     void put(const RunKey &key, const RunOutcome &out);
 
     /** The record path @p key maps to (test visibility). */
-    std::string diskPath(const RunKey &key) const;
+    std::string recordPath(const RunKey &key) const;
 
-    using ContentStore::stats;
+    using RecordDir::stats;
 
   private:
     explicit ResultStore(const std::string &dir);

@@ -309,8 +309,8 @@ Simulator::runGuarded(Workload &workload, uint64_t instrs, uint64_t warmup,
                                   core.frontend().predictor(), detector,
                                   tact, ff) ||
                 pos > stream->size()) {
-                // The record passed its checksum but a component
-                // rejected it: a format drift this build cannot parse.
+                // A component rejected a snapshot this build saved:
+                // a save/load asymmetry. Drop it so the retry re-warms.
                 warmStore_->remove(*wkey);
                 return simError(ErrorCategory::IoTransient,
                                 "warm-state snapshot for '",

@@ -213,16 +213,15 @@ class Simulator
 {
   public:
     /**
-     * @param store memoized chunk store feeding streamed-mode refills;
+     * @param store in-memory chunk store feeding streamed-mode refills;
      *        defaults to the process-wide store (null unless enabled
-     *        via CATCH_STORE / CATCH_STORE_DIR). Results are
-     *        bitwise-identical with or without one.
-     * @param warm_store memoized warmed-state snapshots: sampled runs
+     *        via CATCH_STORE). Results are bitwise-identical with or
+     *        without one.
+     * @param warm_store in-memory warmed-state snapshots: sampled runs
      *        with a chunk store restore the global-warmup state
      *        instead of re-deriving it functionally. Defaults to the
-     *        process-wide store (null unless enabled via CATCH_STORE /
-     *        CATCH_STORE_DIR). Results are bitwise-identical with or
-     *        without one.
+     *        process-wide store (null unless enabled via CATCH_STORE).
+     *        Results are bitwise-identical with or without one.
      */
     explicit Simulator(const SimConfig &cfg,
                        TraceMode mode = TraceMode::Streamed,

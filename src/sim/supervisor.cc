@@ -67,7 +67,7 @@ struct WorkerProc
 
 /**
  * fork/execs one worker and sends it its request. The worker inherits
- * the environment (fault plan, chunk-store knobs) and the supervisor's
+ * the environment (the fault plan) and the supervisor's
  * stderr; its stdin/stdout carry the frame protocol. Returns a config
  * error only for supervisor-side infrastructure failures (pipe/fork);
  * a binary that cannot exec is reported by the child via exit 127 and

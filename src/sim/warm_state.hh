@@ -23,10 +23,8 @@
  * runs share refcounted immutable page handles, so a restore adopts
  * pointers instead of copying the page map, and a run's first write to
  * a shared page clones just that page (mem/functional_memory.hh). Pages
- * are sparse or dense in memory, and the budget charges each at its
- * size in its form; a disk record still holds every page as its 4 KB
- * word image, and a load rebuilds the sparse form for a page with few
- * nonzero words, so records do not depend on the in-memory form.
+ * are sparse or dense, and the budget charges each at its size in its
+ * form.
  *
  * Keying is honest by construction:
  *   - the key carries the trace identity (kernel, seed, totalOps,
@@ -36,18 +34,12 @@
  *   - warmConfigDigest() hashes every SimConfig knob that can reach
  *     warmed state and deliberately excludes pure timing knobs;
  *     tools/analysis/catch_analyze.py (warm-digest scope) statically
- *     checks the exclusion list against the warming call graph;
- *   - kWarmStateFormatVersion is part of every record; bump it whenever
- *     any component's saveWarmState encoding changes and stale disk
- *     snapshots turn into clean misses instead of misparses.
+ *     checks the exclusion list against the warming call graph.
  *
- * Tiering and integrity come from ContentStore (common/content_store.hh),
- * shared with the chunk and result stores: a mutex-guarded in-memory LRU
- * over immutable shared snapshots, an optional disk tier (DIR/warm under
- * --store-dir / CATCH_STORE_DIR) with checksummed records written via
- * unique-temp + rename, first-writer-wins put(), and a corrupt record
- * (truncation, bit flip, version skew, key mismatch) is warned about,
- * deleted and reported as a miss — the caller re-warms; results are
+ * Retention is a MemoLru (common/content_store.hh), shared in kind with
+ * the chunk and kernel-image stores: a mutex-guarded in-memory LRU over
+ * immutable shared snapshots with first-writer-wins put(). Snapshots
+ * are never persisted: a process that misses re-warms, so results are
  * never wrong, only slower.
  */
 
@@ -58,21 +50,11 @@
 #include <string>
 
 #include "common/content_store.hh"
-#include "common/error.hh"
 #include "common/sim_config.hh"
 #include "mem/functional_memory.hh"
 
 namespace catchsim
 {
-
-/**
- * Bump whenever any section's byte layout changes: a component's
- * warmFields field list (common/state_io.hh), the snapshot sequence in
- * sim/simulator.cc, or the record codec below. Each section's bytes are
- * pinned by a golden (tests/warm_state_test.cc), so a layout change
- * cannot go unnoticed.
- */
-constexpr uint32_t kWarmStateFormatVersion = 2;
 
 /**
  * Identity of one warmed-state snapshot. Two runs with equal keys are
@@ -123,74 +105,59 @@ struct WarmSnapshot
 };
 
 /**
- * Typed facade over ContentStore (common/content_store.hh): keys are
+ * Typed facade over MemoLru (common/content_store.hh): keys are
  * WarmStateKeys, values immutable snapshots charged sharing-aware —
  * blob bytes and page addresses alone, each copy-on-write page once
  * store-wide however many resident snapshots share it. Thread-safe.
  */
-class WarmStateStore : private ContentStore
+class WarmStateStore : private MemoLru
 {
   public:
     using SnapshotPtr = std::shared_ptr<const WarmSnapshot>;
-    using Stats = ContentStore::Stats;
+    using Stats = MemoLru::Stats;
 
-    struct Config : ContentStore::Config
+    struct Config
     {
-        /** Default in-memory budget over the store's PHYSICAL
-         *  residency: 128 MB. Snapshots of one kernel's sweep share
-         *  their copy-on-write pages, so they typically cost one
-         *  workload footprint plus deltas. */
-        Config() { memBudgetBytes = size_t(128) << 20; }
+        /** LRU budget over the store's PHYSICAL residency: 128 MB.
+         *  Snapshots of one kernel's sweep share their copy-on-write
+         *  pages, so they typically cost one workload footprint plus
+         *  deltas. */
+        size_t memBudgetBytes;
+        Config() : memBudgetBytes(size_t(128) << 20) {}
     };
 
     explicit WarmStateStore(Config cfg = {});
 
-    /**
-     * Looks @p key up in memory, then on disk. A corrupt disk record is
-     * deleted and counted, and the call reports a miss. @returns null
-     * on a miss — the caller warms functionally and put()s the result.
-     * Disk reads honour the "warm-state-store" injection target.
-     */
+    /** The resident snapshot for @p key, or null — the caller warms
+     *  functionally and put()s the result. */
     SnapshotPtr find(const WarmStateKey &key);
 
     /**
-     * Publishes @p snap under @p key and writes it to the disk tier.
-     * First writer wins: every writer of a given key derived identical
-     * state, so a racing publication keeps the resident copy.
+     * Publishes @p snap under @p key. First writer wins: every writer
+     * of a given key derived identical state, so a racing publication
+     * keeps the resident copy.
      */
     SnapshotPtr put(const WarmStateKey &key, WarmSnapshot snap);
 
     /**
-     * Drops @p key from both tiers. The simulator calls this when a
-     * restored snapshot fails component-level validation (a format bug
-     * the checksum cannot catch): the retry re-warms and republishes.
+     * Drops @p key. The simulator calls this when a found snapshot
+     * fails component-level validation: the retry re-warms and
+     * republishes.
      */
     void remove(const WarmStateKey &key);
 
-    using ContentStore::residentBytes;
-    using ContentStore::stats;
-
-    /** ContentStore::loadDiskChecked for @p key; payload-shape defects
-     *  (blob overrun, page section, page order) are trace-corrupt. */
-    Expected<SnapshotPtr> loadDiskChecked(const WarmStateKey &key);
-
-    /** The record path @p key maps to (test + tooling visibility). */
-    std::string diskPath(const WarmStateKey &key) const;
+    using MemoLru::residentBytes;
+    using MemoLru::stats;
 
     /**
-     * The process-wide store, or null when disabled: CATCH_STORE /
-     * CATCH_STORE_DIR (disk tier under DIR/warm) / CATCH_STORE_MB (one
-     * third of it; ContentStore::configureFromEnv). First call reads
-     * the environment (env.hh contract).
+     * The process-wide store with the default budget, or null unless
+     * CATCH_STORE is set. First call reads the environment (env.hh
+     * contract).
      */
     static WarmStateStore *global();
 
   private:
     static std::string keyBytes(const WarmStateKey &key);
-    void encode(const void *value,
-                std::vector<uint8_t> &out) const override;
-    Expected<Value> decode(const uint8_t *payload,
-                           size_t n) const override;
     size_t charge(const void *value, const PartFn &shared) const override;
 };
 

@@ -468,10 +468,11 @@ workerMain()
         }
     });
 
+    // One worker serves exactly one run, so a memo store could never
+    // hit here: the run goes without one.
     RunOutcome out = executeContainedRun(r.cfg, r.workload, r.instrs,
-                                         r.warmup, r.opts,
-                                         ChunkStore::global(),
-                                         WarmStateStore::global());
+                                         r.warmup, r.opts, nullptr,
+                                         nullptr);
     done.store(true, std::memory_order_relaxed);
     heartbeat.join();
 

@@ -2,24 +2,12 @@
 
 #include <utility>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/state_io.hh"
-#include "trace/trace_io.hh"
 
 namespace catchsim
 {
-
-namespace
-{
-
-// Chunk-record magic, distinct from full-trace files ("CTSIM\0") so a
-// misplaced file of either kind is rejected by the first six bytes.
-// The trace format version is the record's kind version.
-const ContentStore::Format kChunkFormat = {
-    {'C', 'T', 'C', 'H', 'K', '\0'}, kTraceFormatVersion, ".ctc", "chunk",
-    FaultKind::TraceCorrupt,          "chunk-store"};
-
-} // namespace
 
 // --- ChunkGenerator ----------------------------------------------------
 
@@ -73,10 +61,7 @@ ChunkGenerator::next()
 
 // --- ChunkStore --------------------------------------------------------
 
-ChunkStore::ChunkStore(Config cfg)
-    : ContentStore(kChunkFormat, std::move(cfg))
-{
-}
+ChunkStore::ChunkStore(Config cfg) : MemoLru(cfg.memBudgetBytes) {}
 
 std::string
 ChunkStore::keyBytes(const ChunkKey &key)
@@ -88,17 +73,11 @@ ChunkStore::keyBytes(const ChunkKey &key)
     return s.take() + key.kernel;
 }
 
-std::string
-ChunkStore::diskPath(const ChunkKey &key) const
-{
-    return ContentStore::diskPath(keyBytes(key));
-}
-
 ChunkStore::ChunkPtr
 ChunkStore::find(const ChunkKey &key)
 {
     return std::static_pointer_cast<const Chunk>(
-        ContentStore::find(keyBytes(key)));
+        MemoLru::find(keyBytes(key)));
 }
 
 ChunkStore::ChunkPtr
@@ -108,44 +87,8 @@ ChunkStore::put(const ChunkKey &key, Chunk chunk)
                     "chunk store only holds full chunks: got ",
                     chunk.size(), " ops for a ", key.chunkOps,
                     "-op key");
-    return std::static_pointer_cast<const Chunk>(ContentStore::put(
+    return std::static_pointer_cast<const Chunk>(MemoLru::put(
         keyBytes(key), std::make_shared<const Chunk>(std::move(chunk))));
-}
-
-Expected<ChunkStore::ChunkPtr>
-ChunkStore::loadDiskChecked(const ChunkKey &key)
-{
-    auto v = ContentStore::loadDiskChecked(keyBytes(key));
-    if (!v.ok())
-        return v.error();
-    return std::static_pointer_cast<const Chunk>(std::move(v).value());
-}
-
-void
-ChunkStore::encode(const void *value, std::vector<uint8_t> &out) const
-{
-    const Chunk &chunk = *static_cast<const Chunk *>(value);
-    size_t at = out.size();
-    out.resize(at + chunk.size() * kTraceOpRecordBytes);
-    for (const MicroOp &op : chunk) {
-        encodeOpRecord(op, out.data() + at);
-        at += kTraceOpRecordBytes;
-    }
-}
-
-Expected<ContentStore::Value>
-ChunkStore::decode(const uint8_t *payload, size_t n) const
-{
-    if (n == 0 || n % kTraceOpRecordBytes != 0)
-        return simError(ErrorCategory::TraceCorrupt, "payload of ", n,
-                        " bytes is not a whole number of op records");
-    auto chunk = std::make_shared<Chunk>(n / kTraceOpRecordBytes);
-    for (size_t i = 0; i < chunk->size(); ++i)
-        if (const char *defect = decodeOpRecord(
-                payload + i * kTraceOpRecordBytes, &(*chunk)[i]))
-            return simError(ErrorCategory::TraceCorrupt, "op ", i, ": ",
-                            defect);
-    return Value(std::move(chunk));
 }
 
 size_t
@@ -162,10 +105,9 @@ ChunkStore::global()
     // Leaked singleton (never destructed): the store may still serve
     // chunks while static destructors run.
     static ChunkStore *const store = []() -> ChunkStore * {
-        Config cfg;
-        if (!configureFromEnv(cfg, "chunks", 2, 3))
+        if (!envFlag("CATCH_STORE"))
             return nullptr;
-        return new ChunkStore(std::move(cfg)); // catch-analyze: allow(raw-new-delete) intentionally leaked process singleton
+        return new ChunkStore(); // catch-analyze: allow(raw-new-delete) intentionally leaked process singleton
     }();
     return store;
 }

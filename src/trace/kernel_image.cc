@@ -1,39 +1,15 @@
 #include "trace/kernel_image.hh"
 
-#include "common/error.hh"
-
 namespace catchsim
 {
 
-namespace
-{
-
-// Images never reach a disk tier, so the record format only names the
-// kind in the store's messages.
-const ContentStore::Format kImageFormat = {
-    {'C', 'K', 'I', 'M', 'G', '\0'}, 1, ".cki", "kernel image",
-    FaultKind::TraceCorrupt,          nullptr};
-
-ContentStore::Config
-memoryTierOnly()
-{
-    ContentStore::Config cfg;
-    cfg.memBudgetBytes = KernelImageStore::kBudgetBytes;
-    return cfg;
-}
-
-} // namespace
-
-KernelImageStore::KernelImageStore()
-    : ContentStore(kImageFormat, memoryTierOnly())
-{
-}
+KernelImageStore::KernelImageStore() : MemoLru(kBudgetBytes) {}
 
 KernelImageStore::ImagePtr
 KernelImageStore::find(const std::string &key)
 {
     return std::static_pointer_cast<const KernelImage>(
-        ContentStore::find(key));
+        MemoLru::find(key));
 }
 
 KernelImageStore::ImagePtr
@@ -55,24 +31,10 @@ KernelImageStore::findOrBuild(const std::string &key,
     if (ImagePtr img = find(key))
         return img;
     auto img = std::make_shared<const KernelImage>(build());
-    if (charge(img.get(), {}) > kBudgetBytes)
+    if (imageBytes(*img) > kBudgetBytes)
         return img;
     return std::static_pointer_cast<const KernelImage>(
-        ContentStore::put(key, img));
-}
-
-// The codec is unreachable: the store is configured without a disk
-// tier, so no record is ever written or read.
-void
-KernelImageStore::encode(const void *, std::vector<uint8_t> &) const
-{
-}
-
-Expected<ContentStore::Value>
-KernelImageStore::decode(const uint8_t *, size_t) const
-{
-    return simError(ErrorCategory::Internal,
-                    "kernel images have no disk tier");
+        MemoLru::put(key, img));
 }
 
 size_t

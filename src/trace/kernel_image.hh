@@ -22,8 +22,8 @@
  * Key: the suite registry name (trace/suite.cc). Kernels constructed
  * directly have no registry identity and never reach the store.
  *
- * Retention: a memory-tier-only ContentStore facade, an LRU under the
- * fixed kBudgetBytes, charging each page at its size in its form: a
+ * Retention: a MemoLru facade (common/content_store.hh), an LRU under
+ * the fixed kBudgetBytes, charging each page at its size in its form: a
  * seeded sample of a multi-MB array costs ~100 bytes a page, not 4 KB.
  * It holds the 14-kernel quick suite (~111 MB) or the ten kernels of
  * e2ebench's mp-mix workload (~120 MB), not all 70 images (~575 MB).
@@ -54,11 +54,11 @@ struct KernelImage
     Rng rng;
 };
 
-class KernelImageStore : private ContentStore
+class KernelImageStore : private MemoLru
 {
   public:
     using ImagePtr = std::shared_ptr<const KernelImage>;
-    using Stats = ContentStore::Stats;
+    using Stats = MemoLru::Stats;
 
     /** Resident image bytes never exceed this: 256 MB. */
     static constexpr size_t kBudgetBytes = size_t(256) << 20;
@@ -78,8 +78,8 @@ class KernelImageStore : private ContentStore
     ImagePtr findOrBuild(const std::string &key,
                          const std::function<KernelImage()> &build);
 
-    using ContentStore::residentBytes;
-    using ContentStore::stats;
+    using MemoLru::residentBytes;
+    using MemoLru::stats;
 
     /** The bytes @p img charges against the budget: each page at its
      *  size in its form (FunctionalMemory::Page::bytes()) plus its map
@@ -90,10 +90,6 @@ class KernelImageStore : private ContentStore
     static KernelImageStore &global();
 
   private:
-    void encode(const void *value,
-                std::vector<uint8_t> &out) const override;
-    Expected<Value> decode(const uint8_t *payload,
-                           size_t n) const override;
     size_t charge(const void *value, const PartFn &shared) const override;
 
     /** Per-key build gates; keys are registry names, so at most 70. */

@@ -17,9 +17,11 @@ namespace
 constexpr char kMagic[6] = {'C', 'T', 'S', 'I', 'M', '\0'};
 constexpr uint32_t kVersion = kTraceFormatVersion;
 
-// Fixed record sizes the bounds checks are computed from.
+// Fixed record sizes the bounds checks are computed from. An op record
+// is pc, memAddr-or-target, value (u64 each), then cls, dst, src[3],
+// taken (one byte each).
 constexpr uint64_t kHeaderBytes = sizeof(kMagic) + 4 + 8;
-constexpr uint64_t kOpBytes = kTraceOpRecordBytes;
+constexpr uint64_t kOpBytes = 3 * 8 + 6 * 1;
 constexpr uint64_t kPageRecordBytes = 8 + kPageBytes;
 
 // Format-level validity limits: OpClass tops out at Nop, and no
@@ -54,8 +56,7 @@ regIndexOk(int8_t r)
     return r >= -1 && r <= kMaxRegIndex;
 }
 
-} // namespace
-
+/** Packs @p op into exactly kOpBytes at @p out. */
 void
 encodeOpRecord(const MicroOp &op, uint8_t *out)
 {
@@ -70,6 +71,11 @@ encodeOpRecord(const MicroOp &op, uint8_t *out)
     out[29] = op.taken ? 1 : 0;
 }
 
+/**
+ * Unpacks one op record from @p in (kOpBytes long) into @p op. Returns
+ * nullptr on success or a static defect description when a field is
+ * outside the format's validity limits; @p op is unspecified then.
+ */
 const char *
 decodeOpRecord(const uint8_t *in, MicroOp *op)
 {
@@ -91,6 +97,8 @@ decodeOpRecord(const uint8_t *in, MicroOp *op)
     return nullptr;
 }
 
+} // namespace
+
 Expected<void>
 saveTraceChecked(const Trace &trace, const std::string &path)
 {
@@ -106,7 +114,7 @@ saveTraceChecked(const Trace &trace, const std::string &path)
         !put(f.get(), kVersion) ||
         !put(f.get(), static_cast<uint64_t>(trace.ops.size())))
         return io_error();
-    uint8_t rec[kTraceOpRecordBytes];
+    uint8_t rec[kOpBytes];
     for (const MicroOp &op : trace.ops) {
         encodeOpRecord(op, rec);
         if (std::fwrite(rec, sizeof(rec), 1, f.get()) != 1)
@@ -195,7 +203,7 @@ loadTraceChecked(const std::string &path)
 
     Trace trace;
     trace.ops.reserve(count);
-    uint8_t rec[kTraceOpRecordBytes];
+    uint8_t rec[kOpBytes];
     for (uint64_t i = 0; i < count; ++i) {
         if (std::fread(rec, sizeof(rec), 1, f.get()) != 1)
             return corrupt("truncated at op ", i, " of ", count);

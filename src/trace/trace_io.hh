@@ -34,24 +34,9 @@
 namespace catchsim
 {
 
-/** On-disk trace format version; shared by full-trace files and the
- *  chunk store's per-chunk records (trace/chunk_store.hh). */
+/** On-disk trace format version; also part of every result-store key
+ *  (sim/result_store.hh). */
 constexpr uint32_t kTraceFormatVersion = 2;
-
-/** Packed size of one version-2 op record: pc, memAddr-or-target,
- *  value (u64 each), then cls, dst, src[3], taken (one byte each). */
-constexpr size_t kTraceOpRecordBytes = 3 * 8 + 6 * 1;
-
-/** Packs @p op into exactly kTraceOpRecordBytes at @p out. */
-void encodeOpRecord(const MicroOp &op, uint8_t *out);
-
-/**
- * Unpacks one op record from @p in (kTraceOpRecordBytes long) into
- * @p op. Returns nullptr on success or a static defect description
- * ("invalid class ...", "out-of-range register ...") when a field is
- * outside the format's validity limits; @p op is unspecified then.
- */
-const char *decodeOpRecord(const uint8_t *in, MicroOp *op);
 
 /** Writes @p trace to @p path; the error names the path and cause. */
 Expected<void> saveTraceChecked(const Trace &trace,

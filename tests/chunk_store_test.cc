@@ -3,31 +3,23 @@
  * The chunk store's correctness contract, pinned exhaustively:
  *
  *  1. Equivalence — full-campaign SimResults are bitwise-identical with
- *     the store disabled, cold, warm, eviction-thrashing or disk-backed,
- *     at jobs 1/8/16, in detailed and sampled modes. The store may only
- *     ever be a speed lever, never a correctness hazard.
- *  2. Record codec — op-record defects behind a valid frame are
- *     corrupt, dropped and regenerated. The LRU, frame validation and
- *     corruption containment themselves are pinned once, for all
- *     stores, by tests/content_store_test.cc.
- *  3. Containment — a partly corrupted disk cache still streams the
- *     canonical op sequence, and the memory tier holds only decoded
- *     chunks.
- *  4. Bounded generation — every suite kernel streams a short trace
+ *     the store disabled, cold, warm or eviction-thrashing, at jobs
+ *     1/8/16, in detailed and sampled modes. The store may only ever
+ *     be a speed lever, never a correctness hazard. The LRU itself is
+ *     pinned once, for all memo stores, by tests/content_store_test.cc.
+ *  2. Bounded generation — every suite kernel streams a short trace
  *     through the store without generating past its chunk budget.
- *  5. Concurrency — consumer threads racing on a shared evicting disk
- *     store and a jobs=16 campaign (the TSan CI job runs the
- *     *Concurrent* cases).
+ *  3. Concurrency — consumer threads racing on a shared evicting store
+ *     and a jobs=16 campaign (the TSan CI job runs the *Concurrent*
+ *     cases).
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/fault_inject.hh"
 #include "sim/configs.hh"
 #include "sim/parallel_runner.hh"
 #include "sim_result_compare.hh"
@@ -45,14 +37,6 @@ namespace
 constexpr uint64_t kInstr = 20000;
 constexpr uint64_t kWarm = 5000;
 constexpr size_t kChunk = 1024; // small power-of-two chunk for tests
-
-ChunkKey
-keyAt(const std::string &kernel, uint64_t index,
-      uint32_t chunk_ops = kChunk)
-{
-    auto wl = makeWorkload(kernel);
-    return ChunkKey{kernel, wl->seed(), chunk_ops, index};
-}
 
 std::vector<MicroOp>
 drain(TraceStream &stream)
@@ -125,107 +109,6 @@ TEST(ChunkGenerator, ChunksAreThePrefixFunctionOfKernelAndSeed)
     }
 }
 
-// ---------------------- Record codec -----------------------------
-
-/** Writes one real chunk's record to @p dir and returns its path. */
-std::string
-writeOneRecord(const std::string &dir)
-{
-    auto wl = makeWorkload("mcf");
-    ChunkGenerator gen(*wl, kChunk, 1);
-    ChunkStore::Config cfg;
-    cfg.diskDir = dir;
-    ChunkStore writer(cfg);
-    writer.put(keyAt("mcf", 0), gen.next());
-    return writer.diskPath(keyAt("mcf", 0));
-}
-
-TEST(ChunkStoreCodec, OpRecordDefectIsCorruptAndDropped)
-{
-    // A checksum-valid record whose op carries an out-of-range class
-    // must be refused by the op decoder, not replayed.
-    const std::string dir = freshDir("chunk_store_op_defect");
-    const std::string path = writeOneRecord(dir);
-    editPayload(path, [](std::vector<char> &p) {
-        p[3 * 8] = static_cast<char>(0xff); // op 0's class byte
-    });
-    ChunkStore::Config cfg;
-    cfg.diskDir = dir;
-    ChunkStore store(cfg);
-    auto loaded = store.loadDiskChecked(keyAt("mcf", 0));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().category, ErrorCategory::TraceCorrupt);
-    EXPECT_NE(loaded.error().message.find("op 0: "), std::string::npos)
-        << loaded.error().message;
-    EXPECT_EQ(store.find(keyAt("mcf", 0)), nullptr);
-    EXPECT_EQ(store.stats().corrupt, 1u);
-    EXPECT_FALSE(std::filesystem::exists(path));
-
-    // A payload that is not a whole number of op records is refused
-    // before any op is decoded.
-    writeOneRecord(dir);
-    editPayload(path, [](std::vector<char> &p) { p.pop_back(); });
-    auto ragged = store.loadDiskChecked(keyAt("mcf", 0));
-    ASSERT_FALSE(ragged.ok());
-    EXPECT_NE(ragged.error().message.find("whole number of op records"),
-              std::string::npos)
-        << ragged.error().message;
-    std::filesystem::remove_all(dir);
-}
-
-TEST(ChunkStoreEquivalence, CorruptedCacheRegeneratesBitwiseIdenticalStream)
-{
-    // End-to-end containment: corrupt three chunks of a warm disk cache
-    // three different ways, then demand the stream still serve exactly
-    // the canonical op sequence.
-    const std::string dir = freshDir("chunk_store_regen");
-    auto oracle_wl = makeWorkload("mcf");
-    const size_t total = 5 * kChunk + 123;
-    Trace oracle = oracle_wl->generate(total);
-
-    {
-        ChunkStore::Config cfg;
-        cfg.diskDir = dir;
-        ChunkStore warm(cfg);
-        auto wl = makeWorkload("mcf");
-        TraceStream stream(*wl, total, kChunk,
-                           std::function<double()>(), &warm);
-        drain(stream);
-        EXPECT_EQ(stream.storeMisses(), 6u) << "cold store: all misses";
-    }
-
-    ChunkStore::Config cfg;
-    cfg.diskDir = dir;
-    ChunkStore store(cfg);
-    { // chunk 1: truncation
-        std::string p = store.diskPath(keyAt("mcf", 1));
-        std::vector<char> bytes = readAll(p);
-        bytes.resize(bytes.size() / 2);
-        rewriteFile(p, bytes);
-    }
-    { // chunk 2: bit flip
-        std::string p = store.diskPath(keyAt("mcf", 2));
-        std::vector<char> bytes = readAll(p);
-        bytes[10] ^= 0x01;
-        rewriteFile(p, bytes);
-    }
-    // chunk 3: missing entirely
-    std::filesystem::remove(store.diskPath(keyAt("mcf", 3)));
-
-    auto wl = makeWorkload("mcf");
-    TraceStream stream(*wl, total, kChunk, std::function<double()>(),
-                       &store);
-    std::vector<MicroOp> streamed = drain(stream);
-    expectOpsEqual(streamed, oracle.ops, "regenerated stream");
-    EXPECT_EQ(store.stats().corrupt, 2u)
-        << "truncation and bit flip count; absence is a plain miss";
-    EXPECT_GT(stream.storeHits(), 0u) << "intact chunks still serve";
-    EXPECT_GT(stream.storeMisses(), 0u);
-    EXPECT_EQ(store.residentBytes(), 6 * kChunk * sizeof(MicroOp))
-        << "the memory tier holds decoded chunks only, never records";
-    std::filesystem::remove_all(dir);
-}
-
 TEST(ChunkStoreEquivalence, EverySuiteKernelStreamsWithinItsBudget)
 {
     // A store-backed stream's generator may run a kernel only up to the
@@ -252,15 +135,12 @@ TEST(ChunkStoreEquivalence, EverySuiteKernelStreamsWithinItsBudget)
 
 /**
  * The acceptance matrix: a store-less baseline, then the store off,
- * cold, warm and disk-backed, and eviction-thrashing at jobs 1/8/16.
+ * cold, warm and eviction-thrashing at jobs 1/8/16.
  */
 void
 expectStoreStateEquivalence(const SimConfig &cfg)
 {
-    const std::string dir = freshDir("chunk_store_equiv_" + cfg.name);
-    ChunkStore::Config disk_cfg;
-    disk_cfg.diskDir = dir;
-    ChunkStore warm(disk_cfg); // shared across job counts: stays warm
+    ChunkStore warm; // shared across job counts: stays warm
     ChunkStore::Config tiny_cfg;
     tiny_cfg.memBudgetBytes = 1; // evicts after every insertion
     ChunkStore evicting(tiny_cfg);
@@ -280,7 +160,6 @@ expectStoreStateEquivalence(const SimConfig &cfg)
     EXPECT_GT(warm.stats().hits, 0u) << "the warm store actually served";
     EXPECT_GT(evicting.stats().evictions, 0u)
         << "the tiny store actually thrashed";
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ChunkStoreEquivalence, DetailedBaselineCampaigns)
@@ -311,14 +190,12 @@ TEST(ChunkStoreEquivalence, SampledCampaigns)
 TEST(ChunkStoreConcurrent, SharedStoreConsumerStress)
 {
     // Eight consumer threads drain store-backed streams of two kernel
-    // identities against a shared evicting, disk-backed store, so
-    // finds, regenerations, publications and evictions race. Every
-    // drained sequence must be canonical; TSan (CI) watches the
+    // identities against a shared evicting store, so finds,
+    // regenerations, publications and evictions race. Every drained
+    // sequence must be canonical; TSan (CI) watches the
     // synchronization.
-    const std::string dir = freshDir("chunk_store_stress");
     ChunkStore::Config cfg;
     cfg.memBudgetBytes = 8 * kChunk * sizeof(MicroOp);
-    cfg.diskDir = dir;
     ChunkStore store(cfg);
 
     const size_t total = 6 * kChunk + 123;
@@ -345,23 +222,20 @@ TEST(ChunkStoreConcurrent, SharedStoreConsumerStress)
     for (auto &c : consumers)
         c.join();
     EXPECT_GT(store.stats().evictions, 0u)
-        << "the memory tier actually thrashed";
-    std::filesystem::remove_all(dir);
+        << "the store actually thrashed";
 }
 
-TEST(ChunkStoreConcurrent, ParallelCampaignSharesOneDiskStore)
+TEST(ChunkStoreConcurrent, ParallelCampaignSharesOneStore)
 {
     // jobs=16 over one shared store: the complete production path
-    // (find/put/disk/eviction) under real campaign concurrency must
-    // stay bitwise-equivalent.
-    const std::string dir = freshDir("chunk_store_campaign_stress");
+    // (find/put/eviction) under real campaign concurrency must stay
+    // bitwise-equivalent.
     SimConfig cfg = baselineSkx();
     const std::vector<std::string> names = campaignNames();
     auto baseline = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
                                          optsWithStores(nullptr));
 
     ChunkStore::Config store_cfg;
-    store_cfg.diskDir = dir;
     store_cfg.memBudgetBytes = 4 * TraceStream::kDefaultChunkOps *
                                sizeof(MicroOp);
     ChunkStore store(store_cfg);
@@ -372,7 +246,6 @@ TEST(ChunkStoreConcurrent, ParallelCampaignSharesOneDiskStore)
             expectBitwiseEqual(got[i].result, baseline[i].result);
     }
     EXPECT_GT(store.stats().hits, 0u);
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace

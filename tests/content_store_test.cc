@@ -1,19 +1,21 @@
 /**
  * @file
- * The ContentStore primitive behind the chunk, warm-state and result
- * stores, pinned once through a minimal test facade:
+ * The two store primitives, each pinned once through a minimal test
+ * facade:
  *
- *  1. LRU mechanics — exact-budget eviction order, find() recency
- *     touches, the one-resident-value floor, first-writer-wins, a zero
- *     budget turning the memory tier off, and the sharing-aware charge
- *     (a part shared by resident values is charged once).
- *  2. Disk-tier validation — every defect (missing file, truncation,
- *     bit flip, magic, version skew, key mismatch, payload length, a
- *     payload the codec rejects, injected faults) surfaces as the
- *     documented taxonomy, drops the bad record and reports a miss.
- *  3. Concurrency — threads sharing one evicting disk-backed store, and
- *     processes sharing one disk tier, never see a torn record (the
- *     TSan CI job runs the *Concurrent* cases).
+ *  1. MemoLru, behind the chunk, warm-state and kernel-image stores —
+ *     exact-budget eviction order, find() recency touches, the
+ *     one-resident-value floor, first-writer-wins, and the
+ *     sharing-aware charge (a part shared by resident values is
+ *     charged once).
+ *  2. RecordDir, behind the result store — every record defect
+ *     (missing file, truncation, bit flip, magic, version skew, key
+ *     mismatch, payload length, a payload the codec rejects) surfaces
+ *     as the documented taxonomy, drops the bad record and reports a
+ *     miss; an unwritable directory skips the record.
+ *  3. Concurrency — threads sharing one evicting LRU, and threads and
+ *     processes sharing one record directory, never see a wrong value
+ *     or a torn record (the TSan CI job runs the *Concurrent* cases).
  */
 
 #include <gtest/gtest.h>
@@ -43,20 +45,11 @@ struct Blob
 };
 using BlobPtr = std::shared_ptr<const Blob>;
 
-const ContentStore::Format kBlobFormat = {
-    {'T', 'B', 'L', 'O', 'B', '\0'}, 3, ".blob", "blob",
-    FaultKind::StateCorrupt,         "blob-store"};
-
-/** Minimal facade: the payload is the blob's bytes (parts stay in
- *  memory); a payload starting with "BAD" is a codec-level defect. */
-class BlobStore : public ContentStore
+/** Minimal LRU facade: a blob is charged its bytes plus its parts. */
+class BlobLru : public MemoLru
 {
   public:
-    explicit BlobStore(Config cfg,
-                       const ContentStore::Format &fmt = kBlobFormat)
-        : ContentStore(fmt, std::move(cfg))
-    {
-    }
+    explicit BlobLru(size_t budget = size_t(1) << 20) : MemoLru(budget) {}
 
     BlobPtr
     get(const std::string &key)
@@ -69,6 +62,41 @@ class BlobStore : public ContentStore
     {
         return std::static_pointer_cast<const Blob>(
             put(key, std::make_shared<const Blob>(std::move(blob))));
+    }
+
+  protected:
+    size_t
+    charge(const void *value, const PartFn &shared) const override
+    {
+        const Blob &b = *static_cast<const Blob *>(value);
+        for (const auto &p : b.parts)
+            shared(p.get(), p->size());
+        return b.bytes.size();
+    }
+};
+
+const RecordDir::Format kBlobFormat = {
+    {'T', 'B', 'L', 'O', 'B', '\0'}, 3, ".blob", "blob"};
+
+/** Minimal record facade: the payload is the blob's bytes; a payload
+ *  starting with "BAD" is a codec-level defect. */
+class BlobDir : public RecordDir
+{
+  public:
+    explicit BlobDir(const std::string &dir) : RecordDir(kBlobFormat, dir)
+    {
+    }
+
+    BlobPtr
+    get(const std::string &key)
+    {
+        return std::static_pointer_cast<const Blob>(find(key));
+    }
+
+    void
+    set(const std::string &key, const Blob &blob)
+    {
+        put(key, &blob);
     }
 
   protected:
@@ -88,31 +116,16 @@ class BlobStore : public ContentStore
                             "payload defect");
         return Value(std::make_shared<const Blob>(Blob{bytes, {}}));
     }
-
-    size_t
-    charge(const void *value, const PartFn &shared) const override
-    {
-        const Blob &b = *static_cast<const Blob *>(value);
-        for (const auto &p : b.parts)
-            shared(p.get(), p->size());
-        return b.bytes.size();
-    }
 };
 
-ContentStore::Config
-memoryTier(size_t budget = size_t(1) << 20)
+/** A fresh, existing directory: the record directory's owner creates
+ *  it. */
+std::string
+freshRecordDir(const std::string &name)
 {
-    ContentStore::Config cfg;
-    cfg.memBudgetBytes = budget;
-    return cfg;
-}
-
-ContentStore::Config
-diskTier(const std::string &dir, size_t budget = size_t(1) << 20)
-{
-    ContentStore::Config cfg = memoryTier(budget);
-    cfg.diskDir = dir;
-    return cfg;
+    const std::string dir = freshDir(name);
+    std::filesystem::create_directories(dir);
+    return dir;
 }
 
 Blob
@@ -127,13 +140,22 @@ keyOf(int n)
     return "key-" + std::to_string(n);
 }
 
+/** Deletes @p key's record from @p store's directory, if present. */
+void
+dropRecord(const BlobDir &store, const std::string &key)
+{
+    std::error_code ec;
+    std::filesystem::remove(store.recordPath(key), ec);
+}
+
 /** Writes one record for keyOf(0) into @p dir; returns its path. */
 std::string
 writeOneRecord(const std::string &dir)
 {
-    BlobStore writer(diskTier(dir));
+    BlobDir writer(dir);
+    dropRecord(writer, keyOf(0));
     writer.set(keyOf(0), blobOf(512, 'r'));
-    return writer.diskPath(keyOf(0));
+    return writer.recordPath(keyOf(0));
 }
 
 /** Expects @p key's record to be rejected as corrupt with @p what in
@@ -142,9 +164,9 @@ void
 expectCorruptAndDropped(const std::string &dir, const std::string &key,
                         const std::string &what)
 {
-    BlobStore store(diskTier(dir));
-    const std::string path = store.diskPath(key);
-    auto loaded = store.loadDiskChecked(key);
+    BlobDir store(dir);
+    const std::string path = store.recordPath(key);
+    auto loaded = store.loadChecked(key);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.error().category, ErrorCategory::TraceCorrupt);
     EXPECT_NE(loaded.error().message.find(what), std::string::npos)
@@ -157,11 +179,11 @@ expectCorruptAndDropped(const std::string &dir, const std::string &key,
         << "the bad record is dropped so the slot can be rewritten";
 }
 
-// ----------------------- LRU mechanics ---------------------------
+// -------------------------- MemoLru ------------------------------
 
-TEST(ContentStoreLru, FindMissesColdThenHitsAfterPutFirstWriterWins)
+TEST(MemoLru, FindMissesColdThenHitsAfterPutFirstWriterWins)
 {
-    BlobStore store(memoryTier());
+    BlobLru store;
     EXPECT_EQ(store.get(keyOf(0)), nullptr);
     auto put = store.set(keyOf(0), blobOf(256, 'a'));
     ASSERT_NE(put, nullptr);
@@ -173,14 +195,13 @@ TEST(ContentStoreLru, FindMissesColdThenHitsAfterPutFirstWriterWins)
     EXPECT_EQ(s.misses, 1u);
     EXPECT_EQ(s.hits, 1u);
     EXPECT_EQ(s.puts, 1u) << "duplicates are not re-published";
-    EXPECT_EQ(s.diskHits, 0u);
     EXPECT_EQ(store.residentBytes(), 256u);
 }
 
-TEST(ContentStoreLru, EvictsLeastRecentlyUsedAtExactBudget)
+TEST(MemoLru, EvictsLeastRecentlyUsedAtExactBudget)
 {
     constexpr size_t bytes = 256;
-    BlobStore store(memoryTier(3 * bytes)); // exactly three values
+    BlobLru store(3 * bytes); // exactly three values
     for (int k = 0; k < 3; ++k)
         store.set(keyOf(k), blobOf(bytes, 'a'));
     EXPECT_EQ(store.stats().evictions, 0u)
@@ -199,9 +220,9 @@ TEST(ContentStoreLru, EvictsLeastRecentlyUsedAtExactBudget)
     EXPECT_NE(store.get(keyOf(3)), nullptr);
 }
 
-TEST(ContentStoreLru, BudgetFloorKeepsTheNewestValueResident)
+TEST(MemoLru, BudgetFloorKeepsTheNewestValueResident)
 {
-    BlobStore store(memoryTier(1)); // below a single value
+    BlobLru store(1); // below a single value
     auto a = store.set(keyOf(0), blobOf(256, 'a'));
     ASSERT_NE(a, nullptr);
     EXPECT_EQ(store.residentBytes(), 256u)
@@ -213,7 +234,7 @@ TEST(ContentStoreLru, BudgetFloorKeepsTheNewestValueResident)
     EXPECT_EQ(a->bytes.size(), 256u);
 }
 
-TEST(ContentStoreLru, SharedPartsAreChargedOnce)
+TEST(MemoLru, SharedPartsAreChargedOnce)
 {
     // Two resident values share one part and each hold one of their
     // own: the shared bytes count once, evicting one value keeps them
@@ -223,7 +244,7 @@ TEST(ContentStoreLru, SharedPartsAreChargedOnce)
     auto shared = std::make_shared<const std::string>(1000, 's');
     auto own_a = std::make_shared<const std::string>(100, 'a');
     auto own_b = std::make_shared<const std::string>(200, 'b');
-    BlobStore store(memoryTier(size_t(1) << 20));
+    BlobLru store;
     store.set(keyOf(0), Blob{"xy", {shared, own_a}});
     EXPECT_EQ(store.residentBytes(), 2u + 1000 + 100);
     store.set(keyOf(1), Blob{"xyz", {shared, own_b}});
@@ -238,7 +259,7 @@ TEST(ContentStoreLru, SharedPartsAreChargedOnce)
 
     // The same through LRU evictions: a budget that holds only one of
     // the two evicts the older, and the floor keeps the newer charged.
-    BlobStore tight(memoryTier(1));
+    BlobLru tight(1);
     tight.set(keyOf(0), Blob{"xy", {shared, own_a}});
     tight.set(keyOf(1), Blob{"xyz", {shared, own_b}});
     EXPECT_EQ(tight.stats().evictions, 1u);
@@ -249,51 +270,33 @@ TEST(ContentStoreLru, SharedPartsAreChargedOnce)
         << "evicting both sharers releases the shared part";
 }
 
-TEST(ContentStoreLru, ZeroBudgetDisablesTheMemoryTier)
-{
-    // Budget 0 is a disk-only store (the result store's mode): nothing
-    // stays resident, and every find() reads the record.
-    const std::string dir = freshDir("content_store_disk_only");
-    BlobStore store(diskTier(dir, 0));
-    auto put = store.set(keyOf(0), blobOf(64, 'd'));
-    ASSERT_NE(put, nullptr);
-    EXPECT_EQ(store.residentBytes(), 0u);
-    for (int i = 0; i < 2; ++i) {
-        auto hit = store.get(keyOf(0));
-        ASSERT_NE(hit, nullptr);
-        EXPECT_EQ(hit->bytes, put->bytes);
-    }
-    EXPECT_EQ(store.stats().diskHits, 2u);
-    EXPECT_EQ(store.stats().puts, 1u);
-    std::filesystem::remove_all(dir);
-}
+// ------------------------- RecordDir -----------------------------
 
-// ------------------------ Disk tier ------------------------------
-
-TEST(ContentStoreDisk, RoundTripServesWarmStartAndAbsenceIsAPlainMiss)
+TEST(RecordDir, RoundTripReadsTheRecordAndAbsenceIsAPlainMiss)
 {
-    const std::string dir = freshDir("content_store_roundtrip");
+    const std::string dir = freshRecordDir("record_dir_roundtrip");
     EXPECT_TRUE(std::filesystem::exists(writeOneRecord(dir)));
 
-    BlobStore reader(diskTier(dir));
-    auto loaded = reader.loadDiskChecked(keyOf(0));
+    BlobDir reader(dir);
+    auto loaded = reader.loadChecked(keyOf(0));
     ASSERT_TRUE(loaded.ok()) << loaded.error().message;
-    auto hit = reader.get(keyOf(0));
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->bytes, std::string(512, 'r'));
+    for (int i = 0; i < 2; ++i) {
+        auto hit = reader.get(keyOf(0));
+        ASSERT_NE(hit, nullptr);
+        EXPECT_EQ(hit->bytes, std::string(512, 'r'));
+    }
     auto s = reader.stats();
-    EXPECT_EQ(s.diskHits, 1u);
-    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.hits, 2u) << "every find() reads the record";
     EXPECT_EQ(s.corrupt, 0u);
 
-    // Second find comes from the memory tier.
-    ASSERT_NE(reader.get(keyOf(0)), nullptr);
-    EXPECT_EQ(reader.stats().diskHits, 1u);
+    // A second put of a persisted key keeps the record it found.
+    reader.set(keyOf(0), blobOf(8, 'x'));
+    EXPECT_EQ(reader.get(keyOf(0))->bytes, std::string(512, 'r'));
 
     // Absence is a config-level miss, never data corruption.
-    std::filesystem::remove(reader.diskPath(keyOf(0)));
-    BlobStore cold(diskTier(dir));
-    auto missing = cold.loadDiskChecked(keyOf(0));
+    dropRecord(reader, keyOf(0));
+    BlobDir cold(dir);
+    auto missing = cold.loadChecked(keyOf(0));
     ASSERT_FALSE(missing.ok());
     EXPECT_EQ(missing.error().category, ErrorCategory::Config);
     EXPECT_EQ(cold.get(keyOf(0)), nullptr);
@@ -302,25 +305,26 @@ TEST(ContentStoreDisk, RoundTripServesWarmStartAndAbsenceIsAPlainMiss)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ContentStoreDisk, UnwritableCacheDirDegradesToMemoryTier)
+TEST(RecordDir, UnwritableDirectorySkipsTheRecord)
 {
-    // A path below a regular file cannot be created, even by root.
-    const std::string blocker = freshDir("content_store_blocker");
+    // A path below a regular file cannot be written, even by root: the
+    // put warns and the slot stays a plain miss.
+    const std::string blocker = freshDir("record_dir_blocker");
     rewriteFile(blocker, {'x'});
-    BlobStore store(diskTier(blocker + "/nested/cache"));
-    EXPECT_TRUE(store.diskDir().empty())
-        << "an uncreatable dir disables the disk tier, not the store";
-    EXPECT_NE(store.set(keyOf(0), blobOf(64, 'a')), nullptr);
-    EXPECT_NE(store.get(keyOf(0)), nullptr);
+    BlobDir store(blocker + "/nested");
+    store.set(keyOf(0), blobOf(64, 'a'));
+    EXPECT_EQ(store.stats().puts, 1u);
+    EXPECT_EQ(store.get(keyOf(0)), nullptr);
+    EXPECT_EQ(store.stats().corrupt, 0u);
     std::filesystem::remove(blocker);
 }
 
-TEST(ContentStoreDisk, TruncationAndBitFlipsAreCorruptAndDropped)
+TEST(RecordDir, TruncationAndBitFlipsAreCorruptAndDropped)
 {
     // Below the frame floor the size check rejects a record before any
     // field is parsed; a milder truncation or a flipped bit anywhere
     // fails the whole-record checksum.
-    const std::string dir = freshDir("content_store_truncated");
+    const std::string dir = freshRecordDir("record_dir_truncated");
     const std::string path = writeOneRecord(dir);
     const std::vector<char> intact = readAll(path);
     std::vector<char> bytes(intact.begin(), intact.begin() + 10);
@@ -339,7 +343,7 @@ TEST(ContentStoreDisk, TruncationAndBitFlipsAreCorruptAndDropped)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ContentStoreDisk, FrameDefectsBehindAValidChecksumAreCorrupt)
+TEST(RecordDir, FrameDefectsBehindAValidChecksumAreCorrupt)
 {
     // Each doctored record is resealed so only the targeted frame field
     // differs: the check after the checksum must still refuse it, never
@@ -350,7 +354,7 @@ TEST(ContentStoreDisk, FrameDefectsBehindAValidChecksumAreCorrupt)
         size_t offset;
         uint8_t flip;
     };
-    const std::string dir = freshDir("content_store_frame");
+    const std::string dir = freshRecordDir("record_dir_frame");
     const std::string path = writeOneRecord(dir);
     const size_t payload_len_at = payloadOffset(readAll(path)) - 8;
     for (const Case &c : {Case{"bad magic", 0, 0x01},
@@ -372,60 +376,36 @@ TEST(ContentStoreDisk, FrameDefectsBehindAValidChecksumAreCorrupt)
     std::filesystem::remove_all(dir);
 }
 
-TEST(ContentStoreDisk, ForeignRecordAtTheWrongPathFailsTheKeyCheck)
+TEST(RecordDir, ForeignRecordAtTheWrongPathFailsTheKeyCheck)
 {
     // A checksum-valid record renamed onto another key's path must be
     // rejected by the key echo, never served as that key's value.
-    const std::string dir = freshDir("content_store_foreign");
+    const std::string dir = freshRecordDir("record_dir_foreign");
     const std::string path0 = writeOneRecord(dir);
-    BlobStore store(diskTier(dir));
-    std::filesystem::rename(path0, store.diskPath(keyOf(1)));
+    BlobDir store(dir);
+    std::filesystem::rename(path0, store.recordPath(keyOf(1)));
     expectCorruptAndDropped(dir, keyOf(1),
                             "does not match the requested key");
     std::filesystem::remove_all(dir);
 }
 
-TEST(ContentStoreDisk, PayloadTheCodecRejectsIsCorruptAndDropped)
+TEST(RecordDir, PayloadTheCodecRejectsIsCorruptAndDropped)
 {
-    const std::string dir = freshDir("content_store_codec");
+    const std::string dir = freshRecordDir("record_dir_codec");
     const std::string path = writeOneRecord(dir);
     editPayload(path, [](std::vector<char> &p) { p.assign({'B', 'A', 'D'}); });
     expectCorruptAndDropped(dir, keyOf(0), "payload defect");
     std::filesystem::remove_all(dir);
 }
 
-TEST(ContentStoreDisk, InjectedFaultTargetsCorruptDiskReads)
-{
-    // The kind's reserved target corrupts every disk read; memory hits
-    // are never injected.
-    const std::string dir = freshDir("content_store_inject");
-    writeOneRecord(dir);
-    auto parsed = FaultPlan::parse("state-corrupt:blob-store");
-    ASSERT_TRUE(parsed.ok());
-    const FaultPlan plan = std::move(parsed).value();
-    ContentStore::Config cfg = diskTier(dir);
-    cfg.plan = &plan;
-    BlobStore store(cfg);
-    auto loaded = store.loadDiskChecked(keyOf(0));
-    ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.error().category, ErrorCategory::TraceCorrupt);
-    EXPECT_NE(loaded.error().message.find("injected"), std::string::npos);
-    EXPECT_EQ(store.get(keyOf(0)), nullptr);
-    EXPECT_EQ(store.stats().corrupt, 1u);
-    store.set(keyOf(0), blobOf(128, 'a'));
-    EXPECT_NE(store.get(keyOf(0)), nullptr) << "memory hits are exempt";
-    std::filesystem::remove_all(dir);
-}
-
 // ------------------------ Concurrency ----------------------------
 
-TEST(ContentStoreConcurrent, ThreadsShareOneEvictingDiskStore)
+TEST(MemoLruConcurrent, ThreadsShareOneEvictingStore)
 {
     // Eight threads publish and read overlapping keys through a store
     // whose budget holds two values: every read sees the canonical
-    // value, from memory or disk, and no record is ever corrupt.
-    const std::string dir = freshDir("content_store_threads");
-    BlobStore store(diskTier(dir, 2 * 128));
+    // value, and evictions race with finds and puts.
+    BlobLru store(2 * 128);
     auto blob = [](int k) { return blobOf(128, char('a' + k % 6)); };
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; ++t) {
@@ -440,33 +420,57 @@ TEST(ContentStoreConcurrent, ThreadsShareOneEvictingDiskStore)
     }
     for (auto &th : threads)
         th.join();
-    EXPECT_EQ(store.stats().corrupt, 0u);
     EXPECT_GT(store.stats().evictions, 0u);
+}
+
+TEST(RecordDirConcurrent, ThreadsShareOneDirectory)
+{
+    // Eight threads write, read and delete overlapping records in one
+    // directory: every read sees the canonical value or a miss, and no
+    // record is ever corrupt.
+    const std::string dir = freshRecordDir("record_dir_threads");
+    BlobDir store(dir);
+    auto blob = [](int k) { return blobOf(128, char('a' + k % 6)); };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t) {
+        threads.emplace_back([&store, &blob, t] {
+            for (int k = t; k < t + 50; ++k) {
+                store.set(keyOf(k % 6), blob(k));
+                if (auto got = store.get(keyOf((k + 1) % 6))) {
+                    ASSERT_EQ(got->bytes, blob(k + 1).bytes);
+                }
+                if (k % 5 == 0)
+                    dropRecord(store, keyOf((k + 2) % 6));
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(store.stats().corrupt, 0u);
+    EXPECT_GT(store.stats().hits, 0u);
     std::filesystem::remove_all(dir);
 }
 
-TEST(ContentStoreConcurrent, ProcessesSharingADiskTierNeverTearRecords)
+TEST(RecordDirConcurrent, ProcessesSharingADirectoryNeverTearRecords)
 {
     // Six processes rewrite and read the same eight records for 200
     // rounds. Temp names are unique per process as well as per thread,
     // so no writer ever renames another's half-written file into place:
     // readers see complete records or none, and no temp file survives.
-    const std::string dir = freshDir("content_store_processes");
-    std::filesystem::create_directories(dir);
+    const std::string dir = freshRecordDir("record_dir_processes");
     constexpr int kProcs = 6, kKeys = 8, kRounds = 200;
     std::vector<pid_t> kids;
     for (int p = 0; p < kProcs; ++p) {
         const pid_t pid = ::fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
-            // Disk-only: every read opens the shared file.
-            BlobStore store(diskTier(dir, 0));
+            BlobDir store(dir);
             int wrong = 0;
             for (int round = 0; round < kRounds; ++round) {
                 for (int k = 0; k < kKeys; ++k) {
                     const Blob want = blobOf(4096 + 64 * k,
                                              static_cast<char>('a' + k));
-                    store.remove(keyOf(k));
+                    dropRecord(store, keyOf(k));
                     store.set(keyOf(k), want);
                     auto got = store.get(keyOf(k));
                     wrong += got && got->bytes != want.bytes;

@@ -13,13 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/fault_inject.hh"
-#include "sim/warm_state.hh"
-#include "trace/chunk_store.hh"
 #include "sim/configs.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel_runner.hh"
@@ -50,10 +47,9 @@ mustParse(const std::string &spec)
 TEST(FaultSpec, KindNamesRoundTrip)
 {
     for (FaultKind k :
-         {FaultKind::TraceCorrupt, FaultKind::StateCorrupt,
-          FaultKind::IoTransient, FaultKind::WorkerThrow,
-          FaultKind::Hang, FaultKind::CrashAbort, FaultKind::CrashSegv,
-          FaultKind::Oom, FaultKind::ExecFail,
+         {FaultKind::TraceCorrupt, FaultKind::IoTransient,
+          FaultKind::WorkerThrow, FaultKind::Hang, FaultKind::CrashAbort,
+          FaultKind::CrashSegv, FaultKind::Oom, FaultKind::ExecFail,
           FaultKind::HeartbeatStall}) {
         FaultPlan plan = mustParse(std::string(faultKindName(k)) + ":*");
         ASSERT_EQ(plan.clauses().size(), 1u);
@@ -109,8 +105,8 @@ TEST(FaultSpec, ClauseFormsParse)
 TEST(FaultSpec, MalformedSpecsAreConfigErrors)
 {
     for (const char *bad :
-         {"frobnicate:mcf", "io-transient", "io-transient:",
-          "io-transient:mcf:x0", "io-transient:mcf:xq",
+         {"frobnicate:mcf", "state-corrupt:mcf", "io-transient",
+          "io-transient:", "io-transient:mcf:x0", "io-transient:mcf:xq",
           "exception:%@5", "exception:%150@5", "exception:%10"}) {
         auto plan = FaultPlan::parse(bad);
         ASSERT_FALSE(plan.ok()) << "must reject: " << bad;
@@ -357,76 +353,6 @@ TEST(IsolatedExecution, SummaryTalliesEveryStatus)
     EXPECT_EQ(sum.timedOut, 1u);
     EXPECT_EQ(sum.total(), 4u);
     EXPECT_FALSE(sum.allOk());
-}
-
-/**
- * Disk-tier corruption injected through the stores' reserved targets:
- * every chunk ("chunk-store") and warmed-state snapshot
- * ("warm-state-store") read from the cache dirs fails its checks, so
- * each store must drop the record and the run must re-derive it —
- * regenerate the chunk, re-warm functionally. The campaign never
- * observes a fault — zero failed slots, bitwise-identical sampled
- * results — because a corrupt cache entry is a containable
- * store-internal event, not a run-level error.
- */
-TEST(IsolatedExecution, InjectedStoreCorruptionRederivesBitwise)
-{
-    const std::vector<std::string> names = {"mcf", "hmmer", "omnetpp",
-                                            "tpcc"};
-    SimConfig cfg = withCatch(baselineSkx());
-    cfg.sampling.mode = SampleMode::Sampled;
-    IsolationOptions base = optsWith(kNoFaults);
-    base.store = nullptr;
-    base.warmStore = nullptr;
-    auto baseline = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
-                                         base);
-    for (const auto &o : baseline)
-        ASSERT_TRUE(o.ok()) << o.workload;
-
-    const std::string dir =
-        ::testing::TempDir() + "fault_inject_store_cache";
-    std::filesystem::remove_all(dir);
-    ChunkStore::Config chunk_cfg;
-    chunk_cfg.diskDir = dir + "/chunks";
-    WarmStateStore::Config warm_cfg;
-    warm_cfg.diskDir = dir + "/warm";
-    { // Populate both disk tiers with intact records first.
-        ChunkStore chunks(chunk_cfg);
-        WarmStateStore warm(warm_cfg);
-        IsolationOptions opts = optsWith(kNoFaults);
-        opts.store = &chunks;
-        opts.warmStore = &warm;
-        auto warmed = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 4,
-                                           opts);
-        for (size_t i = 0; i < names.size(); ++i)
-            expectBitwiseEqual(warmed[i].result, baseline[i].result);
-    }
-
-    FaultPlan plan = mustParse(
-        "trace-corrupt:chunk-store;state-corrupt:warm-state-store");
-    chunk_cfg.plan = &plan;
-    warm_cfg.plan = &plan;
-    ChunkStore chunks(chunk_cfg);
-    WarmStateStore warm(warm_cfg);
-    for (unsigned jobs : {1u, 8u}) {
-        SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        IsolationOptions opts = optsWith(plan);
-        opts.store = &chunks;
-        opts.warmStore = &warm;
-        auto faulty = runWorkloadsIsolated(cfg, names, kInstr, kWarm,
-                                           jobs, opts);
-        for (size_t i = 0; i < names.size(); ++i) {
-            ASSERT_TRUE(faulty[i].ok())
-                << names[i]
-                << ": cache corruption must stay store-internal";
-            expectBitwiseEqual(faulty[i].result, baseline[i].result);
-        }
-    }
-    EXPECT_GT(chunks.stats().corrupt, 0u)
-        << "the injected chunk corruption was actually exercised";
-    EXPECT_GT(warm.stats().corrupt, 0u)
-        << "the injected snapshot corruption was actually exercised";
-    std::filesystem::remove_all(dir);
 }
 
 TEST(IsolatedExecution, RunStatusWireNamesRoundTrip)

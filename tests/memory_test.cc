@@ -369,17 +369,27 @@ TEST(FunctionalMemorySparse, ZeroDropsAHeldWordAndFreesItsSlot)
         EXPECT_EQ(mem.read(0x2000 + 8 * i), i == kLimit ? 9u : 1 + i);
 }
 
-TEST(FunctionalMemorySparse, WordImagesRoundTripInTheRightForm)
+TEST(FunctionalMemorySparse, WordImagesMatchTheWrittenWordsInBothForms)
 {
+    // copyTo() writes a page's full word image whatever its form: a
+    // sparse page zero-fills around its held words, a dense one copies.
     uint64_t words[FunctionalMemory::kWordsPerPage] = {};
     words[5] = 50;
     words[511] = 5110;
-    const FunctionalMemory::PagePtr few = Page::fromWords(words);
-    EXPECT_TRUE(few->sparse());
-    for (size_t i = 0; i < kLimit + 1; ++i)
+    FunctionalMemory mem;
+    for (size_t i = 0; i < FunctionalMemory::kWordsPerPage; ++i)
+        if (words[i])
+            mem.write(0x1000 + 8 * i, words[i]);
+    const FunctionalMemory::PagePtr few = handleOf(mem, 0x1000);
+    ASSERT_TRUE(few->sparse());
+    for (size_t i = 0; i < kLimit + 1; ++i) {
         words[100 + i] = i + 1;
-    const FunctionalMemory::PagePtr many = Page::fromWords(words);
-    EXPECT_FALSE(many->sparse());
+        mem.write(0x2000 + 8 * (100 + i), i + 1);
+    }
+    mem.write(0x2000 + 8 * 5, 50);
+    mem.write(0x2000 + 8 * 511, 5110);
+    const FunctionalMemory::PagePtr many = handleOf(mem, 0x2000);
+    ASSERT_FALSE(many->sparse());
 
     uint64_t back[FunctionalMemory::kWordsPerPage];
     many->copyTo(back);

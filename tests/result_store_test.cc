@@ -9,7 +9,7 @@
  * the codec cannot replay (missing keys, a non-success status)
  * self-heal as misses, and a second campaign pointed at a locked store
  * fails fast with a config error. Frame-level corruption (truncation,
- * bit flips, key mismatch) is pinned once, for all stores, by
+ * bit flips, key mismatch) is pinned by the RecordDir cases of
  * tests/content_store_test.cc.
  */
 
@@ -261,7 +261,7 @@ TEST(ResultStore, RecordsMissingKeysOrFailuresAreRejected)
     RunKey key = keyFor(cfg, "hmmer");
     auto store = mustOpen(dir.path);
     ASSERT_NE(store, nullptr);
-    const std::string path = store->diskPath(key);
+    const std::string path = store->recordPath(key);
     using Edit = std::function<void(std::string &)>;
     for (const Edit &edit :
          {Edit([](std::string &rec) { rec = "{\"status\":\"ok\"}"; }),

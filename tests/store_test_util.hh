@@ -1,11 +1,11 @@
 /**
  * @file
- * Helpers shared by the ContentStore suite and its facade tests:
- * scratch directories, whole-file reads and rewrites, payload surgery
- * that keeps a record's frame valid (payload length and trailing
- * FNV-1a recomputed) so a test reaches exactly the validation step it
- * targets, and the campaign-equivalence matrix every store must pass.
- * The frame layout is documented in common/content_store.hh.
+ * Helpers shared by the store tests: scratch directories, whole-file
+ * reads and rewrites, record surgery that keeps a RecordDir frame
+ * valid (payload length and trailing FNV-1a recomputed) so a test
+ * reaches exactly the validation step it targets, and the
+ * campaign-equivalence matrix every memo store must pass. The frame
+ * layout is documented in common/content_store.hh.
  */
 
 #ifndef CATCHSIM_TESTS_STORE_TEST_UTIL_HH_

@@ -242,7 +242,7 @@ TEST(TraceStream, SingleWorkloadObjectCanStreamTwice)
 // The memoized refill path (trace/chunk_store.hh) must be op-for-op
 // invisible: a store-backed stream serves exactly the legacy sequence
 // at every boundary shape, across rewinds, whether chunks come from
-// the generator, the memory tier, or the disk tier.
+// the generator or the store.
 
 TEST(TraceStream, StoreBackedStreamMatchesOracleAtChunkBoundaries)
 {

@@ -7,15 +7,15 @@
  *     resweeps share snapshots) and sensitive to every warming-visible
  *     knob; snapshot blobs are a pure function of the key.
  *  2. Equivalence — full sampled campaigns are bitwise-identical with
- *     the store disabled, cold, warm, disk-backed or eviction-
- *     thrashing, at jobs 1/8/16. The store may only ever be a speed
- *     lever, never a correctness hazard; detailed mode and ineligible
- *     runs never consult it.
- *  3. Record codec — snapshots sharing pages charge them once, and
- *     payload shape defects (blob overrun, page section, page order)
- *     behind a valid frame are corrupt and dropped. The LRU, frame
- *     validation and corruption containment themselves are pinned
- *     once, for all stores, by tests/content_store_test.cc.
+ *     the store disabled, cold, warm or eviction-thrashing, at jobs
+ *     1/8/16. The store may only ever be a speed lever, never a
+ *     correctness hazard; detailed mode and ineligible runs never
+ *     consult it.
+ *  3. Charge — snapshots sharing pages charge them once. The LRU
+ *     itself is pinned once, for all memo stores, by
+ *     tests/content_store_test.cc.
+ *  4. Copy-on-write safety — runs restoring one resident snapshot
+ *     never write through to it.
  *  5. Component round trips — every warmed component's save → load →
  *     save is byte-identical through a freshly constructed instance,
  *     so a restore is indistinguishable from the warm it replaced; the
@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,7 +54,7 @@ namespace
 constexpr uint64_t kInstr = 20000;
 constexpr uint64_t kWarm = 5000;
 
-/** A synthetic snapshot identity for LRU/disk unit tests. */
+/** A synthetic snapshot identity for store unit tests. */
 WarmStateKey
 wkeyAt(uint64_t n)
 {
@@ -138,7 +137,7 @@ TEST(WarmConfigDigest, WarmingVisibleKnobsReKeyTheDigest)
         EXPECT_NE(warmConfigDigest(v), d) << what;
 }
 
-// -------------------- Snapshot record codec ----------------------
+// ----------------------- Snapshot charge -------------------------
 
 /** A snapshot with two COW pages at distinct addresses. */
 WarmSnapshot
@@ -148,18 +147,6 @@ pagedSnapshot(const std::string &blob)
     mem.write(0, 1);
     mem.write(3 * kPageBytes, 2);
     return WarmSnapshot{blob, mem.snapshotPages()};
-}
-
-/** Writes pagedSnapshot("blob") for @p key into @p dir; returns the
- *  record path. */
-std::string
-writePagedRecord(const std::string &dir, const WarmStateKey &key)
-{
-    WarmStateStore::Config cfg;
-    cfg.diskDir = dir;
-    WarmStateStore writer(cfg);
-    writer.put(key, pagedSnapshot("blob"));
-    return writer.diskPath(key);
 }
 
 TEST(WarmStateCodec, SnapshotsSharingPagesChargePageDataOnce)
@@ -181,52 +168,6 @@ TEST(WarmStateCodec, SnapshotsSharingPagesChargePageDataOnce)
     EXPECT_EQ(store.residentBytes(), first);
     store.put(wkeyAt(1), std::move(b));
     EXPECT_EQ(store.residentBytes(), first + 2 + pages * sizeof(Addr));
-}
-
-TEST(WarmStateCodec, PayloadShapeDefectsAreCorruptAndDropped)
-{
-    // Each edit keeps the frame valid, so only the snapshot decoder can
-    // refuse it. Payload layout: [u64 blob len]["blob"][u64 page count]
-    // then (u64 addr, raw page) per page.
-    const std::string dir = freshDir("warm_state_codec");
-    const size_t count_at = 8 + 4;
-    const size_t page0_at = count_at + 8;
-    const size_t page1_at = page0_at + 8 + kPageBytes;
-    using Edit = std::function<void(std::vector<char> &)>;
-    const std::vector<std::pair<std::string, Edit>> cases = {
-        {"overruns the payload",
-         [](std::vector<char> &p) {
-             const uint64_t big = p.size();
-             std::memcpy(p.data(), &big, 8);
-         }},
-        {"disagrees with page count",
-         [&](std::vector<char> &p) {
-             const uint64_t n = 3;
-             std::memcpy(p.data() + count_at, &n, 8);
-         }},
-        {"disagrees with page count",
-         [](std::vector<char> &p) { p.pop_back(); }},
-        {"not strictly ascending",
-         [&](std::vector<char> &p) {
-             std::swap_ranges(p.begin() + page0_at, p.begin() + page0_at + 8,
-                              p.begin() + page1_at);
-         }},
-    };
-    for (const auto &[what, edit] : cases) {
-        SCOPED_TRACE(what);
-        editPayload(writePagedRecord(dir, wkeyAt(0)), edit);
-        WarmStateStore::Config cfg;
-        cfg.diskDir = dir;
-        WarmStateStore store(cfg);
-        auto loaded = store.loadDiskChecked(wkeyAt(0));
-        ASSERT_FALSE(loaded.ok());
-        EXPECT_EQ(loaded.error().category, ErrorCategory::TraceCorrupt);
-        EXPECT_NE(loaded.error().message.find(what), std::string::npos)
-            << loaded.error().message;
-        EXPECT_EQ(store.find(wkeyAt(0)), nullptr);
-        EXPECT_EQ(store.stats().corrupt, 1u);
-    }
-    std::filesystem::remove_all(dir);
 }
 
 // -------------------- Component round trips ----------------------
@@ -348,8 +289,7 @@ const WarmSection kWarmSections[] = {
  * with that, a restored component is indistinguishable from the
  * warmed one it replaced, by induction over any later work. The
  * per-section FNV-1a goldens pin the bytes themselves, so a layout
- * change made the same way in both halves still shows, and records
- * written by an earlier build keep loading.
+ * change made the same way in both halves still shows.
  */
 TEST(WarmStateComponents, EveryWarmedComponentRoundTripsByteIdentical)
 {
@@ -437,9 +377,10 @@ tactCountOffsets(const std::string &bytes)
 
 TEST(WarmStateComponents, DamagedSectionsAreRefused)
 {
-    // Records are checksummed, so a damaged section means a format bug;
-    // the loader must still refuse it without reading past the end or
-    // allocating for a count the bytes cannot hold (ASan runs this).
+    // Snapshots never leave memory, so a damaged section means a
+    // format bug; the loader must still refuse it without reading past
+    // the end or allocating for a count the bytes cannot hold (ASan
+    // runs this).
     ChunkStore chunks;
     WarmRig warmed(chunks);
     ASSERT_NO_FATAL_FAILURE(warmed.warm());
@@ -500,96 +441,70 @@ TEST(WarmStateComponents, GeometryMismatchRefusesTheLoad)
         << "a mis-sized snapshot must be rejected, not reinterpreted";
 }
 
-TEST(WarmStateComponents, SnapshotBlobIsAPureFunctionOfTheKey)
+TEST(WarmStateComponents, SnapshotIsAPureFunctionOfTheKey)
 {
-    // Two independent cold runs in separate processes-worth of state
-    // must publish byte-identical records at the same deterministic
-    // paths — the property that makes sharing a disk tier across
-    // machines and runs sound.
+    // Two independent cold runs, each with its own stores, must
+    // publish byte-identical snapshots under the key the simulator
+    // derives — the property that lets any later run with that key
+    // restore instead of warm.
     SimConfig cfg = sampledCfg(withCatch(baselineSkx()));
     const std::vector<std::string> names = {"mcf"};
-    std::vector<std::string> dirs;
+    const WarmStateKey key{"mcf",
+                           makeWorkload("mcf")->seed(),
+                           kWarm,
+                           kInstr + kWarm,
+                           TraceStream::kDefaultChunkOps,
+                           warmConfigDigest(cfg)};
+    std::vector<WarmStateStore::SnapshotPtr> snaps;
     for (int rep = 0; rep < 2; ++rep) {
-        const std::string dir =
-            freshDir("warm_state_pure_" + std::to_string(rep));
         ChunkStore chunks;
-        WarmStateStore::Config store_cfg;
-        store_cfg.diskDir = dir;
-        WarmStateStore warm(store_cfg);
+        WarmStateStore warm;
         auto out = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 1,
                                         optsWithStores(&chunks, &warm));
         ASSERT_TRUE(out[0].ok());
         EXPECT_EQ(warm.stats().puts, 1u)
             << "expected the global-warmup snapshot alone";
-        dirs.push_back(dir);
+        snaps.push_back(warm.find(key));
+        ASSERT_NE(snaps.back(), nullptr) << "published under the key";
     }
-    std::vector<std::vector<std::filesystem::path>> records;
-    for (const auto &dir : dirs) {
-        std::vector<std::filesystem::path> files;
-        for (const auto &e : std::filesystem::directory_iterator(dir))
-            files.push_back(e.path());
-        std::sort(files.begin(), files.end());
-        ASSERT_EQ(files.size(), 1u) << dir;
-        records.push_back(std::move(files));
-    }
-    ASSERT_EQ(records[0].size(), records[1].size())
-        << "both runs must publish the same snapshot set";
-    for (size_t i = 0; i < records[0].size(); ++i) {
-        EXPECT_EQ(records[0][i].filename(), records[1][i].filename())
-            << "the record path is part of the deterministic contract";
-        EXPECT_EQ(readAll(records[0][i]), readAll(records[1][i]))
-            << records[0][i].filename()
-            << ": independent warms must serialize bitwise-identical "
-               "state";
-    }
-    for (const auto &dir : dirs)
-        std::filesystem::remove_all(dir);
+    EXPECT_EQ(snaps[0]->bytes, snaps[1]->bytes)
+        << "independent warms must serialize bitwise-identical state";
+    EXPECT_TRUE(imageContents(snaps[0]->pages) ==
+                imageContents(snaps[1]->pages));
 }
 
 // ------------------ Campaign equivalence -------------------------
 
 /**
  * The acceptance matrix: a store-less baseline, then the warm-state
- * store off, cold, warm and disk-backed, read back from disk by a fresh
- * store (an empty memory tier, so the records themselves must restore
- * to the golden), and eviction-thrashing at jobs 1/8/16.
+ * store off, cold, warm and eviction-thrashing at jobs 1/8/16.
  */
 void
 expectWarmStateEquivalence(const SimConfig &cfg)
 {
-    const std::string dir = freshDir("warm_state_equiv_" + cfg.name);
     ChunkStore chunks; // warm-state eligibility needs a store-backed stream
-    WarmStateStore::Config disk_cfg;
-    disk_cfg.diskDir = dir;
-    WarmStateStore warm(disk_cfg); // shared across job counts: stays warm
+    WarmStateStore warm; // shared across job counts: stays warm
     WarmStateStore::Config tiny_cfg;
     tiny_cfg.memBudgetBytes = 1; // evicts after every insertion
     WarmStateStore evicting(tiny_cfg);
-    std::vector<std::unique_ptr<WarmStateStore>> cold, readers;
-    auto fresh = [&](std::vector<std::unique_ptr<WarmStateStore>> &v,
-                     const WarmStateStore::Config &c) {
-        return optsWithStores(
-            &chunks,
-            v.emplace_back(std::make_unique<WarmStateStore>(c)).get());
-    };
+    std::vector<std::unique_ptr<WarmStateStore>> cold;
     expectStoreStatesMatch(
         cfg, optsWithStores(nullptr, nullptr),
         {[&] { return optsWithStores(&chunks, nullptr); },
-         [&] { return fresh(cold, WarmStateStore::Config()); },
+         [&] {
+             return optsWithStores(
+                 &chunks,
+                 cold.emplace_back(std::make_unique<WarmStateStore>())
+                     .get());
+         },
          [&] { return optsWithStores(&chunks, &warm); },
-         [&] { return fresh(readers, disk_cfg); },
          [&] { return optsWithStores(&chunks, &evicting); }},
         kInstr, kWarm);
     for (const auto &c : cold)
         EXPECT_GT(c->stats().puts, 0u);
-    for (const auto &r : readers) {
-        EXPECT_GT(r->stats().diskHits, 0u) << "the disk tier served";
-        EXPECT_EQ(r->stats().corrupt, 0u);
-    }
     EXPECT_GT(warm.stats().hits, 0u) << "the warm store actually served";
     EXPECT_GT(evicting.stats().evictions, 0u)
         << "the tiny store actually thrashed";
-    std::filesystem::remove_all(dir);
 }
 
 TEST(WarmStateEquivalence, SampledBaselineCampaigns)
@@ -688,39 +603,6 @@ snapshotImage(WarmStateStore &store, const WarmStateKey &key)
     auto snap = store.find(key);
     EXPECT_NE(snap, nullptr);
     return snap ? imageContents(snap->pages) : ImageContents();
-}
-
-TEST(WarmStateCow, DiskReplayedSnapshotIsIsolatedFromRestoredWrites)
-{
-    // Cross-process variant: a snapshot replayed from the disk tier by
-    // a fresh store must also be isolated from a restored run's writes
-    // (fresh pages allocated off the record, then COW-shared onward).
-    const std::string dir = freshDir("warm_state_cow_disk");
-    FunctionalMemory warmed;
-    for (Addr a = 0; a < 8 * kPageBytes; a += 128)
-        warmed.write(a, ~a);
-    const WarmStateKey key = wkeyAt(3);
-    {
-        WarmStateStore::Config cfg;
-        cfg.diskDir = dir;
-        WarmStateStore writer(cfg);
-        writer.put(key, WarmSnapshot{"blob", warmed.snapshotPages()});
-    }
-    WarmStateStore::Config cfg;
-    cfg.diskDir = dir;
-    WarmStateStore reader(cfg);
-    const auto before = snapshotImage(reader, key);
-    EXPECT_EQ(reader.stats().diskHits, 1u);
-
-    auto snap = reader.find(key);
-    ASSERT_NE(snap, nullptr);
-    FunctionalMemory run;
-    run.restorePages(snap->pages);
-    for (Addr a = 0; a < 8 * kPageBytes; a += kPageBytes)
-        run.write(a, 0xfeed);
-    EXPECT_TRUE(snapshotImage(reader, key) == before)
-        << "writes after a disk replay must clone, not mutate";
-    std::filesystem::remove_all(dir);
 }
 
 TEST(WarmStateCow, ConcurrentRestoresOfOneSnapshotAreRaceFree)

@@ -52,11 +52,9 @@
  *                               a killed or failed campaign only the
  *                               runs that did not finish successfully.
  *   --store                     memoize trace chunks and warmed state
- *                               in memory; results stay bitwise-
- *                               identical (Env: CATCH_STORE=1, budget
- *                               CATCH_STORE_MB, default 384)
- *   --store-dir=<dir>           same, plus disk tiers under <dir>
- *                               (Env: CATCH_STORE_DIR)
+ *                               in memory for this campaign's
+ *                               in-process runs; results stay bitwise-
+ *                               identical (Env: CATCH_STORE=1)
  *   --list                      list all suite workloads and exit
  *
  * Option values are checked before anything runs: numbers must be plain
@@ -208,7 +206,7 @@ usage()
                  "                [--llc-add=N] [--no-prefetchers] "
                  "[--jobs=N] [--profile] [--json=FILE]\n"
                  "                [--isolate] [--result-store=DIR] "
-                 "[--store] [--store-dir=DIR] [--list]\n"
+                 "[--store] [--list]\n"
                  "                <workload>...\n");
     std::exit(2);
 }
@@ -279,6 +277,7 @@ main(int argc, char **argv)
     bool profile = false;
     std::string json_path;
     std::string store_dir;
+    bool memo = false;
     bool isolate = false;
     std::vector<std::string> workloads;
 
@@ -339,13 +338,7 @@ main(int argc, char **argv)
         } else if (arg.rfind("--result-store=", 0) == 0) {
             store_dir = value();
         } else if (arg == "--store") {
-            // Memoize trace chunks and warmed state (CATCH_STORE). Safe
-            // here: we are single-threaded until the first ThreadPool,
-            // and the stores' global() reads the environment lazily.
-            ::setenv("CATCH_STORE", "1", 1);
-        } else if (arg.rfind("--store-dir=", 0) == 0) {
-            // Same, plus disk tiers under DIR/chunks and DIR/warm.
-            ::setenv("CATCH_STORE_DIR", value().c_str(), 1);
+            memo = true;
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             usage();
@@ -413,6 +406,12 @@ main(int argc, char **argv)
         }
         store = std::move(s).value();
         opts.resultStore = store.get();
+    }
+    ChunkStore chunks;
+    WarmStateStore warm;
+    if (memo) {
+        opts.store = &chunks;
+        opts.warmStore = &warm;
     }
 
     auto outcomes =

@@ -15,22 +15,27 @@
 #   4. a rerun without injection on the same --result-store
 #      re-executes only the 3 failed runs (failures are never stored),
 #      serves the other 4 from the store, exits 0, and its results are
+#      bitwise-identical to the clean campaign;
+#   5. a sampled campaign with the in-memory memo stores (--store)
+#      exports byte-identically to the same campaign without them;
+#   6. a result-store record with one flipped byte is dropped: the
+#      rerun exits 0, re-executes only that cell, and its results are
 #      bitwise-identical to the clean campaign.
 #
 # Then the process-isolation matrix (--isolate, sim/supervisor.hh):
 #
-#   5. a clean isolated campaign at jobs=8/16 exits 0 and its export is
+#   7. a clean isolated campaign at jobs=8/16 exits 0 and its export is
 #      byte-identical to the in-process clean campaign — cross-mode,
 #      cross-worker-count bitwise identity;
-#   6. crash-segv injected into ~25% of workers: exit 2, crashed slots
+#   8. crash-segv injected into ~25% of workers: exit 2, crashed slots
 #      typed, survivors bitwise-identical to clean, identical at both
 #      job counts;
-#   7. exec-fail and heartbeat-stall cells exit 2 (typed at the unit
+#   9. exec-fail and heartbeat-stall cells exit 2 (typed at the unit
 #      level; here the exit-code contract is what is pinned);
-#   8. an OOM-killed campaign with --result-store exits 2,
+#  10. an OOM-killed campaign with --result-store exits 2,
 #      and the resumed rerun re-executes only the dead cell, exits 0,
 #      bitwise-identical to clean;
-#   9. a result-store resweep: cold run misses every cell, the rerun
+#  11. a result-store resweep: cold run misses every cell, the rerun
 #      (in-process mode, same store — the store is mode-agnostic) hits
 #      every cell, and a one-knob change (--llc-add) misses every cell
 #      again; hit/miss counters asserted from the suite JSON.
@@ -91,24 +96,38 @@ run_expect 0 "$CLI" "${ARGS[@]}" --jobs=8 \
 python3 "$HERE/check_fault_matrix.py" \
     --clean "$WORK/clean.json" --resumed "$WORK/resumed.json"
 
-echo "== warm-state snapshot corruption is contained, results identical =="
-# Sampled baseline without any store, then a cold sampled campaign that
-# populates the on-disk chunk + snapshot tiers (one --store-dir), then a
-# rerun (fresh process, so every snapshot comes off disk) with
-# state-corrupt injected into every warm-state read. Contract:
-# corruption is warn + delete + re-warm — exit 0, and all three exports
-# are byte-identical. The store trades only time, never results.
+echo "== memo stores leave sampled results byte-identical =="
+# The chunk and warmed-state stores only memoize pure functions of their
+# keys, so a sampled campaign that restores warmed state from them must
+# export exactly what the storeless campaign does.
 run_expect 0 "$CLI" "${ARGS[@]}" --sample --jobs=8 \
-    --json="$WORK/ws_clean.json" "${NAMES[@]}"
-run_expect 0 "$CLI" "${ARGS[@]}" --sample --jobs=8 \
-    --store-dir="$WORK/ws_store" \
-    --json="$WORK/ws_cold.json" "${NAMES[@]}"
-run_expect 0 env CATCH_FAULT_INJECT='state-corrupt:warm-state-store' \
-    "$CLI" "${ARGS[@]}" --sample --jobs=8 \
-    --store-dir="$WORK/ws_store" \
-    --json="$WORK/ws_faulty.json" "${NAMES[@]}"
-cmp "$WORK/ws_clean.json" "$WORK/ws_cold.json"
-cmp "$WORK/ws_clean.json" "$WORK/ws_faulty.json"
+    --json="$WORK/sampled.json" "${NAMES[@]}"
+run_expect 0 "$CLI" "${ARGS[@]}" --sample --jobs=8 --store \
+    --json="$WORK/sampled_store.json" "${NAMES[@]}"
+cmp "$WORK/sampled.json" "$WORK/sampled_store.json"
+
+echo "== a corrupt result record re-executes only its cell =="
+# Flip one byte of one record after a clean stored campaign: the rerun
+# warns, drops the record, re-executes that cell alone and republishes
+# it, and every result matches the clean campaign.
+N=${#NAMES[@]}
+run_expect 0 "$CLI" "${ARGS[@]}" --jobs=8 \
+    --result-store="$WORK/corrupt_store" "${NAMES[@]}"
+REC=$(find "$WORK/corrupt_store" -name '*.res' | sort | head -n 1)
+python3 -c 'import sys
+p = sys.argv[1]
+b = bytearray(open(p, "rb").read())
+b[len(b) // 2] ^= 0x40
+open(p, "wb").write(b)' "$REC"
+run_expect 0 "$CLI" "${ARGS[@]}" --jobs=8 \
+    --result-store="$WORK/corrupt_store" \
+    --json="$WORK/corrupt_rerun.json" "${NAMES[@]}"
+python3 "$HERE/check_fault_matrix.py" --store "$WORK/corrupt_rerun.json" \
+    --hits $((N - 1)) --misses 1 --clean "$WORK/clean.json"
+[ "$(find "$WORK/corrupt_store" -name '*.res' | wc -l)" -eq "$N" ] || {
+    echo "FAIL: the dropped record was not republished" >&2
+    exit 1
+}
 
 echo "== config errors exit 2 before any simulation =="
 run_expect 2 "$CLI" "${ARGS[@]}" no-such-workload mcf
@@ -160,7 +179,6 @@ python3 "$HERE/check_fault_matrix.py" \
     --injected mcf
 
 echo "== result-store resweep re-executes only changed cells =="
-N=${#NAMES[@]}
 run_expect 0 env "${ISO_ENV[@]}" \
     "$CLI" "${ARGS[@]}" --isolate --jobs=8 \
     --result-store="$WORK/sweep_store" --json="$WORK/sweep1.json" \
