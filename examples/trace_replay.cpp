@@ -47,19 +47,20 @@ main(int argc, char **argv)
 
     // Capture once...
     Trace trace = makeWorkload(name)->generate(instrs);
-    if (!saveTrace(trace, path)) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    if (auto saved = saveTrace(trace, path); !saved.ok()) {
+        std::fprintf(stderr, "%s\n", saved.error().message.c_str());
         return 1;
     }
     std::printf("captured %zu ops of %s to %s\n", trace.ops.size(),
                 name.c_str(), path.c_str());
 
     // ...replay many times.
-    Trace replayed = loadTrace(path);
-    if (replayed.ops.empty()) {
-        std::fprintf(stderr, "reload failed\n");
+    Expected<Trace> loaded = loadTrace(path);
+    if (!loaded.ok()) {
+        std::fprintf(stderr, "%s\n", loaded.error().message.c_str());
         return 1;
     }
+    const Trace replayed = std::move(loaded).value();
 
     std::printf("\n%-28s %8s\n", "configuration", "IPC");
     for (uint64_t l2_kb : {256ULL, 512ULL, 1024ULL, 2048ULL}) {

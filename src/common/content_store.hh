@@ -12,8 +12,8 @@
  * budget, publishes first-writer-wins and counts hits, misses,
  * evictions and puts. The charge is sharing-aware: a value reports the
  * bytes it holds alone plus the parts it may share with other resident
- * values (copy-on-write memory pages), and each distinct part is
- * charged once store-wide however many entries hold it.
+ * values (memory image layers), and each distinct part is charged once
+ * store-wide however many entries hold it.
  *
  * RecordDir (ResultStore). One record per key in one checksummed
  * frame, written to a process-unique temp name and renamed into place,

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/logging.hh"
-
 namespace catchsim
 {
 
@@ -16,15 +14,24 @@ FunctionalMemory::PagePtr
 clonePage(const FunctionalMemory::Page &page)
 {
     if (page.sparse())
-        return std::make_shared<FunctionalMemory::SparsePage>(
+        return std::make_unique<FunctionalMemory::SparsePage>(
             static_cast<const FunctionalMemory::SparsePage &>(page));
-    return std::make_shared<FunctionalMemory::DensePage>(
+    return std::make_unique<FunctionalMemory::DensePage>(
         static_cast<const FunctionalMemory::DensePage &>(page));
 }
 
 } // namespace
 
 // --- page forms ---------------------------------------------------------
+
+void
+FunctionalMemory::PageDelete::operator()(Page *p) const
+{
+    if (p->sparse())
+        std::default_delete<SparsePage>()(static_cast<SparsePage *>(p));
+    else
+        std::default_delete<DensePage>()(static_cast<DensePage *>(p));
+}
 
 bool
 FunctionalMemory::SparsePage::set(size_t i, uint64_t v)
@@ -82,15 +89,19 @@ FunctionalMemory::fill(Addr page, Page *p, bool writable) const
 }
 
 FunctionalMemory::Page *
+FunctionalMemory::basePage(Addr page) const
+{
+    for (const PageImage::Layer *l = base_.top_.get(); l; l = l->below.get())
+        if (auto it = l->pages.find(page); it != l->pages.end())
+            return it->second.get();
+    return nullptr;
+}
+
+FunctionalMemory::Page *
 FunctionalMemory::lookup(Addr page) const
 {
-    Page *data = nullptr;
-    if (auto it = pages_.find(page); it != pages_.end()) {
-        data = it->second.get();
-    } else if (base_) {
-        if (auto b = base_->pages.find(page); b != base_->pages.end())
-            data = b->second.get();
-    }
+    auto it = pages_.find(page);
+    Page *data = it != pages_.end() ? it->second.get() : basePage(page);
     if (data) // missing pages are not cached: they read as 0
         fill(page, data, false);
     return data;
@@ -107,48 +118,30 @@ FunctionalMemory::readSlow(Addr addr) const
     return p ? p->word(wordIndex(addr)) : 0;
 }
 
-/**
- * A use_count() of 1 means no snapshot or sibling run holds this
- * private page, so in-place mutation is safe: the count can only grow
- * through an existing handle, and the only other handle sources (the
- * snapshot store, a published image) copy under their own locks from
- * handles they already own. Base pages are never written.
- */
 FunctionalMemory::PagePtr *
 FunctionalMemory::ownPage(Addr page, size_t i, uint64_t value)
 {
-    // 0 over a word a sparse page does not hold stores nothing, so it
-    // neither clones a shared page nor dirties a base one.
-    auto storesNothing = [i, value](Page *p) {
-        return !value && p->sparse() && !sparse(p)->holds(i);
-    };
     auto it = pages_.find(page);
     if (it == pages_.end()) {
-        Page *below = nullptr;
-        if (base_)
-            if (auto b = base_->pages.find(page); b != base_->pages.end())
-                below = b->second.get();
-        if (below && storesNothing(below)) {
+        Page *below = basePage(page);
+        // 0 over a word a sparse base page does not hold stores
+        // nothing, so it leaves the page in the base.
+        if (below && !value && below->sparse() && !sparse(below)->holds(i)) {
             fill(page, below, false);
             return nullptr;
         }
         // The first write to a base page clones it into the private
-        // layer; the base stays frozen for every other adopter. A page
-        // new to both layers starts sparse and empty.
+        // layer; the image stays frozen for every memory sharing it. A
+        // page new to both layers starts sparse and empty.
         it = pages_
                  .emplace(page, below ? clonePage(*below)
-                                      : std::make_shared<SparsePage>())
+                                      : std::make_unique<SparsePage>())
                  .first;
-        shadowed_ += below != nullptr;
-        privateBytes_ += it->second->bytes();
-    } else if (it->second.use_count() > 1) {
-        if (storesNothing(it->second.get())) {
-            fill(page, it->second.get(), false);
-            return nullptr;
+        if (below) {
+            ++shadowed_;
+            shadowedBytes_ += below->bytes();
         }
-        // Copy-on-write: the page is shared with a snapshot image;
-        // clone it so the snapshot stays bitwise-frozen.
-        it->second = clonePage(*it->second);
+        privateBytes_ += it->second->bytes();
     }
     fill(page, it->second.get(), true);
     return &it->second;
@@ -175,7 +168,7 @@ FunctionalMemory::writeSlow(Addr addr, uint64_t value)
         if (sp->set(i, value))
             return;
         // The first word past kSparseWords promotes the page for good.
-        auto d = std::make_shared<DensePage>();
+        auto d = std::make_unique<DensePage>();
         for (size_t k = 0; k < sp->count; ++k)
             d->words[sp->offsets[k]] = sp->values[k];
         privateBytes_ += sizeof(DensePage) - sizeof(SparsePage);
@@ -195,71 +188,56 @@ FunctionalMemory::clearTlb()
     tlbCold_ = true;
 }
 
-// --- layers -------------------------------------------------------------
+// --- images -------------------------------------------------------------
+
+std::vector<std::pair<Addr, const FunctionalMemory::Page *>>
+FunctionalMemory::PageImage::list() const
+{
+    std::vector<std::pair<Addr, const Page *>> out;
+    forEachLayer([&out](const Layer &l) {
+        for (const auto &[addr, page] : l.pages)
+            out.emplace_back(addr, page.get());
+    });
+    // Stable, so of a page's copies the newest layer's sorts first.
+    std::stable_sort(out.begin(), out.end(), [](const auto &a, const auto &b) {
+        return a.first < b.first;
+    });
+    out.erase(std::unique(out.begin(), out.end(),
+                          [](const auto &a, const auto &b) {
+                              return a.first == b.first;
+                          }),
+              out.end());
+    return out;
+}
 
 FunctionalMemory::PageImage
-FunctionalMemory::snapshotPages() const
+FunctionalMemory::snapshotPages()
 {
-    PageImage image;
-    image.reserve(pagesAllocated());
-    auto take = [&image](const PageMap &layer, const PageMap *above) {
-        // catch-analyze: allow(unordered-iter) entries are sorted below
-        for (const auto &kv : layer)
-            if (!above || !above->count(kv.first))
-                image.emplace_back(kv.first, kv.second);
-    };
-    take(pages_, nullptr);
-    if (base_)
-        take(base_->pages, shadowed_ ? &pages_ : nullptr);
-    std::sort(image.begin(), image.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    // Every private page is now shared with the image: drop write
-    // validity so the next write per page funnels through the clone
-    // check. Read translations stay cached — sharing moves no page.
+    if (pages_.empty())
+        return base_;
+    auto layer = std::make_shared<PageImage::Layer>();
+    layer->ownBytes = privateBytes_;
+    layer->count = base_.size() + pages_.size() - shadowed_;
+    layer->bytes = base_.bytes() + privateBytes_ - shadowedBytes_;
+    layer->pages = std::move(pages_);
+    layer->below = std::move(base_.top_);
+    base_.top_ = std::move(layer);
+    pages_ = PageMap();
+    shadowed_ = privateBytes_ = shadowedBytes_ = 0;
+    // The private pages moved into the image: none is writable here any
+    // more. Read translations still point at the same pages.
     for (auto &e : tlb_)
         e.wpage = ~Addr(0);
-    return image;
+    return base_;
 }
 
 void
 FunctionalMemory::restorePages(const PageImage &image)
 {
-    base_.reset();
-    shadowed_ = 0;
-    privateBytes_ = 0;
+    base_ = image;
     pages_.clear();
-    pages_.reserve(image.size());
-    for (const auto &kv : image) {
-        pages_.emplace(kv.first, kv.second);
-        privateBytes_ += kv.second->bytes();
-    }
-    // The old layers' pages are gone; every cached translation is stale.
-    clearTlb();
-}
-
-FunctionalMemory::BasePtr
-FunctionalMemory::publishBase()
-{
-    CATCHSIM_ASSERT(!base_, "publishBase() over an existing base layer");
-    auto base = std::make_shared<const BaseLayer>(
-        BaseLayer{std::move(pages_), privateBytes_});
-    pages_ = PageMap();
-    privateBytes_ = 0;
-    base_ = base;
-    // The pages moved into the immutable base: none is writable here
-    // any more. Read translations still point at the same pages.
-    for (auto &e : tlb_)
-        e.wpage = ~Addr(0);
-    return base;
-}
-
-void
-FunctionalMemory::adoptBase(BasePtr base)
-{
-    base_ = std::move(base);
-    shadowed_ = 0;
-    privateBytes_ = 0;
-    pages_.clear();
+    shadowed_ = privateBytes_ = shadowedBytes_ = 0;
+    // The old layers' pages may be gone; every cached translation is stale.
     clearTlb();
 }
 

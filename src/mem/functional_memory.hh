@@ -20,25 +20,23 @@
  * Both forms read back the same words, so the form is invisible to
  * every caller but the byte accounting (Page::bytes()).
  *
- * Two layers. A memory may sit on an immutable shared base layer — a
- * kernel image's post-setup page map (trace/kernel_image.hh) that every
- * start of the kernel adopts as one shared_ptr — under a private layer
- * of the pages this memory wrote. A lookup tries the private layer
- * first, then the base; the first write to a base page clones it into
- * the private layer. A start and its teardown therefore cost O(pages
- * written), and neither touches a base page's reference count.
+ * Two layers. A memory reads through a private layer of the pages it
+ * wrote since its base was set, then its base: an immutable PageImage,
+ * a stack of page maps that any number of memories share at once.
+ * The first write to a base page clones it, in its own form, into the
+ * private layer; no memory ever writes an image's pages, so concurrent
+ * runs on one image share its pages without locks or reference counts.
  *
- * Private pages are refcounted and copy-on-write so warmed-state
- * snapshots are cheap (sim/warm_state.hh): snapshotPages() hands out
- * shared handles to the live pages (base and private) instead of
- * copying them, restorePages() adopts a snapshot's handles instead of
- * rebuilding the map page by page, and the first write to a page that
- * is still shared with a snapshot (or with a sibling restored run)
- * clones just that page, in its own form. A page whose handle is held
- * by more than one owner, and every base page, is immutable by
- * contract whatever its form — the write path enforces it — so
- * concurrent runs restored from the same resident snapshot or image
- * can share physical pages safely.
+ * That is the one way pages are shared. snapshotPages() moves the
+ * private layer into a new image laid over the current base and makes
+ * that image the base, so a snapshot costs O(1) page work and the
+ * snapshotting memory clones each page again on its next write to it;
+ * restorePages() stores one shared pointer. A kernel image is the
+ * image its building start snapshots right after setup() (see
+ * trace/kernel_image.hh), and a warmed-state snapshot is one more
+ * layer over it (sim/warm_state.hh), so a restored run reads through
+ * at most two layers. Each layer also keeps its image's page count
+ * and byte total, so size() and bytes() never walk the pages.
  *
  * read() and write() are inline: their translation-cache hit on a
  * dense page is the kernels' per-access cost. Sparse pages are cached
@@ -74,12 +72,18 @@ class FunctionalMemory
     struct DensePage;
     struct SparsePage;
 
-    /**
-     * Shared page handle. A handle with use_count() > 1 points at an
-     * immutable page (snapshots and sibling runs may read it
-     * concurrently); the owning memory clones before its first write.
-     */
-    using PagePtr = std::shared_ptr<Page>;
+    /** Frees a page in its own form (Page has no virtual destructor,
+     *  which would add a pointer to every page). */
+    struct PageDelete
+    {
+        PageDelete() = default;
+        /** Lets a std::make_unique of either form convert to PagePtr. */
+        template <typename T> PageDelete(std::default_delete<T>) {}
+        void operator()(Page *p) const;
+    };
+
+    /** A page's one owner: a memory's private layer or an image layer. */
+    using PagePtr = std::unique_ptr<Page, PageDelete>;
 
     /** One 4 KB page of words, in the dense or the sparse form. */
     class Page
@@ -90,7 +94,7 @@ class FunctionalMemory
         /** Word @p i of the page, i < kWordsPerPage. */
         uint64_t word(size_t i) const;
 
-        /** Heap bytes of the page body in its form (handles and map
+        /** Heap bytes of the page body in its form (pointers and map
          *  nodes excluded). */
         size_t bytes() const;
 
@@ -146,21 +150,51 @@ class FunctionalMemory
         bool set(size_t i, uint64_t v);
     };
 
-    /** A memory image: (page address, handle) in ascending address
-     *  order, sharing pages with whichever memory produced it. */
-    using PageImage = std::vector<std::pair<Addr, PagePtr>>;
-
-    /** Page address to handle. */
+    /** Page address to page. */
     using PageMap = std::unordered_map<Addr, PagePtr>;
 
-    /** An immutable page map any number of memories adopt at once as
-     *  their base layer; none of them ever writes its pages. */
-    struct BaseLayer
+    /**
+     * An immutable memory image any number of memories share as their
+     * base: a stack of page-map layers, each shadowing the pages of the
+     * layers below it. Copying an image copies one shared pointer; the
+     * default image is empty.
+     */
+    class PageImage
     {
-        PageMap pages;
-        size_t bytes = 0; ///< Page::bytes() summed over pages
+      public:
+        /** One layer; the image's top layer is its newest. */
+        struct Layer
+        {
+            PageMap pages;                      ///< shadow those below
+            std::shared_ptr<const Layer> below; ///< may be null
+            size_t ownBytes = 0; ///< Page::bytes() summed over pages
+            size_t count = 0;    ///< distinct pages, this layer and below
+            size_t bytes = 0;    ///< Page::bytes() summed over those
+        };
+
+        /** Distinct pages in the image. */
+        size_t size() const { return top_ ? top_->count : 0; }
+
+        /** Page::bytes() summed over the image's distinct pages. */
+        size_t bytes() const { return top_ ? top_->bytes : 0; }
+
+        /** Calls @p fn on every layer, newest first. */
+        template <typename Fn>
+        void
+        forEachLayer(Fn &&fn) const
+        {
+            for (const Layer *l = top_.get(); l; l = l->below.get())
+                fn(*l);
+        }
+
+        /** Every distinct page, its newest copy, in ascending address
+         *  order: for inspection, O(pages). */
+        std::vector<std::pair<Addr, const Page *>> list() const;
+
+      private:
+        friend class FunctionalMemory;
+        std::shared_ptr<const Layer> top_;
     };
-    using BasePtr = std::shared_ptr<const BaseLayer>;
 
     FunctionalMemory() = default;
 
@@ -197,42 +231,26 @@ class FunctionalMemory
     size_t
     pagesAllocated() const
     {
-        return pages_.size() + (base_ ? base_->pages.size() : 0) -
-               shadowed_;
+        return pages_.size() + base_.size() - shadowed_;
     }
 
     /**
-     * Captures the current contents (base ∪ private, in ascending
-     * address order) as a shared image, O(pages) handle copies — no
-     * page data moves. Every live private page becomes shared with the
-     * image, so the next write to each one takes the clone path; reads
-     * keep their cached translations.
+     * The current contents as an image, which also becomes this
+     * memory's base: the private pages move, uncopied, into a new layer
+     * over the old base (or into the image's only layer when there is
+     * none), so the next write here to each of them clones it. With no
+     * write since the base was set, the base itself. Reads keep their
+     * cached translations.
      */
-    PageImage snapshotPages() const;
+    PageImage snapshotPages();
 
     /**
-     * Replaces the entire contents with @p image, adopting its handles
-     * in place and dropping any base layer (the object's address — the
-     * feeder's value source — is preserved; the translation cache
-     * restarts cold). The image's pages stay shared: a later write here
-     * clones, never mutates them.
+     * Replaces the entire contents with @p image as the base and an
+     * empty private layer, in O(1): one shared pointer is stored. The
+     * object's address — the feeder's value source — is preserved; the
+     * translation cache restarts cold.
      */
     void restorePages(const PageImage &image);
-
-    /**
-     * Moves every page into a new immutable base layer, adopts it and
-     * returns it for other memories to adopt. Contents are unchanged.
-     * @pre the memory has no base layer yet (it was built from empty or
-     *      from restorePages()).
-     */
-    BasePtr publishBase();
-
-    /**
-     * Replaces the entire contents with @p base as the base layer and
-     * an empty private layer, in O(1): one shared_ptr is stored, no page
-     * handle is copied. The translation cache restarts cold.
-     */
-    void adoptBase(BasePtr base);
 
   private:
     // Direct-mapped page-translation cache: sequential generation hits
@@ -240,11 +258,11 @@ class FunctionalMemory
     // set spans thousands of pages — mcf ~8.7k, hpc.stream ~17k) land
     // on a cached translation instead of a hash probe. `page` tags a
     // read-valid translation; `wpage` additionally tags it write-valid
-    // (the page is private and exclusively owned). A sparse page's
-    // tags carry kSparseTag, so the inline dense check never matches
-    // them. Snapshotting clears only the write tags — reads stay
-    // cached across a snapshot, and the first write per page funnels
-    // through the slow path to clone.
+    // (the page is in the private layer). A sparse page's tags carry
+    // kSparseTag, so the inline dense check never matches them.
+    // Snapshotting clears only the write tags — reads stay cached
+    // across a snapshot, and the first write per page funnels through
+    // the slow path to clone.
     // 16384 entries x 24 B = 384 KB, host-L2/L3-resident and large
     // enough to hold every suite workload's full page set.
     static constexpr size_t kTlbEntries = 16384;
@@ -263,18 +281,21 @@ class FunctionalMemory
      *  translation; untouched memory reads 0. */
     uint64_t readSlow(Addr addr) const;
 
-    /** Slow write path: clones a shared or base page, creates a new
-     *  sparse page, or promotes a full one, then stores the word. */
+    /** Slow write path: clones a base page, creates a new sparse
+     *  page, or promotes a full one, then stores the word. */
     void writeSlow(Addr addr, uint64_t value);
 
     /** Resolves @p page (private layer first, then the base) and caches
      *  a read-only translation; null when untouched. */
     Page *lookup(Addr page) const;
 
-    /** The private, exclusively owned handle for @p page — cloned from
-     *  a shared or base page or created empty — cached write-valid; or
-     *  null, with nothing cloned, when writing @p value to word @p i of
-     *  a shared or base sparse page would store nothing. */
+    /** @p page in the newest base layer that holds it, or null. */
+    Page *basePage(Addr page) const;
+
+    /** The private handle for @p page — cloned from a base page or
+     *  created empty — cached write-valid; or null, with nothing
+     *  cloned, when writing @p value to word @p i of a sparse base page
+     *  would store nothing. */
     PagePtr *ownPage(Addr page, size_t i, uint64_t value);
 
     /** Caches @p p as @p page's translation, write-valid or not. */
@@ -296,19 +317,20 @@ class FunctionalMemory
                (kTlbEntries - 1);
     }
 
-    // Handles live by value in the maps; the pages themselves are heap
-    // allocations that never move, so the translation cache below (and
-    // any pointer held across other accesses) stays valid until the
-    // page is cloned or promoted or a layer is replaced — each of which
-    // updates or invalidates the affected cache entries explicitly.
-    PageMap pages_;          ///< private layer: the pages this memory wrote
-    BasePtr base_;           ///< shared base layer, never written; may be null
-    size_t shadowed_ = 0;    ///< private pages that shadow a base page
-    size_t privateBytes_ = 0; ///< Page::bytes() summed over pages_
+    // Pages are heap allocations that never move, not even when a
+    // snapshot moves the private map into an image, so the translation
+    // cache below (and any pointer held across other accesses) stays
+    // valid until the page is promoted or the base is replaced — each
+    // of which updates or invalidates the affected cache entries.
+    PageMap pages_;   ///< private layer: written since the base was set
+    PageImage base_;  ///< never written; may be empty
+    size_t shadowed_ = 0;      ///< private pages that shadow a base page
+    size_t privateBytes_ = 0;  ///< Page::bytes() summed over pages_
+    size_t shadowedBytes_ = 0; ///< ... and over the base pages shadowed
 
     mutable TlbEntry tlb_[kTlbEntries];
     /** No entry has been filled since construction or the last clear,
-     *  so clearing is free: a fresh memory's adoption skips the pass. */
+     *  so clearing is free: a fresh memory's restore skips the pass. */
     mutable bool tlbCold_ = true;
 };
 

@@ -78,16 +78,19 @@ summarizeOutcomes(const std::vector<RunOutcome> &outcomes)
 IsolationOptions
 IsolationOptions::fromEnvironment()
 {
+    // A value past the unsigned range saturates rather than wrapping
+    // (2^32 would wrap to 0: one attempt, no heartbeat grace).
+    auto knob = [](const char *name, uint64_t fallback, uint64_t floor) {
+        return static_cast<unsigned>(
+            std::clamp<uint64_t>(envU64(name, fallback), floor,
+                                 std::numeric_limits<unsigned>::max()));
+    };
     IsolationOptions o;
     o.budget = RunBudget::fromEnvironment();
-    o.maxAttempts = static_cast<unsigned>(
-        std::max<uint64_t>(1, envU64("CATCH_MAX_ATTEMPTS", 3)));
-    o.backoffMs =
-        static_cast<unsigned>(envU64("CATCH_BACKOFF_MS", 100));
+    o.maxAttempts = knob("CATCH_MAX_ATTEMPTS", 3, 1);
+    o.backoffMs = knob("CATCH_BACKOFF_MS", 100, 0);
     o.profile = envU64("CATCH_PROFILE", 0) != 0;
-    o.heartbeatTimeoutMs = static_cast<unsigned>(
-        std::max<uint64_t>(1, envU64("CATCH_HEARTBEAT_TIMEOUT_MS",
-                                     30000)));
+    o.heartbeatTimeoutMs = knob("CATCH_HEARTBEAT_TIMEOUT_MS", 30000, 1);
     return o;
 }
 

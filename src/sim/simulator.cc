@@ -27,10 +27,10 @@ namespace
  * but warm fills query it through the hierarchy's criticality callback
  * and its cumulative query counters are never reset, so skipping the
  * warmup must restore them too. The functional-memory image travels
- * beside the blob as copy-on-write shared pages (WarmSnapshot), which
- * the stream's restore adopts; taking it marks every live page shared,
- * so the run's own later writes clone instead of mutating the
- * published snapshot.
+ * beside the blob as an immutable page image (WarmSnapshot), which
+ * the stream's restore makes its memory's base; taking it makes it the
+ * snapshotting memory's base too, so the run's own later writes clone
+ * instead of mutating the published snapshot.
  */
 template <typename IO, typename Pos, typename Stream, typename Hierarchy,
           typename Predictor, typename Detector, typename TactT,

@@ -115,12 +115,12 @@ WarmStateStore::remove(const WarmStateKey &key)
 size_t
 WarmStateStore::charge(const void *value, const PartFn &shared) const
 {
-    // Blob bytes and page addresses belong to this snapshot alone; the
-    // page data, at each page's size in its form, is shared
-    // copy-on-write with sibling snapshots.
+    // Blob bytes and page addresses belong to this snapshot alone; each
+    // image layer, its pages at their size in their form, may be shared
+    // with sibling snapshots (a kernel image's is shared with all).
     const WarmSnapshot &snap = *static_cast<const WarmSnapshot *>(value);
-    for (const auto &kv : snap.pages)
-        shared(kv.second.get(), kv.second->bytes());
+    snap.pages.forEachLayer(
+        [&shared](const auto &layer) { shared(&layer, layer.ownBytes); });
     return snap.bytes.size() + snap.pages.size() * sizeof(Addr);
 }
 

@@ -19,12 +19,12 @@
  * (sim/result_store.hh) already replays whole.
  *
  * Snapshots are split into a byte blob (every non-memory component) and
- * a copy-on-write functional-memory page image: the store and restored
- * runs share refcounted immutable page handles, so a restore adopts
- * pointers instead of copying the page map, and a run's first write to
- * a shared page clones just that page (mem/functional_memory.hh). Pages
- * are sparse or dense, and the budget charges each at its size in its
- * form.
+ * a functional-memory PageImage (mem/functional_memory.hh): the run's
+ * private pages laid as one more layer over its kernel image, the same
+ * immutable kind of image every start restores. A restore stores one
+ * pointer, and a run's first write to an image page clones just that
+ * page. Pages are sparse or dense, and the budget charges each at its
+ * size in its form.
  *
  * Keying is honest by construction:
  *   - the key carries the trace identity (kernel, seed, totalOps,
@@ -80,34 +80,31 @@ uint64_t warmConfigDigest(const SimConfig &cfg);
 
 /**
  * One warmed-state snapshot: the serialized non-memory components plus
- * a copy-on-write functional-memory image whose page handles are
- * shared between the store, the publishing run and every restored run.
+ * an immutable functional-memory image shared between the store, the
+ * publishing run and every restored run.
  */
 struct WarmSnapshot
 {
     std::string bytes;                 ///< every non-memory component
-    FunctionalMemory::PageImage pages; ///< COW-shared memory image
+    FunctionalMemory::PageImage pages; ///< shared memory image
 
     /** Logical size of this snapshot on its own: blob bytes plus every
      *  page at its size in its form (FunctionalMemory::Page::bytes()).
      *  Profile counters report it symmetrically for hits and misses.
-     *  The store's memory budget does NOT sum these — it charges page
-     *  data shared between resident snapshots once (see
+     *  The store's memory budget does NOT sum these — it charges image
+     *  layers shared between resident snapshots once (see
      *  WarmStateStore). */
     size_t
     residentBytes() const
     {
-        size_t n = bytes.size() + pages.size() * sizeof(Addr);
-        for (const auto &kv : pages)
-            n += kv.second->bytes();
-        return n;
+        return bytes.size() + pages.size() * sizeof(Addr) + pages.bytes();
     }
 };
 
 /**
  * Typed facade over MemoLru (common/content_store.hh): keys are
  * WarmStateKeys, values immutable snapshots charged sharing-aware —
- * blob bytes and page addresses alone, each copy-on-write page once
+ * blob bytes and page addresses alone, each image layer once
  * store-wide however many resident snapshots share it. Thread-safe.
  */
 class WarmStateStore : private MemoLru
@@ -119,8 +116,8 @@ class WarmStateStore : private MemoLru
     struct Config
     {
         /** LRU budget over the store's PHYSICAL residency: 128 MB.
-         *  Snapshots of one kernel's sweep share their copy-on-write
-         *  pages, so they typically cost one workload footprint plus
+         *  Snapshots of one kernel's sweep share their kernel image's
+         *  layer, so they typically cost one workload footprint plus
          *  deltas. */
         size_t memBudgetBytes;
         Config() : memBudgetBytes(size_t(128) << 20) {}

@@ -40,9 +40,8 @@ KernelImageStore::findOrBuild(const std::string &key,
 size_t
 KernelImageStore::imageBytes(const KernelImage &img)
 {
-    return img.pages->bytes +
-           img.pages->pages.size() *
-               sizeof(FunctionalMemory::PageMap::value_type);
+    return img.pages.bytes() +
+           img.pages.size() * sizeof(FunctionalMemory::PageMap::value_type);
 }
 
 size_t

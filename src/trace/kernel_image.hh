@@ -9,15 +9,14 @@
  * the same kernels again and again (the Fig 10 campaign six times per
  * kernel, a RATE-4 mix four times in one machine), so Workload::start()
  * builds the first two once, publishes them here as an immutable
- * KernelImage, and every later start adopts the image's prebuilt page
- * map as its memory's shared base layer (FunctionalMemory::adoptBase)
- * instead of rerunning setup(). Adoption stores one shared_ptr: no page
- * handle is copied and no page's reference count is touched, so a start
- * and its teardown cost O(pages the run writes). The adopting memory
- * clones a base page into its private layer on its first write to it,
- * so an image's pages are never written and concurrent adopters share
- * them. That holds for both page forms (mem/functional_memory.hh): a
- * sparse base page is cloned sparse, and promoted only in the clone.
+ * KernelImage, and every later start restores the image's pages
+ * (FunctionalMemory::restorePages) instead of rerunning setup(). The
+ * pages are the immutable PageImage the building start snapshotted
+ * right after setup(), so a restore stores one shared pointer and a
+ * start and its teardown cost O(pages the run writes). Like every
+ * image's (mem/functional_memory.hh), its pages are never written: a
+ * memory clones a page, in its own form, on its first write to it, so
+ * concurrent starts share them.
  *
  * Key: the suite registry name (trace/suite.cc). Kernels constructed
  * directly have no registry identity and never reach the store.
@@ -27,8 +26,8 @@
  * seeded sample of a multi-MB array costs ~100 bytes a page, not 4 KB.
  * It holds the 14-kernel quick suite (~111 MB) or the ten kernels of
  * e2ebench's mp-mix workload (~120 MB), not all 70 images (~575 MB).
- * An evicted image is rebuilt on its next start; adopters still
- * holding its base layer keep it alive until they finish.
+ * An evicted image is rebuilt on its next start; memories still
+ * holding it as their base keep it alive until they finish.
  */
 
 #ifndef CATCHSIM_TRACE_KERNEL_IMAGE_HH_
@@ -50,7 +49,7 @@ namespace catchsim
 /** A kernel's state right after setup(): its pages and its generator. */
 struct KernelImage
 {
-    FunctionalMemory::BasePtr pages; ///< never null; never written
+    FunctionalMemory::PageImage pages; ///< never empty; never written
     Rng rng;
 };
 
@@ -83,7 +82,7 @@ class KernelImageStore : private MemoLru
 
     /** The bytes @p img charges against the budget: each page at its
      *  size in its form (FunctionalMemory::Page::bytes()) plus its map
-     *  node's handle. */
+     *  entry. */
     static size_t imageBytes(const KernelImage &img);
 
     /** The process-wide store every registry kernel starts through. */

@@ -6,8 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/logging.hh"
-
 namespace catchsim
 {
 
@@ -100,7 +98,7 @@ decodeOpRecord(const uint8_t *in, MicroOp *op)
 } // namespace
 
 Expected<void>
-saveTraceChecked(const Trace &trace, const std::string &path)
+saveTrace(const Trace &trace, const std::string &path)
 {
     FilePtr f(std::fopen(path.c_str(), "wb"));
     if (!f)
@@ -147,17 +145,8 @@ saveTraceChecked(const Trace &trace, const std::string &path)
     return {};
 }
 
-bool
-saveTrace(const Trace &trace, const std::string &path)
-{
-    auto r = saveTraceChecked(trace, path);
-    if (!r.ok())
-        warn(r.error().message);
-    return r.ok();
-}
-
 Expected<Trace>
-loadTraceChecked(const std::string &path)
+loadTrace(const std::string &path)
 {
     FilePtr f(std::fopen(path.c_str(), "rb"));
     if (!f)
@@ -245,16 +234,6 @@ loadTraceChecked(const std::string &path)
         return corrupt(file_size - expected,
                        " trailing byte(s) after the last page");
     return trace;
-}
-
-Trace
-loadTrace(const std::string &path)
-{
-    auto r = loadTraceChecked(path);
-    if (r.ok())
-        return std::move(r).value();
-    warn(r.error().message);
-    return Trace{};
 }
 
 } // namespace catchsim

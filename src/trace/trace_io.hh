@@ -39,11 +39,7 @@ namespace catchsim
 constexpr uint32_t kTraceFormatVersion = 2;
 
 /** Writes @p trace to @p path; the error names the path and cause. */
-Expected<void> saveTraceChecked(const Trace &trace,
-                                const std::string &path);
-
-/** Legacy wrapper: warns and returns false on failure. */
-bool saveTrace(const Trace &trace, const std::string &path);
+Expected<void> saveTrace(const Trace &trace, const std::string &path);
 
 /**
  * Reads and fully validates a trace. An unopenable path is a config
@@ -52,14 +48,7 @@ bool saveTrace(const Trace &trace, const std::string &path);
  * misaligned page base, trailing bytes) is trace-corrupt with a
  * message naming the offending record.
  */
-Expected<Trace> loadTraceChecked(const std::string &path);
-
-/**
- * Legacy wrapper over loadTraceChecked.
- * @returns an empty trace (no ops, null memory) after warning on any
- * failure
- */
-Trace loadTrace(const std::string &path);
+Expected<Trace> loadTrace(const std::string &path);
 
 } // namespace catchsim
 

@@ -27,7 +27,10 @@
  *     vector.
  *
  * The functional memory evolves exactly as under generate(): kernels
- * run in emission order, at most ~2 chunks ahead of consumption. The
+ * run in emission order, at most ~2 chunks ahead of consumption. It
+ * starts on its kernel's image and a warmed-state restore swaps in the
+ * snapshot's, each an immutable PageImage shared by pointer
+ * (mem/functional_memory.hh), so neither copies a page. The
  * TACT-Feeder value source (Trace::mem's "stable for the addresses
  * feeder chases" argument) is unchanged — pointer structures are
  * written during setup, which completes before the first op is served.
@@ -142,7 +145,7 @@ class TraceStream
     /**
      * Serializes the stream's consumer-visible state: the generated-op
      * frontier (total, chunk, genEnd). The functional-memory image
-     * travels separately as a copy-on-write page image — see
+     * travels separately as an immutable page image — see
      * WarmSnapshot — so restores share pages instead of reparsing
      * them. Store-backed streams only: the legacy in-place generator
      * cannot jump its kernel cursors, so snapshots are gated on the
@@ -152,10 +155,11 @@ class TraceStream
 
     /**
      * Restores a saveWarmState() stream taken at the same (workload,
-     * total, chunk) identity: adopts @p pages into the functional
-     * memory in place (the mem() address — TACT-Feeder's value source —
-     * is preserved, and the snapshot's pages stay frozen: the memory
-     * clones on first write), then re-fetches the ring chunks covering
+     * total, chunk) identity: makes the image @p pages the functional
+     * memory's base in place (the mem() address — TACT-Feeder's value
+     * source — is preserved, and the image stays frozen: the memory
+     * clones a page on its first write to it), then re-fetches the
+     * ring chunks covering
      * the restored frontier from the chunk store (regenerating on a
      * store miss) WITHOUT replaying their stores — the restored memory
      * already reflects every store before the frontier. When the live

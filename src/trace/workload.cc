@@ -57,17 +57,17 @@ Workload::start(FunctionalMemory &mem)
     if (imageKey_.empty()) {
         rng = fresh();
     } else {
-        // The building start publishes the pages it built as the
-        // image's base layer and keeps it; every other start adopts
-        // that base in O(1).
+        // The building start snapshots the pages it built as the image
+        // and keeps it as its base; every other start restores that
+        // image in O(1).
         bool built = false;
         auto img = KernelImageStore::global().findOrBuild(imageKey_, [&] {
             built = true;
             Rng r = fresh();
-            return KernelImage{mem.publishBase(), r};
+            return KernelImage{mem.snapshotPages(), r};
         });
         if (!built)
-            mem.adoptBase(img->pages);
+            mem.restorePages(img->pages);
         rng = img->rng;
     }
     restart();

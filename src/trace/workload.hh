@@ -71,7 +71,7 @@ class Workload
      * Brings the workload to op 0 of its trace: replaces @p mem's
      * contents with the post-setup memory, resets the cursors
      * (restart()) and returns the post-setup generator. The one place
-     * setup() runs. A registry workload (imageKey() set) adopts its
+     * setup() runs. A registry workload (imageKey() set) restores its
      * shared image from KernelImageStore::global(), building it on the
      * first start in the process; any other workload runs setup()
      * into @p mem. Either way the result is bitwise the same.
@@ -79,7 +79,7 @@ class Workload
     Rng start(FunctionalMemory &mem);
 
     /** Suite registry name whose shared post-setup image start()
-     *  adopts; empty for workloads constructed directly. */
+     *  restores; empty for workloads constructed directly. */
     const std::string &imageKey() const { return imageKey_; }
 
     /** Set by findWorkload. The key must name this exact kernel and

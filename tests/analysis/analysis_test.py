@@ -135,7 +135,7 @@ class CatchAnalyzeFixtures(unittest.TestCase):
         self.assertNotIn("LineTable", proc.stdout)
 
     def test_snapshot_hot_path_covers_page_images_and_field_lists(self):
-        # The COW page-image restore and a section's warmFields field
+        # The page-image restore and a section's warmFields field
         # list are run-boundary operations exactly like the blob
         # serializers: all three reached from Cache::lookup are
         # findings (the field list through a per-lookup helper), and

@@ -37,7 +37,7 @@ namespace
 {
 
 /** Test value: a byte string plus memory-only parts that other values
- *  may share (the role COW pages play for warmed-state snapshots). */
+ *  may share (the role image layers play for warmed-state snapshots). */
 struct Blob
 {
     std::string bytes;
@@ -239,7 +239,7 @@ TEST(MemoLru, SharedPartsAreChargedOnce)
     // Two resident values share one part and each hold one of their
     // own: the shared bytes count once, evicting one value keeps them
     // charged for the survivor, and evicting both returns the charge
-    // to zero — the copy-on-write page accounting of warmed-state
+    // to zero — the image-layer accounting of warmed-state
     // snapshots, checked at the primitive.
     auto shared = std::make_shared<const std::string>(1000, 's');
     auto own_a = std::make_shared<const std::string>(100, 'a');

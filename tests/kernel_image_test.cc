@@ -47,11 +47,12 @@ sameOps(const std::vector<MicroOp> &a, const std::vector<MicroOp> &b)
     return ::testing::AssertionSuccess();
 }
 
-/** Same pages at the same addresses holding the same words. */
+/** Same pages at the same addresses holding the same words.
+ *  Snapshotting leaves both memories' contents as they are. */
 ::testing::AssertionResult
-sameMemory(const FunctionalMemory &a, const FunctionalMemory &b)
+sameMemory(FunctionalMemory &a, FunctionalMemory &b)
 {
-    const auto pa = a.snapshotPages(), pb = b.snapshotPages();
+    const auto pa = a.snapshotPages().list(), pb = b.snapshotPages().list();
     if (pa.size() != pb.size())
         return ::testing::AssertionFailure()
                << pa.size() << " pages vs " << pb.size();
@@ -92,21 +93,12 @@ imageHash(const FunctionalMemory::PageImage &image)
         h ^= v;
         h *= 0x100000001b3ULL;
     };
-    for (const auto &[addr, page] : image) {
+    for (const auto &[addr, page] : image.list()) {
         mix(addr);
         for (size_t i = 0; i < FunctionalMemory::kWordsPerPage; ++i)
             mix(page->word(i));
     }
     return h;
-}
-
-/** FNV-1a over a base layer's pages, in address order. */
-uint64_t
-imageHash(const FunctionalMemory::BasePtr &base)
-{
-    FunctionalMemory probe;
-    probe.adoptBase(base);
-    return imageHash(probe.snapshotPages());
 }
 
 /**
@@ -199,12 +191,12 @@ TEST(KernelImage, SparsePagesKeepTheFullSuiteUnder600MB)
         wl->setImageKey({});
         FunctionalMemory mem;
         const Rng rng = wl->start(mem);
-        const KernelImage img{mem.publishBase(), rng};
+        const KernelImage img{mem.snapshotPages(), rng};
         const size_t bytes = KernelImageStore::imageBytes(img);
         const size_t dense =
-            img.pages->pages.size() *
+            img.pages.size() *
             (kPageBytes + sizeof(FunctionalMemory::PageMap::value_type));
-        EXPECT_LE(bytes, dense + img.pages->pages.size() * 8);
+        EXPECT_LE(bytes, dense + img.pages.size() * 8);
         if (name == "hpc.stream" || name == "tpcc" || name == "libquantum") {
             EXPECT_LT(bytes, dense / 20) << "under 5% of the dense size";
         }
@@ -228,7 +220,7 @@ TEST(KernelImageConcurrent, OneBuildPerKeyUnderContention)
                 ++builds;
                 auto mem = std::make_unique<FunctionalMemory>();
                 mem->write(kHeapBase, 42);
-                return KernelImage{mem->publishBase(), Rng(7)};
+                return KernelImage{mem->snapshotPages(), Rng(7)};
             });
         });
     }
@@ -258,12 +250,11 @@ TEST(KernelImageConcurrent, AdoptersWritingOneBasePageEachClone)
     ASSERT_TRUE(img);
     const uint64_t before = imageHash(img->pages);
     FunctionalMemory probe;
-    probe.adoptBase(img->pages);
-    const FunctionalMemory::PageImage pages = probe.snapshotPages();
+    probe.restorePages(img->pages);
+    const auto pages = img->pages.list();
     ASSERT_FALSE(pages.empty());
-    const auto &[page_addr, page] = pages[pages.size() / 2];
+    const auto &[page_addr, base_page] = pages[pages.size() / 2];
     const Addr addr = page_addr + 8;
-    const FunctionalMemory::Page *base_page = page.get();
     const uint64_t old_word = probe.read(addr);
 
     std::atomic<unsigned> ready{0};
@@ -272,16 +263,16 @@ TEST(KernelImageConcurrent, AdoptersWritingOneBasePageEachClone)
     for (unsigned t = 0; t < threads; ++t) {
         pool.emplace_back([&, t] {
             FunctionalMemory mem;
-            mem.adoptBase(img->pages);
+            mem.restorePages(img->pages);
             const uint64_t seen = mem.read(addr); // a cached base read
             ++ready;
             while (ready.load() < threads)
                 std::this_thread::yield();
             mem.write(addr, 1000 + t);
-            const auto mine = mem.snapshotPages();
+            const auto mine = mem.snapshotPages().list();
             for (const auto &[a, page] : mine)
                 if (a == pageAddr(addr))
-                    cloned[t] = page.get() != base_page;
+                    cloned[t] = page != base_page;
             kept[t] = seen == old_word && mem.read(addr) == 1000 + t &&
                       mine.size() == pages.size();
         });
@@ -318,11 +309,11 @@ TEST(KernelImageConcurrent, AdoptersCloneAndPromoteSparseBasePages)
     ASSERT_TRUE(img);
     const uint64_t before = imageHash(img->pages);
     FunctionalMemory probe;
-    probe.adoptBase(img->pages);
+    probe.restorePages(img->pages);
     std::vector<std::pair<Addr, const FunctionalMemory::Page *>> sparse;
-    for (const auto &[addr, page] : probe.snapshotPages())
+    for (const auto &[addr, page] : img->pages.list())
         if (page->sparse() && sparse.size() < 64)
-            sparse.emplace_back(addr, page.get());
+            sparse.emplace_back(addr, page);
     ASSERT_EQ(sparse.size(), 64u);
     // A word each page holds (its first) and one it does not.
     auto held = [](const FunctionalMemory::Page *p) {
@@ -337,7 +328,7 @@ TEST(KernelImageConcurrent, AdoptersCloneAndPromoteSparseBasePages)
     for (unsigned t = 0; t < threads; ++t) {
         pool.emplace_back([&, t] {
             FunctionalMemory mem;
-            mem.adoptBase(img->pages);
+            mem.restorePages(img->pages);
             bool good = true;
             for (const auto &[addr, page] : sparse)
                 good &= mem.read(addr + held(page) * 8) ==
@@ -351,10 +342,10 @@ TEST(KernelImageConcurrent, AdoptersCloneAndPromoteSparseBasePages)
                 good &= mem.pagesAllocated() == probe.pagesAllocated();
                 mem.write(free_word, 1000 + t);
             }
-            for (const auto &[addr, mine] : mem.snapshotPages())
+            for (const auto &[addr, mine] : mem.snapshotPages().list())
                 for (const auto &[base_addr, base_page] : sparse)
                     if (addr == base_addr)
-                        good &= mine.get() != base_page && mine->sparse();
+                        good &= mine != base_page && mine->sparse();
             for (const auto &[addr, page] : sparse)
                 for (size_t k = 0; k < kFill; ++k)
                     mem.write(addr + (256 + k) * 8, t * 100 + k + 1);

@@ -1,16 +1,17 @@
 /**
  * @file
- * Unit tests for the sparse functional memory, including the
- * copy-on-write page-sharing contract behind warmed-state snapshots:
- * images share pages with the live memory, sharing freezes them, and
- * the first write to a shared page clones instead of mutating — and the
- * shared base layer kernel images are adopted through. Pages come in a
- * sparse and a dense form; a randomized differential test checks every
- * read against a plain word map across both.
+ * Unit tests for the sparse functional memory, including its one
+ * page-sharing rule, behind kernel images and warmed-state snapshots
+ * alike: a snapshot moves the written pages into an immutable image
+ * that becomes the memory's base, a restore shares an image whole, and
+ * the first write to an image page clones instead of mutating. Pages
+ * come in a sparse and a dense form; a randomized differential test
+ * checks every read against a plain word map across both.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -75,29 +76,58 @@ TEST(FunctionalMemory, OverwriteSticks)
     EXPECT_EQ(mem.read(0x40), 2u);
 }
 
-// --------------------- Copy-on-write sharing ---------------------
+// --------------------- Page images ---------------------
 
-TEST(FunctionalMemoryCow, SnapshotSharesPagesWithoutCopying)
+using Page = FunctionalMemory::Page;
+using PageImage = FunctionalMemory::PageImage;
+using SparsePage = FunctionalMemory::SparsePage;
+
+/** @p image's page at @p page, or null. */
+const Page *
+pageAt(const PageImage &image, Addr page)
+{
+    for (const auto &[addr, p] : image.list())
+        if (addr == page)
+            return p;
+    return nullptr;
+}
+
+/** Number of layers in @p image. */
+size_t
+layers(const PageImage &image)
+{
+    size_t n = 0;
+    image.forEachLayer([&n](const auto &) { ++n; });
+    return n;
+}
+
+TEST(FunctionalMemoryImage, SnapshotMovesPagesWithoutCopying)
 {
     FunctionalMemory mem;
     mem.write(0x1000, 11);
     mem.write(0x100000, 22);
-    FunctionalMemory::PageImage image = mem.snapshotPages();
+    const PageImage image = mem.snapshotPages();
     ASSERT_EQ(image.size(), 2u);
-    EXPECT_LT(image[0].first, image[1].first) << "ascending addresses";
-    // Shared, not duplicated: the image holds the live pages.
-    for (const auto &kv : image)
-        EXPECT_EQ(kv.second.use_count(), 2) << "image + live map";
+    EXPECT_EQ(image.bytes(), 2 * sizeof(SparsePage));
+    EXPECT_EQ(layers(image), 1u) << "no base: the pages become the image";
+    const auto pages = image.list();
+    EXPECT_LT(pages[0].first, pages[1].first) << "ascending addresses";
+    EXPECT_EQ(mem.pagesAllocated(), 2u);
+    EXPECT_EQ(mem.read(0x1000), 11u) << "the memory reads its image";
+    // With no write since, the next snapshot is the same image: the
+    // same pages, not copies of them.
+    EXPECT_EQ(mem.snapshotPages().list(), pages);
 }
 
-TEST(FunctionalMemoryCow, WriteAfterSnapshotClonesNotMutates)
+TEST(FunctionalMemoryImage, WriteAfterSnapshotClonesNotMutates)
 {
     FunctionalMemory mem;
     mem.write(0x1000, 11);
     mem.write(0x2008, 22);
-    FunctionalMemory::PageImage image = mem.snapshotPages();
+    const PageImage image = mem.snapshotPages();
+    const Page *frozen = pageAt(image, 0x1000);
 
-    mem.write(0x1000, 99); // first write to a shared page: clones
+    mem.write(0x1000, 99); // first write to an image page: clones
     mem.write(0x2008, 88);
     EXPECT_EQ(mem.read(0x1000), 99u);
     EXPECT_EQ(mem.read(0x2008), 88u);
@@ -107,57 +137,66 @@ TEST(FunctionalMemoryCow, WriteAfterSnapshotClonesNotMutates)
     EXPECT_EQ(replay.read(0x1000), 11u)
         << "the snapshot must stay bitwise-frozen";
     EXPECT_EQ(replay.read(0x2008), 22u);
-    // After the clone the image is each page's sole extra owner.
-    EXPECT_EQ(image[0].second.use_count(), 2) << "image + replay map";
+    EXPECT_EQ(pageAt(image, 0x1000), frozen);
+    EXPECT_EQ(frozen->word(0), 11u);
+    EXPECT_NE(pageAt(mem.snapshotPages(), 0x1000), frozen)
+        << "the write went to a clone";
 }
 
-TEST(FunctionalMemoryCow, RestoredSiblingsDivergeIndependently)
+TEST(FunctionalMemoryImage, RestoredSiblingsNeverSeeEachOthersWrites)
 {
     FunctionalMemory warmed;
     for (Addr a = 0; a < 4 * kPageBytes; a += 8)
         warmed.write(a, a + 1);
-    FunctionalMemory::PageImage image = warmed.snapshotPages();
+    const PageImage image = warmed.snapshotPages();
+    const auto pages = image.list();
 
+    // Two runs restored from one snapshot write disjoint words of every
+    // page; each reads its own words and the snapshot's elsewhere.
     FunctionalMemory a, b;
     a.restorePages(image);
     b.restorePages(image);
-    a.write(0x10, 1000);
-    b.write(0x10, 2000);
-    EXPECT_EQ(a.read(0x10), 1000u);
-    EXPECT_EQ(b.read(0x10), 2000u);
-    EXPECT_EQ(warmed.read(0x10), 0x10u + 1)
-        << "the producer is isolated from both restored runs";
-    // Untouched pages remain physically shared by all four owners.
-    EXPECT_EQ(image[3].second.use_count(), 4)
-        << "image + producer + two siblings";
+    for (Addr p = 0; p < 4 * kPageBytes; p += kPageBytes) {
+        a.write(p + 0x10, 1000 + p);
+        b.write(p + 0x18, 2000 + p);
+    }
+    for (Addr p = 0; p < 4 * kPageBytes; p += kPageBytes) {
+        EXPECT_EQ(a.read(p + 0x10), 1000 + p);
+        EXPECT_EQ(a.read(p + 0x18), p + 0x18 + 1) << "b's write leaked";
+        EXPECT_EQ(b.read(p + 0x18), 2000 + p);
+        EXPECT_EQ(b.read(p + 0x10), p + 0x10 + 1) << "a's write leaked";
+        EXPECT_EQ(warmed.read(p + 0x10), p + 0x10 + 1)
+            << "the producer is isolated from both restored runs";
+    }
+    EXPECT_EQ(a.pagesAllocated(), 4u);
+    EXPECT_EQ(b.pagesAllocated(), 4u);
+    EXPECT_EQ(image.list(), pages) << "the image's pages are unchanged";
 }
 
-TEST(FunctionalMemoryCow, RepeatedWritesCloneOnlyOnce)
+TEST(FunctionalMemoryImage, RepeatedWritesCloneOnlyOnce)
 {
     FunctionalMemory mem;
     mem.write(0x0, 5);
-    FunctionalMemory::PageImage image = mem.snapshotPages();
-    mem.write(0x0, 6);
-    const void *cloned = nullptr;
-    {
-        FunctionalMemory probe;
-        probe.restorePages(mem.snapshotPages());
-        cloned = &probe; // silence unused warnings; address irrelevant
-    }
-    // After the first post-snapshot write the page is exclusive again:
-    // later writes take the fast path and no further copies happen.
+    const PageImage image = mem.snapshotPages();
+    mem.write(0x0, 6); // clones into the private layer
+    // The clone is private: later writes go to it, not to new clones.
     mem.write(0x8, 7);
     mem.write(0x0, 8);
     EXPECT_EQ(mem.read(0x0), 8u);
     EXPECT_EQ(mem.read(0x8), 7u);
-    EXPECT_NE(cloned, nullptr);
+    const PageImage after = mem.snapshotPages();
+    EXPECT_EQ(layers(after), 2u);
+    EXPECT_EQ(after.size(), 1u) << "the clone shadows, it adds no page";
+    after.forEachLayer([](const auto &l) {
+        EXPECT_EQ(l.pages.size(), 1u) << "one page per layer";
+    });
     FunctionalMemory replay;
     replay.restorePages(image);
     EXPECT_EQ(replay.read(0x0), 5u);
     EXPECT_EQ(replay.read(0x8), 0u);
 }
 
-TEST(FunctionalMemoryCow, TlbRefillDoesNotLeakWriteValidity)
+TEST(FunctionalMemoryImage, TlbRefillDoesNotLeakWriteValidity)
 {
     // Two pages that alias the same translation-cache entry: after the
     // cache entry is repurposed by a read of the aliasing page, a write
@@ -172,7 +211,7 @@ TEST(FunctionalMemoryCow, TlbRefillDoesNotLeakWriteValidity)
         << "the aliasing page must stay untouched";
 
     // And the snapshot taken mid-pattern stays frozen.
-    FunctionalMemory::PageImage image = mem.snapshotPages();
+    const PageImage image = mem.snapshotPages();
     mem.write(kAlias, 3); // write-refill the aliased entry
     mem.write(0x0, 4);    // then write the original through a refill
     EXPECT_EQ(mem.read(kAlias), 3u);
@@ -183,61 +222,57 @@ TEST(FunctionalMemoryCow, TlbRefillDoesNotLeakWriteValidity)
     EXPECT_EQ(replay.read(kAlias), 0u);
 }
 
-// --------------------- Shared base layer ---------------------
+// --------------------- Layered images ---------------------
 
-/** A base layer of three pages: words at 0x1000, 0x2008 and 0x7000. */
-FunctionalMemory::BasePtr
-threePageBase()
+/** An image of three pages: words at 0x1000, 0x2008 and 0x7000. */
+PageImage
+threePageImage()
 {
     FunctionalMemory builder;
     builder.write(0x1000, 11);
     builder.write(0x2008, 22);
     builder.write(0x7000, 33);
-    return builder.publishBase();
+    return builder.snapshotPages();
 }
 
-TEST(FunctionalMemoryBase, PublishKeepsContentsAndAdoptedReadsSeeThem)
+TEST(FunctionalMemoryLayers, SnapshotKeepsContentsAndRestoredReadsSeeThem)
 {
     FunctionalMemory builder;
     builder.write(0x1000, 11);
     builder.write(0x2008, 22);
-    const FunctionalMemory::BasePtr base = builder.publishBase();
-    ASSERT_TRUE(base);
-    EXPECT_EQ(base->pages.size(), 2u);
-    EXPECT_EQ(builder.read(0x1000), 11u) << "the publisher adopts it too";
+    const PageImage base = builder.snapshotPages();
+    EXPECT_EQ(base.size(), 2u);
+    EXPECT_EQ(builder.read(0x1000), 11u) << "the builder keeps it as base";
     EXPECT_EQ(builder.pagesAllocated(), 2u);
 
     FunctionalMemory adopter;
-    adopter.adoptBase(base);
+    adopter.restorePages(base);
     EXPECT_EQ(adopter.read(0x1000), 11u);
     EXPECT_EQ(adopter.read(0x2008), 22u);
-    EXPECT_EQ(adopter.read(0x3000), 0u) << "pages outside the base read 0";
+    EXPECT_EQ(adopter.read(0x3000), 0u) << "pages outside the image read 0";
     EXPECT_EQ(adopter.pagesAllocated(), 2u) << "reads allocate nothing";
-    EXPECT_EQ(base.use_count(), 3) << "base + publisher + adopter";
-    // Adoption copies no page handle: each page is held by the base map
-    // alone.
-    for (const auto &kv : base->pages)
-        EXPECT_EQ(kv.second.use_count(), 1);
+    // A restore copies no page: the memory's contents are the image.
+    EXPECT_EQ(adopter.snapshotPages().list(), base.list());
 }
 
-TEST(FunctionalMemoryBase, FirstWriteClonesAndLeavesTheBaseUnchanged)
+TEST(FunctionalMemoryLayers, FirstWriteClonesAndLeavesTheBaseUnchanged)
 {
-    const FunctionalMemory::BasePtr base = threePageBase();
-    const FunctionalMemory::Page *base_page = base->pages.at(0x1000).get();
+    const PageImage base = threePageImage();
+    const Page *base_page = pageAt(base, 0x1000);
 
     FunctionalMemory a, b;
-    a.adoptBase(base);
-    b.adoptBase(base);
+    a.restorePages(base);
+    b.restorePages(base);
     EXPECT_EQ(a.read(0x1000), 11u); // cache a read translation first
     a.write(0x1000, 99);            // then write through a clone
     a.write(0x1008, 98);
     EXPECT_EQ(a.read(0x1000), 99u);
     EXPECT_EQ(a.read(0x1008), 98u);
     EXPECT_EQ(a.read(0x2008), 22u) << "unwritten base pages still read";
-    EXPECT_EQ(b.read(0x1000), 11u) << "a sibling adopter is isolated";
+    EXPECT_EQ(b.read(0x1000), 11u) << "a sibling is isolated";
     EXPECT_EQ(base_page->word(0), 11u) << "the base page is frozen";
     EXPECT_EQ(base_page->word(1), 0u);
-    EXPECT_EQ(base->pages.at(0x1000).get(), base_page);
+    EXPECT_EQ(pageAt(base, 0x1000), base_page);
     EXPECT_EQ(a.pagesAllocated(), 3u) << "a clone shadows, it adds no page";
 
     a.write(0x5000, 55); // a page outside the base adds one
@@ -245,45 +280,87 @@ TEST(FunctionalMemoryBase, FirstWriteClonesAndLeavesTheBaseUnchanged)
     EXPECT_EQ(b.pagesAllocated(), 3u);
 }
 
-TEST(FunctionalMemoryBase, SnapshotIsTheMergedSortedImage)
+TEST(FunctionalMemoryLayers, SnapshotIsTheMergedSortedImage)
 {
-    const FunctionalMemory::BasePtr base = threePageBase();
+    const PageImage base = threePageImage();
     FunctionalMemory mem;
-    mem.adoptBase(base);
+    mem.restorePages(base);
     mem.write(0x2008, 77); // shadows a base page
     mem.write(0x4000, 44); // private only
     mem.write(0x0, 1);     // private only, below every base page
 
-    const FunctionalMemory::PageImage image = mem.snapshotPages();
+    const PageImage image = mem.snapshotPages();
     ASSERT_EQ(image.size(), 5u);
     EXPECT_EQ(image.size(), mem.pagesAllocated());
+    EXPECT_EQ(image.bytes(), 5 * sizeof(SparsePage))
+        << "the shadowed base page is not counted";
+    EXPECT_EQ(layers(image), 2u) << "laid over the base, not merged in";
+    const auto pages = image.list();
+    ASSERT_EQ(pages.size(), 5u);
     const Addr want[] = {0x0, 0x1000, 0x2000, 0x4000, 0x7000};
-    for (size_t i = 0; i < image.size(); ++i)
-        EXPECT_EQ(image[i].first, want[i]) << "page " << i;
-    EXPECT_EQ(image[1].second.get(), base->pages.at(0x1000).get())
+    for (size_t i = 0; i < pages.size(); ++i)
+        EXPECT_EQ(pages[i].first, want[i]) << "page " << i;
+    EXPECT_EQ(pages[1].second, pageAt(base, 0x1000))
         << "unwritten base pages are shared, not copied";
-    EXPECT_NE(image[2].second.get(), base->pages.at(0x2000).get())
+    EXPECT_NE(pages[2].second, pageAt(base, 0x2000))
         << "a written page comes from the private layer";
-    EXPECT_EQ(image[2].second->word(1), 77u);
+    EXPECT_EQ(pages[2].second->word(1), 77u);
 
     // The snapshot froze the private pages: the next write clones.
     mem.write(0x4000, 45);
-    EXPECT_EQ(image[3].second->word(0), 44u);
+    EXPECT_EQ(pages[3].second->word(0), 44u);
     EXPECT_EQ(mem.read(0x4000), 45u);
 }
 
-TEST(FunctionalMemoryBase, RestoreDropsTheBase)
+TEST(FunctionalMemoryLayers, KernelImageSnapshotAndLiveMemoryKeepTheirWords)
 {
-    const FunctionalMemory::BasePtr base = threePageBase();
+    // A memory on a kernel image is snapshotted, then written on every
+    // page: the image, the snapshot and the live memory each read
+    // their own words.
+    const PageImage kernel = threePageImage();
     FunctionalMemory mem;
-    mem.adoptBase(base);
+    mem.restorePages(kernel);
+    mem.write(0x1000, 101); // clones a kernel page
+    mem.write(0x9000, 109); // a page new to the kernel image
+    const PageImage snap = mem.snapshotPages();
+    const Addr pages[] = {0x1000, 0x2000, 0x7000, 0x9000};
+    for (Addr p : pages)
+        mem.write(p + 8, p + 2);
+
+    FunctionalMemory on_kernel, on_snap;
+    on_kernel.restorePages(kernel);
+    on_snap.restorePages(snap);
+    const uint64_t kernel_words[] = {11, 0, 33, 0};
+    const uint64_t snap_words[] = {101, 0, 33, 109};
+    for (size_t i = 0; i < 4; ++i) {
+        const Addr p = pages[i];
+        SCOPED_TRACE(p);
+        EXPECT_EQ(on_kernel.read(p), kernel_words[i]);
+        EXPECT_EQ(on_kernel.read(p + 8), p == 0x2000 ? 22u : 0u);
+        EXPECT_EQ(on_snap.read(p), snap_words[i]);
+        EXPECT_EQ(on_snap.read(p + 8), p == 0x2000 ? 22u : 0u);
+        EXPECT_EQ(mem.read(p), snap_words[i]);
+        EXPECT_EQ(mem.read(p + 8), p + 2);
+    }
+    EXPECT_EQ(kernel.size(), 3u);
+    EXPECT_EQ(snap.size(), 4u);
+    EXPECT_EQ(mem.pagesAllocated(), 4u);
+}
+
+TEST(FunctionalMemoryLayers, RestoreDropsTheBase)
+{
+    const PageImage base = threePageImage();
+    FunctionalMemory mem;
+    mem.restorePages(base);
     EXPECT_EQ(mem.read(0x1000), 11u);
     mem.write(0x2008, 5);
 
     FunctionalMemory other;
     other.write(0x9000, 9);
-    mem.restorePages(other.snapshotPages());
-    EXPECT_EQ(base.use_count(), 1) << "the memory let go of the base";
+    const PageImage image = other.snapshotPages();
+    mem.restorePages(image);
+    EXPECT_EQ(mem.snapshotPages().list(), image.list())
+        << "the memory let go of the base";
     EXPECT_EQ(mem.pagesAllocated(), 1u);
     EXPECT_EQ(mem.read(0x1000), 0u) << "no stale base translation";
     EXPECT_EQ(mem.read(0x2008), 0u) << "no stale private page";
@@ -294,15 +371,15 @@ TEST(FunctionalMemoryBase, RestoreDropsTheBase)
     EXPECT_EQ(mem.read(0x9000), 0u);
 }
 
-TEST(FunctionalMemoryBase, AdoptingAgainDropsPrivatePages)
+TEST(FunctionalMemoryLayers, RestoringAgainDropsPrivatePages)
 {
-    const FunctionalMemory::BasePtr base = threePageBase();
+    const PageImage base = threePageImage();
     FunctionalMemory mem;
-    mem.adoptBase(base);
+    mem.restorePages(base);
     mem.write(0x1000, 99);
     mem.write(0x5000, 55);
     EXPECT_EQ(mem.pagesAllocated(), 4u);
-    mem.adoptBase(base); // a restart: back to the post-setup image
+    mem.restorePages(base); // a restart: back to the post-setup image
     EXPECT_EQ(mem.pagesAllocated(), 3u);
     EXPECT_EQ(mem.read(0x1000), 11u);
     EXPECT_EQ(mem.read(0x5000), 0u);
@@ -310,18 +387,14 @@ TEST(FunctionalMemoryBase, AdoptingAgainDropsPrivatePages)
 
 // --------------------- Sparse and dense pages ---------------------
 
-using Page = FunctionalMemory::Page;
-using SparsePage = FunctionalMemory::SparsePage;
 constexpr size_t kLimit = FunctionalMemory::kSparseWords;
 
-/** The handle @p mem holds for @p page (via a snapshot), or null. */
-FunctionalMemory::PagePtr
-handleOf(const FunctionalMemory &mem, Addr page)
+/** The page @p mem holds at @p page (via a snapshot), or null. It stays
+ *  valid while @p mem or the snapshot lives. */
+const Page *
+handleOf(FunctionalMemory &mem, Addr page)
 {
-    for (const auto &kv : mem.snapshotPages())
-        if (kv.first == page)
-            return kv.second;
-    return nullptr;
+    return pageAt(mem.snapshotPages(), page);
 }
 
 TEST(FunctionalMemorySparse, PagesStartSparseAndPromoteOnOverflow)
@@ -380,7 +453,7 @@ TEST(FunctionalMemorySparse, WordImagesMatchTheWrittenWordsInBothForms)
     for (size_t i = 0; i < FunctionalMemory::kWordsPerPage; ++i)
         if (words[i])
             mem.write(0x1000 + 8 * i, words[i]);
-    const FunctionalMemory::PagePtr few = handleOf(mem, 0x1000);
+    const Page *few = handleOf(mem, 0x1000);
     ASSERT_TRUE(few->sparse());
     for (size_t i = 0; i < kLimit + 1; ++i) {
         words[100 + i] = i + 1;
@@ -388,7 +461,7 @@ TEST(FunctionalMemorySparse, WordImagesMatchTheWrittenWordsInBothForms)
     }
     mem.write(0x2000 + 8 * 5, 50);
     mem.write(0x2000 + 8 * 511, 5110);
-    const FunctionalMemory::PagePtr many = handleOf(mem, 0x2000);
+    const Page *many = handleOf(mem, 0x2000);
     ASSERT_FALSE(many->sparse());
 
     uint64_t back[FunctionalMemory::kWordsPerPage];
@@ -409,27 +482,27 @@ TEST(FunctionalMemorySparse, SharedSparsePagesCloneAndStayFrozen)
     // clone only.
     FunctionalMemory builder;
     builder.write(0x3000, 33);
-    const FunctionalMemory::BasePtr base = builder.publishBase();
-    const Page *base_page = base->pages.at(0x3000).get();
+    const PageImage base = builder.snapshotPages();
+    const Page *base_page = pageAt(base, 0x3000);
     ASSERT_TRUE(base_page->sparse());
 
     FunctionalMemory mem;
-    mem.adoptBase(base);
+    mem.restorePages(base);
     mem.write(0x3008, 0);
-    EXPECT_EQ(handleOf(mem, 0x3000).get(), base_page)
+    EXPECT_EQ(handleOf(mem, 0x3000), base_page)
         << "0 over an absent word clones nothing";
     mem.write(0x3010, 0); // without a cached translation too
-    mem.adoptBase(base);
+    mem.restorePages(base);
     mem.write(0x3018, 0);
-    EXPECT_EQ(handleOf(mem, 0x3000).get(), base_page);
+    EXPECT_EQ(handleOf(mem, 0x3000), base_page);
 
     mem.write(0x3008, 8);
-    auto clone = handleOf(mem, 0x3000);
-    EXPECT_NE(clone.get(), base_page);
+    const Page *clone = handleOf(mem, 0x3000);
+    EXPECT_NE(clone, base_page);
     EXPECT_TRUE(clone->sparse());
 
     // Snapshot the clone, then push the live page past the limit.
-    const FunctionalMemory::PageImage image = mem.snapshotPages();
+    const PageImage image = mem.snapshotPages();
     for (size_t i = 0; i < kLimit; ++i)
         mem.write(0x3100 + 8 * i, 200 + i);
     EXPECT_FALSE(handleOf(mem, 0x3000)->sparse());
@@ -439,18 +512,19 @@ TEST(FunctionalMemorySparse, SharedSparsePagesCloneAndStayFrozen)
     EXPECT_EQ(clone->word(0x100 / 8), 0u);
     EXPECT_EQ(base_page->word(1), 0u) << "the base page is frozen";
     EXPECT_EQ(base_page->word(0), 33u);
-    EXPECT_EQ(base->bytes, sizeof(SparsePage));
+    EXPECT_EQ(base.bytes(), sizeof(SparsePage));
+    EXPECT_EQ(pageAt(image, 0x3000), clone);
 }
 
 /**
  * Randomized differential test against a plain word map: reads,
  * writes (a quarter of them zeros, some unaligned), snapshots and
- * restores, and publishing and adopting base layers, over twelve pages
- * (half of them aliasing the others' translation-cache entries) whose
- * writes mostly land on a few words more than a sparse page holds, so
- * pages cross the promotion limit in every layer. Every read must match
- * the reference, and every saved snapshot and base must still read as
- * it did when it was taken.
+ * restores, over twelve pages (half of them aliasing the others'
+ * translation-cache entries) whose writes mostly land on a few words
+ * more than a sparse page holds, so pages cross the promotion limit in
+ * every layer. Snapshots stack layers over restored images. Every read
+ * must match the reference, and every saved snapshot must still read
+ * as it did when it was taken, with an exact page count and byte total.
  */
 TEST(FunctionalMemoryDifferential, MatchesAWordMapReference)
 {
@@ -462,12 +536,7 @@ TEST(FunctionalMemoryDifferential, MatchesAWordMapReference)
     };
     struct Saved
     {
-        FunctionalMemory::PageImage image;
-        State state;
-    };
-    struct SavedBase
-    {
-        FunctionalMemory::BasePtr base;
+        PageImage image;
         State state;
     };
     constexpr Addr kAlias = 16384 * kPageBytes; // translation-cache size
@@ -499,16 +568,23 @@ TEST(FunctionalMemoryDifferential, MatchesAWordMapReference)
                    << m.pagesAllocated() << " pages vs " << st.pages.size();
         return ::testing::AssertionSuccess();
     };
+    // The image's own totals against a walk of its pages.
+    auto exact = [](const PageImage &image) {
+        const auto pages = image.list();
+        size_t bytes = 0;
+        for (const auto &kv : pages)
+            bytes += kv.second->bytes();
+        return image.size() == pages.size() && image.bytes() == bytes;
+    };
 
     FunctionalMemory mem;
     State st;
-    bool has_base = false;
     std::vector<Saved> snaps;
-    std::vector<SavedBase> bases;
-    size_t sparse_seen = 0, dense_seen = 0;
-    auto tally = [&](const FunctionalMemory::PageImage &image) {
-        for (const auto &kv : image)
+    size_t sparse_seen = 0, dense_seen = 0, deepest = 0, restores = 0;
+    auto tally = [&](const PageImage &image) {
+        for (const auto &kv : image.list())
             ++(kv.second->sparse() ? sparse_seen : dense_seen);
+        deepest = std::max(deepest, layers(image));
     };
 
     for (int step = 0; step < 30000; ++step) {
@@ -526,33 +602,22 @@ TEST(FunctionalMemoryDifferential, MatchesAWordMapReference)
             const Addr a = pick();
             ASSERT_EQ(mem.read(a), expected(st, a))
                 << "step " << step << " addr 0x" << std::hex << a;
-        } else if (r < 940) {
+        } else if (r < 950) {
             Saved s{mem.snapshotPages(), st};
+            ASSERT_TRUE(exact(s.image)) << "step " << step;
+            ASSERT_EQ(s.image.size(), st.pages.size()) << "step " << step;
             tally(s.image);
-            if (snaps.size() < 8)
+            if (snaps.size() < 12)
                 snaps.push_back(std::move(s));
             else
                 snaps[rng.below(snaps.size())] = std::move(s);
-        } else if (r < 960) {
+        } else if (r < 990) {
             if (snaps.empty())
                 continue;
             const Saved &s = snaps[rng.below(snaps.size())];
             mem.restorePages(s.image);
             st = s.state;
-            has_base = false;
-        } else if (r < 990) {
-            if (!has_base) {
-                SavedBase b{mem.publishBase(), st};
-                if (bases.size() < 8)
-                    bases.push_back(std::move(b));
-                else
-                    bases[rng.below(bases.size())] = std::move(b);
-                has_base = true;
-            } else {
-                const SavedBase &b = bases[rng.below(bases.size())];
-                mem.adoptBase(b.base);
-                st = b.state;
-            }
+            ++restores;
         } else {
             ASSERT_TRUE(matches(mem, st)) << "step " << step;
             auto probe = std::make_unique<FunctionalMemory>();
@@ -560,16 +625,13 @@ TEST(FunctionalMemoryDifferential, MatchesAWordMapReference)
                 probe->restorePages(s.image);
                 ASSERT_TRUE(matches(*probe, s.state))
                     << "snapshot frozen, step " << step;
-            }
-            for (const SavedBase &b : bases) {
-                probe->adoptBase(b.base);
-                ASSERT_TRUE(matches(*probe, b.state))
-                    << "base frozen, step " << step;
+                ASSERT_TRUE(exact(s.image)) << "step " << step;
             }
         }
     }
     EXPECT_TRUE(matches(mem, st));
-    EXPECT_GT(bases.size(), 1u);
+    EXPECT_GT(restores, 0u);
+    EXPECT_GT(deepest, 2u) << "snapshots stacked layers";
     EXPECT_GT(sparse_seen, 0u) << "pages stayed sparse";
     EXPECT_GT(dense_seen, 0u) << "pages crossed the promotion limit";
 }

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -265,6 +266,33 @@ TEST(ParallelRunner, SuiteJobsEnvKnob)
             << bad << ": " << err;
     }
     ASSERT_EQ(unsetenv("CATCH_JOBS"), 0);
+}
+
+TEST(ParallelRunner, IsolationKnobsSaturateInsteadOfWrapping)
+{
+    const char *knobs[] = {"CATCH_MAX_ATTEMPTS", "CATCH_BACKOFF_MS",
+                           "CATCH_HEARTBEAT_TIMEOUT_MS"};
+    // 2^32 and beyond saturate: narrowed, they would read 0 and 1.
+    for (const char *big : {"4294967296", "4294967297"}) {
+        for (const char *k : knobs)
+            ASSERT_EQ(setenv(k, big, 1), 0);
+        const IsolationOptions o = IsolationOptions::fromEnvironment();
+        EXPECT_EQ(o.maxAttempts, std::numeric_limits<unsigned>::max())
+            << big;
+        EXPECT_EQ(o.backoffMs, std::numeric_limits<unsigned>::max()) << big;
+        EXPECT_EQ(o.heartbeatTimeoutMs,
+                  std::numeric_limits<unsigned>::max())
+            << big;
+    }
+    // The floors still hold: at least one attempt, a nonzero timeout.
+    for (const char *k : knobs)
+        ASSERT_EQ(setenv(k, "0", 1), 0);
+    const IsolationOptions o = IsolationOptions::fromEnvironment();
+    EXPECT_EQ(o.maxAttempts, 1u);
+    EXPECT_EQ(o.backoffMs, 0u);
+    EXPECT_EQ(o.heartbeatTimeoutMs, 1u);
+    for (const char *k : knobs)
+        ASSERT_EQ(unsetenv(k), 0);
 }
 
 TEST(ParallelRunner, SuiteJsonExportRoundTrips)

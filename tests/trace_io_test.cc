@@ -1,7 +1,7 @@
 /**
  * @file
  * Round-trip tests for the binary trace serialisation, plus the
- * validation layer of loadTraceChecked(): every field a bit flip can
+ * validation layer of loadTrace(): every field a bit flip can
  * damage — magic, version, counts, op classes, register indices, page
  * alignment — must come back as a typed trace-corrupt SimError, never
  * a crash, an over-allocation or a silently wrong trace.
@@ -37,7 +37,7 @@ writeTestTrace(const std::string &path, const char *workload = "mcf")
 {
     auto wl = makeWorkload(workload);
     Trace t = wl->generate(2000);
-    EXPECT_TRUE(saveTrace(t, path));
+    EXPECT_TRUE(saveTrace(t, path).ok());
     return t.ops.size();
 }
 
@@ -55,7 +55,7 @@ patchByte(const std::string &path, long offset, unsigned char value)
 void
 expectCorrupt(const std::string &path, const char *what)
 {
-    auto r = loadTraceChecked(path);
+    auto r = loadTrace(path);
     ASSERT_FALSE(r.ok()) << "must reject " << what;
     EXPECT_EQ(r.error().category, ErrorCategory::TraceCorrupt) << what;
     EXPECT_NE(r.error().message.find(what), std::string::npos)
@@ -67,8 +67,10 @@ TEST(TraceIo, RoundTripPreservesOpsAndMemory)
     auto wl = makeWorkload("mcf");
     Trace orig = wl->generate(5000);
     const std::string path = "/tmp/catchsim_roundtrip.trace";
-    ASSERT_TRUE(saveTrace(orig, path));
-    Trace back = loadTrace(path);
+    ASSERT_TRUE(saveTrace(orig, path).ok());
+    auto loaded = loadTrace(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    const Trace back = std::move(loaded).value();
     ASSERT_EQ(back.ops.size(), orig.ops.size());
     for (size_t i = 0; i < orig.ops.size(); ++i) {
         EXPECT_EQ(back.ops[i].pc, orig.ops[i].pc);
@@ -88,26 +90,23 @@ TEST(TraceIo, RoundTripPreservesOpsAndMemory)
     std::remove(path.c_str());
 }
 
-TEST(TraceIo, MissingFileYieldsEmptyTrace)
-{
-    Trace t = loadTrace("/tmp/definitely/not/here.trace");
-    EXPECT_TRUE(t.ops.empty());
-}
-
 TEST(TraceIo, CorruptHeaderRejected)
 {
+    // Header-sized, so the magic check (not the size floor) trips.
     const std::string path = "/tmp/catchsim_bad.trace";
     std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
     std::fputs("NOTATRACE", f);
+    for (long i = 9; i < kHeaderBytes + kOpBytes; ++i)
+        std::fputc(0, f);
     std::fclose(f);
-    Trace t = loadTrace(path);
-    EXPECT_TRUE(t.ops.empty());
+    expectCorrupt(path, "magic mismatch");
     std::remove(path.c_str());
 }
 
 TEST(TraceIoChecked, MissingFileIsAConfigError)
 {
-    auto r = loadTraceChecked("/tmp/definitely/not/here.trace");
+    auto r = loadTrace("/tmp/definitely/not/here.trace");
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.error().category, ErrorCategory::Config);
 }
@@ -199,15 +198,17 @@ TEST(TraceIo, TruncatedFileRejected)
     auto wl = makeWorkload("hmmer");
     Trace orig = wl->generate(2000);
     const std::string path = "/tmp/catchsim_trunc.trace";
-    ASSERT_TRUE(saveTrace(orig, path));
+    ASSERT_TRUE(saveTrace(orig, path).ok());
     // Truncate to half.
     std::FILE *f = std::fopen(path.c_str(), "rb");
     std::fseek(f, 0, SEEK_END);
     long size = std::ftell(f);
     std::fclose(f);
     ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-    Trace t = loadTrace(path);
-    EXPECT_TRUE(t.ops.empty());
+    auto r = loadTrace(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().category, ErrorCategory::TraceCorrupt)
+        << r.error().message;
     std::remove(path.c_str());
 }
 

@@ -178,11 +178,12 @@ TEST(TraceStream, GenerateIsIdempotent)
     }
 }
 
-/** Same page addresses holding the same words. */
+/** Same page addresses holding the same words. Snapshotting leaves
+ *  both memories' contents as they are. */
 bool
-sameMemory(const FunctionalMemory &a, const FunctionalMemory &b)
+sameMemory(FunctionalMemory &a, FunctionalMemory &b)
 {
-    const auto pa = a.snapshotPages(), pb = b.snapshotPages();
+    const auto pa = a.snapshotPages().list(), pb = b.snapshotPages().list();
     if (pa.size() != pb.size())
         return false;
     uint64_t wa[FunctionalMemory::kWordsPerPage];

@@ -11,11 +11,11 @@
  *     1/8/16. The store may only ever be a speed lever, never a
  *     correctness hazard; detailed mode and ineligible runs never
  *     consult it.
- *  3. Charge — snapshots sharing pages charge them once. The LRU
- *     itself is pinned once, for all memo stores, by
- *     tests/content_store_test.cc.
- *  4. Copy-on-write safety — runs restoring one resident snapshot
- *     never write through to it.
+ *  3. Charge — snapshots sharing an image charge it once, and a
+ *     snapshot's byte total is its pages' exact sum. The LRU itself is
+ *     pinned once, for all memo stores, by tests/content_store_test.cc.
+ *  4. Image safety — runs restoring one resident snapshot never write
+ *     through to it.
  *  5. Component round trips — every warmed component's save → load →
  *     save is byte-identical through a freshly constructed instance,
  *     so a restore is indistinguishable from the warm it replaced; the
@@ -139,7 +139,7 @@ TEST(WarmConfigDigest, WarmingVisibleKnobsReKeyTheDigest)
 
 // ----------------------- Snapshot charge -------------------------
 
-/** A snapshot with two COW pages at distinct addresses. */
+/** A snapshot with two pages at distinct addresses. */
 WarmSnapshot
 pagedSnapshot(const std::string &blob)
 {
@@ -159,7 +159,7 @@ TEST(WarmStateCodec, SnapshotsSharingPagesChargePageDataOnce)
     ASSERT_EQ(pages, 2u);
     // Each one-word page is charged at its sparse size, not 4 KB.
     size_t page_bytes = 0;
-    for (const auto &kv : a.pages)
+    for (const auto &kv : a.pages.list())
         page_bytes += kv.second->bytes();
     EXPECT_EQ(page_bytes, pages * sizeof(FunctionalMemory::SparsePage));
     WarmStateStore store;
@@ -170,6 +170,35 @@ TEST(WarmStateCodec, SnapshotsSharingPagesChargePageDataOnce)
     EXPECT_EQ(store.residentBytes(), first + 2 + pages * sizeof(Addr));
 }
 
+TEST(WarmStateCodec, ResidentBytesIsThePerPageSumForEveryQuickKernel)
+{
+    // A snapshot's byte total is kept by its image, never summed on
+    // demand; it must still equal the per-page walk on real warmed
+    // memories: pages cloned from the kernel image, pages it never
+    // had, and pages promoted to the dense form.
+    const SimConfig cfg = baselineSkx();
+    ChunkStore chunks;
+    for (const std::string &name : stQuickNames()) {
+        SCOPED_TRACE(name);
+        auto wl = makeWorkload(name);
+        TraceStream stream(*wl, kInstr + kWarm, TraceStream::kDefaultChunkOps,
+                           std::function<double()>(), &chunks);
+        CacheHierarchy hierarchy(cfg);
+        BranchPredictor predictor;
+        FastForward ff(0, hierarchy, predictor, nullptr);
+        ff.bind(stream);
+        ASSERT_GT(ff.warm(0, kWarm, 0), 0u);
+        const WarmSnapshot snap{"blob", stream.mem()->snapshotPages()};
+        const auto pages = snap.pages.list();
+        size_t sum = snap.bytes.size() + pages.size() * sizeof(Addr);
+        for (const auto &kv : pages)
+            sum += kv.second->bytes();
+        EXPECT_EQ(snap.pages.size(), pages.size());
+        EXPECT_EQ(snap.pages.size(), stream.mem()->pagesAllocated());
+        EXPECT_EQ(snap.residentBytes(), sum);
+    }
+}
+
 // -------------------- Component round trips ----------------------
 
 using PageImage = FunctionalMemory::PageImage;
@@ -177,13 +206,13 @@ using PageImage = FunctionalMemory::PageImage;
 /** A page image's addresses and words, deep-copied. */
 using ImageContents = std::vector<std::pair<Addr, std::vector<uint64_t>>>;
 
-/** Deep copy of @p image, for comparisons of what the shared handles
- *  point at. */
+/** Deep copy of @p image, for comparisons of what its shared pages
+ *  hold. */
 ImageContents
 imageContents(const PageImage &image)
 {
     ImageContents out;
-    for (const auto &[addr, page] : image) {
+    for (const auto &[addr, page] : image.list()) {
         std::vector<uint64_t> words(FunctionalMemory::kWordsPerPage);
         page->copyTo(words.data());
         out.emplace_back(addr, std::move(words));
@@ -314,7 +343,7 @@ TEST(WarmStateComponents, EveryWarmedComponentRoundTripsByteIdentical)
         sec.save(fresh, b);
         EXPECT_EQ(a.bytes(), b.bytes());
     }
-    // The stream adopted the image's pages; it did not reinterpret them.
+    // The stream restored the image's pages; it did not reinterpret them.
     EXPECT_TRUE(imageContents(pages) ==
                 imageContents(fresh.stream.mem()->snapshotPages()));
 
@@ -593,7 +622,7 @@ TEST(WarmStateEquivalence, PerRunProfileCountersAttributeHitsAndMisses)
     expectBitwiseEqual(warm[0].result, cold[0].result);
 }
 
-// ---------------------- COW aliasing safety ----------------------
+// --------------------- Image aliasing safety ---------------------
 
 /** Deep copy of whatever `find(key)` currently holds, for before/after
  *  comparisons that prove restored runs never mutate the snapshot. */
@@ -608,9 +637,9 @@ snapshotImage(WarmStateStore &store, const WarmStateKey &key)
 TEST(WarmStateCow, ConcurrentRestoresOfOneSnapshotAreRaceFree)
 {
     // TSan stress: many threads restore the same resident snapshot and
-    // immediately write every page. Refcount traffic on the shared
-    // handles and the clone-on-first-write path must be data-race free
-    // (shared_ptr counts are atomic; a count of 1 proves exclusivity).
+    // immediately write every page. Reads of the shared image and the
+    // clone-on-first-write path must be data-race free: no thread ever
+    // writes an image page, so none needs a lock.
     constexpr size_t kPages = 32;
     FunctionalMemory warmed;
     for (Addr a = 0; a < kPages * kPageBytes; a += 8)

@@ -156,7 +156,7 @@ TIMING_MODEL_RE = re.compile(
 # Warmed-state serialization, off-limits from the per-cycle path: the
 # section serializers, the warmFields field list each one runs, and the
 # page-image half of a snapshot, which travels through snapshotPages/
-# restorePages (copy-on-write handles). All are run-boundary
+# restorePages (an immutable shared page image). All are run-boundary
 # operations.
 SNAPSHOT_FUNC_RE = re.compile(
     r"::(saveWarmState|loadWarmState|warmFields|snapshotPages|"

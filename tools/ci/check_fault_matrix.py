@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Asserts the fault-containment contract over catchsim JSON exports.
 
-Used by tools/ci/fault_matrix.sh. Four modes:
+Used by tools/ci/fault_matrix.sh. Five modes:
 
   --clean clean.json --faulty faulty.json
       The faulty campaign (CATCH_FAULT_INJECT on mcf/tpcc/milc) must
@@ -28,6 +28,13 @@ Used by tools/ci/fault_matrix.sh. Four modes:
       must match exactly and nothing may have failed; with --clean,
       every result must also be identical to the clean campaign
       (store replays are bitwise).
+
+  --clean sampled.json --restored restored.json
+      A sampled campaign under the in-memory memo stores (--store
+      --profile) listing every workload twice in a row at jobs=1: each
+      second copy must have restored its warmed state and chunks from
+      the first (warm_state_hits 1, store_hit_chunks > 0), and every
+      copy's result must be identical to the storeless campaign's.
 """
 
 import argparse
@@ -191,6 +198,35 @@ def check_store(path, hits, misses, clean):
     print(f"store campaign OK: {hits} hit(s), {misses} miss(es)")
 
 
+def check_restored(clean, restored):
+    cdoc, cruns = load(clean)
+    with open(restored, encoding="utf-8") as f:
+        rdoc = json.load(f)
+    s = rdoc["summary"]
+    if s["failed"] or s["timed_out"] or s.get("crashed"):
+        die(f"restored campaign has failures: {s}")
+    copies = {}
+    for run in rdoc["results"]:
+        copies.setdefault(run["workload"], []).append(run)
+    if set(copies) != set(cruns):
+        die("clean and restored campaigns cover different workloads")
+    for name, runs in copies.items():
+        if len(runs) != 2:
+            die(f"{name}: {len(runs)} copies, want 2")
+        perf = runs[1]["hostPerf"]
+        if perf["warm_state_hits"] != 1:
+            die(f"{name}: second copy warm_state_hits="
+                f"{perf['warm_state_hits']}, want 1")
+        if perf["store_hit_chunks"] <= 0:
+            die(f"{name}: second copy restored no chunk")
+        for run in runs:
+            if run["result"] != cruns[name]["result"]:
+                die(f"{name}: store-restored result differs from the "
+                    "storeless campaign")
+    print(f"restored campaign OK: {len(copies)} second copies restored "
+          "warmed state, all bitwise-identical to storeless")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--clean")
@@ -201,14 +237,15 @@ def main():
                     help="comma-separated workloads the --resumed "
                          "campaign had to re-execute")
     ap.add_argument("--store")
+    ap.add_argument("--restored")
     ap.add_argument("--hits", type=int)
     ap.add_argument("--misses", type=int)
     args = ap.parse_args()
     modes = [m for m in (args.faulty, args.resumed, args.crashed,
-                         args.store) if m]
+                         args.store, args.restored) if m]
     if len(modes) != 1:
         ap.error("pass exactly one of --faulty / --resumed / "
-                 "--crashed / --store")
+                 "--crashed / --store / --restored")
     if args.store:
         if args.hits is None or args.misses is None:
             ap.error("--store needs --hits and --misses")
@@ -218,6 +255,8 @@ def main():
         ap.error("this mode needs --clean")
     if args.faulty:
         check_faulty(args.clean, args.faulty)
+    elif args.restored:
+        check_restored(args.clean, args.restored)
     elif args.crashed:
         check_crashed(args.clean, args.crashed)
     else:

@@ -17,7 +17,9 @@
 #      serves the other 4 from the store, exits 0, and its results are
 #      bitwise-identical to the clean campaign;
 #   5. a sampled campaign with the in-memory memo stores (--store)
-#      exports byte-identically to the same campaign without them;
+#      exports byte-identically to the same campaign without them, and
+#      one listing every workload twice at jobs=1 restores each second
+#      copy's warmed state and chunks, with unchanged results;
 #   6. a result-store record with one flipped byte is dropped: the
 #      rerun exits 0, re-executes only that cell, and its results are
 #      bitwise-identical to the clean campaign.
@@ -105,6 +107,14 @@ run_expect 0 "$CLI" "${ARGS[@]}" --sample --jobs=8 \
 run_expect 0 "$CLI" "${ARGS[@]}" --sample --jobs=8 --store \
     --json="$WORK/sampled_store.json" "${NAMES[@]}"
 cmp "$WORK/sampled.json" "$WORK/sampled_store.json"
+# At jobs=8 every kernel runs once, so every lookup above misses. Each
+# name twice in a row at jobs=1 makes every second copy restore.
+TWICE=()
+for n in "${NAMES[@]}"; do TWICE+=("$n" "$n"); done
+run_expect 0 "$CLI" "${ARGS[@]}" --sample --jobs=1 --store --profile \
+    --json="$WORK/sampled_restored.json" "${TWICE[@]}"
+python3 "$HERE/check_fault_matrix.py" \
+    --clean "$WORK/sampled.json" --restored "$WORK/sampled_restored.json"
 
 echo "== a corrupt result record re-executes only its cell =="
 # Flip one byte of one record after a clean stored campaign: the rerun
