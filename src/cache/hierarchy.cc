@@ -172,10 +172,9 @@ CacheHierarchy::fillLlc(Addr addr, bool dirty, Cycle ready_at,
 }
 
 void
-CacheHierarchy::placeFromLlc(CoreId core, bool code, Addr addr,
-                             CacheLine &llc_line, bool dirty_fill,
-                             Cycle ready_at, FillSource src, Cycle now,
-                             bool warm)
+CacheHierarchy::placeL2FromLlc(CoreId core, Addr addr, CacheLine &llc_line,
+                               bool dirty_fill, Cycle ready_at,
+                               FillSource src, Cycle now, bool warm)
 {
     if (cfg_.inclusion == InclusionPolicy::Exclusive) {
         // The line moves: it leaves the LLC and the L2 takes over its
@@ -188,6 +187,16 @@ CacheHierarchy::placeFromLlc(CoreId core, bool code, Addr addr,
         // clean.
         fillL2(core, addr, false, ready_at, src, now, warm);
     }
+}
+
+void
+CacheHierarchy::placeFromLlc(CoreId core, bool code, Addr addr,
+                             CacheLine &llc_line, bool dirty_fill,
+                             Cycle ready_at, FillSource src, Cycle now,
+                             bool warm)
+{
+    placeL2FromLlc(core, addr, llc_line, dirty_fill, ready_at, src, now,
+                   warm);
     fillL1(core, code, addr, dirty_fill, ready_at, src, now, Level::LLC,
            warm);
 }
@@ -229,11 +238,8 @@ CacheHierarchy::streamObserve(CoreId core, Addr addr, Cycle now)
             if (CacheLine *in_llc = llc_->peek(line)) {
                 // Pull into the L2 ahead of use.
                 ++stats_.ringTransfers;
-                bool dirty = in_llc->dirty;
-                if (cfg_.inclusion == InclusionPolicy::Exclusive)
-                    llc_->invalidate(*in_llc);
-                fillL2(core, line, dirty, now + latLlc(),
-                       FillSource::StreamPf, now);
+                placeL2FromLlc(core, line, *in_llc, false, now + latLlc(),
+                               FillSource::StreamPf, now, false);
             } else {
                 ++stats_.ringTransfers;
                 ++stats_.memTransfers;
@@ -269,11 +275,8 @@ CacheHierarchy::warmStreamObserve(CoreId core, Addr addr, Cycle now)
             if (l2_[core]->peek(line))
                 continue;
             if (CacheLine *in_llc = llc_->peek(line)) {
-                bool dirty = in_llc->dirty;
-                if (cfg_.inclusion == InclusionPolicy::Exclusive)
-                    llc_->invalidate(*in_llc, false);
-                fillL2(core, line, dirty, 0, FillSource::StreamPf, now,
-                       true);
+                placeL2FromLlc(core, line, *in_llc, false, 0,
+                               FillSource::StreamPf, now, true);
             } else {
                 if (cfg_.inclusion == InclusionPolicy::Inclusive)
                     fillLlc(line, false, 0, FillSource::StreamPf, now,

@@ -274,6 +274,12 @@ class CacheHierarchy
                       CacheLine &llc_line, bool dirty_fill,
                       Cycle ready_at, FillSource src, Cycle now,
                       bool warm);
+    /** The L2 half of placeFromLlc, which the stream prefetcher's LLC
+     *  pulls share: an exclusive LLC hands the line and its dirty bit
+     *  over; any other keeps both and the L2 copy is clean. */
+    void placeL2FromLlc(CoreId core, Addr addr, CacheLine &llc_line,
+                        bool dirty_fill, Cycle ready_at, FillSource src,
+                        Cycle now, bool warm);
     /** Placement of a line that came from memory; see placeFromLlc. */
     void placeFromMem(CoreId core, bool code, Addr addr, bool dirty_fill,
                       Cycle ready_at, FillSource src, Cycle now,

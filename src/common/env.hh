@@ -8,8 +8,8 @@
  * the single-threaded-startup contract is stated once and checked by
  * review instead of being re-derived at each call site.
  *
- * Contract: call these helpers only before the first ThreadPool is
- * constructed (bench/CLI mains and ExperimentEnv::fromEnvironment all
+ * Contract: call these helpers only before the first worker thread is
+ * started (bench/CLI mains and ExperimentEnv::fromEnvironment all
  * read their knobs up front). setenv after threads exist is undefined
  * behaviour regardless of these helpers.
  */

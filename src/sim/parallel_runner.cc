@@ -1,6 +1,7 @@
 #include "sim/parallel_runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <limits>
 #include <numeric>
@@ -8,9 +9,12 @@
 #include <thread>
 #include <unordered_map>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "sim/result_store.hh"
 #include "sim/worker_proto.hh"
 
@@ -131,29 +135,94 @@ workloadCostEstimate(const std::string &name)
     return it != kHostMs.end() ? it->second : 1.0;
 }
 
-void
-runTasksLongestFirst(std::vector<std::function<void()>> tasks,
-                     const std::vector<double> &cost, unsigned jobs)
+std::vector<size_t>
+longestFirstOrder(const std::vector<double> &cost)
 {
-    CATCHSIM_ASSERT(cost.size() == tasks.size(),
-                    "cost/task vector size mismatch");
-    if (jobs <= 1 || tasks.size() <= 1) {
-        for (auto &t : tasks)
-            t();
-        return;
-    }
-    std::vector<size_t> order(tasks.size());
+    std::vector<size_t> order(cost.size());
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),
                      [&cost](size_t a, size_t b) {
                          return cost[a] > cost[b];
                      });
-    std::vector<std::function<void()>> sorted;
-    sorted.reserve(tasks.size());
-    for (size_t i : order)
-        sorted.push_back(std::move(tasks[i]));
-    ThreadPool pool(std::min<size_t>(jobs, sorted.size()));
-    pool.runAll(std::move(sorted));
+    return order;
+}
+
+void
+pauseBeforeRetry(unsigned backoff_ms, unsigned attempt)
+{
+    if (backoff_ms)
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(uint64_t(backoff_ms) * attempt));
+}
+
+namespace
+{
+
+/**
+ * Moves the calling worker onto the (@p self mod n)-th CPU it may run
+ * on, then restores its full affinity mask. The thread stays where it
+ * landed unless the scheduler later chooses to move it; nothing stays
+ * pinned. Some schedulers neither spread newly created threads nor
+ * rebalance them soon: on a 4-vCPU VM, four fresh workers shared one
+ * CPU for whole 300 ms batches, and 4-job suites ran slower than
+ * serial ones. A no-op off Linux or on one CPU.
+ */
+void
+placeWorker(size_t self)
+{
+#if defined(__linux__)
+    cpu_set_t allowed;
+    if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0)
+        return;
+    const int n = CPU_COUNT(&allowed);
+    if (n < 2)
+        return;
+    size_t skip = self % static_cast<size_t>(n);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+        if (!CPU_ISSET(cpu, &allowed) || skip-- != 0)
+            continue;
+        cpu_set_t one;
+        CPU_ZERO(&one);
+        CPU_SET(cpu, &one);
+        sched_setaffinity(0, sizeof(one), &one);
+        break;
+    }
+    sched_setaffinity(0, sizeof(allowed), &allowed);
+#else
+    (void)self;
+#endif
+}
+
+} // namespace
+
+void
+runTasksLongestFirst(const std::vector<std::function<void()>> &tasks,
+                     const std::vector<double> &cost, unsigned jobs)
+{
+    CATCHSIM_ASSERT(cost.size() == tasks.size(),
+                    "cost/task vector size mismatch");
+    if (jobs <= 1 || tasks.size() <= 1) {
+        for (const auto &t : tasks)
+            t();
+        return;
+    }
+    // Determinism rests on each task writing only its own slot, not on
+    // which worker runs it or when.
+    const std::vector<size_t> order = longestFirstOrder(cost);
+    std::atomic<size_t> next{0};
+    auto work = [&](size_t self) {
+        placeWorker(self);
+        for (size_t k = next++; k < order.size(); k = next++)
+            tasks[order[k]]();
+    };
+    const size_t workers = std::min<size_t>(jobs, tasks.size());
+    std::vector<std::thread> threads;
+    threads.reserve(workers - 1);
+    for (size_t w = 1; w < workers; ++w)
+        threads.emplace_back(work, w);
+    work(0);
+    for (auto &t : threads)
+        t.join();
 }
 
 RunOutcome
@@ -187,13 +256,7 @@ executeContainedRun(const SimConfig &cfg, const std::string &name,
             }
             SimError err = r.error();
             if (err.transient() && attempt < opts.maxAttempts) {
-                if (opts.backoffMs) {
-                    // Pacing only: the delay is a pure function of the
-                    // attempt index and no clock value is ever read or
-                    // recorded, so results stay bitwise-deterministic.
-                    std::this_thread::sleep_for(std::chrono::milliseconds(
-                        uint64_t(opts.backoffMs) * attempt));
-                }
+                pauseBeforeRetry(opts.backoffMs, attempt);
                 ++attempt;
                 continue;
             }
@@ -318,7 +381,7 @@ runWorkloadsIsolated(const SimConfig &cfg,
         });
         cost.push_back(workloadCostEstimate(names[i]));
     }
-    runTasksLongestFirst(std::move(tasks), cost, jobs);
+    runTasksLongestFirst(tasks, cost, jobs);
     return outcomes;
 }
 
@@ -376,7 +439,7 @@ runMixesParallel(const SimConfig &cfg, const std::vector<MpMix> &mixes,
         });
         cost.push_back(mix_cost);
     }
-    runTasksLongestFirst(std::move(tasks), cost, jobs);
+    runTasksLongestFirst(tasks, cost, jobs);
     return results;
 }
 

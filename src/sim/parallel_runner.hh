@@ -209,7 +209,7 @@ runWorkloadsIsolated(const SimConfig &cfg,
  * One fault-contained run: retries transient errors with a bounded
  * attempt count and converts exceptions and watchdog trips into
  * structured failures in the returned outcome. This is the unit of
- * work both executors share: runWorkloadsIsolated calls it on pool
+ * work both executors share: runWorkloadsIsolated calls it on worker
  * threads, and the --worker process (sim/worker_proto.hh) calls it as
  * its whole job — which is what keeps in-process and process-isolated
  * campaigns bitwise-identical. Consults only opts.budget/maxAttempts/
@@ -253,11 +253,29 @@ void recordFreshRun(const SimConfig &cfg, uint64_t instrs,
 double workloadCostEstimate(const std::string &name);
 
 /**
- * Runs @p tasks on @p jobs threads, dispatching in descending @p cost
- * order. Each task must write only to its own pre-assigned output.
- * @p jobs <= 1 runs serially, in index order, on the calling thread.
+ * The dispatch order both executors share: the indices of @p cost,
+ * costliest first, ties in index order. Each free worker (a thread
+ * here, a process in sim/supervisor.cc) takes the next index, so the
+ * longest runs start first and the short ones fill the tail (LPT).
  */
-void runTasksLongestFirst(std::vector<std::function<void()>> tasks,
+std::vector<size_t> longestFirstOrder(const std::vector<double> &cost);
+
+/**
+ * The retry pacing both executors share: sleeps @p attempt ×
+ * @p backoff_ms ms before attempt + 1. Pacing only: the delay is a pure
+ * function of the attempt index and no clock value is read or
+ * recorded, so results stay bitwise-deterministic.
+ */
+void pauseBeforeRetry(unsigned backoff_ms, unsigned attempt);
+
+/**
+ * Runs @p tasks on @p jobs threads in longestFirstOrder(@p cost): the
+ * calling thread and jobs − 1 spawned ones each take the next task
+ * until none is left. Each task must write only to its own
+ * pre-assigned output. @p jobs <= 1 runs serially, in index order, on
+ * the calling thread.
+ */
+void runTasksLongestFirst(const std::vector<std::function<void()>> &tasks,
                           const std::vector<double> &cost, unsigned jobs);
 
 /**

@@ -1,10 +1,7 @@
 #include "sim/supervisor.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <csignal>
-#include <numeric>
-#include <thread>
 
 #include "common/fault_inject.hh"
 #include "common/host_clock.hh"
@@ -164,13 +161,14 @@ runWorkloadsSupervised(const SimConfig &cfg,
     // content-hashed store holds replay; only the rest spawn workers.
     std::vector<size_t> pending = replayFinishedRuns(
         cfg, names, instrs, warmup, opts, outcomes, progress);
-    // LPT dispatch, like the thread-pool executor: longest-estimated
-    // runs spawn first. pop_back() takes work, so sort ascending.
-    std::stable_sort(pending.begin(), pending.end(),
-                     [&names](size_t a, size_t b) {
-                         return workloadCostEstimate(names[a]) <
-                                workloadCostEstimate(names[b]);
-                     });
+    // LPT dispatch in the thread executor's order: each free slot
+    // spawns the costliest run not yet started.
+    std::vector<double> cost;
+    cost.reserve(pending.size());
+    for (size_t idx : pending)
+        cost.push_back(workloadCostEstimate(names[idx]));
+    const std::vector<size_t> order = longestFirstOrder(cost);
+    size_t next = 0;
 
     auto commit = [&](size_t idx, RunOutcome &&out) {
         out.workload = names[idx];
@@ -199,10 +197,7 @@ runWorkloadsSupervised(const SimConfig &cfg,
             warn("worker spawn for '", names[idx], "' failed: ",
                  w.error().message);
             if (attempt < opts.maxAttempts) {
-                if (opts.backoffMs)
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(
-                            uint64_t(opts.backoffMs) * attempt));
+                pauseBeforeRetry(opts.backoffMs, attempt);
                 ++attempt;
                 continue;
             }
@@ -227,9 +222,7 @@ runWorkloadsSupervised(const SimConfig &cfg,
         bool retryable = err.category == ErrorCategory::Crashed ||
                          err.category == ErrorCategory::ExecFail;
         if (retryable && attempt < opts.maxAttempts) {
-            if (opts.backoffMs)
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    uint64_t(opts.backoffMs) * attempt));
+            pauseBeforeRetry(opts.backoffMs, attempt);
             launch(idx, attempt + 1);
             return;
         }
@@ -241,12 +234,9 @@ runWorkloadsSupervised(const SimConfig &cfg,
     };
 
     // --- poll event loop --------------------------------------------
-    while (!pending.empty() || !active.empty()) {
-        while (active.size() < slots && !pending.empty()) {
-            size_t idx = pending.back();
-            pending.pop_back();
-            launch(idx, 1);
-        }
+    while (next < order.size() || !active.empty()) {
+        while (active.size() < slots && next < order.size())
+            launch(pending[order[next++]], 1);
         if (active.empty())
             continue; // every launch may have committed a failure
 

@@ -246,6 +246,58 @@ TEST(Hierarchy, TwoLevelHasMoreRingTrafficPerMiss)
     EXPECT_GE(two.stats().ringTransfers, three.stats().ringTransfers);
 }
 
+TEST(Hierarchy, InclusiveStreamPullLeavesTheL2CopyClean)
+{
+    // A line dirty only in an inclusive LLC keeps its dirty bit there
+    // when the stream prefetcher pulls it into the L2, so dropping the
+    // L2 copy writes nothing back, on the timed and the warm path.
+    SimConfig cfg = baselineClient();
+    cfg.l1d = CacheGeometry{4 * 1024, 4, 5};   // 16 sets
+    cfg.l2 = CacheGeometry{16 * 1024, 8, 15};  // 32 sets
+    cfg.llc = CacheGeometry{64 * 1024, 8, 40}; // 128 sets
+    cfg.l1StridePrefetcher = false;
+    const Addr x = 0x100000 + 10 * 64; // line 10 of its page
+    const Addr same_l2_set = 32 * 64;  // and of its L1 set
+    for (bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm" : "timed");
+        CacheHierarchy h(cfg);
+        Cycle t = 0;
+        auto access = [&](Addr a, bool store, bool timed) {
+            t += 1000;
+            if (timed && store)
+                h.storeCommit(0, a, t);
+            else if (timed)
+                h.load(0, 0x400000, a, t);
+            else
+                h.warmAccess(0, 0x400000, a, t,
+                             store ? CacheHierarchy::WarmKind::Store
+                                   : CacheHierarchy::WarmKind::Load);
+        };
+        // Dirty x, then push it out of the L1 and the L2 with lines of
+        // its L2 set but not its LLC set (k % 4 != 0): the L2 writes
+        // its dirty data back to the LLC.
+        access(x, true, !warm);
+        for (Addr k = 1; k <= 20; ++k)
+            if (k % 4)
+                access(x + k * same_l2_set, false, !warm);
+        ASSERT_FALSE(h.residentIn(0, x, Level::L2));
+        ASSERT_TRUE(h.residentIn(0, x, Level::LLC));
+        // An ascending run up to x confirms a stream that pulls x from
+        // the LLC into the L2.
+        for (Addr back = 3; back >= 1; --back)
+            access(x - back * 64, false, !warm);
+        ASSERT_TRUE(h.residentIn(0, x, Level::L2));
+        ASSERT_FALSE(h.residentIn(0, x, Level::L1));
+        // Drop x from the L2 on the timed path, which counts evictions.
+        const uint64_t dirty_before = h.l2Stats(0)->dirtyEvictions;
+        for (Addr k = 21; k <= 40; ++k)
+            if (k % 4)
+                access(x + k * same_l2_set, false, true);
+        ASSERT_FALSE(h.residentIn(0, x, Level::L2));
+        EXPECT_EQ(h.l2Stats(0)->dirtyEvictions, dirty_before);
+    }
+}
+
 TEST(Hierarchy, ProbeDataReadyDoesNotChangeState)
 {
     CacheHierarchy h(threeLevel());

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the parallel suite-execution engine: the work-stealing
- * thread pool itself, order-stability and bitwise determinism of
+ * Tests for the parallel suite-execution engine: the longest-first
+ * dispatcher itself, order-stability and bitwise determinism of
  * parallel suite runs versus the serial path (proving the simulations
  * share no hidden mutable state), the MP-mix runner, the JSON export,
  * and — on machines with enough cores — the wall-clock speedup the
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -21,7 +22,6 @@
 #include <sched.h>
 #endif
 
-#include "common/thread_pool.hh"
 #include "sim/configs.hh"
 #include "sim/experiment.hh"
 #include "sim/parallel_runner.hh"
@@ -36,91 +36,129 @@ namespace
 constexpr uint64_t kInstr = 30000;
 constexpr uint64_t kWarm = 8000;
 
-// ------------------------- ThreadPool ----------------------------
+// ------------------------ Dispatcher -----------------------------
 
-TEST(ThreadPool, RunsEveryTaskExactlyOnce)
+using Tasks = std::vector<std::function<void()>>;
+
+TEST(RunTasksLongestFirst, OrderIsCostliestFirstWithTiesInIndexOrder)
 {
-    ThreadPool pool(4);
+    EXPECT_EQ(longestFirstOrder({1, 3, 2, 3, 1}),
+              (std::vector<size_t>{1, 3, 2, 0, 4}));
+    EXPECT_TRUE(longestFirstOrder({}).empty());
+}
+
+TEST(RunTasksLongestFirst, RunsEveryTaskExactlyOnce)
+{
     constexpr int kTasks = 200;
     std::vector<std::atomic<int>> hits(kTasks);
-    std::vector<ThreadPool::Task> tasks;
-    for (int i = 0; i < kTasks; ++i)
+    Tasks tasks;
+    std::vector<double> cost;
+    for (int i = 0; i < kTasks; ++i) {
         tasks.push_back([&hits, i] { ++hits[i]; });
-    pool.runAll(std::move(tasks));
+        cost.push_back(i % 13);
+    }
+    runTasksLongestFirst(tasks, cost, 4);
     for (int i = 0; i < kTasks; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "task " << i;
 }
 
-TEST(ThreadPool, SerialPoolRunsInline)
+TEST(RunTasksLongestFirst, OneJobRunsInlineInIndexOrder)
 {
-    ThreadPool pool(1);
-    std::thread::id caller = std::this_thread::get_id();
-    std::vector<std::thread::id> ran;
-    pool.runAll({[&] { ran.push_back(std::this_thread::get_id()); },
-                 [&] { ran.push_back(std::this_thread::get_id()); }});
-    ASSERT_EQ(ran.size(), 2u);
-    EXPECT_EQ(ran[0], caller);
-    EXPECT_EQ(ran[1], caller);
+    // Costs would reorder the tasks; one job ignores them.
+    for (unsigned jobs : {0u, 1u}) {
+        const std::thread::id caller = std::this_thread::get_id();
+        std::vector<int> ran;
+        std::vector<std::thread::id> on;
+        Tasks tasks;
+        for (int i = 0; i < 3; ++i)
+            tasks.push_back([&, i] {
+                ran.push_back(i);
+                on.push_back(std::this_thread::get_id());
+            });
+        runTasksLongestFirst(tasks, {1, 3, 2}, jobs);
+        EXPECT_EQ(ran, (std::vector<int>{0, 1, 2})) << "jobs " << jobs;
+        for (const auto &id : on)
+            EXPECT_EQ(id, caller) << "jobs " << jobs;
+    }
 }
 
-TEST(ThreadPool, StealingDrainsImbalancedBatches)
+TEST(RunTasksLongestFirst, FirstJobsToStartAreTheCostliest)
 {
-    // Tasks are dealt round-robin, so with two workers the sleeper
-    // (index 0) and every even-index task land in the same deque. The
-    // sleeper pins that worker long enough that the sibling must steal
-    // the evens after draining its own odds.
-    ThreadPool pool(2);
-    constexpr int kTasks = 9; // sleeper + 4 evens + 4 odds
+    // Each task holds its worker until J tasks have started, so no
+    // worker takes a second task before every worker took its first:
+    // the first J starts are exactly the first J dispatched.
+    constexpr unsigned kJobs = 4;
+    constexpr int kTasks = 16;
+    std::atomic<unsigned> started{0};
+    std::vector<unsigned> seq(kTasks);
+    Tasks tasks;
+    std::vector<double> cost;
+    for (int i = 0; i < kTasks; ++i) {
+        tasks.push_back([&, i] {
+            seq[i] = started++;
+            auto give_up = std::chrono::steady_clock::now() +
+                           std::chrono::seconds(10);
+            while (started.load() < kJobs &&
+                   std::chrono::steady_clock::now() < give_up)
+                std::this_thread::yield();
+        });
+        cost.push_back((i * 7) % kTasks); // a permutation of 0..15
+    }
+    runTasksLongestFirst(tasks, cost, kJobs);
+    for (int i = 0; i < kTasks; ++i)
+        EXPECT_EQ(seq[i] < kJobs, cost[i] >= kTasks - kJobs)
+            << "task " << i << " (cost " << cost[i] << ") started "
+            << seq[i];
+}
+
+TEST(RunTasksLongestFirst, LongTaskDoesNotHoldBackShortOnes)
+{
+    // One 150 ms task and eight 5 ms ones on two jobs: while one worker
+    // runs the long task, the other takes the short ones.
+    constexpr int kTasks = 9;
     std::vector<std::thread::id> ran(kTasks);
-    std::vector<ThreadPool::Task> tasks;
+    Tasks tasks;
+    std::vector<double> cost;
     tasks.push_back([&ran] {
         ran[0] = std::this_thread::get_id();
         std::this_thread::sleep_for(std::chrono::milliseconds(150));
     });
-    for (int i = 1; i < kTasks; ++i)
+    cost.push_back(150);
+    for (int i = 1; i < kTasks; ++i) {
         tasks.push_back([&ran, i] {
             ran[i] = std::this_thread::get_id();
             std::this_thread::sleep_for(std::chrono::milliseconds(5));
         });
-    pool.runAll(std::move(tasks));
-    int stolen = 0;
-    for (int i = 2; i < kTasks; i += 2)
-        stolen += ran[i] != ran[0];
-    EXPECT_GT(stolen, 0) << "no task behind the sleeper was stolen";
-}
-
-TEST(ThreadPool, ReusableAcrossBatches)
-{
-    ThreadPool pool(3);
-    for (int round = 0; round < 5; ++round) {
-        std::atomic<int> n{0};
-        std::vector<ThreadPool::Task> tasks;
-        for (int i = 0; i < 16; ++i)
-            tasks.push_back([&n] { ++n; });
-        pool.runAll(std::move(tasks));
-        EXPECT_EQ(n.load(), 16);
+        cost.push_back(5);
     }
+    runTasksLongestFirst(tasks, cost, 2);
+    int elsewhere = 0;
+    for (int i = 1; i < kTasks; ++i)
+        elsewhere += ran[i] != ran[0];
+    EXPECT_GT(elsewhere, 0) << "every short task waited for the long one";
 }
 
-TEST(ThreadPool, SixteenWorkerStressIsRaceFree)
+TEST(RunTasksLongestFirst, SixteenJobStressIsRaceFree)
 {
-    // Companion to the TSan CI job (which runs this binary with 16
-    // workers instrumented): oversubscribed pool, repeated imbalanced
-    // batches, every task writing its own pre-assigned slot. Any
-    // lost-wakeup or double-execution bug shows up as a hit count != 1.
-    ThreadPool pool(16);
+    // Companion to the TSan CI job (which runs this binary
+    // instrumented): oversubscribed workers, repeated uneven batches,
+    // every task writing its own pre-assigned slot. A task run twice or
+    // skipped shows up as a hit count != 1.
     for (int round = 0; round < 20; ++round) {
         constexpr int kTasks = 256;
         std::vector<std::atomic<int>> hits(kTasks);
-        std::vector<ThreadPool::Task> tasks;
+        Tasks tasks;
+        std::vector<double> cost;
         tasks.reserve(kTasks);
-        for (int i = 0; i < kTasks; ++i)
+        for (int i = 0; i < kTasks; ++i) {
             tasks.push_back([&hits, i] {
                 for (volatile int spin = (i % 7) * 50; spin > 0;)
-                    spin = spin - 1; // uneven weights force stealing
+                    spin = spin - 1; // uneven weights
                 ++hits[i];
             });
-        pool.runAll(std::move(tasks));
+            cost.push_back((i * 31 + round) % 17);
+        }
+        runTasksLongestFirst(tasks, cost, 16);
         for (int i = 0; i < kTasks; ++i)
             ASSERT_EQ(hits[i].load(), 1)
                 << "round " << round << " task " << i;
@@ -128,25 +166,29 @@ TEST(ThreadPool, SixteenWorkerStressIsRaceFree)
 }
 
 #if defined(__linux__)
-TEST(ThreadPool, WorkersKeepTheCallersAffinityMask)
+TEST(RunTasksLongestFirst, WorkersKeepTheCallersAffinityMask)
 {
     // Workers start on distinct CPUs but must not stay pinned there:
-    // each runs with exactly the mask it inherited.
+    // each runs with exactly the mask it inherited, and the caller,
+    // which works as one of them, gets its own mask back.
     cpu_set_t caller;
     ASSERT_EQ(sched_getaffinity(0, sizeof(caller), &caller), 0);
-    ThreadPool pool(4);
     constexpr int kTasks = 16;
     std::vector<int> same(kTasks, 0);
-    std::vector<ThreadPool::Task> tasks;
+    Tasks tasks;
     for (int i = 0; i < kTasks; ++i)
         tasks.push_back([&same, &caller, i] {
             cpu_set_t mask;
             same[i] = sched_getaffinity(0, sizeof(mask), &mask) == 0 &&
                       CPU_EQUAL(&mask, &caller);
         });
-    pool.runAll(std::move(tasks));
+    runTasksLongestFirst(tasks, std::vector<double>(kTasks, 1),
+                         4);
     for (int i = 0; i < kTasks; ++i)
         EXPECT_TRUE(same[i]) << "task " << i;
+    cpu_set_t after;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(after), &after), 0);
+    EXPECT_TRUE(CPU_EQUAL(&after, &caller));
 }
 #endif
 

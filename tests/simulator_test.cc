@@ -97,6 +97,26 @@ TEST(Simulator, HitFractionsSumToOne)
     EXPECT_NEAR(total, 1.0, 0.02);
 }
 
+TEST(Simulator, CounterIdentitiesHoldWithoutWarmup)
+{
+    // Without a warmup every counter covers the same window. (TactStats
+    // and the DDG counters also count warmup instructions; DESIGN.md
+    // says which counters restart at the measurement boundary.)
+    const SimConfig cfg = withCatch(baselineSkx());
+    for (const std::string &name : stQuickNames()) {
+        SCOPED_TRACE(name);
+        const SimResult r = runWorkload(cfg, name, 200000, 0);
+        EXPECT_EQ(r.tact.crossIssued + r.tact.deepIssued +
+                      r.tact.feederIssued + r.tact.codeLines,
+                  r.hier.tactPrefetches);
+        EXPECT_EQ(r.ddg.retired, r.core.instrs);
+        uint64_t served = 0;
+        for (uint64_t hits : r.hier.loadHits)
+            served += hits;
+        EXPECT_EQ(served, r.hier.loads);
+    }
+}
+
 TEST(Simulator, GuardedRunRejectsDegenerateCoreConfigs)
 {
     // Each of these once passed validation: zero ALU ports never
