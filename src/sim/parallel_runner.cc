@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -16,6 +17,7 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "sim/result_store.hh"
+#include "sim/supervisor.hh"
 #include "sim/worker_proto.hh"
 
 namespace catchsim
@@ -302,48 +304,84 @@ resultKey(const SimConfig &cfg, const std::string &name, uint64_t instrs,
                   warmup};
 }
 
-} // namespace
-
-std::vector<size_t>
-replayFinishedRuns(const SimConfig &cfg,
-                   const std::vector<std::string> &names, uint64_t instrs,
-                   uint64_t warmup, const IsolationOptions &opts,
-                   std::vector<RunOutcome> &outcomes,
-                   const std::function<void(const RunOutcome &)> &progress)
+/**
+ * Ignores SIGPIPE for a supervised campaign's lifetime and restores the
+ * old disposition on exit: a worker that dies before reading its
+ * request must surface as a write error / EOF classification, not kill
+ * the campaign. One guard spans every slot thread, since the
+ * disposition is process-wide; no global signal state leaks out.
+ */
+class SigpipeGuard
 {
-    std::vector<size_t> pending;
+  public:
+    SigpipeGuard()
+    {
+        struct sigaction ignore = {};
+        ignore.sa_handler = SIG_IGN;
+        sigaction(SIGPIPE, &ignore, &saved_);
+    }
+
+    ~SigpipeGuard() { sigaction(SIGPIPE, &saved_, nullptr); }
+
+    SigpipeGuard(const SigpipeGuard &) = delete;
+    SigpipeGuard &operator=(const SigpipeGuard &) = delete;
+
+  private:
+    struct sigaction saved_ = {};
+};
+
+/**
+ * The campaign body both executors share. Slots opts.resultStore
+ * holds replay on the calling thread, relabelled under this config
+ * and reported through @p progress; runTasksLongestFirst then runs
+ * @p run for every other slot, whose outcome is booked (store miss,
+ * persisted success) and reported on the thread that ran it.
+ */
+std::vector<RunOutcome>
+runSlots(const SimConfig &cfg, const std::vector<std::string> &names,
+         uint64_t instrs, uint64_t warmup, unsigned jobs,
+         const IsolationOptions &opts,
+         const std::function<void(const RunOutcome &)> &progress,
+         const std::function<RunOutcome(const std::string &)> &run)
+{
+    std::vector<RunOutcome> outcomes(names.size());
+    std::vector<std::function<void()>> tasks;
+    std::vector<double> cost;
     for (size_t i = 0; i < names.size(); ++i) {
         auto key = opts.resultStore
                        ? resultKey(cfg, names[i], instrs, warmup)
                        : std::nullopt;
-        auto hit = key ? opts.resultStore->find(*key) : std::nullopt;
-        if (!hit) {
-            pending.push_back(i);
+        if (auto hit = key ? opts.resultStore->find(*key) : std::nullopt) {
+            // The stored cell may come from a campaign under another
+            // name (the key hashes content, not the label): relabel it
+            // exactly as a fresh run under this config would be.
+            outcomes[i] = std::move(*hit);
+            outcomes[i].config = cfg.name;
+            outcomes[i].result.config = cfg.name;
+            if (progress)
+                progress(outcomes[i]);
             continue;
         }
-        // The stored cell may come from a campaign under another name
-        // (the key hashes content, not the label): relabel it exactly
-        // as a fresh run under this config would be.
-        outcomes[i] = std::move(*hit);
-        outcomes[i].config = cfg.name;
-        outcomes[i].result.config = cfg.name;
-        if (progress)
-            progress(outcomes[i]);
+        // Each task writes only its own slot: determinism rests on
+        // that, not on which thread runs it or when.
+        tasks.push_back([&, i, key] {
+            RunOutcome &out = outcomes[i];
+            out = run(names[i]);
+            if (opts.resultStore) {
+                out.storeMiss = true;
+                if (out.ok() && key)
+                    opts.resultStore->put(*key, out);
+            }
+            if (progress)
+                progress(out);
+        });
+        cost.push_back(workloadCostEstimate(names[i]));
     }
-    return pending;
+    runTasksLongestFirst(tasks, cost, jobs);
+    return outcomes;
 }
 
-void
-recordFreshRun(const SimConfig &cfg, uint64_t instrs, uint64_t warmup,
-               const IsolationOptions &opts, RunOutcome &out)
-{
-    if (!opts.resultStore)
-        return;
-    out.storeMiss = true;
-    if (out.ok())
-        if (auto key = resultKey(cfg, out.workload, instrs, warmup))
-            opts.resultStore->put(*key, out);
-}
+} // namespace
 
 std::vector<RunOutcome>
 runWorkloadsIsolated(const SimConfig &cfg,
@@ -353,36 +391,36 @@ runWorkloadsIsolated(const SimConfig &cfg,
                      const std::function<void(const RunOutcome &)>
                          &progress)
 {
-    std::vector<RunOutcome> outcomes(names.size());
-    std::vector<std::function<void()>> tasks;
-    std::vector<double> cost;
-    tasks.reserve(names.size());
-    cost.reserve(names.size());
     // Resolve the store once on the calling thread: ChunkStore::global()
     // reads the environment on first use, which must not happen
-    // concurrently from workers (env.hh startup contract).
+    // concurrently from workers (env.hh startup contract). The stores
+    // (when present) are shared deliberately — chunks and snapshots are
+    // immutable and content-addressed, so sharing cannot couple runs.
     ChunkStore *store = opts.store ? *opts.store : ChunkStore::global();
     WarmStateStore *warm_store =
         opts.warmStore ? *opts.warmStore : WarmStateStore::global();
-    for (size_t i : replayFinishedRuns(cfg, names, instrs, warmup, opts,
-                                       outcomes, progress)) {
-        tasks.push_back([&, i, store, warm_store] {
-            // Fully private run: own workload (re-seeded from its suite
-            // entry), own Simulator, own outcome slot. The stores (when
-            // present) are shared deliberately — chunks and snapshots
-            // are immutable and content-addressed, so sharing cannot
-            // couple runs.
-            outcomes[i] = executeContainedRun(cfg, names[i], instrs,
-                                              warmup, opts, store,
-                                              warm_store);
-            recordFreshRun(cfg, instrs, warmup, opts, outcomes[i]);
-            if (progress)
-                progress(outcomes[i]);
-        });
-        cost.push_back(workloadCostEstimate(names[i]));
-    }
-    runTasksLongestFirst(tasks, cost, jobs);
-    return outcomes;
+    return runSlots(cfg, names, instrs, warmup, jobs, opts, progress,
+                    [&](const std::string &name) {
+                        return executeContainedRun(cfg, name, instrs,
+                                                   warmup, opts, store,
+                                                   warm_store);
+                    });
+}
+
+std::vector<RunOutcome>
+runWorkloadsSupervised(const SimConfig &cfg,
+                       const std::vector<std::string> &names,
+                       uint64_t instrs, uint64_t warmup, unsigned jobs,
+                       const IsolationOptions &opts,
+                       const std::function<void(const RunOutcome &)>
+                           &progress)
+{
+    SigpipeGuard sigpipe;
+    return runSlots(cfg, names, instrs, warmup, jobs, opts, progress,
+                    [&](const std::string &name) {
+                        return superviseRun(cfg, name, instrs, warmup,
+                                            opts);
+                    });
 }
 
 std::map<std::string, double>

@@ -18,6 +18,14 @@
  * runs stay bitwise-identical to a fault-free campaign at any job
  * count.
  *
+ * runWorkloadsSupervised() is the same campaign with each run in its
+ * own worker process (sim/supervisor.hh). Both executors share one
+ * slot runner: result-store replay on the calling thread, then
+ * runTasksLongestFirst over the remaining slots, each booked into the
+ * store and reported from the thread that ran it. Only the per-slot
+ * function differs: executeContainedRun in-process, superviseRun
+ * across a process boundary.
+ *
  * The job count comes from CATCH_JOBS (default: hardware concurrency;
  * 1 restores the exact serial behaviour).
  */
@@ -152,7 +160,8 @@ void readOutcomeBody(const JsonReader &r, RunOutcome &out);
  * catchsim --isolate drives):
  *   CATCH_HEARTBEAT_TIMEOUT_MS  wall-clock silence before the
  *                               supervisor SIGKILLs a worker
- *                               (default 30000)
+ *                               (default 30000); workers beat every
+ *                               timeout / 4 ms, at most every 1000
  */
 struct IsolationOptions
 {
@@ -179,7 +188,6 @@ struct IsolationOptions
     ResultStore *resultStore = nullptr;
 
     // Process-isolated execution (sim/supervisor.hh) only:
-    unsigned heartbeatMs = 1000;        ///< worker heartbeat period
     unsigned heartbeatTimeoutMs = 30000; ///< supervisor kill threshold
     std::string workerBin; ///< worker executable; empty = /proc/self/exe
 
@@ -193,9 +201,9 @@ struct IsolationOptions
  * watchdog trips are recorded as structured failures in their own
  * slots; transient IO errors retry up to opts.maxAttempts times.
  * When opts.resultStore is set, runs it already holds are replayed
- * without re-execution and fresh successes are persisted to it.
- * @p progress (optional) is invoked from workers as runs finish; it
- * must be thread-safe.
+ * (and reported) on the calling thread without re-execution, and fresh
+ * successes are persisted to it. @p progress (optional) is invoked
+ * from workers as runs finish; it must be thread-safe.
  */
 std::vector<RunOutcome>
 runWorkloadsIsolated(const SimConfig &cfg,
@@ -204,6 +212,22 @@ runWorkloadsIsolated(const SimConfig &cfg,
                      const IsolationOptions &opts = {},
                      const std::function<void(const RunOutcome &)>
                          &progress = nullptr);
+
+/**
+ * runWorkloadsIsolated with each run in its own worker process under
+ * superviseRun (sim/supervisor.hh): at most @p jobs workers are alive
+ * at once, each watched by the thread that spawned it. Same slot,
+ * result-store and @p progress contract (@p progress runs on those
+ * threads, so it must be thread-safe); opts.workerBin and
+ * opts.heartbeatTimeoutMs configure the workers and their watchdog.
+ */
+std::vector<RunOutcome>
+runWorkloadsSupervised(const SimConfig &cfg,
+                       const std::vector<std::string> &names,
+                       uint64_t instrs, uint64_t warmup, unsigned jobs,
+                       const IsolationOptions &opts = {},
+                       const std::function<void(const RunOutcome &)>
+                           &progress = nullptr);
 
 /**
  * One fault-contained run: retries transient errors with a bounded
@@ -224,27 +248,6 @@ RunOutcome executeContainedRun(const SimConfig &cfg,
                                    WarmStateStore::global());
 
 /**
- * Campaign planning both executors share, run on the calling thread
- * before any worker starts: slots opts.resultStore holds replay under
- * this campaign's config name, each reported through @p progress.
- * Returns the indices still to execute.
- */
-std::vector<size_t>
-replayFinishedRuns(const SimConfig &cfg,
-                   const std::vector<std::string> &names, uint64_t instrs,
-                   uint64_t warmup, const IsolationOptions &opts,
-                   std::vector<RunOutcome> &outcomes,
-                   const std::function<void(const RunOutcome &)> &progress);
-
-/**
- * Books a freshly executed slot: marks the result-store miss and
- * persists a success to the store. Thread-safe.
- */
-void recordFreshRun(const SimConfig &cfg, uint64_t instrs,
-                    uint64_t warmup, const IsolationOptions &opts,
-                    RunOutcome &out);
-
-/**
  * Relative wall-clock cost estimate for one workload run, used to order
  * dispatch longest-first: the kernel's measured simulation time (kernel
  * set-up is paid once per process, see trace/kernel_image.hh). Unknown
@@ -253,10 +256,10 @@ void recordFreshRun(const SimConfig &cfg, uint64_t instrs,
 double workloadCostEstimate(const std::string &name);
 
 /**
- * The dispatch order both executors share: the indices of @p cost,
- * costliest first, ties in index order. Each free worker (a thread
- * here, a process in sim/supervisor.cc) takes the next index, so the
- * longest runs start first and the short ones fill the tail (LPT).
+ * The dispatch order runTasksLongestFirst uses: the indices of
+ * @p cost, costliest first, ties in index order. Each free worker
+ * thread takes the next index, so the longest runs start first and the
+ * short ones fill the tail (LPT).
  */
 std::vector<size_t> longestFirstOrder(const std::vector<double> &cost);
 

@@ -1,7 +1,10 @@
 #include "sim/supervisor.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <csignal>
+#include <optional>
 
 #include "common/fault_inject.hh"
 #include "common/host_clock.hh"
@@ -22,44 +25,11 @@ namespace
 /** Exit code reserved for "exec itself failed" in the child. */
 constexpr int kExecFailExit = 127;
 
-/**
- * Ignores SIGPIPE for the supervisor's lifetime and restores the old
- * disposition on exit: a worker that dies before reading its request
- * must surface as a write error / EOF classification, not kill the
- * campaign. Scoped save/restore — no global signal state leaks out.
- */
-class SigpipeGuard
-{
-  public:
-    SigpipeGuard()
-    {
-        struct sigaction ignore = {};
-        ignore.sa_handler = SIG_IGN;
-        sigaction(SIGPIPE, &ignore, &saved_);
-    }
-
-    ~SigpipeGuard() { sigaction(SIGPIPE, &saved_, nullptr); }
-
-    SigpipeGuard(const SigpipeGuard &) = delete;
-    SigpipeGuard &operator=(const SigpipeGuard &) = delete;
-
-  private:
-    struct sigaction saved_ = {};
-};
-
-/** One live worker process and its stream-reassembly state. */
+/** One spawned worker process. */
 struct WorkerProc
 {
     pid_t pid = -1;
     int outFd = -1; ///< read end of the worker's stdout
-    size_t runIndex = 0;
-    unsigned processAttempt = 1;
-    double deadline = 0; ///< hostSeconds() past which the worker hangs
-    bool killedForTimeout = false;
-    bool gotResult = false;
-    std::string protocolError; ///< non-empty: stream was corrupt
-    RunOutcome result;         ///< valid iff gotResult
-    FrameDecoder decoder;
 };
 
 /**
@@ -128,254 +98,151 @@ spawnWorker(const std::string &bin, const SimConfig &cfg,
                      buildWorkerRequest(cfg, name, instrs, warmup,
                                         attempt, opts));
     ::close(in_pipe[1]);
-    ::fcntl(out_pipe[0], F_SETFL, O_NONBLOCK);
+    return WorkerProc{pid, out_pipe[0]};
+}
 
-    WorkerProc w;
-    w.pid = pid;
-    w.outFd = out_pipe[0];
-    w.processAttempt = attempt;
-    w.deadline = hostSeconds() + opts.heartbeatTimeoutMs / 1000.0;
-    return w;
+/**
+ * Runs one worker process to its end: spawns it, reads its stream
+ * until EOF under the wall-clock watchdog, reaps it and classifies how
+ * it ended. Returns the worker's outcome, or the error that explains
+ * why there is none, in this priority: watchdog kill, protocol error,
+ * result frame, fatal signal, exit 127 (the reserved exec-fail
+ * signature), nonzero exit, clean exit without a result.
+ */
+Expected<RunOutcome>
+runWorker(const std::string &bin, const SimConfig &cfg,
+          const std::string &name, uint64_t instrs, uint64_t warmup,
+          unsigned attempt, const IsolationOptions &opts,
+          const FaultPlan &plan)
+{
+    auto spawned = spawnWorker(bin, cfg, name, instrs, warmup, attempt,
+                               opts, plan);
+    if (!spawned.ok())
+        return spawned.error();
+    const WorkerProc w = spawned.value();
+
+    const double timeout_sec = opts.heartbeatTimeoutMs / 1000.0;
+    double deadline = hostSeconds() + timeout_sec;
+    bool hung = false;
+    std::string protocol_error; ///< non-empty: stream was corrupt
+    std::optional<RunOutcome> result;
+    FrameDecoder decoder;
+    for (;;) {
+        const double left_ms = (deadline - hostSeconds()) * 1000.0;
+        if (left_ms <= 0) {
+            hung = true; // silence past the budget
+            break;
+        }
+        // One wait lasts at most a second, so an int holds it at any
+        // timeout; the loop re-checks the deadline after each.
+        pollfd p = {w.outFd, POLLIN, 0};
+        if (::poll(&p, 1, static_cast<int>(std::min(std::ceil(left_ms),
+                                                    1000.0))) <= 0)
+            continue;
+        char buf[4096];
+        const ssize_t n = ::read(w.outFd, buf, sizeof(buf));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break; // EOF or unreadable pipe
+        // Any bytes count as liveness; corrupt bytes are caught by the
+        // decoder below.
+        deadline = hostSeconds() + timeout_sec;
+        decoder.feed(buf, size_t(n));
+        std::string frame;
+        int rc;
+        while ((rc = decoder.next(&frame)) == 1) {
+            if (isHeartbeatFrame(frame))
+                continue;
+            auto res = parseWorkerResult(frame);
+            if (!res.ok()) {
+                protocol_error = res.error().message;
+                break;
+            }
+            result = std::move(res).value();
+        }
+        if (rc == -1)
+            protocol_error = decoder.error();
+        if (!protocol_error.empty())
+            break;
+    }
+    if (hung || !protocol_error.empty())
+        ::kill(w.pid, SIGKILL);
+    int wstatus = 0;
+    ::waitpid(w.pid, &wstatus, 0);
+    ::close(w.outFd);
+
+    if (hung)
+        return simError(ErrorCategory::HeartbeatTimeout,
+                        "worker heartbeat silent for more than ",
+                        opts.heartbeatTimeoutMs, " ms; killed");
+    if (!protocol_error.empty())
+        return simError(ErrorCategory::Crashed,
+                        "worker protocol error: ", protocol_error);
+    if (result)
+        return std::move(*result);
+    if (WIFSIGNALED(wstatus))
+        return simError(ErrorCategory::Crashed,
+                        "worker killed by signal ", WTERMSIG(wstatus));
+    const int code = WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+    if (code == kExecFailExit)
+        return simError(ErrorCategory::ExecFail,
+                        "worker binary could not be executed (exit 127 "
+                        "without output)");
+    if (code != 0)
+        return simError(ErrorCategory::Crashed, "worker exited with code ",
+                        code, " before sending a result");
+    return simError(ErrorCategory::Crashed,
+                    "worker closed its pipe without a result");
 }
 
 } // namespace
 
-std::vector<RunOutcome>
-runWorkloadsSupervised(const SimConfig &cfg,
-                       const std::vector<std::string> &names,
-                       uint64_t instrs, uint64_t warmup, unsigned jobs,
-                       const IsolationOptions &opts,
-                       const std::function<void(const RunOutcome &)>
-                           &progress)
+RunOutcome
+superviseRun(const SimConfig &cfg, const std::string &name,
+             uint64_t instrs, uint64_t warmup,
+             const IsolationOptions &opts)
 {
-    std::vector<RunOutcome> outcomes(names.size());
     const FaultPlan &plan =
         opts.plan ? *opts.plan : FaultPlan::global();
     const std::string bin =
         opts.workerBin.empty() ? "/proc/self/exe" : opts.workerBin;
-    const double timeout_sec = opts.heartbeatTimeoutMs / 1000.0;
-    SigpipeGuard sigpipe;
-
-    // --- planning pre-pass, on the calling thread -------------------
-    // Identical semantics to runWorkloadsIsolated: cells the
-    // content-hashed store holds replay; only the rest spawn workers.
-    std::vector<size_t> pending = replayFinishedRuns(
-        cfg, names, instrs, warmup, opts, outcomes, progress);
-    // LPT dispatch in the thread executor's order: each free slot
-    // spawns the costliest run not yet started.
-    std::vector<double> cost;
-    cost.reserve(pending.size());
-    for (size_t idx : pending)
-        cost.push_back(workloadCostEstimate(names[idx]));
-    const std::vector<size_t> order = longestFirstOrder(cost);
-    size_t next = 0;
-
-    auto commit = [&](size_t idx, RunOutcome &&out) {
-        out.workload = names[idx];
-        out.config = cfg.name;
-        recordFreshRun(cfg, instrs, warmup, opts, out);
-        outcomes[idx] = std::move(out);
-        if (progress)
-            progress(outcomes[idx]);
-    };
-
-    std::vector<WorkerProc> active;
-    const size_t slots = std::max(1u, jobs);
-
-    // Spawns names[idx] (attempt @p attempt), absorbing supervisor-side
-    // infrastructure failures into the same bounded-restart policy the
-    // EOF classifier applies.
-    auto launch = [&](size_t idx, unsigned attempt) {
-        for (;;) {
-            auto w = spawnWorker(bin, cfg, names[idx], instrs, warmup,
-                                 attempt, opts, plan);
-            if (w.ok()) {
-                w.value().runIndex = idx;
-                active.push_back(std::move(w).value());
-                return;
+    RunOutcome out;
+    for (unsigned attempt = 1;; ++attempt) {
+        auto r = runWorker(bin, cfg, name, instrs, warmup, attempt, opts,
+                           plan);
+        if (r.ok()) {
+            out = std::move(r).value();
+            if (attempt > 1 && out.ok()) {
+                // Restarts promote Ok to Retried so campaign summaries
+                // reflect the recovery; the SimResult payload itself
+                // is untouched (bitwise identity).
+                out.status = RunStatus::Retried;
+                out.attempts = attempt;
             }
-            warn("worker spawn for '", names[idx], "' failed: ",
-                 w.error().message);
-            if (attempt < opts.maxAttempts) {
-                pauseBeforeRetry(opts.backoffMs, attempt);
-                ++attempt;
-                continue;
-            }
-            RunOutcome out;
-            out.status = RunStatus::Crashed;
-            out.attempts = attempt;
-            out.failure = RunFailure{w.error(), attempt};
-            commit(idx, std::move(out));
-            return;
+            break;
         }
-    };
-
-    // Restart-or-commit for a worker that died without a usable
-    // result. Crashes and exec failures may be transient (a bad page,
-    // a racing binary update) and restart with backoff; heartbeat
-    // timeouts never do — a hang that consumed the whole wall-clock
-    // budget once will consume it again.
-    auto failOrRetry = [&](size_t idx, unsigned attempt,
-                           SimError err) {
-        warn("worker for '", names[idx], "' (attempt ", attempt, "): ",
+        SimError err = r.error();
+        warn("worker for '", name, "' (attempt ", attempt, "): ",
              err.message);
-        bool retryable = err.category == ErrorCategory::Crashed ||
-                         err.category == ErrorCategory::ExecFail;
+        // Crashes and exec failures may be transient (a bad page, a
+        // racing binary update) and restart with backoff; heartbeat
+        // timeouts never do — a hang that consumed the whole
+        // wall-clock budget once will consume it again.
+        const bool retryable = err.category == ErrorCategory::Crashed ||
+                               err.category == ErrorCategory::ExecFail;
         if (retryable && attempt < opts.maxAttempts) {
             pauseBeforeRetry(opts.backoffMs, attempt);
-            launch(idx, attempt + 1);
-            return;
+            continue;
         }
-        RunOutcome out;
         out.status = RunStatus::Crashed;
         out.attempts = attempt;
         out.failure = RunFailure{std::move(err), attempt};
-        commit(idx, std::move(out));
-    };
-
-    // --- poll event loop --------------------------------------------
-    while (next < order.size() || !active.empty()) {
-        while (active.size() < slots && next < order.size())
-            launch(pending[order[next++]], 1);
-        if (active.empty())
-            continue; // every launch may have committed a failure
-
-        std::vector<pollfd> fds(active.size());
-        double next_deadline = active[0].deadline;
-        for (size_t i = 0; i < active.size(); ++i) {
-            fds[i] = pollfd{active[i].outFd, POLLIN, 0};
-            next_deadline = std::min(next_deadline, active[i].deadline);
-        }
-        double wait_sec = next_deadline - hostSeconds();
-        int timeout_ms = static_cast<int>(
-            std::clamp(wait_sec * 1000.0, 10.0, 1000.0));
-        ::poll(fds.data(), fds.size(), timeout_ms);
-
-        const double now = hostSeconds();
-        std::vector<char> finished(active.size(), 0);
-        for (size_t i = 0; i < active.size(); ++i) {
-            WorkerProc &w = active[i];
-            if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
-                char buf[4096];
-                for (;;) {
-                    ssize_t n = ::read(w.outFd, buf, sizeof(buf));
-                    if (n > 0) {
-                        // Any bytes count as liveness; corrupt bytes
-                        // are caught by the decoder below.
-                        w.deadline = now + timeout_sec;
-                        w.decoder.feed(buf, size_t(n));
-                        continue;
-                    }
-                    if (n < 0 && errno == EINTR)
-                        continue;
-                    if (n < 0 &&
-                        (errno == EAGAIN || errno == EWOULDBLOCK))
-                        break;
-                    finished[i] = 1; // EOF or unreadable pipe
-                    break;
-                }
-                if (w.protocolError.empty()) {
-                    std::string frame;
-                    int rc;
-                    while ((rc = w.decoder.next(&frame)) == 1) {
-                        if (isHeartbeatFrame(frame))
-                            continue;
-                        auto res = parseWorkerResult(frame);
-                        if (res.ok()) {
-                            w.gotResult = true;
-                            w.result = std::move(res).value();
-                        } else {
-                            w.protocolError = res.error().message;
-                            ::kill(w.pid, SIGKILL);
-                            break;
-                        }
-                    }
-                    if (rc == -1 && w.protocolError.empty()) {
-                        w.protocolError = w.decoder.error();
-                        ::kill(w.pid, SIGKILL);
-                    }
-                }
-            }
-            if (!finished[i] && !w.killedForTimeout &&
-                now > w.deadline) {
-                // Watchdog: silence past the budget. SIGKILL; the EOF
-                // this forces classifies the slot as heartbeat-timeout.
-                w.killedForTimeout = true;
-                ::kill(w.pid, SIGKILL);
-            }
-        }
-
-        // Reap finished workers (reverse order keeps indices stable),
-        // then classify outside the scan so launch() may grow active.
-        std::vector<WorkerProc> done;
-        for (size_t i = active.size(); i-- > 0;) {
-            if (!finished[i])
-                continue;
-            done.push_back(std::move(active[i]));
-            active.erase(active.begin() +
-                         static_cast<ptrdiff_t>(i));
-        }
-        for (WorkerProc &w : done) {
-            int wstatus = 0;
-            ::waitpid(w.pid, &wstatus, 0);
-            ::close(w.outFd);
-            const size_t idx = w.runIndex;
-            const unsigned attempt = w.processAttempt;
-            if (w.killedForTimeout) {
-                RunOutcome out;
-                out.status = RunStatus::Crashed;
-                out.attempts = attempt;
-                out.failure = RunFailure{
-                    simError(ErrorCategory::HeartbeatTimeout,
-                             "worker heartbeat silent for more than ",
-                             opts.heartbeatTimeoutMs, " ms; killed"),
-                    attempt};
-                commit(idx, std::move(out));
-            } else if (!w.protocolError.empty()) {
-                failOrRetry(idx, attempt,
-                            simError(ErrorCategory::Crashed,
-                                     "worker protocol error: ",
-                                     w.protocolError));
-            } else if (w.gotResult) {
-                RunOutcome out = std::move(w.result);
-                if (attempt > 1 && out.ok()) {
-                    // Restarts promote Ok to Retried so campaign
-                    // summaries reflect the recovery; the SimResult
-                    // payload itself is untouched (bitwise identity).
-                    out.status = RunStatus::Retried;
-                    out.attempts = attempt;
-                }
-                commit(idx, std::move(out));
-            } else if (WIFSIGNALED(wstatus)) {
-                failOrRetry(idx, attempt,
-                            simError(ErrorCategory::Crashed,
-                                     "worker killed by signal ",
-                                     WTERMSIG(wstatus)));
-            } else {
-                int code =
-                    WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
-                if (code == kExecFailExit) {
-                    failOrRetry(idx, attempt,
-                                simError(ErrorCategory::ExecFail,
-                                         "worker binary could not be "
-                                         "executed (exit 127 without "
-                                         "output)"));
-                } else if (code == 0) {
-                    failOrRetry(idx, attempt,
-                                simError(ErrorCategory::Crashed,
-                                         "worker closed its pipe "
-                                         "without a result"));
-                } else {
-                    failOrRetry(idx, attempt,
-                                simError(ErrorCategory::Crashed,
-                                         "worker exited with code ",
-                                         code,
-                                         " before sending a result"));
-                }
-            }
-        }
+        break;
     }
-    return outcomes;
+    out.workload = name;
+    out.config = cfg.name;
+    return out;
 }
 
 } // namespace catchsim

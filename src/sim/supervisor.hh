@@ -2,14 +2,17 @@
  * @file
  * Process-isolated campaign execution: one worker process per run.
  *
- * runWorkloadsSupervised() is the process-level sibling of
- * runWorkloadsIsolated(): same outcome-per-slot contract, same
- * result-store semantics, but every run executes in its own
- * fork/exec'd worker process (the hidden --worker mode of the catch
- * binary, sim/worker_proto.hh). A crash in any run — SIGSEGV inside
- * the simulator, an abort, the OOM killer — ends that worker process
- * and becomes a typed Crashed RunFailure in its slot; the campaign and
- * its result store survive.
+ * superviseRun() is the per-slot function runWorkloadsSupervised()
+ * (sim/parallel_runner.hh) runs on the shared slot runner, the
+ * process-level sibling of executeContainedRun(): same outcome-per-slot
+ * contract, but the run executes in its own fork/exec'd worker process
+ * (the hidden --worker mode of the catch binary, sim/worker_proto.hh).
+ * A crash in any run — SIGSEGV inside the simulator, an abort, the OOM
+ * killer — ends that worker process and becomes a typed Crashed
+ * RunFailure in its slot; the campaign and its result store survive.
+ * The slot's thread waits on that one worker's pipe, so a hung worker
+ * holds only its own slot, and the campaign's progress callback runs
+ * on those slot threads, as in runWorkloadsIsolated().
  *
  * Supervision state machine, per slot:
  *
@@ -39,9 +42,7 @@
 #ifndef CATCHSIM_SIM_SUPERVISOR_HH_
 #define CATCHSIM_SIM_SUPERVISOR_HH_
 
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "sim/parallel_runner.hh"
 
@@ -49,22 +50,18 @@ namespace catchsim
 {
 
 /**
- * Runs @p names[i] -> outcomes[i] with each run in its own worker
- * process; at most @p jobs workers are alive at once. Result-store
- * lookups happen on the calling thread before any worker spawns,
- * exactly as in runWorkloadsIsolated. opts.workerBin
- * selects the worker executable (default /proc/self/exe, which must
- * understand --worker); opts.heartbeatMs / opts.heartbeatTimeoutMs
- * configure the wall-clock watchdog. @p progress runs on the calling
- * thread as slots finish.
+ * Runs @p name in one worker process at a time until it yields an
+ * outcome: a result frame, or a typed Crashed failure once a crash or
+ * exec failure has used opts.maxAttempts processes (restarts pace with
+ * pauseBeforeRetry) or the worker's heartbeat went silent for
+ * opts.heartbeatTimeoutMs. opts.workerBin selects the worker executable
+ * (default /proc/self/exe, which must understand --worker). Blocks the
+ * calling thread for the worker's lifetime; the caller must keep
+ * SIGPIPE ignored, as runWorkloadsSupervised does.
  */
-std::vector<RunOutcome>
-runWorkloadsSupervised(const SimConfig &cfg,
-                       const std::vector<std::string> &names,
-                       uint64_t instrs, uint64_t warmup, unsigned jobs,
-                       const IsolationOptions &opts = {},
-                       const std::function<void(const RunOutcome &)>
-                           &progress = nullptr);
+RunOutcome superviseRun(const SimConfig &cfg, const std::string &name,
+                        uint64_t instrs, uint64_t warmup,
+                        const IsolationOptions &opts);
 
 } // namespace catchsim
 

@@ -1,5 +1,6 @@
 #include "sim/worker_proto.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -151,7 +152,7 @@ requestFields(IO &io, Q &q)
     io.boolean("profile", q.opts.profile);
     io.u64("max_cycles", q.opts.budget.maxCycles);
     io.u64("stall_window", q.opts.budget.stallWindowCycles);
-    io.u32("heartbeat_ms", q.opts.heartbeatMs);
+    io.u32("heartbeat_ms", q.heartbeatMs);
 }
 
 } // namespace
@@ -294,6 +295,10 @@ buildWorkerRequest(const SimConfig &cfg, const std::string &workload,
     req.warmup = warmup;
     req.attemptBase = attemptBase;
     req.opts = opts;
+    // The one place the beat period is worked out: a quarter of the
+    // watchdog's budget, so a healthy worker beats several times per
+    // timeout at any CATCH_HEARTBEAT_TIMEOUT_MS, capped at 1 s.
+    req.heartbeatMs = std::clamp(opts.heartbeatTimeoutMs / 4, 1u, 1000u);
     JsonWriter w;
     w.open();
     w.field("type", std::string("request"));
@@ -328,7 +333,7 @@ parseWorkerRequest(const std::string &json)
         return *err;
     req.attemptBase = std::max(1u, req.attemptBase);
     req.opts.maxAttempts = std::max(1u, req.opts.maxAttempts);
-    req.opts.heartbeatMs = std::max(1u, req.opts.heartbeatMs);
+    req.heartbeatMs = std::max(1u, req.heartbeatMs);
     auto cfg = configFromJson(*cfg_obj);
     if (!cfg.ok())
         return cfg.error();
@@ -452,7 +457,7 @@ workerMain()
     // interleave. The first beat goes out immediately, telling the
     // supervisor the exec succeeded.
     std::atomic<bool> done{false};
-    std::thread heartbeat([&done, period = r.opts.heartbeatMs] {
+    std::thread heartbeat([&done, period = r.heartbeatMs] {
         const std::string beat = heartbeatPayload();
         while (!done.load(std::memory_order_relaxed)) {
             if (!writeFrame(STDOUT_FILENO, beat).ok())

@@ -16,11 +16,12 @@
  *
  * and exactly one message flows supervisor -> worker on the worker's
  * stdin: the request, carrying the workload name, instruction counts,
- * the full SimConfig (configToJson) and the containment knobs the
- * worker needs (budget, attempt limits, heartbeat period). The worker
- * inherits the supervisor's environment, so env-driven state
- * (CATCH_FAULT_INJECT, the trace chunk store, sampling knobs) needs no
- * explicit plumbing.
+ * the full SimConfig (configToJson, sampling schedule included) and
+ * the containment knobs the worker needs (budget, attempt limits, and
+ * a heartbeat period derived from the supervisor's timeout). The
+ * worker inherits the supervisor's environment, so the fault plan
+ * (CATCH_FAULT_INJECT) needs no explicit plumbing; workers run without
+ * memo stores.
  *
  * The supervisor parses worker bytes with FrameDecoder, which treats
  * every malformation — garbage length prefix, oversized frame,
@@ -66,8 +67,9 @@ Expected<void> writeFrame(int fd, const std::string &payload);
 Expected<std::string> readFrame(int fd);
 
 /**
- * Incremental frame reassembly for the supervisor's poll loop: feed()
- * whatever read() returned, then drain complete frames with next().
+ * Incremental frame reassembly for the supervisor, which polls each
+ * worker's pipe on its own thread: feed() whatever read() returned,
+ * then drain complete frames with next().
  * Any malformation latches error() and next() returns -1 forever.
  */
 class FrameDecoder
@@ -101,8 +103,11 @@ struct WorkerRequest
     unsigned attemptBase = 1;
     /** Containment knobs the worker applies in-process; store
      *  members are meaningless across the process boundary and stay
-     *  unset. heartbeatMs sets the worker's heartbeat period. */
+     *  unset. */
     IsolationOptions opts;
+    /** Heartbeat period: a quarter of opts.heartbeatTimeoutMs, within
+     *  [1, 1000] ms (buildWorkerRequest derives it). */
+    unsigned heartbeatMs = 1000;
 };
 
 /** Serialises one request frame payload (supervisor side). */

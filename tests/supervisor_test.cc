@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/fault_inject.hh"
+#include "common/host_clock.hh"
 #include "sim/configs.hh"
 #include "sim/parallel_runner.hh"
 #include "sim/supervisor.hh"
@@ -63,7 +64,6 @@ fastOpts()
     IsolationOptions opts;
     opts.plan = &kNoFaults; // parent-side injection off by default
     opts.backoffMs = 0;
-    opts.heartbeatMs = 50;
     opts.heartbeatTimeoutMs = 30000;
     return opts;
 }
@@ -300,7 +300,7 @@ TEST(WorkerProto, RequestRoundTripCarriesTheKnobs)
     IsolationOptions opts;
     opts.maxAttempts = 5;
     opts.budget.maxCycles = 123456;
-    opts.heartbeatMs = 77;
+    opts.heartbeatTimeoutMs = 308;
     std::string payload =
         buildWorkerRequest(cfg, "mcf", kInstr, kWarm, 3, opts);
     auto req = parseWorkerRequest(payload);
@@ -311,7 +311,8 @@ TEST(WorkerProto, RequestRoundTripCarriesTheKnobs)
     EXPECT_EQ(req.value().attemptBase, 3u);
     EXPECT_EQ(req.value().opts.maxAttempts, 5u);
     EXPECT_EQ(req.value().opts.budget.maxCycles, 123456u);
-    EXPECT_EQ(req.value().opts.heartbeatMs, 77u);
+    EXPECT_EQ(req.value().heartbeatMs, 77u)
+        << "workers beat every heartbeatTimeoutMs / 4";
     EXPECT_EQ(configToJson(req.value().cfg), configToJson(cfg));
 
     auto bad = parseWorkerRequest("{\"type\":\"request\"}");
@@ -441,6 +442,57 @@ TEST(Supervisor, HeartbeatSilenceTripsTheWallClockWatchdog)
               ErrorCategory::HeartbeatTimeout);
     EXPECT_EQ(out[0].attempts, 1u)
         << "hangs are never restarted: the budget is already spent";
+}
+
+TEST(Supervisor, ShortHeartbeatTimeoutSparesAHealthyWorker)
+{
+    // Workers beat every timeout / 4, so a healthy run outlives any
+    // timeout; a fixed 1 s beat would be killed at 500 ms.
+    SimConfig cfg = baselineSkx();
+    IsolationOptions opts = fastOpts();
+    opts.heartbeatTimeoutMs = 500;
+    const double start = hostSeconds();
+    auto out = runWorkloadsSupervised(cfg, {"mcf"}, 8000000, 500000, 1,
+                                      opts);
+    const double elapsed = hostSeconds() - start;
+    ASSERT_TRUE(out[0].ok())
+        << (out[0].failure ? out[0].failure->error.message : "");
+    EXPECT_EQ(out[0].status, RunStatus::Ok);
+    EXPECT_GT(elapsed, 0.5)
+        << "the run must outlast the timeout to test the beat period";
+}
+
+TEST(Supervisor, HungWorkerHoldsOnlyItsOwnSlot)
+{
+    // One stalled worker beside healthy ones at jobs=2: the watchdog
+    // ends only the stalled slot, and the other slot keeps serving the
+    // rest of the campaign meanwhile.
+    EnvGuard fault("CATCH_FAULT_INJECT", "heartbeat-stall:omnetpp");
+    const std::vector<std::string> names = {"mcf", "omnetpp", "hmmer",
+                                            "milc"};
+    SimConfig cfg = baselineSkx();
+    IsolationOptions opts = fastOpts();
+    opts.heartbeatTimeoutMs = 1000;
+    auto out = runWorkloadsSupervised(cfg, names, kInstr, kWarm, 2, opts);
+    auto clean = runWorkloadsIsolated(cfg, names, kInstr, kWarm, 2,
+                                      fastOpts());
+    ASSERT_EQ(out.size(), names.size());
+    for (size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(out[i].workload, names[i]);
+        if (names[i] == "omnetpp") {
+            ASSERT_FALSE(out[i].ok());
+            EXPECT_EQ(out[i].status, RunStatus::Crashed);
+            EXPECT_EQ(out[i].failure->error.category,
+                      ErrorCategory::HeartbeatTimeout);
+            continue;
+        }
+        ASSERT_TRUE(out[i].ok())
+            << names[i] << ": "
+            << (out[i].failure ? out[i].failure->error.message : "");
+        EXPECT_EQ(out[i].status, RunStatus::Ok);
+        ASSERT_TRUE(clean[i].ok()) << names[i];
+        expectBitwiseEqual(clean[i].result, out[i].result);
+    }
 }
 
 TEST(Supervisor, ForeignWorkerBinariesAreClassifiedNotTrusted)
