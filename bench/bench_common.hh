@@ -33,6 +33,9 @@ banner(const char *fig, const char *what)
 /**
  * Prints per-category + overall geomean speedups of each test suite over
  * the base suite, one column per config, with a paper row underneath.
+ * Rows are keyed by category name: a config whose failed runs emptied a
+ * category prints "n/a" there, and a note under the table says how many
+ * workloads each config left out.
  */
 inline void
 printCategoryTable(const std::vector<SimResult> &base,
@@ -45,13 +48,19 @@ printCategoryTable(const std::vector<SimResult> &base,
         header.push_back(n);
     TablePrinter table(header);
 
-    // Rows: one per category + GeoMean.
-    auto first = categoryGeomeans(base, tests[0]);
-    for (size_t row = 0; row < first.size(); ++row) {
-        std::vector<std::string> cells = {first[row].first};
-        for (const auto &t : tests) {
-            auto g = categoryGeomeans(base, t);
-            cells.push_back(formatPercent(g[row].second - 1.0));
+    // Base against itself yields every row any test can have, in order.
+    std::vector<std::map<std::string, double>> cols;
+    for (const auto &t : tests) {
+        auto g = categoryGeomeans(base, t);
+        cols.emplace_back(g.begin(), g.end());
+    }
+    for (const auto &row : categoryGeomeans(base, base)) {
+        std::vector<std::string> cells = {row.first};
+        for (const auto &col : cols) {
+            auto it = col.find(row.first);
+            cells.push_back(it == col.end()
+                                ? "n/a"
+                                : formatPercent(it->second - 1.0));
         }
         table.addRow(cells);
     }
@@ -62,6 +71,16 @@ printCategoryTable(const std::vector<SimResult> &base,
         table.addRow(cells);
     }
     table.print();
+
+    for (size_t c = 0; c < tests.size(); ++c) {
+        size_t left_out = 0;
+        for (size_t i = 0; i < base.size(); ++i)
+            left_out += !(base[i].ipc > 0.0 && tests[c][i].ipc > 0.0);
+        if (left_out)
+            std::printf("%s: %zu of %zu workloads left out (a run "
+                        "failed)\n",
+                        test_names[c].c_str(), left_out, base.size());
+    }
 }
 
 } // namespace catchsim

@@ -14,7 +14,8 @@
  * Categories mirror how the suite executor reacts:
  *   config          caller mistake (unknown workload, bad geometry);
  *                   never retried, surfaced once with exit code 2
- *   trace-corrupt   a trace file failed validation; not retried
+ *   trace-corrupt   a stored record or result document failed
+ *                   validation, or an injected fault; not retried
  *   io-transient    an IO operation that may succeed on retry; retried
  *                   with bounded attempt-count-based backoff
  *   budget-exceeded a run overran its watchdog budget (hang/livelock);

@@ -1,6 +1,8 @@
 #include "sim/experiment.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <map>
 
@@ -32,15 +34,16 @@ namespace
 {
 
 /**
- * <jsonDir>/<config-name>.json, with filesystem-hostile characters
+ * <jsonDir>/<program>.<config-name>.json (the program's name keeps two
+ * benches running one config apart), with filesystem-hostile characters
  * flattened and a numeric suffix when a bench reuses a config name.
  * Bench mains are single-threaded, so a plain static map suffices.
  */
 std::string
 jsonExportPath(const std::string &dir, const std::string &cfg_name)
 {
-    std::string stem;
-    for (char c : cfg_name)
+    std::string stem, raw = program_invocation_short_name;
+    for (char c : raw + '.' + cfg_name)
         stem += (isalnum(static_cast<unsigned char>(c)) || c == '-' ||
                  c == '.' || c == '_')
                     ? c
@@ -144,6 +147,8 @@ categoryGeomeans(const std::vector<SimResult> &base,
     for (size_t i = 0; i < base.size(); ++i) {
         CATCHSIM_ASSERT(base[i].workload == test[i].workload,
                         "suite ordering mismatch");
+        if (!(base[i].ipc > 0.0 && test[i].ipc > 0.0))
+            continue; // a failed run (runSuite leaves IPC 0)
         double speedup = test[i].ipc / base[i].ipc;
         buckets[base[i].category].push_back(speedup);
         all.push_back(speedup);
@@ -155,7 +160,7 @@ categoryGeomeans(const std::vector<SimResult> &base,
     for (Category c : order)
         if (buckets.contains(c))
             out.emplace_back(categoryName(c), geomean(buckets[c]));
-    out.emplace_back("GeoMean", geomean(all));
+    out.emplace_back("GeoMean", all.empty() ? std::nan("") : geomean(all));
     return out;
 }
 

@@ -11,7 +11,8 @@
  *                    concurrency; 1 restores the serial path). Results
  *                    are bitwise-identical for any job count.
  *   CATCH_JSON=DIR   also write one machine-readable JSON file per
- *                    runSuite() call into DIR (see writeSuiteJson)
+ *                    runSuite() call into DIR, named
+ *                    <program>.<config-name>.json (see writeSuiteJson)
  *   CATCH_RESULT_STORE=DIR  content-hashed incremental result store:
  *                    unchanged (config, workload, length) cells are
  *                    served from DIR instead of re-executing, so a
@@ -72,10 +73,11 @@ struct ExperimentEnv
  * whose content key is already stored replay from the store and fresh
  * successes persist back to it, so a restarted campaign re-executes
  * only unfinished ones. When env.jsonDir is set, writes
- * <jsonDir>/<config-name>.json with per-run status and the campaign
- * summary (a "-2", "-3", ... suffix disambiguates repeated config
- * names within one process). Per-run worker processes are
- * catchsim --isolate's business (sim/supervisor.hh), not the benches'.
+ * <jsonDir>/<program>.<config-name>.json (<program>: the binary's short
+ * name) with per-run status and the campaign summary (a "-2", "-3", ...
+ * suffix disambiguates repeated config names within one process).
+ * Per-run worker processes are catchsim --isolate's business
+ * (sim/supervisor.hh), not the benches'.
  */
 std::vector<RunOutcome> runSuiteIsolated(const SimConfig &cfg,
                                          const ExperimentEnv &env);
@@ -102,7 +104,9 @@ Expected<void> writeSuiteJson(const std::string &path,
 /**
  * Per-workload speedups of @p test over @p base (paired by index) and
  * their geometric means: per category plus an overall "GeoMean" entry.
- * Categories appear in the paper's order.
+ * Categories appear in the paper's order. A workload with a zero IPC on
+ * either side (runSuite's failed slot) is left out; a category with no
+ * pair left has no row, and GeoMean is NaN when nothing pairs.
  */
 std::vector<std::pair<std::string, double>>
 categoryGeomeans(const std::vector<SimResult> &base,

@@ -5,7 +5,6 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/state_io.hh"
-#include "trace/trace_io.hh"
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -26,8 +25,7 @@ std::string
 RunKey::bytes() const
 {
     StateSink s;
-    for (uint64_t v : {workloadSeed, configDigest, instrs, warmup,
-                       uint64_t(kTraceFormatVersion)})
+    for (uint64_t v : {workloadSeed, configDigest, instrs, warmup})
         s.u64(v);
     return s.take() + workload;
 }

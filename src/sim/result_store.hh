@@ -6,14 +6,16 @@
  * CATCH_RESULT_STORE) persists every successful run keyed by what
  * actually determines its output: the workload's name and seed, the
  * digest of the full SimConfig serialisation (worker_proto.hh
- * configDigest), the instruction counts and the trace-format version.
- * Re-running after a one-knob config change re-executes only the cells
- * the knob invalidates — every unchanged cell is served from the store
+ * configDigest) and the instruction counts. Re-running after a
+ * one-knob config change re-executes only the cells the knob
+ * invalidates — every unchanged cell is served from the store
  * byte-identically (SimResult round-trips bitwise, common/json.hh).
  * It is also how a killed or rerun campaign skips its finished cells:
  * failures are never stored, so only they re-execute. Because the key
  * is config *content*, not its name, a store hit survives renames and a
  * same-name knob change misses.
+ * The key covers a run's inputs, not the build: a store filled before a
+ * code change that moves results replays the old numbers; start afresh.
  *
  * It is the one store that persists: a RecordDir
  * (common/content_store.hh) holding one checksummed record per key
@@ -40,7 +42,7 @@
 namespace catchsim
 {
 
-/** Everything that determines one run's bitwise output. */
+/** Every input that determines one run's bitwise output. */
 struct RunKey
 {
     std::string workload;
@@ -49,10 +51,7 @@ struct RunKey
     uint64_t instrs = 0;
     uint64_t warmup = 0;
 
-    /**
-     * Canonical key bytes: every field plus kTraceFormatVersion, so a
-     * trace-format bump invalidates the whole store.
-     */
+    /** Canonical key bytes: every field above. */
     std::string bytes() const;
 };
 

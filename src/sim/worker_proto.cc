@@ -8,9 +8,9 @@
 #include <cstring>
 #include <thread>
 
+#include "common/bitutil.hh"
 #include "common/fault_inject.hh"
 #include "sim/simulator.hh"
-#include "trace/trace_io.hh"
 
 #include <unistd.h>
 

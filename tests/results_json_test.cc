@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -368,6 +369,31 @@ TEST(ResultsJson, FailedExportLeavesNoTornFinalDocument)
                         "stop (root); atomicity not observable here";
     EXPECT_EQ(readFile(path), original)
         << "a failed export must not disturb the existing document";
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ResultsJson, SuiteExportIsNamedAfterTheProgram)
+{
+    // Every figure bench runs the baseline config; naming the export
+    // after the config alone let the second bench overwrite the first.
+    std::string dir = ::testing::TempDir() + "catchsim_program_export";
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(std::filesystem::create_directories(dir));
+
+    ExperimentEnv env;
+    env.names = {"hmmer"};
+    env.instrs = kInstr;
+    env.warmup = kWarm;
+    env.jsonDir = dir;
+    const SimConfig cfg = baselineSkx();
+    auto outcomes = runSuiteIsolated(cfg, env);
+    ASSERT_TRUE(outcomes.at(0).ok());
+
+    const std::string path = dir + "/" + program_invocation_short_name +
+                             "." + cfg.name + ".json";
+    EXPECT_TRUE(std::filesystem::exists(path)) << path;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + cfg.name + ".json"));
+    EXPECT_NE(readFile(path).find("\"hmmer\""), std::string::npos);
     std::filesystem::remove_all(dir);
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "sim/configs.hh"
 #include "sim/experiment.hh"
@@ -101,19 +102,36 @@ TEST(Simulator, CounterIdentitiesHoldWithoutWarmup)
 {
     // Without a warmup every counter covers the same window. (TactStats
     // and the DDG counters also count warmup instructions; DESIGN.md
-    // says which counters restart at the measurement boundary.)
-    const SimConfig cfg = withCatch(baselineSkx());
-    for (const std::string &name : stQuickNames()) {
-        SCOPED_TRACE(name);
-        const SimResult r = runWorkload(cfg, name, 200000, 0);
-        EXPECT_EQ(r.tact.crossIssued + r.tact.deepIssued +
-                      r.tact.feederIssued + r.tact.codeLines,
-                  r.hier.tactPrefetches);
-        EXPECT_EQ(r.ddg.retired, r.core.instrs);
-        uint64_t served = 0;
-        for (uint64_t hits : r.hier.loadHits)
-            served += hits;
-        EXPECT_EQ(served, r.hier.loads);
+    // says which counters restart at the measurement boundary.) Each
+    // hierarchy shape places fills its own way, so all five run.
+    const SimConfig configs[] = {
+        baselineSkx(),
+        withCatch(baselineSkx()),
+        withCatch(baselineClient()),
+        withCatch(noL2(baselineSkx(), 9728)),
+        withCatch(noL2(baselineClient(), 6656)),
+    };
+    auto sum4 = [](const uint64_t (&v)[4]) {
+        return v[0] + v[1] + v[2] + v[3];
+    };
+    for (const SimConfig &cfg : configs) {
+        for (const std::string &name : stQuickNames()) {
+            SCOPED_TRACE(cfg.name + " / " + name);
+            const SimResult r = runWorkload(cfg, name, 100000, 0);
+            const HierarchyStats &h = r.hier;
+            EXPECT_EQ(r.tact.crossIssued + r.tact.deepIssued +
+                          r.tact.feederIssued + r.tact.codeLines,
+                      h.tactPrefetches);
+            EXPECT_EQ(h.tactPfFromL2 + h.tactPfFromLlc + h.tactPfFromMem +
+                          h.tactPfDropped + h.tactPfNotOnDie,
+                      h.tactPrefetches);
+            if (cfg.criticality.enabled) { // SKX runs no DDG detector
+                EXPECT_EQ(r.ddg.retired, r.core.instrs);
+            }
+            EXPECT_EQ(sum4(h.loadHits), h.loads);
+            EXPECT_EQ(sum4(h.codeHits), h.codeFetches);
+            EXPECT_EQ(sum4(h.rfoHits), h.storeL1Misses);
+        }
     }
 }
 
@@ -150,6 +168,39 @@ TEST(Experiment, CategoryGeomeans)
     EXPECT_EQ(rows.back().first, "GeoMean");
     EXPECT_GT(rows.back().second, 0.3);
     EXPECT_LT(rows.back().second, 1.2);
+}
+
+TEST(Experiment, CategoryGeomeansLeaveOutFailedRuns)
+{
+    // runSuite leaves a failed run's slot at IPC 0; pairing it once
+    // divided by zero and aborted every figure bench in geomean().
+    auto run = [](const char *name, Category cat, double ipc) {
+        SimResult r;
+        r.workload = name;
+        r.category = cat;
+        r.ipc = ipc;
+        return r;
+    };
+    const std::vector<SimResult> base = {
+        run("a", Category::Fspec, 1.0), run("b", Category::Ispec, 2.0),
+        run("c", Category::Ispec, 0.0), run("d", Category::Server, 1.0)};
+    const std::vector<SimResult> test = {
+        run("a", Category::Fspec, 1.5), run("b", Category::Ispec, 1.0),
+        run("c", Category::Ispec, 1.0), run("d", Category::Server, 0.0)};
+    auto rows = categoryGeomeans(base, test);
+    ASSERT_EQ(rows.size(), 3u); // Server lost its only pair
+    EXPECT_EQ(rows[0].first, "FSPEC");
+    EXPECT_DOUBLE_EQ(rows[0].second, 1.5);
+    EXPECT_EQ(rows[1].first, "ISPEC");
+    EXPECT_DOUBLE_EQ(rows[1].second, 0.5);
+    EXPECT_EQ(rows[2].first, "GeoMean");
+    EXPECT_DOUBLE_EQ(rows[2].second, std::sqrt(0.75));
+    EXPECT_DOUBLE_EQ(overallGeomean(base, test), std::sqrt(0.75));
+
+    const std::vector<SimResult> failed = {
+        run("a", Category::Fspec, 0.0), run("b", Category::Ispec, 0.0),
+        run("c", Category::Ispec, 0.0), run("d", Category::Server, 0.0)};
+    EXPECT_TRUE(std::isnan(overallGeomean(base, failed)));
 }
 
 TEST(MpSimulator, WeightedSpeedupNearCoreCount)
