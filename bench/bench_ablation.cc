@@ -15,11 +15,14 @@ using namespace catchsim;
 namespace
 {
 
+/** @p cfg's geomean gain over @p base; adds its failed runs to
+ *  @p failed. */
 double
 gain(const std::vector<SimResult> &base, const SimConfig &cfg,
-     const ExperimentEnv &env)
+     const ExperimentEnv &env, size_t &failed)
 {
     auto rs = runSuite(cfg, env);
+    failed += failedRuns(rs);
     return overallGeomean(base, rs) - 1.0;
 }
 
@@ -33,6 +36,7 @@ main()
     // Ablate on the two-level CATCH configuration, reported as gain over
     // the three-level baseline.
     auto rb = runSuite(baselineSkx(), env);
+    size_t failed = failedRuns(rb);
     SimConfig catch2 = withCatch(noL2(baselineSkx(), 9728));
 
     TablePrinter table({"knob", "value", "gain vs baseline"});
@@ -43,7 +47,7 @@ main()
         cfg.criticality.tableEntries = entries;
         cfg.criticality.tableWays = entries >= 8 ? 8 : entries;
         table.addRow({"critical-table entries", std::to_string(entries),
-                      formatPercent(gain(rb, cfg, env))});
+                      formatPercent(gain(rb, cfg, env, failed))});
     }
 
     for (double walk : {1.0, 2.0, 3.0}) {
@@ -52,7 +56,7 @@ main()
         cfg.criticality.walkFactor = walk;
         cfg.criticality.graphFactor = walk + 0.5;
         table.addRow({"DDG walk depth (x ROB)", formatDouble(walk, 1),
-                      formatPercent(gain(rb, cfg, env))});
+                      formatPercent(gain(rb, cfg, env, failed))});
     }
 
     for (uint32_t dist : {4u, 8u, 16u, 32u}) {
@@ -60,7 +64,7 @@ main()
         cfg.name = "deep" + std::to_string(dist);
         cfg.tact.deepMaxDistance = dist;
         table.addRow({"deep-self max distance", std::to_string(dist),
-                      formatPercent(gain(rb, cfg, env))});
+                      formatPercent(gain(rb, cfg, env, failed))});
     }
 
     for (uint32_t depth : {4u, 8u, 16u}) {
@@ -68,9 +72,9 @@ main()
         cfg.name = "feeder" + std::to_string(depth);
         cfg.tact.feederDepth = depth;
         table.addRow({"feeder runahead depth", std::to_string(depth),
-                      formatPercent(gain(rb, cfg, env))});
+                      formatPercent(gain(rb, cfg, env, failed))});
     }
 
     table.print();
-    return 0;
+    return failed ? 1 : 0;
 }

@@ -18,6 +18,7 @@ main()
     ExperimentEnv env = ExperimentEnv::fromEnvironment();
 
     auto rb = runSuite(baselineSkx(), env);
+    size_t failed = failedRuns(rb);
 
     TablePrinter table({"detector", "gain vs baseline", "table insertions",
                         "table evictions (churn)"});
@@ -27,6 +28,7 @@ main()
         cfg.name = kind == DetectorKind::Ddg ? "catch-ddg"
                                              : "catch-heuristic";
         auto rs = runSuite(cfg, env);
+        failed += failedRuns(rs);
         double ins = sumOver(rs, [](const SimResult &r) {
             return r.criticalTable.insertions;
         });
@@ -41,5 +43,5 @@ main()
     std::printf("\npaper (Section IV-A): heuristics flag many more PCs "
                 "than are truly critical;\nthe DDG detector needs only "
                 "~3 KB and feeds a stable 32-entry table.\n");
-    return 0;
+    return failed ? 1 : 0;
 }

@@ -2,12 +2,14 @@
  * @file
  * Shared helpers for the figure-reproduction benches: each bench prints
  * its table with the paper's published number next to ours so the shape
- * comparison is immediate.
+ * comparison is immediate, and exits 1 when any of its runs failed or
+ * timed out (catchsim's rule), 0 otherwise.
  */
 
 #ifndef CATCHSIM_BENCH_BENCH_COMMON_HH_
 #define CATCHSIM_BENCH_BENCH_COMMON_HH_
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -28,6 +30,20 @@ banner(const char *fig, const char *what)
     std::printf("==============================================================\n");
     std::printf("%s: %s\n", fig, what);
     std::printf("==============================================================\n");
+}
+
+/** Runs of @p suites that failed or timed out: runSuite leaves such a
+ *  run's IPC 0. */
+template <typename... Suites>
+size_t
+failedRuns(const Suites &...suites)
+{
+    auto failed = [](const std::vector<SimResult> &rs) {
+        return static_cast<size_t>(
+            std::count_if(rs.begin(), rs.end(),
+                          [](const SimResult &r) { return !(r.ipc > 0.0); }));
+    };
+    return (failed(suites) + ...);
 }
 
 /**

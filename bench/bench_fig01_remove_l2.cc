@@ -24,5 +24,5 @@ main()
     printCategoryTable(rb, {r65, r95},
                        {"NoL2+6.5MB LLC", "NoL2+9.5MB LLC"},
                        {-0.0779, -0.0512});
-    return 0;
+    return failedRuns(rb, r65, r95) ? 1 : 0;
 }

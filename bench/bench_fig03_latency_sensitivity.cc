@@ -21,6 +21,7 @@ main()
 
     SimConfig base = baselineSkx();
     auto rb = runSuite(base, env);
+    size_t failed = failedRuns(rb);
 
     const double paper[3][3] = {
         {-0.0240, -0.0478, -0.0716},
@@ -44,6 +45,7 @@ main()
             else
                 cfg.oracle.latAddLlc = add;
             auto rs = runSuite(cfg, env);
+            failed += failedRuns(rs);
             row.push_back(formatPercent(overallGeomean(rb, rs) - 1.0));
         }
         row.push_back(formatPercent(paper[lvl][0]) + " / " +
@@ -52,5 +54,5 @@ main()
         table.addRow(row);
     }
     table.print();
-    return 0;
+    return failed ? 1 : 0;
 }

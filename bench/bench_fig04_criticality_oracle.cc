@@ -22,6 +22,7 @@ main()
 
     SimConfig base = baselineSkx();
     auto rb = runSuite(base, env);
+    size_t failed = failedRuns(rb);
 
     struct Case
     {
@@ -50,6 +51,7 @@ main()
         if (c.needs_detector)
             cfg.criticality.enabled = true;
         auto rs = runSuite(cfg, env);
+        failed += failedRuns(rs);
         double converted =
             sumOver(rs, [](const SimResult &r) {
                 return r.hier.demotedLoads;
@@ -61,5 +63,5 @@ main()
                       formatPercent(c.paper)});
     }
     table.print();
-    return 0;
+    return failed ? 1 : 0;
 }

@@ -45,6 +45,7 @@ main()
     base.l2StreamPrefetcher = false;
     base.oracle.oracleCodeInL1 = true;
     auto rb = runSuite(base, env);
+    size_t failed = failedRuns(rb);
 
     struct Case
     {
@@ -66,6 +67,7 @@ main()
         SimConfig cfg = c.no_l2 ? noL2(base, 6656) : base;
         cfg = oracleCfg(cfg, c.pcs, c.name);
         auto rs = runSuite(cfg, env);
+        failed += failedRuns(rs);
         double converted =
             sumOver(rs, [](const SimResult &r) {
                 return r.hier.oracleConverted;
@@ -80,5 +82,5 @@ main()
                       formatPercent(c.paper)});
     }
     table.print();
-    return 0;
+    return failed ? 1 : 0;
 }

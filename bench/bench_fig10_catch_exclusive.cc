@@ -32,5 +32,5 @@ main()
         {"NoL2+6.5", "NoL2+9.5", "NoL2+6.5+CATCH", "NoL2+9.5+CATCH",
          "CATCH"},
         {-0.0779, -0.0512, 0.0455, 0.0723, 0.0841});
-    return 0;
+    return failedRuns(rb, r65, r95, r65c, r95c, rc) ? 1 : 0;
 }

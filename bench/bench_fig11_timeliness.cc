@@ -55,5 +55,5 @@ main()
     row("ALL", total);
     table.addRow({"paper (ALL)", "~88%", ">85%", "~95%"});
     table.print();
-    return 0;
+    return failedRuns(rs) ? 1 : 0;
 }

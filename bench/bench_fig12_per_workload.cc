@@ -39,5 +39,5 @@ main()
                       std::to_string(rc[i].hier.tactPrefetches)});
     }
     table.print();
-    return 0;
+    return failedRuns(rb, r65, r95c, rc) ? 1 : 0;
 }

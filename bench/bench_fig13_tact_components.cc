@@ -18,6 +18,7 @@ main()
 
     SimConfig no_l2 = noL2(baselineSkx(), 6656);
     auto rb = runSuite(no_l2, env);
+    size_t failed = failedRuns(rb);
 
     struct Step
     {
@@ -44,6 +45,7 @@ main()
         cfg.tact.deepSelf = s.deep;
         cfg.tact.feeder = s.feeder;
         auto rs = runSuite(cfg, env);
+        failed += failedRuns(rs);
         double total = overallGeomean(rb, rs);
         table.addRow({s.name, formatPercent(total - 1.0),
                       formatPercent(total - prev),
@@ -51,5 +53,5 @@ main()
         prev = total;
     }
     table.print();
-    return 0;
+    return failed ? 1 : 0;
 }

@@ -18,6 +18,7 @@ main()
     ExperimentEnv env = ExperimentEnv::fromEnvironment();
 
     auto rb = runSuite(baselineSkx(), env);
+    size_t failed = failedRuns(rb);
 
     const double paper_no_l2[3] = {-0.0779, -0.0971, -0.1150};
     const double paper_catch[3] = {0.0723, 0.0542, 0.0371};
@@ -35,6 +36,7 @@ main()
             cfg.name += "+llc" + std::to_string(add);
             cfg.oracle.latAddLlc = add;
             auto rs = runSuite(cfg, env);
+            failed += failedRuns(rs);
             row.push_back(formatPercent(overallGeomean(rb, rs) - 1.0));
         }
         const double *paper = with_catch ? paper_catch : paper_no_l2;
@@ -44,5 +46,5 @@ main()
         table.addRow(row);
     }
     table.print();
-    return 0;
+    return failed ? 1 : 0;
 }

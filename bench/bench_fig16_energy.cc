@@ -82,5 +82,5 @@ main()
                      formatPercent(totals.second / totals.first - 1.0),
                      paper.at(cat)});
     cats.print();
-    return 0;
+    return failedRuns(rb, rc) ? 1 : 0;
 }

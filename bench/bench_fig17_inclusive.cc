@@ -28,5 +28,5 @@ main()
     printCategoryTable(rb, {rn, rnc, rnc9, rc},
                        {"noL2", "noL2+CATCH", "noL2+CATCH+9MB", "CATCH"},
                        {-0.0574, 0.0643, 0.0722, 0.1029});
-    return 0;
+    return failedRuns(rb, rn, rnc, rnc9, rc) ? 1 : 0;
 }

@@ -1,43 +1,22 @@
 /**
  * @file
- * The two content-addressed store primitives: a sharing-aware memory
- * LRU behind the three memo stores, and a checksummed record directory
- * behind the result store. They share no logic; each store uses one.
+ * MemoLru, the sharing-aware memory LRU behind the three memo stores
+ * (ChunkStore, WarmStateStore, KernelImageStore).
  *
- * MemoLru (ChunkStore, WarmStateStore, KernelImageStore). Every memo
- * store maps a canonical key to an immutable value that is a pure
- * function of that key, so a value is never persisted: a process
- * re-derives it on a miss, and a store can only ever save time, never
- * change a result. The LRU holds shared immutable values under a byte
- * budget, publishes first-writer-wins and counts hits, misses,
- * evictions and puts. The charge is sharing-aware: a value reports the
- * bytes it holds alone plus the parts it may share with other resident
- * values (memory image layers), and each distinct part is charged once
- * store-wide however many entries hold it.
- *
- * RecordDir (ResultStore). One record per key in one checksummed
- * frame, written to a process-unique temp name and renamed into place,
- * so readers — in any process — only ever see complete records. A
- * record that fails validation is warned about, deleted and reported
- * as a miss, and the caller re-derives the value. Never a crash, never
- * wrong data. A facade supplies the payload codec.
- *
- * Record frame (little-endian):
- *
- *   magic[6] | u32 kind version | u32 key length | key bytes |
- *   u64 payload length | payload | u64 FNV-1a of everything before it
- *
- * Validation runs in that order of trust: size floor, whole-record
- * checksum, magic, version, key echo, payload length, then the facade's
- * payload decoder. The key echo guards against a checksum-valid record
- * renamed onto another key's path; a version bump turns stale records
- * into clean misses instead of misparses.
+ * Every memo store maps a canonical key to an immutable value that is
+ * a pure function of that key, so a value is never persisted: a
+ * process re-derives it on a miss, and a store can only ever save
+ * time, never change a result. The LRU holds shared immutable values
+ * under a byte budget, publishes first-writer-wins and counts hits,
+ * misses, evictions and puts. The charge is sharing-aware: a value
+ * reports the bytes it holds alone plus the parts it may share with
+ * other resident values (memory image layers), and each distinct part
+ * is charged once store-wide however many entries hold it.
  */
 
 #ifndef CATCHSIM_COMMON_CONTENT_STORE_HH_
 #define CATCHSIM_COMMON_CONTENT_STORE_HH_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -45,9 +24,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
-
-#include "common/error.hh"
 
 namespace catchsim
 {
@@ -124,85 +100,6 @@ class MemoLru
     std::unordered_map<const void *, uint64_t> partRefs_;
     size_t residentBytes_ = 0;
     Stats stats_;
-};
-
-/** A directory of checksummed records, one per key. */
-class RecordDir
-{
-  public:
-    using Value = std::shared_ptr<const void>;
-
-    /** The fixed description of one kind of record. */
-    struct Format
-    {
-        char magic[6];         ///< first six bytes of every record
-        uint32_t version;      ///< kind version, checked on load
-        const char *extension; ///< record file suffix, e.g. ".res"
-        const char *noun;      ///< names the kind in messages
-    };
-
-    /** Monotonic counters; a snapshot is taken under the store lock. */
-    struct Stats
-    {
-        uint64_t hits = 0;    ///< find() loaded a valid record
-        uint64_t misses = 0;  ///< find() found nothing servable
-        uint64_t corrupt = 0; ///< records rejected by validation
-        uint64_t puts = 0;    ///< values handed to put()
-    };
-
-    /** Records live in @p dir, which the owner creates. */
-    RecordDir(const Format &fmt, std::string dir);
-    virtual ~RecordDir();
-
-    RecordDir(const RecordDir &) = delete;
-    RecordDir &operator=(const RecordDir &) = delete;
-
-    /**
-     * Loads @p key's record. A record that fails validation counts as
-     * corrupt, is deleted, and the call reports a miss (null).
-     * Thread-safe, and safe against writers in other processes.
-     */
-    Value find(const std::string &key);
-
-    /**
-     * Writes @p value's record unless one already exists: every writer
-     * of a key holds an identical value. A write error warns and
-     * leaves the slot empty. Thread-safe.
-     */
-    void put(const std::string &key, const void *value);
-
-    /**
-     * Reads and fully validates @p key's record. An absent file is a
-     * config error (plain miss); any content defect is a trace-corrupt
-     * SimError naming the record path. find() is the production path;
-     * this one exposes the error taxonomy to tests.
-     */
-    Expected<Value> loadChecked(const std::string &key);
-
-    /** The record path @p key maps to. */
-    std::string recordPath(const std::string &key) const;
-
-    Stats stats() const;
-
-  protected:
-    /** Appends @p value's payload bytes to @p out. */
-    virtual void encode(const void *value,
-                        std::vector<uint8_t> &out) const = 0;
-
-    /** Parses a payload whose frame validated; a malformed payload is
-     *  a trace-corrupt SimError describing the defect. */
-    virtual Expected<Value> decode(const uint8_t *payload,
-                                   size_t n) const = 0;
-
-  private:
-    Expected<void> write(const std::string &key, const void *value);
-
-    const Format fmt_;
-    const std::string dir_;
-
-    mutable std::mutex mu_; ///< guards stats_
-    Stats stats_;
-    std::atomic<uint64_t> tmpSerial_{0}; ///< unique tmp-file suffixes
 };
 
 } // namespace catchsim

@@ -1,7 +1,8 @@
 #include "common/fault_inject.hh"
 
-#include <cstdlib>
+#include <charconv>
 
+#include "common/bitutil.hh"
 #include "common/env.hh"
 #include "common/rng.hh"
 
@@ -10,18 +11,6 @@ namespace catchsim
 
 namespace
 {
-
-/** FNV-1a: a platform-stable name hash (std::hash is not portable). */
-uint64_t
-fnv1a(const std::string &s)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
 
 Expected<FaultKind>
 parseKind(const std::string &word)
@@ -39,15 +28,13 @@ parseKind(const std::string &word)
                     "crash-segv, oom, exec-fail or heartbeat-stall)");
 }
 
-/** Strict non-negative integer parse; nullopt on garbage. */
+/** Plain in-range decimal parse: no sign, space or overflow. */
 bool
 parseU64(const std::string &s, uint64_t *out)
 {
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    *out = std::strtoull(s.c_str(), &end, 10);
-    return end && *end == '\0';
+    const char *end = s.data() + s.size();
+    auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+    return ec == std::errc() && ptr == end;
 }
 
 Expected<FaultClause>
@@ -173,8 +160,10 @@ FaultPlan::shouldInject(FaultKind kind, const std::string &name,
             selected = true;
         } else if (clause.percent) {
             // One seeded draw per name: stable across attempts, job
-            // counts and machines.
-            Rng rng(clause.seed ^ fnv1a(name));
+            // counts and machines (FNV-1a from the standard offset
+            // basis; std::hash is not portable).
+            Rng rng(clause.seed ^
+                    fnv1a(name.data(), name.size(), 0xcbf29ce484222325ULL));
             selected = rng.percent(clause.pct);
         } else {
             selected = clause.target == name;

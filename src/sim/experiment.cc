@@ -21,7 +21,13 @@ ExperimentEnv::fromEnvironment()
 {
     ExperimentEnv env;
     env.names = envFlag("CATCH_FULL") ? stSuiteNames() : stQuickNames();
-    env.instrs = envU64("CATCH_INSTR", 300000);
+    constexpr uint64_t kDefaultInstrs = 300000;
+    env.instrs = envU64("CATCH_INSTR", kDefaultInstrs);
+    if (env.instrs == 0) {
+        warn("CATCH_INSTR=0 is not a positive integer; using the "
+             "default ", kDefaultInstrs);
+        env.instrs = kDefaultInstrs;
+    }
     env.warmup = envU64("CATCH_WARMUP", 100000);
     env.jobs = suiteJobs();
     env.jsonDir = envString("CATCH_JSON");

@@ -5,7 +5,8 @@
  *
  * Environment knobs:
  *   CATCH_FULL=1     run the full 70-workload suite (default: quick list)
- *   CATCH_INSTR=N    measured instructions per run (default 300000)
+ *   CATCH_INSTR=N    measured instructions per run (default 300000;
+ *                    0 warns and runs the default)
  *   CATCH_WARMUP=N   warmup instructions per run (default 100000)
  *   CATCH_JOBS=N     parallel simulation jobs (default: hardware
  *                    concurrency; 1 restores the serial path). Results

@@ -17,25 +17,36 @@
  * The key covers a run's inputs, not the build: a store filled before a
  * code change that moves results replays the old numbers; start afresh.
  *
- * It is the one store that persists: a RecordDir
- * (common/content_store.hh) holding one checksummed record per key
- * (the payload is one JSON line holding the status, attempts and
- * result), written to a process-unique tmp name and renamed into place
- * — a killed campaign never leaves a torn record. Corrupt or
- * key-mismatched records are deleted and count as misses. Every find()
- * reads the record. The directory is guarded by a flock'd lock file: a
- * second campaign pointed at the same store fails fast with a config
- * error instead of interleaving.
+ * It is the one store that persists. Each key has one record,
+ * <dir>/<FNV-1a of the key bytes, hex16>.res, in one checksummed frame
+ * (little-endian):
+ *
+ *   "CRSLT\0" | u32 version (1) | u32 key length | key bytes |
+ *   u64 payload length | payload | u64 FNV-1a of everything before it
+ *
+ * The payload is one JSON object holding the status, attempts and
+ * result. A record is written to a temp name unique per process and
+ * thread and renamed into place, so a killed campaign never leaves a
+ * torn record; the first record written for a key is kept. load()
+ * validates in order of trust: size floor, whole-record checksum,
+ * magic, version, key echo, payload length, then the payload itself.
+ * The key echo guards against a checksum-valid record renamed onto
+ * another key's path; a version bump turns stale records into clean
+ * misses instead of misparses. find() warns about a record that fails
+ * any step, deletes it and misses, so the cell re-executes. Every
+ * find() reads the record. The directory is guarded by a flock'd lock
+ * file: a second campaign pointed at the same store fails fast with a
+ * config error instead of interleaving.
  */
 
 #ifndef CATCHSIM_SIM_RESULT_STORE_HH_
 #define CATCHSIM_SIM_RESULT_STORE_HH_
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
 
-#include "common/content_store.hh"
 #include "common/error.hh"
 #include "sim/parallel_runner.hh"
 
@@ -51,14 +62,18 @@ struct RunKey
     uint64_t instrs = 0;
     uint64_t warmup = 0;
 
-    /** Canonical key bytes: every field above. */
+    /** Canonical key bytes: the four u64 fields above, little-endian,
+     *  then the workload name. */
     std::string bytes() const;
 };
 
-class ResultStore : private RecordDir
+class ResultStore
 {
   public:
-    ~ResultStore() override;
+    ~ResultStore();
+
+    ResultStore(const ResultStore &) = delete;
+    ResultStore &operator=(const ResultStore &) = delete;
 
     /**
      * Creates @p dir if needed and takes the exclusive campaign lock
@@ -69,33 +84,39 @@ class ResultStore : private RecordDir
     open(const std::string &dir);
 
     /**
-     * The stored outcome for @p key, or nullopt. A hit arrives with
-     * fromStore set and the stored Ok/Retried status; the caller
-     * fills the campaign-local config name. Corrupt, truncated or
-     * key-mismatched records warn, are deleted, and miss. Thread-safe.
+     * Reads and fully validates @p key's record. A hit arrives with
+     * fromStore set, the stored Ok/Retried status and the key's
+     * workload; the caller fills the campaign-local config name. An
+     * absent record is a config SimError; any defect is a trace-corrupt
+     * SimError naming the record path. Thread-safe.
+     */
+    Expected<RunOutcome> load(const RunKey &key) const;
+
+    /**
+     * load() as a lookup: the stored outcome, or nullopt. A defective
+     * record warns, is deleted, and misses. Thread-safe.
      */
     std::optional<RunOutcome> find(const RunKey &key);
 
     /**
-     * Persists a successful outcome (asserts out.ok()). Write errors
-     * warn but never fail the run they record. Thread-safe.
+     * Persists a successful outcome (asserts out.ok()) unless a record
+     * for @p key exists: every writer of a key holds an identical
+     * outcome. Write errors warn but never fail the run they record.
+     * Thread-safe.
      */
     void put(const RunKey &key, const RunOutcome &out);
 
-    /** The record path @p key maps to (test visibility). */
+    /** The record path @p key maps to. */
     std::string recordPath(const RunKey &key) const;
 
-    using RecordDir::stats;
-
   private:
-    explicit ResultStore(const std::string &dir);
+    explicit ResultStore(std::string dir);
 
-    void encode(const void *value,
-                std::vector<uint8_t> &out) const override;
-    Expected<Value> decode(const uint8_t *payload,
-                           size_t n) const override;
+    Expected<void> write(const RunKey &key, const RunOutcome &out);
 
+    const std::string dir_;
     int lockFd_ = -1;
+    std::atomic<uint64_t> tmpSerial_{0}; ///< unique temp-file suffixes
 };
 
 } // namespace catchsim

@@ -5,8 +5,9 @@
  *  1. Equivalence — full-campaign SimResults are bitwise-identical with
  *     the store disabled, cold, warm or eviction-thrashing, at jobs
  *     1/8/16, in detailed and sampled modes. The store may only ever
- *     be a speed lever, never a correctness hazard. The LRU itself is
- *     pinned once, for all memo stores, by tests/content_store_test.cc.
+ *     be a speed lever, never a correctness hazard. The LRU itself
+ *     (MemoLru, common/content_store.hh) is pinned once, for all memo
+ *     stores, by tests/content_store_test.cc.
  *  2. Bounded generation — every suite kernel streams a short trace
  *     through the store without generating past its chunk budget.
  *  3. Concurrency — consumer threads racing on a shared evicting store

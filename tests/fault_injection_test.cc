@@ -107,7 +107,12 @@ TEST(FaultSpec, MalformedSpecsAreConfigErrors)
     for (const char *bad :
          {"frobnicate:mcf", "state-corrupt:mcf", "io-transient",
           "io-transient:", "io-transient:mcf:x0", "io-transient:mcf:xq",
-          "exception:%@5", "exception:%150@5", "exception:%10"}) {
+          "exception:%@5", "exception:%150@5", "exception:%10",
+          // Counts, percents and seeds are plain decimals: no sign, no
+          // padding, no saturation on overflow.
+          "io-transient:mcf:x-1", "io-transient:mcf:x 2",
+          "io-transient:mcf:x18446744073709551616", "exception:%-0@5",
+          "exception:%5@-1"}) {
         auto plan = FaultPlan::parse(bad);
         ASSERT_FALSE(plan.ok()) << "must reject: " << bad;
         EXPECT_EQ(plan.error().category, ErrorCategory::Config) << bad;

@@ -310,6 +310,21 @@ TEST(ParallelRunner, SuiteJobsEnvKnob)
     ASSERT_EQ(unsetenv("CATCH_JOBS"), 0);
 }
 
+TEST(ParallelRunner, ZeroInstrEnvRunsTheDefault)
+{
+    // Zero measured instructions would pass every run at IPC 0. Like
+    // CATCH_JOBS=0 it is no value: warn, naming the knob, and run the
+    // default.
+    ASSERT_EQ(setenv("CATCH_INSTR", "0", 1), 0);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(ExperimentEnv::fromEnvironment().instrs, 300000u);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("CATCH_INSTR"), std::string::npos) << err;
+    ASSERT_EQ(setenv("CATCH_INSTR", "12345", 1), 0);
+    EXPECT_EQ(ExperimentEnv::fromEnvironment().instrs, 12345u);
+    ASSERT_EQ(unsetenv("CATCH_INSTR"), 0);
+}
+
 TEST(ParallelRunner, IsolationKnobsSaturateInsteadOfWrapping)
 {
     const char *knobs[] = {"CATCH_MAX_ATTEMPTS", "CATCH_BACKOFF_MS",

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "common/bitutil.hh"
 #include "core/branch_predictor.hh"
 #include "sim/configs.hh"
 #include "sim/fast_forward.hh"
@@ -137,14 +138,10 @@ TEST(SampledDeterminism, IdenticalAcrossJobCounts)
 // 3. Detailed-mode goldens: hash-pinned to pre-sampling outputs.
 
 uint64_t
-fnv1a(const std::string &s)
+jsonHash(const SimResult &r)
 {
-    uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
+    const std::string json = r.toJson();
+    return fnv1a(json.data(), json.size());
 }
 
 struct Golden
@@ -169,11 +166,11 @@ TEST(DetailedGolden, OutputHashUnchangedBySamplingEngine)
         SimResult base =
             runWorkload(baselineSkx(), g.workload, 35000, 10000);
         EXPECT_FALSE(base.sampled) << g.workload;
-        EXPECT_EQ(fnv1a(base.toJson()), g.baseline) << g.workload;
+        EXPECT_EQ(jsonHash(base), g.baseline) << g.workload;
 
         SimResult cat = runWorkload(catchNoL2(), g.workload, 35000,
                                     10000);
-        EXPECT_EQ(fnv1a(cat.toJson()), g.catchNoL2) << g.workload;
+        EXPECT_EQ(jsonHash(cat), g.catchNoL2) << g.workload;
     }
 }
 
@@ -220,7 +217,7 @@ TEST(DetailedGolden, DetectorWiringBranchesPinned)
     };
     for (const Case &c : cases) {
         SimResult r = runWorkload(c.cfg, c.workload, 35000, 10000);
-        EXPECT_EQ(fnv1a(r.toJson()), c.golden) << c.what;
+        EXPECT_EQ(jsonHash(r), c.golden) << c.what;
     }
 }
 

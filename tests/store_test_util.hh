@@ -1,11 +1,11 @@
 /**
  * @file
  * Helpers shared by the store tests: scratch directories, whole-file
- * reads and rewrites, record surgery that keeps a RecordDir frame
+ * reads and rewrites, record surgery that keeps a result-store frame
  * valid (payload length and trailing FNV-1a recomputed) so a test
  * reaches exactly the validation step it targets, and the
  * campaign-equivalence matrix every memo store must pass. The frame
- * layout is documented in common/content_store.hh.
+ * layout is documented in sim/result_store.hh.
  */
 
 #ifndef CATCHSIM_TESTS_STORE_TEST_UTIL_HH_
@@ -79,8 +79,8 @@ payloadOffset(const std::vector<char> &bytes)
 
 /**
  * Rewrites @p path's payload through @p edit — which may resize it —
- * keeping the frame valid, so only the facade's payload decoder can
- * reject the result.
+ * keeping the frame valid, so only the payload parser can reject the
+ * result.
  */
 inline void
 editPayload(const std::string &path,

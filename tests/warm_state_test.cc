@@ -12,8 +12,9 @@
  *     correctness hazard; detailed mode and ineligible runs never
  *     consult it.
  *  3. Charge — snapshots sharing an image charge it once, and a
- *     snapshot's byte total is its pages' exact sum. The LRU itself is
- *     pinned once, for all memo stores, by tests/content_store_test.cc.
+ *     snapshot's byte total is its pages' exact sum. The LRU itself
+ *     (MemoLru, common/content_store.hh) is pinned once, for all memo
+ *     stores, by tests/content_store_test.cc.
  *  4. Image safety — runs restoring one resident snapshot never write
  *     through to it.
  *  5. Component round trips — every warmed component's save → load →
